@@ -33,7 +33,7 @@ import weakref
 from pathlib import Path
 from typing import Any, Callable
 
-__all__ = ["Tracer", "LAYER_METRICS", "layer_metrics"]
+__all__ = ["Tracer", "LAYER_METRICS", "layer_metrics", "patch", "unpatch"]
 
 #: Per-layer metric name -> unit.  BENCHMARK.json's ``per_layer`` list.
 LAYER_METRICS: dict[str, str] = {
@@ -182,33 +182,18 @@ class Tracer:
 
     # -- patches ----------------------------------------------------------
 
-    def _set(self, owner: Any, attr: str, value: Any) -> None:
-        self._undo.append((owner, attr, owner.__dict__[attr]))
-        setattr(owner, attr, value)
-
     def install(self) -> None:
         """Wrap every layer boundary (call after the warm-up sweep, so
         lazily imported modules and their bindings exist)."""
         if self._undo:
             raise RuntimeError("tracer already installed")
-        loaded = [mod for name, mod in list(sys.modules.items())
-                  if mod is not None and (name == "repro"
-                                          or name.startswith("repro."))]
-        for module_name, attr, span, count in _FUNCTIONS:
-            original = getattr(importlib.import_module(module_name), attr)
-            traced = self.wrap(original, span, count)
-            for module in loaded:
-                for key, value in list(vars(module).items()):
-                    if value is original:
-                        self._set(module, key, traced)
-        for module_name, cls_name, attr, span, count in _METHODS:
-            cls = getattr(importlib.import_module(module_name), cls_name)
-            original = cls.__dict__[attr]
-            if isinstance(original, classmethod):
-                traced = classmethod(self.wrap(original.__func__, span, count))
-            else:
-                traced = self.wrap(original, span, count)
-            self._set(cls, attr, traced)
+        self._undo = patch(
+            [(module, attr, functools.partial(self.wrap, name=span,
+                                              count=count))
+             for module, attr, span, count in _FUNCTIONS],
+            [(module, cls, attr, functools.partial(self.wrap, name=span,
+                                                   count=count))
+             for module, cls, attr, span, count in _METHODS])
 
     def wrap_instance(self, obj: Any, methods, name: str) -> None:
         """Record ``name`` spans around bound methods of one object."""
@@ -219,12 +204,7 @@ class Tracer:
 
     def uninstall(self) -> None:
         """Restore every patched attribute, newest first."""
-        while self._undo:
-            owner, attr, original = self._undo.pop()
-            if original is None:
-                delattr(owner, attr)  # instance shadow over the class method
-            else:
-                setattr(owner, attr, original)
+        unpatch(self._undo)
 
     # -- worker hand-off --------------------------------------------------
 
@@ -258,6 +238,68 @@ class Tracer:
             path.unlink()
         self.reset()
         return spans, counts
+
+
+def patch(functions, methods, *, strict: bool = True
+          ) -> list[tuple[Any, str, Any]]:
+    """Wrap program functions and methods from outside; return the undo list.
+
+    ``functions`` holds ``(module, attribute, make)``: the function is
+    replaced by ``make(original)`` in every loaded ``repro`` module that
+    bound it at import.  ``methods`` holds ``(module, class, attribute,
+    make)``: the class attribute is replaced (a classmethod stays one).
+    With ``strict`` False a target the program no longer has is skipped.
+    """
+    undo: list[tuple[Any, str, Any]] = []
+
+    def put(owner: Any, attr: str, value: Any) -> None:
+        undo.append((owner, attr, owner.__dict__[attr]))
+        setattr(owner, attr, value)
+
+    def find(module_name: str, *path: str) -> Any:
+        try:
+            found = importlib.import_module(module_name)
+            for attr in path:
+                found = (found.__dict__[attr] if isinstance(found, type)
+                         else getattr(found, attr))
+            return found
+        except (ImportError, AttributeError, KeyError):
+            if strict:
+                raise
+            return None
+
+    loaded = [mod for name, mod in list(sys.modules.items())
+              if mod is not None and (name == "repro"
+                                      or name.startswith("repro."))]
+    for module_name, attr, make in functions:
+        original = find(module_name, attr)
+        if original is None:
+            continue
+        wrapped = make(original)
+        for module in loaded:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    put(module, key, wrapped)
+    for module_name, cls_name, attr, make in methods:
+        original = find(module_name, cls_name, attr)
+        if original is None:
+            continue
+        cls = find(module_name, cls_name)
+        if isinstance(original, classmethod):
+            put(cls, attr, classmethod(make(original.__func__)))
+        else:
+            put(cls, attr, make(original))
+    return undo
+
+
+def unpatch(undo: list[tuple[Any, str, Any]]) -> None:
+    """Restore what :func:`patch` (or an instance wrap) replaced, newest first."""
+    while undo:
+        owner, attr, original = undo.pop()
+        if original is None:
+            delattr(owner, attr)  # instance shadow over the class method
+        else:
+            setattr(owner, attr, original)
 
 
 def _forget_inherited(ref: "weakref.ref[Tracer]") -> None:

@@ -2,9 +2,10 @@
 
 A run repeats one workload's sweep (same grid, fresh store) until
 ``seconds`` are spent and reports medians over the repetitions.  Each
-repetition's times are rescaled to the reference host speed measured
-by :mod:`perfbench.calibrate` just before and after it, because the
-shared host's speed drifts by more than any bound worth gating on.
+unit of work (a trial or a batch call) is rescaled to the reference
+host speed sampled by :mod:`perfbench.calibrate` just before and after
+it, because the shared host's speed changes faster and further than
+any bound worth gating on.
 Every repetition must reproduce the first one's canonical records and
 cycles; the first one's cycles are re-verified against regenerated
 graphs.  With ``trace`` the run alternates untraced and
@@ -14,6 +15,7 @@ end-to-end metrics.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -26,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from perfbench.calibrate import Calibrator
+from perfbench.calibrate import REFERENCE_S, Calibrator, unit_seconds
 from perfbench.ledger import LAYER_METRICS, Tracer, layer_metrics
 from perfbench.sweep import SweepRun, run_sweep
 from perfbench.workloads import Workload, make_grid, warmup_grid
@@ -78,13 +80,45 @@ class Outcome:
 class Rep:
     """The timings kept from one repetition once it has been checked.
 
-    ``scale`` rescales its times to the reference host speed.
+    ``wall_s`` and ``busy_s`` (the summed unit times) are as measured,
+    without the time spent sampling the host; ``wall_ref_s`` and
+    ``latency_ref`` (per trial, in record order) are at the reference
+    host speed.  ``scale`` is the repetition's unit scales averaged
+    over its busy time.
     """
 
     wall_s: float
-    elapsed_s: list[float]
+    wall_ref_s: float
+    latency_ref: list[float]
+    busy_s: float
     workers: int
     scale: float
+
+
+def calibrate(run: SweepRun) -> Rep:
+    """Rescale ``run`` unit by unit to the reference host speed.
+
+    A trial's latency is its unit's reference time ÷ the trials in the
+    unit (the harness's convention for batches).  The sweep wall, less
+    the sampling time on its critical path, is scaled by the ratio of
+    reference to measured time summed over the units.
+    """
+    busy = weighted = 0.0
+    latency = []
+    seen = set()
+    for trial in run.trials:
+        pid, start, stop, size = run.units[trial.seed]
+        measured, reference = unit_seconds(run.samples[pid], start, stop)
+        latency.append(reference / size)
+        if (pid, start) not in seen:
+            seen.add((pid, start))
+            busy += measured
+            weighted += reference
+    kernel = sum(end - begin for samples in run.samples.values()
+                 for begin, end in samples)
+    wall = run.wall_s - kernel / run.workers
+    scale = weighted / busy
+    return Rep(wall, wall * scale, latency, busy, run.workers, scale)
 
 
 def tail_percentile(values: list[float]) -> tuple[float, float, int]:
@@ -156,13 +190,16 @@ def _peak_rss_mb() -> float:
     return (own + child) / 1024.0  # ru_maxrss is in KiB on Linux
 
 
-def setup_seconds(workload: Workload, probes: int, root: Path) -> list[float]:
-    """Wall time of ``probes`` fresh interpreters reaching ready-to-run."""
+def setup_seconds(workload: Workload, probes: int, root: Path,
+                  calibrator: Calibrator) -> list[float]:
+    """Wall time of ``probes`` fresh interpreters reaching ready-to-run,
+    each rescaled by host samples taken just before and after it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(root / "src")
     cmd = [sys.executable, str(PROBE), workload.algorithm, workload.engine,
            "batched" if workload.batched else "single"]
     times = []
+    host = [calibrator.seconds()]
     for _ in range(probes):
         start = time.perf_counter()
         proc = subprocess.Popen(cmd, cwd=root, env=env,
@@ -175,9 +212,11 @@ def setup_seconds(workload: Workload, probes: int, root: Path) -> list[float]:
             code = proc.wait()
         finally:
             watchdog.cancel()
-        times.append(time.perf_counter() - start)
+        wall = time.perf_counter() - start
         if code != 0:
             raise RuntimeError(f"set-up probe exited with {code}")
+        host.append(calibrator.seconds())
+        times.append(wall * REFERENCE_S / ((host[-2] + host[-1]) / 2.0))
     return times
 
 
@@ -185,16 +224,16 @@ def _harness_shares(reps: list[Rep]) -> dict[str, float]:
     """Harness overhead and worker busy share, medians over ``reps``."""
     overhead, busy = [], []
     for rep in reps:
-        inside = sum(rep.elapsed_s)
-        overhead.append(rep.scale * max(0.0, rep.wall_s - inside / rep.workers))
-        busy.append(inside / (rep.workers * rep.wall_s))
+        overhead.append(rep.scale * max(0.0,
+                                        rep.wall_s - rep.busy_s / rep.workers))
+        busy.append(rep.busy_s / (rep.workers * rep.wall_s))
     return {"overhead_s": statistics.median(overhead),
             "worker_busy_fraction": statistics.median(busy)}
 
 
 def _wall(reps: list[Rep]) -> float:
     """Median sweep wall time at the reference host speed."""
-    return statistics.median(rep.wall_s * rep.scale for rep in reps)
+    return statistics.median(rep.wall_ref_s for rep in reps)
 
 
 def _mean_spans(samples: list[tuple[dict, dict, float]]
@@ -219,47 +258,48 @@ def measure(workload: Workload, seed: int, seconds: float, trace: bool,
             workdir: Path, *, root: Path, probes: int = 5) -> Outcome:
     """One run of ``workload``; see the module docstring."""
     grid = make_grid(workload, seed)
-    run_sweep(workload, warmup_grid(workload, seed), workdir)  # untimed
+    calibrator = Calibrator()
+    run_sweep(workload, warmup_grid(workload, seed), workdir,
+              calibrator=calibrator)  # untimed
 
     reference: SweepRun | None = None
     expected: list[str] = []
     plain: list[Rep] = []
     traced: list[Rep] = []
-    samples: list[tuple[dict, dict, float]] = []
+    traces: list[tuple[dict, dict, float]] = []
     bad: set[int] = set()
     notes: list[str] = []
-    calibrator = Calibrator()
-    host = [calibrator.seconds()]
 
     def keep(run: SweepRun, reps: list[Rep], label: str) -> float:
         nonlocal reference, expected
-        host.append(calibrator.seconds())
         if reference is None:
             reference, expected = run, _canonical(run)
         else:  # check now, keep only timings: memory stays flat
             wrong, why = compare(reference, expected, run, label)
             bad.update(wrong)
             notes.extend(why)
-        scale = calibrator.factor(host[-2], host[-1])
-        reps.append(Rep(run.wall_s, [t.elapsed_s for t in run.trials],
-                        run.workers, scale))
-        return scale
+        rep = calibrate(run)
+        reps.append(rep)
+        return rep.scale
 
     tracer = Tracer(workdir) if trace else None
     started = time.perf_counter()
     while len(plain) < MAX_REPS:
+        gc.collect()  # the last sweep's garbage must not add to peak RSS
         lap = time.perf_counter()
-        keep(run_sweep(workload, grid, workdir), plain,
+        keep(run_sweep(workload, grid, workdir, calibrator=calibrator), plain,
              f"repetition {len(plain)}")
         if tracer is not None:
+            gc.collect()
             tracer.install()
             try:
-                run = run_sweep(workload, grid, workdir, tracer=tracer)
+                run = run_sweep(workload, grid, workdir, tracer=tracer,
+                                calibrator=calibrator)
             finally:
                 tracer.uninstall()
             spans, counts = tracer.collect()
             scale = keep(run, traced, f"traced repetition {len(traced)}")
-            samples.append((spans, counts, scale))
+            traces.append((spans, counts, scale))
         lap = time.perf_counter() - lap
         if time.perf_counter() - started + lap > seconds:
             break
@@ -277,29 +317,27 @@ def measure(workload: Workload, seed: int, seconds: float, trace: bool,
         + f" sweeps of {attempted} trials at n={workload.n}",
         f"records sha256 {digest[:16]}, {successes}/{attempted} verified "
         f"successes, {len(bad)} errors",
-        "sweep walls (s, as measured): "
+        "sweep walls (s, as measured, sampling excluded): "
         + " ".join(f"{r.wall_s:.3f}" for r in plain)
         + ("  traced: " + " ".join(f"{r.wall_s:.3f}" for r in traced)
            if traced else ""),
-        "host calibration (ms): " + " ".join(f"{1e3 * c:.1f}" for c in host),
+        "host scales (reference / measured): "
+        + " ".join(f"{r.scale:.3f}" for r in plain + traced),
         *notes[:10],
     ]
 
     if tracer is None:
-        latency = [statistics.median(rep.elapsed_s[i] * rep.scale
-                                     for rep in plain)
+        latency = [statistics.median(rep.latency_ref[i] for rep in plain)
                    for i in range(attempted)]
         pct, tail, beyond = tail_percentile(latency)
-        before = calibrator.seconds()
-        setup = setup_seconds(workload, probes, root)
-        setup_scale = calibrator.factor(before, calibrator.seconds())
+        setup = setup_seconds(workload, probes, root, calibrator)
         values = {
             "trials_per_sec": attempted / _wall(plain),
             "trial_p50_s": statistics.median(latency),
             "trial_tail_s": tail,
             "success_rate": successes / attempted,
             "error_free_rate": 1.0 - len(bad) / attempted,
-            "setup_s": statistics.median(setup) * setup_scale,
+            "setup_s": statistics.median(setup),
             "peak_rss_mb": peak_rss,
         }
         units = END_TO_END
@@ -307,7 +345,7 @@ def measure(workload: Workload, seed: int, seconds: float, trace: bool,
                       f"({beyond} beyond it); setup_s is the median of "
                       f"{len(setup)} fresh interpreters")
     else:
-        spans, counts = _mean_spans(samples)
+        spans, counts = _mean_spans(traces)
         overhead = _wall(traced) / _wall(plain) - 1.0
         values, labels = layer_metrics(
             spans, counts, reference.trials, harness=_harness_shares(plain),

@@ -25,7 +25,7 @@ NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}")
 TINY = {
     "dra-fast-n1024": (48, 4),
     "dhc2-batch-n512": (64, 6),
-    "dra-congest-n128": (24, 2),
+    "dra-congest-n48": (24, 2),
     "cre-jobs2-n64": (24, 12),
 }
 

@@ -44,15 +44,15 @@ WORKLOADS: dict[str, Workload] = {w.name: w for w in (
     Workload(
         name="dra-fast-n1024",
         algorithm="dra", engine="fast", n=1024, c=8.0, delta=1.0,
-        trials=48, warmup_trials=2),
+        trials=144, warmup_trials=2),
     Workload(
         name="dhc2-batch-n512",
         algorithm="dhc2", engine="fast-batch", n=512, c=6.0, delta=0.75,
         trials=50, warmup_trials=4, batched=True),
     Workload(
-        name="dra-congest-n128",
-        algorithm="dra", engine="congest", n=128, c=8.0, delta=1.0,
-        trials=30, warmup_trials=1),
+        name="dra-congest-n48",
+        algorithm="dra", engine="congest", n=48, c=8.0, delta=1.0,
+        trials=200, warmup_trials=2),
     Workload(
         name="cre-jobs2-n64",
         algorithm="cre", engine="fast", n=64, c=8.0, delta=1.0,
