@@ -41,8 +41,12 @@ CSR invariants the kernel relies on
   permutation (edge ``u→v`` ↔ ``v→u``) is well defined.
 
 A new algorithm targets the kernel by building (or filtering) a CSR,
-spawning per-node generators from one ``SeedSequence``, and driving
-:class:`ArrayWalk` / :class:`ArrayTree`; see ``docs/ARCHITECTURE.md``.
+taking its per-node streams from
+:func:`~repro.engines.batchwalk.node_streams` (the exact scalar
+replication of ``SeedSequence(seed).spawn(n)`` Generators; only
+``integers`` is available), and driving :class:`ArrayWalk` /
+:class:`ArrayTree`; see ``docs/ARCHITECTURE.md``.  The ``congest``
+engine keeps real Generators, as the independent reference.
 """
 
 from __future__ import annotations

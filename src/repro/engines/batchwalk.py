@@ -84,6 +84,13 @@ construction; if a numpy build ever disagrees, pools transparently
 fall back to per-draw ``integers`` calls on real per-node generators,
 which is slower but definitionally exact.
 
+The per-trial engines (``fast``, ``kmachine``) draw one value at a
+time, so they take the scalar form of the same replication:
+:func:`node_streams` seeds a trial's n children in one vector pass and
+hands back small Python-int PCG64 streams whose ``integers(bound)`` is
+bit-identical to the Generator's.  It shares the pools' self-check
+verdict, and falls back to real Generators with them.
+
 An optional compiled backend (:mod:`repro.engines._jit`, behind
 ``REPRO_JIT`` + the ``jit`` extra) replaces the whole per-pass step
 loop with one fused numba kernel per batch — per-step PCG64 draw,
@@ -102,6 +109,8 @@ of :mod:`repro.engines._jit`).
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from repro.engines import _jit
@@ -112,6 +121,7 @@ __all__ = [
     "BatchWalk",
     "DrawPool",
     "build_batch_tree",
+    "node_streams",
     "stack_graph_csrs",
     "stacked_edge_twins",
     "reverse_path_blocks",
@@ -172,6 +182,12 @@ _PCG_ML_HI = np.uint64(0x4385DF64)
 
 #: Lazily-established verdict of the replication self-checks.
 _EXACT: bool | None = None
+
+# The same constants as Python ints, for the scalar per-node streams.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_TWO32 = 1 << 32
 
 
 def _entropy_words(seed: int) -> list[int]:
@@ -284,42 +300,26 @@ def _pcg_srandom(states: np.ndarray):
 
 
 def _replication_self_check() -> bool:
-    """Does the raw-word Lemire replication match this numpy's Generator?
+    """Does the half-word Lemire replication match this numpy's Generator?
 
     Drains one PCG64 stream twice — through a real ``Generator`` and
-    through the half-word arithmetic :class:`DrawPool` uses — over a
-    bound mix that exercises the no-consumption ``bound == 1`` case,
-    small and large bounds, and the rejection path (``2**31 + 1``
-    rejects ~50% of halves).  Any numpy whose bounded-integer
-    algorithm differs fails this check and demotes every pool to the
-    per-draw ``integers`` fallback, keeping parity unconditional.
+    through a :class:`_NodeStream` seeded with the same state, which
+    applies the half-word buffering and Lemire reduction
+    :class:`DrawPool` vectorises — over a bound mix that exercises the
+    no-consumption ``bound == 1`` case, small and large bounds, the
+    rejection path (``2**31 + 1`` rejects ~50% of halves) and the
+    full-width ``2**32``.  Any numpy whose bounded-integer algorithm
+    or buffering differs fails this check and demotes every pool and
+    every :func:`node_streams` call to real generators, keeping parity
+    unconditional.
     """
     ss = np.random.SeedSequence(0xBA7C4ED)
     ref = np.random.default_rng(ss)
-    words = np.random.PCG64(ss).random_raw(256)
-    halves = np.empty(512, dtype=np.uint64)
-    halves[0::2] = words & _MASK32
-    halves[1::2] = words >> _SHIFT32
-    pos = 0
+    st = np.random.PCG64(ss).state["state"]
+    stream = _NodeStream(st["state"], st["inc"])
     bounds = [1, 2, 3, 7, 1, 100, 4096, 2**31 + 1, 1, 5, 12,
-              1000003, 2**31 + 1, 64, 1, 2] * 4
-    for c in bounds:
-        expect = int(ref.integers(c))
-        if c == 1:
-            got = 0
-        else:
-            threshold = ((1 << 32) - c) % c
-            while True:
-                if pos >= halves.size:
-                    return False
-                m = int(halves[pos]) * c
-                pos += 1
-                if (m & 0xFFFFFFFF) >= threshold:
-                    got = m >> 32
-                    break
-        if got != expect:
-            return False
-    return True
+              1000003, 2**31 + 1, 64, 1, 2, 2**32] * 4
+    return all(stream.integers(c) == int(ref.integers(c)) for c in bounds)
 
 
 def _vector_seed_self_check() -> bool:
@@ -328,8 +328,9 @@ def _vector_seed_self_check() -> bool:
     Reconstructs a few parents' spawn children end to end — seed
     material, seeded LCG state, and the first raw words — against the
     real objects, over one-word, multi-word (> 32-bit) and > 128-bit
-    entropy.  Any mismatch demotes every pool to the per-draw
-    ``integers`` fallback, keeping parity unconditional.
+    entropy.  Any mismatch demotes every pool and every
+    :func:`node_streams` call to real generators, keeping parity
+    unconditional.
     """
     for seed in (0, 1, 0xBA7C4ED, (1 << 40) + 7, (1 << 130) + 5):
         k = 3
@@ -358,15 +359,94 @@ def _vector_seed_self_check() -> bool:
     return True
 
 
+def _exact() -> bool:
+    """The once-per-process verdict of both replication self-checks."""
+    global _EXACT
+    if _EXACT is None:
+        _EXACT = _replication_self_check() and _vector_seed_self_check()
+    return _EXACT
+
+
+class _NodeStream:
+    """One node's ``Generator(PCG64(child)).integers`` stream, in Python ints.
+
+    The scalar twin of a :class:`DrawPool` lane: the 128-bit LCG state
+    and increment plus the pending high half of the last raw word.
+    Bounded draws take 32-bit halves, low half first, through Lemire's
+    multiply-shift with rejection, exactly as ``Generator.integers``
+    does for bounds up to ``2**32``; ``bound == 1`` consumes nothing.
+    A draw costs a few big-int operations instead of a trip through
+    numpy's argument parsing.
+    """
+
+    __slots__ = ("_state", "_inc", "_half")
+
+    def __init__(self, state: int, inc: int):
+        self._state = state
+        self._inc = inc
+        self._half = None
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x = ((s >> 64) ^ s) & _M64
+        word = (((x << 64) | x) >> (s >> 122)) & _M64  # XSL-RR rotate
+        self._half = word >> 32
+        return word & _M32
+
+    def integers(self, bound) -> int:
+        """A uniform draw from ``range(bound)``, ``1 <= bound <= 2**32``."""
+        if bound.__class__ is not int:
+            bound = operator.index(bound)
+        if not 1 < bound <= _TWO32:
+            if bound == 1:
+                return 0
+            raise ValueError(f"bound must lie in [1, 2**32], got {bound}")
+        m = self._next32() * bound
+        if m & _M32 < bound:  # threshold < bound: almost never taken
+            threshold = (_TWO32 - bound) % bound
+            while m & _M32 < threshold:
+                m = self._next32() * bound
+        return m >> 32
+
+
+def node_streams(seed, n: int) -> list:
+    """The per-node random streams of one trial, one per node id.
+
+    Element ``v`` draws exactly as ``default_rng(SeedSequence(seed)
+    .spawn(n)[v])`` would — every per-trial engine's per-node
+    randomness — but costs no ``SeedSequence`` / ``Generator``
+    objects: the children's PCG64 states come from the same vector
+    seeding replication :class:`DrawPool` uses, and each stream is a
+    :class:`_NodeStream` whose ``integers(bound)`` is bit-identical to
+    the Generator's.  Callers may only call ``integers``.  When the
+    self-checks find this numpy disagreeing (or ``seed`` is not a
+    non-negative integer), the real Generators come back instead.
+    """
+    if n == 0:
+        return []
+    if (not _exact() or not isinstance(seed, (int, np.integer))
+            or seed < 0):
+        return [np.random.default_rng(s)
+                for s in np.random.SeedSequence(seed).spawn(n)]
+    sh, sl, ih, il = _pcg_srandom(_spawned_pcg_states([seed], n))
+    return [_NodeStream((a << 64) | b, (c << 64) | d)
+            for a, b, c, d in zip(sh.tolist(), sl.tolist(),
+                                  ih.tolist(), il.tolist())]
+
+
 class DrawPool:
     """Per-node bounded-integer streams, drawn for a whole pass at once.
 
     One pool owns the ``B*n`` node streams of a batch — the exact
     ``SeedSequence(seed_b).spawn(n)`` children that ``engine="fast"``
-    hands to ``default_rng`` — and serves ``draw(nodes, bounds)``:
-    one value per lane, each from its own stream, bitwise identical
-    to ``Generator(PCG64(child)).integers(bound)`` called in the same
-    per-node order.
+    draws from through :func:`node_streams` — and serves
+    ``draw(nodes, bounds)``: one value per lane, each from its own
+    stream, bitwise identical to ``Generator(PCG64(child))
+    .integers(bound)`` called in the same per-node order.
 
     How: the PCG64 LCG states of *all* children are materialised up
     front by the vectorised SeedSequence replication — four uint64
@@ -389,10 +469,7 @@ class DrawPool:
                  "_il", "_word", "_pend")
 
     def __init__(self, seeds, n: int):
-        global _EXACT
-        if _EXACT is None:
-            _EXACT = _replication_self_check() and _vector_seed_self_check()
-        self.exact = _EXACT
+        self.exact = _exact()
         if not self.exact:
             self._children = []
             for seed in seeds:

@@ -169,11 +169,11 @@ def _dra_fast(
 ) -> RunResult:
     """Algorithm 1 on the array kernel; see module docstring for fidelity."""
     from repro.engines.arraywalk import ArrayWalk, build_array_tree, edge_twins
+    from repro.engines.batchwalk import node_streams
 
     n = graph.n
     budget = step_budget if step_budget is not None else dra_step_budget(n)
-    seeds = np.random.SeedSequence(seed).spawn(n) if n else []
-    rngs = [np.random.default_rng(s) for s in seeds]
+    rngs = node_streams(seed, n)
 
     election_rounds = diameter_budget(n)
     indptr, indices = graph.indptr, graph.indices

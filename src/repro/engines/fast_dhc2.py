@@ -70,10 +70,11 @@ def _dhc2_fast(
     seed: int = 0,
 ) -> RunResult:
     """Algorithm 3 with Phase 1 on the array kernel."""
+    from repro.engines.batchwalk import node_streams
+
     n = graph.n
     colors = k if k is not None else default_color_count(n, delta)
-    seeds = np.random.SeedSequence(seed).spawn(n) if n else []
-    rngs = [np.random.default_rng(s) for s in seeds]
+    rngs = node_streams(seed, n)
 
     color_of, sub_indptr, sub_indices, twins, alive = color_partition(
         graph, rngs, colors)

@@ -114,6 +114,8 @@ def _turau_fast(
     decision.  The native k-machine engine uses it to bin the
     protocol's traffic onto machine links.
     """
+    from repro.engines.batchwalk import node_streams
+
     n = graph.n
     if trace is not None:
         trace.update(proposals=None, phases=[], flood_source=-1)
@@ -125,8 +127,7 @@ def _turau_fast(
                  else turau_phase_budget(n))
     windows = phase_windows(n, budget)
     starts = phase_starts(n, budget)
-    seeds = np.random.SeedSequence(seed).spawn(n)
-    rngs = [np.random.default_rng(s) for s in seeds]
+    rngs = node_streams(seed, n)
     indptr, indices = graph.indptr, graph.indices
 
     links = _LinkState(n)

@@ -108,6 +108,7 @@ def _dhc1_kmachine(
     """
     from repro.core.dhc1 import default_sqrt_colors
     from repro.engines.arraywalk import build_array_tree
+    from repro.engines.batchwalk import node_streams
     from repro.engines.phase1_replay import (
         color_partition,
         replay_partition_walks,
@@ -117,8 +118,7 @@ def _dhc1_kmachine(
     partition, ledger = _setup(graph, seed, k_machines, link_words,
                                partition_seed)
     colors = k if k is not None else default_sqrt_colors(n)
-    seeds = np.random.SeedSequence(seed).spawn(n) if n else []
-    rngs = [np.random.default_rng(s) for s in seeds]
+    rngs = node_streams(seed, n)
     indptr, indices = graph.indptr, graph.indices
     members_all = np.arange(n, dtype=np.int64)
 

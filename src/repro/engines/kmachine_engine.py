@@ -145,6 +145,7 @@ def _dra_kmachine(
     an alias for ``k_machines`` (DRA has no partition-count keyword).
     """
     from repro.engines.arraywalk import ArrayWalk, build_array_tree, edge_twins
+    from repro.engines.batchwalk import node_streams
     from repro.engines.fast import _dra_result
 
     n = graph.n
@@ -152,8 +153,7 @@ def _dra_kmachine(
         graph, seed, k_machines if k_machines is not None else k,
         link_words, partition_seed)
     budget = step_budget if step_budget is not None else dra_step_budget(n)
-    seeds = np.random.SeedSequence(seed).spawn(n) if n else []
-    rngs = [np.random.default_rng(s) for s in seeds]
+    rngs = node_streams(seed, n)
 
     election_rounds = diameter_budget(n)
     indptr, indices = graph.indptr, graph.indices
@@ -224,6 +224,7 @@ def _dhc2_kmachine(
     replay with bridge-scan bursts charged per pair.
     """
     from repro.core.dhc2 import default_color_count
+    from repro.engines.batchwalk import node_streams
     from repro.engines.fast_dhc2 import _fail, _phase2
     from repro.engines.phase1_replay import (
         color_partition,
@@ -234,8 +235,7 @@ def _dhc2_kmachine(
     partition, ledger = _setup(graph, seed, k_machines, link_words,
                                partition_seed)
     colors = k if k is not None else default_color_count(n, delta)
-    seeds = np.random.SeedSequence(seed).spawn(n) if n else []
-    rngs = [np.random.default_rng(s) for s in seeds]
+    rngs = node_streams(seed, n)
 
     color_of, sub_indptr, sub_indices, twins, alive = color_partition(
         graph, rngs, colors)

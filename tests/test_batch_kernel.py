@@ -15,6 +15,10 @@ them as a third path.  The CI jit lanes (``REPRO_JIT=1`` with numba
 installed; one with ``REPRO_JIT_THREADS=2``) re-run the whole suite
 with the kernels actually compiled — serial and threaded — closing
 the loop.
+
+:class:`TestNodeStreams` pins the scalar half of the same replication,
+:func:`~repro.engines.batchwalk.node_streams`, to the spawned
+``default_rng`` generators the per-trial engines used to build.
 """
 
 import math
@@ -22,19 +26,24 @@ import math
 import numpy as np
 import pytest
 
-from repro.engines import _jit
+from repro.engines import _jit, batchwalk
 from repro.engines.arraywalk import edge_twins
 from repro.engines.batchwalk import (
     build_batch_tree,
+    node_streams,
     stack_graph_csrs,
     stacked_edge_twins,
 )
+from repro.engines.fast import _dra_fast
 from repro.engines.fast_batch import (
     _cre_fast_batch,
     _dhc2_fast_batch,
     _dra_fast_batch,
     _turau_fast_batch,
 )
+from repro.engines.fast_dhc2 import _dhc2_fast
+from repro.engines.fast_turau import _turau_fast
+from repro.engines.kmachine_engine import _dra_kmachine
 from repro.graphs import gnp_random_graph
 
 BATCH_RUNNERS = {
@@ -240,3 +249,70 @@ class TestJitGating:
         for a, b in zip(plain, want):
             for field in FIELDS:
                 assert getattr(a, field) == getattr(b, field)
+
+
+class TestNodeStreams:
+    """Scalar per-node streams == ``default_rng`` of every spawn child."""
+
+    BOUNDS = (1, 2, 3, 7, 64, 4096, 2**31 + 1, 2**32 - 1, 2**32)
+
+    @staticmethod
+    def spawned(seed, n):
+        return [np.random.default_rng(c)
+                for c in np.random.SeedSequence(seed).spawn(n)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**40 + 7, 2**130 + 5])
+    def test_bit_identical_to_spawned_generators(self, seed):
+        n = 9
+        ours, ref = node_streams(seed, n), self.spawned(seed, n)
+        if batchwalk._exact():
+            assert all(isinstance(s, batchwalk._NodeStream) for s in ours)
+        # Interleaved node order: each stream's buffered half-word must
+        # survive other nodes' draws in between.
+        order = np.random.default_rng(seed % 97)
+        for _ in range(800):
+            v = int(order.integers(n))
+            bound = self.BOUNDS[int(order.integers(len(self.BOUNDS)))]
+            assert ours[v].integers(bound) == int(ref[v].integers(bound))
+
+    def test_numpy_integer_bounds(self):
+        ours, ref = node_streams(11, 2), self.spawned(11, 2)
+        for bound in (np.int64(5), np.uint32(2**32 - 1), np.int32(1)):
+            assert ours[1].integers(bound) == int(ref[1].integers(bound))
+
+    def test_empty_and_invalid_bounds(self):
+        assert node_streams(5, 0) == []
+        stream = node_streams(5, 1)[0]
+        for bound in (0, -3, 2**32 + 1):
+            with pytest.raises(ValueError):
+                stream.integers(bound)
+
+    def test_forced_fallback_gives_identical_results(self, monkeypatch):
+        graphs = [sample(40, factor, 700 + i)
+                  for i, factor in enumerate((1.0, 8.0, 8.0, 14.0))]
+        runners = {
+            "dra/fast": _dra_fast,
+            "dhc2/fast": _dhc2_fast,
+            "turau/fast": _turau_fast,
+            "dra/kmachine": lambda g, seed: _dra_kmachine(
+                g, seed=seed, k_machines=4),
+        }
+
+        def run_grid():
+            return {name: [run(g, seed=20 + i) for i, g in enumerate(graphs)]
+                    for name, run in runners.items()}
+
+        with monkeypatch.context() as m:
+            m.setattr(batchwalk, "_EXACT", False)
+            assert all(isinstance(s, np.random.Generator)
+                       for s in node_streams(3, 4))
+            fallback = run_grid()
+        streamed = run_grid()
+        outcomes = set()
+        for name, results in streamed.items():
+            for i, (a, b) in enumerate(zip(results, fallback[name])):
+                outcomes.add(a.success)
+                for field in FIELDS:
+                    assert getattr(a, field) == getattr(b, field), (
+                        f"{name}: trial {i} field {field}")
+        assert outcomes == {True, False}

@@ -11,6 +11,15 @@ from repro.cli import main
 from repro.harness import validate_metrics_payload
 
 
+def canonical_records(path):
+    """A JSONL store's records minus ``elapsed_s``, as sorted-key JSON."""
+    with path.open() as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    for record in records:
+        record.pop("elapsed_s", None)
+    return [json.dumps(record, sort_keys=True) for record in records]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -381,16 +390,8 @@ class TestSweepCommand:
                              "--store", str(tmp_path / "batched.jsonl"))
         assert code == 0
 
-        def canonical(path):
-            records = []
-            for line in path.open():
-                record = json.loads(line)
-                record.pop("elapsed_s", None)
-                records.append(record)
-            return records
-
-        assert canonical(tmp_path / "solo.jsonl") \
-            == canonical(tmp_path / "batched.jsonl")
+        assert canonical_records(tmp_path / "solo.jsonl") \
+            == canonical_records(tmp_path / "batched.jsonl")
 
     def test_sweep_auto_selects_fast_batch_for_large_queues(
             self, capsys, monkeypatch):
@@ -441,16 +442,8 @@ class TestSweepCommand:
         assert code == 0
         assert json.loads(out)["engine"] == "fast-batch"
 
-        def canonical(path):
-            records = []
-            for line in path.open():
-                record = json.loads(line)
-                record.pop("elapsed_s", None)
-                records.append(record)
-            return records
-
-        assert canonical(tmp_path / "fast.jsonl") \
-            == canonical(tmp_path / "auto.jsonl")
+        assert canonical_records(tmp_path / "fast.jsonl") \
+            == canonical_records(tmp_path / "auto.jsonl")
 
     def test_sweep_sequential_algorithm_skips_power_law(self, capsys):
         # Sequential engines report rounds=0; the sweep must still
@@ -490,14 +483,8 @@ class TestSweepCommand:
         assert code_s == code_p == 0
         assert json.loads(out_s)["rows"] == json.loads(out_p)["rows"]
 
-        def canonical(path):
-            records = [json.loads(line) for line in
-                       path.read_text().splitlines() if line]
-            for r in records:
-                r.pop("elapsed_s", None)
-            return [json.dumps(r, sort_keys=True) for r in records]
-
-        assert canonical(serial_store) == canonical(parallel_store)
+        assert canonical_records(serial_store) \
+            == canonical_records(parallel_store)
 
     def test_sweep_work_stealing_matches_serial_canonically(
             self, capsys, tmp_path):
@@ -516,14 +503,8 @@ class TestSweepCommand:
         # ordered return value, so it is identical verbatim.
         assert json.loads(out_s)["rows"] == json.loads(out_w)["rows"]
 
-        def canonical(path):
-            records = [json.loads(line) for line in
-                       path.read_text().splitlines() if line]
-            for r in records:
-                r.pop("elapsed_s", None)
-            return sorted(json.dumps(r, sort_keys=True) for r in records)
-
-        assert canonical(serial_store) == canonical(stolen_store)
+        assert sorted(canonical_records(serial_store)) \
+            == sorted(canonical_records(stolen_store))
 
     def test_sweep_related_algorithms_through_full_harness(
             self, capsys, tmp_path):
@@ -554,14 +535,8 @@ class TestSweepCommand:
             assert code == 0
             assert json.loads(out)["records"] == 6
 
-            def canonical(path):
-                records = [json.loads(line) for line in
-                           path.read_text().splitlines() if line]
-                for r in records:
-                    r.pop("elapsed_s", None)
-                return [json.dumps(r, sort_keys=True) for r in records]
-
-            assert canonical(serial_store) == canonical(merged), algorithm
+            assert canonical_records(serial_store) \
+                == canonical_records(merged), algorithm
 
     def test_sweep_store_resume_skips_completed(self, capsys, tmp_path):
         store = tmp_path / "resume.jsonl"
@@ -594,14 +569,7 @@ class TestSweepCommand:
                              "--store", str(partial))
         assert code == 0
 
-        def canonical(path):
-            records = [json.loads(line) for line in
-                       path.read_text().splitlines() if line]
-            for r in records:
-                r.pop("elapsed_s", None)
-            return [json.dumps(r, sort_keys=True) for r in records]
-
-        assert canonical(full) == canonical(partial)
+        assert canonical_records(full) == canonical_records(partial)
 
 
 class TestSweepJobsThreadedKernelRule:
@@ -664,14 +632,7 @@ class TestSweepJobsThreadedKernelRule:
                                "--jobs", "2", "--store", str(fanout))
         assert code_s == code_p == 0
 
-        def canonical(path):
-            records = [json.loads(line) for line in
-                       path.read_text().splitlines() if line]
-            for r in records:
-                r.pop("elapsed_s", None)
-            return [json.dumps(r, sort_keys=True) for r in records]
-
-        assert canonical(serial) == canonical(fanout)
+        assert canonical_records(serial) == canonical_records(fanout)
 
     def test_drawpool_fallback_through_full_sweep(self, capsys,
                                                   monkeypatch, tmp_path):
@@ -693,14 +654,7 @@ class TestSweepJobsThreadedKernelRule:
             code, _, _ = run_cli(capsys, *base, "--store", str(fallback))
         assert code == 0
 
-        def canonical(path):
-            records = [json.loads(line) for line in
-                       path.read_text().splitlines() if line]
-            for r in records:
-                r.pop("elapsed_s", None)
-            return [json.dumps(r, sort_keys=True) for r in records]
-
-        assert canonical(exact) == canonical(fallback)
+        assert canonical_records(exact) == canonical_records(fallback)
 
 
 class TestNetworkFlag:
