@@ -27,7 +27,7 @@ from repro.congest.faults import FaultInjector, FaultPlan
 from repro.congest.message import Message, payload_bits, word_bits
 from repro.congest.metrics import Metrics, state_size_words
 from repro.congest.model import LatencySpec, NetworkModel
-from repro.congest.network import DEFAULT_BANDWIDTH_WORDS, Network, run_network
+from repro.congest.network import DEFAULT_BANDWIDTH_WORDS, Network
 from repro.congest.node import Context, Protocol
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "LatencySpec",
     "FaultPlan",
     "FaultInjector",
-    "run_network",
     "Protocol",
     "Context",
     "Message",

@@ -11,9 +11,8 @@ must wind down cleanly (quiescence, not exceptions).
 Usage::
 
     plan = FaultPlan(drop_probability=0.05, seed=7)
-    injector = FaultInjector(plan)
-    result = run_dra(graph, seed=1, network_hook=injector.attach)
-    assert injector.dropped >= 0          # observability
+    result = run_dra(graph, seed=1, network=NetworkModel(fault_plan=plan))
+    result.detail["faults"]["dropped"]    # observability
     # result.success is False unless a real HC was still produced
 
 Fault kinds:
@@ -47,8 +46,8 @@ __all__ = ["FaultPlan", "FaultInjector", "compose_fault_hook"]
 def compose_fault_hook(plan: "FaultPlan", network_hook=None):
     """A ``network_hook`` applying ``plan``, composed with an existing hook.
 
-    This is how the congest runners honour their registry-declared
-    ``fault_plan`` keyword: the returned hook attaches a fresh
+    This is how :func:`~repro.congest.model.build_network` honours a
+    model's ``fault_plan``: the returned hook attaches a fresh
     :class:`FaultInjector` (before any caller-supplied hook, so a
     conflicting second delivery filter fails loudly), and the injector
     is returned alongside so the runner can report
@@ -142,8 +141,9 @@ class FaultPlan:
 class FaultInjector:
     """Applies a :class:`FaultPlan` to a network and counts what it broke.
 
-    Attach via the front ends' ``network_hook`` (or set it as the
-    network's ``delivery_filter`` directly).  After the run:
+    Attach via a :class:`~repro.congest.model.NetworkModel`'s
+    ``network_hook`` (or set it as the network's ``delivery_filter``
+    directly).  After the run:
 
     * ``dropped`` — messages discarded (all causes combined);
     * ``crashed`` — nodes crash-stopped so far;

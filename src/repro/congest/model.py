@@ -1,18 +1,16 @@
 """The unified network-configuration object: :class:`NetworkModel`.
 
-Before this module existed, network configuration was a handful of
-ad-hoc keyword arguments scattered across the congest runners —
-``network_hook``, ``fault_plan``, ``bandwidth_words``, ``audit_memory``
-— and the asynchronous engine would have multiplied them (latency
-distributions, churn schedules, adversary seeds).  A
-:class:`NetworkModel` collects the whole description of the *substrate*
-an algorithm runs on into one frozen, JSON-serialisable value:
+A :class:`NetworkModel` collects the whole description of the
+*substrate* an algorithm runs on into one frozen, JSON-serialisable
+value:
 
 * ``mode`` — ``"sync"`` (the round-driven :class:`~repro.congest.
   network.Network`) or ``"async"`` (the event-queue
   :class:`~repro.congest.async_engine.AsyncNetwork`);
 * ``bandwidth_words`` — per-message word budget (``None`` = the
   runner's own default);
+* ``audit_memory`` — record per-node peak state (ORs with the
+  runner's own flag);
 * ``fault_plan`` — a declarative :class:`~repro.congest.faults.
   FaultPlan` adversary;
 * ``latency`` — a :class:`LatencySpec` giving each directed edge a
@@ -25,20 +23,18 @@ an algorithm runs on into one frozen, JSON-serialisable value:
 * ``network_hook`` — an imperative escape hatch (observer attachment);
   the only field excluded from JSON.
 
-The congest runners accept ``network=`` (a model, a dict, or a JSON
-string); the legacy ``fault_plan=`` / ``network_hook=`` keywords remain
-as shims that emit :class:`DeprecationWarning` and route through
-:func:`coerce_network_model`.  The canonical JSON string form
-(:meth:`NetworkModel.canonical`) is hashable and byte-stable, so sweep
-points carrying a model stay store-canonicalisable and resumable.
+The congest runners take it as ``network=`` (a model, a dict, or a
+JSON string; :func:`coerce_network_model` turns any of these into a
+model).  The canonical JSON string form (:meth:`NetworkModel.canonical`)
+is hashable and byte-stable, so sweep points carrying a model stay
+store-canonicalisable and resumable.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import Callable
 
 from repro.congest.faults import FaultInjector, FaultPlan, compose_fault_hook
 from repro.congest.network import DEFAULT_BANDWIDTH_WORDS, Network
@@ -248,52 +244,23 @@ class NetworkModel:
         return cls(**kwargs)
 
 
-def _warn_legacy(name: str, caller: str) -> None:
-    warnings.warn(
-        f"{caller}(..., {name}=...) is deprecated; pass "
-        f"network=NetworkModel({name}=...) instead",
-        DeprecationWarning, stacklevel=4)
-
-
 def coerce_network_model(
     network: "NetworkModel | dict | str | None" = None,
-    *,
-    network_hook: Callable | None = None,
-    fault_plan: FaultPlan | None = None,
-    bandwidth_words: int | None = None,
-    caller: str = "run",
 ) -> NetworkModel:
-    """The effective :class:`NetworkModel` for a runner call.
+    """The :class:`NetworkModel` a runner's ``network=`` argument names.
 
     ``network`` may be a model, a JSON dict/string, or ``None`` (the
-    default synchronous substrate).  Each legacy keyword emits a
-    :class:`DeprecationWarning` and folds into the model; passing a
-    legacy keyword *and* the same field on an explicit model is a
-    conflict and raises, so a value can never be silently shadowed.
+    default synchronous substrate).
     """
     if network is None:
-        model = NetworkModel()
-    elif isinstance(network, NetworkModel):
-        model = network
-    elif isinstance(network, (dict, str)):
-        model = NetworkModel.from_json(network)
-    else:
-        raise TypeError(
-            f"network must be a NetworkModel, dict, or JSON string, got "
-            f"{type(network).__name__}")
-    for name, value, current in (
-            ("fault_plan", fault_plan, model.fault_plan),
-            ("network_hook", network_hook, model.network_hook),
-            ("bandwidth_words", bandwidth_words, model.bandwidth_words)):
-        if value is None:
-            continue
-        _warn_legacy(name, caller)
-        if current is not None:
-            raise ValueError(
-                f"{name} given both as a legacy keyword and on the "
-                f"NetworkModel; set it in one place")
-        model = replace(model, **{name: value})
-    return model
+        return NetworkModel()
+    if isinstance(network, NetworkModel):
+        return network
+    if isinstance(network, (dict, str)):
+        return NetworkModel.from_json(network)
+    raise TypeError(
+        f"network must be a NetworkModel, dict, or JSON string, got "
+        f"{type(network).__name__}")
 
 
 def build_network(

@@ -225,33 +225,3 @@ class Network:
             if words > peaks[v]:
                 peaks[v] = words
 
-
-def run_network(
-    graph: Graph,
-    protocol_factory: Callable[[int], Protocol],
-    *,
-    seed: int = 0,
-    max_rounds: int,
-    bandwidth_words: int | None = None,
-    audit_memory: bool = False,
-    until: Callable[[Network], bool] | None = None,
-    network=None,
-) -> Network:
-    """Build a network, run it, and return it (metrics + protocols inside).
-
-    ``network`` is a :class:`~repro.congest.model.NetworkModel` (or its
-    JSON form) describing the substrate — including ``mode="async"``,
-    in which case the returned object is an
-    :class:`~repro.congest.async_engine.AsyncNetwork`.  The standalone
-    ``bandwidth_words=`` keyword is a deprecated shim folding into it
-    (the :class:`Network` constructor's own parameter is not deprecated;
-    this wrapper is model-driven).
-    """
-    from repro.congest.model import build_network, coerce_network_model
-
-    model = coerce_network_model(network, bandwidth_words=bandwidth_words,
-                                 caller="run_network")
-    net, _ = build_network(graph, protocol_factory, seed=seed, model=model,
-                           audit_memory=audit_memory)
-    net.run(max_rounds=max_rounds, until=until)
-    return net

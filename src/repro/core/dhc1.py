@@ -351,8 +351,6 @@ def run_dhc1(
     seed: int = 0,
     max_rounds: int | None = None,
     audit_memory: bool = False,
-    network_hook=None,
-    fault_plan=None,
     network=None,
 ) -> RunResult:
     """Run Algorithm 2 on ``graph`` in the CONGEST simulator.
@@ -360,14 +358,11 @@ def run_dhc1(
     Intended for the DHC1 regime ``p = c ln n / sqrt(n)``; ``k`` defaults
     to ``sqrt(n)`` colour classes.  ``network`` is a
     :class:`~repro.congest.model.NetworkModel` (or its JSON form)
-    describing the substrate; the legacy ``network_hook=`` /
-    ``fault_plan=`` keywords are deprecated shims folding into it.  A
-    fault plan's counters appear under ``detail["faults"]``; async runs
-    also report ``detail["async"]``.
+    describing the substrate.  A fault plan's counters appear under
+    ``detail["faults"]``; async runs also report ``detail["async"]``.
     """
     n = graph.n
-    model = coerce_network_model(network, network_hook=network_hook,
-                                 fault_plan=fault_plan, caller="run_dhc1")
+    model = coerce_network_model(network)
     colors = k if k is not None else default_sqrt_colors(n)
     limit = max_rounds if max_rounds is not None else dhc1_round_budget(n, colors)
     network_, injector = build_network(

@@ -174,8 +174,6 @@ def run_dhc2(
     seed: int = 0,
     max_rounds: int | None = None,
     audit_memory: bool = False,
-    network_hook=None,
-    fault_plan=None,
     network=None,
 ) -> RunResult:
     """Run Algorithm 3 on ``graph`` in the CONGEST simulator.
@@ -186,14 +184,12 @@ def run_dhc2(
     Hamiltonian cycle of the input graph.
 
     ``network`` is a :class:`~repro.congest.model.NetworkModel` (or its
-    JSON form) describing the substrate; the legacy ``network_hook=`` /
-    ``fault_plan=`` keywords are deprecated shims folding into it.  A
-    fault plan's counters appear under ``detail["faults"]``; async runs
-    also report ``detail["async"]``.
+    JSON form) describing the substrate.  A fault plan's counters
+    appear under ``detail["faults"]``; async runs also report
+    ``detail["async"]``.
     """
     n = graph.n
-    model = coerce_network_model(network, network_hook=network_hook,
-                                 fault_plan=fault_plan, caller="run_dhc2")
+    model = coerce_network_model(network)
     colors = k if k is not None else default_color_count(n, delta)
     limit = max_rounds if max_rounds is not None else dhc2_round_budget(n, colors)
     network_, injector = build_network(

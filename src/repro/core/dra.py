@@ -113,8 +113,6 @@ def run_dra(
     step_budget: int | None = None,
     max_rounds: int | None = None,
     audit_memory: bool = False,
-    network_hook=None,
-    fault_plan=None,
     network=None,
 ) -> RunResult:
     """Run Algorithm 1 on ``graph`` in the CONGEST simulator.
@@ -125,16 +123,13 @@ def run_dra(
 
     ``network`` is a :class:`~repro.congest.model.NetworkModel` (or its
     JSON dict/string form) describing the substrate: sync vs async
-    engine, bandwidth, fault plan, latency distribution, churn.  The
-    legacy ``network_hook=`` / ``fault_plan=`` keywords are deprecated
-    shims folding into it.  When the model has a fault plan the
-    adversary's counters appear under ``detail["faults"]``; async runs
-    additionally report ``detail["async"]`` (see
-    ``AsyncNetwork.async_summary``).
+    engine, bandwidth, fault plan, latency distribution, churn.  When
+    the model has a fault plan the adversary's counters appear under
+    ``detail["faults"]``; async runs additionally report
+    ``detail["async"]`` (see ``AsyncNetwork.async_summary``).
     """
     n = graph.n
-    model = coerce_network_model(network, network_hook=network_hook,
-                                 fault_plan=fault_plan, caller="run_dra")
+    model = coerce_network_model(network)
     budget = step_budget if step_budget is not None else dra_step_budget(n)
     limit = max_rounds if max_rounds is not None else dra_round_budget(n, budget)
     network_, injector = build_network(

@@ -422,8 +422,6 @@ def run_turau(
     phase_budget: int | None = None,
     max_rounds: int | None = None,
     audit_memory: bool = False,
-    network_hook=None,
-    fault_plan=None,
     network=None,
 ) -> RunResult:
     """Run Turau-style path merging on ``graph`` in the CONGEST simulator.
@@ -432,15 +430,13 @@ def run_turau(
     true only if every node terminated in the done state *and* the
     committed links verify as a Hamiltonian cycle of ``graph``.
     ``network`` is a :class:`~repro.congest.model.NetworkModel` (or its
-    JSON form) describing the substrate; the legacy ``network_hook=`` /
-    ``fault_plan=`` keywords are deprecated shims folding into it.  A
-    fault plan's counters appear under ``detail["faults"]`` (zeros when
-    the run never started, e.g. ``n < 3``); async runs also report
+    JSON form) describing the substrate.  A fault plan's counters
+    appear under ``detail["faults"]`` (zeros when the run never
+    started, e.g. ``n < 3``); async runs also report
     ``detail["async"]``.
     """
     n = graph.n
-    model = coerce_network_model(network, network_hook=network_hook,
-                                 fault_plan=fault_plan, caller="run_turau")
+    model = coerce_network_model(network)
     if n < 3:
         detail = {"fail": FAIL_TOO_SMALL, "phases": 0, "initial_paths": n}
         faults = faults_summary_for(model)

@@ -49,7 +49,7 @@ __all__ = ["Engine", "EngineSpec", "ENGINE_PRIORITY"]
 #: nothing from batching, so ``auto`` prefers plain ``fast``; the
 #: harness opts into ``fast-batch`` explicitly via ``batch_size``),
 #: the message-level simulator when full CONGEST fidelity (or a
-#: capability only it has, e.g. ``audit_memory`` / ``fault_plan``) is
+#: capability only it has, e.g. ``audit_memory`` / ``network``) is
 #: needed, the native k-machine simulator when the caller asks for
 #: machine-model accounting (``k_machines`` / ``link_words`` steer
 #: onto it), and sequential solvers as a last resort.
@@ -87,8 +87,9 @@ class EngineSpec:
         Keyword arguments (beyond ``graph`` and ``seed``) the runner
         accepts; anything else raises at dispatch time.
     kmachine_convertible:
-        True for fully-distributed CONGEST runners that accept a
-        ``network_hook`` — the precondition for the Conversion Theorem
+        True for fully-distributed CONGEST runners whose ``network``
+        model's ``network_hook`` reaches the synchronous simulator —
+        the precondition for the Conversion Theorem
         machinery in :mod:`repro.kmachine.simulation`.
     audits_memory:
         True when the runner can record per-node peak state

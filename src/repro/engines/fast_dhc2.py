@@ -26,8 +26,6 @@ Phase 2 is deterministic and shared verbatim by both.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.analysis.bounds import diameter_budget, dra_step_budget
@@ -39,27 +37,7 @@ from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph, csr_sources
 from repro.verify.hamiltonicity import CycleViolation, verify_cycle
 
-__all__ = ["run_dhc2_fast"]
-
-
-def run_dhc2_fast(
-    graph: Graph,
-    *,
-    delta: float = 0.5,
-    k: int | None = None,
-    seed: int = 0,
-) -> RunResult:
-    """Deprecated direct entry point — use ``repro.run(graph, "dhc2", engine="fast")``.
-
-    Kept as a thin wrapper over the registry-registered implementation
-    so out-of-tree scripts written against the pre-registry API keep
-    working unchanged.
-    """
-    warnings.warn(
-        "run_dhc2_fast is deprecated; use repro.run(graph, 'dhc2', engine='fast') "
-        "or repro.engines.registry.REGISTRY.get('dhc2', 'fast')",
-        DeprecationWarning, stacklevel=2)
-    return _dhc2_fast(graph, delta=delta, k=k, seed=seed)
+__all__ = ["_dhc2_fast"]
 
 
 def _dhc2_fast(

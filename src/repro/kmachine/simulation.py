@@ -37,7 +37,7 @@ the reference walkers gate the fast engines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.congest.message import payload_words
@@ -184,7 +184,13 @@ def run_converted_hc(
     a name list here: registering a new fully-distributed algorithm
     with that capability makes it convertible everywhere, including the
     CLI's ``--k-machines`` flag.
+
+    A ``network=`` model (e.g. one carrying a fault plan) passes
+    through to the runner with the accountant composed onto its
+    ``network_hook``; the caller's own hook runs first.  Async models
+    are refused: the event-queue engine has no round observer.
     """
+    from repro.congest.model import coerce_network_model
     from repro.engines.registry import REGISTRY
 
     spec = REGISTRY.engines_for(algorithm).get("congest")
@@ -194,16 +200,29 @@ def run_converted_hc(
             f"conversion targets the fully-distributed CONGEST algorithms: "
             f"{REGISTRY.convertible_algorithms()}")
 
+    model = coerce_network_model(algorithm_kwargs.pop("network", None))
+    if model.is_async():
+        raise ValueError(
+            "k-machine conversion re-costs a synchronous execution; it "
+            "does not compose with an async network model")
     partition = VertexPartition.random(graph.n, k_machines, seed=seed)
     accountant = _LinkAccountant(partition, link_words)
+    caller_hook = model.network_hook
 
     def hook(network: Network) -> None:
-        network.round_observer = accountant.observe
+        if caller_hook is not None:
+            caller_hook(network)
+        previous = network.round_observer
 
-    from repro.congest.model import NetworkModel
+        def observe(net: Network, outbox) -> None:
+            if previous is not None:
+                previous(net, outbox)
+            accountant.observe(net, outbox)
+
+        network.round_observer = observe
 
     result = spec.call(graph, seed=seed,
-                       network=NetworkModel(network_hook=hook),
+                       network=replace(model, network_hook=hook),
                        **algorithm_kwargs)
     return result, accountant.metrics
 

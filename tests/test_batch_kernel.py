@@ -7,14 +7,13 @@ The fused batch kernels (:func:`~repro.engines._jit.walk_steps_impl`,
 compiles them.  These tests enforce that promise on every host by
 installing the ``*_impl`` functions **uncompiled** as the dispatch
 targets — the exact code numba would compile, minus the compilation —
-and holding every RunResult field against the numpy path.  The
-``*_parallel_impl`` threaded variants carry the same promise (prange
-degrades to ``range`` uncompiled, so this also pins the parallel
-bodies to their serial twins), and every equality check here runs
-them as a third path.  The CI jit lanes (``REPRO_JIT=1`` with numba
-installed; one with ``REPRO_JIT_THREADS=2``) re-run the whole suite
-with the kernels actually compiled — serial and threaded — closing
-the loop.
+and holding every RunResult field against the numpy path.  Each impl
+is written once with a ``prange`` trial loop (``range`` uncompiled),
+so the serial and threaded builds share this source.  The CI jit lanes
+(``REPRO_JIT=1`` with numba installed; one with
+``REPRO_JIT_THREADS=2``) re-run the whole suite with the kernels
+actually compiled, and :class:`TestCompiledBuilds` holds the serial
+and ``parallel=True`` builds to each other there.
 
 :class:`TestNodeStreams` pins the scalar half of the same replication,
 :func:`~repro.engines.batchwalk.node_streams`, to the spawned
@@ -90,23 +89,13 @@ class TestFusedKernelEquality:
             m.setattr(_jit, "tree_kernel", _jit.tree_build_impl)
             m.setattr(_jit, "reverse_blocks", _jit.reverse_blocks_impl)
             fused = runner(graphs, seeds=seeds, **kwargs)
-        with monkeypatch.context() as m:
-            # The threaded variants, uncompiled (prange == range here):
-            # pins the parallel loop bodies to the serial results too.
-            m.setattr(_jit, "walk_kernel", _jit.walk_steps_parallel_impl)
-            m.setattr(_jit, "tree_kernel", _jit.tree_build_parallel_impl)
-            m.setattr(_jit, "reverse_blocks",
-                      _jit.reverse_blocks_parallel_impl)
-            threaded = runner(graphs, seeds=seeds, **kwargs)
-        assert len(fused) == len(plain) == len(threaded) == len(graphs)
+        assert len(fused) == len(plain) == len(graphs)
         outcomes = set()
-        for i, (a, b, c) in enumerate(zip(fused, plain, threaded)):
+        for i, (a, b) in enumerate(zip(fused, plain)):
             outcomes.add(b.success)
             for field in FIELDS:
                 assert getattr(a, field) == getattr(b, field), (
                     f"{algorithm}: trial {i} field {field}")
-                assert getattr(c, field) == getattr(b, field), (
-                    f"{algorithm} (parallel impl): trial {i} field {field}")
         return outcomes
 
     @pytest.mark.parametrize("algorithm", sorted(BATCH_RUNNERS))
@@ -140,8 +129,7 @@ class TestFusedKernelEquality:
 
 
 class TestFusedTreeKernel:
-    @pytest.mark.parametrize("impl_name",
-                             ["tree_build_impl", "tree_build_parallel_impl"])
+    @pytest.mark.parametrize("impl_name", ["tree_build_impl"])
     def test_tree_matches_numpy(self, impl_name, monkeypatch):
         graphs = [sample(32, 8.0, 20 + i) for i in range(5)]
         indptr, indices = stack_graph_csrs(graphs)
@@ -158,44 +146,32 @@ class TestFusedTreeKernel:
         np.testing.assert_array_equal(fused.tree_depth, plain.tree_depth)
 
 
-class TestParallelImpls:
-    def test_reverse_blocks_parallel_matches_serial(self):
-        rng = np.random.default_rng(7)
-        batch, size = 6, 17
-        rows = np.array([0, 2, 3, 5], dtype=np.int64)
-        los = np.array([1, 0, 4, 2], dtype=np.int64)
-        highs = np.array([9, 17, 11, 15], dtype=np.int64)
-        # Each trial block holds a permutation of its own global node
-        # ids, exactly the layout the walk kernels keep ``path_flat``
-        # in — so the per-trial pos writes land in disjoint slots.
-        flat_a = np.concatenate(
-            [rng.permutation(size) + b * size for b in range(batch)])
-        flat_b = flat_a.copy()
-        pos_a = np.empty(batch * size, dtype=np.int64)
-        pos_a[flat_a] = np.tile(np.arange(size, dtype=np.int64), batch)
-        pos_b = pos_a.copy()
-        original = flat_a.copy()
-        _jit.reverse_blocks_impl(flat_a, pos_a, rows, los, highs, size)
-        _jit.reverse_blocks_parallel_impl(flat_b, pos_b, rows, los, highs,
-                                          size)
-        assert not np.array_equal(flat_a, original)  # something reversed
-        np.testing.assert_array_equal(flat_a, flat_b)
-        np.testing.assert_array_equal(pos_a, pos_b)
-
-    def test_parallel_bodies_stay_in_sync(self):
-        # The parallel variants are textual copies of the serial impls
-        # with the outer loop swapped (and the tree queue made
-        # loop-local).  Guard the docstring promise cheaply: identical
-        # argument lists.
-        import inspect
-
-        for serial, parallel in [
-            (_jit.walk_steps_impl, _jit.walk_steps_parallel_impl),
-            (_jit.tree_build_impl, _jit.tree_build_parallel_impl),
-            (_jit.reverse_blocks_impl, _jit.reverse_blocks_parallel_impl),
-        ]:
-            assert (inspect.signature(serial)
-                    == inspect.signature(parallel))
+@pytest.mark.skipif(not _jit.ENABLED,
+                    reason="needs numba and REPRO_JIT=1 (the CI jit lanes)")
+class TestCompiledBuilds:
+    def test_serial_and_parallel_builds_agree(self, monkeypatch):
+        serial, parallel = _jit._kernels(False), _jit._kernels(True)
+        for a, b in zip(serial, parallel):
+            # One source compiled twice, each build with its own
+            # on-disk cache index.
+            assert a is not b
+            assert a.py_func.__code__ is b.py_func.__code__
+            assert (a._cache._cache_file._index_name
+                    != b._cache._cache_file._index_name)
+        graphs, seeds = mixed_batch(96, 9)
+        for algorithm, runner in sorted(BATCH_RUNNERS.items()):
+            runs = []
+            for kernels in (serial, parallel):
+                with monkeypatch.context() as m:
+                    for name, kernel in zip(
+                            ("walk_kernel", "tree_kernel", "reverse_blocks"),
+                            kernels):
+                        m.setattr(_jit, name, kernel)
+                    runs.append(runner(graphs, seeds=seeds))
+            for i, (a, b) in enumerate(zip(*runs)):
+                for field in FIELDS:
+                    assert getattr(a, field) == getattr(b, field), (
+                        f"{algorithm}: trial {i} field {field}")
 
 
 class TestStackedEdgeTwins:

@@ -141,7 +141,7 @@ class TestRunCommand:
 
     def test_gnm_model(self, capsys):
         code, out, _ = run_cli(
-            capsys, "run", "--algorithm", "dra-fast", "--nodes", "64",
+            capsys, "run", "--algorithm", "dra", "--engine", "fast", "--nodes", "64",
             "--model", "gnm", "--seed", "2", "--json")
         payload = json.loads(out)
         assert payload["m"] > 0
@@ -150,7 +150,7 @@ class TestRunCommand:
         # delta=1, c=2 keeps the matched degree inside the pairing
         # model's samplable range.
         code, out, _ = run_cli(
-            capsys, "run", "--algorithm", "dra-fast", "--nodes", "64",
+            capsys, "run", "--algorithm", "dra", "--engine", "fast", "--nodes", "64",
             "--model", "regular", "--delta", "1.0", "--c", "2",
             "--seed", "2", "--json")
         payload = json.loads(out)
@@ -158,7 +158,7 @@ class TestRunCommand:
 
     def test_regular_model_infeasible_degree_is_a_clean_error(self, capsys):
         code, _, err = run_cli(
-            capsys, "run", "--algorithm", "dra-fast", "--nodes", "64",
+            capsys, "run", "--algorithm", "dra", "--engine", "fast", "--nodes", "64",
             "--model", "regular", "--delta", "0.5", "--c", "6")
         assert code == 2
         assert "pairing model" in err
@@ -205,12 +205,13 @@ class TestEngineSelection:
         assert fast["rounds"] == congest["rounds"]
         assert fast["steps"] == congest["steps"]
 
-    def test_legacy_alias_conflicting_engine_rejected(self, capsys):
-        code, _, err = run_cli(
-            capsys, "run", "--algorithm", "dra-fast", "--engine", "congest",
-            "--nodes", "48")
-        assert code == 2
-        assert "implies --engine fast" in err
+    def test_retired_fast_alias_is_rejected(self, capsys):
+        # The pre-registry names are gone: spell dra-fast as
+        # --algorithm dra --engine fast.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--algorithm", "dra-fast", "--nodes", "48"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'dra-fast'" in capsys.readouterr().err
 
     def test_sequential_engine(self, capsys):
         code, out, _ = run_cli(
@@ -245,7 +246,7 @@ class TestEnginesCommand:
         code, out, _ = run_cli(capsys, "engines", "--json")
         specs = {(s["algorithm"], s["engine"]): s for s in json.loads(out)}
         assert specs[("turau", "congest")]["kmachine_convertible"] is True
-        assert "fault_plan" in specs[("turau", "congest")]["supported_kwargs"]
+        assert "network" in specs[("turau", "congest")]["supported_kwargs"]
         assert specs[("turau", "fast")]["parity"] == ["cycle", "steps"]
         assert specs[("cre", "fast")]["parity"] == ["cycle", "steps"]
         assert specs[("cre", "sequential")]["kmachine_convertible"] is False
@@ -343,7 +344,7 @@ class TestMergeCommand:
 class TestSweepCommand:
     def test_sweep_fits_exponent(self, capsys):
         code, out, _ = run_cli(
-            capsys, "sweep", "--algorithm", "dra-fast",
+            capsys, "sweep", "--algorithm", "dra", "--engine", "fast",
             "--sizes", "48,96,192", "--trials", "2", "--c", "8",
             "--delta", "1.0", "--json")
         assert code == 0
@@ -353,7 +354,7 @@ class TestSweepCommand:
 
     def test_sweep_table_output(self, capsys):
         code, out, _ = run_cli(
-            capsys, "sweep", "--algorithm", "dra-fast",
+            capsys, "sweep", "--algorithm", "dra", "--engine", "fast",
             "--sizes", "48,96", "--trials", "1", "--c", "8", "--delta", "1.0")
         assert code == 0
         assert "mean rounds" in out
@@ -462,13 +463,6 @@ class TestSweepCommand:
             "--k-machines", "2", "--nodes", "48")
         assert code == 2
         assert "does not support: k" in err
-
-    def test_kmachines_with_legacy_alias_suggests_base_name(self, capsys):
-        code, _, err = run_cli(
-            capsys, "run", "--algorithm", "dra-fast", "--k-machines", "2",
-            "--nodes", "48")
-        assert code == 2
-        assert "--algorithm dra" in err
 
     def test_sweep_jobs_matches_serial_store(self, capsys, tmp_path):
         """A --jobs sweep writes the same records a serial sweep does."""
@@ -836,7 +830,7 @@ class TestSweepMetrics:
     def test_metrics_report_and_store_sidecar(self, capsys, tmp_path):
         store = tmp_path / "sweep.jsonl"
         code, out, err = run_cli(
-            capsys, "sweep", "--algorithm", "dra-fast",
+            capsys, "sweep", "--algorithm", "dra", "--engine", "fast",
             "--sizes", "32,48", "--trials", "2", "--c", "8",
             "--delta", "1.0", "--seed", "7", "--store", str(store),
             "--metrics", "--json")
@@ -847,7 +841,6 @@ class TestSweepMetrics:
         assert f"metrics -> {sidecar}" in err
         payload = validate_metrics_payload(json.loads(sidecar.read_text()))
         assert payload["kpis"]["trials"] == 4
-        # "dra-fast" is an alias the CLI normalises to (dra, fast).
         assert payload["context"]["algorithm"] == "dra"
         assert payload["context"]["engine"] == "fast"
         assert payload["context"]["schedule"] == "serial"
@@ -855,7 +848,7 @@ class TestSweepMetrics:
     def test_metrics_explicit_path_without_store(self, capsys, tmp_path):
         path = tmp_path / "kpis.json"
         code, _, err = run_cli(
-            capsys, "sweep", "--algorithm", "dra-fast",
+            capsys, "sweep", "--algorithm", "dra", "--engine", "fast",
             "--sizes", "32,48", "--trials", "1", "--c", "8",
             "--delta", "1.0", "--seed", "7", "--metrics", str(path))
         assert code == 0
@@ -865,7 +858,7 @@ class TestSweepMetrics:
 
     def test_metrics_without_store_or_path_reports_only(self, capsys):
         code, _, err = run_cli(
-            capsys, "sweep", "--algorithm", "dra-fast",
+            capsys, "sweep", "--algorithm", "dra", "--engine", "fast",
             "--sizes", "32,48", "--trials", "1", "--c", "8",
             "--delta", "1.0", "--seed", "7", "--metrics")
         assert code == 0
@@ -878,7 +871,7 @@ class TestSweepMetrics:
                              ("parallel", ["--jobs", "2"])):
             paths[label] = tmp_path / f"{label}.json"
             code, _, _ = run_cli(
-                capsys, "sweep", "--algorithm", "dra-fast",
+                capsys, "sweep", "--algorithm", "dra", "--engine", "fast",
                 "--sizes", "32,48", "--trials", "4", "--c", "8",
                 "--delta", "1.0", "--seed", "5",
                 "--metrics", str(paths[label]), *extra)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.congest import NetworkModel
 from repro.congest.faults import FaultInjector, FaultPlan
 from repro.core import run_dhc2, run_dra
 from repro.graphs import gnp_random_graph, paper_probability
@@ -60,7 +61,7 @@ class TestInjectorMechanics:
         graph = _graph()
         native = run_dra(graph, seed=4)
         injector = FaultInjector(FaultPlan())
-        faulty = run_dra(graph, seed=4, network_hook=injector.attach)
+        faulty = run_dra(graph, seed=4, network=NetworkModel(network_hook=injector.attach))
         assert faulty.success == native.success
         assert faulty.cycle == native.cycle
         assert faulty.rounds == native.rounds
@@ -76,12 +77,12 @@ class TestInjectorMechanics:
             with pytest.raises(RuntimeError, match="already has"):
                 injector.attach(network)
 
-        run_dra(graph, seed=1, network_hook=hook)
+        run_dra(graph, seed=1, network=NetworkModel(network_hook=hook))
 
     def test_total_blackout_drops_everything(self):
         graph = _graph(n=32)
         injector = FaultInjector(FaultPlan(drop_probability=1.0))
-        result = run_dra(graph, seed=2, network_hook=injector.attach)
+        result = run_dra(graph, seed=2, network=NetworkModel(network_hook=injector.attach))
         assert not result.success
         assert result.cycle is None
         assert injector.dropped == injector.offered > 0
@@ -92,13 +93,13 @@ class TestInjectorMechanics:
         # election's initial flood): the run must lose something, but
         # later traffic (deadline-driven BFS, walk) must survive.
         injector = FaultInjector(FaultPlan(drop_probability=1.0, window=(1, 2)))
-        run_dra(graph, seed=2, network_hook=injector.attach)
+        run_dra(graph, seed=2, network=NetworkModel(network_hook=injector.attach))
         assert 0 < injector.dropped < injector.offered
 
     def test_summary_counters(self):
         graph = _graph(n=32)
         injector = FaultInjector(FaultPlan(drop_probability=0.3, seed=9))
-        run_dra(graph, seed=2, network_hook=injector.attach)
+        run_dra(graph, seed=2, network=NetworkModel(network_hook=injector.attach))
         s = injector.summary()
         assert s["offered"] > 0
         assert 0.0 <= s["drop_rate"] <= 1.0
@@ -116,7 +117,7 @@ class TestSafetyUnderFaults:
         graph = _graph(n=40, seed=3)
         for seed in range(4):
             injector = FaultInjector(FaultPlan(drop_probability=drop_p, seed=seed))
-            result = run_dra(graph, seed=seed, network_hook=injector.attach)
+            result = run_dra(graph, seed=seed, network=NetworkModel(network_hook=injector.attach))
             if result.success:
                 assert is_hamiltonian_cycle(graph, result.cycle)
             else:
@@ -127,7 +128,7 @@ class TestSafetyUnderFaults:
         for seed in range(3):
             injector = FaultInjector(FaultPlan(drop_probability=0.05, seed=seed))
             result = run_dhc2(graph, delta=0.5, seed=seed,
-                              network_hook=injector.attach)
+                              network=NetworkModel(network_hook=injector.attach))
             if result.success:
                 assert is_hamiltonian_cycle(graph, result.cycle)
             else:
@@ -137,7 +138,7 @@ class TestSafetyUnderFaults:
         graph = _graph(n=32)
         plan = FaultPlan(crash_rounds={v: 2 for v in range(32)})
         injector = FaultInjector(plan)
-        result = run_dra(graph, seed=1, network_hook=injector.attach)
+        result = run_dra(graph, seed=1, network=NetworkModel(network_hook=injector.attach))
         assert not result.success
         assert len(injector.crashed) == 32
 
@@ -147,7 +148,7 @@ class TestSafetyUnderFaults:
         graph = _graph(n=32, seed=8)
         plan = FaultPlan(crash_rounds={5: 20})
         injector = FaultInjector(plan)
-        result = run_dra(graph, seed=3, network_hook=injector.attach)
+        result = run_dra(graph, seed=3, network=NetworkModel(network_hook=injector.attach))
         assert not result.success
         assert injector.crashed == {5}
 
@@ -156,7 +157,7 @@ class TestSafetyUnderFaults:
         native = run_dra(graph, seed=4)
         plan = FaultPlan(crash_rounds={5: native.rounds + 10_000})
         injector = FaultInjector(plan)
-        result = run_dra(graph, seed=4, network_hook=injector.attach)
+        result = run_dra(graph, seed=4, network=NetworkModel(network_hook=injector.attach))
         assert result.success == native.success
         assert result.cycle == native.cycle
         assert injector.crashed == set()
@@ -166,7 +167,7 @@ class TestSafetyUnderFaults:
         # Kill a band of links touching node 0.
         dead = frozenset((0, w) for w in graph.neighbor_list(0)[:3])
         injector = FaultInjector(FaultPlan(dead_links=dead))
-        result = run_dra(graph, seed=2, network_hook=injector.attach)
+        result = run_dra(graph, seed=2, network=NetworkModel(network_hook=injector.attach))
         if result.success:
             assert is_hamiltonian_cycle(graph, result.cycle)
             for u, v in dead:
@@ -183,7 +184,7 @@ class TestSafetyUnderFaults:
     def test_no_exception_no_false_success_property(self, drop_p, seed):
         graph = _graph(n=24, seed=1)
         injector = FaultInjector(FaultPlan(drop_probability=drop_p, seed=seed))
-        result = run_dra(graph, seed=seed, network_hook=injector.attach)
+        result = run_dra(graph, seed=seed, network=NetworkModel(network_hook=injector.attach))
         if result.success:
             assert is_hamiltonian_cycle(graph, result.cycle)
         else:
@@ -191,17 +192,18 @@ class TestSafetyUnderFaults:
 
 
 class TestRegistryFaultPlan:
-    """fault_plan is a declared registry capability (ROADMAP item):
-    sweeps mix fault scenarios without importing repro.congest.faults
-    at call sites, and engine="auto" steers such runs onto the
-    simulator — the only engine that can inject."""
+    """A fault plan rides the registry's ``network`` capability: sweeps
+    mix fault scenarios without importing repro.congest.faults at call
+    sites, and engine="auto" steers such runs onto the simulator — the
+    only engine that can inject."""
 
     def test_repro_run_accepts_fault_plan(self):
         import repro
 
         graph = _graph(n=32, seed=9)
-        result = repro.run(graph, "dra", seed=2,
-                           fault_plan=FaultPlan(drop_probability=1.0))
+        result = repro.run(
+            graph, "dra", seed=2,
+            network=NetworkModel(fault_plan=FaultPlan(drop_probability=1.0)))
         assert result.engine == "congest"  # auto-steered to the simulator
         assert not result.success
         assert result.detail["faults"]["dropped"] > 0
@@ -212,7 +214,7 @@ class TestRegistryFaultPlan:
         graph = _graph()
         native = run_dra(graph, seed=3)
         observed = repro.run(graph, "dra", engine="congest", seed=3,
-                             fault_plan=FaultPlan())
+                             network=NetworkModel(fault_plan=FaultPlan()))
         assert observed.success == native.success
         assert observed.cycle == native.cycle
         assert observed.rounds == native.rounds
@@ -224,13 +226,13 @@ class TestRegistryFaultPlan:
 
         for algorithm in ("dra", "dhc1", "dhc2"):
             spec = REGISTRY.get(algorithm, "congest")
-            assert "fault_plan" in spec.supported_kwargs, algorithm
+            assert "network" in spec.supported_kwargs, algorithm
 
     def test_fast_engine_rejects_fault_plan(self):
         from repro.engines.registry import REGISTRY
 
         with pytest.raises(ValueError, match="does not support"):
-            REGISTRY.resolve("dra", "fast", require=["fault_plan"])
+            REGISTRY.resolve("dra", "fast", require=["network"])
 
     def test_composes_with_existing_network_hook(self):
         from repro.congest.faults import compose_fault_hook
@@ -239,7 +241,7 @@ class TestRegistryFaultPlan:
         hook, injector = compose_fault_hook(
             FaultPlan(drop_probability=1.0), network_hook=seen.append)
         graph = _graph(n=24, seed=4)
-        result = run_dra(graph, seed=4, network_hook=hook)
+        result = run_dra(graph, seed=4, network=NetworkModel(network_hook=hook))
         assert len(seen) == 1  # the caller's hook still ran
         assert not result.success
         assert injector.dropped > 0

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.congest import FaultPlan, NetworkModel
 from repro.congest.message import Message
 from repro.congest.node import Context, Protocol
 from repro.core import run_dra
@@ -21,6 +23,7 @@ from repro.kmachine import (
     run_converted,
     run_converted_hc,
 )
+from repro.trace import TraceRecorder
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +292,36 @@ class TestConvertedAlgorithms:
         assert s["k"] == 4.0
         assert metrics.speedup() == pytest.approx(
             metrics.congest_rounds / metrics.kmachine_rounds)
+
+    def test_network_model_passes_through(self):
+        # A converted run under faults is the congest run on the same
+        # model, re-costed: conversion still never perturbs the protocol.
+        graph = self._graph(seed=2)
+        model = NetworkModel(
+            fault_plan=FaultPlan(drop_probability=0.01, seed=1))
+        converted, metrics = run_converted_hc(
+            graph, algorithm="dra", k_machines=2, seed=4, network=model)
+        direct = repro.run(graph, "dra", engine="congest", seed=4,
+                           network=model)
+        assert converted == direct
+        assert converted.detail["faults"]["dropped"] > 0
+        assert metrics.congest_rounds == direct.rounds > 0
+        assert metrics.cross_words > 0 and metrics.kmachine_rounds > 0
+
+    def test_callers_hook_runs_first_and_keeps_its_observer(self):
+        graph = self._graph(n=32, seed=2)
+        recorder = TraceRecorder()
+        result, metrics = run_converted_hc(
+            graph, algorithm="dra", k_machines=2, seed=2,
+            network=NetworkModel(network_hook=recorder.attach))
+        assert recorder.total_seen == result.messages > 0
+        assert metrics.congest_rounds == result.rounds
+
+    def test_async_model_rejected(self):
+        graph = self._graph(n=24)
+        with pytest.raises(ValueError, match="async"):
+            run_converted_hc(graph, algorithm="dra", k_machines=2,
+                             network=NetworkModel(mode="async"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """NetworkModel API tests (repro.congest.model).
 
-The unified network-configuration object replaced the scattered
-``network_hook=`` / ``fault_plan=`` / ``bandwidth_words=`` keywords.
-These tests pin the contract: validation, byte-stable JSON round-trips,
-the deprecation shims routing legacy keywords through the same path,
-and the conflict rule (a value can never be silently shadowed).
+The unified network-configuration object is the one place runners
+take their substrate from (``network=``).  These tests pin the
+contract: validation, byte-stable JSON round-trips, the coercion of
+``network=`` values into a model, and uniform fault reporting.
 """
 
 import json
@@ -177,7 +176,7 @@ class TestNetworkModelJson:
 
 
 # ---------------------------------------------------------------------------
-# Legacy-keyword shims
+# coerce_network_model
 # ---------------------------------------------------------------------------
 
 
@@ -194,38 +193,6 @@ class TestCoerceShims:
     def test_rejects_foreign_types(self):
         with pytest.raises(TypeError, match="NetworkModel"):
             coerce_network_model(3.14)
-
-    def test_legacy_keywords_warn_and_fold(self):
-        plan = FaultPlan(drop_probability=0.5)
-        hook = lambda net: None  # noqa: E731
-        with pytest.warns(DeprecationWarning, match="fault_plan"):
-            model = coerce_network_model(fault_plan=plan, caller="run_x")
-        assert model.fault_plan is plan
-        with pytest.warns(DeprecationWarning, match="network_hook"):
-            model = coerce_network_model(network_hook=hook)
-        assert model.network_hook is hook
-        with pytest.warns(DeprecationWarning, match="bandwidth_words"):
-            model = coerce_network_model(bandwidth_words=6)
-        assert model.bandwidth_words == 6
-
-    def test_conflict_raises(self):
-        plan = FaultPlan(drop_probability=0.5)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="one place"):
-                coerce_network_model(NetworkModel(fault_plan=plan),
-                                     fault_plan=plan)
-
-    def test_legacy_route_matches_model_route(self):
-        graph = dense_gnp(32, seed=9)
-        plan = FaultPlan(drop_probability=0.1, seed=2)
-        via_model = run_dra(graph, seed=3,
-                            network=NetworkModel(fault_plan=plan))
-        with pytest.warns(DeprecationWarning):
-            via_legacy = run_dra(graph, seed=3, fault_plan=plan)
-        assert via_legacy.success == via_model.success
-        assert via_legacy.cycle == via_model.cycle
-        assert via_legacy.rounds == via_model.rounds
-        assert via_legacy.detail["faults"] == via_model.detail["faults"]
 
     def test_model_route_emits_no_deprecation_warning(self):
         graph = dense_gnp(24, seed=1)

@@ -4,11 +4,11 @@ Covers the dispatch table itself, ``engine="auto"`` resolution,
 capability-driven keyword validation, cross-engine parity for every
 pair that registers both a congest and a fast runner (the spec's
 declared ``parity`` fields must be seed-for-seed identical), the
-k-machine convertibility capability, and the deprecation shims.
+k-machine convertibility capability, and the rejection of the retired
+legacy keywords.
 """
 
 import math
-import warnings
 
 import pytest
 
@@ -191,17 +191,17 @@ class TestCapabilityErrorPaths:
         assert "turau" in str(excinfo.value)
 
     def test_congest_only_kwarg_on_sequential_spec(self):
-        # fault_plan is a congest capability; requesting it against an
+        # network is a congest capability; requesting it against an
         # explicitly sequential spec fails at resolution time with the
         # missing keyword named, not deep inside a runner.
-        with pytest.raises(ValueError, match="does not support: fault_plan"):
-            REGISTRY.resolve("cre", "sequential", require=["fault_plan"])
+        with pytest.raises(ValueError, match="does not support: network"):
+            REGISTRY.resolve("cre", "sequential", require=["network"])
 
     def test_congest_only_kwarg_unsatisfiable_on_auto(self):
         # cre has no congest engine at all, so auto resolution reports
         # every candidate's supported keywords.
         with pytest.raises(ValueError, match="no engine for algorithm 'cre'"):
-            REGISTRY.resolve("cre", "auto", require=["fault_plan"])
+            REGISTRY.resolve("cre", "auto", require=["network"])
 
     def test_foreign_algorithm_kwarg_rejected_at_call(self):
         g = dense_graph(8, seed=1)
@@ -209,27 +209,20 @@ class TestCapabilityErrorPaths:
             REGISTRY.get("dra", "fast").call(g, seed=1, phase_budget=3)
 
 
-class TestDeprecationShims:
-    def test_run_dra_fast_shim(self):
-        from repro.engines.fast import run_dra_fast
+class TestRetiredKeywords:
+    """``fault_plan=`` / ``network_hook=`` live only on ``NetworkModel``."""
 
-        g = dense_graph(48, seed=4)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            via_shim = run_dra_fast(g, seed=4)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        via_registry = repro.run(g, "dra", engine="fast", seed=4)
-        assert via_shim.cycle == via_registry.cycle
-        assert via_shim.rounds == via_registry.rounds
+    @pytest.mark.parametrize("name", ["fault_plan", "network_hook"])
+    def test_legacy_network_keywords_rejected(self, name):
+        from repro.congest import FaultPlan
 
-    def test_run_dhc2_fast_shim(self):
-        from repro.engines.fast_dhc2 import run_dhc2_fast
-
-        g = dense_graph(96, seed=5, factor=10.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            via_shim = run_dhc2_fast(g, k=4, seed=5)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        via_registry = repro.run(g, "dhc2", engine="fast", k=4, seed=5)
-        assert via_shim.cycle == via_registry.cycle
-        assert via_shim.rounds == via_registry.rounds
+        g = dense_graph(16, seed=1)
+        value = FaultPlan() if name == "fault_plan" else (lambda net: None)
+        # repro.run fails at resolution, like any keyword no engine
+        # accepts, and names each candidate's supported keywords.
+        with pytest.raises(ValueError, match=f"supports \\['{name}'\\]") as excinfo:
+            repro.run(g, "dra", seed=1, **{name: value})
+        assert "network" in str(excinfo.value).split("available:")[1]
+        with pytest.raises(TypeError, match=f"does not support: {name} "
+                                            r"\(supported: .*network"):
+            REGISTRY.get("dra", "congest").call(g, seed=1, **{name: value})

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.congest import NetworkModel
 from repro.core import run_dra
 from repro.graphs import gnp_random_graph, paper_probability
 from repro.kmachine.partition import VertexPartition
@@ -16,7 +17,8 @@ from repro.trace import (
 def _traced_dra(n=48, seed=4, **recorder_kwargs):
     graph = gnp_random_graph(n, paper_probability(n, 0.5, 6.0), seed=seed)
     recorder = TraceRecorder(**recorder_kwargs)
-    result = run_dra(graph, seed=seed, network_hook=recorder.attach)
+    result = run_dra(graph, seed=seed,
+                     network=NetworkModel(network_hook=recorder.attach))
     return result, recorder
 
 
@@ -86,7 +88,7 @@ class TestTraceRecorder:
             network.round_observer = accountant.observe
             recorder.attach(network)  # must chain, not clobber
 
-        result = run_dra(graph, seed=2, network_hook=hook)
+        result = run_dra(graph, seed=2, network=NetworkModel(network_hook=hook))
         assert recorder.total_seen == result.messages
         assert (accountant.metrics.cross_words
                 + accountant.metrics.local_words) > 0
