@@ -7,11 +7,14 @@ walker (:class:`repro.engines.fast._FastWalk`) scans a Python edge
 list and a dead-edge *set* on every step; at n=2048 that scan is the
 dominant sweep cost.  Here the same walk runs on:
 
-* a **dead-edge bitmask** over the directed CSR entries, with a
-  precomputed ``twin`` table so killing an undirected edge is two
-  O(1) stores (no reverse-slice search);
-* **int64 path/position arrays**, so a rotation is one slice reversal
-  plus one fancy-indexed position update instead of a Python loop;
+* **live-neighbour lists** (:func:`live_rows`): one Python list per
+  node holding its not-yet-traversed neighbours in sorted CSR order,
+  so a step is one ``list.pop`` at the drawn index plus one
+  ``list.remove`` of the reverse orientation, with no per-step
+  numpy scan;
+* **int64 path/position arrays**, so a rotation is one in-place slice
+  reversal plus one fancy-indexed position update instead of a Python
+  loop;
 * **vectorised tree construction** (:class:`ArrayTree`): frontier BFS,
   the min-id parent rule, the BFS completion-round recursion, and tree
   eccentricities all run as whole-level numpy operations.
@@ -37,8 +40,8 @@ CSR invariants the kernel relies on
   neighbour of a participant is itself a participant (trivially true
   for the full graph; true per colour class for the same-colour CSR,
   since colour classes partition the nodes);
-* the directed entries come in reverse pairs, so the ``twin``
-  permutation (edge ``u→v`` ↔ ``v→u``) is well defined.
+* the directed entries come in reverse pairs, so removing ``head``
+  from the target's live list kills the edge in both orientations.
 
 A new algorithm targets the kernel by building (or filtering) a CSR,
 taking its per-node streams from
@@ -56,15 +59,15 @@ from typing import Callable
 
 import numpy as np
 
-from repro.graphs.adjacency import csr_gather, csr_sources
+from repro.graphs.adjacency import csr_gather, csr_sources, sorted_unique
 
 __all__ = [
     "ArrayTree",
     "ArrayWalk",
     "build_array_tree",
-    "edge_twins",
     "filtered_csr",
     "gather_neighbors",
+    "live_rows",
     "observe_walks",
 ]
 
@@ -97,15 +100,15 @@ def observe_walks(callback: Callable[["ArrayWalk"], None]):
 gather_neighbors = csr_gather
 
 
-def edge_twins(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Reverse-orientation permutation of the directed CSR entries.
+def live_rows(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
+    """Per-node neighbour lists in sorted CSR order: a walk's live edges.
 
-    ``twins[i]`` is the position of edge ``v→u`` given that position
-    ``i`` holds ``u→v``.  Sorting the directed edge list by
-    ``(dst, src)`` visits exactly the reverse partners in ``(src,
-    dst)`` order, so one lexsort yields the whole table.
+    :class:`ArrayWalk` consumes them, popping each traversed edge from
+    both endpoints' lists.  Walks over disjoint member sets of one
+    member-closed CSR (the DHC2 colour classes) share one object.
     """
-    return np.lexsort((csr_sources(indptr), indices))
+    flat, ptr = indices.tolist(), indptr.tolist()
+    return [flat[a:b] for a, b in zip(ptr, ptr[1:])]
 
 
 def filtered_csr(indptr: np.ndarray, indices: np.ndarray,
@@ -208,7 +211,7 @@ class ArrayTree:
         far = 0
         while True:
             nbrs = gather_neighbors(tree_indptr, dst, frontier)
-            nbrs = np.unique(nbrs[~seen[nbrs]])
+            nbrs = sorted_unique(nbrs[~seen[nbrs]])
             if nbrs.size == 0:
                 return far
             seen[nbrs] = True
@@ -235,7 +238,7 @@ def build_array_tree(indptr: np.ndarray, indices: np.ndarray,
     d = 0
     while frontier.size:
         nbrs = gather_neighbors(indptr, indices, frontier)
-        fresh = np.unique(nbrs[depth[nbrs] < 0])
+        fresh = sorted_unique(nbrs[depth[nbrs] < 0])
         if fresh.size == 0:
             break
         d += 1
@@ -257,25 +260,23 @@ def build_array_tree(indptr: np.ndarray, indices: np.ndarray,
 
 
 class ArrayWalk:
-    """The rotation walk of Algorithm 1 on CSR buffers.
+    """The rotation walk of Algorithm 1 on live-neighbour lists.
 
     Decision-identical to :class:`repro.engines.fast._FastWalk` in its
     unported mode (the mode both step-level engines use): same RNG
     draws, same edge kills, same extension/rotation/win sequence, same
     round accounting and failure codes.  The ported (DHC1 virtual
     walk) variant stays on the Python walker — port bookkeeping is
-    per-edge state the bitmask does not model.
+    per-edge state the neighbour lists do not model.
 
     Parameters
     ----------
-    indptr / indices:
-        The walk's CSR (full graph, or a colour-filtered view).
-    twins:
-        Reverse-orientation table from :func:`edge_twins` for this CSR.
-    alive:
-        Boolean mask parallel to ``indices``; killed (traversed) edges
-        are flipped off in both orientations.  Shared across walks on
-        disjoint member sets (the DHC2 colour classes).
+    rows:
+        Live-neighbour lists from :func:`live_rows` for the walk's CSR
+        (full graph, or a colour-filtered view), indexed by original
+        node id.  The walk pops every traversed edge from both
+        endpoints' lists, so one object serves walks on disjoint
+        member sets (the DHC2 colour classes).
     rngs:
         Per-node generators, indexed by *original* node id.
     size:
@@ -285,12 +286,10 @@ class ArrayWalk:
     __slots__ = ("size", "rngs", "initial_head", "step_budget", "tree_depth",
                  "round", "latency", "success", "fail_code", "steps",
                  "rotations", "extensions", "retries", "end_round",
-                 "flood_initiator", "trace", "_indptr", "_indices", "_twins",
-                 "_alive", "_path", "_pos", "_plen")
+                 "flood_initiator", "trace", "_rows", "_path", "_pos", "_plen")
 
-    def __init__(self, *, indptr, indices, twins, alive, rngs, size,
-                 initial_head, step_budget, tree_depth, start_round,
-                 latency=1, trace=None):
+    def __init__(self, *, rows, rngs, size, initial_head, step_budget,
+                 tree_depth, start_round, latency=1, trace=None):
         self.size = size
         self.rngs = rngs
         self.initial_head = initial_head
@@ -313,12 +312,9 @@ class ArrayWalk:
         #: ``None`` (the default) keeps the hot loop branch-only.
         self.trace = trace
 
-        self._indptr = indptr
-        self._indices = indices
-        self._twins = twins
-        self._alive = alive
+        self._rows = rows
         self._path = np.empty(size, dtype=np.int64)
-        self._pos = np.full(len(indptr) - 1, -1, dtype=np.int64)
+        self._pos = np.full(len(rows), -1, dtype=np.int64)
         self._plen = 0
 
     def run(self) -> None:
@@ -334,12 +330,9 @@ class ArrayWalk:
         if self.size < 3:
             self._fail(FAIL_TOO_SMALL, self.initial_head)
             return
-        indices, twins, alive = self._indices, self._twins, self._alive
-        path, pos, rngs = self._path, self._pos, self.rngs
-        # Hot-loop locals: Python-int row pointers (cheaper lookups than
-        # numpy scalars), a preallocated position ramp for rotations,
+        rows, path, pos, rngs = self._rows, self._path, self._pos, self.rngs
+        # Hot-loop locals: a preallocated position ramp for rotations
         # and the per-step constants.
-        row = self._indptr.tolist()
         ramp = np.arange(self.size, dtype=np.int64)
         size, budget = self.size, self.step_budget
         rotation_cost = 2 * self.tree_depth * self.latency + 3
@@ -355,16 +348,15 @@ class ArrayWalk:
                 self._plen = plen
                 self._fail(FAIL_BUDGET, head)
                 return
-            start = row[head]
-            usable = alive[start:row[head + 1]].nonzero()[0]
-            if usable.size == 0:
+            live = rows[head]
+            if not live:
                 self._plen = plen
                 self._fail(FAIL_NO_EDGES, head)
                 return
-            slot = start + usable[rngs[head].integers(usable.size)]
-            target = int(indices[slot])
-            alive[slot] = False
-            alive[twins[slot]] = False
+            # The head's live edges in sorted CSR order: the same count
+            # and order the distributed walk draws over.
+            target = live.pop(rngs[head].integers(len(live)))
+            rows[target].remove(head)
             self.steps = step
             if trace is not None:
                 trace.append((head, target))
@@ -389,9 +381,10 @@ class ArrayWalk:
                 # Rotation at j = tpos + 1: reverse path positions
                 # tpos+1 .. plen-1; the far end becomes the new head.
                 lo = tpos + 1
-                path[lo:plen] = path[lo:plen][::-1].copy()
-                pos[path[lo:plen]] = ramp[lo:plen]
-                head = int(path[plen - 1])
+                head = int(path[lo])
+                seg = path[lo:plen]
+                seg[:] = seg[::-1]
+                pos[seg] = ramp[lo:plen]
                 self.round += rotation_cost
                 self.rotations += 1
             step += 1

@@ -114,7 +114,7 @@ import operator
 import numpy as np
 
 from repro.engines import _jit
-from repro.graphs.adjacency import csr_gather, csr_sources
+from repro.graphs.adjacency import csr_gather, csr_sources, sorted_unique
 
 __all__ = [
     "BatchTree",
@@ -498,6 +498,8 @@ class DrawPool:
 
     def draw(self, nodes: np.ndarray, bounds: np.ndarray) -> np.ndarray:
         """One bounded draw per lane; ``nodes`` must be pairwise distinct."""
+        if nodes.size == 0:
+            return np.empty(0, dtype=np.int64)
         if not self.exact:
             gens, children = self._gens, self._children
             out = np.empty(nodes.size, dtype=np.int64)
@@ -726,7 +728,7 @@ class BatchTree:
         level = 0
         while frontier.size:
             nbrs = csr_gather(tree_indptr, dst, frontier)
-            fresh = np.unique(nbrs[~seen[nbrs]])
+            fresh = sorted_unique(nbrs[~seen[nbrs]])
             if fresh.size == 0:
                 break
             level += 1

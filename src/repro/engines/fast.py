@@ -21,7 +21,7 @@ which is what licenses using it for the large-n benchmark sweeps.
 
 Two implementations share this contract.  ``engine="fast"`` runs on
 the array-native CSR kernel (:mod:`repro.engines.arraywalk`):
-dead-edge bitmask, int64 path/position arrays, vectorised tree
+live-neighbour lists, int64 path/position arrays, vectorised tree
 timing.  The original pure-Python walker below (``_dra_fast_py`` /
 :class:`_FastWalk`) spent its one deprecation release registered as
 ``engine="fast-py"`` and is now a *test-only parity oracle*: no
@@ -147,7 +147,7 @@ def _dra_fast(
     step_budget: int | None = None,
 ) -> RunResult:
     """Algorithm 1 on the array kernel; see module docstring for fidelity."""
-    from repro.engines.arraywalk import ArrayWalk, build_array_tree, edge_twins
+    from repro.engines.arraywalk import ArrayWalk, build_array_tree, live_rows
     from repro.engines.batchwalk import node_streams
 
     n = graph.n
@@ -164,10 +164,7 @@ def _dra_fast(
                          detail={"fail_codes": ["bfs-unreachable"]})
 
     walk = ArrayWalk(
-        indptr=indptr,
-        indices=indices,
-        twins=edge_twins(indptr, indices),
-        alive=np.ones(indices.size, dtype=bool),
+        rows=live_rows(indptr, indices),
         rngs=rngs,
         size=n,
         initial_head=tree.root,

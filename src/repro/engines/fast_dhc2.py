@@ -54,16 +54,15 @@ def _dhc2_fast(
     colors = k if k is not None else default_color_count(n, delta)
     rngs = node_streams(seed, n)
 
-    color_of, sub_indptr, sub_indices, twins, alive = color_partition(
+    color_of, sub_indptr, sub_indices, rows = color_partition(
         graph, rngs, colors)
 
     # -- Phase 1: replay every partition walk ------------------------------------
     elect_budget = diameter_budget(max(3, (2 * n) // max(1, colors)))
     phase1_start = 1 + elect_budget  # colour round + election deadline
     p1 = replay_partition_walks(
-        indptr=sub_indptr, indices=sub_indices, twins=twins, alive=alive,
-        rngs=rngs, color_of=color_of, colors=colors,
-        start_round=phase1_start)
+        indptr=sub_indptr, indices=sub_indices, rows=rows, rngs=rngs,
+        color_of=color_of, colors=colors, start_round=phase1_start)
     if not p1.ok:
         return _fail(n, colors, p1.fail_round, p1.fail_reason, "fast")
 

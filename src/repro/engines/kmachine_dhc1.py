@@ -144,7 +144,7 @@ def _dhc1_kmachine(
     ledger.quiet(max(1, gtree.tree_depth))  # synchronized announce wait
 
     # -- Phase 1: colours + per-class walks (same replay as DHC2) --------------
-    color_of, sub_indptr, sub_indices, twins, alive = color_partition(
+    color_of, sub_indptr, sub_indices, rows = color_partition(
         graph, rngs, colors)
     ledger.burst(csr_sources(indptr), indices, 2)  # colour announcement
     elect_budget = diameter_budget(max(3, (2 * n) // max(1, colors)))
@@ -181,8 +181,8 @@ def _dhc1_kmachine(
         walk_forks.append(fork)
 
     p1 = replay_partition_walks(
-        indptr=sub_indptr, indices=sub_indices, twins=twins, alive=alive,
-        rngs=rngs, color_of=color_of, colors=colors, start_round=p1_start,
+        indptr=sub_indptr, indices=sub_indices, rows=rows, rngs=rngs,
+        color_of=color_of, colors=colors, start_round=p1_start,
         observer=charge_class)
     if not p1.ok:
         if p1.walk_failed:

@@ -144,7 +144,7 @@ def _dra_kmachine(
     binned onto the machine links tick by tick.  ``k`` is accepted as
     an alias for ``k_machines`` (DRA has no partition-count keyword).
     """
-    from repro.engines.arraywalk import ArrayWalk, build_array_tree, edge_twins
+    from repro.engines.arraywalk import ArrayWalk, build_array_tree, live_rows
     from repro.engines.batchwalk import node_streams
     from repro.engines.fast import _dra_result
 
@@ -169,10 +169,7 @@ def _dra_kmachine(
 
     trace: list[tuple[int, int]] = []
     walk = ArrayWalk(
-        indptr=indptr,
-        indices=indices,
-        twins=edge_twins(indptr, indices),
-        alive=np.ones(indices.size, dtype=bool),
+        rows=live_rows(indptr, indices),
         rngs=rngs,
         size=n,
         initial_head=tree.root,
@@ -237,7 +234,7 @@ def _dhc2_kmachine(
     colors = k if k is not None else default_color_count(n, delta)
     rngs = node_streams(seed, n)
 
-    color_of, sub_indptr, sub_indices, twins, alive = color_partition(
+    color_of, sub_indptr, sub_indices, rows = color_partition(
         graph, rngs, colors)
     indptr, indices = graph.indptr, graph.indices
     ledger.burst(csr_sources(indptr), indices, 2)  # colour announcement
@@ -277,9 +274,9 @@ def _dhc2_kmachine(
         walk_forks.append(fork)
 
     p1 = replay_partition_walks(
-        indptr=sub_indptr, indices=sub_indices, twins=twins, alive=alive,
-        rngs=rngs, color_of=color_of, colors=colors,
-        start_round=phase1_start, observer=charge_class)
+        indptr=sub_indptr, indices=sub_indices, rows=rows, rngs=rngs,
+        color_of=color_of, colors=colors, start_round=phase1_start,
+        observer=charge_class)
     if not p1.ok:
         if p1.walk_failed:
             flush_phase1()

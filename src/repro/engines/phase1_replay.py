@@ -11,10 +11,11 @@ ledger charges via the ``observer`` hook.
 
 :func:`color_partition` draws the colours and builds the colour-filtered
 CSR every class walk shares (classes partition the nodes, so the
-filtered CSR is member-closed per class and one dead-edge mask serves
-all walks).  :func:`replay_partition_walks` then runs the per-class
-min-id BFS tree builds and rotation walks in colour order, stopping at
-the first failure with the same fail reasons the engines always used.
+filtered CSR is member-closed per class and one set of live-neighbour
+lists serves all walks).  :func:`replay_partition_walks` then runs the
+per-class min-id BFS tree builds and rotation walks in colour order,
+stopping at the first failure with the same fail reasons the engines
+always used.
 """
 
 from __future__ import annotations
@@ -61,12 +62,12 @@ class Phase1Replay:
 def color_partition(graph: Graph, rngs, colors: int):
     """Colour draw + the member-closed same-colour CSR all walks share.
 
-    Returns ``(color_of, sub_indptr, sub_indices, twins, alive)`` —
-    the per-node colours (1-based), the colour-filtered CSR built in
-    one vectorised pass, its reverse-orientation table, and the shared
-    dead-edge mask.
+    Returns ``(color_of, sub_indptr, sub_indices, rows)`` — the
+    per-node colours (1-based), the colour-filtered CSR built in one
+    vectorised pass, and the live-neighbour lists every class walk
+    shares.
     """
-    from repro.engines.arraywalk import edge_twins, filtered_csr
+    from repro.engines.arraywalk import filtered_csr, live_rows
 
     n = graph.n
     color_of = np.array(
@@ -76,17 +77,15 @@ def color_partition(graph: Graph, rngs, colors: int):
     src = csr_sources(indptr)
     sub_indptr, sub_indices = filtered_csr(
         indptr, indices, color_of[src] == color_of[indices])
-    twins = edge_twins(sub_indptr, sub_indices)
-    alive = np.ones(sub_indices.size, dtype=bool)
-    return color_of, sub_indptr, sub_indices, twins, alive
+    rows = live_rows(sub_indptr, sub_indices)
+    return color_of, sub_indptr, sub_indices, rows
 
 
 def replay_partition_walks(
     *,
     indptr: np.ndarray,
     indices: np.ndarray,
-    twins: np.ndarray,
-    alive: np.ndarray,
+    rows: list,
     rngs,
     color_of: np.ndarray,
     colors: int,
@@ -120,10 +119,7 @@ def replay_partition_walks(
         trace: list[tuple[int, int]] | None = \
             [] if observer is not None else None
         walk = ArrayWalk(
-            indptr=indptr,
-            indices=indices,
-            twins=twins,
-            alive=alive,
+            rows=rows,
             rngs=rngs,
             size=members.size,
             initial_head=tree.root,

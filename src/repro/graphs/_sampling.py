@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graphs.adjacency import sorted_unique
+
 __all__ = ["pair_count", "sample_distinct", "decode_pair_indices", "encode_pairs"]
 
 
@@ -39,10 +41,11 @@ def sample_distinct(rng: np.random.Generator, upper: int, k: int) -> np.ndarray:
         # Dense regime: a permutation is cheaper than repeated rejection.
         return rng.permutation(upper)[:k].astype(np.int64)
 
-    chosen = np.unique(rng.integers(0, upper, size=int(k * 1.1) + 16, dtype=np.int64))
+    chosen = sorted_unique(
+        rng.integers(0, upper, size=int(k * 1.1) + 16, dtype=np.int64))
     while chosen.size < k:
         extra = rng.integers(0, upper, size=k - chosen.size + 16, dtype=np.int64)
-        chosen = np.unique(np.concatenate((chosen, extra)))
+        chosen = sorted_unique(np.concatenate((chosen, extra)))
     if chosen.size > k:
         keep = rng.choice(chosen.size, size=k, replace=False)
         chosen = chosen[keep]

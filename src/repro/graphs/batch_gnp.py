@@ -12,7 +12,7 @@ twin table *directly* from the pooled pair set:
 * per-trial ``Binomial(C(n,2), p)`` edge counts drawn from each
   trial's own Generator,
 * distinct-pair sampling with the expensive non-stream work pooled —
-  one keyed ``np.unique`` over every sparse trial's rejection draws
+  one keyed sorted unique over every sparse trial's rejection draws
   instead of B separate uniques,
 * one vectorised pair decode and one concatenated ``lexsort`` CSR
   build for the whole batch, with the twin (reverse-edge) table read
@@ -24,7 +24,7 @@ stream (``binomial``, ``integers``, the top-up loop, ``choice``,
 exactly the order :func:`gnp_random_graph` makes it, and per-trial
 control flow depends only on that trial's own draws — so the sampled
 edge sets are seed-for-seed identical to the per-trial generator.
-Only order-insensitive set algebra (``np.unique``, the pair decode,
+Only order-insensitive set algebra (the sorted unique, the pair decode,
 the CSR sort) is pooled.  Like ``DrawPool``, the pooled path
 self-checks against :func:`gnp_random_graph` once per process
 (:func:`pooled_sampling_exact`) and falls back to literal per-trial
@@ -48,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs._sampling import decode_pair_indices, pair_count, sample_distinct
-from repro.graphs.adjacency import Graph
+from repro.graphs.adjacency import Graph, sorted_unique
 from repro.graphs.gnp import gnp_random_graph
 
 __all__ = ["GnpBatch", "batch_gnp", "pooled_sampling_exact"]
@@ -59,23 +59,6 @@ __all__ = ["GnpBatch", "batch_gnp", "pooled_sampling_exact"]
 _EXACT: bool | None = None
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """``np.unique`` for int64 arrays via sort + neighbour diff.
-
-    Identical output, but avoids ``np.unique`` itself: on current
-    numpy builds its integer path costs ~50x a plain ``np.sort`` at
-    the million-element sizes the pooled sampler works at, which
-    would erase the whole point of pooling.
-    """
-    if values.size == 0:
-        return values
-    ordered = np.sort(values)
-    keep = np.empty(ordered.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
 
 
 class GnpBatch:
@@ -230,8 +213,9 @@ def _sample_batch_indices(rngs: list, upper: int, counts: np.ndarray,
 
     Mirrors :func:`sample_distinct` trial by trial; when ``pooled``,
     the sparse-regime first-round deduplication — the dominant cost —
-    is one keyed ``np.unique`` across all sparse trials (key =
-    ``slot * upper + value``, collision-free and overflow-guarded).
+    is one keyed :func:`~repro.graphs.adjacency.sorted_unique` across
+    all sparse trials (key = ``slot * upper + value``, collision-free
+    and overflow-guarded).
     """
     parts: list = [None] * len(rngs)
     sparse: list[int] = []
@@ -252,7 +236,7 @@ def _sample_batch_indices(rngs: list, upper: int, counts: np.ndarray,
     if sparse:
         sizes = np.array([d.size for d in draws], dtype=np.int64)
         base = np.repeat(np.arange(len(draws), dtype=np.int64) * upper, sizes)
-        pool = _sorted_unique(np.concatenate(draws) + base)
+        pool = sorted_unique(np.concatenate(draws) + base)
         bounds = np.searchsorted(
             pool, np.arange(len(draws) + 1, dtype=np.int64) * upper)
         for slot, b in enumerate(sparse):
@@ -271,7 +255,7 @@ def _finish_sparse(rng, upper: int, k: int, chosen: np.ndarray) -> np.ndarray:
     """
     while chosen.size < k:
         extra = rng.integers(0, upper, size=k - chosen.size + 16, dtype=np.int64)
-        chosen = np.unique(np.concatenate((chosen, extra)))
+        chosen = sorted_unique(np.concatenate((chosen, extra)))
     if chosen.size > k:
         keep = rng.choice(chosen.size, size=k, replace=False)
         chosen = chosen[keep]

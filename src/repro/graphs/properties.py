@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from repro.graphs.adjacency import Graph, csr_gather
+from repro.graphs.adjacency import Graph, csr_gather, sorted_unique
 
 __all__ = [
     "bfs_distances",
@@ -51,7 +51,7 @@ def bfs_distances(graph: Graph, source: int) -> np.ndarray:
         fresh = neighbours[dist[neighbours] == -1]
         if fresh.size == 0:
             break
-        fresh = np.unique(fresh)
+        fresh = sorted_unique(fresh)
         dist[fresh] = level
         frontier = fresh
     return dist

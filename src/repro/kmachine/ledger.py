@@ -45,6 +45,7 @@ import math
 
 import numpy as np
 
+from repro.graphs.adjacency import sorted_unique
 from repro.kmachine.metrics import KMachineMetrics
 from repro.kmachine.partition import VertexPartition
 
@@ -379,6 +380,6 @@ def gossip_traffic(ledger: LinkLedger, indptr: np.ndarray,
         src = np.repeat(frontier, counts)
         dst = gather_neighbors(indptr, indices, frontier)
         ledger.burst(src, dst, words)
-        fresh = np.unique(dst[~seen[dst]])
+        fresh = sorted_unique(dst[~seen[dst]])
         seen[fresh] = True
         frontier = fresh

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.graphs.adjacency import Graph
+import numpy as np
+
+from repro.graphs.adjacency import Graph, csr_sources
 
 __all__ = [
     "CycleViolation",
@@ -45,9 +47,27 @@ def verify_cycle(graph: Graph, cycle: Sequence[int]) -> None:
         if v in seen:
             raise CycleViolation(f"node {v} visited twice")
         seen.add(v)
-    for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]]):
-        if not graph.has_edge(a, b):
-            raise CycleViolation(f"({a}, {b}) is not an edge of the graph")
+    nodes = np.asarray(cycle, dtype=np.int64)
+    i = _first_non_edge(graph, nodes, np.roll(nodes, -1))
+    if i >= 0:
+        a, b = cycle[i], cycle[(i + 1) % n]
+        raise CycleViolation(f"({a}, {b}) is not an edge of the graph")
+
+
+def _first_non_edge(graph: Graph, a: np.ndarray, b: np.ndarray) -> int:
+    """Index of the first pair ``(a[i], b[i])`` that is not an edge, or -1.
+
+    One ``searchsorted`` over the CSR's directed entries encoded as
+    ``src*n + dst`` keys, which the sorted rows already order.
+    """
+    n = graph.n
+    keys = csr_sources(graph.indptr) * n + graph.indices
+    want = a * n + b
+    at = np.searchsorted(keys, want)
+    found = at < keys.size
+    found[found] = keys[at[found]] == want[found]
+    missing = np.flatnonzero(~found)
+    return int(missing[0]) if missing.size else -1
 
 
 def is_hamiltonian_cycle(graph: Graph, cycle: Sequence[int]) -> bool:
@@ -68,7 +88,8 @@ def is_hamiltonian_path(graph: Graph, path: Sequence[int]) -> bool:
         return False
     if any(not 0 <= v < n for v in path):
         return False
-    return all(graph.has_edge(a, b) for a, b in zip(path, path[1:]))
+    nodes = np.asarray(path, dtype=np.int64)
+    return _first_non_edge(graph, nodes[:-1], nodes[1:]) < 0
 
 
 def cycle_from_successors(successors: Mapping[int, int], *, start: int = 0) -> list[int]:

@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 
 from repro.engines import _jit, batchwalk
-from repro.engines.arraywalk import edge_twins
 from repro.engines.batchwalk import (
     build_batch_tree,
     node_streams,
@@ -44,6 +43,7 @@ from repro.engines.fast_dhc2 import _dhc2_fast
 from repro.engines.fast_turau import _turau_fast
 from repro.engines.kmachine_engine import _dra_kmachine
 from repro.graphs import gnp_random_graph
+from repro.graphs.adjacency import csr_sources
 
 BATCH_RUNNERS = {
     "dra": _dra_fast_batch,
@@ -57,6 +57,14 @@ FIELDS = ("success", "cycle", "steps", "rounds", "detail")
 
 def sample(n, factor, seed):
     return gnp_random_graph(n, min(1.0, factor * math.log(n) / n), seed=seed)
+
+
+def edge_twins(indptr, indices):
+    """Oracle twin table of one CSR: ``twins[i]`` holds ``v→u`` when
+    position ``i`` holds ``u→v``.  Sorting the directed entries by
+    ``(dst, src)`` visits the reverse partners in ``(src, dst)`` order.
+    """
+    return np.lexsort((csr_sources(indptr), indices))
 
 
 def mixed_batch(n, trials, *, factors=(1.0, 8.0, 14.0), base_seed=300):
@@ -184,6 +192,15 @@ class TestStackedEdgeTwins:
             hi = int(indptr[(b + 1) * 24])
             want = edge_twins(g.indptr, g.indices)
             np.testing.assert_array_equal(twins[lo:hi] - lo, want)
+
+    def test_twins_are_the_reverse_involution(self):
+        graphs = [sample(32, 4.0, 2 + i) for i in range(3)]
+        indptr, indices = stack_graph_csrs(graphs)
+        twins = stacked_edge_twins(indptr, indices, 3, 32)
+        src = csr_sources(indptr)
+        assert np.array_equal(src[twins], indices)
+        assert np.array_equal(indices[twins], src)
+        assert np.array_equal(twins[twins], np.arange(twins.size))
 
 
 class TestJitGating:

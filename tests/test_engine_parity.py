@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.engines.arraywalk import build_array_tree, edge_twins, gather_neighbors
+from repro.core.rotation import FAIL_NO_EDGES
+from repro.engines.arraywalk import build_array_tree, gather_neighbors
 from repro.engines.fast import (
     _dra_fast_py,
     bfs_completion_round,
@@ -31,6 +32,7 @@ from repro.engines.fast import (
 from repro.engines.fast_dhc2 import _dhc2_fast_py
 from repro.engines.registry import REGISTRY
 from repro.graphs import (
+    Graph,
     gnm_random_graph,
     gnp_random_graph,
     random_regular_graph,
@@ -92,6 +94,23 @@ class TestDraParity:
         oracle = _dra_fast_py(g, seed=3, step_budget=5)
         assert not kernel.success
         assert_parity(kernel, oracle, "dra budget", detail_keys=("fail_codes",))
+
+    @pytest.mark.parametrize("shape", ["star", "path"])
+    def test_dead_end_failure_matches(self, shape):
+        # The head runs out of live edges: the walk's empty-row exit.
+        n = 12
+        if shape == "star":
+            g = Graph(n, [(0, v) for v in range(1, n)])
+        else:
+            g = Graph(n, [(v, v + 1) for v in range(n - 1)])
+        for seed in (1, 2, 5):
+            kernel = repro.run(g, "dra", engine="fast", seed=seed)
+            oracle = _dra_fast_py(g, seed=seed)
+            assert not kernel.success
+            assert kernel.detail["fail_codes"] == [FAIL_NO_EDGES]
+            assert_parity(kernel, oracle, f"dra {shape} seed={seed}",
+                          detail_keys=("fail_codes", "rotations",
+                                       "extensions"))
 
 
 class TestDhc2Parity:
@@ -491,6 +510,12 @@ class TestFastBatchParity:
         graphs = [sample("gnp", 2, 1.0, seed=5), sample("gnp", 2, 1.0, seed=6)]
         self.assert_batch_parity("turau", graphs, [3, 4], "turau n=2")
 
+    @pytest.mark.parametrize("n", [3, 4, 10])
+    def test_turau_edgeless_batch(self, n):
+        # No node has an edge, so every draw pass has zero lanes.
+        self.assert_batch_parity("turau", [Graph(n), Graph(n)], [1, 2],
+                                 f"turau edgeless n={n}")
+
     @pytest.mark.parametrize("algorithm", ["dra", "cre", "dhc2", "turau"])
     def test_single_trial_batch(self, algorithm):
         graphs, seeds = self._mixed_batch(64, 1, factors=(8.0,))
@@ -531,12 +556,3 @@ class TestCsrHelpers:
         expected = np.concatenate([g.neighbors(int(v)) for v in nodes])
         assert np.array_equal(
             gather_neighbors(g.indptr, g.indices, nodes), expected)
-
-    def test_edge_twins_is_reverse_involution(self):
-        g = sample("gnm", 32, 4.0, seed=2)
-        twins = edge_twins(g.indptr, g.indices)
-        src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
-        dst = g.indices
-        assert np.array_equal(src[twins], dst)
-        assert np.array_equal(dst[twins], src)
-        assert np.array_equal(twins[twins], np.arange(twins.size))

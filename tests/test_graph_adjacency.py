@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import Graph
+from repro.graphs.adjacency import sorted_unique
 
 from tests.conftest import complete, ring
 
@@ -142,6 +143,24 @@ class TestCsrViews:
         for v in g.nodes():
             row = g.indices[g.indptr[v]:g.indptr[v + 1]]
             assert np.all(np.diff(row) > 0)
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize("values", [
+        [],
+        [7],
+        [3, 3, 3, 3],
+        [-4, 0, 2, 9, 11],
+        [11, 9, 2, 0, -4],
+        np.random.default_rng(3).integers(-50, 50, size=400).tolist(),
+    ], ids=["empty", "singleton", "all-duplicate", "sorted", "reversed",
+            "random"])
+    def test_matches_np_unique(self, values):
+        arr = np.asarray(values, dtype=np.int64)
+        got = sorted_unique(arr)
+        want = np.unique(arr)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 @given(

@@ -1,5 +1,6 @@
 """Tests for the random-graph generators (vs theory and networkx oracle)."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import (
+    Graph,
     chung_lu_graph,
     gnm_random_graph,
     gnp_random_graph,
@@ -86,6 +88,50 @@ class TestGnp:
 
     def test_threshold_value(self):
         assert hamiltonicity_threshold(100) == pytest.approx(math.log(100) / 100)
+
+
+#: sha256 of ``gnp_random_graph(1024, paper_probability(1024, 1, 8),
+#: seed=s).indices`` (int64, little-endian), recorded from the two-key
+#: lexsort CSR build: the one-key sort and the sort-based unique must
+#: reproduce the sampled graphs bit for bit.
+GNP_1024_INDICES_SHA256 = {
+    1: "3470336fe1ad04fd73bb15527217c758601914f67ad484aa84a81725cbc5d137",
+    2: "e0659201f2b630ac3a105508f66dd38f641c6e8d170ebd2a26c1585c1ca9a130",
+    3: "013c032018a0514e6e7c4fed83cf2b1901a5d9e98dfb8dbf8c40aa22f1ae07af",
+}
+
+
+class TestCsrBuild:
+    @staticmethod
+    def lexsort_csr(n, lo, hi):
+        """Reference CSR: both orientations ordered by a (src, dst) lexsort."""
+        src = np.concatenate((lo, hi))
+        dst = np.concatenate((hi, lo))
+        order = np.lexsort((dst, src))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return indptr, dst[order]
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 300])
+    def test_from_sorted_pairs_on_shuffled_pairs(self, n):
+        rng = np.random.default_rng(n)
+        total = pair_count(n)
+        for k in sorted({0, total // 3, total}):
+            lo, hi = decode_pair_indices(n, sample_distinct(rng, total, k))
+            shuffle = rng.permutation(k)
+            lo, hi = lo[shuffle], hi[shuffle]
+            g = Graph.from_sorted_pairs(n, lo, hi)
+            indptr, indices = self.lexsort_csr(n, lo, hi)
+            assert g.m == k
+            assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+            np.testing.assert_array_equal(g.indptr, indptr)
+            np.testing.assert_array_equal(g.indices, indices)
+
+    @pytest.mark.parametrize("seed", sorted(GNP_1024_INDICES_SHA256))
+    def test_gnp_golden_indices(self, seed):
+        g = gnp_random_graph(1024, paper_probability(1024, 1, 8), seed=seed)
+        digest = hashlib.sha256(g.indices.tobytes()).hexdigest()
+        assert digest == GNP_1024_INDICES_SHA256[seed]
 
 
 class TestGnm:

@@ -1,5 +1,6 @@
 """Tests for Hamiltonian-cycle verification."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +52,25 @@ class TestVerifyCycle:
         with pytest.raises(CycleViolation):
             verify_cycle(ring(4), [0, 1, 2, 9])
 
+    def test_missing_closing_edge_is_named(self):
+        with pytest.raises(CycleViolation,
+                           match=r"^\(3, 0\) is not an edge of the graph$"):
+            verify_cycle(path_graph(4), [0, 1, 2, 3])
+
+    def test_first_non_edge_in_traversal_order_is_named(self):
+        g = ring(6)
+        # (1, 3) and (2, 5) are both non-edges; (1, 3) comes first.
+        with pytest.raises(CycleViolation, match=r"^\(1, 3\) is not"):
+            verify_cycle(g, [0, 1, 3, 2, 5, 4])
+        # (4, 0) comes before the closing non-edge (5, 1).
+        with pytest.raises(CycleViolation, match=r"^\(4, 0\) is not"):
+            verify_cycle(g, [1, 2, 3, 4, 0, 5])
+
+    def test_numpy_cycle_accepted(self):
+        verify_cycle(ring(6), np.array([3, 4, 5, 0, 1, 2], dtype=np.int64))
+        with pytest.raises(CycleViolation, match=r"^\(0, 2\) is not"):
+            verify_cycle(ring(6), np.array([0, 2, 1, 3, 4, 5], dtype=np.int64))
+
 
 class TestHamiltonianPath:
     def test_path(self):
@@ -61,6 +81,11 @@ class TestHamiltonianPath:
 
     def test_wrong_length(self):
         assert not is_hamiltonian_path(path_graph(5), [0, 1, 2])
+
+    def test_non_edge_path(self):
+        # A permutation of the nodes whose last hop (4, 0) is missing.
+        assert not is_hamiltonian_path(path_graph(5), [1, 2, 3, 4, 0])
+        assert is_hamiltonian_path(path_graph(5), [4, 3, 2, 1, 0])
 
 
 class TestSuccessorMaps:
