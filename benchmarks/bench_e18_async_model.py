@@ -3,8 +3,9 @@
 The paper's model is synchronous and fault-free; ``engine="async"``
 asks how far its algorithms survive outside it.  This benchmark runs
 all four congest front ends (DRA, DHC1, DHC2, Turau) on the
-event-queue engine under uniform(0.5, 1.5) per-edge latency and
-measures, per message-drop rate and under one mid-run churn crash:
+message-passing core's async mode under uniform(0.5, 1.5) per-edge
+latency and measures, per message-drop rate and under one mid-run
+churn crash:
 
 * **success_rate** — verified Hamiltonian cycles only (the safety
   contract: reordering and loss may kill runs but never fake one);
@@ -13,8 +14,11 @@ measures, per message-drop rate and under one mid-run churn crash:
 * **stretch_vs_sync** — async virtual completion time over the same
   seed's synchronous round count: the price of the asynchronous
   schedule in round units;
-* delivered / dropped / reordered message counts (deterministic given
-  the seed tree, so they drift-gate behaviour changes).
+* delivered / dropped / undeliverable / reordered message counts
+  (deterministic given the seed tree, so they drift-gate behaviour
+  changes).  ``dropped`` counts the fault adversary's losses only;
+  ``undeliverable`` counts messages discarded at halted or
+  not-yet-joined recipients.
 
 A zero-drop unit-latency spot check re-asserts the parity pin from
 ``tests/test_async_engine.py`` inside the bench's own grid.
@@ -93,7 +97,8 @@ def _sweep():
         sync_rounds = {}
         per_condition: dict[str, dict] = {}
         for label, model in conditions:
-            wins = terminated = delivered = dropped = reordered = errors = 0
+            wins = terminated = delivered = dropped = undeliverable = 0
+            reordered = errors = 0
             stretches = []
             for trial in range(TRIALS):
                 graph = _graph(trial)
@@ -110,6 +115,7 @@ def _sweep():
                 terminated += 1 - stats["limited"]
                 delivered += stats["delivered"]
                 dropped += stats["dropped"]
+                undeliverable += stats["undeliverable"]
                 reordered += stats["reordered"]
                 errors += stats["protocol_errors"]
                 stretches.append(
@@ -120,6 +126,7 @@ def _sweep():
                 "stretch_vs_sync": stretches,
                 "delivered": delivered,
                 "dropped": dropped,
+                "undeliverable": undeliverable,
                 "reordered": reordered,
                 "protocol_errors": errors,
             }

@@ -1,4 +1,4 @@
-"""CONGEST-model simulators (Section I-A of the paper, and beyond it).
+"""The CONGEST-model simulator (Section I-A of the paper, and beyond it).
 
 Write a distributed algorithm as a :class:`~repro.congest.node.Protocol`
 subclass, instantiate a :class:`~repro.congest.network.Network` over a
@@ -8,13 +8,12 @@ meters rounds, messages, bits, send balance, and per-node memory.
 
 The substrate a protocol runs on is described by a
 :class:`~repro.congest.model.NetworkModel`: the default is the paper's
-synchronous fault-free rounds; ``mode="async"`` dispatches the same
-protocols onto the event-queue :class:`~repro.congest.async_engine.
-AsyncNetwork` (per-edge latency distributions, message loss and
-reordering via a :class:`~repro.congest.faults.FaultPlan`, node churn).
+synchronous fault-free rounds; ``mode="async"`` runs the same protocols
+on the same ``Network`` over a virtual clock (per-edge latency
+distributions and node churn).  Message loss and crashes come from one
+:class:`~repro.congest.faults.FaultPlan` adversary in both modes.
 """
 
-from repro.congest.async_engine import AsyncAdversary, AsyncNetwork
 from repro.congest.errors import (
     BandwidthExceededError,
     CongestError,
@@ -32,8 +31,6 @@ from repro.congest.node import Context, Protocol
 
 __all__ = [
     "Network",
-    "AsyncNetwork",
-    "AsyncAdversary",
     "NetworkModel",
     "LatencySpec",
     "FaultPlan",

@@ -26,6 +26,11 @@ Fault kinds:
   round ``r``: its queued messages are dropped and it never executes
   again (the engine skips halted nodes).
 
+One :class:`FaultInjector` serves both network modes.  It filters
+deliveries at delivery time, so in async mode windows and crash rounds
+compare against ``floor`` of each message's delivery time and drops
+are drawn in delivery order.
+
 The adversary is deterministic per ``seed`` and independent of the
 protocol's own randomness (separate generator), so adding or removing
 a fault plan never perturbs node decisions — only which messages
@@ -35,10 +40,12 @@ survive delivery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.congest.network import Network
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.congest.network import Network
 
 __all__ = ["FaultPlan", "FaultInjector", "compose_fault_hook"]
 
@@ -55,7 +62,7 @@ def compose_fault_hook(plan: "FaultPlan", network_hook=None):
     """
     injector = FaultInjector(plan)
 
-    def hook(network: "Network") -> None:
+    def hook(network: Network) -> None:
         injector.attach(network)
         if network_hook is not None:
             network_hook(network)
@@ -141,9 +148,15 @@ class FaultPlan:
 class FaultInjector:
     """Applies a :class:`FaultPlan` to a network and counts what it broke.
 
-    Attach via a :class:`~repro.congest.model.NetworkModel`'s
-    ``network_hook`` (or set it as the network's ``delivery_filter``
-    directly).  After the run:
+    One injector serves both network modes: it is the network's
+    ``delivery_filter``, so it sees each instant's deliveries (a
+    synchronous round, or an async virtual-time instant) after
+    ``round_index`` has moved to ``floor`` of the delivery time.  It
+    crash-stops the nodes whose crash round has come, then drops
+    messages against the plan's windows.  A model's ``fault_plan``
+    attaches one through :func:`compose_fault_hook`; a
+    :class:`~repro.congest.model.NetworkModel`'s ``network_hook`` can
+    also attach one directly.  After the run:
 
     * ``dropped`` — messages discarded (all causes combined);
     * ``crashed`` — nodes crash-stopped so far;
@@ -165,19 +178,17 @@ class FaultInjector:
 
     # -- the adversary ----------------------------------------------------------
 
-    def _filter(
-        self, network: Network, outbox: list[tuple[int, int, tuple]],
-    ) -> list[tuple[int, int, tuple]]:
-        # The filter runs inside _step after round_index increments are
-        # staged; messages in `outbox` are about to be delivered at the
-        # start of round `round_index + 1`.
-        delivery_round = network.round_index + 1
+    def _filter(self, network: Network, deliveries: list[tuple]) -> list[tuple]:
+        # The network has moved round_index to the delivery round; each
+        # delivery is a tuple starting (src, dst, payload).
+        delivery_round = network.round_index
         self._apply_crashes(network, delivery_round)
         in_window = (self.plan.window is None
                      or self.plan.window[0] <= delivery_round <= self.plan.window[1])
 
-        survivors: list[tuple[int, int, tuple]] = []
-        for src, dst, payload in outbox:
+        survivors: list[tuple] = []
+        for delivery in deliveries:
+            src, dst = delivery[0], delivery[1]
             self.offered += 1
             if src in self.crashed or dst in self.crashed:
                 self.dropped += 1
@@ -189,7 +200,7 @@ class FaultInjector:
                     and self._rng.random() < self.plan.drop_probability):
                 self.dropped += 1
                 continue
-            survivors.append((src, dst, payload))
+            survivors.append(delivery)
         return survivors
 
     def _apply_crashes(self, network: Network, round_index: int) -> None:

@@ -4,9 +4,10 @@ A :class:`NetworkModel` collects the whole description of the
 *substrate* an algorithm runs on into one frozen, JSON-serialisable
 value:
 
-* ``mode`` — ``"sync"`` (the round-driven :class:`~repro.congest.
-  network.Network`) or ``"async"`` (the event-queue
-  :class:`~repro.congest.async_engine.AsyncNetwork`);
+* ``mode`` — how the one simulator, :class:`~repro.congest.network.
+  Network`, runs: ``"sync"`` (lockstep rounds) or ``"async"`` (a
+  virtual clock with per-edge latency, churn, and crash-stop on
+  protocol errors);
 * ``bandwidth_words`` — per-message word budget (``None`` = the
   runner's own default);
 * ``audit_memory`` — record per-node peak state (ORs with the
@@ -37,7 +38,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.congest.faults import FaultInjector, FaultPlan, compose_fault_hook
-from repro.congest.network import DEFAULT_BANDWIDTH_WORDS, Network
 
 __all__ = [
     "LatencySpec",
@@ -57,12 +57,12 @@ _MIN_DELAY = 1e-9
 
 @dataclass(frozen=True)
 class LatencySpec:
-    """A per-edge message-delay distribution for the async engine.
+    """A per-edge message-delay distribution for async mode.
 
     ``kind``:
 
-    * ``"unit"`` — every message takes exactly one time unit; the async
-      engine then reproduces the synchronous engine's schedule (the
+    * ``"unit"`` — every message takes exactly one time unit; async
+      mode then reproduces the synchronous round schedule (the
       zero-latency parity pin).
     * ``"fixed"`` — every message takes ``value`` (> 0) time units.
     * ``"uniform"`` — delays drawn uniformly from ``[low, high]``
@@ -97,7 +97,7 @@ class LatencySpec:
         return self.kind == "unit"
 
     def mean(self) -> float:
-        """Expected delay (scales the async engine's time budget)."""
+        """Expected delay (scales the async watchdog's time budget)."""
         if self.kind == "unit":
             return 1.0
         if self.kind == "uniform":
@@ -274,32 +274,29 @@ def build_network(
 ):
     """Construct (and hook up) the simulator ``model`` describes.
 
-    Returns ``(network, injector)`` where ``network`` is a ready-to-run
-    :class:`~repro.congest.network.Network` or
-    :class:`~repro.congest.async_engine.AsyncNetwork` and ``injector``
-    carries the fault adversary's counters (``.summary()``), or is
-    ``None`` when the model has no fault plan.  ``audit_memory`` is the
-    runner's own flag; it ORs with the model's.
+    Returns ``(network, injector)``: a ready-to-run
+    :class:`~repro.congest.network.Network` in the model's mode, and
+    the :class:`~repro.congest.faults.FaultInjector` applying the
+    model's fault plan (its counters are ``injector.summary()``), or
+    ``None`` when the model has no fault plan.  The injector attaches
+    through :func:`~repro.congest.faults.compose_fault_hook` in both
+    modes, before the model's own ``network_hook``.  ``audit_memory``
+    is the runner's own flag; it ORs with the model's.
     """
+    # The network module imports this one, so import it at call time.
+    from repro.congest.network import DEFAULT_BANDWIDTH_WORDS, Network
+
     words = model.bandwidth_words
     if words is None:
         words = (default_bandwidth if default_bandwidth is not None
                  else DEFAULT_BANDWIDTH_WORDS)
-    audit = bool(audit_memory or model.audit_memory)
-    if model.is_async():
-        from repro.congest.async_engine import AsyncNetwork
-
-        net = AsyncNetwork(graph, protocol_factory, seed=seed, model=model,
-                           bandwidth_words=words, audit_memory=audit)
-        if model.network_hook is not None:
-            model.network_hook(net)
-        return net, net.adversary
     hook = model.network_hook
     injector = None
     if model.fault_plan is not None:
         hook, injector = compose_fault_hook(model.fault_plan, hook)
-    net = Network(graph, protocol_factory, seed=seed, bandwidth_words=words,
-                  audit_memory=audit)
+    net = Network(graph, protocol_factory, seed=seed, model=model,
+                  bandwidth_words=words,
+                  audit_memory=bool(audit_memory or model.audit_memory))
     if hook is not None:
         hook(net)
     return net, injector

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.congest.errors import HaltedNodeError
+from repro.congest.errors import HaltedNodeError, NotANeighborError
 from repro.congest.message import Message
 from repro.congest.metrics import state_size_words
 
@@ -79,7 +79,7 @@ class Context:
 
     @property
     def round_index(self) -> int:
-        """The current synchronous round number."""
+        """The current round number (``floor`` of virtual time in async mode)."""
         return self._network.round_index
 
     def is_neighbor(self, v: int) -> bool:
@@ -95,6 +95,8 @@ class Context:
         """
         if self.halted:
             raise HaltedNodeError(f"halted node {self.node_id} tried to send")
+        if dest not in self._neighbor_set:
+            raise NotANeighborError(f"node {self.node_id} is not adjacent to {dest}")
         self._network._enqueue(self.node_id, dest, (kind, *fields))  # noqa: SLF001
 
     def edge_free(self, dest: int) -> bool:
@@ -103,7 +105,7 @@ class Context:
         Lets protocols with several concurrent sub-activities pace their
         sends instead of violating the one-message-per-edge rule.
         """
-        return self._network._edge_free(self.node_id, dest)  # noqa: SLF001
+        return self._network._edge_free(dest)  # noqa: SLF001
 
     def request_wake(self, round_index: int) -> None:
         """Schedule this node to run in ``round_index`` (a future round)."""

@@ -126,7 +126,7 @@ def run_dra(
     engine, bandwidth, fault plan, latency distribution, churn.  When
     the model has a fault plan the adversary's counters appear under
     ``detail["faults"]``; async runs additionally report
-    ``detail["async"]`` (see ``AsyncNetwork.async_summary``).
+    ``detail["async"]`` (see ``Network.async_summary``).
     """
     n = graph.n
     model = coerce_network_model(network)

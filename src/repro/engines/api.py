@@ -104,9 +104,9 @@ class EngineSpec:
         counterpart; every non-empty declaration is enforced by
         ``tests/test_engine_parity.py``'s registry parity gate.
     async_capable:
-        True when the runner can execute on the asynchronous
-        event-queue engine (:mod:`repro.congest.async_engine`) via a
-        ``NetworkModel`` with ``mode="async"`` — latency
+        True when the runner can execute in the async mode of the
+        message-passing core (:class:`~repro.congest.network.Network`)
+        via a ``NetworkModel`` with ``mode="async"`` — latency
         distributions, message loss/reordering, churn.  Declaring it
         carries a contract: at unit latency with no faults and no
         churn the async execution must be seed-for-seed identical to

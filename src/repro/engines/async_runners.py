@@ -4,7 +4,7 @@ Each wrapper forces the run's :class:`~repro.congest.model.NetworkModel`
 into ``mode="async"`` (building the default asynchronous substrate —
 unit latency, no faults — when none is given) and delegates to the
 algorithm's congest runner, which dispatches to
-:class:`~repro.congest.async_engine.AsyncNetwork` via
+the async mode of :class:`~repro.congest.network.Network` via
 :func:`~repro.congest.model.build_network`.  The wrappers exist so the
 engine choice lives in the registry key: ``repro.run(g, "dra",
 engine="async")`` never silently falls back to synchronous rounds, and

@@ -271,7 +271,7 @@ class MetricsCollector:
                     round(quantile(slot["steps"], q), 6)
                     if slot["steps"] else None)
             # Async-engine extras, present only when the point actually
-            # ran on the event-queue engine (sync sweeps are unchanged).
+            # ran in the core's async mode (sync sweeps are unchanged).
             if slot.get("async_stretch"):
                 for q, name in _PERCENTILES:
                     entry[f"async_stretch_{name}"] = round(

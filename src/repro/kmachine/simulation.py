@@ -188,7 +188,7 @@ def run_converted_hc(
     A ``network=`` model (e.g. one carrying a fault plan) passes
     through to the runner with the accountant composed onto its
     ``network_hook``; the caller's own hook runs first.  Async models
-    are refused: the event-queue engine has no round observer.
+    are refused: the round observer is synchronous-mode only.
     """
     from repro.congest.model import coerce_network_model
     from repro.engines.registry import REGISTRY

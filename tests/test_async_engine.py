@@ -1,4 +1,4 @@
-"""Asynchronous engine tests (repro.congest.async_engine).
+"""Asynchronous-mode tests of the message-passing core (repro.congest.network).
 
 Three contracts, in order of importance:
 
@@ -18,7 +18,13 @@ Three contracts, in order of importance:
 
 import pytest
 
-from repro.congest import AsyncNetwork, FaultPlan, LatencySpec, NetworkModel
+from repro.congest import (
+    FaultInjector,
+    FaultPlan,
+    LatencySpec,
+    Network,
+    NetworkModel,
+)
 from repro.congest.errors import RoundLimitExceeded
 from repro.core import run_dhc1, run_dhc2, run_dra, run_turau
 from repro.core.dra import DraProtocol
@@ -125,6 +131,23 @@ class TestQuiescenceUnderFaults:
         assert stats["limited"] == 0  # wound down, not watchdogged
         assert result.detail["faults"]["crashed_nodes"] >= 1.0
 
+    def test_dropped_counts_adversary_losses_only(self):
+        # dhc1 halts nodes while messages are still in flight to them:
+        # those are undeliverable, not dropped, when no plan is set.
+        graph = dense_gnp(32, seed=7)
+        result = run_dhc1(graph, seed=7, network=NetworkModel(
+            mode="async",
+            latency=LatencySpec(kind="uniform", low=0.5, high=1.5)))
+        stats = result.detail["async"]
+        assert stats["dropped"] == 0
+        assert stats["undeliverable"] > 0
+
+    def test_dropped_equals_fault_counter(self):
+        graph = dense_gnp(24, seed=1)
+        result = run_dhc1(graph, seed=1, network=_lossy(drop=0.05, seed=2))
+        stats = result.detail["async"]
+        assert stats["dropped"] == result.detail["faults"]["dropped"] > 0
+
     def test_total_blackout_is_a_clean_failure(self):
         graph = dense_gnp(24, seed=2)
         result = run_dra(graph, seed=2, network=_lossy(drop=1.0))
@@ -151,9 +174,9 @@ class TestQuiescenceUnderFaults:
         result = run_dra(graph, seed=5, network=ASYNC, max_rounds=3)
         assert not result.success
         assert result.detail["async"]["limited"] == 1
-        # ...but the raw engine raises, like the synchronous Network.
-        net = AsyncNetwork(graph, lambda v: DraProtocol(v, graph.n),
-                           seed=5, model=ASYNC)
+        # ...but the raw engine raises, as it does in sync mode.
+        net = Network(graph, lambda v: DraProtocol(v, graph.n),
+                      seed=5, model=ASYNC)
         with pytest.raises(RoundLimitExceeded):
             net.run(max_rounds=3)
 
@@ -196,21 +219,17 @@ class TestChurn:
 class TestAsyncNetworkMechanics:
     def _net(self, *, model=None, record_events=False, n=20, seed=3):
         graph = dense_gnp(n, seed=seed)
-        return graph, AsyncNetwork(
-            graph, lambda v: DraProtocol(v, graph.n), seed=seed,
-            model=model if model is not None else ASYNC,
-            record_events=record_events)
-
-    def test_rejects_sync_mode_model(self):
-        graph = dense_gnp(8, seed=0)
-        with pytest.raises(ValueError, match="mode='async'"):
-            AsyncNetwork(graph, lambda v: DraProtocol(v, graph.n),
-                         model=NetworkModel())
+        model = model if model is not None else ASYNC
+        net = Network(graph, lambda v: DraProtocol(v, graph.n), seed=seed,
+                      model=model, record_events=record_events)
+        if model.fault_plan is not None:
+            FaultInjector(model.fault_plan).attach(net)
+        return graph, net
 
     def test_rejects_sync_engine_observers(self):
         _graph, net = self._net()
         net.round_observer = lambda network, outbox: None
-        with pytest.raises(ValueError, match="synchronous-engine"):
+        with pytest.raises(ValueError, match="synchronous-mode"):
             net.run(max_rounds=100)
 
     def test_event_trace_is_deterministic(self):
@@ -243,8 +262,8 @@ class TestAsyncNetworkMechanics:
                     raise RuntimeError("alien state")
                 super().on_round(ctx, inbox)
 
-        net = AsyncNetwork(graph, lambda v: Bomb(v, graph.n), seed=1,
-                           model=ASYNC)
+        net = Network(graph, lambda v: Bomb(v, graph.n), seed=1,
+                      model=ASYNC)
         net.run(max_rounds=5000, raise_on_limit=False)
         assert net.async_summary()["protocol_errors"] == 1
         assert net.context(0).halted

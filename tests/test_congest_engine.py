@@ -1,5 +1,8 @@
 """Tests for the CONGEST simulator: model rules, delivery, metrics."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -15,9 +18,13 @@ from repro.congest import (
     state_size_words,
     word_bits,
 )
+from repro.congest import FaultPlan, NetworkModel
+from repro.core import run_dhc1, run_dhc2, run_dra, run_turau
 from repro.graphs import Graph
+from repro.kmachine import run_converted_hc
+from repro.trace import TraceRecorder
 
-from tests.conftest import path_graph, ring
+from tests.conftest import dense_gnp, path_graph, ring
 
 
 class Silent(Protocol):
@@ -232,3 +239,108 @@ class TestMetrics:
         assert state_size_words([1, 2, 3]) == 4
         assert state_size_words({"a": 1}) == 3
         assert state_size_words(np.zeros(10)) == 11
+
+
+# ---------------------------------------------------------------------------
+# Golden synchronous outputs
+# ---------------------------------------------------------------------------
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+GOLDEN_RUNNERS = {
+    "dra": (run_dra, {}),
+    "dhc1": (run_dhc1, {}),
+    "dhc2": (run_dhc2, {"delta": 1.0}),
+    "turau": (run_turau, {}),
+}
+
+
+class TestCoreGolden:
+    """Exact synchronous outputs of the message-passing core.
+
+    The values were recorded from the round-loop simulator before it
+    became a mode of the event-queue core.  They pin what a refactor of
+    delivery, the fault filter's position, the round observer's idle
+    rounds or the audit cadence could silently change.
+    """
+
+    GRAPH_N = 64
+    SEED = 4
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return dense_gnp(self.GRAPH_N)
+
+    AUDIT = {
+        "dra": (1987, 24522, 855226, "3a090801d639fb6dbfaaf5e4b1c9d505"
+                "0f4d9cfe4ccd04b417db8da364e217c4"),
+        "dhc1": (61, 11886, 165144, "2a9949c4701b69a2d58eea1a160d1ef0"
+                 "0711ed487edb67ec75a77149d82ad44d"),
+        "dhc2": (1989, 26562, 885826, "4a9a52dfefb78342ff67cbfdfed25d66"
+                 "95440a66c99d5d973dea2820cd36b22d"),
+        "turau": (677, 5069, 72458, "238c322961393b15e487dfffa7717f37"
+                  "24be6fa2d01cd68af50ed75b87b0ba95"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(AUDIT))
+    def test_audited_runs(self, graph, name):
+        runner, kwargs = GOLDEN_RUNNERS[name]
+        result = runner(graph, seed=self.SEED, audit_memory=True, **kwargs)
+        assert (result.rounds, result.messages, result.bits,
+                _sha256(result.detail["state_words"])) == self.AUDIT[name]
+
+    FAULTS = {
+        "dra": (False, 108, 7035, 105231,
+                {"offered": 7035.0, "dropped": 202.0,
+                 "drop_rate": 0.028713574982231697, "crashed_nodes": 1.0}),
+        "dhc1": (False, 108, 9046, 121319,
+                 {"offered": 7035.0, "dropped": 202.0,
+                  "drop_rate": 0.028713574982231697, "crashed_nodes": 1.0}),
+        "dhc2": (False, 113, 10990, 150465,
+                 {"offered": 8979.0, "dropped": 235.0,
+                  "drop_rate": 0.026172179530014477, "crashed_nodes": 1.0}),
+        "turau": (False, 4075, 5803, 124719,
+                  {"offered": 5803.0, "dropped": 214.0,
+                   "drop_rate": 0.03687747716698259, "crashed_nodes": 1.0}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAULTS))
+    def test_fault_plan_runs(self, graph, name):
+        runner, kwargs = GOLDEN_RUNNERS[name]
+        plan = FaultPlan(drop_probability=0.02, seed=3, crash_rounds={2: 9},
+                         dead_links={(0, graph.neighbor_list(0)[0])})
+        result = runner(graph, seed=self.SEED,
+                        network=NetworkModel(fault_plan=plan), **kwargs)
+        assert (result.success, result.rounds, result.messages, result.bits,
+                result.detail["faults"]) == self.FAULTS[name]
+
+    KMACHINE = {
+        "dra": (1987, 3477, 83924, 656),
+        "dhc1": (61, 272, 16181, 656),
+        "dhc2": (1989, 3519, 87020, 656),
+    }
+
+    @pytest.mark.parametrize("name", sorted(KMACHINE))
+    def test_kmachine_conversion(self, graph, name):
+        _runner, kwargs = GOLDEN_RUNNERS[name]
+        _result, metrics = run_converted_hc(graph, algorithm=name,
+                                            k_machines=4, seed=self.SEED,
+                                            **kwargs)
+        assert (metrics.congest_rounds, metrics.kmachine_rounds,
+                metrics.cross_words,
+                metrics.max_round_link_words) == self.KMACHINE[name]
+
+    def test_trace_recorder(self, graph):
+        recorder = TraceRecorder()
+        run_dra(graph, seed=self.SEED,
+                network=NetworkModel(network_hook=recorder.attach))
+        rounds = recorder.rounds()
+        assert len(rounds) == 1278
+        assert _sha256(rounds) == ("20584aec989a4c776153828a4e7d5e68"
+                                   "41be7bde74ab2a8c0be3592530e9b718")
+        assert recorder.by_kind() == {
+            "rw.r": 17010, "lm.m": 4949, "bt.e": 1977, "rw.p": 334,
+            "bt.a": 63, "bt.d": 63, "bt.c": 63, "rw.w": 63}
