@@ -30,9 +30,11 @@ Environment knobs (the CI perf-smoke step runs ``E15_SIZES=256``):
   committed baseline is still only rewritten on a full sweep).
 
 The batched lane is timed twice: once with the kernel dispatch forced
-to pure numpy (the ``batch_trials_per_sec`` column — honest even when
-this process runs under ``REPRO_JIT=1``), and once through the fused
-compiled kernels (``batch_jit_trials_per_sec``).  On hosts without
+off (the ``batch_trials_per_sec`` column — honest even when this
+process runs under ``REPRO_JIT=1``), and once through the fused
+compiled kernels (``batch_jit_trials_per_sec``).  Without a kernel,
+DRA's ``fast-batch`` runs each trial on per-trial ``fast``, so the
+first column tracks the paired ``fast`` reference.  On hosts without
 numba the jitted column records ``null`` rather than timing the
 uncompiled ``*_impl`` loops as if they were compiled — the committed
 curve never claims a speedup the host could not measure.
@@ -46,14 +48,15 @@ batch):
   ``fast`` reference measured adjacent to it.  Lanes the host cannot
   run (no numba, or the thread count exceeds numba's launched pool)
   record explicit ``null`` — never a guessed ratio.
-* ``setup_profile`` — the generation+stacking share of one numpy-path
-  batch pass (``setup_fraction``), measured for per-trial
+* ``setup_profile`` — the generation+stacking share of one uncompiled
+  ``fast-batch`` call (``setup_fraction``), measured for per-trial
   ``gnp_random_graph`` + serial stacking and for the pooled
   :func:`repro.graphs.batch_gnp` path that emits the stacked CSR and
-  twin table directly.  Profiled at the mid-grid point (n=1024,
-  batch=64); the pooled global sort goes memory-bound at the largest
-  stacked point and the comparison inverts there (see the inline
-  comment at the call site).
+  twin table directly.  The per-trial route consumes neither stacked
+  form, so the stacking counts as setup but the call does not reuse
+  it.  Profiled at the mid-grid point (n=1024, batch=64); the pooled
+  global sort goes memory-bound at the largest stacked point and the
+  comparison inverts there (see the inline comment at the call site).
 
 A ``metrics_lane`` section measures the observability layer itself
 (:class:`repro.harness.metrics.MetricsCollector`): the same harness
@@ -146,7 +149,10 @@ def _noop():
 
 @contextmanager
 def _numpy_kernels():
-    """Force the pure-numpy batch path for one timed lane."""
+    """Force the uncompiled batch path for one timed lane.
+
+    DRA's ``fast-batch`` then runs each trial on per-trial ``fast``.
+    """
     saved = (_jit.walk_kernel, _jit.tree_kernel, _jit.reverse_blocks)
     _jit.walk_kernel = _jit.tree_kernel = _jit.reverse_blocks = None
     try:
@@ -160,8 +166,9 @@ def _batch_throughput(n: int, batch: int, *, jit: bool = False) -> float:
 
     Graph sampling stays outside the timed window (as in
     :func:`_throughput`); small (n, batch) points repeat the pass to
-    widen the timing window.  ``jit=False`` pins the pure-numpy
-    kernels regardless of ``REPRO_JIT``; ``jit=True`` times whatever
+    widen the timing window.  ``jit=False`` pins the uncompiled route
+    (per-trial ``fast``) regardless of ``REPRO_JIT``; ``jit=True``
+    times whatever
     :mod:`repro.engines._jit` compiled (callers must check
     ``_jit.ENABLED`` first — the warm-up pass also absorbs numba's
     first-call compilation).
@@ -182,7 +189,7 @@ def _batch_throughput(n: int, batch: int, *, jit: bool = False) -> float:
 
 
 def _setup_profile(n: int, batch: int) -> dict:
-    """Generation+stacking share of one numpy-path batch pass, both ways.
+    """Generation+stacking share of one uncompiled batch call, both ways.
 
     ``setup`` is everything before the kernel proper can start: graph
     sampling plus the stacked CSR + twin-table build.  The per-trial
@@ -211,7 +218,7 @@ def _setup_profile(n: int, batch: int) -> dict:
         stacked_edge_twins(indptr, indices, batch, n)
         stack_seconds = time.perf_counter() - start
         start = time.perf_counter()
-        spec.call_batch(graphs, seeds=seeds)  # restacks internally
+        spec.call_batch(graphs, seeds=seeds)  # per-trial fast
         run_seconds = time.perf_counter() - start
         setup = gen_seconds + stack_seconds
         total = gen_seconds + run_seconds
@@ -225,7 +232,7 @@ def _setup_profile(n: int, batch: int) -> dict:
         gbatch.stacked()
         setup = time.perf_counter() - start
         start = time.perf_counter()
-        spec.call_batch(gbatch, seeds=seeds)  # stacked() is cached
+        spec.call_batch(gbatch, seeds=seeds)  # materialises each Graph
         run_seconds = time.perf_counter() - start
         total = setup + run_seconds
         profile["batched_gen"] = {
@@ -409,7 +416,7 @@ def test_e15_engine_throughput(benchmark):
          ["threads", "trials/sec", "paired fast ref", "vs fast"],
          thread_rows)
 
-    # Setup lane: how much of a numpy-path batch pass is generation +
+    # Setup lane: how much of an uncompiled batch call is generation +
     # stacking, per-trial vs pooled batched generation.  Profiled at
     # the mid-grid point (n=1024, batch=64 — the point the pooled-
     # generation claim was established at): batch_gnp's win is dispatch
@@ -421,7 +428,7 @@ def test_e15_engine_throughput(benchmark):
     setup_n = 1024 if 1024 in SIZES else SIZES[len(SIZES) // 2]
     setup_batch = min(64, head_batch)
     setup_profile = _setup_profile(setup_n, setup_batch)
-    show(f"E15: setup share (dra, fast-batch numpy path, n={setup_n}, "
+    show(f"E15: setup share (dra, fast-batch uncompiled, n={setup_n}, "
          f"batch={setup_batch})",
          ["generation", "setup s", "total s", "setup fraction"],
          [(mode,
@@ -460,21 +467,14 @@ def test_e15_engine_throughput(benchmark):
         # The acceptance bar of the array-native refactor: the
         # rotation-walk engine at the headline sweep size.
         assert speedups["dra"]["1024"] >= 5.0, speedups
-        # The batched kernel must clearly beat per-trial dispatch at
-        # the largest size once the batch amortises fixed costs.  The
-        # measured ceiling on this host is ~2.2x (see batch_note in
-        # the payload), so the gate sits below it with variance room.
-        best_batched = max(v for b, v in batch_speedups[str(max(SIZES))]
-                           .items() if int(b) >= 32)
-        assert best_batched >= 1.5, batch_speedups
         if _jit.ENABLED:
-            # The fused kernel must not lose to the numpy passes it
+            # The fused kernel must not lose to the per-trial route it
             # replaces at the headline point (n=max, batch >= 32).
             best_jit = max(v for b, v in jit_speedups[str(max(SIZES))]
                            .items() if v is not None and int(b) >= 32)
             assert best_jit >= 1.0, jit_speedups
         # Batched generation must measurably cut the setup share of
-        # the numpy batch path — the whole point of batch_gnp.
+        # the uncompiled batch call — the whole point of batch_gnp.
         assert (setup_profile["batched_gen"]["setup_fraction"]
                 < setup_profile["per_trial"]["setup_fraction"]), setup_profile
         # The observability layer must be effectively free: under 2%
@@ -529,12 +529,15 @@ def test_e15_engine_throughput(benchmark):
         "setup_profile": setup_profile,
         "setup_note": (
             "setup_profile measures the generation+stacking share of "
-            "one numpy-path fast-batch pass at the headline point. "
+            "one uncompiled fast-batch call at the headline point, "
+            "which for DRA runs each trial on per-trial fast. "
             "per_trial = gnp_random_graph per seed + serial "
             "stack_graph_csrs/stacked_edge_twins; batched_gen = "
             "batch_gnp + GnpBatch.stacked() (one pooled keyed-unique "
             "sample, one global lexsort, twins read off the sort "
-            "permutation). The full-sweep gate asserts batched_gen's "
+            "permutation). The per-trial route reads neither stacked "
+            "form, and on a GnpBatch it materialises each Graph inside "
+            "the call. The full-sweep gate asserts batched_gen's "
             "setup_fraction is strictly below per_trial's."),
         "jit_note": (
             "batch_jit_* columns time the fused numba kernels "
@@ -543,20 +546,21 @@ def test_e15_engine_throughput(benchmark):
             "are the fallback every host gets. The CI jit lane runs "
             "the smoke grid compiled and feeds check_bench."),
         "batch_note": (
-            "Measured on a single-core host where the serial fast "
-            "engine is already fully vectorised per step; batching "
-            "amortises Python/numpy dispatch across trials but adds "
-            "no parallel hardware, so the realised gain tops out "
-            "around 1.8-2.2x at n=4096/batch 256 across runs, with "
-            "smaller sizes landing lower (~1.3-2.0; the issue's "
-            "aspirational 3x assumed dispatch overhead dominated more "
-            "than it does here). Speedups divide by the paired "
+            "batch_trials_per_sec times DRA fast-batch with the kernel "
+            "dispatch forced off. Without a compiled kernel DRA "
+            "fast-batch runs each trial on per-trial fast (the numpy "
+            "batch-major walk was deleted: it cost ~11.4 us per "
+            "lane-step against ArrayWalk's ~4.0 and lost to fast at "
+            "every measured point), so speedup_fast_batch_vs_fast "
+            "sits near 1.0. Speedups divide by the paired "
             "batch_fast_ref_trials_per_sec reference measured "
             "adjacent to the batch rows: minutes of sustained sweep "
-            "throttle this host measurably, so same-CPU-state pairing "
-            "is what keeps the ratio honest. Batch ~256 at n=4096 is "
-            "the cache sweet spot; larger batches regress by "
-            "overflowing LLC."),
+            "throttle a shared host measurably, so same-CPU-state pairing "
+            "is what keeps the ratio honest. The reference times "
+            "other graphs (seeds 0-2) than the batch rows, so ratios "
+            "off 1.0 here reflect graph-to-graph step counts, not the "
+            "route. No gate applies to this column; the batch kernel "
+            "proper is the jitted column, gated against it."),
     }
     if FULL_SWEEP:
         OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")

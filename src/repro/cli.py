@@ -73,7 +73,11 @@ from repro.analysis.bounds import (
 )
 from repro.analysis.concentration import merge_step_failure, partition_size_failure
 from repro.engines import _jit
-from repro.engines.fast_batch import AUTO_BATCH_MIN_TRIALS, auto_batch_size
+from repro.engines.fast_batch import (
+    AUTO_BATCH_MIN_TRIALS,
+    auto_batch_size,
+    batch_kernel_active,
+)
 from repro.engines.registry import REGISTRY
 from repro.graphs import (
     batch_gnp,
@@ -216,13 +220,17 @@ def build_parser() -> argparse.ArgumentParser:
                               "(e.g. --engine fast-batch); 1 = per-trial "
                               "calls; engines without batch support warn "
                               "and fall back (records are identical for "
-                              "any value).  Default: with --engine auto "
-                              f"and >= {AUTO_BATCH_MIN_TRIALS} trials the "
-                              "sweep auto-selects fast-batch where "
-                              "registered, sizing batches per point from "
-                              "REPRO_BATCH_EDGE_BUDGET; otherwise 1.  Set "
-                              "REPRO_JIT_THREADS=N (with REPRO_JIT=1 and "
-                              "numba) to run each batch pass on N cores")
+                              "any value).  Default: batched engines size "
+                              "batches per point from "
+                              "REPRO_BATCH_EDGE_BUDGET, and with --engine "
+                              f"auto and >= {AUTO_BATCH_MIN_TRIALS} trials "
+                              "the sweep selects fast-batch where its "
+                              "batch kernel is active: cre and turau "
+                              "always, dra and dhc2 only with the compiled "
+                              "kernel (REPRO_JIT=1 and numba; without it "
+                              "their fast-batch runs each trial on fast).  "
+                              "Set REPRO_JIT_THREADS=N to run each "
+                              "compiled batch pass on N cores")
     sweep_p.add_argument("--chunksize", type=int, default=None,
                          help="trials per worker IPC message (with --jobs; "
                               "default auto-sizes from the sweep, 1 = "
@@ -456,7 +464,7 @@ class _SweepTrial:
 
 
 class _AutoBatchSize:
-    """Picklable per-point batch caps for the auto-selected batch path.
+    """Picklable per-point batch caps for batched sweeps without --batch-size.
 
     Sizes each grid point's groups from its expected edge density
     (:func:`~repro.engines.fast_batch.auto_batch_size` under
@@ -531,14 +539,16 @@ def _cmd_sweep(args) -> int:
         return 2
     batch_size: int | _AutoBatchSize = args.batch_size or 1
     if args.batch_size is None:
-        # Large same-point queues get the batch kernel without a flag:
-        # results are seed-for-seed identical to per-trial fast, so
-        # auto-selection only changes throughput.
+        # Large same-point queues get the batch kernel without a flag
+        # where it is active: results are seed-for-seed identical to
+        # per-trial fast, so auto-selection only changes throughput.
         if (engine == "auto" and args.trials >= AUTO_BATCH_MIN_TRIALS
-                and (algorithm, "fast-batch") in REGISTRY):
+                and (algorithm, "fast-batch") in REGISTRY
+                and batch_kernel_active(algorithm)):
             engine = "fast-batch"
             spec = REGISTRY.get(algorithm, "fast-batch")
             resolved_engine = spec.engine
+        if spec.batched:
             batch_size = _AutoBatchSize(args.delta, args.c)
     elif batch_size > 1 and not spec.batched:
         print(f"engine {resolved_engine!r} has no batch runner; "

@@ -1,34 +1,34 @@
 """Optional numba backend for the batch kernels (``REPRO_JIT``).
 
-Pure numpy is the default and the fallback: nothing here is required
-for correctness, and numba is never a hard dependency — it ships as
-the ``jit`` optional extra (``pip install repro-hc[jit]``), and
-requesting JIT without it installed degrades to the numpy kernels
-with a one-time warning.
+Nothing here is required for correctness, and numba is never a hard
+dependency — it ships as the ``jit`` optional extra (``pip install
+repro-hc[jit]``), and requesting JIT without it installed degrades to
+the uncompiled paths with a one-time warning.
 
 When ``REPRO_JIT=1`` *and* numba is importable, the **fused** batch
 kernels below are compiled and :mod:`repro.engines.batchwalk`
 dispatches to them through the module attributes ``walk_kernel`` /
 ``tree_kernel`` / ``reverse_blocks`` (``None`` when disabled; looked
 up dynamically, so benchmarks can toggle the compiled path inside one
-process).  They replace the two narrow ``compile_kernel`` shims of
-the first JIT cut (bit-select ranking and the CRE blockwise
-reversal): instead of accelerating one inner scan per pass,
-:func:`walk_steps_impl` runs each trial's *entire* rotation walk to
-completion — per-step PCG64 advance, Lemire bounded draw, live-bit
-popcount/select, twin-table edge kill, and the
-extension/closure/rotation path update — in one compiled loop, which
-is where the residual ~8 us/trial-step of numpy dispatch lived.
+process).  :func:`walk_steps_impl` runs each trial's *entire* rotation
+walk to completion — per-step PCG64 advance, Lemire bounded draw,
+live-bit popcount/select, twin-table edge kill, and the
+extension/closure/rotation path update — in one compiled loop.
+
+A compiled ``walk_kernel`` is what makes DRA and DHC2 batch at all:
+without one, their ``fast-batch`` runners run each trial on per-trial
+``fast`` (see :func:`repro.engines.fast_batch.batch_kernel_active`),
+and CRE keeps its numpy reversal in place of ``reverse_blocks``.
 
 Trials are fully independent (disjoint node id blocks, per-node RNG
 streams, disjoint CSR blocks), so running them to completion one
-after another instead of interleaved pass-by-pass consumes every
-per-node stream in exactly the serial order: results are bitwise
-identical to the numpy path.  ``tests/test_batch_kernel.py`` asserts
-that by executing these same ``*_impl`` functions *uncompiled*
-against :class:`~repro.engines.batchwalk.BatchWalk`, so the contract
-is enforced on every host — numba or not — and the CI jit lane
-re-runs the whole suite compiled.
+after another consumes every per-node stream in exactly the serial
+order: results are bitwise identical to per-trial ``fast``.
+``tests/test_batch_kernel.py`` asserts that by executing these same
+``*_impl`` functions *uncompiled* as the dispatch targets and holding
+them to per-trial ``fast``, so the contract is enforced on every host
+— numba or not — and the CI jit lane re-runs the whole suite
+compiled.
 
 Every ``*_impl`` function is plain Python over numpy scalars and
 preallocated arrays: valid ``numba.njit`` input and runnable
@@ -115,7 +115,8 @@ THREADED = ENABLED and THREADS > 0
 if REQUESTED and not HAVE_NUMBA:
     warnings.warn(
         "REPRO_JIT requested but numba is not installed; falling back to "
-        "the pure-numpy batch kernel (install the 'jit' extra to compile)",
+        "the uncompiled paths: fast-batch runs dra/dhc2 per trial and "
+        "cre/turau on numpy (install the 'jit' extra to compile)",
         RuntimeWarning,
         stacklevel=2,
     )
@@ -186,17 +187,17 @@ def walk_steps_impl(order, ip, idx, twins, wp, bits, alive,
                     stride, fail_budget, fail_no_edges):
     """Run every listed trial's rotation walk to completion, in place.
 
-    The fused equivalent of :meth:`BatchWalk.run`'s numpy pass loop,
-    trial by trial: budget gate, cornered-before-draw failure, one
+    :meth:`BatchWalk.run`'s kernel, trial by trial, step for step as
+    :class:`~repro.engines.arraywalk.ArrayWalk`: budget gate,
+    cornered-before-draw failure, one
     bounded draw per step from the head's own PCG64 stream
     (``sh``/``sl``/``ih``/``il``/``word``/``pend`` are the
     ``DrawPool``'s state arrays, advanced exactly as ``DrawPool.draw``
     would), the draw-th live bit of the head row, a twin-table edge
     kill, then extension / closure / rotation applied eagerly to the
-    backing row.  ``bpos`` holds *path* positions here (rotations
-    reverse the suffix in place); the caller rewrites the segment
-    descriptors to one forward run per finished trial afterwards.
-    All outcome vectors receive the values the numpy passes write.
+    path row.  ``bpos`` holds *path* positions (rotations reverse the
+    suffix in place), so each trial's path is left in order in its
+    row of ``buf``.
 
     Every array the body touches is indexed through the lane's own
     trial id ``b`` (outcome slots), node-id block (RNG state, live
@@ -264,8 +265,8 @@ def walk_steps_impl(order, ip, idx, twins, wp, bits, alive,
                         draw = np.int64(m >> _U32)
                         break
             # The draw-th live bit of row h: word by popcount prefix,
-            # then an LSB-first in-word scan (same rank rule as the
-            # numpy binary select).
+            # then an LSB-first in-word scan (the draw-th live slot in
+            # sorted row order).
             w = np.int64(wp[h])
             rem = draw
             base = 0
@@ -343,8 +344,8 @@ def tree_build_impl(ip, idx, roots, expect, live, stride,
                     depth, parent, ok, tree_depth):
     """Per-trial min-id BFS trees over the stacked CSR, in place.
 
-    The fused equivalent of :func:`build_batch_tree`'s per-trial
-    passes: a queue BFS from each live trial's root (level structure —
+    :func:`build_batch_tree`'s kernel: a queue BFS from each live
+    trial's root (level structure —
     hence every depth — is visit-order independent), then the min-id
     parent rule as each reached non-root's *first* one-level-up
     neighbour in sorted row order.  ``expect`` is the trial's

@@ -115,8 +115,8 @@ class EngineSpec:
     jit:
         True when the runner dispatches through the optional compiled
         kernels in :mod:`repro.engines._jit` under ``REPRO_JIT=1``
-        (results stay bitwise identical to the numpy path either way;
-        purely informational — ``repro engines`` lists it).
+        (results stay bitwise identical to the uncompiled path either
+        way; purely informational — ``repro engines`` lists it).
     threads:
         True when the runner's compiled kernels have prange-over-lanes
         variants that ``REPRO_JIT_THREADS=N`` runs on N cores (implies

@@ -1,12 +1,22 @@
-"""Batch-major execution kernel: B same-n trials per numpy pass.
+"""Batch-major state for B same-n trials: stacked CSRs, exact RNG pools.
 
-:mod:`repro.engines.arraywalk` vectorised the walk *within* one trial;
-at sweep sizes the residual cost is per-trial Python dispatch — every
-step of every trial pays its own numpy-call overhead.  This module
-vectorises across the *trial axis* instead: a batch of B same-n
-trials, each with its own sampled graph, lives in one disjoint-union
-CSR (trial ``b``'s node ``v`` becomes global id ``b * n + v``), and
-every kernel pass advances all still-live trials at once.
+:mod:`repro.engines.arraywalk` runs one trial's walk; this module
+holds the state that lets one engine call run a *batch* of B same-n
+trials, each with its own sampled graph, in one disjoint-union CSR
+(trial ``b``'s node ``v`` becomes global id ``b * n + v``).
+
+Who batches on it
+-----------------
+* CRE and Turau (:mod:`repro.engines.fast_batch`) run numpy passes
+  over the stacked CSR, advancing every still-live trial per pass;
+  :func:`reverse_path_blocks` is CRE's batched rotation step.
+* DRA and DHC2 batch only through the fused walk and tree kernels of
+  :mod:`repro.engines._jit` (``REPRO_JIT=1`` with numba):
+  :class:`BatchWalk` and :func:`build_batch_tree` hand whole trials to
+  them.  Without a compiled kernel the ``fast-batch`` runners of those
+  two algorithms run each trial on per-trial ``fast`` instead — a
+  numpy batch-major walk costs more per lane-step than
+  :class:`~repro.engines.arraywalk.ArrayWalk` and never pays back.
 
 Layout
 ------
@@ -14,48 +24,16 @@ Layout
   concatenated with node ids offset by ``b * n`` — one ``indptr`` of
   length ``B*n + 1`` and one int32 ``indices`` array (components never
   touch, so all single-trial CSR invariants hold per block).  Two
-  per-edge tables come along at setup: a **twin table** — CSR order is
-  (src, dst)-lexicographic and reversal is an order-preserving
-  bijection onto (dst, src) order, so one stable argsort of ``indices``
-  *is* the reverse-edge permutation, no lexsort of pairs needed — and
-  a **live-edge bitmask**, one bit per directed edge packed into
-  per-row uint64 words, so a head's whole row of dead/live flags is a
-  handful of words instead of a byte per edge;
-* **flat node state**: backing positions, live-edge counts, and RNG
+  per-edge tables come along for the walk: a **twin table** — CSR
+  order is (src, dst)-lexicographic and reversal is an
+  order-preserving bijection onto (dst, src) order, so one stable
+  argsort of ``indices`` *is* the reverse-edge permutation — and a
+  **live-edge bitmask**, one bit per directed edge packed into per-row
+  uint64 words;
+* **flat node state**: path positions, live-edge counts, and RNG
   states are flat ``B*n`` arrays indexed by global id;
 * **per-trial walk state**: length-B vectors for path length, head,
   round, step, and outcome.
-
-Segment representation of the path
-----------------------------------
-At sweep sizes the serial walk's cost is *data movement*: ~90% of
-steps are rotations, each reversing an O(n) path suffix eagerly.
-:class:`BatchWalk` instead keeps every path in an append-only backing
-row (nodes never move once written) and describes path order as a
-short list of directed runs ``(lo, hi, dir)`` over that row, stacked
-as one ``(B, 3, seg_cap)`` descriptor array.  A rotation at target
-``t`` splits the run containing ``t`` and reverses the order (and
-direction flags) of everything after it — an O(#segments) descriptor
-shuffle done for *all* rotating trials in one set of (R, 3, seg_cap)
-array passes, instead of O(n) element moves per trial.  The walk's
-decisions never read positions: membership is a backing-index test,
-closure is ``target == tail`` (position 0 is never touched by a
-suffix reversal), and the new head is the target's path-successor
-read straight from the descriptors.  When a trial accumulates
-``seg_cap - 2`` runs it is flattened back to one run — a blocked
-gather/scatter over every crowded trial at once — so amortised
-movement per rotation drops from ~n/2 elements to ~n/seg_cap.
-
-Masking
--------
-Each pass gathers the live trials' head rows' live-bit words into a
-``(A, W)`` matrix (W = max words per row, ~deg/64), finds every drawn
-edge by popcount prefix + an in-word bit select, classifies every
-trial's step outcome with whole-array ops, applies
-extensions/closures as single fancy-indexed updates and all rotations
-as one descriptor shuffle, then drops finished trials from the live
-set.  Finished/failed trials stop consuming RNG draws exactly where
-their serial counterpart stopped.
 
 RNG parity across the batch axis
 --------------------------------
@@ -63,9 +41,9 @@ Trial ``b`` draws from its own per-node streams (the same
 ``SeedSequence(seed_b).spawn(n)`` tree as ``engine="fast"``) in the
 same decision order — one draw per step, on the same remaining-edge
 count, in the same sorted CSR row order.  Trials are independent
-streams, so interleaving their draws across the batch changes
-nothing; that is the whole parity argument, and it is why batched
-results are seed-for-seed identical to serial
+streams, so interleaving or serialising their draws across the batch
+changes nothing; that is the whole parity argument, and it is why
+batched results are seed-for-seed identical to serial
 (``tests/test_engine_parity.py::TestFastBatchParity`` and the
 registry parity gate enforce it).
 
@@ -77,12 +55,12 @@ word, so one vector pass per parent seed yields all n child states),
 the PCG64 LCG advance and XSL-RR output (128-bit multiply-add in
 64-bit limbs), and the buffered Lemire bounded-integer reduction over
 32-bit half-words.  No per-node ``SeedSequence`` / ``PCG64`` /
-``Generator`` objects are ever constructed on the hot path; one
-vector advance per pass produces every live trial's draw.  The
+``Generator`` objects are ever constructed on the hot path.  The
 replication is verified against real numpy objects at first pool
 construction; if a numpy build ever disagrees, pools transparently
 fall back to per-draw ``integers`` calls on real per-node generators,
-which is slower but definitionally exact.
+which is slower but definitionally exact (and DRA/DHC2 then run per
+trial, since the fused kernel advances the pool's state arrays).
 
 The per-trial engines (``fast``, ``kmachine``) draw one value at a
 time, so they take the scalar form of the same replication:
@@ -91,15 +69,8 @@ hands back small Python-int PCG64 streams whose ``integers(bound)`` is
 bit-identical to the Generator's.  It shares the pools' self-check
 verdict, and falls back to real Generators with them.
 
-An optional compiled backend (:mod:`repro.engines._jit`, behind
-``REPRO_JIT`` + the ``jit`` extra) replaces the whole per-pass step
-loop with one fused numba kernel per batch — per-step PCG64 draw,
-bit-select, twin kill, and path update in a single compiled loop over
-the same state arrays, bitwise identical by construction (trials are
-independent, so per-trial completion order equals pass-interleaved
-order stream by stream).  The fallback is pure numpy and the default;
-dispatch looks the kernels up on :mod:`repro.engines._jit` at call
-time so a host can toggle them within one process.  Under
+Dispatch looks the compiled kernels up on :mod:`repro.engines._jit`
+at call time, so a host can toggle them within one process.  Under
 ``REPRO_JIT_THREADS=N`` the dispatch attributes point at prange
 variants of the same kernels that run the trial lanes on N cores —
 still bitwise identical, because each lane touches only its own
@@ -114,7 +85,7 @@ import operator
 import numpy as np
 
 from repro.engines import _jit
-from repro.graphs.adjacency import csr_gather, csr_sources, sorted_unique
+from repro.graphs.adjacency import csr_gather, sorted_unique
 
 __all__ = [
     "BatchTree",
@@ -586,8 +557,7 @@ def reverse_path_blocks(path_flat: np.ndarray, pos: np.ndarray,
     per-block arange trick as :func:`~repro.graphs.adjacency.csr_gather`)
     replaces a Python loop of per-trial slice reversals; ``pos`` picks
     up each moved node's new *local* path position.  This is the
-    rotation step of every batched walk that keeps eager positions
-    (the CRE chunk); :class:`BatchWalk` itself rotates by descriptor.
+    rotation step of the numpy CRE batch.
     """
     kern = _jit.reverse_blocks
     if kern is not None:  # pragma: no cover - jit variant
@@ -612,10 +582,11 @@ class BatchTree:
     The multi-root analogue of
     :class:`~repro.engines.arraywalk.ArrayTree` /
     :func:`~repro.engines.arraywalk.build_array_tree` over the
-    disjoint-union CSR: one frontier BFS grows all B trees at once
-    (components never interact), the min-id parent rule falls out of
-    CSR row order, and the completion-round recursion and flood
-    eccentricities run jointly over every connected trial.  Trials
+    disjoint-union CSR: the fused tree kernel grows each trial's tree
+    in its own block (components never interact), the min-id parent
+    rule falls out of CSR row order, and the completion-round
+    recursion and flood eccentricities run over every connected
+    trial.  Trials
     whose graph is disconnected are flagged in :attr:`ok` (their
     distributed BFS would hit its deadline) and excluded from the
     timing computations.
@@ -746,7 +717,9 @@ def build_batch_tree(indptr: np.ndarray, indices: np.ndarray,
 
     Unlike :func:`~repro.engines.arraywalk.build_array_tree` this never
     returns ``None``: disconnected trials are reported per-trial via
-    :attr:`BatchTree.ok` so the rest of the batch keeps going.
+    :attr:`BatchTree.ok` so the rest of the batch keeps going.  The
+    BFS is the fused tree kernel of :mod:`repro.engines._jit` —
+    compiled when one is built, its plain-Python source otherwise.
 
     ``expect`` is the per-trial participant count a complete BFS must
     reach (default: all ``n`` nodes of the block; the per-colour-class
@@ -765,74 +738,32 @@ def build_batch_tree(indptr: np.ndarray, indices: np.ndarray,
     ok = np.zeros(batch, dtype=bool)
     tree_depth = np.zeros(batch, dtype=np.int64)
     kern = _jit.tree_kernel
-    if kern is not None:  # pragma: no cover - exercised in the jit lane
-        kern(np.asarray(indptr, dtype=np.int64), indices, roots, expect,
-             live, n, depth, parent, ok, tree_depth)
-        return BatchTree(batch, n, roots, ok, depth, parent, tree_depth,
-                         indptr, indices)
-    # Trial by trial over graph-local slices: components never
-    # interact, so this is the union BFS evaluated in an order that
-    # keeps each trial's n-node arrays cache-resident instead of
-    # streaming multi-million-entry union temps through memory.
-    for b in range(batch):
-        if not live[b]:
-            continue
-        base = b * n
-        lo = int(indptr[base])
-        ip = (indptr[base:base + n + 1] - lo).astype(np.int64)
-        idx = indices[lo:int(indptr[base + n])].astype(np.int64)
-        idx -= base
-        dep = np.full(n, -1, dtype=np.int64)
-        r = int(roots[b]) - base
-        dep[r] = 0
-        frontier = np.asarray([r], dtype=np.int64)
-        d = 0
-        while frontier.size:
-            nbrs = csr_gather(ip, idx, frontier)
-            fresh = nbrs[dep[nbrs] < 0]
-            if fresh.size == 0:
-                break
-            d += 1
-            # Duplicate marks are idempotent; re-scanning depth beats
-            # the sort a np.unique of the wave would cost.
-            dep[fresh] = d
-            frontier = np.flatnonzero(dep == d)
-        ok[b] = int((dep >= 0).sum()) == int(expect[b])
-        tree_depth[b] = int(dep.max())
-
-        # Min-id parent rule: rows are sorted ascending, so each
-        # reached non-root's parent is its *first* one-level-up
-        # neighbour.
-        srcs = csr_sources(ip)
-        up = np.flatnonzero(dep[idx] == dep[srcs] - 1)
-        up_src = srcs[up]
-        first = np.ones(up_src.size, dtype=bool)
-        first[1:] = up_src[1:] != up_src[:-1]
-        par = np.full(n, -1, dtype=np.int64)
-        par[up_src[first]] = idx[up[first]]
-        par[r] = -1
-        depth[base:base + n] = dep
-        parent[base:base + n] = np.where(par >= 0, par + base, -1)
+    if kern is None:
+        kern = _jit.tree_build_impl
+    kern(np.asarray(indptr, dtype=np.int64), indices, roots, expect, live, n,
+         depth, parent, ok, tree_depth)
     return BatchTree(batch, n, roots, ok, depth, parent, tree_depth,
                      indptr, indices)
 
 
 class BatchWalk:
-    """Algorithm 1's rotation walk over every live trial per pass.
+    """Algorithm 1's rotation walk over a batch of trials, fused.
 
     Step-for-step identical to running one
     :class:`~repro.engines.arraywalk.ArrayWalk` per trial (each trial's
     draws, edge kills, extension/rotation/closure sequence, round
-    accounting, and failure codes are unchanged); only the execution
-    order interleaves — pass k performs step k of every trial still
-    live.  The budget gate runs before the edge scan and no-edge
-    trials fail *before* any draw, exactly mirroring the serial check
-    order.
+    accounting, and failure codes are unchanged): :meth:`run` hands
+    every live trial to the fused walk kernel of
+    :mod:`repro.engines._jit`, which runs each one to completion over
+    the batch's shared state arrays.  Trials are independent streams,
+    so trial-at-a-time order consumes every node's stream exactly as
+    a serial run does.
 
     Parameters mirror :class:`~repro.engines.arraywalk.ArrayWalk` with
     the batch axis added: ``initial_heads`` / ``tree_depths`` /
     ``start_rounds`` are per-trial vectors, ``draws`` is the batch's
-    :class:`DrawPool` (one stream per global node id), and ``live``
+    :class:`DrawPool` (one stream per global node id; it must be
+    exact, since the kernel advances its state arrays), and ``live``
     masks trials excluded before the walk starts (e.g. disconnected
     graphs).  By default every trial's participant set is its full
     n-node block; partition walks (the per-colour-class DHC2 batch)
@@ -843,25 +774,18 @@ class BatchWalk:
     colour-closed).  ``twins`` accepts a precomputed
     :func:`stacked_edge_twins` table so several walks over one
     stacked CSR share the sort.
-
-    When :mod:`repro.engines._jit` has compiled kernels *and* the
-    pool is in exact (vector-replication) mode, :meth:`run` hands the
-    whole walk to the fused kernel instead of the numpy pass loop;
-    outcomes are bitwise identical either way.
     """
 
     __slots__ = ("batch", "size", "sizes", "draws", "step_budget",
-                 "latency",
-                 "seg_cap", "success", "fail_code", "steps", "rotations",
+                 "latency", "success", "fail_code", "steps", "rotations",
                  "extensions", "round", "end_round", "flood_initiator",
                  "plen", "head", "_indptr", "_ip32", "_twins", "_wp32",
                  "_bits", "_alive_count", "_idx_pad", "_buf", "_bpos",
-                 "_tail", "_segs", "_seg_cnt", "_live", "_rotation_cost",
-                 "_budgets", "_cols", "_cols32", "_lanes")
+                 "_tail", "_live", "_rotation_cost", "_budgets")
 
     def __init__(self, *, indptr, indices, draws, batch, size,
                  initial_heads, step_budget, tree_depths, start_rounds,
-                 live=None, latency=1, seg_cap=64, sizes=None, twins=None):
+                 live=None, latency=1, sizes=None, twins=None):
         self.batch = batch
         self.size = size
         self.sizes = (np.full(batch, size, dtype=np.int64) if sizes is None
@@ -872,8 +796,6 @@ class BatchWalk:
         self._budgets = (np.full(batch, budgets) if budgets.ndim == 0
                          else budgets.copy())
         self.latency = max(1, latency)
-        # Room for one split + one append per pass between compactions.
-        self.seg_cap = cap = max(8, int(seg_cap))
 
         heads = np.asarray(initial_heads, dtype=np.int64)
         self.success = np.zeros(batch, dtype=bool)
@@ -890,48 +812,33 @@ class BatchWalk:
         self._indptr = indptr
         degs = np.diff(indptr)
         self._alive_count = degs.astype(np.int64)
-        maxdeg = int(degs.max()) if degs.size else 0
-        # Padding indices by one max-degree row lets every (A, width)
-        # gather index unclamped: spill slots read -1 sentinels, never
-        # a neighbouring row by accident.  int32 copies keep the
-        # per-pass index matrices and row gathers at half the memory
-        # traffic (global ids and edge offsets both stay far below
-        # 2**31 at any sane chunk size).
+        # int32 copies: global ids and edge offsets both stay far below
+        # 2**31 at any sane chunk size.  One -1 sentinel past the end
+        # keeps the verification search's end-of-row probe in bounds.
         self._ip32 = indptr.astype(np.int32)
         self._idx_pad = np.concatenate(
             (np.asarray(indices, dtype=np.int32),
-             np.full(maxdeg, -1, dtype=np.int32)))
+             np.full(1, -1, dtype=np.int32)))
         self._twins = (stacked_edge_twins(indptr, indices, batch, size)
                        if twins is None else twins)
         # Live edges, one bit per directed slot: row r owns words
         # [wptr[r], wptr[r+1]) — bit j of the run is local slot j.
-        # One max-width spill row keeps masked gathers unclamped.
         nwords = (degs + 63) >> 6
         wptr = np.zeros(degs.size + 1, dtype=np.int64)
         np.cumsum(nwords, out=wptr[1:])
         self._wp32 = wptr.astype(np.int32)
-        maxw = int(nwords.max()) if nwords.size else 0
-        bits = np.zeros(int(wptr[-1]) + maxw, dtype=np.uint64)
-        bits[:wptr[-1]] = ~np.uint64(0)
+        bits = np.full(int(wptr[-1]), ~np.uint64(0), dtype=np.uint64)
         rem = degs & 63
         partial = np.flatnonzero(rem)
         bits[wptr[1:][partial] - 1] = \
             (np.uint64(1) << rem[partial].astype(np.uint64)) - np.uint64(1)
         self._bits = bits
-        self._cols = np.arange(max(maxdeg, cap, 1), dtype=np.int64)
-        self._cols32 = self._cols.astype(np.int32)
-        self._lanes = np.arange(batch, dtype=np.int64)
 
-        # Append-only backing rows: a node's backing slot never moves;
-        # path order lives in the (lo, hi, dir) run descriptors.
-        # int32 throughout — these are the arrays every rotation pass
-        # gathers and scatters, so width is bandwidth.
+        # Path rows: trial b's path in order in _buf[b, :plen[b]], and
+        # each on-path node's position in _bpos (-1 off the path).
         self._buf = np.zeros((batch, max(size, 1)), dtype=np.int32)
         self._bpos = np.full(batch * size, -1, dtype=np.int32)
         self._tail = heads.copy()
-        self._segs = np.zeros((batch, 3, cap), dtype=np.int32)
-        self._segs[:, 2, :] = 1
-        self._seg_cnt = np.zeros(batch, dtype=np.int64)
         self._live = (np.ones(batch, dtype=bool) if live is None
                       else np.asarray(live, dtype=bool).copy())
 
@@ -941,58 +848,17 @@ class BatchWalk:
         self._buf[started, 0] = heads[started]
         if size:
             self._bpos[heads[started]] = 0
-        self._segs[started, 1, 0] = 1
-        self._seg_cnt[started] = 1
         self.plen[started] = 1
-
-    def _flatten_rows(self, rows: np.ndarray) -> None:
-        """Compact every listed trial back to one forward run, jointly.
-
-        One gather + one scatter over the concatenation of all listed
-        trials' runs in path order (reading into a scratch array first,
-        since source and destination share the backing rows).
-        """
-        if rows.size == 0:
-            return
-        size = self.size
-        buf_flat = self._buf.reshape(-1)
-        cnt = self._seg_cnt[rows]
-        g = self._segs[rows]
-        keep = self._cols[:self.seg_cap][None, :] < cnt[:, None]
-        lo = g[:, 0][keep]
-        hi = g[:, 1][keep]
-        fwd = g[:, 2][keep] > 0
-        lens = hi - lo
-        total = int(lens.sum())
-        if total == 0:
-            return
-        offs = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(lens) - lens, lens)
-        idx = np.where(np.repeat(fwd, lens),
-                       np.repeat(lo, lens) + offs,
-                       np.repeat(hi, lens) - 1 - offs)
-        vals = buf_flat[np.repeat(np.repeat(rows, cnt) * size, lens) + idx]
-        row_lens = self.plen[rows]
-        dstoff = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(row_lens) - row_lens, row_lens)
-        buf_flat[np.repeat(rows * size, row_lens) + dstoff] = vals
-        self._bpos[vals] = dstoff
-        self._segs[rows, 0, 0] = 0
-        self._segs[rows, 1, 0] = row_lens
-        self._segs[rows, 2, 0] = 1
-        self._seg_cnt[rows] = 1
 
     def cycle(self, b: int) -> list[int]:
         """Trial ``b``'s path in *local* node ids."""
-        if self.plen[b]:
-            self._flatten_rows(np.asarray([b], dtype=np.int64))
         return (self._buf[b, :self.plen[b]] - b * self.size).tolist()
 
     def verified_cycles(self, trials: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
         """Full-length paths of ``trials`` plus a Hamiltonian-cycle verdict.
 
-        One joint flatten, then whole-array versions of the checks
+        Whole-array versions of the checks
         :func:`repro.verify.hamiltonicity.verify_cycle` performs
         per-trial — each row is a permutation of its trial's node
         block and every consecutive (and the closing) pair is a graph
@@ -1002,7 +868,6 @@ class BatchWalk:
         Returns the ``(len(trials), n)`` global-id path matrix and a
         per-trial bool.
         """
-        self._flatten_rows(trials)
         rows = self._buf[trials]
         n = self.size
         block = np.arange(n, dtype=np.int64) + (trials * n)[:, None]
@@ -1010,7 +875,7 @@ class BatchWalk:
         u = rows.reshape(-1).astype(np.int64)
         v = np.roll(rows, -1, axis=1).reshape(-1).astype(np.int32)
         ip32, idx_pad = self._ip32, self._idx_pad
-        if idx_pad.size == 0:  # edgeless batch: nothing can close
+        if idx_pad.size == 1:  # edgeless batch: nothing can close
             return rows, np.zeros(len(trials), dtype=bool)
         lo = ip32[u].astype(np.int64)
         hi = ip32[u + 1].astype(np.int64)
@@ -1027,23 +892,31 @@ class BatchWalk:
         ok &= good.reshape(rows.shape).all(axis=1)
         return rows, ok
 
-    def _fail(self, trials: np.ndarray, code: int) -> None:
-        self.fail_code[trials] = code
-        self.flood_initiator[trials] = self.head[trials]
-        self.end_round[trials] = self.round[trials]
-        self._live[trials] = False
+    def run(self) -> None:
+        """Walk every live trial to completion through the fused kernel.
 
-    def _run_fused(self, kern) -> None:
-        """Hand the whole walk to the compiled kernel (exact pools only)."""
-        from repro.core.rotation import FAIL_BUDGET, FAIL_NO_EDGES
+        Uses the compiled ``_jit.walk_kernel`` when one is built and
+        its plain-Python source otherwise (exact, only slow).
+        """
+        from repro.core.rotation import FAIL_BUDGET, FAIL_NO_EDGES, FAIL_TOO_SMALL
 
         pool = self.draws
+        if not pool.exact:
+            raise ValueError("BatchWalk needs an exact DrawPool: the fused "
+                             "kernel advances the pool's PCG64 state arrays")
+        small = np.flatnonzero(self._live & (self.sizes < 3))
+        if small.size:
+            self.fail_code[small] = FAIL_TOO_SMALL
+            self.end_round[small] = self.round[small]
+            self._live[small] = False
         order = np.flatnonzero(self._live)
         if order.size == 0:
             return
+        kern = _jit.walk_kernel
+        if kern is None:
+            kern = _jit.walk_steps_impl
         # uint64 wraparound is the LCG arithmetic itself; silence the
-        # numpy-2 scalar overflow warning for the uncompiled case (the
-        # parity tests run the kernel as plain Python).
+        # numpy-2 scalar overflow warning for the uncompiled source.
         with np.errstate(over="ignore"):
             kern(order, np.asarray(self._indptr, dtype=np.int64),
                  self._idx_pad, self._twins, self._wp32, self._bits,
@@ -1057,224 +930,3 @@ class BatchWalk:
                  self.success, self.fail_code, self.end_round,
                  self.flood_initiator, self._live,
                  self.size, FAIL_BUDGET, FAIL_NO_EDGES)
-        # The kernel keeps eager path positions in the backing rows;
-        # re-describe each ran trial as one forward run so cycle() /
-        # verified_cycles() read the same state the numpy path leaves.
-        self._segs[order, 0, 0] = 0
-        self._segs[order, 1, 0] = self.plen[order]
-        self._segs[order, 2, 0] = 1
-        self._seg_cnt[order] = 1
-
-    def run(self) -> None:
-        from repro.core.rotation import FAIL_BUDGET, FAIL_NO_EDGES, FAIL_TOO_SMALL
-
-        small = np.flatnonzero(self._live & (self.sizes < 3))
-        if small.size:
-            self._fail(small, FAIL_TOO_SMALL)
-        kern = _jit.walk_kernel
-        if kern is not None and getattr(self.draws, "exact", False):
-            self._run_fused(kern)
-            return
-        ip32, idx_pad, twins = self._ip32, self._idx_pad, self._twins
-        wp32, bits = self._wp32, self._bits
-        alive_count, pool = self._alive_count, self.draws
-        bpos, live, cols = self._bpos, self._live, self._cols
-        cols32 = self._cols32
-        one = np.uint64(1)
-        six3 = np.uint64(63)
-        widths = [(np.uint64(w), (one << np.uint64(w)) - one)
-                  for w in (32, 16, 8, 4, 2, 1)]
-        buf_flat = self._buf.reshape(-1)
-        segs = self._segs
-        segs_flat = segs.reshape(-1)
-        seg_cnt = self._seg_cnt
-        size, budgets, cap = self.size, self._budgets, self.seg_cap
-        plane = cap  # flat stride between the lo/hi/dir planes
-        axis3 = np.arange(3, dtype=np.int64)[None, :, None]
-        # Uniform batches (every full-block walk) keep the per-pass
-        # budget gate and closure-length test scalar; only partition
-        # walks with genuinely per-trial values pay the vector forms.
-        budget_floor = int(budgets.min()) if budgets.size else 0
-        uniform_size = bool((self.sizes == size).all())
-
-        step = 1
-        while True:
-            act = np.flatnonzero(live)
-            if act.size == 0:
-                return
-            if step > budget_floor:
-                over = step > budgets[act]
-                if over.any():
-                    self._fail(act[over], FAIL_BUDGET)
-                    act = act[~over]
-                    if act.size == 0:
-                        return
-            heads = self.head[act]
-            counts = alive_count[heads]
-            cornered = counts == 0
-            if cornered.any():
-                # Serial order: a cornered head fails without drawing.
-                self._fail(act[cornered], FAIL_NO_EDGES)
-                going = ~cornered
-                act, heads, counts = act[going], heads[going], counts[going]
-                if act.size == 0:
-                    step += 1
-                    continue
-            trials = act
-
-            draws = pool.draw(heads, counts)
-            wstart = wp32[heads]
-            # Find the word holding the (draws+1)-th live bit of
-            # each head row, then binary-select the bit inside it:
-            # halve the window six times, descending into whichever
-            # half still holds the wanted rank.
-            wdeg = wp32[heads + 1] - wstart
-            wwidth = int(wdeg.max())
-            wmat = bits[wstart[:, None] + cols32[:wwidth]]
-            wmat *= cols32[:wwidth] < wdeg[:, None]
-            pc = np.bitwise_count(wmat)
-            cum = pc.cumsum(axis=1, dtype=np.int32)
-            d32 = draws.astype(np.int32)
-            k = (cum > d32[:, None]).argmax(axis=1)
-            r_ = self._lanes[:heads.size]
-            rank = (d32 - cum[r_, k] + pc[r_, k]).astype(np.uint64)
-            word = wmat[r_, k]
-            pos = np.zeros(heads.size, dtype=np.uint64)
-            for w64, mask in widths:
-                low = word & mask
-                c = np.bitwise_count(low).astype(np.uint64)
-                up = rank >= c
-                rank -= np.where(up, c, 0)
-                pos += np.where(up, w64, 0)
-                word = np.where(up, word >> w64, low)
-            offs = (k.astype(np.int64) << 6) + pos.astype(np.int64)
-            slots = ip32[heads].astype(np.int64) + offs
-            targets = idx_pad[slots].astype(np.int64)
-
-            # Kill the used edge in both directions: the reverse slot
-            # is one twin-table gather, and each lane's head and target
-            # rows are pairwise distinct (disjoint trial blocks, no
-            # self-loops), so the word read-modify-writes never alias.
-            twin_slots = twins[slots].astype(np.int64)
-            toffs = twin_slots - ip32[targets]
-            wk = wstart.astype(np.int64) + (offs >> 6)
-            bits[wk] &= ~(one << (offs.astype(np.uint64) & six3))
-            tk = wp32[targets].astype(np.int64) + (toffs >> 6)
-            bits[tk] &= ~(one << (toffs.astype(np.uint64) & six3))
-            alive_count[heads] -= 1
-            alive_count[targets] -= 1
-            self.steps[trials] = step
-
-            is_ext = bpos[targets] < 0
-            # The tail (path position 0) is never moved by a suffix
-            # reversal, so the serial ``tpos == 0`` closure test is an
-            # identity check against the start node.
-            want = size if uniform_size else self.sizes[trials]
-            is_win = ((targets == self._tail[trials])
-                      & (self.plen[trials] == want))
-            is_rot = ~(is_ext | is_win)
-
-            if is_ext.any():
-                grew = trials[is_ext]
-                new_heads = targets[is_ext]
-                lengths = self.plen[grew]
-                bpos[new_heads] = lengths
-                buf_flat[grew * size + lengths] = new_heads
-                # Extend the last run in place when it already ends at
-                # the backing top going forward; otherwise open a run.
-                base3 = grew * (3 * cap)
-                last = base3 + seg_cnt[grew] - 1
-                can = (segs_flat[last + 2 * plane] > 0) \
-                    & (segs_flat[last + plane] == lengths)
-                segs_flat[(last + plane)[can]] += 1
-                app = np.flatnonzero(~can)
-                if app.size:
-                    slot = base3[app] + seg_cnt[grew[app]]
-                    segs_flat[slot] = lengths[app]
-                    segs_flat[slot + plane] = lengths[app] + 1
-                    segs_flat[slot + 2 * plane] = 1
-                    seg_cnt[grew[app]] += 1
-                self.plen[grew] = lengths + 1
-                self.head[grew] = new_heads
-                self.round[grew] += 1
-                self.extensions[grew] += 1
-
-            if is_win.any():
-                won = trials[is_win]
-                self.success[won] = True
-                self.flood_initiator[won] = targets[is_win]
-                self.end_round[won] = self.round[won] + 1
-                live[won] = False
-
-            if is_rot.any():
-                # Path = S_0 .. S_{k-1} (A|B) S_{k+1} .. S_{m-1} with the
-                # target last in A; the reversal rewrites this to
-                # S_0 .. S_{k-1} A rev(S_{m-1}) .. rev(S_{k+1}) rev(B)
-                # — descriptors only, no elements move.
-                spun = trials[is_rot]
-                p = bpos[targets[is_rot]]
-                r_ = self._lanes[:spun.size]
-                m = seg_cnt[spun]
-                g = segs[spun]
-                lo, hi, dr = g[:, 0], g[:, 1], g[:, 2]
-                colr = cols[:cap][None, :]
-                inside = ((lo <= p[:, None]) & (p[:, None] < hi)
-                          & (colr < m[:, None]))
-                k = inside.argmax(axis=1)
-                klo, khi, kdr = lo[r_, k], hi[r_, k], dr[r_, k]
-                fwd = kdr > 0
-                alo = np.where(fwd, klo, p)
-                ahi = np.where(fwd, p + 1, khi)
-                blo = np.where(fwd, p + 1, klo)
-                bhi = np.where(fwd, khi, p)
-                has_b = blo < bhi
-
-                # New head = the target's path-successor: B's first
-                # element, or the next run's first element when the
-                # split lands on a run boundary (target == head leaves
-                # the head as-is, mirroring serial's empty reversal).
-                base = spun * size
-                # The masked-out corners still index the gather: empty-B
-                # lanes can put first_b at -1 (bhi == 0) or at size
-                # (blo == p + 1 past the backing top), and stale
-                # next-run descriptors can send first_n to -1 — but
-                # stale values are always old backing coords < size, so
-                # first_b needs both clamps and first_n the lower one.
-                first_b = np.where(fwd, blo, bhi - 1)
-                np.maximum(first_b, 0, out=first_b)
-                np.minimum(first_b, size - 1, out=first_b)
-                nxt = np.minimum(k + 1, cap - 1)
-                first_n = np.where(dr[r_, nxt] > 0, lo[r_, nxt],
-                                   hi[r_, nxt] - 1)
-                np.maximum(first_n, 0, out=first_n)
-                new_head = np.where(
-                    has_b, buf_flat[base + first_b],
-                    np.where(k + 1 < m, buf_flat[base + first_n],
-                             self.head[spun]))
-
-                srcs = np.where(colr <= k[:, None], colr,
-                                (m + k)[:, None] - colr)
-                np.maximum(srcs, 0, out=srcs)  # reflected side: <= k < cap
-                new_g = g[r_[:, None, None], axis3, srcs[:, None, :]]
-                flip = (colr > k[:, None]) & (colr < m[:, None])
-                np.negative(new_g[:, 2], out=new_g[:, 2], where=flip)
-                new_g[r_, 0, k] = alo
-                new_g[r_, 1, k] = ahi
-                new_g[r_, 2, k] = kdr
-                wb = np.flatnonzero(has_b)
-                if wb.size:
-                    new_g[wb, 0, m[wb]] = blo[wb]
-                    new_g[wb, 1, m[wb]] = bhi[wb]
-                    new_g[wb, 2, m[wb]] = -kdr[wb]
-                segs[spun] = new_g
-                seg_cnt[spun] = m + has_b
-
-                self.head[spun] = new_head
-                self.round[spun] += self._rotation_cost[spun]
-                self.rotations[spun] += 1
-
-            # Splits and run appends each add at most one descriptor per
-            # trial per pass; compact before anyone can overflow.
-            self._flatten_rows(trials[seg_cnt[trials] >= cap - 2])
-
-            step += 1

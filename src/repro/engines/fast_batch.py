@@ -1,33 +1,42 @@
-"""The ``fast-batch`` engine: hundreds of trials per kernel pass.
+"""The ``fast-batch`` engine: hundreds of trials per engine call.
 
 Batched counterparts of the four fast engines —
 :func:`repro.engines.fast._dra_fast`,
 :func:`repro.engines.fast_cre._cre_fast`,
 :func:`repro.engines.fast_dhc2._dhc2_fast`, and
-:func:`repro.engines.fast_turau._turau_fast` — built on the
-batch-major kernel (:mod:`repro.engines.batchwalk`).  A
+:func:`repro.engines.fast_turau._turau_fast`.  A
 ``run_batch(graphs, seeds=...)`` call executes B independent same-n
-trials — each with its own sampled graph and its own seed — through
-shared whole-array passes, returning one
-:class:`~repro.engines.results.RunResult` per trial that is
-seed-for-seed identical to what ``engine="fast"`` would have produced
-for that (graph, seed) pair.  The single-graph wrappers (``*_one``)
-make the same code reachable through the ordinary :func:`repro.run`
-path, which is what the registry parity gate exercises.
+trials — each with its own sampled graph and its own seed — and
+returns one :class:`~repro.engines.results.RunResult` per trial that
+is seed-for-seed identical to what ``engine="fast"`` would have
+produced for that (graph, seed) pair.  The single-graph wrappers
+(``*_one``) make the same code reachable through the ordinary
+:func:`repro.run` path, which is what the registry parity gate
+exercises.
 
-DHC2 batches Phase 1 per colour class: one pooled colour draw (each
-node's first stream value, exactly the serial order), one stacked
-colour-filtered CSR shared by every class (classes are edge-disjoint
-within it, so per-class fresh dead-edge masks equal the serial shared
-mask), then one :class:`~repro.engines.batchwalk.BatchWalk` per
-colour over the class members of every still-live trial — per-trial
-``sizes`` / budgets / roots, structural failures recorded at the
-class where serial would have stopped.  Phase 2 is deterministic and
-runs per trial, verbatim from the serial engine.  Turau batches the
-proposal round as one pooled draw over the stacked CSR and runs the
-merge phases in lockstep (same budget for same n), pooling each
-phase's requester draws; the per-trial decision code is the serial
-replay's, so decisions match seed for seed.
+Which trials share whole-array passes depends on the algorithm and on
+:func:`batch_kernel_active`:
+
+* CRE and Turau always run on the numpy batch kernels below.  Turau
+  batches the proposal round as one pooled draw over the stacked CSR
+  and runs the merge phases in lockstep (same budget for same n),
+  pooling each phase's requester draws; the per-trial decision code is
+  the serial replay's, so decisions match seed for seed.
+* DRA and DHC2 batch only through the compiled fused walk kernel
+  (:mod:`repro.engines._jit`, ``REPRO_JIT=1`` with numba) over an
+  exact :class:`~repro.engines.batchwalk.DrawPool`.  Without it they
+  run each trial on per-trial ``fast``, which beat the numpy
+  batch-major walk this replaced at every measured point, in time and
+  memory alike.  With it, DHC2 batches Phase 1 per colour class: one
+  pooled colour draw (each node's first stream value, exactly the
+  serial order), one stacked colour-filtered CSR shared by every class
+  (classes are edge-disjoint within it, so per-class fresh dead-edge
+  masks equal the serial shared mask), then one
+  :class:`~repro.engines.batchwalk.BatchWalk` per colour over the
+  class members of every still-live trial — per-trial ``sizes`` /
+  budgets / roots, structural failures recorded at the class where
+  serial would have stopped.  Phase 2 is deterministic and runs per
+  trial, verbatim from the serial engine.
 
 Batches are transparently split into memory-bounded chunks (the
 stacked CSR, dead-edge bitmask, and draw buffers scale with the
@@ -35,7 +44,7 @@ batch's total directed edge count), so callers may hand over
 arbitrarily large batches; ``REPRO_BATCH_EDGE_BUDGET`` tunes the
 per-chunk cap.  Chunking never changes results — trials are
 independent.  :func:`auto_batch_size` sizes batches from the same
-budget for the ``engine="auto"`` sweep path.
+budget for the sweep path.
 
 ``graphs`` may be a list of :class:`~repro.graphs.adjacency.Graph` or
 a :class:`~repro.graphs.batch_gnp.GnpBatch`.  A ``GnpBatch`` is the
@@ -44,7 +53,8 @@ table come straight from the pooled generator (no per-graph CSR
 builds, no stacking copy, no twin argsort), chunking slices the
 shared pair arrays without copying, and per-trial ``Graph`` objects
 are materialised lazily — only for the result tails that genuinely
-need one (cycle verification, DHC2 Phase 2, Turau eccentricity).
+need one (cycle verification, DHC2 Phase 2, Turau eccentricity) and
+for the per-trial route.
 """
 
 from __future__ import annotations
@@ -61,14 +71,18 @@ from repro.core.cre import (
     CRE_FAIL_TOO_SMALL,
     cre_step_budget,
 )
+from repro.engines import _jit
 from repro.engines.batchwalk import (
     BatchWalk,
     DrawPool,
+    _exact,
     build_batch_tree,
     reverse_path_blocks,
     stack_graph_csrs,
     stacked_edge_twins,
 )
+from repro.engines.fast import _dra_fast
+from repro.engines.fast_dhc2 import _dhc2_fast
 from repro.engines.results import RunResult
 from repro.graphs.batch_gnp import GnpBatch
 from repro.verify.hamiltonicity import CycleViolation, verify_cycle
@@ -77,7 +91,7 @@ __all__ = ["_dra_fast_batch", "_cre_fast_batch",
            "_dhc2_fast_batch", "_turau_fast_batch",
            "_dra_fast_batch_one", "_cre_fast_batch_one",
            "_dhc2_fast_batch_one", "_turau_fast_batch_one",
-           "auto_batch_size", "AUTO_BATCH_MIN_TRIALS"]
+           "auto_batch_size", "batch_kernel_active", "AUTO_BATCH_MIN_TRIALS"]
 
 #: Per-chunk cap on the stacked CSR's directed entry count (int32
 #: indices, twin table, and padded copy put the default around 1 GB
@@ -89,6 +103,36 @@ _EDGE_BUDGET = int(os.environ.get("REPRO_BATCH_EDGE_BUDGET", 80_000_000))
 #: ``fast-batch`` over per-trial ``fast`` (below this, batching's
 #: setup cost is not worth amortising; the CLI consults it).
 AUTO_BATCH_MIN_TRIALS = 100
+
+
+#: Algorithms whose batch runner needs the fused walk kernel; without
+#: it they run each trial on per-trial ``fast``.
+_WALK_KERNEL_ALGORITHMS = frozenset({"dra", "dhc2"})
+
+
+def batch_kernel_active(algorithm: str) -> bool:
+    """Whether ``fast-batch`` runs ``algorithm`` through a batch kernel.
+
+    CRE and Turau always do (numpy).  DRA and DHC2 do only when the
+    fused walk kernel is dispatchable (``_jit.walk_kernel``) and the
+    :class:`~repro.engines.batchwalk.DrawPool` is exact, since the
+    kernel replays the pool's PCG64 state arrays; otherwise their
+    runners loop per-trial ``fast``.  The sweep's auto-batching asks
+    the same question.
+    """
+    if algorithm not in _WALK_KERNEL_ALGORITHMS:
+        return True
+    return _jit.walk_kernel is not None and _exact()
+
+
+def _per_trial(run, graphs, seeds, **kwargs) -> list[RunResult]:
+    """``run`` (a per-trial ``fast`` runner) over every (graph, seed) pair."""
+    results = []
+    for b, seed in enumerate(seeds):
+        result = run(graphs[b], seed=seed, **kwargs)
+        result.engine = "fast-batch"
+        results.append(result)
+    return results
 
 
 def auto_batch_size(n: int, p: float | None = None, *,
@@ -167,12 +211,17 @@ def _check_batch(graphs, seeds) -> int:
 
 def _dra_fast_batch(graphs, *, seeds, step_budget: int | None = None,
                     ) -> list[RunResult]:
-    """Algorithm 1 over a batch of trials; one RunResult per (graph, seed)."""
+    """Algorithm 1 over a batch of trials; one RunResult per (graph, seed).
+
+    Runs per-trial ``fast`` unless :func:`batch_kernel_active`.
+    """
     graphs = _as_trials(graphs)
     seeds = list(seeds)
     if not len(graphs):
         return []
     n = _check_batch(graphs, seeds)
+    if not batch_kernel_active("dra"):
+        return _per_trial(_dra_fast, graphs, seeds, step_budget=step_budget)
     if n == 0:
         deadline = diameter_budget(0) + 3 * diameter_budget(0) + 8
         return [RunResult("dra", False, None, deadline, engine="fast-batch",
@@ -459,12 +508,17 @@ def _cre_fast_batch_one(graph, *, seed: int = 0,
 
 def _dhc2_fast_batch(graphs, *, seeds, delta: float = 0.5,
                      k: int | None = None) -> list[RunResult]:
-    """Algorithm 3 over a batch: Phase 1 per colour class, Phase 2 per trial."""
+    """Algorithm 3 over a batch: Phase 1 per colour class, Phase 2 per trial.
+
+    Runs per-trial ``fast`` unless :func:`batch_kernel_active`.
+    """
     graphs = _as_trials(graphs)
     seeds = list(seeds)
     if not len(graphs):
         return []
     _check_batch(graphs, seeds)
+    if not batch_kernel_active("dhc2"):
+        return _per_trial(_dhc2_fast, graphs, seeds, delta=delta, k=k)
     results: list[RunResult | None] = [None] * len(graphs)
     for lo, hi in _chunk_spans(graphs):
         _dhc2_chunk(graphs[lo:hi], seeds[lo:hi], results, lo, delta, k)

@@ -66,7 +66,8 @@ def _builtin_specs() -> list[EngineSpec]:
                    supported_kwargs=("step_budget",),
                    parity=("cycle", "steps", "rounds"), jit=True, threads=True,
                    summary="Algorithm 1, hundreds of trials per pass on the "
-                           "batch-major kernel"),
+                           "compiled batch kernel; per-trial fast without "
+                           "it"),
         EngineSpec("dra", "kmachine", "repro.engines.kmachine_engine:_dra_kmachine",
                    supported_kwargs=("step_budget", "k", *_KMACHINE_COMMON),
                    parity=("cycle", "steps", "rounds"),
@@ -105,7 +106,8 @@ def _builtin_specs() -> list[EngineSpec]:
                    supported_kwargs=("delta", "k"),
                    parity=("cycle", "steps"), jit=True, threads=True,
                    summary="Algorithm 3, Phase 1 batched per colour class on "
-                           "the batch-major kernel"),
+                           "the compiled batch kernel; per-trial fast "
+                           "without it"),
         EngineSpec("dhc2", "kmachine", "repro.engines.kmachine_engine:_dhc2_kmachine",
                    supported_kwargs=("delta", "k", *_KMACHINE_COMMON),
                    parity=("cycle", "steps"),

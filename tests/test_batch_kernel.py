@@ -1,19 +1,23 @@
-"""Fused-kernel vs pure-numpy bitwise equality (``repro.engines._jit``).
+"""The fused batch kernels and the ``fast-batch`` route around them.
 
 The fused batch kernels (:func:`~repro.engines._jit.walk_steps_impl`,
 :func:`~repro.engines._jit.tree_build_impl`,
 :func:`~repro.engines._jit.reverse_blocks_impl`) promise results
-*bitwise identical* to the numpy pass loop whether or not numba
+*bitwise identical* to per-trial ``fast`` whether or not numba
 compiles them.  These tests enforce that promise on every host by
 installing the ``*_impl`` functions **uncompiled** as the dispatch
 targets — the exact code numba would compile, minus the compilation —
-and holding every RunResult field against the numpy path.  Each impl
-is written once with a ``prange`` trial loop (``range`` uncompiled),
-so the serial and threaded builds share this source.  The CI jit lanes
-(``REPRO_JIT=1`` with numba installed; one with
-``REPRO_JIT_THREADS=2``) re-run the whole suite with the kernels
+and holding every RunResult field against per-trial ``fast`` (and the
+tree kernel against :func:`~repro.engines.arraywalk.build_array_tree`
+per block).  Each impl is written once with a ``prange`` trial loop
+(``range`` uncompiled), so the serial and threaded builds share this
+source.  The CI jit lanes (``REPRO_JIT=1`` with numba installed; one
+with ``REPRO_JIT_THREADS=2``) re-run the whole suite with the kernels
 actually compiled, and :class:`TestCompiledBuilds` holds the serial
 and ``parallel=True`` builds to each other there.
+
+:class:`TestKernelRoute` pins the route: without a dispatchable walk
+kernel, DRA and DHC2 ``fast-batch`` run each trial on ``fast``.
 
 :class:`TestNodeStreams` pins the scalar half of the same replication,
 :func:`~repro.engines.batchwalk.node_streams`, to the spawned
@@ -25,7 +29,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.engines import _jit, batchwalk
+from repro.engines import _jit, batchwalk, fast_batch
+from repro.engines.arraywalk import build_array_tree
 from repro.engines.batchwalk import (
     build_batch_tree,
     node_streams,
@@ -36,13 +41,17 @@ from repro.engines.fast import _dra_fast
 from repro.engines.fast_batch import (
     _cre_fast_batch,
     _dhc2_fast_batch,
+    _dhc2_fast_batch_one,
     _dra_fast_batch,
+    _dra_fast_batch_one,
     _turau_fast_batch,
+    batch_kernel_active,
 )
+from repro.engines.fast_cre import _cre_fast
 from repro.engines.fast_dhc2 import _dhc2_fast
 from repro.engines.fast_turau import _turau_fast
 from repro.engines.kmachine_engine import _dra_kmachine
-from repro.graphs import gnp_random_graph
+from repro.graphs import batch_gnp, gnp_random_graph
 from repro.graphs.adjacency import csr_sources
 
 BATCH_RUNNERS = {
@@ -50,6 +59,13 @@ BATCH_RUNNERS = {
     "cre": _cre_fast_batch,
     "dhc2": _dhc2_fast_batch,
     "turau": _turau_fast_batch,
+}
+
+FAST_RUNNERS = {
+    "dra": _dra_fast,
+    "cre": _cre_fast,
+    "dhc2": _dhc2_fast,
+    "turau": _turau_fast,
 }
 
 FIELDS = ("success", "cycle", "steps", "rounds", "detail")
@@ -82,21 +98,18 @@ def fused(monkeypatch):
 
 
 class TestFusedKernelEquality:
-    """One fused trial-at-a-time loop == interleaved numpy passes."""
+    """One fused trial-at-a-time loop == per-trial ``fast``."""
 
     def assert_paths_identical(self, algorithm, graphs, seeds, monkeypatch,
                                **kwargs):
-        runner = BATCH_RUNNERS[algorithm]
-        with monkeypatch.context() as m:
-            m.setattr(_jit, "walk_kernel", None)
-            m.setattr(_jit, "tree_kernel", None)
-            m.setattr(_jit, "reverse_blocks", None)
-            plain = runner(graphs, seeds=seeds, **kwargs)
+        serial = FAST_RUNNERS[algorithm]
+        plain = [serial(g, seed=s, **kwargs) for g, s in zip(graphs, seeds)]
         with monkeypatch.context() as m:
             m.setattr(_jit, "walk_kernel", _jit.walk_steps_impl)
             m.setattr(_jit, "tree_kernel", _jit.tree_build_impl)
             m.setattr(_jit, "reverse_blocks", _jit.reverse_blocks_impl)
-            fused = runner(graphs, seeds=seeds, **kwargs)
+            assert batch_kernel_active(algorithm)
+            fused = BATCH_RUNNERS[algorithm](graphs, seeds=seeds, **kwargs)
         assert len(fused) == len(plain) == len(graphs)
         outcomes = set()
         for i, (a, b) in enumerate(zip(fused, plain)):
@@ -123,7 +136,7 @@ class TestFusedKernelEquality:
 
     def test_budget_failures(self, monkeypatch):
         # FAIL_BUDGET exits mid-walk: end_round / flood bookkeeping
-        # must match where the numpy pass loop stops.
+        # must match where the per-trial walk stops.
         graphs, seeds = mixed_batch(64, 4, factors=(8.0,))
         self.assert_paths_identical("dra", graphs, seeds, monkeypatch,
                                     step_budget=7)
@@ -137,21 +150,30 @@ class TestFusedKernelEquality:
 
 
 class TestFusedTreeKernel:
-    @pytest.mark.parametrize("impl_name", ["tree_build_impl"])
-    def test_tree_matches_numpy(self, impl_name, monkeypatch):
-        graphs = [sample(32, 8.0, 20 + i) for i in range(5)]
+    def test_tree_matches_array_tree(self):
+        # Mixed densities: the sparse blocks leave some trees short.
+        n = 32
+        graphs = [sample(n, factor, 20 + i)
+                  for i, factor in enumerate((8.0, 0.5, 8.0, 1.0, 14.0))]
+        batch = len(graphs)
         indptr, indices = stack_graph_csrs(graphs)
-        roots = np.arange(5, dtype=np.int64) * 32
-        with monkeypatch.context() as m:
-            m.setattr(_jit, "tree_kernel", None)
-            plain = build_batch_tree(indptr, indices, 5, 32, roots)
-        with monkeypatch.context() as m:
-            m.setattr(_jit, "tree_kernel", getattr(_jit, impl_name))
-            fused = build_batch_tree(indptr, indices, 5, 32, roots)
-        np.testing.assert_array_equal(fused.depth, plain.depth)
-        np.testing.assert_array_equal(fused.parent, plain.parent)
-        np.testing.assert_array_equal(fused.ok, plain.ok)
-        np.testing.assert_array_equal(fused.tree_depth, plain.tree_depth)
+        roots = np.arange(batch, dtype=np.int64) * n
+        tree = build_batch_tree(indptr, indices, batch, n, roots)
+        ok = []
+        for b, g in enumerate(graphs):
+            want = build_array_tree(g.indptr, g.indices,
+                                    np.arange(n, dtype=np.int64), root=0)
+            ok.append(want is not None)
+            assert bool(tree.ok[b]) == ok[-1]
+            if want is None:
+                continue
+            block = slice(b * n, (b + 1) * n)
+            parent = tree.parent[block]
+            np.testing.assert_array_equal(tree.depth[block], want.depth)
+            np.testing.assert_array_equal(
+                np.where(parent >= 0, parent - b * n, -1), want.parent)
+            assert tree.tree_depth[b] == want.tree_depth
+        assert set(ok) == {True, False}
 
 
 @pytest.mark.skipif(not _jit.ENABLED,
@@ -220,11 +242,9 @@ class TestJitGating:
 
     def test_fused_not_used_without_exact_pool(self, fused, monkeypatch):
         # The kernel replays DrawPool's PCG64 state arrays directly, so
-        # dispatch must stay numpy when the pool fell back to per-node
+        # DRA must run per trial when the pool fell back to per-node
         # Generators (no state arrays to advance) — and the fallback
         # results must equal the fused ones.
-        from repro.engines import batchwalk
-
         calls = []
 
         def counting_kernel(*args):
@@ -242,6 +262,71 @@ class TestJitGating:
         for a, b in zip(plain, want):
             for field in FIELDS:
                 assert getattr(a, field) == getattr(b, field)
+
+
+class TestKernelRoute:
+    """Without a dispatchable walk kernel DRA/DHC2 run per-trial ``fast``."""
+
+    RUNNERS = {"dra": (_dra_fast_batch, _dra_fast_batch_one, _dra_fast),
+               "dhc2": (_dhc2_fast_batch, _dhc2_fast_batch_one, _dhc2_fast)}
+
+    @staticmethod
+    def assert_fast(results, graphs, seeds, serial):
+        assert len(results) == len(graphs)
+        outcomes = set()
+        for i, (got, seed) in enumerate(zip(results, seeds)):
+            want = serial(graphs[i], seed=seed)
+            outcomes.add(want.success)
+            assert got.engine == "fast-batch"
+            for field in FIELDS:
+                assert getattr(got, field) == getattr(want, field), (
+                    f"trial {i} field {field}")
+        return outcomes
+
+    @pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+    def test_inactive_kernel_runs_fast(self, algorithm, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("batch walk state built without a kernel")
+
+        monkeypatch.setattr(_jit, "walk_kernel", None)
+        monkeypatch.setattr(fast_batch, "BatchWalk", refuse)
+        monkeypatch.setattr(fast_batch, "build_batch_tree", refuse)
+        assert not batch_kernel_active(algorithm)
+        batch_fn, one_fn, serial = self.RUNNERS[algorithm]
+        graphs, seeds = mixed_batch(96, 6, factors=(1.0, 8.0, 30.0))
+        outcomes = self.assert_fast(batch_fn(graphs, seeds=seeds), graphs,
+                                    seeds, serial)
+        assert outcomes == {True, False}
+        pooled = batch_gnp(48, 0.5, [7, 8, 9])
+        self.assert_fast(batch_fn(pooled, seeds=[1, 2, 3]), pooled,
+                         [1, 2, 3], serial)
+        self.assert_fast([one_fn(graphs[0], seed=seeds[0])], graphs[:1],
+                         seeds[:1], serial)
+
+    @pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+    def test_active_kernel_dispatches(self, algorithm, fused, monkeypatch):
+        calls = []
+
+        def counting_kernel(*args):
+            calls.append(1)
+            return _jit.walk_steps_impl(*args)
+
+        monkeypatch.setattr(_jit, "walk_kernel", counting_kernel)
+        assert batch_kernel_active(algorithm)
+        batch_fn, one_fn, serial = self.RUNNERS[algorithm]
+        graphs, seeds = mixed_batch(48, 3, factors=(8.0,))
+        self.assert_fast(batch_fn(graphs, seeds=seeds), graphs, seeds,
+                         serial)
+        assert calls
+        del calls[:]
+        self.assert_fast([one_fn(graphs[0], seed=seeds[0])], graphs[:1],
+                         seeds[:1], serial)
+        assert calls
+
+    def test_numpy_batch_algorithms_always_active(self, monkeypatch):
+        monkeypatch.setattr(_jit, "walk_kernel", None)
+        assert batch_kernel_active("cre")
+        assert batch_kernel_active("turau")
 
 
 class TestNodeStreams:

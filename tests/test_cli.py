@@ -394,50 +394,86 @@ class TestSweepCommand:
         assert canonical_records(tmp_path / "solo.jsonl") \
             == canonical_records(tmp_path / "batched.jsonl")
 
-    def test_sweep_auto_selects_fast_batch_for_large_queues(
-            self, capsys, monkeypatch):
-        # engine=auto + many same-point trials -> the batch kernel,
-        # no flag needed (threshold lowered so the test stays fast).
-        monkeypatch.setattr("repro.cli.AUTO_BATCH_MIN_TRIALS", 4)
-        code, out, _ = run_cli(
-            capsys, "sweep", "--algorithm", "dra",
-            "--sizes", "24,32", "--trials", "4", "--c", "8",
-            "--delta", "1.0", "--seed", "5", "--json")
+    def test_explicit_fast_batch_uses_auto_caps(self, capsys, monkeypatch):
+        # An explicit --engine fast-batch without --batch-size batches
+        # under the same per-point caps auto uses; --batch-size 1 still
+        # opts out to per-trial calls.
+        from repro import cli
+
+        groups = []
+        inner = cli._SweepTrialBatch.__call__
+
+        def counting(self, point, seeds):
+            groups.append(len(seeds))
+            return inner(self, point, seeds)
+
+        monkeypatch.setattr(cli._SweepTrialBatch, "__call__", counting)
+        base = ("sweep", "--algorithm", "cre", "--engine", "fast-batch",
+                "--sizes", "24,32", "--trials", "6", "--c", "8",
+                "--delta", "1.0", "--seed", "5", "--json")
+        code, out, _ = run_cli(capsys, *base)
         assert code == 0
         assert json.loads(out)["engine"] == "fast-batch"
+        assert groups and all(size > 1 for size in groups)
+        assert sum(groups) == 12
+        del groups[:]
+        code, _, _ = run_cli(capsys, *base, "--batch-size", "1")
+        assert code == 0
+        assert groups == []
+
+    def test_sweep_auto_selects_fast_batch_for_large_queues(
+            self, capsys, monkeypatch):
+        # engine=auto + many same-point trials -> fast-batch where its
+        # batch kernel is active (threshold lowered so the test stays
+        # fast): cre/turau always, dra/dhc2 only with a walk kernel.
+        from repro.engines import _jit
+
+        monkeypatch.setattr("repro.cli.AUTO_BATCH_MIN_TRIALS", 4)
+        base = ("sweep", "--sizes", "24,32", "--c", "8", "--delta", "1.0",
+                "--seed", "5", "--json")
+        for kernel in (None, _jit.walk_steps_impl):
+            monkeypatch.setattr(_jit, "walk_kernel", kernel)
+            for algorithm in ("dra", "dhc2", "cre", "turau"):
+                batched = kernel is not None or algorithm in ("cre", "turau")
+                code, out, _ = run_cli(capsys, *base, "--algorithm",
+                                       algorithm, "--trials", "4")
+                assert code == 0
+                assert json.loads(out)["engine"] == (
+                    "fast-batch" if batched else "fast"), (algorithm, kernel)
         # Below the threshold auto stays on per-trial fast.
-        code, out, _ = run_cli(
-            capsys, "sweep", "--algorithm", "dra",
-            "--sizes", "24,32", "--trials", "3", "--c", "8",
-            "--delta", "1.0", "--seed", "5", "--json")
+        code, out, _ = run_cli(capsys, *base, "--algorithm", "cre",
+                               "--trials", "3")
         assert code == 0
         assert json.loads(out)["engine"] == "fast"
         # An explicit --batch-size 1 opts out of auto-selection.
-        code, out, _ = run_cli(
-            capsys, "sweep", "--algorithm", "dra",
-            "--sizes", "24,32", "--trials", "4", "--c", "8",
-            "--delta", "1.0", "--seed", "5", "--batch-size", "1", "--json")
+        code, out, _ = run_cli(capsys, *base, "--algorithm", "cre",
+                               "--trials", "4", "--batch-size", "1")
         assert code == 0
         assert json.loads(out)["engine"] == "fast"
         # Algorithms with no fast-batch entry are left on auto's pick.
-        code, out, _ = run_cli(
-            capsys, "sweep", "--algorithm", "posa",
-            "--sizes", "24,32", "--trials", "4", "--c", "8",
-            "--delta", "1.0", "--seed", "5", "--json")
+        code, out, _ = run_cli(capsys, *base, "--algorithm", "posa",
+                               "--trials", "4")
         assert code == 0
         assert json.loads(out)["engine"] == "sequential"
 
-    def test_sweep_auto_batched_records_match_fast(self, capsys,
-                                                   monkeypatch, tmp_path):
+    @pytest.mark.parametrize("algorithm", ["dra", "dhc2", "cre", "turau"])
+    def test_sweep_auto_batched_records_match_fast(self, capsys, monkeypatch,
+                                                   tmp_path, algorithm):
         # Auto-batching must be invisible in the store: same seeds,
-        # same records as an explicit per-trial fast sweep.
-        base = ("sweep", "--algorithm", "dra", "--sizes", "24,32",
+        # same records as an explicit per-trial fast sweep.  The
+        # uncompiled kernels stand in for compiled ones so dra and dhc2
+        # take the batch path too.
+        from repro.engines import _jit
+
+        base = ("sweep", "--algorithm", algorithm, "--sizes", "24,32",
                 "--trials", "5", "--c", "8", "--delta", "1.0",
                 "--seed", "5", "--json")
         code, _, _ = run_cli(capsys, *base, "--engine", "fast",
                              "--store", str(tmp_path / "fast.jsonl"))
         assert code == 0
         monkeypatch.setattr("repro.cli.AUTO_BATCH_MIN_TRIALS", 5)
+        monkeypatch.setattr(_jit, "walk_kernel", _jit.walk_steps_impl)
+        monkeypatch.setattr(_jit, "tree_kernel", _jit.tree_build_impl)
         code, out, _ = run_cli(capsys, *base, "--store",
                                str(tmp_path / "auto.jsonl"))
         assert code == 0
@@ -570,10 +606,14 @@ class TestSweepJobsThreadedKernelRule:
     """--jobs vs the threaded batch kernel (documented composition rule)."""
 
     def _force_threaded(self, monkeypatch, threads=2):
+        # A threaded backend implies compiled kernels; their uncompiled
+        # sources stand in, so dra's batch kernel counts as active.
         from repro.engines import _jit
 
         monkeypatch.setattr(_jit, "THREADED", True)
         monkeypatch.setattr(_jit, "THREADS", threads)
+        monkeypatch.setattr(_jit, "walk_kernel", _jit.walk_steps_impl)
+        monkeypatch.setattr(_jit, "tree_kernel", _jit.tree_build_impl)
 
     def test_explicit_jobs_and_batch_size_conflict(self, capsys, monkeypatch):
         self._force_threaded(monkeypatch)
