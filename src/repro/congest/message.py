@@ -17,8 +17,6 @@ The simulator checks each message against the edge budget at send time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = ["Message", "TAG_BITS", "word_bits", "payload_words", "payload_bits"]
 
 TAG_BITS = 8
@@ -41,9 +39,8 @@ def payload_bits(payload: tuple, n: int) -> int:
     return TAG_BITS + payload_words(payload) * word_bits(n)
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """A single CONGEST message.
+class Message(tuple):
+    """A single CONGEST message: the immutable pair ``(sender, payload)``.
 
     Attributes
     ----------
@@ -52,16 +49,37 @@ class Message:
         message arrived on, so it is metadata, not charged bandwidth).
     payload:
         ``(kind, *int_fields)`` — see module docstring.
+
+    A ``tuple`` subclass rather than a dataclass because the simulator
+    builds one per delivered message: ``tuple.__new__(Message, (src,
+    payload))`` costs about half a frozen slots dataclass.  Equality,
+    hashing and ordering are the tuple's; attribute assignment raises.
     """
 
-    sender: int
-    payload: tuple
+    __slots__ = ()
+
+    def __new__(cls, sender: int, payload: tuple) -> "Message":
+        return tuple.__new__(cls, (sender, payload))
+
+    @property
+    def sender(self) -> int:
+        return self[0]
+
+    @property
+    def payload(self) -> tuple:
+        return self[1]
 
     @property
     def kind(self) -> str:
         """The message kind tag (first payload element)."""
-        return self.payload[0]
+        return self[1][0]
 
     def bits(self, n: int) -> int:
         """Bit size of this message in an ``n``-node network."""
-        return payload_bits(self.payload, n)
+        return payload_bits(self[1], n)
+
+    def __repr__(self) -> str:
+        return f"Message(sender={self[0]!r}, payload={self[1]!r})"
+
+    def __getnewargs__(self) -> tuple:
+        return (self[0], self[1])

@@ -44,7 +44,7 @@ refuses ``round_observer`` and can record an event trace.
 from __future__ import annotations
 
 import heapq
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -64,7 +64,8 @@ __all__ = ["Network", "DEFAULT_BANDWIDTH_WORDS"]
 
 DEFAULT_BANDWIDTH_WORDS = 8
 
-_sender = attrgetter("sender")
+_sender = itemgetter(0)
+_new_message = tuple.__new__
 
 
 class Network:
@@ -113,6 +114,7 @@ class Network:
         self.n = graph.n
         self.model = model if model is not None else NetworkModel()
         self._async = self.model.is_async()
+        self._unit_latency = self.model.latency.is_unit
         if record_events and not self._async:
             raise ValueError("record_events traces the async event queue; "
                              "it needs a NetworkModel with mode='async'")
@@ -150,6 +152,10 @@ class Network:
             peak_state_words=np.zeros(self.n, dtype=np.int64),
             memory_audited=audit_memory,
         )
+        #: Per-node send counts, copied into ``metrics.sent_per_node`` and
+        #: summed into ``metrics.messages`` when ``run`` ends (a list
+        #: increment is cheaper per send than either).
+        self._sent = [0] * self.n
 
         # The event queue: instant -> (control, deliveries, wakes), plus
         # a heap of the distinct instants.  Instants are round numbers in
@@ -158,7 +164,7 @@ class Network:
         self._instants: list[float] = []
         self._now: float = 0.0 if self._async else 0
         #: Deliveries list of the instant one time unit ahead (the unit
-        #: latency destination), cached per instant.
+        #: latency destination, in both modes), cached per instant.
         self._outbox: list | None = None
         #: Out-edges (by destination) the active node already used.
         self._edges_used: set[int] = set()
@@ -210,20 +216,20 @@ class Network:
                 f"is {self._bandwidth_bits} bits"
             )
         used.add(dst)
-        metrics = self.metrics
-        metrics.messages += 1
-        metrics.bits += bits
-        metrics.sent_per_node[src] += 1
+        self.metrics.bits += bits
+        self._sent[src] += 1
         if self._async:
-            deliver_at = self._now + self._latency(src, dst)
-            self._bucket(deliver_at)[1].append(
-                (src, dst, payload, self._depth[src] + 1, self._send_seq))
+            entry = (src, dst, payload, self._depth[src] + 1, self._send_seq)
             self._send_seq += 1
-            return
+            if not self._unit_latency:
+                self._bucket(self._now + self._latency(src, dst))[1].append(entry)
+                return
+        else:
+            entry = (src, dst, payload)
         outbox = self._outbox
         if outbox is None:
             outbox = self._outbox = self._bucket(self._now + 1)[1]
-        outbox.append((src, dst, payload))
+        outbox.append(entry)
 
     def _edge_free(self, dst: int) -> bool:
         return dst not in self._edges_used
@@ -247,9 +253,7 @@ class Network:
         return bucket
 
     def _latency(self, src: int, dst: int) -> float:
-        spec = self.model.latency
-        if spec.is_unit:
-            return 1.0
+        """A seeded delay draw for the directed edge (non-unit latency)."""
         rng = self._edge_rngs.get((src, dst))
         if rng is None:
             # Per-directed-edge streams keyed by (substrate seed, src,
@@ -258,7 +262,7 @@ class Network:
             rng = np.random.default_rng(
                 np.random.SeedSequence((self.model.seed, src, dst)))
             self._edge_rngs[(src, dst)] = rng
-        return spec.sample(rng)
+        return self.model.latency.sample(rng)
 
     # -- execution -------------------------------------------------------------
 
@@ -286,29 +290,32 @@ class Network:
                 "round_observer is a synchronous-mode hook; an async run "
                 "takes faults from the delivery filter and records an "
                 "event trace instead")
-        for v in range(self.n):
-            if self._started[v]:
-                self._start(v)
-        self._maybe_audit(force=True)
-
         time_limit = float(max_rounds) * max(1.0, self.model.latency.mean())
         activation_cap = 4 * (self.n + 4) * max(1, max_rounds)
         limited = False
-        while self._buckets:
-            if self._all_halted() or (until is not None and until(self)):
-                break
-            if self._async:
-                when = self._instants[0]
-                if when > time_limit or self._activations >= activation_cap:
+        try:
+            for v in range(self.n):
+                if self._started[v]:
+                    self._start(v)
+            self._maybe_audit(force=True)
+            while self._buckets:
+                if self._all_halted() or (until is not None and until(self)):
+                    break
+                if self._async:
+                    when = self._instants[0]
+                    if when > time_limit or self._activations >= activation_cap:
+                        limited = True
+                        break
+                elif self.round_index >= max_rounds:
                     limited = True
                     break
-            elif self.round_index >= max_rounds:
-                limited = True
-                break
-            else:
-                when = self.round_index + 1
-            self._step(when)
-            self._maybe_audit()
+                else:
+                    when = self.round_index + 1
+                self._step(when)
+                self._maybe_audit()
+        finally:  # also when a sync protocol's exception propagates
+            self.metrics.messages = sum(self._sent)
+            self.metrics.sent_per_node = np.array(self._sent, dtype=np.int64)
 
         self._limited = limited
         if limited and raise_on_limit:
@@ -342,9 +349,8 @@ class Network:
             deliveries = self.delivery_filter(self, deliveries)
             self._dropped += offered - len(deliveries)
 
-        depths = None
         if self._async:
-            inboxes, depths = self._deliver(deliveries)
+            inboxes = self._deliver(deliveries)
             wakes = [v for v in wakes
                      if self._started[v] and not self._contexts[v].halted]
             if self.events is not None:
@@ -354,13 +360,15 @@ class Network:
             for src, dst, payload in deliveries:
                 inbox = inboxes.get(dst)
                 if inbox is None:
-                    inboxes[dst] = [Message(src, payload)]
+                    inboxes[dst] = [_new_message(Message, (src, payload))]
                 else:
-                    inbox.append(Message(src, payload))
+                    inbox.append(_new_message(Message, (src, payload)))
 
         active = set(inboxes)
         active.update(wakes)
         protocols, contexts = self.protocols, self._contexts
+        edges_used = self._edges_used
+        activations = 0
         for v in sorted(active):
             ctx = contexts[v]
             if ctx.halted:
@@ -368,42 +376,50 @@ class Network:
             inbox = inboxes.get(v, [])
             if len(inbox) > 1:
                 inbox.sort(key=_sender)
-            if depths is not None:
-                if depths.get(v, 0) > self._depth[v]:
-                    self._depth[v] = depths[v]
-                self._activations += 1
-            self._edges_used.clear()
+            activations += 1
+            edges_used.clear()
             try:
                 protocols[v].on_round(ctx, inbox)
             except Exception as exc:  # noqa: BLE001 — policy by mode
                 if not self._async:
                     raise
                 self._crash_stop(v, exc)
+        self._activations += activations
 
-    def _deliver(self, deliveries: list[tuple]):
-        """Async inboxes and causal depths for one instant's deliveries."""
+    def _deliver(self, deliveries: list[tuple]) -> dict[int, list[Message]]:
+        """Async inboxes for one instant's deliveries.
+
+        Each recipient's causal depth rises here to its deepest incoming
+        message: every recipient that passes the checks is activated in
+        this instant, before it can send.
+        """
         inboxes: dict[int, list[Message]] = {}
-        depths: dict[int, int] = {}
+        started, contexts, node_depth = self._started, self._contexts, self._depth
+        crashed, last_seq = self._churn_crashed, self._edge_last_seq
+        events, now = self.events, self._now
+        delivered = reordered = 0
+        max_depth = self._max_depth
         for src, dst, payload, depth, send_seq in deliveries:
-            if (not self._started[dst] or self._contexts[dst].halted
-                    or src in self._churn_crashed):
+            if not started[dst] or contexts[dst].halted or src in crashed:
                 self._undeliverable += 1
                 continue
-            last = self._edge_last_seq.get((src, dst), -1)
-            if send_seq < last:
-                self._reordered += 1
+            edge = (src, dst)
+            if send_seq < last_seq.get(edge, -1):
+                reordered += 1
             else:
-                self._edge_last_seq[(src, dst)] = send_seq
-            self._delivered += 1
-            if depth > self._max_depth:
-                self._max_depth = depth
-            inboxes.setdefault(dst, []).append(Message(src, payload))
-            if depth > depths.get(dst, 0):
-                depths[dst] = depth
-            if self.events is not None:
-                self.events.append(("deliver", self._now, src, dst,
-                                    payload[0], send_seq))
-        return inboxes, depths
+                last_seq[edge] = send_seq
+            delivered += 1
+            if depth > max_depth:
+                max_depth = depth
+            inboxes.setdefault(dst, []).append(_new_message(Message, (src, payload)))
+            if depth > node_depth[dst]:
+                node_depth[dst] = depth
+            if events is not None:
+                events.append(("deliver", now, src, dst, payload[0], send_seq))
+        self._delivered += delivered
+        self._reordered += reordered
+        self._max_depth = max_depth
+        return inboxes
 
     def _crash(self, node: int) -> None:
         self._churn_crashed.add(node)

@@ -61,11 +61,13 @@ class Protocol(ABC):
 class Context:
     """The node's window onto the network during a simulation."""
 
-    __slots__ = ("_network", "node_id", "neighbors", "_neighbor_set", "rng", "halted")
+    __slots__ = ("_network", "_enqueue", "node_id", "neighbors", "_neighbor_set",
+                 "rng", "halted")
 
     def __init__(self, network: "Network", node_id: int,
                  neighbors: list[int], rng: np.random.Generator):
         self._network = network
+        self._enqueue = network._enqueue  # noqa: SLF001 — bound once, used per send
         self.node_id = node_id
         self.neighbors = neighbors
         self._neighbor_set = frozenset(neighbors)
@@ -97,7 +99,7 @@ class Context:
             raise HaltedNodeError(f"halted node {self.node_id} tried to send")
         if dest not in self._neighbor_set:
             raise NotANeighborError(f"node {self.node_id} is not adjacent to {dest}")
-        self._network._enqueue(self.node_id, dest, (kind, *fields))  # noqa: SLF001
+        self._enqueue(self.node_id, dest, (kind, *fields))
 
     def edge_free(self, dest: int) -> bool:
         """Whether the edge to ``dest`` is still unused by us this round.

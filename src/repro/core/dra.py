@@ -35,6 +35,9 @@ _STAGE_BFS = 1
 _STAGE_WALK = 2
 _STAGE_DONE = 3
 
+#: Walk suffix -> wire kind of the ``"rw"`` walk instance.
+_WALK_KINDS = {suffix: f"rw.{suffix}" for suffix in "pyrwf"}
+
 
 class DraProtocol(Protocol, SubMachineHost):
     """Per-node protocol: elect -> build tree -> rotation walk."""
@@ -103,7 +106,7 @@ class DraProtocol(Protocol, SubMachineHost):
             ctx.halt()
 
     def _walk_send(self, ctx: Context, edge: VirtualEdge, suffix: str, *fields: int) -> None:
-        ctx.send(edge.peer, f"rw.{suffix}", *fields, self.node_id)
+        ctx.send(edge.peer, _WALK_KINDS[suffix], *fields, self.node_id)
 
 
 def run_dra(
@@ -154,7 +157,13 @@ def run_dra(
         except CycleViolation:
             ok = False
             cycle = None
-    detail = {"fail_codes": sorted({w.fail_code for w in walks if w is not None and w.fail_code})}
+    fail_codes: list[int | str] = sorted(
+        {w.fail_code for w in walks if w is not None and w.fail_code})
+    # No tree, or a node whose BFS failed or spans a strict subset of the
+    # graph (one tree per component), names the cause as ``fast`` does.
+    if n == 0 or any(p.walk is None or p.bfs.size != n for p in protocols):
+        fail_codes.append("bfs-unreachable")
+    detail = {"fail_codes": fail_codes}
     if injector is not None:
         detail["faults"] = injector.summary()
     if model.is_async():

@@ -77,6 +77,10 @@ FAIL_CORRUPT = 4
 
 _NO_PORT = 0
 
+#: Message kind -> walk suffix (``"rw.p"`` -> ``"p"``), resolved once per
+#: distinct kind.  Module-level so the audited per-node state is unchanged.
+_SUFFIX_OF: dict[str, str] = {}
+
 
 class VirtualEdge:
     """One usable realization of a virtual edge, as seen from one side.
@@ -130,7 +134,9 @@ class RotationWalk(SubMachine):
         self.PREFIX = prefix
         self.vid = vid
         self.edges = list(edges)
-        self.tree_neighbors = list(tree_neighbors)
+        # Flood edges are built once: a VirtualEdge audits as one word,
+        # like the peer id it wraps.
+        self.tree_edges = [VirtualEdge(peer) for peer in tree_neighbors]
         self.tree_depth = tree_depth
         self.size = size
         self.is_initial_head = is_initial_head
@@ -170,19 +176,23 @@ class RotationWalk(SubMachine):
         self._progress(ctx, 1)
 
     def on_messages(self, ctx: Context, messages: list[Message]) -> None:
-        for message in messages:
+        suffix_of = _SUFFIX_OF
+        for _, payload in messages:
             if self.done:
                 return
-            suffix = message.payload[0].rsplit(".", 1)[1]
-            fields = message.payload[1:-1]
-            vsender = message.payload[-1]
-            if suffix == "p":
+            kind = payload[0]
+            suffix = suffix_of.get(kind)
+            if suffix is None:
+                suffix = suffix_of[kind] = kind.rsplit(".", 1)[1]
+            fields = payload[1:-1]
+            vsender = payload[-1]
+            if suffix == "r":  # the bulk of the traffic: renumbering floods
+                self._forward_flood(ctx, vsender, "r", fields)
+                self._on_rotation(ctx, *fields)
+            elif suffix == "p":
                 self._on_progress(ctx, vsender, *fields)
             elif suffix == "y":
                 self._on_retry(ctx, *fields)
-            elif suffix == "r":
-                self._forward_flood(ctx, vsender, "r", fields)
-                self._on_rotation(ctx, *fields)
             elif suffix == "w":
                 self._forward_flood(ctx, vsender, "w", fields)
                 self._finish(True)
@@ -283,7 +293,8 @@ class RotationWalk(SubMachine):
     # -- rotation renumbering (Fig. 2) ----------------------------------------------
 
     def _on_rotation(self, ctx: Context, step: int, h: int, j: int, start: int) -> None:
-        self.steps_seen = max(self.steps_seen, step)
+        if step > self.steps_seen:
+            self.steps_seen = step
         ci = self.cycindex
         if not (j < ci <= h):
             return  # off-segment (incl. off-path and the initiator v_j)
@@ -336,13 +347,13 @@ class RotationWalk(SubMachine):
     # -- tree flooding ----------------------------------------------------------------
 
     def _flood(self, ctx: Context, suffix: str, *fields: int) -> None:
-        for peer in self.tree_neighbors:
-            self._send(ctx, VirtualEdge(peer), suffix, *fields)
+        for edge in self.tree_edges:
+            self._send(ctx, edge, suffix, *fields)
 
     def _forward_flood(self, ctx: Context, vsender: int, suffix: str, fields: tuple) -> None:
-        for peer in self.tree_neighbors:
-            if peer != vsender:
-                self._send(ctx, VirtualEdge(peer), suffix, *fields)
+        for edge in self.tree_edges:
+            if edge.peer != vsender:
+                self._send(ctx, edge, suffix, *fields)
 
     # -- termination --------------------------------------------------------------------
 

@@ -24,6 +24,17 @@ from repro.congest.node import Context
 
 __all__ = ["SubMachine", "SubMachineHost"]
 
+#: Message kind -> owning machine's prefix, resolved once per distinct
+#: kind for the whole process (the protocols use a few dozen kinds at
+#: most).  Module-level on purpose: per-instance caches would count
+#: against every node's audited state.
+_PREFIX_OF: dict[str, str] = {}
+
+
+def _resolve_prefix(kind: str) -> str:
+    prefix = _PREFIX_OF[kind] = kind.split(".", 1)[0]
+    return prefix
+
 
 class SubMachine:
     """Base class for a per-node sub-protocol.
@@ -111,19 +122,28 @@ class SubMachineHost:
         Messages are processed before wake-ups so that deadline-style
         wake-ups observe everything that arrived in their round.
         """
-        batches: dict[str, list[Message]] = {}
-        for message in inbox:
-            prefix = message.kind.split(".", 1)[0]
-            batches.setdefault(prefix, []).append(message)
-        for prefix, batch in batches.items():
-            machine = self._machines.get(prefix)
+        prefix_of = _PREFIX_OF
+        if len(inbox) == 1:  # the common case: the inbox is the one batch
+            kind = inbox[0][1][0]
+            routes = ((prefix_of.get(kind) or _resolve_prefix(kind), inbox),)
+        else:
+            batches: dict[str, list[Message]] = {}
+            for message in inbox:
+                kind = message[1][0]
+                prefix = prefix_of.get(kind) or _resolve_prefix(kind)
+                batches.setdefault(prefix, []).append(message)
+            routes = batches.items()
+        machines = self._machines
+        for prefix, batch in routes:
+            machine = machines.get(prefix)
             if machine is None:
                 if prefix not in self._retired:
                     self._early.setdefault(prefix, []).extend(batch)
             elif not machine.done:
                 machine.on_messages(ctx, batch)
-        due = self._wake_targets.pop(ctx.round_index, set())
-        for prefix in sorted(due):
-            machine = self._machines.get(prefix)
-            if machine is not None and not machine.done:
-                machine.on_wake(ctx)
+        due = self._wake_targets.pop(ctx.round_index, None)
+        if due:
+            for prefix in sorted(due):
+                machine = machines.get(prefix)
+                if machine is not None and not machine.done:
+                    machine.on_wake(ctx)

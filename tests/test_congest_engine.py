@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -48,6 +49,20 @@ class TestMessageAccounting:
         msg = Message(0, ("ping", 7))
         assert msg.kind == "ping"
         assert msg.bits(255) == 8 + 8
+
+    def test_message_is_an_immutable_value(self):
+        msg = Message(sender=3, payload=("ping", 7))
+        assert (msg.sender, msg.payload) == (3, ("ping", 7))
+        with pytest.raises(AttributeError):
+            msg.sender = 4
+        with pytest.raises(AttributeError):
+            msg.payload = ("pong",)
+        twin = Message(3, ("ping", 7))
+        assert msg == twin and hash(msg) == hash(twin)
+        assert msg != Message(2, ("ping", 7))
+        assert len({msg, twin}) == 1
+        assert repr(msg) == "Message(sender=3, payload=('ping', 7))"
+        assert pickle.loads(pickle.dumps(msg)) == msg
 
 
 class TestModelRules:
@@ -233,6 +248,47 @@ class TestMetrics:
         Network(ring(4), lambda v: Draw(), seed=9).run(max_rounds=2)
         assert draws == first
         assert len(set(tuple(v) for v in first.values())) > 1  # nodes independent
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_sent_per_node_sums_to_messages(self, mode):
+        from repro.core.dra import DraProtocol
+
+        g = dense_gnp(24, c=8, seed=3)
+        net = Network(g, lambda v: DraProtocol(v, g.n), seed=1,
+                      model=NetworkModel(mode=mode))
+        metrics = net.run(max_rounds=50_000)
+        assert metrics.messages > 0
+        assert metrics.sent_per_node.shape == (g.n,)
+        assert metrics.sent_per_node.sum() == metrics.messages
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_sent_per_node_after_soft_round_limit(self, mode):
+        class Forever(Protocol):
+            def on_start(self, ctx):
+                ctx.send(ctx.neighbors[0], "x")
+
+            def on_round(self, ctx, inbox):
+                ctx.send(ctx.neighbors[0], "x")
+
+        net = Network(ring(4), lambda v: Forever(), model=NetworkModel(mode=mode))
+        metrics = net.run(max_rounds=10, raise_on_limit=False)
+        assert metrics.messages > 0
+        assert metrics.sent_per_node.sum() == metrics.messages
+        assert metrics.max_sent() == metrics.sent_per_node.max()
+
+    def test_sent_per_node_after_protocol_error(self):
+        class Doubler(Protocol):
+            def on_start(self, ctx):
+                ctx.send(ctx.neighbors[0], "a")
+                ctx.send(ctx.neighbors[0], "b")
+
+            def on_round(self, ctx, inbox):
+                ctx.halt()
+
+        net = Network(ring(4), lambda v: Doubler())
+        with pytest.raises(DuplicateSendError):
+            net.run(max_rounds=5)
+        assert net.metrics.messages == net.metrics.sent_per_node.sum() == 1
 
     def test_state_size_words(self):
         assert state_size_words(5) == 1

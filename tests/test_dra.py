@@ -5,8 +5,10 @@ import math
 import pytest
 
 from repro.analysis.bounds import dra_step_budget
+from repro.congest import NetworkModel
 from repro.core import run_dra
 from repro.core.rotation import FAIL_NO_EDGES, FAIL_TOO_SMALL
+from repro.engines.fast import _dra_fast
 import repro
 from repro.graphs import Graph
 from repro.verify import is_hamiltonian_cycle
@@ -41,6 +43,16 @@ class TestDraCongest:
         res = run_dra(complete(2), seed=0)
         assert not res.success
         assert FAIL_TOO_SMALL in res.detail["fail_codes"]
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_disconnected_failure_is_named(self, mode):
+        """One walk closes per component; the cause must still be named."""
+        k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        g = Graph(8, k4 + [(a + 4, b + 4) for a, b in k4])
+        res = run_dra(g, seed=3, network=NetworkModel(mode=mode))
+        assert not res.success
+        fast = _dra_fast(g, seed=3)
+        assert res.detail["fail_codes"] == fast.detail["fail_codes"] == ["bfs-unreachable"]
 
     def test_step_budget_respected(self):
         g = dense_gnp(60, c=8, seed=2)
