@@ -28,6 +28,7 @@ no wasted watchdog rounds) appears in the measured round counts.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from repro.analysis.bounds import diameter_budget, dra_round_budget
 from repro.congest.model import build_network, coerce_network_model
@@ -166,6 +167,43 @@ def dhc2_round_budget(n: int, k: int) -> int:
     return dra_round_budget(part) + levels * per_level + 6 * diameter_budget(n) + 512
 
 
+def _fail_cause(graph: Graph, protocols: list[Dhc2Protocol],
+                colors: int) -> str | None:
+    """Name a failed run's cause with the ``fast`` engine's reasons.
+
+    Read after the run from state the protocols already hold.  A colour
+    class fails at its first broken stage, in ``fast``'s order: no
+    member (``empty-partition``), a failed class BFS or one spanning
+    fewer nodes than the class (``partition-disconnected``), a failed
+    walk (``walk-<code>``); the lowest failing colour names the run.
+    An isolated node halts before it draws a colour, so with one the
+    empty-class test is skipped and, short of a class failure, the run
+    is ``partition-disconnected``.  Else an abort came from a Phase 2
+    merge that found no bridge (``no-bridge``).  The abort flood can
+    stop a class before its own failure shows, so when several classes
+    fail the cause may name a different class than ``fast`` does.
+    """
+    class_size = Counter(p.color for p in protocols)
+    isolated = bool((graph.degrees() == 0).any())
+    failures = [] if isolated else [
+        (c, 0, "empty-partition")
+        for c in range(1, colors + 1) if not class_size[c]
+    ]
+    for p in protocols:
+        if p.bfs is not None and p.bfs.done and (
+                p.bfs.failed or p.bfs.size < class_size[p.color]):
+            failures.append((p.color, 1, "partition-disconnected"))
+        elif p.walk is not None and p.walk.done and not p.walk.success:
+            failures.append((p.color, 2, f"walk-{p.walk.fail_code}"))
+    if failures:
+        return min(failures)[2]
+    if isolated:
+        return "partition-disconnected"
+    if any(p.aborted for p in protocols):
+        return "no-bridge"
+    return None
+
+
 def run_dhc2(
     graph: Graph,
     *,
@@ -184,7 +222,9 @@ def run_dhc2(
     Hamiltonian cycle of the input graph.
 
     ``network`` is a :class:`~repro.congest.model.NetworkModel` (or its
-    JSON form) describing the substrate.  A fault plan's counters
+    JSON form) describing the substrate.  A failed run names its cause
+    in ``detail["fail"]`` with the ``fast`` engine's reasons where the
+    protocol state shows one.  A fault plan's counters
     appear under ``detail["faults"]``; async runs also report
     ``detail["async"]``.
     """
@@ -220,6 +260,10 @@ def run_dhc2(
         "levels": merge_levels(colors),
         "aborted": sum(p.aborted for p in protocols),
     }
+    if not ok:
+        cause = _fail_cause(graph, protocols, colors)
+        if cause is not None:
+            detail["fail"] = cause
     if injector is not None:
         detail["faults"] = injector.summary()
     if model.is_async():

@@ -21,7 +21,10 @@ DHC1/DHC2 engines consume) on the array kernel
 one vectorised pass; ``_dhc2_fast_py`` keeps the pure-Python walker
 as a test-only parity oracle (formerly registered as
 ``engine="fast-py"``, retired after its deprecation release).
-Phase 2 is deterministic and shared verbatim by both.
+Phase 2 is deterministic and shared verbatim by both.  Its replay
+stops each merge at the first valid bridge in ``(v, w)`` order, which
+is the one the protocol selects; the k-machine engine still charges
+the full bridge scan every class-A node makes.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from repro.core.phase1 import colors_at_level, merge_levels
 from repro.engines.fast import _FastWalk, bfs_completion_round, build_min_id_bfs_tree
 from repro.engines.phase1_replay import color_partition, replay_partition_walks
 from repro.engines.results import RunResult
-from repro.graphs.adjacency import Graph, csr_sources
+from repro.graphs.adjacency import Graph
 from repro.verify.hamiltonicity import CycleViolation, verify_cycle
 
 __all__ = ["_dhc2_fast"]
@@ -136,7 +139,6 @@ def _phase2(graph: Graph, cycles: dict[int, list[int]], colors: int,
     n = graph.n
     rounds = phase1_end
     levels = merge_levels(colors)
-    keys = _edge_keys(graph)  # shared by every vectorised bridge scan
     for level in range(1, levels + 1):
         remaining = colors_at_level(colors, level)
         next_cycles: dict[int, list[int]] = {}
@@ -152,7 +154,7 @@ def _phase2(graph: Graph, cycles: dict[int, list[int]], colors: int,
             b_members = cycles.get(b_color)
             if a_members is None or b_members is None:
                 return _fail(n, colors, rounds, "missing-class", engine)
-            merged = _merge_pair_vec(graph, a_members, b_members, keys)
+            merged = _merge_pair(graph, a_members, b_members)
             if merged is None:
                 return _fail(n, colors, rounds, "no-bridge", engine)
             if observer is not None:
@@ -189,140 +191,38 @@ def _level_cost(merged_size: int) -> int:
     return 24 + 8 * diam
 
 
-def _merge_pair(graph: Graph, a_cycle: list[int], b_cycle: list[int], has_edge):
+def _merge_pair(graph: Graph, a_cycle: list[int], b_cycle: list[int]):
     """Replay the deterministic bridge selection and splice the cycles.
 
     Mirrors :class:`repro.core.merge.MergeMachine`: per active node ``v``
     (with successor ``u``), each partner-colour neighbour ``w`` answers
     with ``w' = succ(w)`` preferred over ``pred(w)``; ``v`` keeps the
-    smallest ``w``; the winner is the smallest ``(v, w)``.
-
-    With the graph's own adjacency test (the normal case) the candidate
-    scan runs vectorised over the CSR; a caller-supplied ``has_edge``
-    (e.g. an ablated rule) takes the reference Python path.
+    smallest ``w``; the winner is the smallest ``(v, w)``.  Trying A's
+    nodes in ascending id and each one's B-neighbours in ascending
+    order makes the first valid pair that winner, so the scan stops
+    there.  Returns ``None`` without a bridge.
     """
-    if has_edge == graph.has_edge:
-        return _merge_pair_vec(graph, a_cycle, b_cycle)
-    return _merge_pair_py(graph, a_cycle, b_cycle, has_edge)
-
-
-def _edge_keys(graph: Graph) -> np.ndarray:
-    """Sorted ``src * n + dst`` keys of the directed edges (CSR order)."""
-    return csr_sources(graph.indptr) * graph.n + graph.indices
-
-
-def _merge_pair_vec(graph: Graph, a_cycle: list[int], b_cycle: list[int],
-                    keys: np.ndarray | None = None):
-    """Vectorised bridge selection: one masked scan over A's CSR rows.
-
-    The winner is the lexicographically smallest valid ``(v, w)`` with
-    ``w' = succ(w)`` preferred at that pair — exactly the selection the
-    per-node Python loop makes, so both produce the same splice.
-    """
-    from repro.engines.arraywalk import gather_neighbors
-
-    n = graph.n
+    has_edge = graph.has_edge
     s_a, s_b = len(a_cycle), len(b_cycle)
-    a_arr = np.asarray(a_cycle, dtype=np.int64)
-    b_arr = np.asarray(b_cycle, dtype=np.int64)
-    a_pos = np.empty(n, dtype=np.int64)
-    a_pos[a_arr] = np.arange(s_a, dtype=np.int64)
-    succ_a = np.empty(n, dtype=np.int64)
-    succ_a[a_arr] = np.roll(a_arr, -1)
-    in_b = np.zeros(n, dtype=bool)
-    in_b[b_arr] = True
-    b_pos = np.empty(n, dtype=np.int64)
-    b_pos[b_arr] = np.arange(s_b, dtype=np.int64)
-    b_succ = np.empty(n, dtype=np.int64)
-    b_succ[b_arr] = np.roll(b_arr, -1)
-    b_pred = np.empty(n, dtype=np.int64)
-    b_pred[b_arr] = np.roll(b_arr, 1)
-
-    # Directed candidate edges v -> w with v in A, w in B.
-    indptr, indices = graph.indptr, graph.indices
-    counts = indptr[a_arr + 1] - indptr[a_arr]
-    v_e = np.repeat(a_arr, counts)
-    w_e = gather_neighbors(indptr, indices, a_arr)
-    keep = in_b[w_e]
-    v_e, w_e = v_e[keep], w_e[keep]
-    if v_e.size == 0:
-        return None
-
-    # Pair-membership tests u—w' as one searchsorted over the sorted
-    # directed-edge key array (CSR order is (src, dst)-sorted already).
-    if keys is None:
-        keys = _edge_keys(graph)
-    u_e = succ_a[v_e] * n
-    present = _pairs_present(
-        keys, np.concatenate((u_e + b_succ[w_e], u_e + b_pred[w_e])))
-    ok_succ, ok_pred = present[:v_e.size], present[v_e.size:]
-    valid = ok_succ | ok_pred
-    if not valid.any():
-        return None
-    v_e, w_e, ok_succ = v_e[valid], w_e[valid], ok_succ[valid]
-    at_v = v_e == v_e.min()
-    w_at_v = w_e[at_v]
-    j = int(np.argmin(w_at_v))
-    v, w = int(v_e[at_v][j]), int(w_at_v[j])
-    direction = 0 if bool(ok_succ[at_v][j]) else 1
-
-    w_pos = int(b_pos[w])
-    if direction == 0:  # w' = succ(w): walk B backwards from w
-        b_seq = b_arr[(w_pos - np.arange(s_b, dtype=np.int64)) % s_b]
-    else:  # w' = pred(w): keep B's orientation
-        b_seq = np.roll(b_arr, -w_pos)
-    u_pos = (int(a_pos[v]) + 1) % s_a
-    a_seq = np.roll(a_arr, -u_pos)  # u ... v
-    return np.concatenate((b_seq, a_seq)).tolist()  # w ... w', u ... v
-
-
-def _pairs_present(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Whether each query key appears in the sorted key array."""
-    if sorted_keys.size == 0:
-        return np.zeros(queries.shape, dtype=bool)
-    slots = np.searchsorted(sorted_keys, queries)
-    slots[slots == sorted_keys.size] = 0  # any in-range slot; compared next
-    return sorted_keys[slots] == queries
-
-
-def _merge_pair_py(graph: Graph, a_cycle: list[int], b_cycle: list[int],
-                   has_edge):
-    """Reference per-node scan, kept for ablations with a custom rule."""
-    s_a, s_b = len(a_cycle), len(b_cycle)
-    b_pos = {v: i for i, v in enumerate(b_cycle)}
-    b_set = set(b_cycle)
-    best = None  # (v, w, u, wp, direction, w_pos, v_pos)
-    for v_pos, v in enumerate(a_cycle):
-        u = a_cycle[(v_pos + 1) % s_a]
-        local = None
-        for w in graph.neighbors(v):
-            w = int(w)
-            if w not in b_set:
+    b_pos = {w: i for i, w in enumerate(b_cycle)}
+    for v_pos in sorted(range(s_a), key=a_cycle.__getitem__):
+        u_pos = (v_pos + 1) % s_a
+        u = a_cycle[u_pos]
+        for w in graph.neighbor_list(a_cycle[v_pos]):
+            w_pos = b_pos.get(w)
+            if w_pos is None:
                 continue
-            wp_succ = b_cycle[(b_pos[w] + 1) % s_b]
-            wp_pred = b_cycle[(b_pos[w] - 1) % s_b]
-            if has_edge(u, wp_succ):
-                cand = (w, wp_succ, 0)
-            elif has_edge(u, wp_pred):
-                cand = (w, wp_pred, 1)
+            if has_edge(u, b_cycle[(w_pos + 1) % s_b]):
+                # w' = succ(w): walk B backwards from w.
+                b_seq = b_cycle[w_pos::-1] + b_cycle[:w_pos:-1]
+            elif has_edge(u, b_cycle[w_pos - 1]):
+                # w' = pred(w): keep B's orientation.
+                b_seq = b_cycle[w_pos:] + b_cycle[:w_pos]
             else:
                 continue
-            if local is None or cand[0] < local[0]:
-                local = cand
-        if local is not None:
-            cand = (v, local[0], u, local[1], local[2], b_pos[local[0]], v_pos)
-            if best is None or (cand[0], cand[1]) < (best[0], best[1]):
-                best = cand
-    if best is None:
-        return None
-    v, w, u, wp, direction, w_pos, v_pos = best
-    if direction == 0:  # w' = succ(w): walk B backwards from w
-        b_seq = [b_cycle[(w_pos - t) % s_b] for t in range(s_b)]
-    else:  # w' = pred(w): keep B's orientation
-        b_seq = [b_cycle[(w_pos + t) % s_b] for t in range(s_b)]
-    u_pos = (v_pos + 1) % s_a
-    a_seq = a_cycle[u_pos:] + a_cycle[:u_pos]  # u ... v
-    return b_seq + a_seq  # w ... w' , u ... v  (closes v -> w)
+            # w ... w', u ... v  (closes v -> w)
+            return b_seq + a_cycle[u_pos:] + a_cycle[:u_pos]
+    return None
 
 
 def _fail(n: int, colors: int, rounds: int, reason: str,

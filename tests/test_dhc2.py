@@ -1,14 +1,17 @@
 """Tests for DHC2 (Algorithm 3): partitioning, merging, end-to-end."""
 
+import itertools
 import math
 
 import pytest
 
+from repro.congest.model import NetworkModel
 from repro.core import run_dhc2
 from repro.core.dhc2 import default_color_count
 from repro.core.phase1 import color_at_level, colors_at_level, merge_levels
 import repro
-from repro.graphs import gnp_random_graph
+from repro.engines.fast_dhc2 import _dhc2_fast
+from repro.graphs import Graph, gnp_random_graph
 from repro.verify import is_hamiltonian_cycle
 
 
@@ -132,3 +135,56 @@ class TestDhc2FastEngine:
         res = repro.run(g, "dhc2", engine="fast", k=4, seed=4)
         assert not res.success
         assert "fail" in res.detail
+
+
+def _two_cliques(size, bridge=None):
+    """Two disjoint cliques on ``size`` nodes each, optionally joined."""
+    a, b = range(size), range(size, 2 * size)
+    edges = list(itertools.combinations(a, 2)) + list(itertools.combinations(b, 2))
+    return Graph(2 * size, edges + ([bridge] if bridge else []))
+
+
+def _clique(n):
+    return Graph(n, list(itertools.combinations(range(n), 2)))
+
+
+FAIL_CASES = {  # name: (graph, k, seed, cause)
+    "two-k4": (_two_cliques(4), 1, 1, "partition-disconnected"),
+    "empty-4": (Graph(4), 1, 1, "partition-disconnected"),
+    "star-6": (Graph(6, [(0, i) for i in range(1, 6)]), 1, 1, "walk-1"),
+    "k8": (_clique(8), 3, 1, "walk-3"),
+    "path-5": (Graph(5, [(i, i + 1) for i in range(4)]), 2, 1,
+               "partition-disconnected"),
+    # Seed 3 leaves colour 1 empty: with k=2 the passive class waits
+    # for a merge that never starts; with k=4 the partner class aborts.
+    "k6-empty": (_clique(6), 2, 3, "empty-partition"),
+    "k8-empty": (_clique(8), 4, 3, "empty-partition"),
+}
+
+
+class TestDhc2FailureCause:
+    """The CONGEST runs name the cause ``fast`` names for the same run."""
+
+    @pytest.mark.parametrize("network", [None, NetworkModel(mode="async")],
+                             ids=["sync", "async"])
+    @pytest.mark.parametrize("case", sorted(FAIL_CASES))
+    def test_congest_cause_matches_fast(self, case, network):
+        graph, k, seed, cause = FAIL_CASES[case]
+        fast = _dhc2_fast(graph, k=k, seed=seed)
+        slow = run_dhc2(graph, k=k, seed=seed, network=network)
+        assert not fast.success and not slow.success
+        assert slow.detail["fail"] == fast.detail["fail"] == cause
+
+    def test_phase2_abort_is_no_bridge(self):
+        # Seed 1082 colours the cliques as the two classes, so Phase 1
+        # succeeds and the single cross edge is no bridge.
+        graph = _two_cliques(5, bridge=(0, 5))
+        assert _dhc2_fast(graph, k=2, seed=1082).detail["fail"] == "no-bridge"
+        res = run_dhc2(graph, k=2, seed=1082)
+        assert not res.success
+        assert res.detail["fail"] == "no-bridge"
+
+    def test_success_names_no_cause(self):
+        res = run_dhc2(dhc2_graph(40, 2, seed=3), k=2, seed=4)
+        assert res.success
+        assert "fail" not in res.detail
