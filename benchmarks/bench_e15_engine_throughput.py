@@ -39,24 +39,15 @@ numba the jitted column records ``null`` rather than timing the
 uncompiled ``*_impl`` loops as if they were compiled — the committed
 curve never claims a speedup the host could not measure.
 
-Two further lanes profile the headline point (largest size, largest
-batch):
-
-* ``thread_scaling`` — the jitted pass re-run at 1/2/4 kernel threads
-  via :func:`repro.engines._jit.configure_threads` (1 = the serial
-  njit kernels, the honest one-thread execution), each with a *paired*
-  ``fast`` reference measured adjacent to it.  Lanes the host cannot
-  run (no numba, or the thread count exceeds numba's launched pool)
-  record explicit ``null`` — never a guessed ratio.
-* ``setup_profile`` — the generation+stacking share of one uncompiled
-  ``fast-batch`` call (``setup_fraction``), measured for per-trial
-  ``gnp_random_graph`` + serial stacking and for the pooled
-  :func:`repro.graphs.batch_gnp` path that emits the stacked CSR and
-  twin table directly.  The per-trial route consumes neither stacked
-  form, so the stacking counts as setup but the call does not reuse
-  it.  Profiled at the mid-grid point (n=1024, batch=64); the pooled
-  global sort goes memory-bound at the largest stacked point and the
-  comparison inverts there (see the inline comment at the call site).
+A ``setup_profile`` section measures the generation+stacking share of
+one uncompiled ``fast-batch`` call (``setup_fraction``), for per-trial
+``gnp_random_graph`` + serial stacking and for the pooled
+:func:`repro.graphs.batch_gnp` path that emits the stacked CSR and
+twin table directly.  The per-trial route consumes neither stacked
+form, so the stacking counts as setup but the call does not reuse it.
+Profiled at the mid-grid point (n=1024, batch=64); the pooled global
+sort goes memory-bound at the largest stacked point and the
+comparison inverts there (see the inline comment at the call site).
 
 A ``metrics_lane`` section measures the observability layer itself
 (:class:`repro.harness.metrics.MetricsCollector`): the same harness
@@ -381,41 +372,6 @@ def test_e15_engine_throughput(benchmark):
     }
     print(f"jit vs numpy fast-batch speedups: {jit_speedups}")
 
-    # Thread-scaling lane: the headline jitted pass at 1/2/4 kernel
-    # threads, each paired with a fast reference measured adjacent to
-    # it (same CPU state on both sides of the ratio).  configure_threads
-    # reports whether the host can actually run a lane; refusals record
-    # explicit nulls.
-    head_n, head_batch = max(SIZES), max(BATCH_SIZES)
-    saved_threads = _jit.THREADS if _jit.THREADED else 0
-    thread_scaling: dict[str, dict[str, float | None]] = {}
-    thread_rows = []
-    for t in (1, 2, 4):
-        configured = _jit.ENABLED and _jit.configure_threads(
-            0 if t == 1 else t)
-        if configured:
-            ref = _throughput("dra", "fast", head_n)
-            tps = _batch_throughput(head_n, head_batch, jit=True)
-            speedup = round(tps / ref, 2)
-        else:
-            ref = tps = speedup = None
-        thread_scaling[str(t)] = {
-            "batch_jit_trials_per_sec": tps,
-            "fast_ref_trials_per_sec": ref,
-            "speedup_vs_fast": speedup,
-        }
-        thread_rows.append((t,
-                            "skipped (no threaded kernel)" if tps is None
-                            else round(tps, 3),
-                            "-" if ref is None else round(ref, 3),
-                            "-" if speedup is None else speedup))
-    if _jit.ENABLED:
-        _jit.configure_threads(saved_threads)
-    show(f"E15: thread scaling (dra, fast-batch, n={head_n}, "
-         f"batch={head_batch})",
-         ["threads", "trials/sec", "paired fast ref", "vs fast"],
-         thread_rows)
-
     # Setup lane: how much of an uncompiled batch call is generation +
     # stacking, per-trial vs pooled batched generation.  Profiled at
     # the mid-grid point (n=1024, batch=64 — the point the pooled-
@@ -426,7 +382,7 @@ def test_e15_engine_throughput(benchmark):
     # setup 214.7 s pooled vs 32.4 s per-trial).  The auto-batch edge
     # budget caps real sweeps well below that regime.
     setup_n = 1024 if 1024 in SIZES else SIZES[len(SIZES) // 2]
-    setup_batch = min(64, head_batch)
+    setup_batch = min(64, max(BATCH_SIZES))
     setup_profile = _setup_profile(setup_n, setup_batch)
     show(f"E15: setup share (dra, fast-batch uncompiled, n={setup_n}, "
          f"batch={setup_batch})",
@@ -494,21 +450,8 @@ def test_e15_engine_throughput(benchmark):
         "batch_fast_ref_trials_per_sec": batch_fast_ref,
         "speedup_fast_batch_vs_fast": batch_speedups,
         "jit_enabled": _jit.ENABLED,
-        "jit_threads": _jit.THREADS if _jit.THREADED else 0,
         "batch_jit_trials_per_sec": jit_series,
         "speedup_jit_vs_numpy_batch": jit_speedups,
-        "thread_scaling": thread_scaling,
-        "threads_note": (
-            "thread_scaling columns re-run the headline jitted pass "
-            "(largest size, largest batch) at 1/2/4 kernel threads via "
-            "configure_threads; threads=1 is the serial njit kernel. "
-            "null means the lane could not run on this host — no "
-            "numba, or the thread count exceeds the pool numba "
-            "launched with — never an extrapolated number. Each lane "
-            "pairs with its own adjacent fast reference so sustained-"
-            "load CPU throttling cancels out of the ratio. check_bench "
-            "compares these columns thread-count-keyed, so fresh and "
-            "baseline values are always like-threaded."),
         "metrics_lane": {
             f"trials_{metrics_lane['trials']}":
                 {k: v for k, v in metrics_lane.items() if k != "trials"},
@@ -522,8 +465,8 @@ def test_e15_engine_throughput(benchmark):
             "path microcost. kpis snapshots the metered run's "
             "aggregated latency tails — the percentile fields "
             "check_bench compares as cost-like markers. The section "
-            "is keyed by the lane's trial count (like thread_scaling "
-            "by thread count) so a reduced smoke lane never compares "
+            "is keyed by the lane's trial count so a reduced smoke "
+            "lane never compares "
             "against the full baseline's distributions. The full-"
             "sweep gate asserts overhead_fraction < 0.02."),
         "setup_profile": setup_profile,

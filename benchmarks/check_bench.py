@@ -33,14 +33,6 @@ lists still flatten element-wise (``path.0``, ``path.1``, ...):
   ``--drift`` means the *behaviour* changed, which is exactly what a
   committed ``BENCH_*.json`` exists to catch.
 
-Kernel threading makes timings incomparable across configurations, so
-the check compares like-threaded columns only: when the two payloads
-record different ``jit_threads`` values, every rate- and cost-like
-leaf is skipped **except** those under ``thread_scaling.`` — that
-section keys its columns by explicit thread count, so shared paths
-there are like-threaded by construction.  Count-like leaves always
-compare (threading never changes behaviour, only speed).
-
 Exit status: 0 when everything in-band, 2 on any regression/drift,
 1 on unusable inputs.  CI wires this into the perf-smoke steps with
 ``continue-on-error`` and a ``::warning::`` annotation — advisory, not
@@ -71,7 +63,7 @@ COST_MARKERS = ("seconds", "setup_fraction", "overhead_fraction",
 CONFIG_KEYS = frozenset({
     "sizes", "native_sizes", "ks", "seed", "c", "delta", "trials",
     "shared_n", "congest_max", "dhc2_max", "batch_sizes",
-    "jit_threads", "threads", "n", "drops", "churn",
+    "n", "drops", "churn",
 })
 
 
@@ -110,22 +102,11 @@ def compare(fresh: dict, baseline: dict, tolerance: float,
                    if p.split(".", 1)[0] not in CONFIG_KEYS}
     shared = sorted(set(fresh_leaves) & set(base_leaves))
     skipped = len(set(fresh_leaves) ^ set(base_leaves))
-    like_threaded = (isinstance(fresh, dict) and isinstance(baseline, dict)
-                     and fresh.get("jit_threads") == baseline.get("jit_threads"))
     problems = []
-    compared = 0
     for path in shared:
         new, old = fresh_leaves[path], base_leaves[path]
         is_rate = any(marker in path for marker in RATE_MARKERS)
         is_cost = not is_rate and any(m in path for m in COST_MARKERS)
-        if ((is_rate or is_cost) and not like_threaded
-                and not path.startswith("thread_scaling.")):
-            # Threaded vs serial timings carry no regression signal;
-            # thread_scaling columns are keyed by thread count and
-            # stay comparable.
-            skipped += 1
-            continue
-        compared += 1
         if is_rate:
             floor = old * (1.0 - tolerance)
             if new < floor:
@@ -144,7 +125,7 @@ def compare(fresh: dict, baseline: dict, tolerance: float,
                 f"(> {drift:.0%})")
         elif old == 0 and new != 0:
             problems.append(f"count drift at {path}: {new:g} vs baseline 0")
-    return problems, compared, skipped
+    return problems, len(shared), skipped
 
 
 def main(argv: list[str] | None = None) -> int:

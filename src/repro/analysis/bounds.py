@@ -124,7 +124,9 @@ def fit_power_law(xs: list[float], ys: list[float]) -> tuple[float, float]:
     """Least-squares fit ``y = a * x**b`` in log space; returns ``(a, b)``.
 
     Used by the scaling experiments (E2/E3/E5) to extract the measured
-    exponent and compare against the theorem's prediction.
+    exponent and compare against the theorem's prediction.  Raises
+    ``ValueError`` unless the xs have at least two distinct values; a
+    prefactor too large for a float is returned as ``math.inf``.
     """
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need at least two (x, y) pairs to fit")
@@ -136,7 +138,12 @@ def fit_power_law(xs: list[float], ys: list[float]) -> tuple[float, float]:
     mx = sum(lx) / n
     my = sum(ly) / n
     sxx = sum((v - mx) ** 2 for v in lx)
+    if sxx == 0:
+        raise ValueError("power-law fit needs at least two distinct x values")
     sxy = sum((u - mx) * (v - my) for u, v in zip(lx, ly))
     b = sxy / sxx
-    a = math.exp(my - b * mx)
+    try:
+        a = math.exp(my - b * mx)
+    except OverflowError:  # a steep fit over close xs; b is still exact
+        a = math.inf
     return a, b

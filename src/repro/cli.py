@@ -72,7 +72,6 @@ from repro.analysis.bounds import (
     predicted_upcast_rounds,
 )
 from repro.analysis.concentration import merge_step_failure, partition_size_failure
-from repro.engines import _jit
 from repro.engines.fast_batch import (
     AUTO_BATCH_MIN_TRIALS,
     auto_batch_size,
@@ -208,13 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "sweeps")
     sweep_p.add_argument("--jobs", type=int, default=1,
                          help="worker processes (1 = serial; seeds and "
-                              "records are identical either way).  With a "
-                              "threaded batch kernel active (REPRO_JIT=1 "
-                              "REPRO_JIT_THREADS=N) auto-batching wins: "
-                              "--jobs is demoted to 1 rather than "
-                              "oversubscribing cores, and combining --jobs "
-                              "with an explicit --batch-size > 1 is an "
-                              "error")
+                              "records are identical either way; batches "
+                              "are split across the workers)")
     sweep_p.add_argument("--batch-size", type=int, default=None,
                          help="trials per engine pass for batched engines "
                               "(e.g. --engine fast-batch); 1 = per-trial "
@@ -225,12 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "REPRO_BATCH_EDGE_BUDGET, and with --engine "
                               f"auto and >= {AUTO_BATCH_MIN_TRIALS} trials "
                               "the sweep selects fast-batch where its "
-                              "batch kernel is active: cre and turau "
-                              "always, dra and dhc2 only with the compiled "
-                              "kernel (REPRO_JIT=1 and numba; without it "
-                              "their fast-batch runs each trial on fast).  "
-                              "Set REPRO_JIT_THREADS=N to run each "
-                              "compiled batch pass on N cores")
+                              "batch kernel is active: cre always, dra "
+                              "and dhc2 only with the compiled kernel "
+                              "(REPRO_JIT=1 and numba), turau never "
+                              "(its fast-batch runs each trial on fast)")
     sweep_p.add_argument("--chunksize", type=int, default=None,
                          help="trials per worker IPC message (with --jobs; "
                               "default auto-sizes from the sweep, 1 = "
@@ -520,6 +512,9 @@ def _cmd_sweep(args) -> int:
     if len(sizes) < 2:
         print("sweep needs at least two sizes", file=sys.stderr)
         return 2
+    if len(set(sizes)) != len(sizes):
+        print("sweep sizes must be distinct", file=sys.stderr)
+        return 2
     # Fail an invalid (algorithm, engine) pair here, before any graph
     # is sampled or worker pool spawned; trials re-resolve per call
     # (deterministically — same algorithm, engine, and empty require).
@@ -556,32 +551,6 @@ def _cmd_sweep(args) -> int:
               f"fast-batch)", file=sys.stderr)
         batch_size = 1
 
-    # Parallelism composition rule (documented in ARCHITECTURE.md):
-    # batch passes and process fan-out both want the cores.  When the
-    # threaded fused kernel is active for this engine, one kernel pass
-    # already uses every requested core, so auto-batching wins and
-    # --jobs is demoted; asking for both *explicitly* (--jobs with
-    # --batch-size > 1) is a conflict, not a preference, and errors
-    # out.  Without kernel threads the two compose fine: batches are
-    # split across the workers.
-    jobs = args.jobs
-    threaded = _jit.THREADED and spec.threads
-    if jobs > 1 and threaded:
-        if args.batch_size is not None and args.batch_size > 1 and spec.batched:
-            print(f"--jobs {jobs} with --batch-size {args.batch_size} "
-                  f"conflicts with the threaded batch kernel "
-                  f"(REPRO_JIT_THREADS={_jit.THREADS}): each batch pass "
-                  f"already runs on {_jit.THREADS} threads, so process "
-                  f"fan-out would oversubscribe every core; drop --jobs "
-                  f"or set REPRO_JIT_THREADS=0", file=sys.stderr)
-            return 2
-        if isinstance(batch_size, _AutoBatchSize):
-            print(f"auto-batching with the threaded batch kernel "
-                  f"(REPRO_JIT_THREADS={_jit.THREADS}) already uses "
-                  f"{_jit.THREADS} threads per pass; demoting --jobs "
-                  f"{jobs} to 1", file=sys.stderr)
-            jobs = 1
-
     shard = ShardSpec.parse(args.shard) if args.shard else None
 
     store = None
@@ -608,15 +577,15 @@ def _cmd_sweep(args) -> int:
             print("--metrics-interval must be > 0", file=sys.stderr)
             return 2
         collector = MetricsCollector(sample_interval_s=args.metrics_interval)
-    runner_cls = ParallelTrialRunner if jobs > 1 else TrialRunner
+    runner_cls = ParallelTrialRunner if args.jobs > 1 else TrialRunner
     runner_kwargs = {"master_seed": args.seed, "store": store, "shard": shard,
                      "metrics": collector}
     if callable(batch_size) or batch_size > 1:
         runner_kwargs["batch_fn"] = _SweepTrialBatch(
             algorithm, engine, args.delta, args.c, args.model, extra)
         runner_kwargs["batch_size"] = batch_size
-    if jobs > 1:
-        runner_kwargs["jobs"] = jobs
+    if args.jobs > 1:
+        runner_kwargs["jobs"] = args.jobs
         runner_kwargs["chunksize"] = args.chunksize
         runner_kwargs["schedule"] = args.schedule
     runner = runner_cls(trial_fn, **runner_kwargs)
@@ -635,8 +604,8 @@ def _cmd_sweep(args) -> int:
         # sidecar (--metrics with no PATH and no --store: report only).
         context = {"algorithm": algorithm, "engine": resolved_engine,
                    "sizes": sizes, "trials": args.trials,
-                   "master_seed": args.seed, "jobs": jobs,
-                   "schedule": args.schedule if jobs > 1 else "serial"}
+                   "master_seed": args.seed, "jobs": args.jobs,
+                   "schedule": args.schedule if args.jobs > 1 else "serial"}
         if shard is not None:
             context["shard"] = str(shard)
         payload = collector.payload(context)
@@ -681,7 +650,7 @@ def _cmd_sweep(args) -> int:
         payload = {
             "algorithm": algorithm,
             "engine": resolved_engine,
-            "jobs": jobs,
+            "jobs": args.jobs,
             "rows": rows,
             "fitted_exponent": exponent,
         }
@@ -757,7 +726,6 @@ def _cmd_engines(args) -> int:
             "batched": s.batched,
             "async_capable": s.async_capable,
             "jit": s.jit,
-            "threads": s.threads,
             "parity": sorted(s.parity),
             "summary": s.summary,
         } for s in specs], indent=2))
@@ -768,13 +736,12 @@ def _cmd_engines(args) -> int:
                  "yes" if s.batched else "-",
                  "yes" if s.async_capable else "-",
                  "yes" if s.jit else "-",
-                 "yes" if s.threads else "-",
                  ",".join(sorted(s.supported_kwargs)) or "-",
                  s.summary]
                 for s in specs]
         print(render_table(
             ["algorithm", "engine", "k-machine", "audit", "batched", "async",
-             "jit", "threads", "kwargs", "summary"],
+             "jit", "kwargs", "summary"],
             rows, title="registered (algorithm, engine) pairs"))
     return 0
 

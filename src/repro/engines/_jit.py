@@ -35,36 +35,17 @@ preallocated arrays: valid ``numba.njit`` input and runnable
 (slowly) without it.  All uint64 arithmetic sticks to uint64-typed
 constants — mixing signed ints into uint64 expressions promotes to
 float64 under numba and raises under numpy 2 scalar rules.
-
-**Threading** (``REPRO_JIT_THREADS``): each impl writes its outer
-trial loop as ``prange`` once.  numba treats ``prange`` as ``range``
-under ``parallel=False`` (and it *is* ``range`` uncompiled), so one
-source serves both builds: :func:`compile_kernel` compiles the serial
-njit kernel, :func:`compile_parallel` a ``parallel=True`` kernel.
-Lanes are trial-independent by construction — trial ``b`` owns
-node-id block ``[b*n, (b+1)*n)``, so its PCG64 state rows, live-bit
-words, path buffer, and every outcome slot are disjoint from every
-other lane's — which makes the prange loop race-free *and*
-bitwise-identical to the serial order: each lane consumes exactly its
-own per-node streams regardless of which thread runs it.  The one
-scratch buffer (the tree BFS queue) is allocated inside the loop body,
-so numba makes it thread-private.  ``REPRO_JIT_THREADS=N`` (with
-``REPRO_JIT=1`` and numba present) selects the parallel build and calls
-``numba.set_num_threads(N)``; ``0`` or unset keeps the serial kernels.
-The CI threaded numba lane re-runs the suite compiled with two threads.
 """
 
 from __future__ import annotations
 
 import os
-import types
 import warnings
 
 import numpy as np
 
 __all__ = [
-    "HAVE_NUMBA", "REQUESTED", "ENABLED", "THREADS", "THREADED",
-    "compile_kernel", "compile_parallel", "configure_threads",
+    "HAVE_NUMBA", "REQUESTED", "ENABLED", "compile_kernel",
     "walk_steps_impl", "tree_build_impl", "reverse_blocks_impl",
     "walk_kernel", "tree_kernel", "reverse_blocks",
 ]
@@ -74,29 +55,8 @@ def _truthy(value: str) -> bool:
     return value.strip().lower() in {"1", "true", "yes", "on"}
 
 
-def _parse_threads(value: str) -> int:
-    """``REPRO_JIT_THREADS`` as a non-negative thread count (0 = serial)."""
-    value = value.strip()
-    if not value:
-        return 0
-    try:
-        threads = int(value)
-    except ValueError:
-        warnings.warn(
-            f"REPRO_JIT_THREADS={value!r} is not an integer; "
-            "using the serial kernel",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 0
-    return max(0, threads)
-
-
 #: Whether the environment asked for the compiled backend.
 REQUESTED = _truthy(os.environ.get("REPRO_JIT", ""))
-
-#: Requested kernel thread count (0 = serial njit kernels).
-THREADS = _parse_threads(os.environ.get("REPRO_JIT_THREADS", ""))
 
 try:  # pragma: no cover - exercised only where numba is installed
     import numba
@@ -109,54 +69,20 @@ except ImportError:
 #: Compiled kernels are used only when requested *and* available.
 ENABLED = REQUESTED and HAVE_NUMBA
 
-#: Whether the threaded (prange) kernels are in effect right now.
-THREADED = ENABLED and THREADS > 0
-
 if REQUESTED and not HAVE_NUMBA:
     warnings.warn(
         "REPRO_JIT requested but numba is not installed; falling back to "
         "the uncompiled paths: fast-batch runs dra/dhc2 per trial and "
-        "cre/turau on numpy (install the 'jit' extra to compile)",
+        "cre on numpy (install the 'jit' extra to compile)",
         RuntimeWarning,
         stacklevel=2,
     )
-
-if THREADS > 0 and not ENABLED:
-    warnings.warn(
-        "REPRO_JIT_THREADS requested without a compiled backend "
-        "(needs REPRO_JIT=1 and numba); the threaded kernel is unavailable "
-        "and the active path stays single-threaded",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-
-#: ``numba.prange`` when numba is importable, plain ``range`` otherwise —
-#: so the impls run (serially) uncompiled too.
-prange = numba.prange if HAVE_NUMBA else range
 
 
 def compile_kernel(fn):
     """``numba.njit(cache=True)`` when enabled; the function unchanged otherwise."""
     if ENABLED:  # pragma: no cover - exercised only in the CI jit variant
         return numba.njit(cache=True)(fn)
-    return fn
-
-
-def compile_parallel(fn):
-    """``numba.njit(parallel=True, cache=True)`` when enabled; identity otherwise.
-
-    numba names a function's on-disk cache index after its qualified
-    name and first line, and its index keys leave out the compile
-    flags, so a ``parallel=True`` build of ``fn`` itself would share
-    the serial build's cache entries.  The parallel build compiles a
-    clone of ``fn`` under its own ``__qualname__`` instead.
-    """
-    if ENABLED:  # pragma: no cover - exercised only in the CI jit variant
-        clone = types.FunctionType(fn.__code__, fn.__globals__,
-                                   fn.__name__ + "_parallel",
-                                   fn.__defaults__, fn.__closure__)
-        clone.__qualname__ = fn.__qualname__ + "_parallel"
-        return numba.njit(parallel=True, cache=True)(clone)
     return fn
 
 
@@ -198,13 +124,8 @@ def walk_steps_impl(order, ip, idx, twins, wp, bits, alive,
     path row.  ``bpos`` holds *path* positions (rotations reverse the
     suffix in place), so each trial's path is left in order in its
     row of ``buf``.
-
-    Every array the body touches is indexed through the lane's own
-    trial id ``b`` (outcome slots), node-id block (RNG state, live
-    bits, positions) or row block (path buffer), so the ``prange``
-    lanes never share a writable element.
     """
-    for t in prange(order.size):
+    for t in range(order.size):
         b = order[t]
         h = head[b]
         row0 = b * stride
@@ -352,10 +273,8 @@ def tree_build_impl(ip, idx, roots, expect, live, stride,
     participant count (``n`` for full blocks, the colour-class size
     for partition walks); ``ok`` records whether the BFS reached all
     of them.  Skipped (non-live) trials keep depth -1 everywhere.
-    The BFS ``queue`` is allocated per lane, inside the ``prange``
-    body, so each thread gets its own.
     """
-    for b in prange(roots.size):
+    for b in range(roots.size):
         if not live[b]:
             continue
         queue = np.empty(stride, dtype=np.int64)
@@ -399,7 +318,7 @@ def reverse_blocks_impl(path_flat, pos, rows, los, highs, size):
     ``rows`` lists distinct trials, each owning a disjoint
     ``size``-slot block of ``path_flat`` and node-id block of ``pos``.
     """
-    for t in prange(rows.size):
+    for t in range(rows.size):
         base = rows[t] * size
         i = base + los[t]
         j = base + highs[t] - 1
@@ -415,46 +334,9 @@ def reverse_blocks_impl(path_flat, pos, rows, los, highs, size):
 
 # -- dispatch --------------------------------------------------------------
 
-_IMPLS = (walk_steps_impl, tree_build_impl, reverse_blocks_impl)
-_compiled = {}
-
-
-def _kernels(parallel):
-    """Compiled (serial or prange) kernel triple, built once per process."""
-    if parallel not in _compiled:  # pragma: no cover - CI jit lane
-        build = compile_parallel if parallel else compile_kernel
-        _compiled[parallel] = tuple(build(fn) for fn in _IMPLS)
-    return _compiled[parallel]
-
-
-def configure_threads(threads):
-    """Re-point the dispatch kernels at runtime (bench thread-scaling lane).
-
-    ``threads == 0`` selects the serial njit kernels, ``threads > 0``
-    the prange kernels with ``numba.set_num_threads(threads)``.
-    Returns ``False`` — leaving the current dispatch untouched — when
-    the compiled backend is unavailable or ``threads`` exceeds the
-    pool numba launched with (``NUMBA_NUM_THREADS``); callers record
-    an explicit null for that lane.
-    """
-    global walk_kernel, tree_kernel, reverse_blocks, THREADS, THREADED
-    if not ENABLED:
-        return False
-    if threads > 0:  # pragma: no cover - CI jit lane
-        if threads > int(numba.config.NUMBA_NUM_THREADS):
-            return False
-        numba.set_num_threads(threads)
-    walk_kernel, tree_kernel, reverse_blocks = _kernels(threads > 0)
-    THREADS = threads
-    THREADED = threads > 0
-    return True
-
-
 if ENABLED:  # pragma: no cover - exercised in the CI jit variant
-    if THREADS > 0:
-        THREADS = min(THREADS, int(numba.config.NUMBA_NUM_THREADS))
-        numba.set_num_threads(THREADS)
-        THREADED = THREADS > 0
-    walk_kernel, tree_kernel, reverse_blocks = _kernels(THREADS > 0)
+    walk_kernel, tree_kernel, reverse_blocks = (
+        compile_kernel(fn)
+        for fn in (walk_steps_impl, tree_build_impl, reverse_blocks_impl))
 else:
     walk_kernel = tree_kernel = reverse_blocks = None

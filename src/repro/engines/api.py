@@ -117,13 +117,6 @@ class EngineSpec:
         kernels in :mod:`repro.engines._jit` under ``REPRO_JIT=1``
         (results stay bitwise identical to the uncompiled path either
         way; purely informational — ``repro engines`` lists it).
-    threads:
-        True when the runner's compiled kernels have prange-over-lanes
-        variants that ``REPRO_JIT_THREADS=N`` runs on N cores (implies
-        ``jit``; results stay bitwise identical — see the threading
-        section of :mod:`repro.engines._jit`).  The CLI's sweep
-        parallelism rule consults it: an active threaded kernel makes
-        auto-batching beat process fan-out.
     priority:
         ``engine="auto"`` preference (higher wins); defaults to
         :data:`ENGINE_PRIORITY` for the standard engine names.
@@ -141,7 +134,6 @@ class EngineSpec:
     parity: frozenset[str] = frozenset()
     async_capable: bool = False
     jit: bool = False
-    threads: bool = False
     priority: int = field(default=-1)
     summary: str = ""
 

@@ -7,9 +7,9 @@ trials, each with its own sampled graph, in one disjoint-union CSR
 
 Who batches on it
 -----------------
-* CRE and Turau (:mod:`repro.engines.fast_batch`) run numpy passes
-  over the stacked CSR, advancing every still-live trial per pass;
-  :func:`reverse_path_blocks` is CRE's batched rotation step.
+* CRE (:mod:`repro.engines.fast_batch`) runs numpy passes over the
+  stacked CSR, advancing every still-live trial per pass;
+  :func:`reverse_path_blocks` is its batched rotation step.
 * DRA and DHC2 batch only through the fused walk and tree kernels of
   :mod:`repro.engines._jit` (``REPRO_JIT=1`` with numba):
   :class:`BatchWalk` and :func:`build_batch_tree` hand whole trials to
@@ -70,12 +70,7 @@ bit-identical to the Generator's.  It shares the pools' self-check
 verdict, and falls back to real Generators with them.
 
 Dispatch looks the compiled kernels up on :mod:`repro.engines._jit`
-at call time, so a host can toggle them within one process.  Under
-``REPRO_JIT_THREADS=N`` the dispatch attributes point at prange
-variants of the same kernels that run the trial lanes on N cores —
-still bitwise identical, because each lane touches only its own
-disjoint node-id block and RNG state rows (see the threading section
-of :mod:`repro.engines._jit`).
+at call time, so a host can toggle them within one process.
 """
 
 from __future__ import annotations

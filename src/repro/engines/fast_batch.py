@@ -17,11 +17,10 @@ exercises.
 Which trials share whole-array passes depends on the algorithm and on
 :func:`batch_kernel_active`:
 
-* CRE and Turau always run on the numpy batch kernels below.  Turau
-  batches the proposal round as one pooled draw over the stacked CSR
-  and runs the merge phases in lockstep (same budget for same n),
-  pooling each phase's requester draws; the per-trial decision code is
-  the serial replay's, so decisions match seed for seed.
+* CRE always runs on the numpy batch kernel below.
+* Turau never batches: its runner runs each trial on per-trial
+  ``fast``.  Its numpy lockstep kernel measured slower than per-trial
+  ``fast`` at every size, with an order of magnitude more peak memory.
 * DRA and DHC2 batch only through the compiled fused walk kernel
   (:mod:`repro.engines._jit`, ``REPRO_JIT=1`` with numba) over an
   exact :class:`~repro.engines.batchwalk.DrawPool`.  Without it they
@@ -53,8 +52,8 @@ table come straight from the pooled generator (no per-graph CSR
 builds, no stacking copy, no twin argsort), chunking slices the
 shared pair arrays without copying, and per-trial ``Graph`` objects
 are materialised lazily — only for the result tails that genuinely
-need one (cycle verification, DHC2 Phase 2, Turau eccentricity) and
-for the per-trial route.
+need one (cycle verification, DHC2 Phase 2) and for the per-trial
+route.
 """
 
 from __future__ import annotations
@@ -113,16 +112,17 @@ _WALK_KERNEL_ALGORITHMS = frozenset({"dra", "dhc2"})
 def batch_kernel_active(algorithm: str) -> bool:
     """Whether ``fast-batch`` runs ``algorithm`` through a batch kernel.
 
-    CRE and Turau always do (numpy).  DRA and DHC2 do only when the
-    fused walk kernel is dispatchable (``_jit.walk_kernel``) and the
+    CRE always does (numpy) and Turau never does.  DRA and DHC2 do
+    only when the fused walk kernel is dispatchable
+    (``_jit.walk_kernel``) and the
     :class:`~repro.engines.batchwalk.DrawPool` is exact, since the
-    kernel replays the pool's PCG64 state arrays; otherwise their
-    runners loop per-trial ``fast``.  The sweep's auto-batching asks
-    the same question.
+    kernel replays the pool's PCG64 state arrays.  Every other runner
+    loops per-trial ``fast``.  The sweep's auto-batching asks the same
+    question.
     """
-    if algorithm not in _WALK_KERNEL_ALGORITHMS:
-        return True
-    return _jit.walk_kernel is not None and _exact()
+    if algorithm in _WALK_KERNEL_ALGORITHMS:
+        return _jit.walk_kernel is not None and _exact()
+    return algorithm == "cre"
 
 
 def _per_trial(run, graphs, seeds, **kwargs) -> list[RunResult]:
@@ -647,193 +647,15 @@ def _dhc2_fast_batch_one(graph, *, seed: int = 0, delta: float = 0.5,
 
 def _turau_fast_batch(graphs, *, seeds,
                       phase_budget: int | None = None) -> list[RunResult]:
-    """Turau path merging over a batch; decisions identical to serial."""
-    from repro.core.turau import FAIL_TOO_SMALL
+    """Turau path merging over a batch: per-trial ``fast`` on every trial."""
+    from repro.engines.fast_turau import _turau_fast
 
     graphs = _as_trials(graphs)
     seeds = list(seeds)
     if not len(graphs):
         return []
-    n = _check_batch(graphs, seeds)
-    if n < 3:
-        return [RunResult("turau", False, None, 0, engine="fast-batch",
-                          detail={"fail": FAIL_TOO_SMALL, "phases": 0,
-                                  "initial_paths": n})
-                for _ in range(len(graphs))]
-    results: list[RunResult | None] = [None] * len(graphs)
-    for lo, hi in _chunk_spans(graphs):
-        _turau_chunk(graphs[lo:hi], seeds[lo:hi], results, lo, phase_budget)
-    return results  # type: ignore[return-value]  # every slot filled
-
-
-def _turau_chunk(graphs, seeds, results, offset, phase_budget) -> None:
-    from repro.core.turau import (
-        FAIL_NO_CLOSURE_EDGE,
-        FAIL_PHASE_BUDGET,
-        cycle_from_links,
-        phase_starts,
-        phase_windows,
-        role_bit,
-        turau_phase_budget,
-    )
-    from repro.engines.fast_turau import _LinkState
-    from repro.graphs.adjacency import csr_sources
-    from repro.graphs.properties import eccentricity
-
-    n = _batch_n(graphs)
-    batch = len(graphs)
-    total = batch * n
-    budget = max(1, phase_budget if phase_budget is not None
-                 else turau_phase_budget(n))
-    windows = phase_windows(n, budget)
-    starts = phase_starts(n, budget)
-    pool = DrawPool(seeds, n)
-    indptr, indices, _ = _stacked_csr(graphs)
-
-    links = [_LinkState(n) for _ in range(batch)]
-    steps = np.zeros(batch, dtype=np.int64)
-
-    # Proposal round, pooled: each node with higher-id neighbours draws
-    # once from its own stream (per-trial draw order is irrelevant —
-    # streams are per-node), and the min-id acceptance is one global
-    # (target, proposer) sort (block-disjoint ids keep trials apart).
-    src = csr_sources(indptr)
-    higher = indices > src
-    counts = np.bincount(src[higher], minlength=total).astype(np.int64)
-    need = np.flatnonzero(counts > 0)
-    draws = pool.draw(need, counts[need])
-    # Higher-id neighbours are each row's suffix (rows sort ascending).
-    propose_g = indices[indptr[need + 1] - counts[need] + draws].astype(
-        np.int64)
-    order = np.lexsort((need, propose_g))
-    targets = propose_g[order]
-    winners = need[order]
-    first = np.ones(targets.size, dtype=bool)
-    first[1:] = targets[1:] != targets[:-1]
-    for v, w in zip(winners[first].tolist(), targets[first].tolist()):
-        b = v // n
-        links[b].commit(v - b * n, w - b * n)
-        steps[b] += 1
-
-    initial_paths = np.zeros(batch, dtype=np.int64)
-    for b in range(batch):
-        deg0 = links[b].degrees()
-        initial_paths[b] = (int((deg0 == 0).sum())
-                            + int((deg0 == 1).sum()) // 2)
-
-    # Merge phases in lockstep (same budget for same n): per-trial
-    # decision code is the serial replay's, with each phase's
-    # requester draws pooled into one DrawPool call (requesters are
-    # distinct nodes, within a trial and across the batch).
-    phases_used = np.full(batch, budget, dtype=np.int64)
-    fail: list[str | None] = [FAIL_PHASE_BUDGET] * batch
-    closure_at = np.full(batch, -1, dtype=np.int64)
-    flood_source = np.full(batch, -1, dtype=np.int64)
-    active = np.ones(batch, dtype=bool)
-    for ell in range(1, budget + 1):
-        act = np.flatnonzero(active)
-        if act.size == 0:
-            break
-        window = int(windows[ell - 1])
-        req_nodes: list[int] = []
-        req_bounds: list[int] = []
-        req_cands: list[list[int]] = []
-        pending: list[tuple[int, int, list[int]]] = []
-        for b in act.tolist():
-            off = b * n
-            far, plen, deg = links[b].walk_paths()
-            endpoints = np.flatnonzero(deg == 1)
-            fresh = endpoints[plen[endpoints] <= window + 2]
-            spanning = fresh[plen[fresh] == n]
-            if spanning.size:
-                e = int(spanning.min())
-                f = int(far[e])
-                phases_used[b] = ell
-                row = indices[indptr[off + e]:indptr[off + e + 1]]
-                if (row == off + f).any():
-                    links[b].commit(e, f)
-                    steps[b] += 1
-                    fail[b] = None
-                else:
-                    fail[b] = FAIL_NO_CLOSURE_EDGE
-                closure_at[b] = int(starts[ell - 1])
-                flood_source[b] = f if fail[b] is None else e
-                active[b] = False
-                continue
-            participants = np.sort(
-                np.concatenate((np.flatnonzero(deg == 0), fresh)))
-            pid = {int(v): min(int(v), int(far[v])) for v in participants}
-            passive: set[int] = set()
-            requesters: list[int] = []
-            for v in participants:
-                v = int(v)
-                f = int(far[v])
-                r = role_bit(pid[v], ell, n)
-                if f == v:  # singleton: its one end alternates roles
-                    may_request = bool(r)
-                else:
-                    request_end = pid[v] if r else max(v, f)
-                    may_request = v == request_end
-                if may_request:
-                    requesters.append(v)
-                else:
-                    passive.add(v)
-            slot = len(req_nodes)
-            req_as: list[int] = []
-            for a in requesters:  # id order (participants are sorted)
-                row = indices[indptr[off + a]:indptr[off + a + 1]]
-                candidates = [int(w) - off for w in row
-                              if int(w) - off in passive
-                              and pid[int(w) - off] > pid[a]]
-                if candidates:  # sorted: CSR rows are
-                    req_nodes.append(off + a)
-                    req_bounds.append(len(candidates))
-                    req_cands.append(candidates)
-                    req_as.append(a)
-            pending.append((b, slot, req_as))
-        if req_nodes:
-            phase_draws = pool.draw(np.asarray(req_nodes, dtype=np.int64),
-                                    np.asarray(req_bounds, dtype=np.int64))
-        for b, slot, req_as in pending:
-            choice: dict[int, int] = {}
-            for i, a in enumerate(req_as):
-                choice[a] = req_cands[slot + i][int(phase_draws[slot + i])]
-            accepted: dict[int, int] = {}
-            for a, t in choice.items():
-                if t not in accepted or a < accepted[t]:
-                    accepted[t] = a
-            for t, a in sorted(accepted.items()):
-                links[b].commit(a, t)
-                steps[b] += 1
-
-    for b in range(batch):
-        ok = fail[b] is None
-        cycle = None
-        if ok:
-            cycle = cycle_from_links(
-                [links[b].links_of(v) for v in range(n)])
-            if cycle is None:
-                ok, fail[b] = False, FAIL_PHASE_BUDGET
-            else:
-                try:
-                    verify_cycle(graphs[b], cycle)
-                except CycleViolation:
-                    ok, cycle, fail[b] = False, None, FAIL_PHASE_BUDGET
-        if closure_at[b] >= 0:
-            rounds = int(closure_at[b]) + 1 + eccentricity(
-                graphs[b], int(flood_source[b]))
-        else:
-            rounds = int(starts[-1])
-        results[offset + b] = RunResult(
-            algorithm="turau",
-            success=ok,
-            cycle=cycle,
-            rounds=rounds,
-            steps=int(steps[b]),
-            engine="fast-batch",
-            detail={"fail": fail[b], "phases": int(phases_used[b]),
-                    "initial_paths": int(initial_paths[b])},
-        )
+    _check_batch(graphs, seeds)
+    return _per_trial(_turau_fast, graphs, seeds, phase_budget=phase_budget)
 
 
 def _turau_fast_batch_one(graph, *, seed: int = 0,

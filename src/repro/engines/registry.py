@@ -64,7 +64,7 @@ def _builtin_specs() -> list[EngineSpec]:
                    "repro.engines.fast_batch:_dra_fast_batch_one",
                    batch_runner="repro.engines.fast_batch:_dra_fast_batch",
                    supported_kwargs=("step_budget",),
-                   parity=("cycle", "steps", "rounds"), jit=True, threads=True,
+                   parity=("cycle", "steps", "rounds"), jit=True,
                    summary="Algorithm 1, hundreds of trials per pass on the "
                            "compiled batch kernel; per-trial fast without "
                            "it"),
@@ -104,7 +104,7 @@ def _builtin_specs() -> list[EngineSpec]:
                    "repro.engines.fast_batch:_dhc2_fast_batch_one",
                    batch_runner="repro.engines.fast_batch:_dhc2_fast_batch",
                    supported_kwargs=("delta", "k"),
-                   parity=("cycle", "steps"), jit=True, threads=True,
+                   parity=("cycle", "steps"), jit=True,
                    summary="Algorithm 3, Phase 1 batched per colour class on "
                            "the compiled batch kernel; per-trial fast "
                            "without it"),
@@ -138,8 +138,8 @@ def _builtin_specs() -> list[EngineSpec]:
                    batch_runner="repro.engines.fast_batch:_turau_fast_batch",
                    supported_kwargs=("phase_budget",),
                    parity=("cycle", "steps"),
-                   summary="Turau path merging, proposal and merge phases "
-                           "batched in lockstep"),
+                   summary="Turau path merging, per-trial fast on each "
+                           "trial of the batch"),
         EngineSpec("turau", "kmachine", "repro.engines.kmachine_engine:_turau_kmachine",
                    supported_kwargs=("phase_budget", *_KMACHINE_COMMON),
                    parity=("cycle", "steps"),
@@ -157,7 +157,7 @@ def _builtin_specs() -> list[EngineSpec]:
                    "repro.engines.fast_batch:_cre_fast_batch_one",
                    batch_runner="repro.engines.fast_batch:_cre_fast_batch",
                    supported_kwargs=("step_budget",),
-                   parity=("cycle", "steps"), jit=True, threads=True,
+                   parity=("cycle", "steps"), jit=True,
                    summary="Alon-Krivelevich CRE solver, batched trials on "
                            "shared position arrays"),
         # -- the paper's centralized algorithms --------------------------------

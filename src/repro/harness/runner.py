@@ -29,10 +29,8 @@ the process boundary: the *point and seed list only* — the CLI's batch
 function regenerates the graphs inside the worker (via the pooled
 :func:`repro.graphs.batch_gnp` for the G(n, p) model), so parallel
 runs never pickle materialised graphs, and a resumed sweep regroups
-remaining seeds freely without changing any record.  When the threaded
-fused kernel is active (``REPRO_JIT_THREADS``), the CLI prefers one
-threaded batch pass over process fan-out and demotes ``--jobs`` — see
-the parallelism-composition rule in ``docs/ARCHITECTURE.md``.
+remaining seeds freely without changing any record.  Batching and
+``jobs`` compose: the groups are split across the workers.
 """
 
 from __future__ import annotations

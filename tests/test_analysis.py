@@ -83,3 +83,14 @@ class TestPowerLawFit:
             fit_power_law([1.0], [2.0])
         with pytest.raises(ValueError):
             fit_power_law([1.0, -2.0], [2.0, 3.0])
+        with pytest.raises(ValueError, match="distinct"):
+            fit_power_law([128.0, 128.0], [40.0, 41.0])
+
+    def test_steep_fit_over_close_sizes_does_not_overflow(self):
+        # Adjacent sizes with very different means make |b| huge; the
+        # prefactor leaves float range but the exponent stays exact.
+        expected = math.log(1e5 / 5759.7) / math.log(513 / 512)
+        for ys, sign in (([5759.7, 1e5], 1.0), ([1e5, 5759.7], -1.0)):
+            a, b = fit_power_law([512, 513], ys)
+            assert b == pytest.approx(sign * expected, rel=1e-9)
+            assert 0.0 <= a <= math.inf

@@ -9,15 +9,14 @@ installing the ``*_impl`` functions **uncompiled** as the dispatch
 targets — the exact code numba would compile, minus the compilation —
 and holding every RunResult field against per-trial ``fast`` (and the
 tree kernel against :func:`~repro.engines.arraywalk.build_array_tree`
-per block).  Each impl is written once with a ``prange`` trial loop
-(``range`` uncompiled), so the serial and threaded builds share this
-source.  The CI jit lanes (``REPRO_JIT=1`` with numba installed; one
-with ``REPRO_JIT_THREADS=2``) re-run the whole suite with the kernels
-actually compiled, and :class:`TestCompiledBuilds` holds the serial
-and ``parallel=True`` builds to each other there.
+per block).  The CI jit lane (``REPRO_JIT=1`` with numba installed)
+re-runs the whole suite with the kernels actually compiled.  Turau
+has no batch kernel; its ``fast-batch`` rides the same equality
+checks as the per-trial route.
 
 :class:`TestKernelRoute` pins the route: without a dispatchable walk
-kernel, DRA and DHC2 ``fast-batch`` run each trial on ``fast``.
+kernel, DRA and DHC2 ``fast-batch`` run each trial on ``fast``, and
+Turau always does.
 
 :class:`TestNodeStreams` pins the scalar half of the same replication,
 :func:`~repro.engines.batchwalk.node_streams`, to the spawned
@@ -108,7 +107,7 @@ class TestFusedKernelEquality:
             m.setattr(_jit, "walk_kernel", _jit.walk_steps_impl)
             m.setattr(_jit, "tree_kernel", _jit.tree_build_impl)
             m.setattr(_jit, "reverse_blocks", _jit.reverse_blocks_impl)
-            assert batch_kernel_active(algorithm)
+            assert batch_kernel_active(algorithm) == (algorithm != "turau")
             fused = BATCH_RUNNERS[algorithm](graphs, seeds=seeds, **kwargs)
         assert len(fused) == len(plain) == len(graphs)
         outcomes = set()
@@ -174,34 +173,6 @@ class TestFusedTreeKernel:
                 np.where(parent >= 0, parent - b * n, -1), want.parent)
             assert tree.tree_depth[b] == want.tree_depth
         assert set(ok) == {True, False}
-
-
-@pytest.mark.skipif(not _jit.ENABLED,
-                    reason="needs numba and REPRO_JIT=1 (the CI jit lanes)")
-class TestCompiledBuilds:
-    def test_serial_and_parallel_builds_agree(self, monkeypatch):
-        serial, parallel = _jit._kernels(False), _jit._kernels(True)
-        for a, b in zip(serial, parallel):
-            # One source compiled twice, each build with its own
-            # on-disk cache index.
-            assert a is not b
-            assert a.py_func.__code__ is b.py_func.__code__
-            assert (a._cache._cache_file._index_name
-                    != b._cache._cache_file._index_name)
-        graphs, seeds = mixed_batch(96, 9)
-        for algorithm, runner in sorted(BATCH_RUNNERS.items()):
-            runs = []
-            for kernels in (serial, parallel):
-                with monkeypatch.context() as m:
-                    for name, kernel in zip(
-                            ("walk_kernel", "tree_kernel", "reverse_blocks"),
-                            kernels):
-                        m.setattr(_jit, name, kernel)
-                    runs.append(runner(graphs, seeds=seeds))
-            for i, (a, b) in enumerate(zip(*runs)):
-                for field in FIELDS:
-                    assert getattr(a, field) == getattr(b, field), (
-                        f"{algorithm}: trial {i} field {field}")
 
 
 class TestStackedEdgeTwins:
@@ -324,9 +295,12 @@ class TestKernelRoute:
         assert calls
 
     def test_numpy_batch_algorithms_always_active(self, monkeypatch):
-        monkeypatch.setattr(_jit, "walk_kernel", None)
-        assert batch_kernel_active("cre")
-        assert batch_kernel_active("turau")
+        # CRE batches on numpy with or without a walk kernel; Turau
+        # never batches.
+        for kernel in (None, _jit.walk_steps_impl):
+            monkeypatch.setattr(_jit, "walk_kernel", kernel)
+            assert batch_kernel_active("cre")
+            assert not batch_kernel_active("turau")
 
 
 class TestNodeStreams:

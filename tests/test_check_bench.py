@@ -109,39 +109,6 @@ class TestCompare:
         problems, _, _ = compare(slow, base, 0.5, 0.25)
         assert len(problems) == 1 and "rate regression" in problems[0]
 
-    def test_jit_threads_is_config_not_signal(self):
-        base = dict(BASE, jit_threads=0)
-        fresh = json.loads(json.dumps(BASE))
-        fresh["jit_threads"] = 0
-        problems, compared, _ = compare(fresh, base, 0.5, 0.25)
-        assert problems == [] and compared == 2  # jit_threads not a leaf
-
-    def test_mismatched_threads_skip_timings_not_counts(self):
-        base = {"jit_threads": 0,
-                "batch_trials_per_sec": 100.0,
-                "setup_fraction": 0.4,
-                "rounds": 5000}
-        fresh = {"jit_threads": 2,
-                 "batch_trials_per_sec": 10.0,   # would trip if compared
-                 "setup_fraction": 0.9,          # would trip if compared
-                 "rounds": 9000}                 # must still trip
-        problems, compared, skipped = compare(fresh, base, 0.5, 0.25)
-        assert len(problems) == 1 and "count drift" in problems[0]
-        assert compared == 1
-        assert skipped == 2  # the two timing leaves sat out
-
-    def test_thread_scaling_columns_compare_across_mismatch(self):
-        # thread_scaling columns are keyed by thread count, so they
-        # stay comparable even when the payloads' active jit_threads
-        # differ.
-        base = {"jit_threads": 0,
-                "thread_scaling": {"2": {"batch_trials_per_sec": 100.0}}}
-        fresh = {"jit_threads": 2,
-                 "thread_scaling": {"2": {"batch_trials_per_sec": 10.0}}}
-        problems, compared, _ = compare(fresh, base, 0.5, 0.25)
-        assert compared == 1
-        assert len(problems) == 1 and "rate regression" in problems[0]
-
     def test_median_damps_single_outlier_sample(self):
         base = {"shared": {"t_per_sec": [100.0, 101.0, 99.0]}}
         # One garbage repeat (CI hiccup) must not trip the check ...

@@ -261,22 +261,14 @@ class TestEnginesCommand:
             assert specs[(algorithm, "fast-batch")]["batched"] is True
             assert specs[(algorithm, "fast")]["batched"] is False
         # jit marks batch entries that dispatch through the compiled
-        # kernels; Turau's batch path is pure decision replay.
+        # kernels; Turau's batch runner loops per-trial fast.
         assert specs[("dra", "fast-batch")]["jit"] is True
         assert specs[("dhc2", "fast-batch")]["jit"] is True
         assert specs[("turau", "fast-batch")]["jit"] is False
         assert specs[("dra", "fast")]["jit"] is False
-        # threads marks jit batch entries with prange kernel variants
-        # (REPRO_JIT_THREADS); it implies jit, so Turau stays out.
-        assert specs[("dra", "fast-batch")]["threads"] is True
-        assert specs[("cre", "fast-batch")]["threads"] is True
-        assert specs[("dhc2", "fast-batch")]["threads"] is True
-        assert specs[("turau", "fast-batch")]["threads"] is False
-        assert specs[("dra", "fast")]["threads"] is False
         code, out, _ = run_cli(capsys, "engines")
         header = out.splitlines()[1]
         assert "batched" in header and "jit" in header
-        assert "threads" in header
 
     def test_engines_listing_shows_async_capability(self, capsys):
         code, out, _ = run_cli(capsys, "engines", "--json")
@@ -365,6 +357,14 @@ class TestSweepCommand:
         assert code == 2
         assert "two sizes" in err
 
+    def test_sweep_rejects_duplicate_sizes(self, capsys):
+        # Two equal sizes would leave the power-law fit no spread; the
+        # sweep refuses before running a trial.
+        code, out, err = run_cli(capsys, "sweep", "--sizes", "128,128",
+                                 "--trials", "1")
+        assert code == 2
+        assert "distinct" in err and out == ""
+
     def test_sweep_rejects_nonpositive_batch_size(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--sizes", "48,64", "--batch-size", "0")
@@ -425,7 +425,8 @@ class TestSweepCommand:
             self, capsys, monkeypatch):
         # engine=auto + many same-point trials -> fast-batch where its
         # batch kernel is active (threshold lowered so the test stays
-        # fast): cre/turau always, dra/dhc2 only with a walk kernel.
+        # fast): cre always, dra/dhc2 only with a walk kernel, turau
+        # never.
         from repro.engines import _jit
 
         monkeypatch.setattr("repro.cli.AUTO_BATCH_MIN_TRIALS", 4)
@@ -434,7 +435,8 @@ class TestSweepCommand:
         for kernel in (None, _jit.walk_steps_impl):
             monkeypatch.setattr(_jit, "walk_kernel", kernel)
             for algorithm in ("dra", "dhc2", "cre", "turau"):
-                batched = kernel is not None or algorithm in ("cre", "turau")
+                batched = algorithm == "cre" or (
+                    kernel is not None and algorithm in ("dra", "dhc2"))
                 code, out, _ = run_cli(capsys, *base, "--algorithm",
                                        algorithm, "--trials", "4")
                 assert code == 0
@@ -462,7 +464,8 @@ class TestSweepCommand:
         # Auto-batching must be invisible in the store: same seeds,
         # same records as an explicit per-trial fast sweep.  The
         # uncompiled kernels stand in for compiled ones so dra and dhc2
-        # take the batch path too.
+        # take the batch path too.  Auto keeps turau on fast, so its
+        # fast-batch route is named explicitly.
         from repro.engines import _jit
 
         base = ("sweep", "--algorithm", algorithm, "--sizes", "24,32",
@@ -474,7 +477,8 @@ class TestSweepCommand:
         monkeypatch.setattr("repro.cli.AUTO_BATCH_MIN_TRIALS", 5)
         monkeypatch.setattr(_jit, "walk_kernel", _jit.walk_steps_impl)
         monkeypatch.setattr(_jit, "tree_kernel", _jit.tree_build_impl)
-        code, out, _ = run_cli(capsys, *base, "--store",
+        forced = ("--engine", "fast-batch") if algorithm == "turau" else ()
+        code, out, _ = run_cli(capsys, *base, *forced, "--store",
                                str(tmp_path / "auto.jsonl"))
         assert code == 0
         assert json.loads(out)["engine"] == "fast-batch"
@@ -602,59 +606,13 @@ class TestSweepCommand:
         assert canonical_records(full) == canonical_records(partial)
 
 
-class TestSweepJobsThreadedKernelRule:
-    """--jobs vs the threaded batch kernel (documented composition rule)."""
-
-    def _force_threaded(self, monkeypatch, threads=2):
-        # A threaded backend implies compiled kernels; their uncompiled
-        # sources stand in, so dra's batch kernel counts as active.
-        from repro.engines import _jit
-
-        monkeypatch.setattr(_jit, "THREADED", True)
-        monkeypatch.setattr(_jit, "THREADS", threads)
-        monkeypatch.setattr(_jit, "walk_kernel", _jit.walk_steps_impl)
-        monkeypatch.setattr(_jit, "tree_kernel", _jit.tree_build_impl)
-
-    def test_explicit_jobs_and_batch_size_conflict(self, capsys, monkeypatch):
-        self._force_threaded(monkeypatch)
-        code, _, err = run_cli(
-            capsys, "sweep", "--algorithm", "dra", "--engine", "fast-batch",
-            "--sizes", "24,32", "--trials", "4", "--c", "8",
-            "--delta", "1.0", "--seed", "5", "--json",
-            "--jobs", "2", "--batch-size", "2")
-        assert code == 2
-        assert "REPRO_JIT_THREADS" in err and "--jobs" in err
-
-    def test_auto_batching_demotes_jobs(self, capsys, monkeypatch):
-        self._force_threaded(monkeypatch)
-        monkeypatch.setattr("repro.cli.AUTO_BATCH_MIN_TRIALS", 4)
-        code, out, err = run_cli(
-            capsys, "sweep", "--algorithm", "dra",
-            "--sizes", "24,32", "--trials", "4", "--c", "8",
-            "--delta", "1.0", "--seed", "5", "--json", "--jobs", "2")
-        assert code == 0
-        assert "demoting --jobs 2 to 1" in err
-        payload = json.loads(out)
-        assert payload["engine"] == "fast-batch"
-        assert payload["jobs"] == 1
-
-    def test_engine_without_thread_capability_is_untouched(
-            self, capsys, monkeypatch):
-        # turau's batch path never enters the compiled kernels, so the
-        # rule must not fire even with threads active globally.
-        self._force_threaded(monkeypatch)
-        code, out, _ = run_cli(
-            capsys, "sweep", "--algorithm", "turau", "--engine",
-            "fast-batch", "--sizes", "24,32", "--trials", "3",
-            "--c", "6", "--delta", "0.5", "--seed", "7", "--json",
-            "--jobs", "2", "--batch-size", "3")
-        assert code == 0
-        assert json.loads(out)["jobs"] == 2
+class TestSweepJobsWithBatching:
+    """--jobs composed with batched engine passes."""
 
     def test_serial_kernel_composes_jobs_with_batching(
             self, capsys, tmp_path):
-        # Without kernel threads (the default here) batches are split
-        # across workers and records stay identical to serial.
+        # Batches are split across workers and records stay identical
+        # to serial.
         base = ("sweep", "--algorithm", "dra", "--engine", "fast-batch",
                 "--sizes", "24,32", "--trials", "4", "--c", "8",
                 "--delta", "1.0", "--seed", "5", "--json")

@@ -2,8 +2,7 @@
 
 The module decides at import time; these tests reload it under forced
 environments so both decisions are covered wherever the suite runs —
-with or without numba installed.  ``REPRO_JIT_THREADS`` parsing and
-the threaded-dispatch gating ride the same harness.
+with or without numba installed.
 """
 
 import importlib
@@ -18,7 +17,7 @@ import repro.engines._jit as _jit
 _SENTINEL = object()
 
 
-def _probe(jit_env, numba_module, threads_env=None):
+def _probe(jit_env, numba_module):
     """Reload ``_jit`` under a forced env/numba combination.
 
     Returns a snapshot of the reloaded module's decision (reload hands
@@ -26,16 +25,11 @@ def _probe(jit_env, numba_module, threads_env=None):
     the restoring reload in the ``finally`` block re-executes it).
     """
     old_env = os.environ.get("REPRO_JIT")
-    old_threads = os.environ.get("REPRO_JIT_THREADS")
     old_numba = sys.modules.get("numba", _SENTINEL)
     if jit_env is None:
         os.environ.pop("REPRO_JIT", None)
     else:
         os.environ["REPRO_JIT"] = jit_env
-    if threads_env is None:
-        os.environ.pop("REPRO_JIT_THREADS", None)
-    else:
-        os.environ["REPRO_JIT_THREADS"] = threads_env
     if numba_module is not _SENTINEL:
         sys.modules["numba"] = numba_module
     try:
@@ -51,9 +45,6 @@ def _probe(jit_env, numba_module, threads_env=None):
             "requested": module.REQUESTED,
             "have_numba": module.HAVE_NUMBA,
             "enabled": module.ENABLED,
-            "threads": module.THREADS,
-            "threaded": module.THREADED,
-            "configure": module.configure_threads,
             "warnings": [str(w.message) for w in caught],
             "passthrough": compiled is kernel,
             "result": compiled(41),
@@ -63,10 +54,6 @@ def _probe(jit_env, numba_module, threads_env=None):
             os.environ.pop("REPRO_JIT", None)
         else:
             os.environ["REPRO_JIT"] = old_env
-        if old_threads is None:
-            os.environ.pop("REPRO_JIT_THREADS", None)
-        else:
-            os.environ["REPRO_JIT_THREADS"] = old_threads
         if old_numba is _SENTINEL:
             sys.modules.pop("numba", None)
         else:
@@ -100,77 +87,3 @@ def test_requested_with_numba_compiles():
     assert not probe["warnings"]
     assert not probe["passthrough"]
     assert probe["result"] == 42
-
-
-class TestThreadsParsing:
-    def test_unset_means_serial(self):
-        probe = _probe(None, None)
-        assert probe["threads"] == 0
-        assert not probe["threaded"]
-
-    def test_empty_means_serial(self):
-        probe = _probe(None, None, threads_env="")
-        assert probe["threads"] == 0
-        assert not probe["threaded"]
-
-    def test_garbage_warns_and_falls_back(self):
-        probe = _probe("1", None, threads_env="lots")
-        assert probe["threads"] == 0
-        assert not probe["threaded"]
-        assert any("REPRO_JIT_THREADS" in m for m in probe["warnings"])
-
-    def test_negative_clamps_to_serial(self):
-        probe = _probe("1", None, threads_env="-3")
-        assert probe["threads"] == 0
-        assert not probe["threaded"]
-
-    def test_threads_without_jit_enabled_warns(self):
-        # REPRO_JIT_THREADS=2 but the kernels never compiled (numba
-        # missing here): the request is inert and says so once.
-        probe = _probe("1", None, threads_env="2")
-        assert not probe["enabled"]
-        assert not probe["threaded"]
-        assert any("REPRO_JIT_THREADS" in m and "single-threaded" in m
-                   for m in probe["warnings"])
-
-    def test_threads_without_jit_request_still_parses_and_warns(self):
-        # Threads set but REPRO_JIT unset: count is parsed (so flipping
-        # REPRO_JIT=1 on later picks it up) but no kernels exist, and
-        # the inert request is called out just like the numba-less case.
-        probe = _probe(None, None, threads_env="4")
-        assert not probe["requested"]
-        assert probe["threads"] == 4
-        assert not probe["threaded"]
-        assert any("REPRO_JIT_THREADS" in m for m in probe["warnings"])
-
-
-class TestConfigureThreads:
-    def test_refuses_without_numba(self):
-        # configure_threads is the bench hook for thread-scaling lanes;
-        # on a numba-less host it reports failure instead of lying.
-        probe = _probe("1", None, threads_env="0")
-        assert probe["configure"](2) is False
-
-    @pytest.mark.skipif(_jit.ENABLED, reason="compiled backend active")
-    def test_refusal_leaves_module_state_alone(self):
-        before = (_jit.THREADS, _jit.THREADED, _jit.walk_kernel)
-        assert _jit.configure_threads(2) is False
-        assert (_jit.THREADS, _jit.THREADED, _jit.walk_kernel) == before
-
-    @pytest.mark.skipif(not _jit.HAVE_NUMBA, reason="numba not installed")
-    def test_roundtrip_with_numba(self):
-        # Flip to 1 thread (always within the launched pool) and back.
-        import numba
-
-        start = (_jit.THREADS, _jit.THREADED)
-        try:
-            assert _jit.configure_threads(1) is True
-            assert _jit.THREADED and _jit.THREADS == 1
-            assert _jit.walk_kernel is not None
-            too_many = int(numba.config.NUMBA_NUM_THREADS) + 1
-            assert _jit.configure_threads(too_many) is False
-            assert _jit.THREADS == 1  # refusal leaves state alone
-            assert _jit.configure_threads(0) is True
-            assert not _jit.THREADED and _jit.THREADS == 0
-        finally:
-            _jit.configure_threads(start[0] if start[1] else 0)
