@@ -144,12 +144,12 @@ def _numpy_kernels():
 
     DRA's ``fast-batch`` then runs each trial on per-trial ``fast``.
     """
-    saved = (_jit.walk_kernel, _jit.tree_kernel, _jit.reverse_blocks)
-    _jit.walk_kernel = _jit.tree_kernel = _jit.reverse_blocks = None
+    saved = (_jit.walk_kernel, _jit.tree_kernel)
+    _jit.walk_kernel = _jit.tree_kernel = None
     try:
         yield
     finally:
-        _jit.walk_kernel, _jit.tree_kernel, _jit.reverse_blocks = saved
+        _jit.walk_kernel, _jit.tree_kernel = saved
 
 
 def _batch_throughput(n: int, batch: int, *, jit: bool = False) -> float:

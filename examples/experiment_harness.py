@@ -29,11 +29,11 @@ from pathlib import Path
 import repro
 from repro.graphs import gnp_random_graph, paper_probability
 from repro.harness import (
+    JsonlStore,
     ParallelTrialRunner,
     ParameterGrid,
     ShardedStore,
     TrialRunner,
-    TrialStore,
     canonical_order,
     group_by,
     merge_stores,
@@ -58,7 +58,7 @@ def main() -> None:
     grid = ParameterGrid(n=[128], c=[1.5, 2.0, 3.0, 4.0, 6.0])
     workdir = Path(tempfile.mkdtemp())
     store_path = workdir / "e6_mini.jsonl"
-    runner = TrialRunner(trial, master_seed=42, store=TrialStore(store_path))
+    runner = TrialRunner(trial, master_seed=42, store=JsonlStore(store_path))
 
     print(f"running {len(grid)} grid points x 10 trials "
           f"(store: {store_path}) ...")

@@ -8,17 +8,16 @@ the uncompiled paths with a one-time warning.
 When ``REPRO_JIT=1`` *and* numba is importable, the **fused** batch
 kernels below are compiled and :mod:`repro.engines.batchwalk`
 dispatches to them through the module attributes ``walk_kernel`` /
-``tree_kernel`` / ``reverse_blocks`` (``None`` when disabled; looked
-up dynamically, so benchmarks can toggle the compiled path inside one
-process).  :func:`walk_steps_impl` runs each trial's *entire* rotation
+``tree_kernel`` (``None`` when disabled; looked up dynamically, so
+benchmarks can toggle the compiled path inside one process).  :func:`walk_steps_impl` runs each trial's *entire* rotation
 walk to completion — per-step PCG64 advance, Lemire bounded draw,
 live-bit popcount/select, twin-table edge kill, and the
 extension/closure/rotation path update — in one compiled loop.
 
 A compiled ``walk_kernel`` is what makes DRA and DHC2 batch at all:
 without one, their ``fast-batch`` runners run each trial on per-trial
-``fast`` (see :func:`repro.engines.fast_batch.batch_kernel_active`),
-and CRE keeps its numpy reversal in place of ``reverse_blocks``.
+``fast`` (see :func:`repro.engines.fast_batch.batch_kernel_active`).
+CRE's batch runs on numpy alone; this module has no kernel for it.
 
 Trials are fully independent (disjoint node id blocks, per-node RNG
 streams, disjoint CSR blocks), so running them to completion one
@@ -46,8 +45,7 @@ import numpy as np
 
 __all__ = [
     "HAVE_NUMBA", "REQUESTED", "ENABLED", "compile_kernel",
-    "walk_steps_impl", "tree_build_impl", "reverse_blocks_impl",
-    "walk_kernel", "tree_kernel", "reverse_blocks",
+    "walk_steps_impl", "tree_build_impl", "walk_kernel", "tree_kernel",
 ]
 
 
@@ -87,6 +85,7 @@ def compile_kernel(fn):
 
 
 # -- uint64 constants (kept typed: see the module docstring) ---------------
+# The one copy: batchwalk's vector PCG64 replication imports them too.
 
 _U0 = np.uint64(0)
 _U1 = np.uint64(1)
@@ -97,8 +96,7 @@ _U64 = np.uint64(64)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _RANGE32 = np.uint64(1 << 32)
 # PCG64's 128-bit LCG multiplier in 64-bit limbs (low limb split again
-# into 32-bit halves for the mulhi decomposition) — the same constants
-# batchwalk's vector replication uses.
+# into 32-bit halves for the mulhi decomposition).
 _PCG_MH = np.uint64(0x2360ED051FC65DA4)
 _PCG_ML = np.uint64(0x4385DF649FCCF645)
 _PCG_ML_LO = np.uint64(0x9FCCF645)
@@ -312,31 +310,10 @@ def tree_build_impl(ip, idx, roots, expect, live, stride,
                     break
 
 
-def reverse_blocks_impl(path_flat, pos, rows, los, highs, size):
-    """In-place suffix reversals for walks that keep eager positions.
-
-    ``rows`` lists distinct trials, each owning a disjoint
-    ``size``-slot block of ``path_flat`` and node-id block of ``pos``.
-    """
-    for t in range(rows.size):
-        base = rows[t] * size
-        i = base + los[t]
-        j = base + highs[t] - 1
-        while i < j:
-            tmp = path_flat[i]
-            path_flat[i] = path_flat[j]
-            path_flat[j] = tmp
-            i += 1
-            j -= 1
-        for c in range(los[t], highs[t]):
-            pos[path_flat[base + c]] = c
-
-
 # -- dispatch --------------------------------------------------------------
 
 if ENABLED:  # pragma: no cover - exercised in the CI jit variant
-    walk_kernel, tree_kernel, reverse_blocks = (
-        compile_kernel(fn)
-        for fn in (walk_steps_impl, tree_build_impl, reverse_blocks_impl))
+    walk_kernel, tree_kernel = (
+        compile_kernel(fn) for fn in (walk_steps_impl, tree_build_impl))
 else:
-    walk_kernel = tree_kernel = reverse_blocks = None
+    walk_kernel = tree_kernel = None

@@ -17,7 +17,10 @@ dominant sweep cost.  Here the same walk runs on:
   loop;
 * **vectorised tree construction** (:class:`ArrayTree`): frontier BFS,
   the min-id parent rule, the BFS completion-round recursion, and tree
-  eccentricities all run as whole-level numpy operations.
+  eccentricities all run as whole-level numpy operations.  The last
+  two are the module functions :func:`tree_completion_times` and
+  :func:`tree_eccentricities`, which the batch engine's
+  :class:`~repro.engines.batchwalk.BatchTree` calls too.
 
 RNG-parity contract
 -------------------
@@ -66,9 +69,10 @@ __all__ = [
     "ArrayWalk",
     "build_array_tree",
     "filtered_csr",
-    "gather_neighbors",
     "live_rows",
     "observe_walks",
+    "tree_completion_times",
+    "tree_eccentricities",
 ]
 
 
@@ -94,10 +98,6 @@ def observe_walks(callback: Callable[["ArrayWalk"], None]):
         yield
     finally:
         _walk_observers.remove(callback)
-
-
-#: Multi-row CSR gather; lives beside the CSR structure itself.
-gather_neighbors = csr_gather
 
 
 def live_rows(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
@@ -126,6 +126,90 @@ def filtered_csr(indptr: np.ndarray, indices: np.ndarray,
     new_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src[keep], minlength=n), out=new_indptr[1:])
     return new_indptr, new_indices
+
+
+def tree_completion_times(indptr: np.ndarray, indices: np.ndarray,
+                          members: np.ndarray, depth: np.ndarray,
+                          parent: np.ndarray, tree_depth: int,
+                          start_round: int) -> np.ndarray:
+    """Per-member round at which the done-report leaves each node.
+
+    The same recursion as
+    :func:`repro.engines.fast.bfs_completion_round` — ``done(v) =
+    max(join(v) + 1, peer responses, children done + 1)`` — evaluated
+    level by level from the deepest up.  The peer-response term is a
+    masked per-row ``maximum.reduceat`` over the members' CSR rows, the
+    per-level child term a ``maximum.at`` scatter (each measured the
+    faster of the two formulations).  Entries outside ``members``
+    stay 0.  :class:`ArrayTree` calls it on its CSR and the
+    batch tree once per trial, on that trial's block.
+    """
+    n = len(indptr) - 1
+    lowest = np.iinfo(np.int64).min
+    counts = indptr[members + 1] - indptr[members]
+    srcs = np.repeat(members, counts)
+    dsts = csr_gather(indptr, indices, members)
+    # resp(v) = max over non-parent member neighbours w of
+    # (start + depth(w) + 1); 0 when v has no such neighbour.
+    masked = np.where(dsts != parent[srcs], depth[dsts], lowest)
+    respd = np.full(n, lowest, dtype=np.int64)
+    nonempty = counts > 0
+    if masked.size:
+        respd[members[nonempty]] = np.maximum.reduceat(
+            masked, (np.cumsum(counts) - counts)[nonempty])
+    resp = np.where(respd >= 0, start_round + respd + 1, 0)
+
+    done = np.zeros(n, dtype=np.int64)
+    kid = np.zeros(n, dtype=np.int64)
+    by_depth = members[np.argsort(depth[members], kind="stable")]
+    level_sizes = np.bincount(depth[members], minlength=tree_depth + 1)
+    stops = np.cumsum(level_sizes)
+    for d in range(tree_depth, -1, -1):
+        level = by_depth[stops[d] - level_sizes[d]:stops[d]]
+        done[level] = np.maximum(
+            np.maximum(start_round + d + 1, resp[level]), kid[level])
+        if d > 0:
+            np.maximum.at(kid, parent[level], done[level] + 1)
+    return done
+
+
+def tree_eccentricities(depth: np.ndarray, parent: np.ndarray,
+                        starts: np.ndarray, block: int) -> np.ndarray:
+    """Largest tree distance from each start (the cost of its flood).
+
+    One multi-source BFS over the tree edges of every node with
+    ``depth > 0``.  Node ``v`` lies in block ``v // block``; each block
+    holds one tree and at most one start, so each BFS wave stays in
+    its own tree and the last level that touches a block is that
+    start's eccentricity.
+    """
+    far = np.zeros(starts.size, dtype=np.int64)
+    kids = np.flatnonzero(depth > 0)
+    if kids.size == 0 or starts.size == 0:
+        return far
+    src = np.concatenate((kids, parent[kids]))
+    dst = np.concatenate((parent[kids], kids))
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    total = depth.size
+    tree_indptr = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=total), out=tree_indptr[1:])
+    slot_of_block = np.full(total // block, -1, dtype=np.int64)
+    slot_of_block[starts // block] = np.arange(starts.size)
+    seen = np.zeros(total, dtype=bool)
+    seen[starts] = True
+    frontier = np.asarray(starts, dtype=np.int64)
+    level = 0
+    while frontier.size:
+        nbrs = csr_gather(tree_indptr, dst, frontier)
+        fresh = sorted_unique(nbrs[~seen[nbrs]])
+        if fresh.size == 0:
+            break
+        level += 1
+        seen[fresh] = True
+        far[slot_of_block[fresh // block]] = level
+        frontier = fresh
+    return far
 
 
 class ArrayTree:
@@ -157,66 +241,21 @@ class ArrayTree:
         return int(self.completion_times(start_round)[self.root])
 
     def completion_times(self, start_round: int) -> np.ndarray:
-        """Per-member round at which the done-report leaves each node.
+        """Per-member done-report rounds (see :func:`tree_completion_times`).
 
-        The same recursion as
-        :func:`repro.engines.fast.bfs_completion_round` — ``done(v) =
-        max(join(v) + 1, peer responses, children done + 1)`` —
-        evaluated level by level from the deepest up, with the peer
-        response term computed as one masked scatter-max over the
-        member edges.  The full vector (meaningful at member indices)
-        is what the native k-machine engine's traffic model needs; the
-        root's entry is the commit round the fast engines use.
+        The full vector is what the native k-machine engine's traffic
+        model needs; the root's entry is the commit round the fast
+        engines use.
         """
-        members, depth, parent = self.members, self.depth, self.parent
-        n = len(self._indptr) - 1
-        counts = self._indptr[members + 1] - self._indptr[members]
-        srcs = np.repeat(members, counts)
-        dsts = gather_neighbors(self._indptr, self._indices, members)
-        # resp(v) = max over non-parent member neighbours w of
-        # (start + depth(w) + 1); 0 when v has no such neighbour.
-        peer = dsts != parent[srcs]
-        respd = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
-        np.maximum.at(respd, srcs[peer], depth[dsts[peer]])
-        resp = np.where(respd >= 0, start_round + respd + 1, 0)
-
-        done = np.zeros(n, dtype=np.int64)
-        kid = np.zeros(n, dtype=np.int64)
-        by_depth = members[np.argsort(depth[members], kind="stable")]
-        level_sizes = np.bincount(depth[members], minlength=self.tree_depth + 1)
-        stops = np.cumsum(level_sizes)
-        for d in range(self.tree_depth, -1, -1):
-            level = by_depth[stops[d] - level_sizes[d]:stops[d]]
-            done[level] = np.maximum(
-                np.maximum(start_round + d + 1, resp[level]), kid[level])
-            if d > 0:
-                np.maximum.at(kid, parent[level], done[level] + 1)
-        return done
+        return tree_completion_times(
+            self._indptr, self._indices, self.members, self.depth,
+            self.parent, self.tree_depth, start_round)
 
     def eccentricity(self, v: int) -> int:
         """Largest tree distance from ``v`` (cost of a flood it starts)."""
-        kids = self.members[self.members != self.root]
-        if kids.size == 0:
-            return 0
-        src = np.concatenate((kids, self.parent[kids]))
-        dst = np.concatenate((self.parent[kids], kids))
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
-        n = len(self._indptr) - 1
-        tree_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=tree_indptr[1:])
-        seen = np.zeros(n, dtype=bool)
-        seen[v] = True
-        frontier = np.array([v], dtype=np.int64)
-        far = 0
-        while True:
-            nbrs = gather_neighbors(tree_indptr, dst, frontier)
-            nbrs = sorted_unique(nbrs[~seen[nbrs]])
-            if nbrs.size == 0:
-                return far
-            seen[nbrs] = True
-            frontier = nbrs
-            far += 1
+        return int(tree_eccentricities(
+            self.depth, self.parent, np.array([v], dtype=np.int64),
+            self.depth.size)[0])
 
 
 def build_array_tree(indptr: np.ndarray, indices: np.ndarray,
@@ -237,7 +276,7 @@ def build_array_tree(indptr: np.ndarray, indices: np.ndarray,
     reached = 1
     d = 0
     while frontier.size:
-        nbrs = gather_neighbors(indptr, indices, frontier)
+        nbrs = csr_gather(indptr, indices, frontier)
         fresh = sorted_unique(nbrs[depth[nbrs] < 0])
         if fresh.size == 0:
             break
@@ -250,7 +289,7 @@ def build_array_tree(indptr: np.ndarray, indices: np.ndarray,
 
     counts = indptr[members + 1] - indptr[members]
     srcs = np.repeat(members, counts)
-    dsts = gather_neighbors(indptr, indices, members)
+    dsts = csr_gather(indptr, indices, members)
     up = depth[dsts] == depth[srcs] - 1
     parent = np.full(n, n, dtype=np.int64)  # sentinel above any id
     np.minimum.at(parent, srcs[up], dsts[up])
@@ -284,19 +323,18 @@ class ArrayWalk:
     """
 
     __slots__ = ("size", "rngs", "initial_head", "step_budget", "tree_depth",
-                 "round", "latency", "success", "fail_code", "steps",
+                 "round", "success", "fail_code", "steps",
                  "rotations", "extensions", "retries", "end_round",
                  "flood_initiator", "trace", "_rows", "_path", "_pos", "_plen")
 
     def __init__(self, *, rows, rngs, size, initial_head, step_budget,
-                 tree_depth, start_round, latency=1, trace=None):
+                 tree_depth, start_round, trace=None):
         self.size = size
         self.rngs = rngs
         self.initial_head = initial_head
         self.step_budget = step_budget
         self.tree_depth = tree_depth
         self.round = start_round
-        self.latency = max(1, latency)
 
         self.success = False
         self.fail_code = 0
@@ -335,7 +373,7 @@ class ArrayWalk:
         # and the per-step constants.
         ramp = np.arange(self.size, dtype=np.int64)
         size, budget = self.size, self.step_budget
-        rotation_cost = 2 * self.tree_depth * self.latency + 3
+        rotation_cost = 2 * self.tree_depth + 3
         trace = self.trace
 
         head = self.initial_head

@@ -17,6 +17,11 @@ Who batches on it
   two algorithms run each trial on per-trial ``fast`` instead — a
   numpy batch-major walk costs more per lane-step than
   :class:`~repro.engines.arraywalk.ArrayWalk` and never pays back.
+  Only the walk and the tree build are batch-specific:
+  :class:`BatchTree` times its trees with the per-trial engine's
+  :func:`~repro.engines.arraywalk.tree_completion_times` and
+  :func:`~repro.engines.arraywalk.tree_eccentricities`, and winners
+  are checked by :func:`~repro.verify.hamiltonicity.verify_cycle`.
 
 Layout
 ------
@@ -70,7 +75,9 @@ bit-identical to the Generator's.  It shares the pools' self-check
 verdict, and falls back to real Generators with them.
 
 Dispatch looks the compiled kernels up on :mod:`repro.engines._jit`
-at call time, so a host can toggle them within one process.
+at call time, so a host can toggle them within one process.  The
+PCG64 and uint64 constants come from there too, one copy for the
+vector replication here and the compiled walk.
 """
 
 from __future__ import annotations
@@ -80,7 +87,21 @@ import operator
 import numpy as np
 
 from repro.engines import _jit
-from repro.graphs.adjacency import csr_gather, sorted_unique
+from repro.engines._jit import (
+    _MASK32,
+    _PCG_MH,
+    _PCG_ML,
+    _PCG_ML_HI,
+    _PCG_ML_LO,
+    _RANGE32,
+    _U0,
+    _U1,
+    _U32,
+    _U58,
+    _U63,
+    _U64,
+)
+from repro.engines.arraywalk import tree_completion_times, tree_eccentricities
 
 __all__ = [
     "BatchTree",
@@ -125,10 +146,6 @@ def stack_graph_csrs(graphs) -> tuple[np.ndarray, np.ndarray]:
 # -- exact batched replication of Generator.integers -----------------------
 
 
-_MASK32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-_RANGE32 = np.uint64(1 << 32)
-
 # SeedSequence entropy-pool hash constants (numpy bit_generator).
 _SS_INIT_A = 0x43B0D7E5
 _SS_MULT_A = 0x931E8875
@@ -138,13 +155,6 @@ _SS_MIX_L = 0xCA01F9DD
 _SS_MIX_R = 0x4973F715
 _SS_XSHIFT = np.uint32(16)
 _M32 = 0xFFFFFFFF
-
-# PCG64's 128-bit LCG multiplier, split into 64-bit limbs (and the low
-# limb again into 32-bit halves for the mulhi decomposition).
-_PCG_MH = np.uint64(0x2360ED051FC65DA4)
-_PCG_ML = np.uint64(0x4385DF649FCCF645)
-_PCG_ML_LO = np.uint64(0x9FCCF645)
-_PCG_ML_HI = np.uint64(0x4385DF64)
 
 #: Lazily-established verdict of the replication self-checks.
 _EXACT: bool | None = None
@@ -224,19 +234,19 @@ def _spawned_pcg_states(seeds, n: int) -> np.ndarray:
             halves.append(d.astype(np.uint64))
         rows = out[s_at * n:(s_at + 1) * n]
         for k in range(4):
-            rows[:, k] = halves[2 * k] | (halves[2 * k + 1] << _SHIFT32)
+            rows[:, k] = halves[2 * k] | (halves[2 * k + 1] << _U32)
     return out
 
 
 def _pcg_mult_add(lo, hi, inc_lo, inc_hi):
     """One 128-bit LCG step ``state * MULT + inc`` in 64-bit limbs."""
     al = lo & _MASK32
-    ah = lo >> _SHIFT32
+    ah = lo >> _U32
     mid1 = ah * _PCG_ML_LO
     mid2 = al * _PCG_ML_HI
-    spill = ((al * _PCG_ML_LO >> _SHIFT32) + (mid1 & _MASK32)
-             + (mid2 & _MASK32)) >> _SHIFT32
-    mulhi = ah * _PCG_ML_HI + (mid1 >> _SHIFT32) + (mid2 >> _SHIFT32) + spill
+    spill = ((al * _PCG_ML_LO >> _U32) + (mid1 & _MASK32)
+             + (mid2 & _MASK32)) >> _U32
+    mulhi = ah * _PCG_ML_HI + (mid1 >> _U32) + (mid2 >> _U32) + spill
     nlo = lo * _PCG_ML
     nhi = mulhi + lo * _PCG_MH + hi * _PCG_ML
     out_lo = nlo + inc_lo
@@ -247,16 +257,16 @@ def _pcg_mult_add(lo, hi, inc_lo, inc_hi):
 def _pcg_out(hi, lo):
     """The XSL-RR output of a (stepped) 128-bit state."""
     x = hi ^ lo
-    rot = hi >> np.uint64(58)
-    return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    rot = hi >> _U58
+    return (x >> rot) | (x << ((_U64 - rot) & _U63))
 
 
 def _pcg_srandom(states: np.ndarray):
     """PCG64's seeding, vectorised: seed material -> (sh, sl, ih, il)."""
     ish, isl = states[:, 0], states[:, 1]
     qh, ql = states[:, 2], states[:, 3]
-    ih = (qh << np.uint64(1)) | (ql >> np.uint64(63))
-    il = (ql << np.uint64(1)) | np.uint64(1)
+    ih = (qh << _U1) | (ql >> _U63)
+    il = (ql << _U1) | _U1
     # state = 0 stepped once is just the increment; add the init state,
     # step again.
     sl = il + isl
@@ -460,7 +470,7 @@ class DrawPool:
             self._word[fresh] = _pcg_out(hi, lo)
         w = self._word[nv]
         self._pend[nv] = ~pend
-        return np.where(pend, w >> _SHIFT32, w & _MASK32)
+        return np.where(pend, w >> _U32, w & _MASK32)
 
     def draw(self, nodes: np.ndarray, bounds: np.ndarray) -> np.ndarray:
         """One bounded draw per lane; ``nodes`` must be pairwise distinct."""
@@ -489,13 +499,13 @@ class DrawPool:
         c = bounds.astype(np.uint64)
         m = half * c
         leftover = m & _MASK32
-        vals = (m >> _SHIFT32).astype(np.int64)
+        vals = (m >> _U32).astype(np.int64)
         if (leftover < c).any():  # threshold < bound: almost never taken
             threshold = (_RANGE32 - c) % c
             retry = np.flatnonzero(leftover < threshold)
             while retry.size:
                 m = self._next_halves(nv[retry]) * c[retry]
-                vals[retry] = (m >> _SHIFT32).astype(np.int64)
+                vals[retry] = (m >> _U32).astype(np.int64)
                 retry = retry[(m & _MASK32) < threshold[retry]]
         if need is None:
             return vals
@@ -554,10 +564,6 @@ def reverse_path_blocks(path_flat: np.ndarray, pos: np.ndarray,
     up each moved node's new *local* path position.  This is the
     rotation step of the numpy CRE batch.
     """
-    kern = _jit.reverse_blocks
-    if kern is not None:  # pragma: no cover - jit variant
-        kern(path_flat, pos, rows, los, highs, size)
-        return
     seg = highs - los
     total = int(seg.sum())
     if total == 0:
@@ -605,103 +611,35 @@ class BatchTree:
     def completion_times(self, start_round: int) -> np.ndarray:
         """Per-node done-report rounds for every connected trial.
 
-        The same recursion as
-        :meth:`~repro.engines.arraywalk.ArrayTree.completion_times` —
-        ``done(v) = max(join(v) + 1, peer responses, children done +
-        1)`` — run trial by trial over graph-local slices of the
-        stacked CSR.  Trials are independent components, so per-trial
-        evaluation is exactly the joint recursion; the local n-node
-        working set stays cache-resident where a union-wide pass
-        would stream every temp through memory.  The peer-response
-        term is a masked per-row ``maximum.reduceat``, the per-level
-        child scatter-max a sort + ``reduceat`` (ufunc.at is orders
-        of magnitude slower).
+        :func:`~repro.engines.arraywalk.tree_completion_times` run trial
+        by trial over graph-local slices of the stacked CSR.  Trials
+        are independent components, so per-trial evaluation is exactly
+        the joint recursion, and the local working set stays
+        cache-resident.
         """
         n = self.n
         indptr, indices = self._indptr, self._indices
         done = np.zeros(self.batch * n, dtype=np.int64)
-        lowest = np.iinfo(np.int64).min
         for b in np.flatnonzero(self.ok).tolist():
             base = b * n
             lo = int(indptr[base])
             ip = (indptr[base:base + n + 1] - lo).astype(np.int64)
-            dsts = indices[lo:int(indptr[base + n])].astype(np.int64)
-            dsts -= base
+            dsts = indices[lo:int(indptr[base + n])].astype(np.int64) - base
             dep = self.depth[base:base + n]
-            par = self.parent[base:base + n] - base  # root stays < 0
-            counts = np.diff(ip)
-            srcs = np.repeat(np.arange(n, dtype=np.int64), counts)
-            masked = np.where(dsts != par[srcs], dep[dsts], lowest)
-            nonempty = counts > 0  # connected n >= 2 has none empty
-            respd = np.full(n, lowest, dtype=np.int64)
-            if masked.size:
-                respd[nonempty] = np.maximum.reduceat(
-                    masked, (np.cumsum(counts) - counts)[nonempty])
-            resp = np.where(respd >= 0, start_round + respd + 1, 0)
-
-            done_b = done[base:base + n]
-            kid = np.zeros(n, dtype=np.int64)
-            top = int(dep.max())
-            # Nodes outside the tree (depth -1: non-participants of a
-            # partition walk) sort into a trailing pseudo-level the
-            # loop below never visits; full blocks have none, so this
-            # relabelling is the identity there.
-            dep_lv = np.where(dep >= 0, dep, top + 1)
-            by_depth = np.argsort(dep_lv, kind="stable")
-            level_sizes = np.bincount(dep_lv, minlength=top + 2)
-            stops = np.cumsum(level_sizes)
-            for d in range(top, -1, -1):
-                level = by_depth[stops[d] - level_sizes[d]:stops[d]]
-                done_b[level] = np.maximum(
-                    np.maximum(start_round + d + 1, resp[level]),
-                    kid[level])
-                if d > 0:
-                    pl = par[level]
-                    order = np.argsort(pl, kind="stable")
-                    sp = pl[order]
-                    heads_ = np.ones(sp.size, dtype=bool)
-                    heads_[1:] = sp[1:] != sp[:-1]
-                    segmax = np.maximum.reduceat(
-                        (done_b[level] + 1)[order], np.flatnonzero(heads_))
-                    uniq = sp[heads_]
-                    kid[uniq] = np.maximum(kid[uniq], segmax)
+            done[base:base + n] = tree_completion_times(
+                ip, dsts, np.flatnonzero(dep >= 0), dep,
+                self.parent[base:base + n] - base,
+                int(self.tree_depth[b]), start_round)
         return done
 
     def eccentricities(self, starts: np.ndarray) -> np.ndarray:
         """Largest tree distance from each start (one per connected trial).
 
-        One multi-source BFS over the union's tree edges; sources must
-        lie in distinct trials (components), so each BFS wave is
-        confined to its own tree and the last level that touches a
-        trial is that start's eccentricity.
+        :func:`~repro.engines.arraywalk.tree_eccentricities` over the
+        union's trees, one block per trial; starts must lie in distinct
+        trials.
         """
-        far = np.zeros(starts.size, dtype=np.int64)
-        kids = np.flatnonzero(self.depth > 0)
-        if kids.size == 0 or starts.size == 0:
-            return far
-        src = np.concatenate((kids, self.parent[kids]))
-        dst = np.concatenate((self.parent[kids], kids))
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
-        total = self.batch * self.n
-        tree_indptr = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=total), out=tree_indptr[1:])
-        slot_of_trial = np.full(self.batch, -1, dtype=np.int64)
-        slot_of_trial[starts // self.n] = np.arange(starts.size)
-        seen = np.zeros(total, dtype=bool)
-        seen[starts] = True
-        frontier = np.asarray(starts, dtype=np.int64)
-        level = 0
-        while frontier.size:
-            nbrs = csr_gather(tree_indptr, dst, frontier)
-            fresh = sorted_unique(nbrs[~seen[nbrs]])
-            if fresh.size == 0:
-                break
-            level += 1
-            seen[fresh] = True
-            far[slot_of_trial[fresh // self.n]] = level
-            frontier = fresh
-        return far
+        return tree_eccentricities(self.depth, self.parent, starts, self.n)
 
 
 def build_batch_tree(indptr: np.ndarray, indices: np.ndarray,
@@ -772,15 +710,15 @@ class BatchWalk:
     """
 
     __slots__ = ("batch", "size", "sizes", "draws", "step_budget",
-                 "latency", "success", "fail_code", "steps", "rotations",
+                 "success", "fail_code", "steps", "rotations",
                  "extensions", "round", "end_round", "flood_initiator",
-                 "plen", "head", "_indptr", "_ip32", "_twins", "_wp32",
-                 "_bits", "_alive_count", "_idx_pad", "_buf", "_bpos",
+                 "plen", "head", "_indptr", "_indices", "_twins", "_wp32",
+                 "_bits", "_alive_count", "_buf", "_bpos",
                  "_tail", "_live", "_rotation_cost", "_budgets")
 
     def __init__(self, *, indptr, indices, draws, batch, size,
                  initial_heads, step_budget, tree_depths, start_rounds,
-                 live=None, latency=1, sizes=None, twins=None):
+                 live=None, sizes=None, twins=None):
         self.batch = batch
         self.size = size
         self.sizes = (np.full(batch, size, dtype=np.int64) if sizes is None
@@ -790,7 +728,6 @@ class BatchWalk:
         budgets = np.asarray(step_budget, dtype=np.int64)
         self._budgets = (np.full(batch, budgets) if budgets.ndim == 0
                          else budgets.copy())
-        self.latency = max(1, latency)
 
         heads = np.asarray(initial_heads, dtype=np.int64)
         self.success = np.zeros(batch, dtype=bool)
@@ -807,13 +744,7 @@ class BatchWalk:
         self._indptr = indptr
         degs = np.diff(indptr)
         self._alive_count = degs.astype(np.int64)
-        # int32 copies: global ids and edge offsets both stay far below
-        # 2**31 at any sane chunk size.  One -1 sentinel past the end
-        # keeps the verification search's end-of-row probe in bounds.
-        self._ip32 = indptr.astype(np.int32)
-        self._idx_pad = np.concatenate(
-            (np.asarray(indices, dtype=np.int32),
-             np.full(1, -1, dtype=np.int32)))
+        self._indices = np.asarray(indices, dtype=np.int32)
         self._twins = (stacked_edge_twins(indptr, indices, batch, size)
                        if twins is None else twins)
         # Live edges, one bit per directed slot: row r owns words
@@ -822,11 +753,11 @@ class BatchWalk:
         wptr = np.zeros(degs.size + 1, dtype=np.int64)
         np.cumsum(nwords, out=wptr[1:])
         self._wp32 = wptr.astype(np.int32)
-        bits = np.full(int(wptr[-1]), ~np.uint64(0), dtype=np.uint64)
+        bits = np.full(int(wptr[-1]), ~_U0, dtype=np.uint64)
         rem = degs & 63
         partial = np.flatnonzero(rem)
         bits[wptr[1:][partial] - 1] = \
-            (np.uint64(1) << rem[partial].astype(np.uint64)) - np.uint64(1)
+            (_U1 << rem[partial].astype(np.uint64)) - _U1
         self._bits = bits
 
         # Path rows: trial b's path in order in _buf[b, :plen[b]], and
@@ -837,8 +768,7 @@ class BatchWalk:
         self._live = (np.ones(batch, dtype=bool) if live is None
                       else np.asarray(live, dtype=bool).copy())
 
-        self._rotation_cost = (2 * np.asarray(tree_depths, dtype=np.int64)
-                               * self.latency + 3)
+        self._rotation_cost = 2 * np.asarray(tree_depths, dtype=np.int64) + 3
         started = np.flatnonzero(self._live)
         self._buf[started, 0] = heads[started]
         if size:
@@ -848,44 +778,6 @@ class BatchWalk:
     def cycle(self, b: int) -> list[int]:
         """Trial ``b``'s path in *local* node ids."""
         return (self._buf[b, :self.plen[b]] - b * self.size).tolist()
-
-    def verified_cycles(self, trials: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Full-length paths of ``trials`` plus a Hamiltonian-cycle verdict.
-
-        Whole-array versions of the checks
-        :func:`repro.verify.hamiltonicity.verify_cycle` performs
-        per-trial — each row is a permutation of its trial's node
-        block and every consecutive (and the closing) pair is a graph
-        edge — so a serial run would accept exactly the same rows.
-        The edge test is a lockstep binary search of every pair at
-        once (rows are sorted, so each query halves in unison).
-        Returns the ``(len(trials), n)`` global-id path matrix and a
-        per-trial bool.
-        """
-        rows = self._buf[trials]
-        n = self.size
-        block = np.arange(n, dtype=np.int64) + (trials * n)[:, None]
-        ok = (np.sort(rows, axis=1) == block).all(axis=1)
-        u = rows.reshape(-1).astype(np.int64)
-        v = np.roll(rows, -1, axis=1).reshape(-1).astype(np.int32)
-        ip32, idx_pad = self._ip32, self._idx_pad
-        if idx_pad.size == 1:  # edgeless batch: nothing can close
-            return rows, np.zeros(len(trials), dtype=bool)
-        lo = ip32[u].astype(np.int64)
-        hi = ip32[u + 1].astype(np.int64)
-        ends = hi
-        while True:
-            open_ = lo < hi
-            if not open_.any():
-                break
-            mid = (lo + hi) >> 1
-            less = idx_pad[mid] < v
-            lo = np.where(open_ & less, mid + 1, lo)
-            hi = np.where(open_ & ~less, mid, hi)
-        good = (lo < ends) & (idx_pad[lo] == v)
-        ok &= good.reshape(rows.shape).all(axis=1)
-        return rows, ok
 
     def run(self) -> None:
         """Walk every live trial to completion through the fused kernel.
@@ -914,7 +806,7 @@ class BatchWalk:
         # numpy-2 scalar overflow warning for the uncompiled source.
         with np.errstate(over="ignore"):
             kern(order, np.asarray(self._indptr, dtype=np.int64),
-                 self._idx_pad, self._twins, self._wp32, self._bits,
+                 self._indices, self._twins, self._wp32, self._bits,
                  self._alive_count,
                  pool._sh, pool._sl, pool._ih, pool._il,
                  pool._word, pool._pend,

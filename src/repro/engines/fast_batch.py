@@ -35,7 +35,9 @@ Which trials share whole-array passes depends on the algorithm and on
   class members of every still-live trial — per-trial ``sizes`` /
   budgets / roots, structural failures recorded at the class where
   serial would have stopped.  Phase 2 is deterministic and runs per
-  trial, verbatim from the serial engine.
+  trial, verbatim from the serial engine.  Each DRA trial's result
+  goes through :func:`repro.engines.fast._dra_result`, the per-trial
+  engine's own verification and assembly.
 
 Batches are transparently split into memory-bounded chunks (the
 stacked CSR, dead-edge bitmask, and draw buffers scale with the
@@ -58,7 +60,9 @@ route.
 
 from __future__ import annotations
 
+import functools
 import os
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -80,7 +84,7 @@ from repro.engines.batchwalk import (
     stack_graph_csrs,
     stacked_edge_twins,
 )
-from repro.engines.fast import _dra_fast
+from repro.engines.fast import _dra_fast, _dra_result
 from repro.engines.fast_dhc2 import _dhc2_fast
 from repro.engines.results import RunResult
 from repro.graphs.batch_gnp import GnpBatch
@@ -271,33 +275,18 @@ def _dra_chunk(graphs, seeds, results, offset, step_budget) -> None:
     )
     walk.run()
     ecc = tree.eccentricities(walk.flood_initiator[connected])
-    # Bulk verification: same accept/reject as per-trial verify_cycle,
-    # done in whole-array checks instead of a Python loop per edge.
-    winners = connected[walk.success[connected]]
-    cycles: dict[int, list[int] | None] = {}
-    if winners.size:
-        rows, okv = walk.verified_cycles(winners)
-        for i, b in enumerate(winners.tolist()):
-            cycles[b] = (rows[i] - b * n).tolist() if okv[i] else None
     for slot, b in enumerate(connected.tolist()):
-        end_round = int(walk.end_round[b]) + int(ecc[slot])
-        ok = bool(walk.success[b])
-        cycle = cycles.get(b) if ok else None
-        if ok and cycle is None:
-            ok = False
-        fail_code = int(walk.fail_code[b])
-        results[offset + b] = RunResult(
-            algorithm="dra",
-            success=ok,
-            cycle=cycle,
-            rounds=end_round,
-            steps=int(walk.steps[b]),
-            engine="fast-batch",
-            detail={"fail_codes": [fail_code] if fail_code else [],
-                    "rotations": int(walk.rotations[b]),
-                    "extensions": int(walk.extensions[b]),
-                    "retries": 0},
-        )
+        # Trial b read off the batch arrays as the walk _dra_result takes.
+        won = bool(walk.success[b])
+        trial = SimpleNamespace(
+            success=won, cycle=functools.partial(walk.cycle, b),
+            steps=int(walk.steps[b]), fail_code=int(walk.fail_code[b]),
+            rotations=int(walk.rotations[b]),
+            extensions=int(walk.extensions[b]), retries=0)
+        # Only winners materialise a Graph on the GnpBatch path.
+        results[offset + b] = _dra_result(
+            graphs[b] if won else None, trial,
+            int(walk.end_round[b]) + int(ecc[slot]), engine="fast-batch")
 
 
 def _dra_fast_batch_one(graph, *, seed: int = 0,

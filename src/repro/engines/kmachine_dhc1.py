@@ -49,7 +49,7 @@ from repro.engines.kmachine_engine import (
     _walk_traffic,
 )
 from repro.engines.results import RunResult
-from repro.graphs.adjacency import Graph, csr_sources
+from repro.graphs.adjacency import Graph, csr_gather, csr_sources
 from repro.kmachine.ledger import (
     LinkLedger,
     TreeFloodProfile,
@@ -213,7 +213,7 @@ def _dhc1_kmachine(
     ports = np.flatnonzero(port_class > 0)
     counts = indptr[ports + 1] - indptr[ports]
     ledger.burst(np.repeat(ports, counts),
-                 _gather(indptr, indices, ports), 3)
+                 csr_gather(indptr, indices, ports), 3)
 
     # -- barrier 1, adjacency assembly, barrier 2 -------------------------------
     ledger.flood(gprofile, 1, times=2)  # barrier 1: ready up, go down
@@ -312,9 +312,3 @@ def _dhc1_kmachine(
     )
     return _finish(result, ledger)
 
-
-def _gather(indptr: np.ndarray, indices: np.ndarray,
-            nodes: np.ndarray) -> np.ndarray:
-    from repro.engines.arraywalk import gather_neighbors
-
-    return gather_neighbors(indptr, indices, nodes)

@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.analysis.bounds import diameter_budget, dra_step_budget
 from repro.engines.results import RunResult
-from repro.graphs.adjacency import Graph, csr_sources
+from repro.graphs.adjacency import Graph, csr_gather, csr_sources
 from repro.kmachine.ledger import (
     LinkLedger,
     TreeFloodProfile,
@@ -116,7 +116,7 @@ def _walk_traffic(ledger: LinkLedger, walk, trace: list,
         ledger.singles(arr[:, 0], arr[:, 1], _PROGRESS_WORDS)
     if walk.rotations:
         ledger.flood(profile, _ROTATE_WORDS, times=walk.rotations)
-        wait = 2 * walk.tree_depth * walk.latency + 2 - profile.tree_depth
+        wait = 2 * walk.tree_depth + 2 - profile.tree_depth
         ledger.quiet(wait * walk.rotations)
     ledger.flood(profile, _FLOOD_WORDS)
     ledger.quiet(max(0, flood_ecc - profile.tree_depth))
@@ -290,14 +290,12 @@ def _dhc2_kmachine(
     def _charge_merge(a_cycle, b_cycle, merged):
         # Bridge scan: every class-A node polls its class-B neighbours,
         # candidates answer — one burst each way over the A-B edges.
-        from repro.engines.arraywalk import gather_neighbors
-
         a_arr = np.asarray(a_cycle, dtype=np.int64)
         in_b = np.zeros(n, dtype=bool)
         in_b[np.asarray(b_cycle, dtype=np.int64)] = True
         counts = indptr[a_arr + 1] - indptr[a_arr]
         v_e = np.repeat(a_arr, counts)
-        w_e = gather_neighbors(indptr, indices, a_arr)
+        w_e = csr_gather(indptr, indices, a_arr)
         keep = in_b[w_e]
         ledger.burst(v_e[keep], w_e[keep], 3)
         ledger.burst(w_e[keep], v_e[keep], 3)
@@ -352,11 +350,9 @@ def _turau_kmachine(
     for phase in trace.get("phases", ()):
         announcers = phase["announcers"]
         if announcers.size:
-            from repro.engines.arraywalk import gather_neighbors
-
             counts = indptr[announcers + 1] - indptr[announcers]
             src = np.repeat(announcers, counts)
-            dst = gather_neighbors(indptr, indices, announcers)
+            dst = csr_gather(indptr, indices, announcers)
             ledger.burst(src, dst, 2)
         else:
             ledger.quiet(1)

@@ -16,7 +16,8 @@ import numpy as np
 
 from repro.graphs.adjacency import sorted_unique
 
-__all__ = ["pair_count", "sample_distinct", "decode_pair_indices", "encode_pairs"]
+__all__ = ["pair_count", "sample_distinct", "top_up_distinct",
+           "decode_pair_indices", "encode_pairs"]
 
 
 def pair_count(n: int) -> int:
@@ -41,8 +42,18 @@ def sample_distinct(rng: np.random.Generator, upper: int, k: int) -> np.ndarray:
         # Dense regime: a permutation is cheaper than repeated rejection.
         return rng.permutation(upper)[:k].astype(np.int64)
 
-    chosen = sorted_unique(
-        rng.integers(0, upper, size=int(k * 1.1) + 16, dtype=np.int64))
+    return top_up_distinct(rng, upper, k, sorted_unique(
+        rng.integers(0, upper, size=int(k * 1.1) + 16, dtype=np.int64)))
+
+
+def top_up_distinct(rng: np.random.Generator, upper: int, k: int,
+                    chosen: np.ndarray) -> np.ndarray:
+    """The tail of :func:`sample_distinct` after its first-round dedup.
+
+    ``chosen`` is the sorted unique of the first rejection draw.  Tops
+    it up to ``k`` values, then downsamples an overshoot uniformly;
+    both consume ``rng`` in :func:`sample_distinct`'s call order.
+    """
     while chosen.size < k:
         extra = rng.integers(0, upper, size=k - chosen.size + 16, dtype=np.int64)
         chosen = sorted_unique(np.concatenate((chosen, extra)))

@@ -47,7 +47,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs._sampling import decode_pair_indices, pair_count, sample_distinct
+from repro.graphs._sampling import (
+    decode_pair_indices,
+    pair_count,
+    sample_distinct,
+    top_up_distinct,
+)
 from repro.graphs.adjacency import Graph, sorted_unique
 from repro.graphs.gnp import gnp_random_graph
 
@@ -241,25 +246,8 @@ def _sample_batch_indices(rngs: list, upper: int, counts: np.ndarray,
             pool, np.arange(len(draws) + 1, dtype=np.int64) * upper)
         for slot, b in enumerate(sparse):
             chosen = pool[bounds[slot]:bounds[slot + 1]] - slot * upper
-            parts[b] = _finish_sparse(rngs[b], upper, int(counts[b]), chosen)
+            parts[b] = top_up_distinct(rngs[b], upper, int(counts[b]), chosen)
     return np.concatenate(parts)
-
-
-def _finish_sparse(rng, upper: int, k: int, chosen: np.ndarray) -> np.ndarray:
-    """The tail of :func:`sample_distinct` after the first-round dedup.
-
-    ``chosen`` is the sorted unique of the trial's first rejection
-    draw (here produced by the pooled keyed unique); the top-up loop
-    and the over-sample downsampling consume the trial's stream in
-    the serial call order.
-    """
-    while chosen.size < k:
-        extra = rng.integers(0, upper, size=k - chosen.size + 16, dtype=np.int64)
-        chosen = sorted_unique(np.concatenate((chosen, extra)))
-    if chosen.size > k:
-        keep = rng.choice(chosen.size, size=k, replace=False)
-        chosen = chosen[keep]
-    return np.sort(chosen)
 
 
 def _self_check() -> bool:

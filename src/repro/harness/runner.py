@@ -397,13 +397,6 @@ class ParallelTrialRunner(TrialRunner):
         self.chunksize = int(chunksize) if chunksize is not None else None
         self.scheduler = resolve_scheduler(schedule)
 
-    @staticmethod
-    def auto_chunksize(pending: int, workers: int) -> int:
-        """The ordered scheduler's default chunking (kept as API)."""
-        from repro.harness.scheduler import OrderedScheduler
-
-        return OrderedScheduler.auto_chunksize(pending, workers)
-
     def run(self, points, *, trials: int = 1,
             progress: Callable[[Trial], None] | None = None) -> list[Trial]:
         if self.jobs <= 1:

@@ -10,12 +10,10 @@ the records live:
   under a directory, lock-free writes, deterministic merge on load;
 * :class:`MemoryStore` — in-process, for tests.
 
-``TrialStore`` is the abstract contract; calling it directly
-(``TrialStore(path)``) still builds a :class:`JsonlStore` for
-backwards compatibility.  :func:`canonical_order` is the deterministic
-cross-backend record order (see :mod:`repro.harness.store.base`), and
-:func:`make_store` / :data:`STORE_BACKENDS` map CLI backend names to
-implementations.
+``TrialStore`` is the abstract contract.  :func:`canonical_order` is
+the deterministic cross-backend record order (see
+:mod:`repro.harness.store.base`), and :func:`make_store` /
+:data:`STORE_BACKENDS` map CLI backend names to implementations.
 """
 
 from repro.harness.store.base import (

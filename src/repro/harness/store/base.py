@@ -65,18 +65,7 @@ class TrialStore(abc.ABC):
     JSONL file, the historical format), :class:`~repro.harness.store.
     ShardedStore` (one append-only shard file per writer under a
     directory), and :class:`~repro.harness.store.MemoryStore` (tests).
-
-    Backwards compatibility: ``TrialStore(path)`` — the pre-backend
-    spelling — constructs a :class:`JsonlStore`, so existing scripts
-    keep working unchanged.
     """
-
-    def __new__(cls, *args, **kwargs):
-        if cls is TrialStore:
-            from repro.harness.store.jsonl import JsonlStore
-
-            return object.__new__(JsonlStore)
-        return object.__new__(cls)
 
     @abc.abstractmethod
     def append(self, trial: "Trial") -> None:

@@ -45,7 +45,7 @@ import math
 
 import numpy as np
 
-from repro.graphs.adjacency import sorted_unique
+from repro.graphs.adjacency import csr_gather, sorted_unique
 from repro.kmachine.metrics import KMachineMetrics
 from repro.kmachine.partition import VertexPartition
 
@@ -304,8 +304,6 @@ def floodmin_traffic(ledger: LinkLedger, indptr: np.ndarray,
     participant classes flood independently, so one call accounts all of
     Phase 1's concurrent per-class elections at once.
     """
-    from repro.engines.arraywalk import gather_neighbors
-
     n = len(indptr) - 1
     best = np.arange(n, dtype=np.int64)
     senders = members[(indptr[members + 1] - indptr[members]) > 0]
@@ -315,7 +313,7 @@ def floodmin_traffic(ledger: LinkLedger, indptr: np.ndarray,
             return
         counts = indptr[senders + 1] - indptr[senders]
         src = np.repeat(senders, counts)
-        dst = gather_neighbors(indptr, indices, senders)
+        dst = csr_gather(indptr, indices, senders)
         ledger.burst(src, dst, words)
         incoming = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
         np.minimum.at(incoming, dst, best[src])
@@ -338,12 +336,10 @@ def bfs_messages(tree, indptr: np.ndarray, indices: np.ndarray,
     and the commit broadcast down the finished tree.  Returned ticks
     are relative to ``start`` (the BFS begin round).
     """
-    from repro.engines.arraywalk import gather_neighbors
-
     members, depth, parent = tree.members, tree.depth, tree.parent
     counts = indptr[members + 1] - indptr[members]
     src = np.repeat(members, counts)
-    dst = gather_neighbors(indptr, indices, members)
+    dst = csr_gather(indptr, indices, members)
     nonparent = dst != parent[src]
     explore_src, explore_dst = src[nonparent], dst[nonparent]
     kids = members[parent[members] >= 0]
@@ -369,8 +365,6 @@ def gossip_traffic(ledger: LinkLedger, indptr: np.ndarray,
     """One everyone-forwards-once flood wave from ``source`` (Turau's
     done/abort floods): the wave reaches depth-``d`` nodes at tick
     ``d``, each forwarding to all neighbours the tick it is reached."""
-    from repro.engines.arraywalk import gather_neighbors
-
     n = len(indptr) - 1
     seen = np.zeros(n, dtype=bool)
     seen[source] = True
@@ -378,7 +372,7 @@ def gossip_traffic(ledger: LinkLedger, indptr: np.ndarray,
     while frontier.size:
         counts = indptr[frontier + 1] - indptr[frontier]
         src = np.repeat(frontier, counts)
-        dst = gather_neighbors(indptr, indices, frontier)
+        dst = csr_gather(indptr, indices, frontier)
         ledger.burst(src, dst, words)
         fresh = sorted_unique(dst[~seen[dst]])
         seen[fresh] = True

@@ -2,7 +2,6 @@
 
 from repro.primitives.barrier import Barrier
 from repro.primitives.bfs import BfsTree
-from repro.primitives.broadcast import Convergecast, TreeBroadcast
 from repro.primitives.floodmin import FloodMin
 from repro.primitives.submachine import SubMachine, SubMachineHost
 
@@ -12,6 +11,4 @@ __all__ = [
     "FloodMin",
     "BfsTree",
     "Barrier",
-    "TreeBroadcast",
-    "Convergecast",
 ]

@@ -40,18 +40,31 @@ def verify_cycle(graph: Graph, cycle: Sequence[int]) -> None:
         raise CycleViolation(f"no Hamiltonian cycle exists on {n} < 3 nodes")
     if len(cycle) != n:
         raise CycleViolation(f"cycle visits {len(cycle)} nodes, expected {n}")
+    nodes = _integer_nodes(cycle)
     seen = set()
-    for v in cycle:
+    for v in nodes.tolist():
         if not 0 <= v < n:
             raise CycleViolation(f"node {v} out of range")
         if v in seen:
             raise CycleViolation(f"node {v} visited twice")
         seen.add(v)
-    nodes = np.asarray(cycle, dtype=np.int64)
+    nodes = nodes.astype(np.int64, copy=False)
     i = _first_non_edge(graph, nodes, np.roll(nodes, -1))
     if i >= 0:
         a, b = cycle[i], cycle[(i + 1) % n]
         raise CycleViolation(f"({a}, {b}) is not an edge of the graph")
+
+
+def _integer_nodes(nodes: Sequence[int]) -> np.ndarray:
+    """``nodes`` as one array; :class:`CycleViolation` unless integral.
+
+    A float id such as ``1.5`` would otherwise pass the range and
+    duplicate checks and then truncate silently to a real node.
+    """
+    arr = np.asarray(nodes)
+    if arr.dtype.kind not in "iu":
+        raise CycleViolation(f"node ids must be integers, got {arr.dtype}")
+    return arr
 
 
 def _first_non_edge(graph: Graph, a: np.ndarray, b: np.ndarray) -> int:
@@ -84,11 +97,14 @@ def is_hamiltonian_path(graph: Graph, path: Sequence[int]) -> bool:
     n = graph.n
     if len(path) != n or n == 0:
         return False
-    if len(set(path)) != n:
+    try:
+        nodes = _integer_nodes(path)
+    except CycleViolation:
         return False
-    if any(not 0 <= v < n for v in path):
+    values = nodes.tolist()
+    if len(set(values)) != n or any(not 0 <= v < n for v in values):
         return False
-    nodes = np.asarray(path, dtype=np.int64)
+    nodes = nodes.astype(np.int64, copy=False)
     return _first_non_edge(graph, nodes[:-1], nodes[1:]) < 0
 
 

@@ -202,7 +202,7 @@ class ScriptedRng:
 
 
 class TestTopUpBranch:
-    def test_finish_sparse_matches_sample_distinct_tail(self):
+    def test_top_up_matches_sample_distinct_tail(self):
         upper, k = 1000, 50
         first = int(k * 1.1) + 16   # 71 draws, only 10 distinct values
         script = [
@@ -213,7 +213,7 @@ class TestTopUpBranch:
         b = ScriptedRng([s.copy() for s in script])
         want = sample_distinct(a, upper, k)
         chosen = np.unique(b.integers(0, upper, size=first, dtype=np.int64))
-        got = batch_gnp_module._finish_sparse(b, upper, k, chosen)
+        got = batch_gnp_module.top_up_distinct(b, upper, k, chosen)
         assert want.size == k
         np.testing.assert_array_equal(got, want)
 
@@ -229,7 +229,7 @@ class TestTopUpBranch:
         b = ScriptedRng([s.copy() for s in script])
         want = sample_distinct(a, upper, k)
         chosen = np.unique(b.integers(0, upper, size=first, dtype=np.int64))
-        got = batch_gnp_module._finish_sparse(b, upper, k, chosen)
+        got = batch_gnp_module.top_up_distinct(b, upper, k, chosen)
         np.testing.assert_array_equal(got, want)
 
 

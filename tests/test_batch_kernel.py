@@ -1,10 +1,8 @@
 """The fused batch kernels and the ``fast-batch`` route around them.
 
 The fused batch kernels (:func:`~repro.engines._jit.walk_steps_impl`,
-:func:`~repro.engines._jit.tree_build_impl`,
-:func:`~repro.engines._jit.reverse_blocks_impl`) promise results
-*bitwise identical* to per-trial ``fast`` whether or not numba
-compiles them.  These tests enforce that promise on every host by
+:func:`~repro.engines._jit.tree_build_impl`) promise results *bitwise
+identical* to per-trial ``fast`` whether or not numba compiles them.  These tests enforce that promise on every host by
 installing the ``*_impl`` functions **uncompiled** as the dispatch
 targets — the exact code numba would compile, minus the compilation —
 and holding every RunResult field against per-trial ``fast`` (and the
@@ -13,6 +11,10 @@ per block).  The CI jit lane (``REPRO_JIT=1`` with numba installed)
 re-runs the whole suite with the kernels actually compiled.  Turau
 has no batch kernel; its ``fast-batch`` rides the same equality
 checks as the per-trial route.
+
+:class:`TestBatchTreeTiming` holds the batch tree's completion rounds
+and flood eccentricities to :class:`~repro.engines.arraywalk.ArrayTree`
+per trial, over full and colour-class blocks.
 
 :class:`TestKernelRoute` pins the route: without a dispatchable walk
 kernel, DRA and DHC2 ``fast-batch`` run each trial on ``fast``, and
@@ -27,9 +29,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engines import _jit, batchwalk, fast_batch
-from repro.engines.arraywalk import build_array_tree
+from repro.engines.arraywalk import build_array_tree, filtered_csr
 from repro.engines.batchwalk import (
     build_batch_tree,
     node_streams,
@@ -93,7 +97,6 @@ def fused(monkeypatch):
     """Install the uncompiled impls as the live kernel dispatch targets."""
     monkeypatch.setattr(_jit, "walk_kernel", _jit.walk_steps_impl)
     monkeypatch.setattr(_jit, "tree_kernel", _jit.tree_build_impl)
-    monkeypatch.setattr(_jit, "reverse_blocks", _jit.reverse_blocks_impl)
 
 
 class TestFusedKernelEquality:
@@ -106,7 +109,6 @@ class TestFusedKernelEquality:
         with monkeypatch.context() as m:
             m.setattr(_jit, "walk_kernel", _jit.walk_steps_impl)
             m.setattr(_jit, "tree_kernel", _jit.tree_build_impl)
-            m.setattr(_jit, "reverse_blocks", _jit.reverse_blocks_impl)
             assert batch_kernel_active(algorithm) == (algorithm != "turau")
             fused = BATCH_RUNNERS[algorithm](graphs, seeds=seeds, **kwargs)
         assert len(fused) == len(plain) == len(graphs)
@@ -175,6 +177,67 @@ class TestFusedTreeKernel:
         assert set(ok) == {True, False}
 
 
+class TestBatchTreeTiming:
+    """``BatchTree``'s completion rounds and flood eccentricities ==
+    ``ArrayTree``'s on every trial, over full and colour-class blocks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_array_tree_per_trial(self, data):
+        n = data.draw(st.integers(1, 20), label="n")
+        batch = data.draw(st.integers(1, 5), label="batch")
+        # Mixed densities: p near 0 leaves blocks disconnected.
+        graphs = [gnp_random_graph(
+            n, data.draw(st.sampled_from((0.0, 0.1, 0.3, 0.6, 1.0))),
+            seed=data.draw(st.integers(0, 2**16))) for _ in range(batch)]
+        colors = data.draw(st.integers(1, 3), label="colors")
+        color_mat = np.array(data.draw(st.lists(
+            st.integers(1, colors), min_size=batch * n,
+            max_size=batch * n)), dtype=np.int64).reshape(batch, n)
+        live = np.array(data.draw(st.lists(
+            st.booleans(), min_size=batch, max_size=batch)))
+        c = data.draw(st.integers(1, colors), label="class")
+        start = data.draw(st.integers(0, 40), label="start")
+
+        indptr, indices = stack_graph_csrs(graphs)
+        src = csr_sources(indptr)
+        flat = color_mat.reshape(-1)
+        sub_indptr, sub_indices = filtered_csr(
+            indptr, indices, flat[src] == flat[indices])
+        mask = color_mat == c
+        cnt = mask.sum(axis=1)
+        live &= cnt > 0
+        roots = np.arange(batch, dtype=np.int64) * n + mask.argmax(axis=1)
+        if colors == 1 and live.all():  # full blocks, default masks
+            tree = build_batch_tree(sub_indptr, sub_indices, batch, n, roots)
+        else:
+            tree = build_batch_tree(sub_indptr, sub_indices, batch, n, roots,
+                                    expect=cnt, live=live)
+        done = tree.completion_times(start)
+        connected = np.flatnonzero(tree.ok)
+        picks = [data.draw(st.sampled_from(np.flatnonzero(mask[b]).tolist()))
+                 for b in connected.tolist()]
+        ecc = tree.eccentricities(connected * n + np.array(picks, dtype=np.int64))
+
+        for b in range(batch):
+            g = graphs[b]
+            g_src = csr_sources(g.indptr)
+            ip, ix = filtered_csr(g.indptr, g.indices,
+                                  color_mat[b][g_src] == color_mat[b][g.indices])
+            members = np.flatnonzero(mask[b])
+            want = (build_array_tree(ip, ix, members, int(members[0]))
+                    if live[b] else None)
+            assert bool(tree.ok[b]) == (want is not None)
+            block = done[b * n:(b + 1) * n]
+            if want is None:
+                assert not block.any()
+                continue
+            np.testing.assert_array_equal(block, want.completion_times(start))
+            assert block[want.root] == want.completion_round(start)
+            slot = int(np.searchsorted(connected, b))
+            assert ecc[slot] == want.eccentricity(picks[slot])
+
+
 class TestStackedEdgeTwins:
     def test_per_block_twins_match_serial(self):
         graphs = [sample(24, 6.0, 40 + i) for i in range(4)]
@@ -203,12 +266,10 @@ class TestJitGating:
         if not _jit.ENABLED:
             assert _jit.walk_kernel is None
             assert _jit.tree_kernel is None
-            assert _jit.reverse_blocks is None
 
     def test_impls_are_plain_python(self):
         # The docstring contract: *_impl stay callable uncompiled.
-        for fn in (_jit.walk_steps_impl, _jit.tree_build_impl,
-                   _jit.reverse_blocks_impl):
+        for fn in (_jit.walk_steps_impl, _jit.tree_build_impl):
             assert callable(fn) and fn.__module__ == "repro.engines._jit"
 
     def test_fused_not_used_without_exact_pool(self, fused, monkeypatch):

@@ -23,7 +23,7 @@ import pytest
 
 import repro
 from repro.core.rotation import FAIL_NO_EDGES
-from repro.engines.arraywalk import build_array_tree, gather_neighbors
+from repro.engines.arraywalk import build_array_tree
 from repro.engines.fast import (
     _dra_fast_py,
     bfs_completion_round,
@@ -33,6 +33,7 @@ from repro.engines.fast_dhc2 import _dhc2_fast_py
 from repro.engines.registry import REGISTRY
 from repro.graphs import (
     Graph,
+    csr_gather,
     gnm_random_graph,
     gnp_random_graph,
     random_regular_graph,
@@ -550,9 +551,9 @@ class TestFastBatchParity:
 
 
 class TestCsrHelpers:
-    def test_gather_neighbors_matches_slices(self):
+    def test_csr_gather_matches_slices(self):
         g = sample("gnp", 64, 4.0, seed=5)
         nodes = np.array([3, 17, 17, 60], dtype=np.int64)
         expected = np.concatenate([g.neighbors(int(v)) for v in nodes])
         assert np.array_equal(
-            gather_neighbors(g.indptr, g.indices, nodes), expected)
+            csr_gather(g.indptr, g.indices, nodes), expected)

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from repro.engines.results import RunResult
 from repro.harness import (
+    JsonlStore,
     ParameterGrid,
     Trial,
     TrialRunner,
-    TrialStore,
     group_by,
     quantile,
     success_rate,
@@ -113,7 +113,7 @@ class TestTrialRunner:
 
 class TestTrialStore:
     def test_roundtrip(self, tmp_path):
-        store = TrialStore(tmp_path / "t.jsonl")
+        store = JsonlStore(tmp_path / "t.jsonl")
         trial = Trial(point={"n": 8, "delta": 0.5}, trial_index=2, seed=99,
                       success=True, metrics={"rounds": 12.0}, elapsed_s=0.5)
         store.append(trial)
@@ -124,7 +124,7 @@ class TestTrialStore:
         assert loaded[0].key() == trial.key()
 
     def test_resume_skips_recorded_trials(self, tmp_path):
-        store = TrialStore(tmp_path / "t.jsonl")
+        store = JsonlStore(tmp_path / "t.jsonl")
         calls = []
 
         def fn(point, seed):
@@ -140,7 +140,7 @@ class TestTrialStore:
         assert [t.key() for t in second] == [t.key() for t in first]
 
     def test_resume_runs_only_new_trials(self, tmp_path):
-        store = TrialStore(tmp_path / "t.jsonl")
+        store = JsonlStore(tmp_path / "t.jsonl")
         calls = []
 
         def fn(point, seed):
@@ -155,7 +155,7 @@ class TestTrialStore:
 
     def test_torn_tail_line_is_tolerated(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        store = TrialStore(path)
+        store = JsonlStore(path)
         store.append(Trial(point={"x": 1}, trial_index=0, seed=1, success=True))
         with path.open("a") as fh:
             fh.write('{"point": {"x": 2}, "trial_in')  # crash mid-append
@@ -163,7 +163,7 @@ class TestTrialStore:
 
     def test_midfile_corruption_raises(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        store = TrialStore(path)
+        store = JsonlStore(path)
         with path.open("w") as fh:
             fh.write("not json\n")
             fh.write(json.dumps(Trial(
@@ -173,7 +173,7 @@ class TestTrialStore:
             store.load()
 
     def test_clear(self, tmp_path):
-        store = TrialStore(tmp_path / "t.jsonl")
+        store = JsonlStore(tmp_path / "t.jsonl")
         store.append(Trial(point={}, trial_index=0, seed=0, success=False))
         store.clear()
         assert store.load() == []
@@ -267,9 +267,9 @@ class TestBatchedRunner:
     def test_batched_store_is_byte_identical(self, tmp_path, algorithm):
         trial, batch = self._fns(algorithm)
         grid = ParameterGrid(n=[24, 32], c=[8.0])
-        solo = TrialStore(tmp_path / "solo.jsonl")
+        solo = JsonlStore(tmp_path / "solo.jsonl")
         TrialRunner(trial, master_seed=11, store=solo).run(grid, trials=5)
-        batched = TrialStore(tmp_path / "batched.jsonl")
+        batched = JsonlStore(tmp_path / "batched.jsonl")
         got = TrialRunner(trial, master_seed=11, store=batched,
                           batch_fn=batch, batch_size=3).run(grid, trials=5)
         assert [t.canonical_json() for t in solo.load()] \
@@ -284,10 +284,10 @@ class TestBatchedRunner:
         from repro.harness import ParallelTrialRunner
 
         grid = ParameterGrid(n=[24, 32], c=[8.0])
-        serial = TrialStore(tmp_path / "serial.jsonl")
+        serial = JsonlStore(tmp_path / "serial.jsonl")
         TrialRunner(trial, master_seed=11, store=serial,
                     batch_fn=batch, batch_size=3).run(grid, trials=4)
-        par = TrialStore(tmp_path / "par.jsonl")
+        par = JsonlStore(tmp_path / "par.jsonl")
         ParallelTrialRunner(trial, master_seed=11, store=par, jobs=2,
                             batch_fn=batch, batch_size=3).run(grid, trials=4)
         assert [t.canonical_json() for t in serial.load()] \
@@ -299,9 +299,9 @@ class TestBatchedRunner:
         # the records the unbatched serial run would have written.
         trial, batch = self._fns(algorithm)
         grid = ParameterGrid(n=[24], c=[8.0])
-        solo = TrialStore(tmp_path / "solo.jsonl")
+        solo = JsonlStore(tmp_path / "solo.jsonl")
         TrialRunner(trial, master_seed=11, store=solo).run(grid, trials=6)
-        resumed = TrialStore(tmp_path / "resumed.jsonl")
+        resumed = JsonlStore(tmp_path / "resumed.jsonl")
         TrialRunner(trial, master_seed=11, store=resumed).run(grid, trials=2)
         TrialRunner(trial, master_seed=11, store=resumed,
                     batch_fn=batch, batch_size=4).run(grid, trials=6)
@@ -319,9 +319,9 @@ class TestBatchedRunner:
             calls.append((point["n"], len(seeds)))
             return batch(point, seeds)
 
-        solo = TrialStore(tmp_path / "solo.jsonl")
+        solo = JsonlStore(tmp_path / "solo.jsonl")
         TrialRunner(trial, master_seed=11, store=solo).run(grid, trials=4)
-        sized = TrialStore(tmp_path / "sized.jsonl")
+        sized = JsonlStore(tmp_path / "sized.jsonl")
         TrialRunner(trial, master_seed=11, store=sized,
                     batch_fn=counting_batch,
                     batch_size=lambda point: 3 if point["n"] == 24 else 2
@@ -346,7 +346,7 @@ class TestBatchedRunner:
     def test_batched_resume_skips_completed(self, tmp_path):
         trial, batch = self._fns()
         grid = ParameterGrid(n=[24], c=[8.0])
-        store = TrialStore(tmp_path / "resume.jsonl")
+        store = JsonlStore(tmp_path / "resume.jsonl")
         TrialRunner(trial, master_seed=11, store=store).run(grid, trials=2)
         calls = []
 
@@ -383,7 +383,7 @@ class TestEndToEndSweep:
             return repro.run(graph, "dra", engine="fast", seed=seed)
 
         grid = ParameterGrid(n=[64], c=[2.0, 8.0])
-        store = TrialStore(tmp_path / "sweep.jsonl")
+        store = JsonlStore(tmp_path / "sweep.jsonl")
         trials = TrialRunner(trial, master_seed=5, store=store).run(
             grid, trials=4)
         by_c = group_by(trials, "c")

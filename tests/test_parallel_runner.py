@@ -11,7 +11,8 @@ import pytest
 
 import repro
 from repro.graphs import gnp_random_graph, paper_probability
-from repro.harness import ParallelTrialRunner, ParameterGrid, TrialRunner, TrialStore
+from repro.harness import JsonlStore, ParallelTrialRunner, ParameterGrid, TrialRunner
+from repro.harness.scheduler import OrderedScheduler
 
 
 def dra_trial(point, seed):
@@ -39,8 +40,8 @@ class TestParallelParity:
 
     def test_store_records_byte_identical(self, tmp_path):
         grid = ParameterGrid(n=[48], c=[2.0, 8.0])
-        serial_store = TrialStore(tmp_path / "serial.jsonl")
-        parallel_store = TrialStore(tmp_path / "parallel.jsonl")
+        serial_store = JsonlStore(tmp_path / "serial.jsonl")
+        parallel_store = JsonlStore(tmp_path / "parallel.jsonl")
         TrialRunner(dra_trial, master_seed=7, store=serial_store).run(
             grid, trials=4)
         ParallelTrialRunner(dra_trial, master_seed=7, store=parallel_store,
@@ -66,7 +67,7 @@ class TestChunkedScheduling:
     """Chunking amortises IPC; it must never change what gets recorded."""
 
     def test_auto_chunksize_shape(self):
-        auto = ParallelTrialRunner.auto_chunksize
+        auto = OrderedScheduler.auto_chunksize
         assert auto(1, 8) == 1
         assert auto(8, 8) == 1
         assert auto(64, 4) == 4       # ~4 chunks per worker
@@ -88,17 +89,17 @@ class TestChunkedScheduling:
         byte-identical up to the wall-clock ``elapsed_s`` field.
         """
         grid = ParameterGrid(n=[48, 64], c=[2.0, 8.0])
-        serial_store = TrialStore(tmp_path / "serial.jsonl")
+        serial_store = JsonlStore(tmp_path / "serial.jsonl")
         ParallelTrialRunner(dra_trial, master_seed=13, store=serial_store,
                             jobs=1).run(grid, trials=3)
-        chunked_store = TrialStore(tmp_path / f"chunked-{chunksize}.jsonl")
+        chunked_store = JsonlStore(tmp_path / f"chunked-{chunksize}.jsonl")
         ParallelTrialRunner(dra_trial, master_seed=13, store=chunked_store,
                             jobs=3, chunksize=chunksize).run(grid, trials=3)
         assert canonical(chunked_store.load()) == canonical(serial_store.load())
 
     def test_chunked_resume_completes_partial_store(self, tmp_path):
         grid = ParameterGrid(n=[8, 16])
-        store = TrialStore(tmp_path / "partial.jsonl")
+        store = JsonlStore(tmp_path / "partial.jsonl")
         TrialRunner(mapping_trial, master_seed=9, store=store).run(
             grid, trials=2)
         full = ParallelTrialRunner(mapping_trial, master_seed=9, store=store,
@@ -110,7 +111,7 @@ class TestChunkedScheduling:
 class TestParallelResume:
     def test_resume_skips_stored_trials(self, tmp_path):
         grid = ParameterGrid(n=[8, 16])
-        store = TrialStore(tmp_path / "resume.jsonl")
+        store = JsonlStore(tmp_path / "resume.jsonl")
         runner = ParallelTrialRunner(mapping_trial, master_seed=9, store=store,
                                      jobs=2)
         first = runner.run(grid, trials=4)
@@ -122,7 +123,7 @@ class TestParallelResume:
 
     def test_partial_resume_completes_the_grid(self, tmp_path):
         grid = ParameterGrid(n=[8, 16])
-        store = TrialStore(tmp_path / "partial.jsonl")
+        store = JsonlStore(tmp_path / "partial.jsonl")
         # Seed the store with a serial half-run (half the trials).
         TrialRunner(mapping_trial, master_seed=9, store=store).run(
             grid, trials=2)

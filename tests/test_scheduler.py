@@ -69,10 +69,6 @@ class TestChunking:
             < OrderedScheduler.auto_chunksize(256, 4)
         assert WorkStealingScheduler.auto_chunksize(1, 8) == 1
 
-    def test_auto_chunksize_back_compat_api(self):
-        assert ParallelTrialRunner.auto_chunksize(64, 4) == \
-            OrderedScheduler.auto_chunksize(64, 4)
-
 
 class TestWorkStealingParity:
     """The tentpole contract: stealing changes wall-clock, not records."""

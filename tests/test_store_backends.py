@@ -12,7 +12,6 @@ from repro.harness import (
     ShardedStore,
     Trial,
     TrialRunner,
-    TrialStore,
     make_store,
 )
 
@@ -27,12 +26,6 @@ def make_trial(x=1, index=0, seed=1):
 
 
 class TestBackwardCompat:
-    def test_trialstore_call_builds_jsonl(self, tmp_path):
-        store = TrialStore(tmp_path / "t.jsonl")
-        assert isinstance(store, JsonlStore)
-        store.append(make_trial())
-        assert len(store.load()) == 1
-
     def test_subclasses_instantiate_normally(self):
         assert isinstance(MemoryStore(), MemoryStore)
 

@@ -72,7 +72,30 @@ class TestVerifyCycle:
             verify_cycle(ring(6), np.array([0, 2, 1, 3, 4, 5], dtype=np.int64))
 
 
+    def test_non_integer_ids_rejected(self):
+        # 1.5 and 2.9 pass the range and duplicate checks but are not
+        # node ids; truncating them would accept a bogus cycle.
+        with pytest.raises(CycleViolation, match="integers"):
+            verify_cycle(complete(3), [0, 1.5, 2])
+        with pytest.raises(CycleViolation, match="integers"):
+            verify_cycle(ring(4), [0, 1, 2.9, 3])
+        with pytest.raises(CycleViolation, match="integers"):
+            verify_cycle(ring(4), np.array([0.0, 1.0, 2.0, 3.0]))
+        assert not is_hamiltonian_cycle(complete(3), [0, 1.5, 2])
+        assert not is_hamiltonian_cycle(ring(4), [0, 1, 2.9, 3])
+
+    def test_integer_kinds_accepted(self):
+        verify_cycle(ring(4), [np.int32(0), np.int64(1), 2, np.uint8(3)])
+        verify_cycle(ring(4), np.array([3, 2, 1, 0], dtype=np.uint16))
+
+
 class TestHamiltonianPath:
+    def test_non_integer_ids_rejected(self):
+        assert not is_hamiltonian_path(path_graph(3), [0, 1.5, 2])
+        assert not is_hamiltonian_path(path_graph(4), [0, 1, 2.9, 3])
+        assert is_hamiltonian_path(path_graph(3),
+                                   np.array([2, 1, 0], dtype=np.int32))
+
     def test_path(self):
         assert is_hamiltonian_path(path_graph(5), [0, 1, 2, 3, 4])
 
