@@ -442,9 +442,8 @@ class _SweepTrial:
         # spec, so a mixed-engine sweep never trips on them.
         self.extra = dict(extra or {})
 
-    def __call__(self, point: dict, seed: int):
-        graph, _p = _sample_graph(
-            self.model, point["n"], self.delta, self.c, seed)
+    def _spec(self, point: dict):
+        """The resolved engine spec and its call kwargs at ``point``."""
         spec = REGISTRY.resolve(self.algorithm, self.engine)
         kwargs = spec.filter_kwargs({"delta": self.delta, **self.extra})
         if "network" in point:
@@ -452,6 +451,12 @@ class _SweepTrial:
             # (--network sweeps); the engine was pinned to one that
             # declares the kwarg, so spec.call validates it normally.
             kwargs["network"] = point["network"]
+        return spec, kwargs
+
+    def __call__(self, point: dict, seed: int):
+        graph, _p = _sample_graph(
+            self.model, point["n"], self.delta, self.c, seed)
+        spec, kwargs = self._spec(point)
         return spec.call(graph, seed=seed, **kwargs)
 
 
@@ -473,22 +478,14 @@ class _AutoBatchSize:
         return auto_batch_size(n, paper_probability(n, self.delta, self.c))
 
 
-class _SweepTrialBatch:
+class _SweepTrialBatch(_SweepTrial):
     """A batch of sweep trials as one picklable engine pass.
 
-    Mirrors :class:`_SweepTrial`, but samples one graph per seed and
+    Same parameters and engine kwargs as :class:`_SweepTrial`, but
+    called with ``(point, seeds)``: samples one graph per seed and
     hands the whole group to ``spec.call_batch`` — one kernel pass over
     the group, with per-seed results identical to per-trial calls.
     """
-
-    def __init__(self, algorithm: str, engine: str, delta: float, c: float,
-                 model: str, extra: dict | None = None):
-        self.algorithm = algorithm
-        self.engine = engine
-        self.delta = delta
-        self.c = c
-        self.model = model
-        self.extra = dict(extra or {})
 
     def __call__(self, point: dict, seeds: list[int]):
         n = int(point["n"])
@@ -501,8 +498,7 @@ class _SweepTrialBatch:
         else:
             graphs = [_sample_graph(self.model, n, self.delta, self.c,
                                     seed)[0] for seed in seeds]
-        spec = REGISTRY.resolve(self.algorithm, self.engine)
-        kwargs = spec.filter_kwargs({"delta": self.delta, **self.extra})
+        spec, kwargs = self._spec(point)
         return spec.call_batch(graphs, seeds=list(seeds), **kwargs)
 
 

@@ -113,10 +113,11 @@ class EngineSpec:
         the synchronous congest reference
         (``tests/test_async_engine.py``'s registry gate enforces it).
     jit:
-        True when the runner dispatches through the optional compiled
-        kernels in :mod:`repro.engines._jit` under ``REPRO_JIT=1``
-        (results stay bitwise identical to the uncompiled path either
-        way; purely informational — ``repro engines`` lists it).
+        True when the batch runner needs the optional compiled walk
+        kernel in :mod:`repro.engines._jit` (``REPRO_JIT=1`` with
+        numba) to batch at all; without it the runner runs each trial
+        on per-trial ``fast``.  Results are bitwise identical either
+        way.  Informational — ``repro engines`` lists it.
     priority:
         ``engine="auto"`` preference (higher wins); defaults to
         :data:`ENGINE_PRIORITY` for the standard engine names.

@@ -157,7 +157,7 @@ def _builtin_specs() -> list[EngineSpec]:
                    "repro.engines.fast_batch:_cre_fast_batch_one",
                    batch_runner="repro.engines.fast_batch:_cre_fast_batch",
                    supported_kwargs=("step_budget",),
-                   parity=("cycle", "steps"), jit=True,
+                   parity=("cycle", "steps"),
                    summary="Alon-Krivelevich CRE solver, batched trials on "
                            "shared position arrays"),
         # -- the paper's centralized algorithms --------------------------------

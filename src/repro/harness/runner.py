@@ -23,14 +23,16 @@ Orchestration layers (all optional, all preserving the seed tree):
   deterministic slice of the (point, trial) grid so N hosts can split
   one sweep.
 
-Batched execution hands ``batch_fn(point, seeds)`` whole same-point
-groups instead of one ``(point, seed)`` at a time.  Note what crosses
-the process boundary: the *point and seed list only* — the CLI's batch
-function regenerates the graphs inside the worker (via the pooled
-:func:`repro.graphs.batch_gnp` for the G(n, p) model), so parallel
-runs never pickle materialised graphs, and a resumed sweep regroups
-remaining seeds freely without changing any record.  Batching and
-``jobs`` compose: the groups are split across the workers.
+Every run goes through one pipeline: :meth:`TrialRunner._groups` cuts
+the pending schedule into :data:`Group` units (one trial each unless
+batching is on) and :func:`run_group` runs one — ``fn(point, seed)``,
+or ``batch_fn(point, seeds)`` for a whole same-point group — in-process
+when serial, as the pool's task when parallel.  Only the *point and
+seed list* cross the process boundary: the CLI's batch function
+regenerates the graphs inside the worker (via the pooled
+:func:`repro.graphs.batch_gnp` for the G(n, p) model), so parallel runs
+never pickle materialised graphs, and a resumed sweep regroups
+remaining seeds freely without changing any record.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -112,6 +114,12 @@ class Trial:
 def trial_key(point: Mapping[str, Any], trial_index: int) -> tuple:
     """:meth:`Trial.key` for a not-yet-run (point, trial index) pair."""
     return (tuple(sorted(point.items())), trial_index)
+
+
+#: One unit of work: ``(first slot, point, trial indices, seeds)``.
+#: Its trials fill the schedule slots from ``first slot`` on, so
+#: out-of-order completions are re-keyed without ambiguity.
+Group = tuple[int, dict, tuple[int, ...], tuple[int, ...]]
 
 
 class TrialRunner:
@@ -247,6 +255,51 @@ class TrialRunner:
         if self.metrics is not None:
             self.metrics.finish()
 
+    def _groups(self, plan) -> Iterator[Group]:
+        """Cut ``plan``'s pending slots into :data:`Group` units of work.
+
+        Groups have size 1 unless batching is on; then a group ends
+        when the grid point changes, at a resumed slot, or when it
+        reaches the point's :meth:`_batch_cap`.  Every group covers
+        consecutive slots, so a trial's slot is its group's first slot
+        plus its offset.  The cut happens here, in the parent process,
+        so workers only ever see finished groups.
+        """
+        batching = self._batching()
+        first, point, cap = 0, None, 1
+        indices: list[int] = []
+        seeds: list[int] = []
+        for slot, (point_index, trial_index, pt, existing) in enumerate(plan):
+            if indices and (existing is not None or pt != point
+                            or len(indices) >= cap):
+                yield first, point, tuple(indices), tuple(seeds)
+                indices, seeds = [], []
+            if existing is not None:
+                continue
+            if not indices:
+                first, point = slot, pt
+                cap = self._batch_cap(pt) if batching else 1
+            indices.append(trial_index)
+            seeds.append(self.derive_seed(point_index, trial_index))
+        if indices:
+            yield first, point, tuple(indices), tuple(seeds)
+
+    def _emit(self, results: list, slot: int, trial: Trial,
+              progress: Callable[[Trial], None] | None,
+              batch_size: int) -> None:
+        """Place one fresh trial in its slot, store it, and report it."""
+        results[slot] = trial
+        if self.store is not None:
+            self.store.append(trial)
+        self._report(trial, progress, batch_size=batch_size)
+
+    def _report_resumed(self, results: list, start: int, stop: int,
+                        progress: Callable[[Trial], None] | None) -> None:
+        """Report the resumed trials among ``results[start:stop]``."""
+        for trial in results[start:stop]:
+            if trial is not None:
+                self._report(trial, progress, resumed=True)
+
     def run(self, points, *, trials: int = 1,
             progress: Callable[[Trial], None] | None = None) -> list[Trial]:
         """Execute every owned (point, trial) pair; returns them in order.
@@ -255,78 +308,24 @@ class TrialRunner:
         instead of re-run (their stored metrics are trusted — reruns
         are bit-identical by construction, so this is safe).
         ``progress`` fires exactly once per returned trial, resumed or
-        freshly executed alike; the ``metrics`` event hook fires on
-        the same contract.
+        freshly executed alike, in schedule order; the ``metrics``
+        event hook fires on the same contract.
         """
-        points = [dict(p) for p in points]
-        if self._batching():
-            return self._run_batched(points, trials, progress)
-        plan = self._plan(points, trials)
+        plan = self._plan([dict(p) for p in points], trials)
         self._metrics_begin(plan)
-        out: list[Trial] = []
-        for point_index, trial_index, point, existing in plan:
-            if existing is not None:
-                out.append(existing)
-                self._report(existing, progress, resumed=True)
-                continue
-            seed = self.derive_seed(point_index, trial_index)
-            start = time.perf_counter()
-            raw = self.fn(dict(point), seed)
-            elapsed = time.perf_counter() - start
-            trial = _normalize(raw, dict(point), trial_index, seed, elapsed)
-            out.append(trial)
-            if self.store is not None:
-                self.store.append(trial)
-            self._report(trial, progress)
+        batch_fn = self.batch_fn if self._batching() else None
+        results: list = [existing for *_, existing in plan]
+        done = 0
+        for group in self._groups(plan):
+            first = group[0]
+            self._report_resumed(results, done, first, progress)
+            ran = run_group(self.fn, batch_fn, group)
+            for offset, trial in enumerate(ran):
+                self._emit(results, first + offset, trial, progress, len(ran))
+            done = first + len(ran)
+        self._report_resumed(results, done, len(results), progress)
         self._metrics_finish()
-        return out
-
-    def _run_batched(self, points, trials: int,
-                     progress: Callable[[Trial], None] | None) -> list[Trial]:
-        """The :meth:`run` loop with same-point groups sent to batch_fn.
-
-        Groups are flushed at point boundaries, at ``batch_size``, and
-        at resumed entries, so the emission (and store write) order is
-        exactly the unbatched schedule order.
-        """
-        out: list[Trial] = []
-        buf: list[tuple[int, int, dict]] = []
-
-        def flush() -> None:
-            if not buf:
-                return
-            point = buf[0][2]
-            seeds = [self.derive_seed(pi, ti) for pi, ti, _ in buf]
-            start = time.perf_counter()
-            raws = self.batch_fn(dict(point), list(seeds))
-            per = (time.perf_counter() - start) / len(buf)
-            if len(raws) != len(buf):
-                raise ValueError(
-                    f"batch_fn returned {len(raws)} results for "
-                    f"{len(buf)} seeds")
-            for (pi, ti, pt), seed, raw in zip(buf, seeds, raws):
-                trial = _normalize(raw, dict(pt), ti, seed, per)
-                out.append(trial)
-                if self.store is not None:
-                    self.store.append(trial)
-                self._report(trial, progress, batch_size=len(raws))
-            buf.clear()
-
-        plan = self._plan(points, trials)
-        self._metrics_begin(plan)
-        for point_index, trial_index, point, existing in plan:
-            if existing is not None:
-                flush()
-                out.append(existing)
-                self._report(existing, progress, resumed=True)
-                continue
-            if buf and (len(buf) >= self._batch_cap(buf[0][2])
-                        or buf[0][2] != point):
-                flush()
-            buf.append((point_index, trial_index, point))
-        flush()
-        self._metrics_finish()
-        return out
+        return results
 
 
 class ParallelTrialRunner(TrialRunner):
@@ -348,9 +347,10 @@ class ParallelTrialRunner(TrialRunner):
       store becomes a completion log whose records re-canonicalise to
       the same set at load/aggregate time.
 
-    The trial function must be picklable (a module-level function or
-    class instance), as must its return value — true for
-    :class:`~repro.engines.results.RunResult` and plain mappings.
+    The trial function and ``batch_fn`` must be picklable (a
+    module-level function or class instance), as must their return
+    values — true for :class:`~repro.engines.results.RunResult` and
+    plain mappings.
 
     Parameters
     ----------
@@ -364,12 +364,12 @@ class ParallelTrialRunner(TrialRunner):
         because forking a threaded/Accelerate-initialised process is
         unsafe there.
     chunksize:
-        Trials handed to a worker per IPC message.  ``None`` (default)
-        auto-sizes from the pending-trial count, worker count, and the
-        scheduler (work stealing prefers finer chunks — they are the
-        stealing unit); pass an explicit value to pin it (``1``
-        reproduces one-task-per-message).  Chunking never changes
-        results.
+        Groups handed to a worker per IPC message (a group is one
+        trial unless batching is on).  ``None`` (default) auto-sizes
+        from the group count, worker count, and the scheduler (work
+        stealing prefers finer chunks — they are the stealing unit);
+        pass an explicit value to pin it (``1`` reproduces
+        one-group-per-message).  Chunking never changes results.
     schedule:
         Scheduler name (``"ordered"`` / ``"work-stealing"``), class,
         or :class:`~repro.harness.scheduler.TrialScheduler` instance.
@@ -401,76 +401,62 @@ class ParallelTrialRunner(TrialRunner):
             progress: Callable[[Trial], None] | None = None) -> list[Trial]:
         if self.jobs <= 1:
             return super().run(points, trials=trials, progress=progress)
-        points = [dict(p) for p in points]
-        plan = self._plan(points, trials)
-        pending = [(slot, point_index, trial_index, point)
-                   for slot, (point_index, trial_index, point, existing)
-                   in enumerate(plan) if existing is None]
-        if len(pending) <= 1:  # nothing worth a pool; serial path resumes
+        plan = self._plan([dict(p) for p in points], trials)
+        pending = sum(1 for *_, existing in plan if existing is None)
+        if pending <= 1:  # nothing worth a pool; serial path resumes
             return super().run(points, trials=trials, progress=progress)
 
-        workers = min(self.jobs, len(pending))
-        self._metrics_begin(plan, workers=workers)
+        self._metrics_begin(plan, workers=min(self.jobs, pending))
         # Resumed trials are reported up front (schedule order); the
         # scheduler then emits freshly computed ones as it completes
         # them.  Either way progress — and the metrics event hook —
         # fires once per returned trial (see :meth:`_report`).
-        results: list[Trial | None] = [existing for _, _, _, existing in plan]
-        for existing in results:
-            if existing is not None:
-                self._report(existing, progress, resumed=True)
-
-        batching = self._batching()
-        #: slot -> size of the batch group that computes it (metrics).
-        batch_of: dict[int, int] = {}
-        if batching:
-            # Same grouping as the serial batched loop: consecutive
-            # pending slots sharing a point, capped at the point's
-            # batch size.
-            tasks: list = []
-            group: list[tuple[int, int, int, dict]] = []
-
-            def close() -> None:
-                if not group:
-                    return
-                seeds = [self.derive_seed(pi, ti) for _, pi, ti, _ in group]
-                tasks.append((tuple(s for s, _, _, _ in group),
-                              group[0][3],
-                              tuple(ti for _, _, ti, _ in group),
-                              tuple(seeds)))
-                for slot, _, _, _ in group:
-                    batch_of[slot] = len(group)
-                group.clear()
-
-            for ent in pending:
-                if group and (len(group) >= self._batch_cap(group[0][3])
-                              or group[0][3] != ent[3]
-                              or ent[0] != group[-1][0] + 1):
-                    close()
-                group.append(ent)
-            close()
-        else:
-            tasks = [(slot, point, trial_index,
-                      self.derive_seed(point_index, trial_index))
-                     for slot, point_index, trial_index, point in pending]
-        ctx = multiprocessing.get_context(self.mp_context)
-        workers = min(self.jobs, len(tasks))
+        results: list = [existing for *_, existing in plan]
+        self._report_resumed(results, 0, len(results), progress)
+        groups = list(self._groups(plan))
+        #: slot -> size of the group that computes it (metrics).
+        group_size = {first + offset: len(indices)
+                      for first, _, indices, _ in groups
+                      for offset in range(len(indices))}
+        workers = min(self.jobs, len(groups))
         chunksize = (self.chunksize if self.chunksize is not None
-                     else self.scheduler.auto_chunksize(len(tasks), workers))
+                     else self.scheduler.auto_chunksize(len(groups), workers))
 
         def emit(slot: int, trial: Trial) -> None:
-            results[slot] = trial
-            if self.store is not None:
-                self.store.append(trial)
-            self._report(trial, progress, batch_size=batch_of.get(slot, 1))
+            self._emit(results, slot, trial, progress, group_size[slot])
 
-        extra = {"batch_fn": self.batch_fn} if batching else {}
-        if self.metrics is not None:
-            extra["metrics"] = self.metrics
-        self.scheduler.execute(ctx, self.fn, tasks, workers=workers,
-                               chunksize=chunksize, emit=emit, **extra)
+        self.scheduler.execute(
+            multiprocessing.get_context(self.mp_context), self.fn, groups,
+            workers=workers, chunksize=chunksize, emit=emit,
+            batch_fn=self.batch_fn if self._batching() else None,
+            metrics=self.metrics)
         self._metrics_finish()
-        return results  # type: ignore[return-value]  # every slot filled
+        return results
+
+
+def run_group(fn: Callable[[dict, int], Any],
+              batch_fn: Callable[[dict, list[int]], Any] | None,
+              group: Group) -> list[Trial]:
+    """Run one :data:`Group` and normalise its results into trials.
+
+    With ``batch_fn`` the whole group goes to it in one call (groups of
+    one included) and each trial's ``elapsed_s`` is the call time
+    divided by the group size; without it the group holds one trial,
+    run by ``fn``, whose ``elapsed_s`` is the call time.  The serial
+    runner calls this in-process; the worker pool runs it as its task.
+    """
+    _first, point, trial_indices, seeds = group
+    start = time.perf_counter()
+    if batch_fn is None:
+        raws = [fn(dict(point), seeds[0])]
+    else:
+        raws = batch_fn(dict(point), list(seeds))
+    per = (time.perf_counter() - start) / len(seeds)
+    if len(raws) != len(seeds):
+        raise ValueError(
+            f"batch_fn returned {len(raws)} results for {len(seeds)} seeds")
+    return [_normalize(raw, dict(point), trial_index, seed, per)
+            for trial_index, seed, raw in zip(trial_indices, seeds, raws)]
 
 
 def _normalize(raw: Any, point: dict, trial_index: int, seed: int,

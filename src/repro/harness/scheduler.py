@@ -1,13 +1,17 @@
 """Pluggable trial scheduling for the parallel runner.
 
-A *scheduler* decides how pending trials flow through a worker pool
-and in what order their results surface.  The runner
-(:class:`~repro.harness.runner.ParallelTrialRunner`) owns seed
-derivation, resume, store writes, and result assembly; the scheduler
-owns only the pool loop, so schedulers can never change *what* is
-computed — only when each result arrives.
+A *scheduler* decides how the runner's pending trial groups flow
+through a worker pool and in what order their results surface.  The
+runner (:class:`~repro.harness.runner.ParallelTrialRunner`) owns seed
+derivation, resume, store writes, result assembly, and the cut into
+groups (:data:`~repro.harness.runner.Group`, one trial each unless
+batching is on); the scheduler owns only the pool loop, so schedulers
+can never change *what* is computed — only when each result arrives.
+Every worker task is :func:`~repro.harness.runner.run_group`, the same
+function the serial runner calls in-process.
 
-Two schedulers ship:
+Two schedulers ship.  They share :meth:`TrialScheduler.execute` and
+differ only in two class attributes:
 
 ``ordered`` (:class:`OrderedScheduler`)
     Results surface in submission order (``imap``) — the store
@@ -28,22 +32,22 @@ Two schedulers ship:
     way, and the *set* of canonical records is identical to an
     ordered run's.
 
-Both batch trials into chunks per worker IPC message.  Work stealing
+Both pack groups into chunks per worker IPC message.  Work stealing
 targets more, smaller chunks (~16 per worker vs ~4) because chunks
 are also the stealing granularity: one mega-chunk of slow trials on
 one worker is exactly the skew the scheduler exists to avoid.
 
-Schedulers register in :data:`SCHEDULERS`; the CLI's ``--schedule``
-choices and :func:`resolve_scheduler` stay in sync automatically.
+A new scheduler subclasses :class:`TrialScheduler`, sets ``name``,
+``ordered`` and ``chunks_per_worker``, and registers in
+:data:`SCHEDULERS`; the CLI's ``--schedule`` choices and
+:func:`resolve_scheduler` stay in sync automatically.
 """
 
 from __future__ import annotations
 
-import abc
-import time
 from typing import Any, Callable
 
-from repro.harness.runner import Trial, _normalize
+from repro.harness.runner import Group, Trial, run_group
 
 __all__ = [
     "TrialScheduler",
@@ -53,39 +57,33 @@ __all__ = [
     "resolve_scheduler",
 ]
 
-#: One pending trial handed to a worker: (slot, point, trial_index, seed).
-#: ``slot`` is the position in the runner's schedule, so out-of-order
-#: completions can be re-keyed without ambiguity.  A batched runner
-#: instead hands groups ``(slots, point, trial_indices, seeds)`` (the
-#: first element a tuple marks the batch shape); workers run those
-#: through the installed ``batch_fn`` in one engine pass.  Group sizes
-#: are fixed by the runner in the parent process — including when the
-#: cap is a per-point callable — so schedulers and workers only ever
-#: see pre-cut groups and never evaluate the cap themselves.
-Task = tuple[int, dict, int, int]
-BatchTask = tuple[tuple, dict, tuple, tuple]
 
+class TrialScheduler:
+    """How pending trial groups are dispatched over a worker pool.
 
-class TrialScheduler(abc.ABC):
-    """How pending trials are dispatched over a worker pool.
-
-    Subclasses implement :meth:`execute`: run every task exactly once
-    and call ``emit(slot, trial)`` as each result becomes available.
-    ``emit`` is invoked in the parent process (it appends to the store
-    and fires the progress callback), so a scheduler's emission order
-    *is* its store-write order.
+    :meth:`execute` runs every group exactly once and calls
+    ``emit(slot, trial)`` as each result becomes available.  ``emit``
+    is invoked in the parent process (it appends to the store and fires
+    the progress callback), so a scheduler's emission order *is* its
+    store-write order.  A scheduler is two class attributes:
+    ``ordered`` (consume completions in submission order or as they
+    land) and ``chunks_per_worker`` (the chunk count
+    :meth:`auto_chunksize` aims for).
     """
 
     #: Registry/CLI name; subclasses override.
     name = "abstract"
+    #: ``imap`` (submission order) when true, else ``imap_unordered``.
+    ordered = True
+    #: Chunks per worker that :meth:`auto_chunksize` targets.
+    chunks_per_worker = 4
 
-    @abc.abstractmethod
-    def execute(self, ctx, fn: Callable[[dict, int], Any], tasks: list[Task],
-                *, workers: int, chunksize: int,
+    def execute(self, ctx, fn: Callable[[dict, int], Any],
+                groups: list[Group], *, workers: int, chunksize: int,
                 emit: Callable[[int, Trial], None],
                 batch_fn: Callable[[dict, list[int]], Any] | None = None,
                 metrics=None) -> None:
-        """Run ``tasks`` on a ``ctx.Pool(workers)``, emitting results.
+        """Run ``groups`` on a ``ctx.Pool(workers)``, emitting results.
 
         ``metrics`` is the runner's optional
         :class:`~repro.harness.metrics.MetricsCollector`: schedulers
@@ -97,37 +95,38 @@ class TrialScheduler(abc.ABC):
         under ``ordered`` and true completion-order drain under
         ``work-stealing``.
         """
-
-    @staticmethod
-    def auto_chunksize(pending: int, workers: int) -> int:
-        """Chunk size balancing IPC amortisation against load balance.
-
-        Aim for ~4 chunks per worker (so a straggler chunk costs at
-        most ~1/4 of a worker's share), capped at 64 trials per
-        message to bound per-chunk latency for slow trial functions.
-        """
-        return max(1, min(64, -(-pending // (4 * workers))))
-
-
-class OrderedScheduler(TrialScheduler):
-    """Submission-order completion — today's byte-identical store path."""
-
-    name = "ordered"
-
-    def execute(self, ctx, fn, tasks, *, workers, chunksize, emit,
-                batch_fn=None, metrics=None) -> None:
         if metrics is not None:
             metrics.annotate_pool(scheduler=self.name, workers=workers,
                                   chunksize=chunksize)
         with ctx.Pool(processes=workers, initializer=_pool_initializer,
                       initargs=(fn, batch_fn)) as pool:
-            # imap (ordered) keeps emissions in submission order — the
-            # same order the serial runner writes — regardless of how
-            # tasks are batched into chunks.
-            for finished in pool.imap(_pool_trial, tasks,
+            imap = pool.imap if self.ordered else pool.imap_unordered
+            for first, trials in imap(_pool_group, groups,
                                       chunksize=chunksize):
-                for slot, trial in finished:
-                    emit(slot, trial)
+                for offset, trial in enumerate(trials):
+                    emit(first + offset, trial)
+
+    @classmethod
+    def auto_chunksize(cls, pending: int, workers: int) -> int:
+        """Chunk size balancing IPC amortisation against load balance.
+
+        Aim for ``chunks_per_worker`` chunks per worker (at the default
+        4, a straggler chunk costs at most ~1/4 of a worker's share),
+        capped at 64 groups per message to bound per-chunk latency for
+        slow trial functions.
+        """
+        return max(1, min(64, -(-pending // (cls.chunks_per_worker
+                                             * workers))))
+
+
+class OrderedScheduler(TrialScheduler):
+    """Submission-order completion — the byte-identical store path.
+
+    ``imap`` keeps emissions in submission order — the same order the
+    serial runner writes — however groups are cut into chunks.
+    """
+
+    name = "ordered"
 
 
 class WorkStealingScheduler(TrialScheduler):
@@ -137,27 +136,13 @@ class WorkStealingScheduler(TrialScheduler):
     no worker idles behind a straggler at the head of the line.  The
     cost is a nondeterministic store-write order; determinism is
     restored at read time via canonical ordering (the runner's return
-    value is already in schedule order).
+    value is already in schedule order).  Chunks are finer (~16 per
+    worker) because they are the stealing unit.
     """
 
     name = "work-stealing"
-
-    def execute(self, ctx, fn, tasks, *, workers, chunksize, emit,
-                batch_fn=None, metrics=None) -> None:
-        if metrics is not None:
-            metrics.annotate_pool(scheduler=self.name, workers=workers,
-                                  chunksize=chunksize)
-        with ctx.Pool(processes=workers, initializer=_pool_initializer,
-                      initargs=(fn, batch_fn)) as pool:
-            for finished in pool.imap_unordered(_pool_trial, tasks,
-                                                chunksize=chunksize):
-                for slot, trial in finished:
-                    emit(slot, trial)
-
-    @staticmethod
-    def auto_chunksize(pending: int, workers: int) -> int:
-        """Finer chunks (~16 per worker): chunks are the stealing unit."""
-        return max(1, min(64, -(-pending // (16 * workers))))
+    ordered = False
+    chunks_per_worker = 16
 
 
 #: ``--schedule`` name -> scheduler class.
@@ -181,32 +166,18 @@ def resolve_scheduler(schedule) -> TrialScheduler:
             f"{sorted(SCHEDULERS)}") from None
 
 
-#: Per-worker trial functions, installed once by the pool initializer so
-#: each task message carries only (slot, point, index, seed).
-_worker_fn: Callable[[dict, int], Any] | None = None
-_worker_batch_fn: Callable[[dict, list[int]], Any] | None = None
+#: The per-worker ``(fn, batch_fn)``, installed once by the pool
+#: initializer so each task message carries only its group.
+_worker_fns: tuple = (None, None)
 
 
 def _pool_initializer(fn: Callable[[dict, int], Any],
-                      batch_fn: Callable[[dict, list[int]], Any] | None = None
+                      batch_fn: Callable[[dict, list[int]], Any] | None
                       ) -> None:
-    global _worker_fn, _worker_batch_fn
-    _worker_fn = fn
-    _worker_batch_fn = batch_fn
+    global _worker_fns
+    _worker_fns = (fn, batch_fn)
 
 
-def _pool_trial(task: Task | BatchTask) -> list[tuple[int, Trial]]:
-    slot, point, trial_index, seed = task
-    if isinstance(slot, tuple):  # one batch group, one engine pass
-        start = time.perf_counter()
-        raws = _worker_batch_fn(dict(point), list(seed))
-        per = (time.perf_counter() - start) / len(slot)
-        if len(raws) != len(slot):
-            raise ValueError(f"batch_fn returned {len(raws)} results "
-                             f"for {len(slot)} seeds")
-        return [(s, _normalize(raw, dict(point), ti, sd, per))
-                for s, ti, sd, raw in zip(slot, trial_index, seed, raws)]
-    start = time.perf_counter()
-    raw = _worker_fn(dict(point), seed)
-    elapsed = time.perf_counter() - start
-    return [(slot, _normalize(raw, dict(point), trial_index, seed, elapsed))]
+def _pool_group(group: Group) -> tuple[int, list[Trial]]:
+    """The pool's task: :func:`run_group` keyed by the group's first slot."""
+    return group[0], run_group(*_worker_fns, group)

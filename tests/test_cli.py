@@ -260,10 +260,12 @@ class TestEnginesCommand:
         for algorithm in ("dra", "cre", "dhc2", "turau"):
             assert specs[(algorithm, "fast-batch")]["batched"] is True
             assert specs[(algorithm, "fast")]["batched"] is False
-        # jit marks batch entries that dispatch through the compiled
-        # kernels; Turau's batch runner loops per-trial fast.
+        # jit marks batch entries that need the compiled walk kernel;
+        # CRE batches on numpy alone and Turau's batch runner loops
+        # per-trial fast.
         assert specs[("dra", "fast-batch")]["jit"] is True
         assert specs[("dhc2", "fast-batch")]["jit"] is True
+        assert specs[("cre", "fast-batch")]["jit"] is False
         assert specs[("turau", "fast-batch")]["jit"] is False
         assert specs[("dra", "fast")]["jit"] is False
         code, out, _ = run_cli(capsys, "engines")

@@ -360,12 +360,33 @@ class TestBatchedRunner:
         # Only the four new trials reach the engine, as one group.
         assert len(got) == 6 and len(calls) == 1 and len(calls[0]) == 4
 
-    def test_batch_fn_result_count_is_checked(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_fn_result_count_is_checked(self, jobs):
+        # jobs=2 raises inside a pool worker and surfaces in the parent.
+        from repro.harness import ParallelTrialRunner
+
         trial, batch = self._fns()
-        runner = TrialRunner(trial, master_seed=1,
-                             batch_fn=lambda point, seeds: [], batch_size=2)
+        runner = ParallelTrialRunner(
+            trial, master_seed=1, jobs=jobs,
+            batch_fn=lambda point, seeds: [], batch_size=2)
         with pytest.raises(ValueError, match="batch_fn returned"):
             runner.run(ParameterGrid(n=[16], c=[8.0]), trials=2)
+
+    def test_spawned_workers_match_serial(self):
+        # spawn pickles the groups and the pool initializer's sweep
+        # callables instead of inheriting them (macOS's default).
+        from repro import cli
+        from repro.harness import ParallelTrialRunner
+
+        trial = cli._SweepTrial("cre", "fast-batch", 1.0, 8.0, "gnp")
+        batch = cli._SweepTrialBatch("cre", "fast-batch", 1.0, 8.0, "gnp")
+        points = [{"n": 24}, {"n": 32}]
+        want = TrialRunner(trial, master_seed=11).run(points, trials=4)
+        got = ParallelTrialRunner(
+            trial, master_seed=11, batch_fn=batch, batch_size=3, jobs=2,
+            mp_context="spawn").run(points, trials=4)
+        assert [t.canonical_json() for t in got] \
+            == [t.canonical_json() for t in want]
 
     def test_batch_size_must_be_positive(self):
         with pytest.raises(ValueError, match="batch_size"):

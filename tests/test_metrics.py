@@ -246,6 +246,50 @@ class TestRunnerIntegration:
         assert payload["kpis"]["success_rate"] == fresh_kpis["success_rate"]
 
 
+def small_cap(point):
+    """Per-point batch cap: 4 at n=8, 2 elsewhere."""
+    return 4 if point["n"] == 8 else 2
+
+
+class TestBatchGrouping:
+    """Serial and parallel batched runs cut the same groups."""
+
+    POINTS = [{"n": 8}, {"n": 12}]
+    #: (n, trial index) pairs already in the store before the run.
+    RESUMED = {(8, 2), (12, 0), (12, 3)}
+
+    def _gappy_store(self, path):
+        store = JsonlStore(path)
+        for trial in TrialRunner(steps_fn, master_seed=4).run(
+                self.POINTS, trials=8):
+            if (trial.point["n"], trial.trial_index) in self.RESUMED:
+                store.append(trial)
+        return store
+
+    @pytest.mark.parametrize("schedule", ["ordered", "work-stealing"])
+    def test_serial_and_parallel_batch_occupancy_match(self, tmp_path,
+                                                       schedule):
+        events = {}
+        for jobs in (1, 2):
+            cls = ParallelTrialRunner if jobs > 1 else TrialRunner
+            kwargs = {"jobs": jobs, "schedule": schedule} if jobs > 1 else {}
+            collector = MetricsCollector()
+            cls(steps_fn, master_seed=4, batch_fn=batch_steps_fn,
+                batch_size=small_cap, metrics=collector,
+                store=self._gappy_store(tmp_path / f"s{jobs}.jsonl"),
+                **kwargs).run(self.POINTS, trials=8)
+            events[jobs] = collector.payload()["events"]
+        # n=8 (cap 4) runs 0,1 | 3,4,5,6 | 7: the resumed slot 2 and the
+        # cap both cut.  n=12 (cap 2) runs 1,2 | 4,5 | 6,7.
+        for jobs in (1, 2):
+            assert events[jobs]["resumed"] == 3
+            assert events[jobs]["batch_occupancy_max"] == 4
+            assert events[jobs]["batch_occupancy_mean"] == pytest.approx(
+                (2 * 2 + 4 * 4 + 1 + 6 * 2) / 13)
+        for key in ("batch_occupancy_mean", "batch_occupancy_max"):
+            assert events[1][key] == events[2][key]
+
+
 class TestStoreSidecar:
     def _payload(self):
         collector = MetricsCollector()

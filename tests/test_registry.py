@@ -66,6 +66,16 @@ class TestRegistryTable:
         reg.register(spec, replace=True)
         assert len(reg) == 1
 
+    def test_jit_specs_have_a_compiled_walk_kernel(self):
+        # jit=True claims a compiled kernel; only the fused walk kernel
+        # exists, and it serves exactly _WALK_KERNEL_ALGORITHMS.
+        from repro.engines.fast_batch import _WALK_KERNEL_ALGORITHMS
+
+        jitted = [spec for spec in REGISTRY if spec.jit]
+        assert jitted
+        for spec in jitted:
+            assert spec.algorithm in _WALK_KERNEL_ALGORITHMS, spec.key
+
     def test_convertible_algorithms_capability(self):
         assert REGISTRY.convertible_algorithms() == [
             "dhc1", "dhc2", "dra", "turau"]
