@@ -219,10 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "REPRO_BATCH_EDGE_BUDGET, and with --engine "
                               f"auto and >= {AUTO_BATCH_MIN_TRIALS} trials "
                               "the sweep selects fast-batch where its "
-                              "batch kernel is active: cre always, dra "
-                              "and dhc2 only with the compiled kernel "
-                              "(REPRO_JIT=1 and numba), turau never "
-                              "(its fast-batch runs each trial on fast)")
+                              "batch kernel is active: dra and dhc2 only "
+                              "with the compiled kernel (REPRO_JIT=1 and "
+                              "numba), cre and turau never (their "
+                              "fast-batch runs each trial on fast)")
     sweep_p.add_argument("--chunksize", type=int, default=None,
                          help="trials per worker IPC message (with --jobs; "
                               "default auto-sizes from the sweep, 1 = "

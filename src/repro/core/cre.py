@@ -21,7 +21,8 @@ as an honest failure, exactly like the source paper's algorithms.
 The solver is sequential (the whole graph in one place, ``rounds =
 0``), so it registers as the ``sequential`` reference engine for
 algorithm ``"cre"``; :mod:`repro.engines.fast_cre` replays the same
-decision sequence on CSR position arrays and must match cycle, steps,
+decision sequence on CSR position arrays, drawing from a bit-identical
+Python-int replica of the same stream, and must match cycle, steps,
 and failure codes seed for seed (the registry ``parity`` declaration).
 
 Decision contract shared by both engines (one RNG stream,

@@ -7,21 +7,19 @@ trials, each with its own sampled graph, in one disjoint-union CSR
 
 Who batches on it
 -----------------
-* CRE (:mod:`repro.engines.fast_batch`) runs numpy passes over the
-  stacked CSR, advancing every still-live trial per pass;
-  :func:`reverse_path_blocks` is its batched rotation step.
-* DRA and DHC2 batch only through the fused walk and tree kernels of
-  :mod:`repro.engines._jit` (``REPRO_JIT=1`` with numba):
-  :class:`BatchWalk` and :func:`build_batch_tree` hand whole trials to
-  them.  Without a compiled kernel the ``fast-batch`` runners of those
-  two algorithms run each trial on per-trial ``fast`` instead — a
-  numpy batch-major walk costs more per lane-step than
-  :class:`~repro.engines.arraywalk.ArrayWalk` and never pays back.
-  Only the walk and the tree build are batch-specific:
-  :class:`BatchTree` times its trees with the per-trial engine's
-  :func:`~repro.engines.arraywalk.tree_completion_times` and
-  :func:`~repro.engines.arraywalk.tree_eccentricities`, and winners
-  are checked by :func:`~repro.verify.hamiltonicity.verify_cycle`.
+DRA and DHC2 batch only through the fused walk and tree kernels of
+:mod:`repro.engines._jit` (``REPRO_JIT=1`` with numba):
+:class:`BatchWalk` and :func:`build_batch_tree` hand whole trials to
+them.  Without a compiled kernel the ``fast-batch`` runners of those
+two algorithms run each trial on per-trial ``fast`` instead — a numpy
+batch-major walk costs more per lane-step than
+:class:`~repro.engines.arraywalk.ArrayWalk` and never pays back.  (CRE
+and Turau always run per trial, for the same reason.)  Only the walk
+and the tree build are batch-specific: :class:`BatchTree` times its
+trees with the per-trial engine's
+:func:`~repro.engines.arraywalk.tree_completion_times` and
+:func:`~repro.engines.arraywalk.tree_eccentricities`, and winners are
+checked by :func:`~repro.verify.hamiltonicity.verify_cycle`.
 
 Layout
 ------
@@ -71,8 +69,9 @@ The per-trial engines (``fast``, ``kmachine``) draw one value at a
 time, so they take the scalar form of the same replication:
 :func:`node_streams` seeds a trial's n children in one vector pass and
 hands back small Python-int PCG64 streams whose ``integers(bound)`` is
-bit-identical to the Generator's.  It shares the pools' self-check
-verdict, and falls back to real Generators with them.
+bit-identical to the Generator's; :func:`trial_stream` does the same
+for CRE's single ``default_rng(seed)`` stream.  Both share the pools'
+self-check verdict, and fall back to real Generators with them.
 
 Dispatch looks the compiled kernels up on :mod:`repro.engines._jit`
 at call time, so a host can toggle them within one process.  The
@@ -111,7 +110,7 @@ __all__ = [
     "node_streams",
     "stack_graph_csrs",
     "stacked_edge_twins",
-    "reverse_path_blocks",
+    "trial_stream",
 ]
 
 
@@ -389,6 +388,31 @@ class _NodeStream:
         return m >> 32
 
 
+def _replicable(seed) -> bool:
+    """Whether ``seed``'s streams may come from the replication.
+
+    Needs both self-checks to pass on this numpy and ``seed`` to be a
+    non-negative integer (anything else keeps numpy's own coercion and
+    errors); otherwise callers fall back to real Generators.
+    """
+    return (_exact() and isinstance(seed, (int, np.integer))
+            and seed >= 0)
+
+
+def trial_stream(seed):
+    """One trial's ``default_rng(seed)`` stream as a :class:`_NodeStream`.
+
+    Seeded from ``PCG64(seed).state``, so ``integers(bound)`` is
+    bit-identical to the Generator's at a fraction of the per-draw
+    cost.  Falls back to ``default_rng(seed)`` under the same rule as
+    :func:`node_streams`.  Callers may only call ``integers``.
+    """
+    if not _replicable(seed):
+        return np.random.default_rng(seed)
+    state = np.random.PCG64(seed).state["state"]
+    return _NodeStream(state["state"], state["inc"])
+
+
 def node_streams(seed, n: int) -> list:
     """The per-node random streams of one trial, one per node id.
 
@@ -404,8 +428,7 @@ def node_streams(seed, n: int) -> list:
     """
     if n == 0:
         return []
-    if (not _exact() or not isinstance(seed, (int, np.integer))
-            or seed < 0):
+    if not _replicable(seed):
         return [np.random.default_rng(s)
                 for s in np.random.SeedSequence(seed).spawn(n)]
     sh, sl, ih, il = _pcg_srandom(_spawned_pcg_states([seed], n))
@@ -513,24 +536,6 @@ class DrawPool:
         return out
 
 
-# -- pluggable inner scans (numpy fallback / optional numba) ---------------
-
-
-def _padded_rows(values: np.ndarray, starts: np.ndarray,
-                 ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``values[starts[i]:ends[i]]`` as a padded matrix + validity mask.
-
-    Padding slots hold an arbitrary in-range element and are masked
-    False; callers must apply the mask before trusting any entry.
-    """
-    degs = ends - starts
-    width = int(degs.max()) if degs.size else 0
-    cols = np.arange(width, dtype=np.int64)
-    flat = starts[:, None] + cols
-    np.minimum(flat, values.size - 1, out=flat)
-    return values[flat], cols < degs[:, None]
-
-
 def stacked_edge_twins(indptr: np.ndarray, indices: np.ndarray,
                        batch: int, size: int) -> np.ndarray:
     """Reverse-edge permutation of a stacked CSR, one block at a time.
@@ -551,30 +556,6 @@ def stacked_edge_twins(indptr: np.ndarray, indices: np.ndarray,
         twins[lo:hi] = np.argsort(indices[lo:hi], kind="stable")
         twins[lo:hi] += np.int32(lo)
     return twins
-
-
-def reverse_path_blocks(path_flat: np.ndarray, pos: np.ndarray,
-                        rows: np.ndarray, los: np.ndarray,
-                        highs: np.ndarray, size: int) -> None:
-    """Reverse ``path[rows[t], los[t]:highs[t]]`` for every t, in place.
-
-    One gather + one scatter over the concatenated segments (the same
-    per-block arange trick as :func:`~repro.graphs.adjacency.csr_gather`)
-    replaces a Python loop of per-trial slice reversals; ``pos`` picks
-    up each moved node's new *local* path position.  This is the
-    rotation step of the numpy CRE batch.
-    """
-    seg = highs - los
-    total = int(seg.sum())
-    if total == 0:
-        return
-    offs = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(seg) - seg, seg)
-    base = np.repeat(rows, seg) * size
-    dst = np.repeat(los, seg) + offs
-    vals = path_flat[base + (np.repeat(highs, seg) - 1 - offs)]
-    path_flat[base + dst] = vals
-    pos[vals] = dst
 
 
 class BatchTree:

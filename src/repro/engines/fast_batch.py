@@ -17,10 +17,10 @@ exercises.
 Which trials share whole-array passes depends on the algorithm and on
 :func:`batch_kernel_active`:
 
-* CRE always runs on the numpy batch kernel below.
-* Turau never batches: its runner runs each trial on per-trial
-  ``fast``.  Its numpy lockstep kernel measured slower than per-trial
-  ``fast`` at every size, with an order of magnitude more peak memory.
+* CRE and Turau never batch: their runners run each trial on
+  per-trial ``fast``.  Their numpy batch kernels measured slower than
+  per-trial ``fast`` at every size; Turau's also took an order of
+  magnitude more peak memory.
 * DRA and DHC2 batch only through the compiled fused walk kernel
   (:mod:`repro.engines._jit`, ``REPRO_JIT=1`` with numba) over an
   exact :class:`~repro.engines.batchwalk.DrawPool`.  Without it they
@@ -67,28 +67,20 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.analysis.bounds import diameter_budget, dra_step_budget
-from repro.core.cre import (
-    CRE_FAIL_BUDGET,
-    CRE_FAIL_CUT_OFF,
-    CRE_FAIL_STRANDED,
-    CRE_FAIL_TOO_SMALL,
-    cre_step_budget,
-)
 from repro.engines import _jit
 from repro.engines.batchwalk import (
     BatchWalk,
     DrawPool,
     _exact,
     build_batch_tree,
-    reverse_path_blocks,
     stack_graph_csrs,
     stacked_edge_twins,
 )
 from repro.engines.fast import _dra_fast, _dra_result
+from repro.engines.fast_cre import _cre_fast
 from repro.engines.fast_dhc2 import _dhc2_fast
 from repro.engines.results import RunResult
 from repro.graphs.batch_gnp import GnpBatch
-from repro.verify.hamiltonicity import CycleViolation, verify_cycle
 
 __all__ = ["_dra_fast_batch", "_cre_fast_batch",
            "_dhc2_fast_batch", "_turau_fast_batch",
@@ -116,17 +108,15 @@ _WALK_KERNEL_ALGORITHMS = frozenset({"dra", "dhc2"})
 def batch_kernel_active(algorithm: str) -> bool:
     """Whether ``fast-batch`` runs ``algorithm`` through a batch kernel.
 
-    CRE always does (numpy) and Turau never does.  DRA and DHC2 do
-    only when the fused walk kernel is dispatchable
-    (``_jit.walk_kernel``) and the
+    CRE and Turau never do.  DRA and DHC2 do only when the fused walk
+    kernel is dispatchable (``_jit.walk_kernel``) and the
     :class:`~repro.engines.batchwalk.DrawPool` is exact, since the
     kernel replays the pool's PCG64 state arrays.  Every other runner
     loops per-trial ``fast``.  The sweep's auto-batching asks the same
     question.
     """
-    if algorithm in _WALK_KERNEL_ALGORITHMS:
-        return _jit.walk_kernel is not None and _exact()
-    return algorithm == "cre"
+    return (algorithm in _WALK_KERNEL_ALGORITHMS
+            and _jit.walk_kernel is not None and _exact())
 
 
 def _per_trial(run, graphs, seeds, **kwargs) -> list[RunResult]:
@@ -300,190 +290,13 @@ def _dra_fast_batch_one(graph, *, seed: int = 0,
 
 def _cre_fast_batch(graphs, *, seeds, step_budget: int | None = None,
                     ) -> list[RunResult]:
-    """The CRE solver over a batch of trials (decision contract of
-    :mod:`repro.core.cre`, one RNG stream per trial)."""
+    """The CRE solver over a batch: per-trial ``fast`` on every trial."""
     graphs = _as_trials(graphs)
     seeds = list(seeds)
     if not len(graphs):
         return []
-    n = _check_batch(graphs, seeds)
-    if n < 3:
-        return [RunResult("cre", False, None, 0, engine="fast-batch",
-                          detail={"fail": CRE_FAIL_TOO_SMALL, "extensions": 0,
-                                  "rotations": 0, "cycle_extensions": 0})
-                for _ in range(len(graphs))]
-    results: list[RunResult | None] = [None] * len(graphs)
-    for lo, hi in _chunk_spans(graphs):
-        _cre_chunk(graphs[lo:hi], seeds[lo:hi], results, lo, step_budget)
-    return results  # type: ignore[return-value]  # every slot filled
-
-
-def _cre_chunk(graphs, seeds, results, offset, step_budget) -> None:
-    from repro.engines.batchwalk import _padded_rows
-
-    n = _batch_n(graphs)
-    batch = len(graphs)
-    budget = step_budget if step_budget is not None else cre_step_budget(n)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    indptr, indices, _ = _stacked_csr(graphs)
-    base = np.arange(batch, dtype=np.int64) * n
-
-    path = np.zeros((batch, n), dtype=np.int64)       # global ids
-    path_flat = path.reshape(-1)
-    pos = np.full(batch * n, -1, dtype=np.int64)      # global id -> local pos
-    unvisited = np.diff(indptr).astype(np.int64)
-    plen = np.ones(batch, dtype=np.int64)
-    live = np.ones(batch, dtype=bool)
-    success = np.zeros(batch, dtype=bool)
-    steps = np.zeros(batch, dtype=np.int64)
-    fail = [None] * batch
-    extensions = np.zeros(batch, dtype=np.int64)
-    rotations = np.zeros(batch, dtype=np.int64)
-    cycle_extensions = np.zeros(batch, dtype=np.int64)
-    ramp = np.arange(n, dtype=np.int64)
-
-    # Same first draw as serial: the start node, uniform over n.
-    starts0 = base + np.fromiter((rng.integers(n) for rng in rngs),
-                                 dtype=np.int64, count=batch)
-    path[:, 0] = starts0
-    pos[starts0] = 0
-    from repro.graphs.adjacency import csr_gather
-    unvisited[csr_gather(indptr, indices, starts0)] -= 1
-
-    def visit(trials: np.ndarray, targets: np.ndarray) -> None:
-        """Append each target to its trial's path (the shared tail of
-        every extension flavour)."""
-        lengths = plen[trials]
-        pos[targets] = lengths
-        path_flat[trials * n + lengths] = targets
-        plen[trials] += 1
-        unvisited[csr_gather(indptr, indices, targets)] -= 1
-
-    def stop(trials: np.ndarray, code: str) -> None:
-        for b in trials.tolist():
-            fail[b] = code
-        steps[trials] = moves
-        live[trials] = False
-
-    moves = 0
-    while True:
-        act = np.flatnonzero(live)
-        if act.size == 0:
-            break
-        heads = path_flat[act * n + plen[act] - 1]
-        tails = path_flat[act * n]
-        row_vals, valid = _padded_rows(indices, indptr[heads],
-                                       indptr[heads + 1])
-        closes = ((row_vals == tails[:, None]) & valid).any(axis=1)
-        fresh = valid & (pos[row_vals] < 0)
-        fresh_counts = fresh.sum(axis=1)
-
-        # Closure precedes the budget gate (reference decision contract).
-        won = closes & (plen[act] == n)
-        if won.any():
-            winners = act[won]
-            success[winners] = True
-            steps[winners] = moves
-            live[winners] = False
-        going = np.flatnonzero(~won)
-        if going.size == 0:
-            continue
-        if moves >= budget:
-            stop(act[going], CRE_FAIL_BUDGET)
-            continue
-        moves += 1
-
-        ext = fresh_counts[going] > 0
-        if ext.any():
-            rows = going[ext]
-            draws = np.fromiter(
-                (rngs[b].integers(c) for b, c in
-                 zip(act[rows].tolist(), fresh_counts[rows].tolist())),
-                dtype=np.int64, count=rows.size)
-            picked = fresh[rows]
-            chosen = picked & (np.cumsum(picked, axis=1)
-                               == (draws + 1)[:, None])
-            targets = row_vals[rows, chosen.argmax(axis=1)]
-            visit(act[rows], targets)
-            extensions[act[rows]] += 1
-
-        cyc = ~ext & closes[going]
-        if cyc.any():
-            # Cycle extension: rare enough that the two dependent draws
-            # (pivot in path order, then target) stay per-trial.
-            for b in act[going[cyc]].tolist():
-                rng = rngs[b]
-                on_path = path[b, :plen[b]]
-                pivots = on_path[unvisited[on_path] > 0]
-                if pivots.size == 0:
-                    fail[b] = CRE_FAIL_CUT_OFF
-                    steps[b] = moves
-                    live[b] = False
-                    continue
-                pivot = int(pivots[rng.integers(pivots.size)])
-                pivot_row = indices[indptr[pivot]:indptr[pivot + 1]]
-                targets = pivot_row[pos[pivot_row] < 0]
-                target = int(targets[rng.integers(targets.size)])
-                i = int(pos[pivot]) + 1
-                length = int(plen[b])
-                path[b, :length] = np.concatenate(
-                    (path[b, i:length], path[b, :i]))
-                pos[path[b, :length]] = ramp[:length]
-                one = np.array([b], dtype=np.int64)
-                visit(one, np.array([target], dtype=np.int64))
-                cycle_extensions[b] += 1
-
-        rot = ~ext & ~closes[going]
-        if rot.any():
-            rows = going[rot]
-            trials = act[rows]
-            preds = np.where(plen[trials] >= 2,
-                             path_flat[trials * n + plen[trials] - 2], -1)
-            options = (valid[rows] & (pos[row_vals[rows]] >= 0)
-                       & (row_vals[rows] != preds[:, None]))
-            counts = options.sum(axis=1)
-            cornered = counts == 0
-            if cornered.any():
-                stop(trials[cornered], CRE_FAIL_STRANDED)
-                rows = rows[~cornered]
-                trials = trials[~cornered]
-                options = options[~cornered]
-                counts = counts[~cornered]
-            if rows.size:
-                draws = np.fromiter(
-                    (rngs[b].integers(c) for b, c in
-                     zip(trials.tolist(), counts.tolist())),
-                    dtype=np.int64, count=rows.size)
-                chosen = options & (np.cumsum(options, axis=1)
-                                    == (draws + 1)[:, None])
-                pivots = row_vals[rows, chosen.argmax(axis=1)]
-                los = pos[pivots] + 1
-                reverse_path_blocks(path_flat, pos, trials, los,
-                                    plen[trials], n)
-                rotations[trials] += 1
-
-    for b in range(batch):
-        ok = bool(success[b])
-        cycle = None
-        if ok:
-            # Only winners materialise a Graph on the GnpBatch path.
-            cycle = (path[b, :plen[b]] - b * n).tolist()
-            try:
-                verify_cycle(graphs[b], cycle)
-            except CycleViolation:
-                ok, cycle = False, None
-                fail[b] = CRE_FAIL_STRANDED
-        results[offset + b] = RunResult(
-            algorithm="cre",
-            success=ok,
-            cycle=cycle,
-            rounds=0,
-            steps=int(steps[b]),
-            engine="fast-batch",
-            detail={"fail": fail[b], "extensions": int(extensions[b]),
-                    "rotations": int(rotations[b]),
-                    "cycle_extensions": int(cycle_extensions[b])},
-        )
+    _check_batch(graphs, seeds)
+    return _per_trial(_cre_fast, graphs, seeds, step_budget=step_budget)
 
 
 def _cre_fast_batch_one(graph, *, seed: int = 0,

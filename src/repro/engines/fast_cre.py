@@ -2,14 +2,24 @@
 
 Replays :mod:`repro.core.cre`'s decision sequence (see that module's
 decision contract) with the data layout of the array kernel: an int64
-path array plus position map (rotation = one slice reversal plus one
-fancy-indexed update, exactly like :class:`~repro.engines.arraywalk.
-ArrayWalk`), a vectorised unvisited-degree array maintained by one
-scatter-subtract per visit, and candidate scans as masked CSR row
-slices — the "vectorised rotation scan" that makes the solver usable
-at sweep sizes.  Same single RNG stream, same draw order, hence
-seed-for-seed identical cycle, steps, and failure codes (the registry
-``parity`` declaration, held by ``tests/test_engine_parity.py``).
+path array plus position map, and a rotation is one slice reversal
+plus one fancy-indexed ``pos`` update, exactly like
+:class:`~repro.engines.arraywalk.ArrayWalk`, so long paths still
+scale.  Each step pays only for the move it makes:
+
+* draws come from one :func:`~repro.engines.batchwalk.trial_stream`,
+  the Generator's stream in Python ints;
+* an extension is one masked row slice over an unvisited-node mask;
+* closure is a lookup in the tail's neighbour marks, asked only at
+  ``plen == n`` or when the head has no fresh neighbour;
+* a stuck head's neighbours are all on the path, so the rotation
+  pivot is a draw over the sorted row that skips the predecessor;
+* cycle extensions are rare, so they find their pivots in one O(m)
+  pass over the unvisited mask and extensions keep no degree counts.
+
+Same single RNG stream, same draw order, hence seed-for-seed
+identical cycle, steps, and failure codes (the registry ``parity``
+declaration, held by ``tests/test_engine_parity.py``).
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from repro.core.cre import (
     CRE_FAIL_TOO_SMALL,
     cre_step_budget,
 )
+from repro.engines.batchwalk import trial_stream
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
 from repro.verify.hamiltonicity import CycleViolation, verify_cycle
@@ -44,81 +55,91 @@ def _cre_fast(
         detail["fail"] = CRE_FAIL_TOO_SMALL
         return RunResult("cre", False, None, 0, engine="fast", detail=detail)
     budget = step_budget if step_budget is not None else cre_step_budget(n)
-    rng = np.random.default_rng(seed)
+    draw = trial_stream(seed).integers
     indptr, indices = graph.indptr, graph.indices
+    bounds = indptr.tolist()
 
     path = np.empty(n, dtype=np.int64)
     pos = np.full(n, -1, dtype=np.int64)
+    free = np.ones(n, dtype=bool)
     ramp = np.arange(n, dtype=np.int64)
-    unvisited_degree = (indptr[1:] - indptr[:-1]).astype(np.int64)
 
-    def row_of(v: int) -> np.ndarray:
-        return indices[indptr[v]:indptr[v + 1]]
-
-    start = int(rng.integers(n))
-    path[0] = start
-    pos[start] = 0
+    head = tail = int(draw(n))
+    path[0] = head
+    pos[head] = 0
+    free[head] = False
     plen = 1
-    unvisited_degree[row_of(start)] -= 1
+    # Closure marks: the neighbours of the tail, which moves only on a
+    # cycle extension.
+    closes = np.zeros(n, dtype=bool)
+    closes[indices[bounds[tail]:bounds[tail + 1]]] = True
 
-    steps = 0
+    steps = extensions = 0
     ok = False
     while True:
-        head = int(path[plen - 1])
-        tail = int(path[0])
-        row = row_of(head)
-        closes = bool((row == tail).any())
+        row = indices[bounds[head]:bounds[head + 1]]
         # Closure precedes the budget gate (see the reference
         # implementation): it is the termination condition, not a move.
-        if plen == n and closes:
+        # Below n it is only asked once the head has no fresh neighbour.
+        if plen == n and closes[head]:
             ok = True
             break
         if steps >= budget:
             detail["fail"] = CRE_FAIL_BUDGET
             break
         steps += 1
-        fresh = row[pos[row] < 0]
-        if fresh.size:
-            target = int(fresh[rng.integers(fresh.size)])
-            pos[target] = plen
-            path[plen] = target
-            plen += 1
-            unvisited_degree[row_of(target)] -= 1
-            detail["extensions"] += 1
-            continue
-        if closes and plen < n:
-            # Cycle extension: re-open the (head, tail) cycle at a
-            # pivot with an unvisited neighbour, in path order.
-            on_path = path[:plen]
-            pivots = on_path[unvisited_degree[on_path] > 0]
-            if pivots.size == 0:
-                detail["fail"] = CRE_FAIL_CUT_OFF
-                break
-            pivot = int(pivots[rng.integers(pivots.size)])
-            pivot_row = row_of(pivot)
-            targets = pivot_row[pos[pivot_row] < 0]
-            target = int(targets[rng.integers(targets.size)])
-            i = int(pos[pivot])
-            path[:plen] = np.concatenate((path[i + 1:plen], path[:i + 1]))
-            pos[path[:plen]] = ramp[:plen]
-            pos[target] = plen
-            path[plen] = target
-            plen += 1
-            unvisited_degree[row_of(target)] -= 1
-            detail["cycle_extensions"] += 1
-            continue
-        # Rotation: a random on-path neighbour of the head, excluding
-        # the head's predecessor.
-        pred = int(path[plen - 2]) if plen >= 2 else -1
-        pivots = row[(pos[row] >= 0) & (row != pred)]
-        if pivots.size == 0:
+        if plen < n:
+            fresh = row[free[row]]
+            if fresh.size:
+                head = int(fresh[draw(fresh.size)])
+                pos[head] = plen
+                free[head] = False
+                path[plen] = head
+                plen += 1
+                extensions += 1
+                continue
+            if closes[head]:
+                # Cycle extension: re-open the (head, tail) cycle at a
+                # pivot with an unvisited neighbour, in path order.
+                free_upto = np.zeros(indices.size + 1, dtype=np.int64)
+                np.cumsum(free[indices], out=free_upto[1:])
+                on_path = path[:plen]
+                pivots = on_path[free_upto[indptr[on_path + 1]]
+                                 > free_upto[indptr[on_path]]]
+                if pivots.size == 0:
+                    detail["fail"] = CRE_FAIL_CUT_OFF
+                    break
+                pivot = int(pivots[draw(pivots.size)])
+                pivot_row = indices[bounds[pivot]:bounds[pivot + 1]]
+                targets = pivot_row[free[pivot_row]]
+                head = int(targets[draw(targets.size)])
+                i = int(pos[pivot])
+                path[:plen] = np.concatenate((path[i + 1:plen], path[:i + 1]))
+                pos[path[:plen]] = ramp[:plen]
+                tail = int(path[0])
+                closes[:] = False
+                closes[indices[bounds[tail]:bounds[tail + 1]]] = True
+                pos[head] = plen
+                free[head] = False
+                path[plen] = head
+                plen += 1
+                detail["cycle_extensions"] += 1
+                continue
+        # Rotation: every neighbour of the head is on the path, so the
+        # choice set is the sorted row minus the head's predecessor.
+        degree = row.size
+        if plen < 2 or degree < 2:
             detail["fail"] = CRE_FAIL_STRANDED
             break
-        pivot = int(pivots[rng.integers(pivots.size)])
-        j = int(pos[pivot])
-        path[j + 1:plen] = path[j + 1:plen][::-1].copy()
+        k = int(draw(degree - 1))
+        if k >= row.searchsorted(path[plen - 2]):
+            k += 1
+        j = int(pos[row[k]])
+        path[j + 1:plen] = path[plen - 1:j:-1]
         pos[path[j + 1:plen]] = ramp[j + 1:plen]
+        head = int(path[plen - 1])
         detail["rotations"] += 1
+    detail["extensions"] = extensions
 
     cycle = None
     if ok:

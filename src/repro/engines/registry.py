@@ -158,8 +158,8 @@ def _builtin_specs() -> list[EngineSpec]:
                    batch_runner="repro.engines.fast_batch:_cre_fast_batch",
                    supported_kwargs=("step_budget",),
                    parity=("cycle", "steps"),
-                   summary="Alon-Krivelevich CRE solver, batched trials on "
-                           "shared position arrays"),
+                   summary="Alon-Krivelevich CRE solver, per-trial fast on "
+                           "each trial of the batch"),
         # -- the paper's centralized algorithms --------------------------------
         EngineSpec("upcast", "congest", "repro.core:run_upcast",
                    supported_kwargs=("c_prime", "solver_restarts",

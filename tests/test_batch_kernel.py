@@ -8,9 +8,9 @@ targets — the exact code numba would compile, minus the compilation —
 and holding every RunResult field against per-trial ``fast`` (and the
 tree kernel against :func:`~repro.engines.arraywalk.build_array_tree`
 per block).  The CI jit lane (``REPRO_JIT=1`` with numba installed)
-re-runs the whole suite with the kernels actually compiled.  Turau
-has no batch kernel; its ``fast-batch`` rides the same equality
-checks as the per-trial route.
+re-runs the whole suite with the kernels actually compiled.  CRE and
+Turau have no batch kernel; their ``fast-batch`` rides the same
+equality checks as the per-trial route.
 
 :class:`TestBatchTreeTiming` holds the batch tree's completion rounds
 and flood eccentricities to :class:`~repro.engines.arraywalk.ArrayTree`
@@ -18,7 +18,7 @@ per trial, over full and colour-class blocks.
 
 :class:`TestKernelRoute` pins the route: without a dispatchable walk
 kernel, DRA and DHC2 ``fast-batch`` run each trial on ``fast``, and
-Turau always does.
+CRE and Turau always do.
 
 :class:`TestNodeStreams` pins the scalar half of the same replication,
 :func:`~repro.engines.batchwalk.node_streams`, to the spawned
@@ -109,7 +109,8 @@ class TestFusedKernelEquality:
         with monkeypatch.context() as m:
             m.setattr(_jit, "walk_kernel", _jit.walk_steps_impl)
             m.setattr(_jit, "tree_kernel", _jit.tree_build_impl)
-            assert batch_kernel_active(algorithm) == (algorithm != "turau")
+            assert batch_kernel_active(algorithm) == (
+                algorithm in ("dra", "dhc2"))
             fused = BATCH_RUNNERS[algorithm](graphs, seeds=seeds, **kwargs)
         assert len(fused) == len(plain) == len(graphs)
         outcomes = set()
@@ -297,7 +298,8 @@ class TestJitGating:
 
 
 class TestKernelRoute:
-    """Without a dispatchable walk kernel DRA/DHC2 run per-trial ``fast``."""
+    """Without a dispatchable walk kernel DRA/DHC2 run per-trial ``fast``;
+    CRE and Turau always do."""
 
     RUNNERS = {"dra": (_dra_fast_batch, _dra_fast_batch_one, _dra_fast),
                "dhc2": (_dhc2_fast_batch, _dhc2_fast_batch_one, _dhc2_fast)}
@@ -355,13 +357,17 @@ class TestKernelRoute:
                          seeds[:1], serial)
         assert calls
 
-    def test_numpy_batch_algorithms_always_active(self, monkeypatch):
-        # CRE batches on numpy with or without a walk kernel; Turau
-        # never batches.
+    def test_cre_and_turau_never_batch(self, monkeypatch):
+        # With or without a walk kernel, CRE and Turau run each trial
+        # on fast, pooled graphs included.
+        pooled = batch_gnp(48, 0.5, [7, 8, 9])
         for kernel in (None, _jit.walk_steps_impl):
             monkeypatch.setattr(_jit, "walk_kernel", kernel)
-            assert batch_kernel_active("cre")
-            assert not batch_kernel_active("turau")
+            for algorithm in ("cre", "turau"):
+                assert not batch_kernel_active(algorithm)
+                self.assert_fast(
+                    BATCH_RUNNERS[algorithm](pooled, seeds=[1, 2, 3]),
+                    pooled, [1, 2, 3], FAST_RUNNERS[algorithm])
 
 
 class TestNodeStreams:

@@ -427,8 +427,7 @@ class TestSweepCommand:
             self, capsys, monkeypatch):
         # engine=auto + many same-point trials -> fast-batch where its
         # batch kernel is active (threshold lowered so the test stays
-        # fast): cre always, dra/dhc2 only with a walk kernel, turau
-        # never.
+        # fast): dra/dhc2 only with a walk kernel, cre and turau never.
         from repro.engines import _jit
 
         monkeypatch.setattr("repro.cli.AUTO_BATCH_MIN_TRIALS", 4)
@@ -437,20 +436,21 @@ class TestSweepCommand:
         for kernel in (None, _jit.walk_steps_impl):
             monkeypatch.setattr(_jit, "walk_kernel", kernel)
             for algorithm in ("dra", "dhc2", "cre", "turau"):
-                batched = algorithm == "cre" or (
-                    kernel is not None and algorithm in ("dra", "dhc2"))
+                batched = (kernel is not None
+                           and algorithm in ("dra", "dhc2"))
                 code, out, _ = run_cli(capsys, *base, "--algorithm",
                                        algorithm, "--trials", "4")
                 assert code == 0
                 assert json.loads(out)["engine"] == (
                     "fast-batch" if batched else "fast"), (algorithm, kernel)
-        # Below the threshold auto stays on per-trial fast.
-        code, out, _ = run_cli(capsys, *base, "--algorithm", "cre",
+        # Below the threshold auto stays on per-trial fast (the walk
+        # kernel is still installed, so dra would batch above it).
+        code, out, _ = run_cli(capsys, *base, "--algorithm", "dra",
                                "--trials", "3")
         assert code == 0
         assert json.loads(out)["engine"] == "fast"
         # An explicit --batch-size 1 opts out of auto-selection.
-        code, out, _ = run_cli(capsys, *base, "--algorithm", "cre",
+        code, out, _ = run_cli(capsys, *base, "--algorithm", "dra",
                                "--trials", "4", "--batch-size", "1")
         assert code == 0
         assert json.loads(out)["engine"] == "fast"
@@ -466,8 +466,8 @@ class TestSweepCommand:
         # Auto-batching must be invisible in the store: same seeds,
         # same records as an explicit per-trial fast sweep.  The
         # uncompiled kernels stand in for compiled ones so dra and dhc2
-        # take the batch path too.  Auto keeps turau on fast, so its
-        # fast-batch route is named explicitly.
+        # take the batch path too.  Auto keeps cre and turau on fast, so
+        # their fast-batch route is named explicitly.
         from repro.engines import _jit
 
         base = ("sweep", "--algorithm", algorithm, "--sizes", "24,32",
@@ -479,7 +479,8 @@ class TestSweepCommand:
         monkeypatch.setattr("repro.cli.AUTO_BATCH_MIN_TRIALS", 5)
         monkeypatch.setattr(_jit, "walk_kernel", _jit.walk_steps_impl)
         monkeypatch.setattr(_jit, "tree_kernel", _jit.tree_build_impl)
-        forced = ("--engine", "fast-batch") if algorithm == "turau" else ()
+        forced = (("--engine", "fast-batch") if algorithm in ("cre", "turau")
+                  else ())
         code, out, _ = run_cli(capsys, *base, *forced, "--store",
                                str(tmp_path / "auto.jsonl"))
         assert code == 0

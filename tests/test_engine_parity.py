@@ -23,6 +23,7 @@ import pytest
 
 import repro
 from repro.core.rotation import FAIL_NO_EDGES
+from repro.engines import batchwalk
 from repro.engines.arraywalk import build_array_tree
 from repro.engines.fast import (
     _dra_fast_py,
@@ -181,6 +182,22 @@ class TestTurauParity:
         assert kernel.detail["fail"] == oracle.detail["fail"] == "too-small"
 
 
+CRE_DETAIL_KEYS = ("fail", "extensions", "rotations", "cycle_extensions")
+
+#: Degenerate CRE inputs: stranded exits (empty, star, path), cut-off
+#: (two triangles), cycle extensions on tiny graphs (the star from its
+#: hub, the path) and immediate closures (K6, the triangle).
+DEGENERATE_GRAPHS = {
+    "empty": Graph(5),
+    "star": Graph(6, [(0, leaf) for leaf in range(1, 6)]),
+    "path": Graph(6, [(v, v + 1) for v in range(5)]),
+    "two-triangles": Graph(6, [(0, 1), (1, 2), (0, 2),
+                               (3, 4), (4, 5), (3, 5)]),
+    "k6": Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)]),
+    "triangle": Graph(3, [(0, 1), (1, 2), (0, 2)]),
+}
+
+
 class TestCreParity:
     """CRE: the CSR-array replay vs the scalar sequential reference."""
 
@@ -194,9 +211,43 @@ class TestCreParity:
             oracle = repro.run(g, "cre", engine="sequential", seed=seed)
             assert_parity(
                 kernel, oracle, f"cre {model} n={n} factor={factor} seed={seed}",
-                detail_keys=("fail", "extensions", "rotations",
-                             "cycle_extensions"),
+                detail_keys=CRE_DETAIL_KEYS,
                 fields=("success", "cycle", "steps"))
+
+    @pytest.mark.parametrize("route", ["generator-fallback", "numpy-seed"])
+    def test_draw_routes(self, route, monkeypatch):
+        # Both draw paths of fast: the replicated stream (here from an
+        # np.int64 seed) and the real Generator it falls back to.
+        if route == "generator-fallback":
+            monkeypatch.setattr(batchwalk, "_EXACT", False)
+        for factor in (1.0, 8.0):
+            for seed in (1, 7):
+                g = sample("gnp", 64, factor, seed)
+                drawn = np.int64(seed) if route == "numpy-seed" else seed
+                assert isinstance(batchwalk.trial_stream(drawn),
+                                  np.random.Generator) == (
+                    route == "generator-fallback")
+                kernel = repro.run(g, "cre", engine="fast", seed=drawn)
+                oracle = repro.run(g, "cre", engine="sequential", seed=seed)
+                assert_parity(
+                    kernel, oracle, f"cre {route} factor={factor} seed={seed}",
+                    detail_keys=CRE_DETAIL_KEYS,
+                    fields=("success", "cycle", "steps"))
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_GRAPHS))
+    def test_degenerate_graphs(self, name):
+        g = DEGENERATE_GRAPHS[name]
+        fails = set()
+        for seed in range(16):  # seeds 11 and 14 start the star at its hub
+            kernel = repro.run(g, "cre", engine="fast", seed=seed)
+            oracle = repro.run(g, "cre", engine="sequential", seed=seed)
+            assert_parity(
+                kernel, oracle, f"cre {name} seed={seed}",
+                detail_keys=CRE_DETAIL_KEYS,
+                fields=("success", "cycle", "steps"))
+            fails.add(kernel.detail["fail"])
+        if name == "two-triangles":
+            assert fails == {"cut-off"}
 
     def test_step_budget_failure_matches(self):
         g = sample("gnp", 64, 2.0, seed=3)
