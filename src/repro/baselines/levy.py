@@ -51,7 +51,7 @@ import numpy as np
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
 from repro.graphs.properties import bfs_distances
-from repro.verify.hamiltonicity import CycleViolation, verify_cycle
+from repro.verify.hamiltonicity import verified_cycle
 
 __all__ = ["run_levy", "levy_density_requirement"]
 
@@ -278,16 +278,11 @@ def run_levy(
                         "paths": len(paths) + 1})
         patched += 1
 
-    ok = len(cycle) == n
-    if ok:
-        try:
-            verify_cycle(graph, cycle)
-        except CycleViolation:
-            ok = False
+    cycle = verified_cycle(graph, cycle) if len(cycle) == n else None
     return RunResult(
         algorithm="levy",
-        success=ok,
-        cycle=cycle if ok else None,
+        success=cycle is not None,
+        cycle=cycle,
         rounds=rounds,
         steps=steps,
         engine="fast",

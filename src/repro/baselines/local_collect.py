@@ -39,7 +39,7 @@ from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
 from repro.graphs.properties import bfs_distances
 from repro.sequential.posa import posa_cycle
-from repro.verify.hamiltonicity import CycleViolation, verify_cycle
+from repro.verify.hamiltonicity import verified_cycle
 
 __all__ = ["run_local_collect"]
 
@@ -85,18 +85,12 @@ def run_local_collect(
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     neighbors = {v: graph.neighbor_list(v) for v in range(n)}
-    cycle = posa_cycle(n, neighbors, rng=rng, restarts=restarts)
-
-    ok = cycle is not None
-    if ok:
-        try:
-            verify_cycle(graph, cycle)
-        except CycleViolation:
-            ok, cycle = False, None
+    cycle = verified_cycle(
+        graph, posa_cycle(n, neighbors, rng=rng, restarts=restarts))
     return RunResult(
         algorithm="local",
-        success=ok,
-        cycle=cycle if ok else None,
+        success=cycle is not None,
+        cycle=cycle,
         rounds=rounds,
         messages=messages,
         bits=bits,

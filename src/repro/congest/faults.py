@@ -53,7 +53,7 @@ __all__ = ["FaultPlan", "FaultInjector", "compose_fault_hook"]
 def compose_fault_hook(plan: "FaultPlan", network_hook=None):
     """A ``network_hook`` applying ``plan``, composed with an existing hook.
 
-    This is how :func:`~repro.congest.model.build_network` honours a
+    This is how :func:`~repro.congest.model.run_protocol` honours a
     model's ``fault_plan``: the returned hook attaches a fresh
     :class:`FaultInjector` (before any caller-supplied hook, so a
     conflicting second delivery filter fails loudly), and the injector

@@ -35,15 +35,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.congest.faults import FaultInjector, FaultPlan, compose_fault_hook
+from repro.engines.results import RunResult
+
+if TYPE_CHECKING:  # pragma: no cover - the network module imports this one
+    from repro.congest.network import Network
 
 __all__ = [
     "LatencySpec",
     "NetworkModel",
     "coerce_network_model",
-    "build_network",
+    "run_protocol",
+    "ProtocolRun",
     "faults_summary_for",
 ]
 
@@ -129,12 +134,12 @@ class LatencySpec:
 def _normalize_churn(churn) -> tuple:
     events = []
     for item in churn:
-        try:
-            action, node, time = item
-        except (TypeError, ValueError):
+        # Only a list or tuple is a triple: a dict or string of length
+        # 3 would unpack into its keys or characters.
+        if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise ValueError(
-                f"churn events are (action, node, time) triples, got {item!r}"
-            ) from None
+                f"churn events are (action, node, time) triples, got {item!r}")
+        action, node, time = item
         if action not in _CHURN_ACTIONS:
             raise ValueError(
                 f"churn action must be one of {_CHURN_ACTIONS}, got {action!r}")
@@ -263,29 +268,31 @@ def coerce_network_model(
         f"{type(network).__name__}")
 
 
-def build_network(
+def run_protocol(
     graph,
     protocol_factory,
     *,
     seed: int = 0,
-    model: NetworkModel,
+    network: "NetworkModel | dict | str | None" = None,
     audit_memory: bool = False,
+    max_rounds: int,
     default_bandwidth: int | None = None,
-):
-    """Construct (and hook up) the simulator ``model`` describes.
+) -> "ProtocolRun":
+    """Run ``protocol_factory`` on ``graph`` over the substrate ``network`` names.
 
-    Returns ``(network, injector)``: a ready-to-run
-    :class:`~repro.congest.network.Network` in the model's mode, and
-    the :class:`~repro.congest.faults.FaultInjector` applying the
-    model's fault plan (its counters are ``injector.summary()``), or
-    ``None`` when the model has no fault plan.  The injector attaches
-    through :func:`~repro.congest.faults.compose_fault_hook` in both
-    modes, before the model's own ``network_hook``.  ``audit_memory``
-    is the runner's own flag; it ORs with the model's.
+    Builds the :class:`~repro.congest.network.Network` in the model's
+    mode, attaches the model's fault plan (a
+    :class:`~repro.congest.faults.FaultInjector`, through
+    :func:`~repro.congest.faults.compose_fault_hook`, before the model's
+    own ``network_hook``) and runs it for at most ``max_rounds`` without
+    raising at the limit.  ``audit_memory`` is the runner's own flag; it
+    ORs with the model's.  ``default_bandwidth`` is the runner's word
+    budget when the model sets none.
     """
     # The network module imports this one, so import it at call time.
     from repro.congest.network import DEFAULT_BANDWIDTH_WORDS, Network
 
+    model = coerce_network_model(network)
     words = model.bandwidth_words
     if words is None:
         words = (default_bandwidth if default_bandwidth is not None
@@ -299,7 +306,49 @@ def build_network(
                   audit_memory=bool(audit_memory or model.audit_memory))
     if hook is not None:
         hook(net)
-    return net, injector
+    net.run(max_rounds=max_rounds, raise_on_limit=False)
+    return ProtocolRun(model, net, injector)
+
+
+@dataclass(frozen=True)
+class ProtocolRun:
+    """One finished substrate run, and the reporting every congest runner shares.
+
+    ``network`` is ``None`` for a run that never started (a graph too
+    small to run on); ``injector`` applied the model's fault plan.
+    """
+
+    model: NetworkModel
+    network: "Network | None" = None
+    injector: FaultInjector | None = None
+
+    def result(self, algorithm: str, success: bool, cycle, *,
+               steps: int = 0, detail: dict) -> RunResult:
+        """The run's :class:`RunResult`.
+
+        Rounds, messages and bits come from the network's metrics.
+        ``detail`` gains ``"faults"`` when the model has a fault plan
+        (zero counts if the run never started), ``"async"`` in async
+        mode and the memory-audit keys when auditing.
+        """
+        net = self.network
+        faults = (self.injector.summary() if self.injector is not None
+                  else faults_summary_for(self.model))
+        if faults is not None:
+            detail["faults"] = faults
+        engine = "async" if self.model.is_async() else "congest"
+        if net is None:
+            return RunResult(algorithm, success, cycle, 0, steps=steps,
+                             engine=engine, detail=detail)
+        metrics = net.metrics
+        if self.model.is_async():
+            detail["async"] = net.async_summary()
+        if metrics.memory_audited:
+            detail["max_state_words"] = metrics.max_state_words()
+            detail["state_words"] = metrics.peak_state_words.tolist()
+        return RunResult(algorithm, success, cycle, metrics.rounds,
+                         messages=metrics.messages, bits=metrics.bits,
+                         steps=steps, engine=engine, detail=detail)
 
 
 def faults_summary_for(model: NetworkModel) -> dict | None:

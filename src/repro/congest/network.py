@@ -84,7 +84,7 @@ class Network:
         The substrate (default: synchronous rounds).  The network reads
         its ``mode``, ``latency``, ``churn`` and ``seed``; the per-run
         fields (``fault_plan``, ``network_hook``, bandwidth, audit) are
-        applied by :func:`~repro.congest.model.build_network`.
+        applied by :func:`~repro.congest.model.run_protocol`.
     bandwidth_words:
         Per-message budget in integer words (total bits =
         ``TAG_BITS + bandwidth_words * ceil(log2(n+1))`` — a constant

@@ -44,7 +44,7 @@ import numpy as np
 from repro.analysis.bounds import dra_step_budget
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
-from repro.verify.hamiltonicity import CycleViolation, verify_cycle
+from repro.verify.hamiltonicity import verified_cycle
 
 __all__ = [
     "run_cre",
@@ -163,17 +163,12 @@ def run_cre(
             pos[v] = j + 1 + offset
         detail["rotations"] += 1
 
-    cycle = None
-    if ok:
-        cycle = list(path)
-        try:
-            verify_cycle(graph, cycle)
-        except CycleViolation:
-            ok, cycle = False, None
-            detail["fail"] = CRE_FAIL_STRANDED
+    cycle = verified_cycle(graph, list(path)) if ok else None
+    if ok and cycle is None:
+        detail["fail"] = CRE_FAIL_STRANDED
     return RunResult(
         algorithm="cre",
-        success=ok,
+        success=cycle is not None,
         cycle=cycle,
         rounds=0,
         steps=steps,

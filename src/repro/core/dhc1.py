@@ -40,7 +40,7 @@ import math
 
 from repro.analysis.bounds import diameter_budget, dra_round_budget, dra_step_budget
 from repro.congest.message import Message
-from repro.congest.model import build_network, coerce_network_model
+from repro.congest.model import run_protocol
 from repro.congest.node import Context
 from repro.core.phase1 import PartitionedPhase1Protocol
 from repro.core.rotation import RotationWalk, VirtualEdge
@@ -48,7 +48,7 @@ from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
 from repro.primitives.barrier import Barrier
 from repro.primitives.bfs import BfsTree
-from repro.verify.hamiltonicity import CycleViolation, cycle_from_successors, verify_cycle
+from repro.verify.hamiltonicity import verified_cycle
 
 __all__ = ["Dhc1Protocol", "run_dhc1", "default_sqrt_colors"]
 
@@ -362,49 +362,27 @@ def run_dhc1(
     ``detail["faults"]``; async runs also report ``detail["async"]``.
     """
     n = graph.n
-    model = coerce_network_model(network)
     colors = k if k is not None else default_sqrt_colors(n)
-    limit = max_rounds if max_rounds is not None else dhc1_round_budget(n, colors)
-    network_, injector = build_network(
+    run = run_protocol(
         graph,
         lambda v: Dhc1Protocol(v, n, colors),
         seed=seed,
-        model=model,
+        network=network,
         audit_memory=audit_memory,
+        max_rounds=(max_rounds if max_rounds is not None
+                    else dhc1_round_budget(n, colors)),
         default_bandwidth=12,
     )
-    metrics = network_.run(max_rounds=limit, raise_on_limit=False)
 
-    protocols: list[Dhc1Protocol] = network_.protocols  # type: ignore[assignment]
-    ok = bool(protocols) and all(
-        p.finished and not p.aborted and p.global_succ >= 0 for p in protocols
-    )
+    protocols: list[Dhc1Protocol] = run.network.protocols
     cycle = None
-    if ok:
-        try:
-            cycle = cycle_from_successors({p.node_id: p.global_succ for p in protocols})
-            verify_cycle(graph, cycle)
-        except CycleViolation:
-            ok, cycle = False, None
+    if protocols and all(
+            p.finished and not p.aborted and p.global_succ >= 0 for p in protocols):
+        cycle = verified_cycle(
+            graph, {p.node_id: p.global_succ for p in protocols})
     steps = max(
         (p.vwalk.steps_seen for p in protocols if p.vwalk is not None), default=0
     )
-    detail = {"k": colors, "aborted": sum(p.aborted for p in protocols)}
-    if injector is not None:
-        detail["faults"] = injector.summary()
-    if model.is_async():
-        detail["async"] = network_.async_summary()
-    if audit_memory or model.audit_memory:
-        detail["max_state_words"] = metrics.max_state_words()
-        detail["state_words"] = metrics.peak_state_words.tolist()
-    return RunResult(
-        algorithm="dhc1",
-        success=ok,
-        cycle=cycle,
-        rounds=metrics.rounds,
-        messages=metrics.messages,
-        bits=metrics.bits,
-        steps=steps,
-        engine="async" if model.is_async() else "congest",
-        detail=detail,
-    )
+    return run.result(
+        "dhc1", cycle is not None, cycle, steps=steps,
+        detail={"k": colors, "aborted": sum(p.aborted for p in protocols)})

@@ -31,7 +31,7 @@ import math
 from collections import Counter
 
 from repro.analysis.bounds import diameter_budget, dra_round_budget
-from repro.congest.model import build_network, coerce_network_model
+from repro.congest.model import run_protocol
 from repro.congest.node import Context
 from repro.core.merge import MergeMachine
 from repro.core.phase1 import (
@@ -43,7 +43,7 @@ from repro.core.phase1 import (
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
 from repro.primitives.bfs import BfsTree
-from repro.verify.hamiltonicity import CycleViolation, cycle_from_successors, verify_cycle
+from repro.verify.hamiltonicity import verified_cycle
 
 __all__ = ["Dhc2Protocol", "run_dhc2", "default_color_count"]
 
@@ -229,56 +229,32 @@ def run_dhc2(
     ``detail["async"]``.
     """
     n = graph.n
-    model = coerce_network_model(network)
     colors = k if k is not None else default_color_count(n, delta)
-    limit = max_rounds if max_rounds is not None else dhc2_round_budget(n, colors)
-    network_, injector = build_network(
+    run = run_protocol(
         graph,
         lambda v: Dhc2Protocol(v, n, colors),
         seed=seed,
-        model=model,
+        network=network,
         audit_memory=audit_memory,
+        max_rounds=(max_rounds if max_rounds is not None
+                    else dhc2_round_budget(n, colors)),
         default_bandwidth=12,
     )
-    metrics = network_.run(max_rounds=limit, raise_on_limit=False)
 
-    protocols: list[Dhc2Protocol] = network_.protocols  # type: ignore[assignment]
-    ok = bool(protocols) and all(
-        p.finished and not p.aborted and p.cycle_size == n for p in protocols
-    )
+    protocols: list[Dhc2Protocol] = run.network.protocols
     cycle = None
-    if ok:
-        successors = {p.node_id: p.succ for p in protocols}
-        try:
-            cycle = cycle_from_successors(successors)
-            verify_cycle(graph, cycle)
-        except CycleViolation:
-            ok, cycle = False, None
+    if protocols and all(
+            p.finished and not p.aborted and p.cycle_size == n for p in protocols):
+        cycle = verified_cycle(graph, {p.node_id: p.succ for p in protocols})
     steps = max((p.walk.steps_seen for p in protocols if p.walk is not None), default=0)
     detail = {
         "k": colors,
         "levels": merge_levels(colors),
         "aborted": sum(p.aborted for p in protocols),
     }
-    if not ok:
+    if cycle is None:
         cause = _fail_cause(graph, protocols, colors)
         if cause is not None:
             detail["fail"] = cause
-    if injector is not None:
-        detail["faults"] = injector.summary()
-    if model.is_async():
-        detail["async"] = network_.async_summary()
-    if audit_memory or model.audit_memory:
-        detail["max_state_words"] = metrics.max_state_words()
-        detail["state_words"] = metrics.peak_state_words.tolist()
-    return RunResult(
-        algorithm="dhc2",
-        success=ok,
-        cycle=cycle,
-        rounds=metrics.rounds,
-        messages=metrics.messages,
-        bits=metrics.bits,
-        steps=steps,
-        engine="async" if model.is_async() else "congest",
-        detail=detail,
-    )
+    return run.result("dhc2", cycle is not None, cycle, steps=steps,
+                      detail=detail)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.analysis.bounds import diameter_budget, dra_round_budget, dra_step_budget
 from repro.congest.message import Message
-from repro.congest.model import build_network, coerce_network_model
+from repro.congest.model import run_protocol
 from repro.congest.node import Context, Protocol
 from repro.core.rotation import RotationWalk, VirtualEdge
 from repro.engines.results import RunResult
@@ -26,7 +26,7 @@ from repro.graphs.adjacency import Graph
 from repro.primitives.bfs import BfsTree
 from repro.primitives.floodmin import FloodMin
 from repro.primitives.submachine import SubMachineHost
-from repro.verify.hamiltonicity import CycleViolation, cycle_from_successors, verify_cycle
+from repro.verify.hamiltonicity import verified_cycle
 
 __all__ = ["DraProtocol", "run_dra"]
 
@@ -132,53 +132,28 @@ def run_dra(
     ``detail["async"]`` (see ``Network.async_summary``).
     """
     n = graph.n
-    model = coerce_network_model(network)
     budget = step_budget if step_budget is not None else dra_step_budget(n)
-    limit = max_rounds if max_rounds is not None else dra_round_budget(n, budget)
-    network_, injector = build_network(
+    run = run_protocol(
         graph,
         lambda v: DraProtocol(v, n, step_budget=budget),
         seed=seed,
-        model=model,
+        network=network,
         audit_memory=audit_memory,
+        max_rounds=(max_rounds if max_rounds is not None
+                    else dra_round_budget(n, budget)),
     )
-    metrics = network_.run(max_rounds=limit, raise_on_limit=False)
 
-    protocols: list[DraProtocol] = network_.protocols  # type: ignore[assignment]
+    protocols: list[DraProtocol] = run.network.protocols
     walks = [p.walk for p in protocols]
-    ok = all(w is not None and w.done and w.success for w in walks)
     steps = max((w.steps_seen for w in walks if w is not None), default=0)
     cycle = None
-    if ok:
-        successors = {v: walks[v].succ for v in range(n)}
-        try:
-            cycle = cycle_from_successors(successors)
-            verify_cycle(graph, cycle)
-        except CycleViolation:
-            ok = False
-            cycle = None
+    if all(w is not None and w.done and w.success for w in walks):
+        cycle = verified_cycle(graph, {v: walks[v].succ for v in range(n)})
     fail_codes: list[int | str] = sorted(
         {w.fail_code for w in walks if w is not None and w.fail_code})
     # No tree, or a node whose BFS failed or spans a strict subset of the
     # graph (one tree per component), names the cause as ``fast`` does.
     if n == 0 or any(p.walk is None or p.bfs.size != n for p in protocols):
         fail_codes.append("bfs-unreachable")
-    detail = {"fail_codes": fail_codes}
-    if injector is not None:
-        detail["faults"] = injector.summary()
-    if model.is_async():
-        detail["async"] = network_.async_summary()
-    if audit_memory or model.audit_memory:
-        detail["max_state_words"] = metrics.max_state_words()
-        detail["state_words"] = metrics.peak_state_words.tolist()
-    return RunResult(
-        algorithm="dra",
-        success=ok,
-        cycle=cycle,
-        rounds=metrics.rounds,
-        messages=metrics.messages,
-        bits=metrics.bits,
-        steps=steps,
-        engine="async" if model.is_async() else "congest",
-        detail=detail,
-    )
+    return run.result("dra", cycle is not None, cycle, steps=steps,
+                      detail={"fail_codes": fail_codes})

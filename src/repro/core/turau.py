@@ -78,11 +78,11 @@ import math
 from bisect import bisect_right
 
 from repro.congest.message import Message
-from repro.congest.model import build_network, coerce_network_model, faults_summary_for
+from repro.congest.model import ProtocolRun, coerce_network_model, run_protocol
 from repro.congest.node import Context, Protocol
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
-from repro.verify.hamiltonicity import CycleViolation, verify_cycle
+from repro.verify.hamiltonicity import verified_cycle
 
 __all__ = [
     "TurauProtocol",
@@ -436,39 +436,27 @@ def run_turau(
     ``detail["async"]``.
     """
     n = graph.n
-    model = coerce_network_model(network)
     if n < 3:
-        detail = {"fail": FAIL_TOO_SMALL, "phases": 0, "initial_paths": n}
-        faults = faults_summary_for(model)
-        if faults is not None:
-            detail["faults"] = faults
-        return RunResult("turau", False, None, 0,
-                         engine="async" if model.is_async() else "congest",
-                         detail=detail)
+        return ProtocolRun(coerce_network_model(network)).result(
+            "turau", False, None,
+            detail={"fail": FAIL_TOO_SMALL, "phases": 0, "initial_paths": n})
     budget = max(1, phase_budget if phase_budget is not None
                  else turau_phase_budget(n))
-    limit = max_rounds if max_rounds is not None else turau_round_budget(n, budget)
-    network_, injector = build_network(
+    run = run_protocol(
         graph,
         lambda v: TurauProtocol(v, n, phase_budget=budget),
         seed=seed,
-        model=model,
+        network=network,
         audit_memory=audit_memory,
+        max_rounds=(max_rounds if max_rounds is not None
+                    else turau_round_budget(n, budget)),
     )
-    metrics = network_.run(max_rounds=limit, raise_on_limit=False)
 
-    protocols: list[TurauProtocol] = network_.protocols  # type: ignore[assignment]
-    ok = all(p.done for p in protocols)
+    protocols: list[TurauProtocol] = run.network.protocols
     cycle = None
-    if ok:
-        cycle = cycle_from_links([p.links for p in protocols])
-        if cycle is None:
-            ok = False
-        else:
-            try:
-                verify_cycle(graph, cycle)
-            except CycleViolation:
-                ok, cycle = False, None
+    if all(p.done for p in protocols):
+        cycle = verified_cycle(graph, cycle_from_links([p.links for p in protocols]))
+    ok = cycle is not None
     fail = None
     if not ok:
         codes = {p.fail_code for p in protocols if p.fail_code}
@@ -482,21 +470,5 @@ def run_turau(
                       default=budget if not ok else 0),
         "initial_paths": singles + ends // 2,
     }
-    if injector is not None:
-        detail["faults"] = injector.summary()
-    if model.is_async():
-        detail["async"] = network_.async_summary()
-    if audit_memory or model.audit_memory:
-        detail["max_state_words"] = metrics.max_state_words()
-        detail["state_words"] = metrics.peak_state_words.tolist()
-    return RunResult(
-        algorithm="turau",
-        success=ok,
-        cycle=cycle,
-        rounds=metrics.rounds,
-        messages=metrics.messages,
-        bits=metrics.bits,
-        steps=sum(p.commits for p in protocols),
-        engine="async" if model.is_async() else "congest",
-        detail=detail,
-    )
+    return run.result("turau", ok, cycle,
+                      steps=sum(p.commits for p in protocols), detail=detail)

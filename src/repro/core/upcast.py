@@ -29,7 +29,7 @@ from collections import deque
 
 from repro.analysis.bounds import diameter_budget
 from repro.congest.message import Message
-from repro.congest.network import Network
+from repro.congest.model import run_protocol
 from repro.congest.node import Context, Protocol
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
@@ -37,7 +37,7 @@ from repro.primitives.bfs import BfsTree
 from repro.primitives.floodmin import FloodMin
 from repro.primitives.submachine import SubMachineHost
 from repro.sequential.posa import posa_cycle
-from repro.verify.hamiltonicity import CycleViolation, cycle_from_successors, verify_cycle
+from repro.verify.hamiltonicity import verified_cycle
 
 __all__ = ["UpcastProtocol", "run_upcast", "run_trivial", "upcast_sample_size"]
 
@@ -261,39 +261,21 @@ def _run_centralized(graph: Graph, algorithm: str, *, sample_all: bool,
         max_rounds = 20 * diameter_budget(n) + 4 * n * (2 + upcast_sample_size(n, c_prime)) + 512
         if sample_all:
             max_rounds += 4 * graph.m
-    network = Network(
+    run = run_protocol(
         graph,
         lambda v: UpcastProtocol(v, n, c_prime=c_prime, sample_all=sample_all,
                                  solver_restarts=solver_restarts),
         seed=seed,
         audit_memory=audit_memory,
+        max_rounds=max_rounds,
     )
-    metrics = network.run(max_rounds=max_rounds, raise_on_limit=False)
-    protocols: list[UpcastProtocol] = network.protocols  # type: ignore[assignment]
-    ok = bool(protocols) and all(p.finished for p in protocols) and all(
-        p.succ >= 0 for p in protocols
-    )
+    protocols: list[UpcastProtocol] = run.network.protocols
     cycle = None
-    if ok:
-        try:
-            cycle = cycle_from_successors({p.node_id: p.succ for p in protocols})
-            verify_cycle(graph, cycle)
-        except CycleViolation:
-            ok, cycle = False, None
-    detail = {"sample_size": 0 if sample_all else upcast_sample_size(n, c_prime)}
-    if audit_memory:
-        detail["max_state_words"] = metrics.max_state_words()
-        detail["state_words"] = metrics.peak_state_words.tolist()
-    return RunResult(
-        algorithm=algorithm,
-        success=ok,
-        cycle=cycle,
-        rounds=metrics.rounds,
-        messages=metrics.messages,
-        bits=metrics.bits,
-        engine="congest",
-        detail=detail,
-    )
+    if protocols and all(p.finished and p.succ >= 0 for p in protocols):
+        cycle = verified_cycle(graph, {p.node_id: p.succ for p in protocols})
+    return run.result(
+        algorithm, cycle is not None, cycle,
+        detail={"sample_size": 0 if sample_all else upcast_sample_size(n, c_prime)})
 
 
 def run_upcast(graph: Graph, *, c_prime: float = 3.0, seed: int = 0,

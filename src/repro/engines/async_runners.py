@@ -5,7 +5,7 @@ into ``mode="async"`` (building the default asynchronous substrate —
 unit latency, no faults — when none is given) and delegates to the
 algorithm's congest runner, which dispatches to
 the async mode of :class:`~repro.congest.network.Network` via
-:func:`~repro.congest.model.build_network`.  The wrappers exist so the
+:func:`~repro.congest.model.run_protocol`.  The wrappers exist so the
 engine choice lives in the registry key: ``repro.run(g, "dra",
 engine="async")`` never silently falls back to synchronous rounds, and
 a sync-mode model passed to the async engine is upgraded rather than

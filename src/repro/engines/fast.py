@@ -37,7 +37,7 @@ import numpy as np
 from repro.analysis.bounds import diameter_budget, dra_step_budget
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
-from repro.verify.hamiltonicity import CycleViolation, verify_cycle
+from repro.verify.hamiltonicity import verified_cycle
 
 __all__ = ["SpanningTree", "build_min_id_bfs_tree", "bfs_completion_round"]
 
@@ -214,17 +214,10 @@ def _dra_fast_py(
 
 def _dra_result(graph: Graph, walk, end_round: int, *, engine: str) -> RunResult:
     """Shared verification + RunResult assembly for both DRA walkers."""
-    cycle = None
-    ok = walk.success
-    if ok:
-        cycle = walk.cycle()
-        try:
-            verify_cycle(graph, cycle)
-        except CycleViolation:
-            ok, cycle = False, None
+    cycle = verified_cycle(graph, walk.cycle()) if walk.success else None
     return RunResult(
         algorithm="dra",
-        success=ok,
+        success=cycle is not None,
         cycle=cycle,
         rounds=end_round,
         steps=walk.steps,

@@ -36,7 +36,7 @@ from repro.core.cre import (
 from repro.engines.batchwalk import trial_stream
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
-from repro.verify.hamiltonicity import CycleViolation, verify_cycle
+from repro.verify.hamiltonicity import verified_cycle
 
 __all__ = ["_cre_fast"]
 
@@ -141,17 +141,12 @@ def _cre_fast(
         detail["rotations"] += 1
     detail["extensions"] = extensions
 
-    cycle = None
-    if ok:
-        cycle = path[:plen].tolist()
-        try:
-            verify_cycle(graph, cycle)
-        except CycleViolation:
-            ok, cycle = False, None
-            detail["fail"] = CRE_FAIL_STRANDED
+    cycle = verified_cycle(graph, path[:plen].tolist()) if ok else None
+    if ok and cycle is None:
+        detail["fail"] = CRE_FAIL_STRANDED
     return RunResult(
         algorithm="cre",
-        success=ok,
+        success=cycle is not None,
         cycle=cycle,
         rounds=0,
         steps=steps,

@@ -38,7 +38,7 @@ from repro.engines.fast import _FastWalk, bfs_completion_round, build_min_id_bfs
 from repro.engines.phase1_replay import color_partition, replay_partition_walks
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
-from repro.verify.hamiltonicity import CycleViolation, verify_cycle
+from repro.verify.hamiltonicity import verified_cycle
 
 __all__ = ["_dhc2_fast"]
 
@@ -164,20 +164,17 @@ def _phase2(graph: Graph, cycles: dict[int, list[int]], colors: int,
         cycles = next_cycles
 
     final = cycles.get(1)
-    ok = final is not None and len(final) == n
-    if ok:
+    if final is not None and len(final) == n:
         # Normalise to start at node 0 (the congest engine's convention),
         # keeping the successor direction.
         start = final.index(0)
-        final = final[start:] + final[:start]
-        try:
-            verify_cycle(graph, final)
-        except CycleViolation:
-            ok = False
+        final = verified_cycle(graph, final[start:] + final[:start])
+    else:
+        final = None
     return RunResult(
         algorithm="dhc2",
-        success=bool(ok),
-        cycle=final if ok else None,
+        success=final is not None,
+        cycle=final,
         rounds=rounds,
         steps=steps,
         engine=engine,

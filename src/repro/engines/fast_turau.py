@@ -39,7 +39,7 @@ from repro.core.turau import (
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
 from repro.graphs.properties import eccentricity
-from repro.verify.hamiltonicity import CycleViolation, verify_cycle
+from repro.verify.hamiltonicity import verified_cycle
 
 __all__ = ["_turau_fast"]
 
@@ -233,17 +233,12 @@ def _turau_fast(
             })
 
     # -- result assembly ----------------------------------------------------------
-    ok = fail is None
     cycle = None
-    if ok:
-        cycle = cycle_from_links([links.links_of(v) for v in range(n)])
+    if fail is None:
+        cycle = verified_cycle(
+            graph, cycle_from_links([links.links_of(v) for v in range(n)]))
         if cycle is None:
-            ok, fail = False, FAIL_PHASE_BUDGET
-        else:
-            try:
-                verify_cycle(graph, cycle)
-            except CycleViolation:
-                ok, cycle, fail = False, None, FAIL_PHASE_BUDGET
+            fail = FAIL_PHASE_BUDGET
     if closure_at >= 0:
         # A spanning path exists at closure time, so the graph is
         # connected and the flood cost is the source's eccentricity.
@@ -252,7 +247,7 @@ def _turau_fast(
         rounds = starts[-1]
     return RunResult(
         algorithm="turau",
-        success=ok,
+        success=cycle is not None,
         cycle=cycle,
         rounds=rounds,
         steps=steps,

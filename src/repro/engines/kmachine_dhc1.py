@@ -44,23 +44,18 @@ from repro.analysis.bounds import diameter_budget, dra_step_budget
 from repro.engines.fast import _FastWalk, build_min_id_bfs_tree
 from repro.engines.kmachine_engine import (
     DEFAULT_LINK_WORDS,
+    _charged_phase1,
     _setup,
     _finish,
-    _walk_traffic,
 )
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph, csr_gather, csr_sources
 from repro.kmachine.ledger import (
-    LinkLedger,
     TreeFloodProfile,
     bfs_messages,
     floodmin_traffic,
 )
-from repro.verify.hamiltonicity import (
-    CycleViolation,
-    cycle_from_successors,
-    verify_cycle,
-)
+from repro.verify.hamiltonicity import verified_cycle
 
 __all__ = ["_dhc1_kmachine"]
 
@@ -109,10 +104,7 @@ def _dhc1_kmachine(
     from repro.core.dhc1 import default_sqrt_colors
     from repro.engines.arraywalk import build_array_tree
     from repro.engines.batchwalk import node_streams
-    from repro.engines.phase1_replay import (
-        color_partition,
-        replay_partition_walks,
-    )
+    from repro.engines.phase1_replay import color_partition
 
     n = graph.n
     partition, ledger = _setup(graph, seed, k_machines, link_words,
@@ -151,42 +143,11 @@ def _dhc1_kmachine(
     floodmin_traffic(ledger, sub_indptr, sub_indices, members_all,
                      elect_budget)
 
-    bfs_parts: list[tuple] = []
-    bfs_span = 1
-    walk_forks: list[LinkLedger] = []
-    p1_start = 0  # relative clock: class BFS begins after the election
-
-    def flush_phase1():
-        # Jointly-binned class BFS ticks + wall-clock-max walk forks;
-        # charged on walk-failure paths too (the traffic demonstrably
-        # ran).
-        if bfs_parts:
-            ticks = np.concatenate([p[0] for p in bfs_parts])
-            ledger.series(np.minimum(ticks, bfs_span - 1),
-                          np.concatenate([p[1] for p in bfs_parts]),
-                          np.concatenate([p[2] for p in bfs_parts]),
-                          np.concatenate([p[3] for p in bfs_parts]),
-                          span=bfs_span)
-        ledger.absorb_concurrent(walk_forks)
-
-    def charge_class(c, members, tree, done, walk, trace, flood_ecc):
-        nonlocal bfs_span
-        bfs_parts.append(bfs_messages(tree, sub_indptr, sub_indices,
-                                      p1_start, done))
-        bfs_span = max(bfs_span, int(done[tree.root]) - p1_start + 1)
-        fork = ledger.fork()
-        _walk_traffic(fork, walk, trace,
-                      TreeFloodProfile(fork, tree.parent, tree.depth, members),
-                      flood_ecc)
-        walk_forks.append(fork)
-
-    p1 = replay_partition_walks(
-        indptr=sub_indptr, indices=sub_indices, rows=rows, rngs=rngs,
-        color_of=color_of, colors=colors, start_round=p1_start,
-        observer=charge_class)
+    # Relative clock: class BFS begins after the election.
+    p1, flush_phase1 = _charged_phase1(
+        ledger, start_round=0, indptr=sub_indptr, indices=sub_indices,
+        rows=rows, rngs=rngs, color_of=color_of, colors=colors)
     if not p1.ok:
-        if p1.walk_failed:
-            flush_phase1()
         return _finish(_dhc1_fail(n, colors, p1.fail_reason), ledger)
     paths, class_trees = p1.cycles, p1.trees
     flush_phase1()
@@ -292,23 +253,18 @@ def _dhc1_kmachine(
                 succ_global[w] = path[(j + 1) % size]
             else:
                 succ_global[w] = path[(j - 1) % size]
-    ok = True
-    cycle = None
-    try:
-        cycle = cycle_from_successors(succ_global)
-        verify_cycle(graph, cycle)
-    except CycleViolation:
-        ok, cycle = False, None
+    cycle = verified_cycle(graph, succ_global)
     ledger.flood(gprofile, 3)  # the final stitching flood
     ledger.quiet(max(0, 2 * gtree.tree_depth - gprofile.tree_depth))
     result = RunResult(
         algorithm="dhc1",
-        success=ok,
+        success=cycle is not None,
         cycle=cycle,
         rounds=ledger.metrics.congest_rounds,
         steps=vwalk.steps,
         engine="kmachine",
-        detail={"k": colors} if ok else {"k": colors, "fail": "bad-stitch"},
+        detail=({"k": colors} if cycle is not None
+                else {"k": colors, "fail": "bad-stitch"}),
     )
     return _finish(result, ledger)
 

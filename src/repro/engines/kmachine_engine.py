@@ -122,6 +122,53 @@ def _walk_traffic(ledger: LinkLedger, walk, trace: list,
     ledger.quiet(max(0, flood_ecc - profile.tree_depth))
 
 
+def _charged_phase1(ledger: LinkLedger, *, start_round: int, indptr,
+                    indices, **replay_kwargs):
+    """Replay the colour-class walks, charging their traffic to ``ledger``.
+
+    Returns ``(p1, flush)``: the
+    :func:`~repro.engines.phase1_replay.replay_partition_walks` result
+    and the call that charges the classes' concurrent traffic.  The
+    classes' BFS builds and walks share wall-clock rounds, so ``flush``
+    bins the BFS schedules jointly and folds the walk forks as a
+    maximum.  A failed walk is charged here (the traffic demonstrably
+    ran); on success the caller flushes when Phase 1's traffic is due.
+    """
+    from repro.engines.phase1_replay import replay_partition_walks
+
+    bfs_parts: list[tuple] = []
+    bfs_span = 1
+    walk_forks: list[LinkLedger] = []
+
+    def flush():
+        if bfs_parts:
+            ticks = np.concatenate([p[0] for p in bfs_parts])
+            ledger.series(np.minimum(ticks, bfs_span - 1),
+                          np.concatenate([p[1] for p in bfs_parts]),
+                          np.concatenate([p[2] for p in bfs_parts]),
+                          np.concatenate([p[3] for p in bfs_parts]),
+                          span=bfs_span)
+        ledger.absorb_concurrent(walk_forks)
+
+    def charge_class(c, members, tree, done, walk, trace, flood_ecc):
+        nonlocal bfs_span
+        bfs_parts.append(bfs_messages(tree, indptr, indices, start_round,
+                                      done))
+        bfs_span = max(bfs_span, int(done[tree.root]) - start_round + 1)
+        fork = ledger.fork()
+        _walk_traffic(fork, walk, trace,
+                      TreeFloodProfile(fork, tree.parent, tree.depth, members),
+                      flood_ecc)
+        walk_forks.append(fork)
+
+    p1 = replay_partition_walks(indptr=indptr, indices=indices,
+                                start_round=start_round,
+                                observer=charge_class, **replay_kwargs)
+    if not p1.ok and p1.walk_failed:
+        flush()
+    return p1, flush
+
+
 # ---------------------------------------------------------------------------
 # DRA — Algorithm 1
 # ---------------------------------------------------------------------------
@@ -223,10 +270,7 @@ def _dhc2_kmachine(
     from repro.core.dhc2 import default_color_count
     from repro.engines.batchwalk import node_streams
     from repro.engines.fast_dhc2 import _fail, _phase2
-    from repro.engines.phase1_replay import (
-        color_partition,
-        replay_partition_walks,
-    )
+    from repro.engines.phase1_replay import color_partition
 
     n = graph.n
     partition, ledger = _setup(graph, seed, k_machines, link_words,
@@ -244,42 +288,11 @@ def _dhc2_kmachine(
     floodmin_traffic(ledger, sub_indptr, sub_indices,
                      np.arange(n, dtype=np.int64), elect_budget)
 
-    bfs_parts: list[tuple] = []
-    bfs_span = 1
-    walk_forks: list[LinkLedger] = []
-
-    def flush_phase1():
-        # The classes' builds and walks share wall-clock rounds: bin
-        # the BFS schedules jointly, fold the walk forks as a maximum.
-        # Charged on walk-failure paths too — the traffic demonstrably
-        # ran.
-        if bfs_parts:
-            ticks = np.concatenate([p[0] for p in bfs_parts])
-            ledger.series(np.minimum(ticks, bfs_span - 1),
-                          np.concatenate([p[1] for p in bfs_parts]),
-                          np.concatenate([p[2] for p in bfs_parts]),
-                          np.concatenate([p[3] for p in bfs_parts]),
-                          span=bfs_span)
-        ledger.absorb_concurrent(walk_forks)
-
-    def charge_class(c, members, tree, done, walk, trace, flood_ecc):
-        nonlocal bfs_span
-        bfs_parts.append(bfs_messages(tree, sub_indptr, sub_indices,
-                                      phase1_start, done))
-        bfs_span = max(bfs_span, int(done[tree.root]) - phase1_start + 1)
-        fork = ledger.fork()
-        _walk_traffic(fork, walk, trace,
-                      TreeFloodProfile(fork, tree.parent, tree.depth, members),
-                      flood_ecc)
-        walk_forks.append(fork)
-
-    p1 = replay_partition_walks(
-        indptr=sub_indptr, indices=sub_indices, rows=rows, rngs=rngs,
-        color_of=color_of, colors=colors, start_round=phase1_start,
-        observer=charge_class)
+    p1, flush_phase1 = _charged_phase1(
+        ledger, start_round=phase1_start, indptr=sub_indptr,
+        indices=sub_indices, rows=rows, rngs=rngs, color_of=color_of,
+        colors=colors)
     if not p1.ok:
-        if p1.walk_failed:
-            flush_phase1()
         return _finish(_fail(n, colors, p1.fail_round, p1.fail_reason,
                              "kmachine"), ledger)
     cycles, steps, phase1_end = p1.cycles, p1.steps, p1.phase1_end

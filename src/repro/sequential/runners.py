@@ -16,20 +16,15 @@ from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
 from repro.sequential.angluin_valiant import angluin_valiant_cycle
 from repro.sequential.posa import posa_cycle
-from repro.verify.hamiltonicity import CycleViolation, verify_cycle
+from repro.verify.hamiltonicity import verified_cycle
 
 __all__ = ["run_posa", "run_angluin_valiant"]
 
 
 def _as_result(graph: Graph, algorithm: str, cycle: list[int] | None) -> RunResult:
-    ok = cycle is not None
-    if ok:
-        try:
-            verify_cycle(graph, cycle)
-        except CycleViolation:
-            ok, cycle = False, None
-    return RunResult(algorithm=algorithm, success=ok, cycle=cycle if ok else None,
-                     rounds=0, engine="sequential")
+    cycle = verified_cycle(graph, cycle)
+    return RunResult(algorithm=algorithm, success=cycle is not None,
+                     cycle=cycle, rounds=0, engine="sequential")
 
 
 def run_posa(graph: Graph, *, seed: int = 0, restarts: int = 8,

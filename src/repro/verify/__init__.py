@@ -5,6 +5,7 @@ from repro.verify.hamiltonicity import (
     cycle_from_successors,
     is_hamiltonian_cycle,
     is_hamiltonian_path,
+    verified_cycle,
     verify_cycle,
 )
 
@@ -12,6 +13,7 @@ __all__ = [
     "is_hamiltonian_cycle",
     "is_hamiltonian_path",
     "verify_cycle",
+    "verified_cycle",
     "cycle_from_successors",
     "CycleViolation",
 ]

@@ -18,6 +18,7 @@ from repro.graphs.adjacency import Graph, csr_sources
 __all__ = [
     "CycleViolation",
     "verify_cycle",
+    "verified_cycle",
     "is_hamiltonian_cycle",
     "is_hamiltonian_path",
     "cycle_from_successors",
@@ -53,6 +54,28 @@ def verify_cycle(graph: Graph, cycle: Sequence[int]) -> None:
     if i >= 0:
         a, b = cycle[i], cycle[(i + 1) % n]
         raise CycleViolation(f"({a}, {b}) is not an edge of the graph")
+
+
+def verified_cycle(
+    graph: Graph, cycle: "Sequence[int] | Mapping[int, int] | None",
+) -> list[int] | None:
+    """``cycle`` as a verified node sequence, or ``None`` if it is not one.
+
+    The one success test every runner applies to its output: ``cycle``
+    is a node sequence, a successor map (flattened from node 0 by
+    :func:`cycle_from_successors`) or ``None`` (no candidate, passed
+    through).  A candidate that is not a Hamiltonian cycle of ``graph``
+    yields ``None``.
+    """
+    if cycle is None:
+        return None
+    try:
+        if isinstance(cycle, Mapping):
+            cycle = cycle_from_successors(cycle)
+        verify_cycle(graph, cycle)
+    except CycleViolation:
+        return None
+    return cycle
 
 
 def _integer_nodes(nodes: Sequence[int]) -> np.ndarray:

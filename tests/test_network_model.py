@@ -109,6 +109,16 @@ class TestNetworkModelValidation:
         with pytest.raises(ValueError, match=">= 0"):
             NetworkModel(mode="async", churn=[("crash", -1, 2.0)])
 
+    @pytest.mark.parametrize("entry", [
+        {"action": "crash", "node": 2, "time": 5.0},
+        "abc",
+    ], ids=["dict", "string"])
+    def test_churn_entry_must_be_a_sequence_triple(self, entry):
+        # Three keys or three characters unpack like a triple; the
+        # error must still name the expected shape.
+        with pytest.raises(ValueError, match="triples"):
+            NetworkModel(mode="async", churn=[entry])
+
     def test_nested_dicts_coerce(self):
         model = NetworkModel(mode="async",
                              latency={"kind": "fixed", "value": 2.0},
@@ -240,5 +250,82 @@ class TestFaultsSummaryUniformity:
 
         model = NetworkModel(fault_plan=FaultPlan(drop_probability=0.5))
         result = run_turau(path_graph(2), seed=0, network=model)
+        assert result.detail["faults"] == faults_summary_for(model)
         assert result.detail["faults"]["offered"] == 0.0
         assert result.detail["faults"]["crashed_nodes"] == 0.0
+        assert (result.rounds, result.messages, result.bits) == (0, 0, 0)
+        assert result.engine == "congest"
+
+        result = run_turau(path_graph(2), seed=0,
+                           network=NetworkModel(mode="async", fault_plan=model.fault_plan))
+        assert result.engine == "async"
+        assert list(result.detail) == ["fail", "phases", "initial_paths",
+                                       "faults"]
+
+
+# ---------------------------------------------------------------------------
+# Substrate reporting shared by the congest runners (run_protocol)
+# ---------------------------------------------------------------------------
+
+
+def _congest_runners():
+    from repro.core import run_dhc1, run_dhc2, run_turau, run_upcast
+
+    return {"dra": (run_dra, {}), "dhc1": (run_dhc1, {}),
+            "dhc2": (run_dhc2, {"delta": 0.5}), "turau": (run_turau, {}),
+            "upcast": (run_upcast, {})}
+
+
+_SETTINGS = {
+    "default": {},
+    "faults": {"network": NetworkModel(
+        fault_plan=FaultPlan(drop_probability=0.02, seed=1))},
+    "async": {"network": NetworkModel(mode="async")},
+    "audit": {"audit_memory": True},
+}
+_AUDIT_KEYS = ["max_state_words", "state_words"]
+# Upcast/trivial take no ``network=``: they run the default and audited
+# settings only.
+_REPORTING_CASES = [
+    (algorithm, setting)
+    for algorithm in ("dra", "dhc1", "dhc2", "turau", "upcast")
+    for setting in _SETTINGS
+    if algorithm != "upcast" or "network" not in _SETTINGS[setting]
+]
+
+
+class TestRunnerReporting:
+    """Each runner's substrate keys, engine name and counters."""
+
+    @pytest.mark.parametrize("algorithm, setting", _REPORTING_CASES)
+    def test_reporting(self, algorithm, setting, monkeypatch):
+        from repro.congest.network import Network
+
+        runner, kwargs = _congest_runners()[algorithm]
+        networks = []
+        run = Network.run
+
+        def spy(self, *args, **kw):
+            networks.append(self)
+            return run(self, *args, **kw)
+
+        monkeypatch.setattr(Network, "run", spy)
+        result = runner(dense_gnp(24, seed=4), seed=4,
+                        **kwargs, **_SETTINGS[setting])
+
+        (net,) = networks
+        assert (result.rounds, result.messages, result.bits) == (
+            net.metrics.rounds, net.metrics.messages, net.metrics.bits)
+        assert result.messages > 0
+        assert result.engine == ("async" if setting == "async" else "congest")
+        expected = {"faults": ["faults"], "async": ["async"],
+                    "audit": _AUDIT_KEYS}.get(setting, [])
+        keys = list(result.detail)
+        assert [k for k in keys if k in ("faults", "async", *_AUDIT_KEYS)] \
+            == expected
+        assert keys[len(keys) - len(expected):] == expected
+        if setting == "async":
+            assert result.detail["async"] == net.async_summary()
+        if setting == "audit":
+            assert result.detail["max_state_words"] == \
+                net.metrics.max_state_words() > 0

@@ -11,6 +11,7 @@ from repro.verify import (
     cycle_from_successors,
     is_hamiltonian_cycle,
     is_hamiltonian_path,
+    verified_cycle,
     verify_cycle,
 )
 
@@ -128,6 +129,33 @@ class TestSuccessorMaps:
     def test_bad_start(self):
         with pytest.raises(CycleViolation):
             cycle_from_successors({1: 2, 2: 1}, start=0)
+
+
+class TestVerifiedCycle:
+    """The one success test every runner applies to its output."""
+
+    def test_node_sequence(self):
+        cycle = [3, 4, 5, 0, 1, 2]
+        assert verified_cycle(ring(6), cycle) is cycle
+
+    def test_successor_map_flattens_from_node_zero(self):
+        succ = {v: (v - 1) % 6 for v in range(6)}
+        assert verified_cycle(ring(6), succ) == [0, 5, 4, 3, 2, 1]
+
+    def test_split_successor_map(self):
+        # Two triangles cover all six nodes of K6 but are not one cycle.
+        succ = {0: 1, 1: 2, 2: 0, 3: 4, 4: 5, 5: 3}
+        assert verified_cycle(complete(6), succ) is None
+
+    def test_non_integer_ids(self):
+        assert verified_cycle(ring(4), [0, 1, 2, 3.0]) is None
+        assert verified_cycle(ring(4), {0: 1.0, 1.0: 2, 2: 3, 3: 0}) is None
+
+    def test_rejections(self):
+        assert verified_cycle(ring(6), None) is None
+        assert verified_cycle(path_graph(4), [0, 1, 2, 3]) is None
+        assert verified_cycle(ring(6), {0: 1, 1: 2}) is None
+        assert verified_cycle(Graph(2, [(0, 1)]), [0, 1]) is None
 
 
 @given(st.permutations(list(range(8))))
