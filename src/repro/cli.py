@@ -140,6 +140,19 @@ def _parse_network_arg(text: str, *, engine: str) -> str:
     return model.canonical()
 
 
+def _seed(text: str) -> int:
+    """``--seed``'s type: a non-negative integer, as ``SeedSequence`` needs."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nodes", "-n", type=int, default=256)
     parser.add_argument("--delta", type=float, default=0.5,
@@ -150,7 +163,7 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
                         choices=["gnp", "gnm", "regular"],
                         help="random-graph model (gnm/regular match the "
                              "expected edge count of the gnp setting)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,11 +10,14 @@ dominant sweep cost.  Here the same walk runs on:
 * **live-neighbour lists** (:func:`live_rows`): one Python list per
   node holding its not-yet-traversed neighbours in sorted CSR order,
   so a step is one ``list.pop`` at the drawn index plus one
-  ``list.remove`` of the reverse orientation, with no per-step
-  numpy scan;
-* **int64 path/position arrays**, so a rotation is one in-place slice
-  reversal plus one fancy-indexed position update instead of a Python
-  loop;
+  bisected ``del`` of the reverse orientation (pops keep every row
+  sorted), with no per-step numpy scan;
+* **a path window in an int64 buffer** with an orientation flag, plus
+  an int64 node-to-slot array: a rotation moves only the shorter side
+  of the cut — the head side reversed in place, or the tail side
+  copied reversed past the head with the orientation flipped — as
+  one slice copy and one fancy-indexed slot update instead of a
+  Python loop (see :class:`ArrayWalk`);
 * **vectorised tree construction** (:class:`ArrayTree`): frontier BFS,
   the min-id parent rule, the BFS completion-round recursion, and tree
   eccentricities all run as whole-level numpy operations.  The last
@@ -58,6 +61,7 @@ engine keeps real Generators, as the independent reference.
 from __future__ import annotations
 
 import contextlib
+from bisect import bisect_left
 from typing import Callable
 
 import numpy as np
@@ -298,6 +302,21 @@ def build_array_tree(indptr: np.ndarray, indices: np.ndarray,
     return ArrayTree(root, depth, parent, d, members, indptr, indices)
 
 
+def _recentre(buf: np.ndarray, pos: np.ndarray, ramp: np.ndarray,
+              lo: int, hi: int) -> tuple[int, int]:
+    """Move the path window ``buf[lo:hi]`` to the middle of ``buf``.
+
+    :class:`ArrayWalk` calls this only when the next extension or
+    tail move would leave the buffer; returns the new ``(lo, hi)``.
+    """
+    plen = hi - lo
+    new_lo = (buf.size - plen) // 2
+    window = buf[lo:hi].copy()
+    buf[new_lo:new_lo + plen] = window
+    pos[window] = ramp[new_lo:new_lo + plen]
+    return new_lo, new_lo + plen
+
+
 class ArrayWalk:
     """The rotation walk of Algorithm 1 on live-neighbour lists.
 
@@ -307,6 +326,19 @@ class ArrayWalk:
     round accounting and failure codes.  The ported (DHC1 virtual
     walk) variant stays on the Python walker — port bookkeeping is
     per-edge state the neighbour lists do not model.
+
+    The path lives in a window ``[lo, hi)`` of an int64 buffer four
+    times the participant count, read tail-to-head when ``fwd`` is
+    set and head-to-tail otherwise; ``pos`` maps each path node to its
+    buffer slot.  The path plus the virtual closing edge (head, tail)
+    is a cycle, so a rotation at target ``t`` may reverse either side
+    of the cut after ``t``: the head side in place, or the tail side
+    (up to ``t``) copied reversed past the head with the window and
+    orientation flipped — whichever is shorter.  Either way the
+    logical path, and hence every later decision, is the same.  A
+    window that reaches a buffer edge is re-centred
+    (:func:`_recentre`).  :meth:`cycle` returns the logical path, tail
+    first.
 
     Parameters
     ----------
@@ -325,7 +357,8 @@ class ArrayWalk:
     __slots__ = ("size", "rngs", "initial_head", "step_budget", "tree_depth",
                  "round", "success", "fail_code", "steps",
                  "rotations", "extensions", "retries", "end_round",
-                 "flood_initiator", "trace", "_rows", "_path", "_pos", "_plen")
+                 "flood_initiator", "trace", "_rows", "_buf", "_pos",
+                 "_lo", "_hi", "_fwd")
 
     def __init__(self, *, rows, rngs, size, initial_head, step_budget,
                  tree_depth, start_round, trace=None):
@@ -351,9 +384,10 @@ class ArrayWalk:
         self.trace = trace
 
         self._rows = rows
-        self._path = np.empty(size, dtype=np.int64)
+        self._buf = np.empty(4 * size, dtype=np.int64)
         self._pos = np.full(len(rows), -1, dtype=np.int64)
-        self._plen = 0
+        self._lo = self._hi = 0
+        self._fwd = True
 
     def run(self) -> None:
         self._run()
@@ -368,64 +402,112 @@ class ArrayWalk:
         if self.size < 3:
             self._fail(FAIL_TOO_SMALL, self.initial_head)
             return
-        rows, path, pos, rngs = self._rows, self._path, self._pos, self.rngs
-        # Hot-loop locals: a preallocated position ramp for rotations
-        # and the per-step constants.
-        ramp = np.arange(self.size, dtype=np.int64)
+        rows, buf, pos, rngs = self._rows, self._buf, self._pos, self.rngs
+        # Hot-loop locals: a slot ramp for position updates, the
+        # per-step constants, and the counters written back at exit.
+        cap = buf.size
+        ramp = np.arange(cap, dtype=np.int64)
         size, budget = self.size, self.step_budget
         rotation_cost = 2 * self.tree_depth + 3
         trace = self.trace
+        rnd = self.round
+        steps = rotations = extensions = 0
 
-        head = self.initial_head
-        path[0] = head
-        pos[head] = 0
-        plen = 1
-        step = 1
+        head = target = self.initial_head
+        lo = cap // 2
+        hi = lo + 1
+        buf[lo] = head
+        pos[head] = lo
+        fwd = True
         while True:
-            if step > budget:
-                self._plen = plen
-                self._fail(FAIL_BUDGET, head)
-                return
+            if steps >= budget:
+                fail = FAIL_BUDGET
+                break
             live = rows[head]
             if not live:
-                self._plen = plen
-                self._fail(FAIL_NO_EDGES, head)
-                return
+                fail = FAIL_NO_EDGES
+                break
             # The head's live edges in sorted CSR order: the same count
-            # and order the distributed walk draws over.
+            # and order the distributed walk draws over.  Pops keep the
+            # rows sorted, so the reverse orientation is found by bisection.
             target = live.pop(rngs[head].integers(len(live)))
-            rows[target].remove(head)
-            self.steps = step
+            row = rows[target]
+            del row[bisect_left(row, head)]
+            steps += 1
             if trace is not None:
                 trace.append((head, target))
 
-            tpos = int(pos[target])
-            if tpos < 0:
+            p = pos.item(target)
+            if p < 0:
                 # Extension: 1 round (send; the new head acts next round).
-                pos[target] = plen
-                path[plen] = target
-                plen += 1
+                if fwd:
+                    if hi == cap:
+                        lo, hi = _recentre(buf, pos, ramp, lo, hi)
+                    buf[hi] = target
+                    pos[target] = hi
+                    hi += 1
+                else:
+                    if lo == 0:
+                        lo, hi = _recentre(buf, pos, ramp, lo, hi)
+                    lo -= 1
+                    buf[lo] = target
+                    pos[target] = lo
                 head = target
-                self.round += 1
-                self.extensions += 1
-            elif tpos == 0 and plen == size:
-                # Closure: the head hit the open tail with a full path.
-                self._plen = plen
-                self.success = True
-                self.flood_initiator = target
-                self.end_round = self.round + 1
-                return
+                rnd += 1
+                extensions += 1
+                continue
+            # The cut falls just after the target: the tail side runs
+            # from the tail to the target, the head side from there on.
+            if fwd:
+                tail_side, head_side = p + 1 - lo, hi - 1 - p
             else:
-                # Rotation at j = tpos + 1: reverse path positions
-                # tpos+1 .. plen-1; the far end becomes the new head.
-                lo = tpos + 1
-                head = int(path[lo])
-                seg = path[lo:plen]
-                seg[:] = seg[::-1]
-                pos[seg] = ramp[lo:plen]
-                self.round += rotation_cost
-                self.rotations += 1
-            step += 1
+                tail_side, head_side = hi - p, p - lo
+            if tail_side == 1 and hi - lo == size:
+                # Closure: the head hit the open tail with a full path.
+                fail = 0
+                break
+            # Rotation: the node after the target becomes the head.
+            rnd += rotation_cost
+            rotations += 1
+            if fwd:
+                head = buf.item(p + 1)
+                if head_side <= tail_side:
+                    seg = buf[p + 1:hi]
+                    seg[:] = seg[::-1]
+                    pos[seg] = ramp[p + 1:hi]
+                    continue
+                if hi + tail_side > cap:
+                    lo, hi = _recentre(buf, pos, ramp, lo, hi)
+                    p = pos.item(target)
+                seg = buf[hi:hi + tail_side]
+                seg[:] = buf[lo:p + 1][::-1]
+                pos[seg] = ramp[hi:hi + tail_side]
+                lo, hi = p + 1, hi + tail_side
+            else:
+                head = buf.item(p - 1)
+                if head_side <= tail_side:
+                    seg = buf[lo:p]
+                    seg[:] = seg[::-1]
+                    pos[seg] = ramp[lo:p]
+                    continue
+                if lo < tail_side:
+                    lo, hi = _recentre(buf, pos, ramp, lo, hi)
+                    p = pos.item(target)
+                seg = buf[lo - tail_side:lo]
+                seg[:] = buf[p:hi][::-1]
+                pos[seg] = ramp[lo - tail_side:lo]
+                lo, hi = lo - tail_side, p
+            fwd = not fwd
+
+        self.steps, self.round = steps, rnd
+        self.rotations, self.extensions = rotations, extensions
+        self._lo, self._hi, self._fwd = lo, hi, fwd
+        if fail:
+            self._fail(fail, head)
+        else:
+            self.success = True
+            self.flood_initiator = target
+            self.end_round = rnd + 1
 
     def _fail(self, code: int, at: int) -> None:
         self.fail_code = code
@@ -433,4 +515,6 @@ class ArrayWalk:
         self.end_round = self.round
 
     def cycle(self) -> list[int]:
-        return self._path[:self._plen].tolist()
+        """The walk's path in order, tail first (the cycle on a win)."""
+        window = self._buf[self._lo:self._hi]
+        return (window if self._fwd else window[::-1]).tolist()

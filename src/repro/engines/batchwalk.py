@@ -67,9 +67,11 @@ trial, since the fused kernel advances the pool's state arrays).
 
 The per-trial engines (``fast``, ``kmachine``) draw one value at a
 time, so they take the scalar form of the same replication:
-:func:`node_streams` seeds a trial's n children in one vector pass and
-hands back small Python-int PCG64 streams whose ``integers(bound)`` is
-bit-identical to the Generator's; :func:`trial_stream` does the same
+:func:`node_streams` seeds a trial's n children in one vector pass,
+which also prefetches each child's first raw words as 32-bit halves,
+and hands back small Python-int PCG64 streams whose
+``integers(bound)`` is bit-identical to the Generator's;
+:func:`trial_stream` does the same
 for CRE's single ``default_rng(seed)`` stream.  Both share the pools'
 self-check verdict, and fall back to real Generators with them.
 
@@ -163,6 +165,10 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 _TWO32 = 1 << 32
+#: Raw words per node that :func:`node_streams`' vector pass prefetches,
+#: and that a :class:`_NodeStream` computes per scalar refill.
+_PREFETCH_WORDS = 8
+_REFILL_WORDS = 4
 
 
 def _entropy_words(seed: int) -> list[int]:
@@ -277,14 +283,18 @@ def _pcg_srandom(states: np.ndarray):
 def _replication_self_check() -> bool:
     """Does the half-word Lemire replication match this numpy's Generator?
 
-    Drains one PCG64 stream twice — through a real ``Generator`` and
-    through a :class:`_NodeStream` seeded with the same state, which
-    applies the half-word buffering and Lemire reduction
+    Drains PCG64 streams twice — through real ``Generator`` objects
+    and through :class:`_NodeStream` objects seeded with the same
+    state, which apply the half-word buffering and Lemire reduction
     :class:`DrawPool` vectorises — over a bound mix that exercises the
     no-consumption ``bound == 1`` case, small and large bounds, the
     rejection path (``2**31 + 1`` rejects ~50% of halves) and the
-    full-width ``2**32``.  Any numpy whose bounded-integer algorithm
-    or buffering differs fails this check and demotes every pool and
+    full-width ``2**32``.  One stream is built as :func:`trial_stream`
+    builds one (scalar refills only), two more as :func:`node_streams`
+    builds them (:func:`_prefetched_streams`), drawn interleaved and
+    well past their prefetched halves.  Any numpy whose bounded-integer
+    algorithm or buffering differs, or a wrong split of prefetched
+    words into halves, fails this check and demotes every pool and
     every :func:`node_streams` call to real generators, keeping parity
     unconditional.
     """
@@ -294,7 +304,14 @@ def _replication_self_check() -> bool:
     stream = _NodeStream(st["state"], st["inc"])
     bounds = [1, 2, 3, 7, 1, 100, 4096, 2**31 + 1, 1, 5, 12,
               1000003, 2**31 + 1, 64, 1, 2, 2**32] * 4
-    return all(stream.integers(c) == int(ref.integers(c)) for c in bounds)
+    if not all(stream.integers(c) == int(ref.integers(c)) for c in bounds):
+        return False
+    children = np.random.SeedSequence(0xBA7C4ED).spawn(2)
+    refs = [np.random.default_rng(c) for c in children]
+    streams = _prefetched_streams(np.stack(
+        [c.generate_state(4, np.uint64) for c in children]))
+    return all(streams[i % 2].integers(c) == int(refs[i % 2].integers(c))
+               for i, c in enumerate(bounds))
 
 
 def _vector_seed_self_check() -> bool:
@@ -346,31 +363,40 @@ class _NodeStream:
     """One node's ``Generator(PCG64(child)).integers`` stream, in Python ints.
 
     The scalar twin of a :class:`DrawPool` lane: the 128-bit LCG state
-    and increment plus the pending high half of the last raw word.
-    Bounded draws take 32-bit halves, low half first, through Lemire's
-    multiply-shift with rejection, exactly as ``Generator.integers``
-    does for bounds up to ``2**32``; ``bound == 1`` consumes nothing.
-    A draw costs a few big-int operations instead of a trip through
-    numpy's argument parsing.
+    and increment plus a queue of raw 32-bit halves not yet consumed.
+    A ``Generator`` serves bounded draws from 32-bit halves of its raw
+    64-bit words, low half first, through Lemire's multiply-shift with
+    rejection, for bounds up to ``2**32``; ``bound == 1`` consumes
+    nothing.  Here the queue holds those halves in reverse draw order,
+    so the common draw is one ``list.pop`` and one multiply.  The queue
+    starts with the words :func:`node_streams` prefetched in its
+    vector pass (empty for :func:`trial_stream`); when it runs dry,
+    :meth:`_refill` steps the LCG :data:`_REFILL_WORDS` times in
+    Python ints and queues the next chunk.  ``_state`` is always the
+    LCG state after the last queued word.
     """
 
-    __slots__ = ("_state", "_inc", "_half")
+    __slots__ = ("_state", "_inc", "_halves")
 
-    def __init__(self, state: int, inc: int):
+    def __init__(self, state: int, inc: int, halves: list | None = None):
         self._state = state
         self._inc = inc
-        self._half = None
+        self._halves = [] if halves is None else halves
 
-    def _next32(self) -> int:
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half
-        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
-        x = ((s >> 64) ^ s) & _M64
-        word = (((x << 64) | x) >> (s >> 122)) & _M64  # XSL-RR rotate
-        self._half = word >> 32
-        return word & _M32
+    def _refill(self) -> int:
+        """Queue the next chunk of halves; return (and consume) the first."""
+        s, inc = self._state, self._inc
+        words = []
+        for _ in range(_REFILL_WORDS):
+            s = (s * _PCG_MULT + inc) & _M128
+            x = ((s >> 64) ^ s) & _M64
+            words.append((((x << 64) | x) >> (s >> 122)) & _M64)  # XSL-RR
+        self._state = s
+        halves = self._halves
+        for word in reversed(words):
+            halves.append(word >> 32)
+            halves.append(word & _M32)
+        return halves.pop()
 
     def integers(self, bound) -> int:
         """A uniform draw from ``range(bound)``, ``1 <= bound <= 2**32``."""
@@ -380,11 +406,12 @@ class _NodeStream:
             if bound == 1:
                 return 0
             raise ValueError(f"bound must lie in [1, 2**32], got {bound}")
-        m = self._next32() * bound
+        halves = self._halves
+        m = (halves.pop() if halves else self._refill()) * bound
         if m & _M32 < bound:  # threshold < bound: almost never taken
             threshold = (_TWO32 - bound) % bound
             while m & _M32 < threshold:
-                m = self._next32() * bound
+                m = (halves.pop() if halves else self._refill()) * bound
         return m >> 32
 
 
@@ -422,8 +449,11 @@ def node_streams(seed, n: int) -> list:
     objects: the children's PCG64 states come from the same vector
     seeding replication :class:`DrawPool` uses, and each stream is a
     :class:`_NodeStream` whose ``integers(bound)`` is bit-identical to
-    the Generator's.  Callers may only call ``integers``.  When the
-    self-checks find this numpy disagreeing (or ``seed`` is not a
+    the Generator's.  The same vector pass also prefetches every
+    node's first :data:`_PREFETCH_WORDS` raw words (see
+    :func:`_prefetched_streams`), so most draws of a walk never step
+    an LCG in Python ints.  Callers may only call ``integers``.  When
+    the self-checks find this numpy disagreeing (or ``seed`` is not a
     non-negative integer), the real Generators come back instead.
     """
     if n == 0:
@@ -431,10 +461,34 @@ def node_streams(seed, n: int) -> list:
     if not _replicable(seed):
         return [np.random.default_rng(s)
                 for s in np.random.SeedSequence(seed).spawn(n)]
-    sh, sl, ih, il = _pcg_srandom(_spawned_pcg_states([seed], n))
-    return [_NodeStream((a << 64) | b, (c << 64) | d)
-            for a, b, c, d in zip(sh.tolist(), sl.tolist(),
-                                  ih.tolist(), il.tolist())]
+    return _prefetched_streams(_spawned_pcg_states([seed], n))
+
+
+def _prefetched_streams(states: np.ndarray) -> list:
+    """:class:`_NodeStream` per row of PCG64 seed material, words prefetched.
+
+    Seeds every row's LCG (:func:`_pcg_srandom`), steps all of them
+    :data:`_PREFETCH_WORDS` times in one array pass each, and splits
+    every XSL-RR output word arithmetically (shift and mask, so on any
+    byte order) into its 32-bit halves, which ``Generator.integers``
+    consumes low half first.  Each stream gets its halves in reverse
+    draw order, for ``pop``, and the LCG state after its last
+    prefetched word.
+    """
+    sh, sl, ih, il = _pcg_srandom(states)
+    words = np.empty((_PREFETCH_WORDS, states.shape[0]), dtype=np.uint64)
+    for k in range(_PREFETCH_WORDS):
+        sl, sh = _pcg_mult_add(sl, sh, il, ih)
+        words[k] = _pcg_out(sh, sl)
+    # Reverse draw order: the last word's high half first, then its low.
+    late_first = words[::-1].T
+    queues = np.empty((states.shape[0], 2 * _PREFETCH_WORDS), dtype=np.uint64)
+    queues[:, 0::2] = late_first >> _U32
+    queues[:, 1::2] = late_first & _MASK32
+    return [_NodeStream((a << 64) | b, (c << 64) | d, queue)
+            for a, b, c, d, queue in zip(
+                sh.tolist(), sl.tolist(), ih.tolist(), il.tolist(),
+                queues.tolist())]
 
 
 class DrawPool:

@@ -3,9 +3,9 @@
 Replays :mod:`repro.core.cre`'s decision sequence (see that module's
 decision contract) with the data layout of the array kernel: an int64
 path array plus position map, and a rotation is one slice reversal
-plus one fancy-indexed ``pos`` update, exactly like
-:class:`~repro.engines.arraywalk.ArrayWalk`, so long paths still
-scale.  Each step pays only for the move it makes:
+plus one fancy-indexed ``pos`` update, so long paths still scale
+(:class:`~repro.engines.arraywalk.ArrayWalk` goes one step further
+and moves only the shorter side of the cut).  Each step pays only for the move it makes:
 
 * draws come from one :func:`~repro.engines.batchwalk.trial_stream`,
   the Generator's stream in Python ints;

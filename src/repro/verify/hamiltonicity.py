@@ -65,7 +65,9 @@ def verified_cycle(
     is a node sequence, a successor map (flattened from node 0 by
     :func:`cycle_from_successors`) or ``None`` (no candidate, passed
     through).  A candidate that is not a Hamiltonian cycle of ``graph``
-    yields ``None``.
+    yields ``None``; a verified one comes back as a list of Python ints
+    (the input itself when it already is one), so a tuple, an ndarray
+    or ``np.int64`` ids never reach a JSON store.
     """
     if cycle is None:
         return None
@@ -75,7 +77,9 @@ def verified_cycle(
         verify_cycle(graph, cycle)
     except CycleViolation:
         return None
-    return cycle
+    if cycle.__class__ is list and all(v.__class__ is int for v in cycle):
+        return cycle
+    return np.asarray(cycle).tolist()
 
 
 def _integer_nodes(nodes: Sequence[int]) -> np.ndarray:

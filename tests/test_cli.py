@@ -826,6 +826,29 @@ class TestTopLevel:
             main(["--help"])
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--seed", "-1"],
+        ["--nodes", "16", "--seed", "-1"],
+        ["graph", "--seed", "-1"],
+        ["bounds", "--seed", "-1"],
+        ["sweep", "--algorithm", "dra", "--sizes", "16", "--seed", "-3"],
+        ["run", "--seed", "one"],
+    ])
+    def test_bad_seed_is_rejected_at_parse_time(self, capsys, argv):
+        # SeedSequence takes only non-negative integers; the parser
+        # names the flag instead of numpy failing mid-sampling.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: expected a non-negative integer" in err
+
+    def test_zero_seed_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "graph", "--nodes", "16", "--seed", "0",
+                               "--json")
+        assert code == 0
+        assert json.loads(out)["n"] == 16
+
 
 class TestSweepMetrics:
     def test_metrics_report_and_store_sidecar(self, capsys, tmp_path):

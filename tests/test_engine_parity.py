@@ -23,8 +23,8 @@ import pytest
 
 import repro
 from repro.core.rotation import FAIL_NO_EDGES
-from repro.engines import batchwalk
-from repro.engines.arraywalk import build_array_tree
+from repro.engines import arraywalk, batchwalk, fast
+from repro.engines.arraywalk import build_array_tree, observe_walks
 from repro.engines.fast import (
     _dra_fast_py,
     bfs_completion_round,
@@ -74,6 +74,29 @@ def assert_parity(kernel, oracle, context: str, *, detail_keys=(),
             f"{context}: detail[{key!r}]")
 
 
+def dra_with_final_paths(monkeypatch, graph, seed, **kwargs):
+    """DRA on the kernel and on the oracle, plus each walk's final path.
+
+    A failed run reports no cycle, so the path the walk ended on is
+    read from the walkers themselves: the kernel's through
+    :func:`observe_walks`, the oracle's through a recording subclass.
+    """
+    oracle_walks = []
+
+    class RecordingWalk(fast._FastWalk):
+        def run(self):
+            super().run()
+            oracle_walks.append(self)
+
+    monkeypatch.setattr(fast, "_FastWalk", RecordingWalk)
+    kernel_paths = []
+    with observe_walks(lambda walk: kernel_paths.append(walk.cycle())):
+        kernel = repro.run(graph, "dra", engine="fast", seed=seed, **kwargs)
+    oracle = _dra_fast_py(graph, seed=seed, **kwargs)
+    assert len(kernel_paths) == len(oracle_walks) == 1
+    return kernel, oracle, kernel_paths[0], oracle_walks[0].cycle()
+
+
 class TestDraParity:
     """Algorithm 1: dense graphs succeed, sparse ones fail — both must match."""
 
@@ -90,15 +113,18 @@ class TestDraParity:
                 detail_keys=("fail_codes", "rotations", "extensions", "retries"))
             assert kernel.engine == "fast" and oracle.engine == "fast-py"
 
-    def test_step_budget_failure_matches(self):
+    def test_step_budget_failure_matches(self, monkeypatch):
         g = sample("gnp", 64, 8.0, seed=3)
-        kernel = repro.run(g, "dra", engine="fast", seed=3, step_budget=5)
-        oracle = _dra_fast_py(g, seed=3, step_budget=5)
-        assert not kernel.success
-        assert_parity(kernel, oracle, "dra budget", detail_keys=("fail_codes",))
+        for budget in (5, 40, 200):
+            kernel, oracle, kernel_path, oracle_path = dra_with_final_paths(
+                monkeypatch, g, 3, step_budget=budget)
+            assert not kernel.success
+            assert_parity(kernel, oracle, f"dra budget={budget}",
+                          detail_keys=("fail_codes",))
+            assert kernel_path == oracle_path
 
     @pytest.mark.parametrize("shape", ["star", "path"])
-    def test_dead_end_failure_matches(self, shape):
+    def test_dead_end_failure_matches(self, shape, monkeypatch):
         # The head runs out of live edges: the walk's empty-row exit.
         n = 12
         if shape == "star":
@@ -106,13 +132,43 @@ class TestDraParity:
         else:
             g = Graph(n, [(v, v + 1) for v in range(n - 1)])
         for seed in (1, 2, 5):
-            kernel = repro.run(g, "dra", engine="fast", seed=seed)
-            oracle = _dra_fast_py(g, seed=seed)
+            kernel, oracle, kernel_path, oracle_path = dra_with_final_paths(
+                monkeypatch, g, seed)
             assert not kernel.success
             assert kernel.detail["fail_codes"] == [FAIL_NO_EDGES]
             assert_parity(kernel, oracle, f"dra {shape} seed={seed}",
                           detail_keys=("fail_codes", "rotations",
                                        "extensions"))
+            assert kernel_path == oracle_path
+
+    def test_window_recentres_keep_parity(self, monkeypatch):
+        # K_{m,m+1} has no Hamiltonian cycle, so the walk rotates until
+        # it dead-ends; hundreds of shorter-side moves push the path
+        # window into both buffer edges.
+        m = 30
+        g = Graph(2 * m + 1, [(u, m + w) for u in range(m)
+                              for w in range(m + 1)])
+        edges = []
+        recentre = arraywalk._recentre
+
+        def recording(buf, pos, ramp, lo, hi):
+            edges.append("low" if lo < buf.size - hi else "high")
+            return recentre(buf, pos, ramp, lo, hi)
+
+        monkeypatch.setattr(arraywalk, "_recentre", recording)
+        for seed in (1, 2, 3):
+            before = len(edges)
+            kernel, oracle, kernel_path, oracle_path = dra_with_final_paths(
+                monkeypatch, g, seed, step_budget=10**6)
+            assert len(edges) > before, f"seed={seed}: no re-centre"
+            assert not kernel.success
+            assert_parity(kernel, oracle, f"dra K_m,m+1 seed={seed}",
+                          fields=("success", "cycle", "steps", "rounds"),
+                          detail_keys=("fail_codes", "rotations",
+                                       "extensions"))
+            assert kernel.detail["rotations"] > 500
+            assert kernel_path == oracle_path
+        assert set(edges) == {"low", "high"}
 
 
 class TestDhc2Parity:

@@ -1,5 +1,7 @@
 """Tests for Hamiltonian-cycle verification."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,19 @@ class TestVerifiedCycle:
     def test_node_sequence(self):
         cycle = [3, 4, 5, 0, 1, 2]
         assert verified_cycle(ring(6), cycle) is cycle
+
+    @pytest.mark.parametrize("make", [
+        tuple,
+        np.array,
+        lambda c: [np.int64(v) for v in c],
+        lambda c: np.array(c, dtype=np.int32),
+    ], ids=["tuple", "ndarray", "np-int64-list", "int32-ndarray"])
+    def test_verified_cycle_is_a_list_of_python_ints(self, make):
+        # A JSON store takes only Python ints; the annotation says list.
+        got = verified_cycle(ring(6), make([3, 4, 5, 0, 1, 2]))
+        assert got.__class__ is list and got == [3, 4, 5, 0, 1, 2]
+        assert all(v.__class__ is int for v in got)
+        json.dumps(got)
 
     def test_successor_map_flattens_from_node_zero(self):
         succ = {v: (v - 1) % 6 for v in range(6)}
