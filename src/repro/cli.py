@@ -61,6 +61,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from repro.analysis.bounds import (
@@ -834,7 +835,14 @@ def main(argv: list[str] | None = None) -> int:
         build_parser().print_help()
         return 2
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader left early (``repro graph --json | head``): point
+        # stdout at devnull so the interpreter's exit flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -42,7 +42,7 @@ from repro.analysis.bounds import diameter_budget, dra_round_budget, dra_step_bu
 from repro.congest.message import Message
 from repro.congest.model import run_protocol
 from repro.congest.node import Context
-from repro.core.phase1 import PartitionedPhase1Protocol
+from repro.core.phase1 import PartitionedPhase1Protocol, resolve_colors
 from repro.core.rotation import RotationWalk, VirtualEdge
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
@@ -362,7 +362,7 @@ def run_dhc1(
     ``detail["faults"]``; async runs also report ``detail["async"]``.
     """
     n = graph.n
-    colors = k if k is not None else default_sqrt_colors(n)
+    colors = resolve_colors(k, lambda: default_sqrt_colors(n))
     run = run_protocol(
         graph,
         lambda v: Dhc1Protocol(v, n, colors),

@@ -39,6 +39,7 @@ from repro.core.phase1 import (
     color_at_level,
     colors_at_level,
     merge_levels,
+    resolve_colors,
 )
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
@@ -229,7 +230,7 @@ def run_dhc2(
     ``detail["async"]``.
     """
     n = graph.n
-    colors = k if k is not None else default_color_count(n, delta)
+    colors = resolve_colors(k, lambda: default_color_count(n, delta))
     run = run_protocol(
         graph,
         lambda v: Dhc2Protocol(v, n, colors),

@@ -21,6 +21,8 @@ reports an honest failure (experiment E6 counts these).
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.analysis.bounds import diameter_budget, dra_step_budget
 from repro.congest.message import Message
 from repro.congest.node import Context, Protocol
@@ -29,7 +31,22 @@ from repro.primitives.bfs import BfsTree
 from repro.primitives.floodmin import FloodMin
 from repro.primitives.submachine import SubMachineHost
 
-__all__ = ["PartitionedPhase1Protocol", "color_at_level", "colors_at_level", "merge_levels"]
+__all__ = ["PartitionedPhase1Protocol", "color_at_level", "colors_at_level",
+           "merge_levels", "resolve_colors"]
+
+
+def resolve_colors(k: int | None, default: Callable[[], int]) -> int:
+    """The colour count ``K`` a run uses: ``k`` if given, else ``default()``.
+
+    Every DHC1/DHC2 engine resolves its colour count here, so a ``k``
+    below 1 (a colour draw with no colour to pick) fails the same way
+    on all of them.
+    """
+    if k is None:
+        return default()
+    if k < 1:
+        raise ValueError(f"colour count k must be at least 1, got {k}")
+    return k
 
 
 def color_at_level(color1: int, level: int) -> int:

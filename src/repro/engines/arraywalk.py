@@ -60,9 +60,7 @@ engine keeps real Generators, as the independent reference.
 
 from __future__ import annotations
 
-import contextlib
 from bisect import bisect_left
-from typing import Callable
 
 import numpy as np
 
@@ -74,34 +72,9 @@ __all__ = [
     "build_array_tree",
     "filtered_csr",
     "live_rows",
-    "observe_walks",
     "tree_completion_times",
     "tree_eccentricities",
 ]
-
-
-#: Active kernel observers; see :func:`observe_walks`.
-_walk_observers: list[Callable[["ArrayWalk"], None]] = []
-
-
-@contextlib.contextmanager
-def observe_walks(callback: Callable[["ArrayWalk"], None]):
-    """Kernel-level inspection hook: see every completed walk.
-
-    Within the context, ``callback(walk)`` fires after each
-    :meth:`ArrayWalk.run` finishes (success or failure), in execution
-    order — e.g. DHC2's Phase-1 partition walks arrive in colour
-    order 1..K.  Ablation studies use this to capture intermediate
-    walk state (paths, step counts) from a normal ``repro.run``
-    dispatch instead of re-deriving partitions by hand; the walk is
-    live kernel state, so observers must not mutate it.  The cost is
-    one list check per *walk*, not per step — negligible.
-    """
-    _walk_observers.append(callback)
-    try:
-        yield
-    finally:
-        _walk_observers.remove(callback)
 
 
 def live_rows(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
@@ -390,11 +363,6 @@ class ArrayWalk:
         self._fwd = True
 
     def run(self) -> None:
-        self._run()
-        for callback in _walk_observers:
-            callback(self)
-
-    def _run(self) -> None:
         # Lazy: the fail codes live beside the CONGEST walk, and
         # importing that module drags in the simulator substrate.
         from repro.core.rotation import FAIL_BUDGET, FAIL_NO_EDGES, FAIL_TOO_SMALL

@@ -28,6 +28,10 @@ timing.  The original pure-Python walker below (``_dra_fast_py`` /
 longer in the registry, but importable so
 ``tests/test_engine_parity.py`` can assert the kernel remains
 decision-identical to it seed for seed.
+
+The native k-machine engine does not re-run the DRA walk: it calls
+``_dra_fast`` with the internal ``trace=`` dict and charges its link
+ledger from what the replay recorded.
 """
 
 from __future__ import annotations
@@ -145,8 +149,15 @@ def _dra_fast(
     *,
     seed: int = 0,
     step_budget: int | None = None,
+    trace: dict | None = None,
 ) -> RunResult:
-    """Algorithm 1 on the array kernel; see module docstring for fidelity."""
+    """Algorithm 1 on the array kernel; see module docstring for fidelity.
+
+    ``trace``, if given, receives ``tree`` (``None`` if the BFS fails)
+    and then the finished ``walk``, its ``(head, target)`` step log
+    ``steps`` and the final flood's ``flood_ecc``, without perturbing
+    any decision; the native k-machine engine charges from it.
+    """
     from repro.engines.arraywalk import ArrayWalk, build_array_tree, live_rows
     from repro.engines.batchwalk import node_streams
 
@@ -158,6 +169,8 @@ def _dra_fast(
     indptr, indices = graph.indptr, graph.indices
     tree = build_array_tree(indptr, indices,
                             np.arange(n, dtype=np.int64), root=0) if n else None
+    if trace is not None:
+        trace.update(tree=tree, steps=[])
     if tree is None:
         deadline = election_rounds + 3 * diameter_budget(n) + 8
         return RunResult("dra", False, None, deadline, engine="fast",
@@ -171,10 +184,13 @@ def _dra_fast(
         step_budget=budget,
         tree_depth=max(1, tree.tree_depth),
         start_round=tree.completion_round(election_rounds) + 1,
+        trace=None if trace is None else trace["steps"],
     )
     walk.run()
-    end_round = walk.end_round + tree.eccentricity(walk.flood_initiator)
-    return _dra_result(graph, walk, end_round, engine="fast")
+    flood_ecc = tree.eccentricity(walk.flood_initiator)
+    if trace is not None:
+        trace.update(walk=walk, flood_ecc=flood_ecc)
+    return _dra_result(graph, walk, walk.end_round + flood_ecc, engine="fast")
 
 
 def _dra_fast_py(
@@ -257,6 +273,10 @@ class _FastWalk:
         self.retries = 0
         self.end_round = start_round
         self.flood_initiator = initial_head
+        #: The winning closure edge ``(head, tail, my_port, their_port)``.
+        #: ``RotationWalk`` binds the head's successor ports before the
+        #: win flood; DHC1's stitching reads them from here.
+        self.win_edge: tuple[int, int, int, int] | None = None
 
         self._edges: dict[int, list[tuple[int, int, int]]] = {}
         self._dead: set[tuple[int, int, int, int]] = set()  # (owner, peer, my, their)
@@ -353,6 +373,7 @@ class _FastWalk:
 
         if tail_open and h == self.size:
             self._bound[target] = (their_port, t_succ_port)
+            self.win_edge = (head, target, my_port, their_port)
             return "win", head
         if self.ported and not tail and their_port != t_succ_port:
             return "retry", head

@@ -329,13 +329,14 @@ def _dhc2_fast_batch(graphs, *, seeds, delta: float = 0.5,
 
 def _dhc2_chunk(graphs, seeds, results, offset, delta, k) -> None:
     from repro.core.dhc2 import default_color_count
+    from repro.core.phase1 import resolve_colors
     from repro.engines.arraywalk import filtered_csr
     from repro.engines.fast_dhc2 import _fail, _phase2
     from repro.graphs.adjacency import csr_sources
 
     n = _batch_n(graphs)
     batch = len(graphs)
-    colors = k if k is not None else default_color_count(n, delta)
+    colors = resolve_colors(k, lambda: default_color_count(n, delta))
     total = batch * n
     pool = DrawPool(seeds, n)
 

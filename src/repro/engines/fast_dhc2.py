@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.analysis.bounds import diameter_budget, dra_step_budget
 from repro.core.dhc2 import default_color_count
-from repro.core.phase1 import colors_at_level, merge_levels
+from repro.core.phase1 import colors_at_level, merge_levels, resolve_colors
 from repro.engines.fast import _FastWalk, bfs_completion_round, build_min_id_bfs_tree
 from repro.engines.phase1_replay import color_partition, replay_partition_walks
 from repro.engines.results import RunResult
@@ -54,7 +54,7 @@ def _dhc2_fast(
     from repro.engines.batchwalk import node_streams
 
     n = graph.n
-    colors = k if k is not None else default_color_count(n, delta)
+    colors = resolve_colors(k, lambda: default_color_count(n, delta))
     rngs = node_streams(seed, n)
 
     color_of, sub_indptr, sub_indices, rows = color_partition(
@@ -81,7 +81,7 @@ def _dhc2_fast_py(
 ) -> RunResult:
     """Algorithm 3 on the pure-Python walker (the kernel's parity oracle)."""
     n = graph.n
-    colors = k if k is not None else default_color_count(n, delta)
+    colors = resolve_colors(k, lambda: default_color_count(n, delta))
     seeds = np.random.SeedSequence(seed).spawn(n) if n else []
     rngs = [np.random.default_rng(s) for s in seeds]
 

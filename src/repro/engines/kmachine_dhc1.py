@@ -24,7 +24,8 @@ the same per-node RNG streams in the same order as
 4. **Ported virtual walk** — :class:`repro.engines.fast._FastWalk` in
    the ported mode it was built for, with per-hypernode streams taken
    from the holders' generators; the min-id virtual BFS tree supplies
-   root/size, and the winning closure edge is captured for stitching.
+   root/size, and the walk's winning closure edge (``win_edge``) feeds
+   the stitching.
 5. **Stitching** (Fig. 1) — each class's entry/exit ports and the
    ``_far`` lookup reproduce every node's ``global_succ``, flattened
    from node 0 like the CONGEST engine.
@@ -44,42 +45,19 @@ from repro.analysis.bounds import diameter_budget, dra_step_budget
 from repro.engines.fast import _FastWalk, build_min_id_bfs_tree
 from repro.engines.kmachine_engine import (
     DEFAULT_LINK_WORDS,
+    _charged_global_tree,
     _charged_phase1,
-    _setup,
     _finish,
+    _setup,
 )
 from repro.engines.results import RunResult
-from repro.graphs.adjacency import Graph, csr_gather, csr_sources
-from repro.kmachine.ledger import (
-    TreeFloodProfile,
-    bfs_messages,
-    floodmin_traffic,
-)
+from repro.graphs.adjacency import Graph, csr_gather
 from repro.verify.hamiltonicity import verified_cycle
 
 __all__ = ["_dhc1_kmachine"]
 
 _ROLE_U = 0
 _ROLE_V = 1
-
-
-class _PortedWalk(_FastWalk):
-    """The ported walker, additionally remembering the closure edge.
-
-    ``RotationWalk`` binds the winning head's successor ports
-    optimistically before the win flood; the centralized walker never
-    needed them, but DHC1's stitching does.
-    """
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.win_edge: tuple[int, int, int, int] | None = None
-
-    def _hit(self, head, target, my_port, their_port):
-        outcome = super()._hit(head, target, my_port, their_port)
-        if outcome[0] == "win":
-            self.win_edge = (head, target, my_port, their_port)
-        return outcome
 
 
 def _dhc1_fail(n: int, colors: int, reason: str) -> RunResult:
@@ -102,17 +80,15 @@ def _dhc1_kmachine(
     ``sqrt(n)`` — and ``k_machines`` selects the machine count.
     """
     from repro.core.dhc1 import default_sqrt_colors
+    from repro.core.phase1 import resolve_colors
     from repro.engines.arraywalk import build_array_tree
     from repro.engines.batchwalk import node_streams
-    from repro.engines.phase1_replay import color_partition
 
     n = graph.n
-    partition, ledger = _setup(graph, seed, k_machines, link_words,
-                               partition_seed)
-    colors = k if k is not None else default_sqrt_colors(n)
+    ledger = _setup(graph, seed, k_machines, link_words, partition_seed)
+    colors = resolve_colors(k, lambda: default_sqrt_colors(n))
     rngs = node_streams(seed, n)
     indptr, indices = graph.indptr, graph.indices
-    members_all = np.arange(n, dtype=np.int64)
 
     if n == 0 or graph.m == 0 or int(graph.degrees().min()) == 0:
         # An isolated node admits no Hamiltonian cycle; the protocol
@@ -121,32 +97,17 @@ def _dhc1_kmachine(
         return _finish(result, ledger)
 
     # -- global election + BFS (consume rounds, not randomness) ----------------
-    global_elect = diameter_budget(n)
-    floodmin_traffic(ledger, indptr, indices, members_all, global_elect)
-    gtree = build_array_tree(indptr, indices, members_all, root=0)
+    gtree = build_array_tree(indptr, indices, np.arange(n, dtype=np.int64),
+                             root=0)
+    gprofile = _charged_global_tree(ledger, graph, gtree, diameter_budget(n))
     if gtree is None:
         return _finish(_dhc1_fail(n, colors, "global-bfs-unreachable"), ledger)
-    gdone = gtree.completion_times(global_elect)
-    gticks, gsrc, gdst, gwords = bfs_messages(gtree, indptr, indices,
-                                              global_elect, gdone)
-    gspan = int(gdone[gtree.root]) - global_elect + 1
-    ledger.series(np.minimum(gticks, gspan - 1), gsrc, gdst, gwords,
-                  span=gspan)
-    gprofile = TreeFloodProfile(ledger, gtree.parent, gtree.depth, members_all)
     ledger.quiet(max(1, gtree.tree_depth))  # synchronized announce wait
 
     # -- Phase 1: colours + per-class walks (same replay as DHC2) --------------
-    color_of, sub_indptr, sub_indices, rows = color_partition(
-        graph, rngs, colors)
-    ledger.burst(csr_sources(indptr), indices, 2)  # colour announcement
-    elect_budget = diameter_budget(max(3, (2 * n) // max(1, colors)))
-    floodmin_traffic(ledger, sub_indptr, sub_indices, members_all,
-                     elect_budget)
-
     # Relative clock: class BFS begins after the election.
-    p1, flush_phase1 = _charged_phase1(
-        ledger, start_round=0, indptr=sub_indptr, indices=sub_indices,
-        rows=rows, rngs=rngs, color_of=color_of, colors=colors)
+    p1, flush_phase1 = _charged_phase1(ledger, graph, rngs, colors,
+                                       start_round=0)
     if not p1.ok:
         return _finish(_dhc1_fail(n, colors, p1.fail_reason), ledger)
     paths, class_trees = p1.cycles, p1.trees
@@ -208,7 +169,7 @@ def _dhc1_kmachine(
     vdepth = max(1, vtree.tree_depth)
     ledger.uniform_burst(4 * colors, 3,
                          ticks=latency * (2 * vtree.tree_depth + 4))
-    vwalk = _PortedWalk(
+    vwalk = _FastWalk(
         size=colors,
         edges_of=lambda c: [(h, mp, tp) for h, mp, tp, _f in realizations[c]],
         rngs={c: rngs[int(holder[c])] for c in range(1, colors + 1)},

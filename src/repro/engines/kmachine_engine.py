@@ -16,6 +16,12 @@ traffic is word-capped bundles accounted by
 rule of the Conversion Theorem (per CONGEST-equivalent tick,
 ``max(1, ceil(busiest link / W))`` machine rounds).
 
+DRA and Turau replay nothing of their own: each runs its ``fast``
+replay once with the internal ``trace=`` dict and charges the ledger
+from the trace, so apart from ``engine`` and the k-machine keys the
+result *is* the ``fast`` result.  DHC1 and DHC2 charge the shared
+Phase-1 replay through its ``observer`` hook.
+
 Parity contract (enforced by ``tests/test_kmachine_native.py`` and the
 registry gate)
 ---------------------------------------------------------------------
@@ -48,7 +54,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.bounds import diameter_budget, dra_step_budget
+from repro.analysis.bounds import diameter_budget
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph, csr_gather, csr_sources
 from repro.kmachine.ledger import (
@@ -80,12 +86,12 @@ _FLOOD_WORDS = 3
 
 
 def _setup(graph: Graph, seed: int, machines: int | None,
-           link_words: int, partition_seed: int | None):
-    """Partition + ledger shared by every driver."""
+           link_words: int, partition_seed: int | None) -> LinkLedger:
+    """The ledger every driver charges, over the run's random partition."""
     k = DEFAULT_K_MACHINES if machines is None else int(machines)
     partition = VertexPartition.random(
         graph.n, k, seed=seed if partition_seed is None else partition_seed)
-    return partition, LinkLedger(partition, link_words)
+    return LinkLedger(partition, link_words)
 
 
 def _finish(result: RunResult, ledger: LinkLedger) -> RunResult:
@@ -122,11 +128,37 @@ def _walk_traffic(ledger: LinkLedger, walk, trace: list,
     ledger.quiet(max(0, flood_ecc - profile.tree_depth))
 
 
-def _charged_phase1(ledger: LinkLedger, *, start_round: int, indptr,
-                    indices, **replay_kwargs):
-    """Replay the colour-class walks, charging their traffic to ``ledger``.
+def _charged_global_tree(ledger: LinkLedger, graph: Graph, tree,
+                         election_rounds: int) -> TreeFloodProfile | None:
+    """Charge the whole-graph election and then the BFS build of ``tree``.
 
-    Returns ``(p1, flush)``: the
+    The flood-min election runs ``election_rounds`` ticks and the BFS
+    build starts right after it.  Returns the tree's flood profile,
+    which later win, rotation and barrier floods are charged against,
+    or ``None`` when the BFS never completed (``tree`` is ``None``) and
+    only the election ran.
+    """
+    n, indptr, indices = graph.n, graph.indptr, graph.indices
+    if n:
+        floodmin_traffic(ledger, indptr, indices,
+                         np.arange(n, dtype=np.int64), election_rounds)
+    if tree is None:
+        return None
+    done = tree.completion_times(election_rounds)
+    ticks, src, dst, words = bfs_messages(tree, indptr, indices,
+                                          election_rounds, done)
+    span = int(done[tree.root]) - election_rounds + 1
+    ledger.series(np.minimum(ticks, span - 1), src, dst, words, span=span)
+    return TreeFloodProfile(ledger, tree.parent, tree.depth, tree.members)
+
+
+def _charged_phase1(ledger: LinkLedger, graph: Graph, rngs, colors: int, *,
+                    start_round: int):
+    """Phase 1 (colour draw + class walks), charged to ``ledger``.
+
+    Charges the colour announcement and the classes' concurrent
+    elections, then replays the class walks with their BFS builds
+    starting at ``start_round``.  Returns ``(p1, flush)``: the
     :func:`~repro.engines.phase1_replay.replay_partition_walks` result
     and the call that charges the classes' concurrent traffic.  The
     classes' BFS builds and walks share wall-clock rounds, so ``flush``
@@ -134,8 +166,13 @@ def _charged_phase1(ledger: LinkLedger, *, start_round: int, indptr,
     maximum.  A failed walk is charged here (the traffic demonstrably
     ran); on success the caller flushes when Phase 1's traffic is due.
     """
-    from repro.engines.phase1_replay import replay_partition_walks
+    from repro.engines.phase1_replay import color_partition, replay_partition_walks
 
+    n = graph.n
+    color_of, indptr, indices, rows = color_partition(graph, rngs, colors)
+    ledger.burst(csr_sources(graph.indptr), graph.indices, 2)  # colour announcement
+    floodmin_traffic(ledger, indptr, indices, np.arange(n, dtype=np.int64),
+                     diameter_budget(max(3, (2 * n) // max(1, colors))))
     bfs_parts: list[tuple] = []
     bfs_span = 1
     walk_forks: list[LinkLedger] = []
@@ -161,9 +198,10 @@ def _charged_phase1(ledger: LinkLedger, *, start_round: int, indptr,
                       flood_ecc)
         walk_forks.append(fork)
 
-    p1 = replay_partition_walks(indptr=indptr, indices=indices,
-                                start_round=start_round,
-                                observer=charge_class, **replay_kwargs)
+    p1 = replay_partition_walks(
+        indptr=indptr, indices=indices, rows=rows, rngs=rngs,
+        color_of=color_of, colors=colors, start_round=start_round,
+        observer=charge_class)
     if not p1.ok and p1.walk_failed:
         flush()
     return p1, flush
@@ -186,59 +224,24 @@ def _dra_kmachine(
 ) -> RunResult:
     """Algorithm 1 under native k-machine execution.
 
-    Same replay as the ``fast`` engine (identical cycle, steps, and
-    CONGEST round count), with election, BFS build, and walk traffic
+    The ``fast`` replay itself (identical cycle, steps, and CONGEST
+    round count): the walk runs once, through ``_dra_fast``'s
+    ``trace``, and its election, BFS build, and walk traffic are then
     binned onto the machine links tick by tick.  ``k`` is accepted as
     an alias for ``k_machines`` (DRA has no partition-count keyword).
     """
-    from repro.engines.arraywalk import ArrayWalk, build_array_tree, live_rows
-    from repro.engines.batchwalk import node_streams
-    from repro.engines.fast import _dra_result
+    from repro.engines.fast import _dra_fast
 
-    n = graph.n
-    partition, ledger = _setup(
-        graph, seed, k_machines if k_machines is not None else k,
-        link_words, partition_seed)
-    budget = step_budget if step_budget is not None else dra_step_budget(n)
-    rngs = node_streams(seed, n)
-
-    election_rounds = diameter_budget(n)
-    indptr, indices = graph.indptr, graph.indices
-    members = np.arange(n, dtype=np.int64)
-    tree = build_array_tree(indptr, indices, members, root=0) if n else None
-    if tree is None:
-        deadline = election_rounds + 3 * diameter_budget(n) + 8
-        if n:
-            floodmin_traffic(ledger, indptr, indices, members, election_rounds)
-        result = RunResult("dra", False, None, deadline, engine="kmachine",
-                           detail={"fail_codes": ["bfs-unreachable"]})
-        return _finish(result, ledger)
-
-    trace: list[tuple[int, int]] = []
-    walk = ArrayWalk(
-        rows=live_rows(indptr, indices),
-        rngs=rngs,
-        size=n,
-        initial_head=tree.root,
-        step_budget=budget,
-        tree_depth=max(1, tree.tree_depth),
-        start_round=tree.completion_round(election_rounds) + 1,
-        trace=trace,
-    )
-    walk.run()
-    flood_ecc = tree.eccentricity(walk.flood_initiator)
-    result = _dra_result(graph, walk, walk.end_round + flood_ecc,
-                         engine="kmachine")
-
-    # -- machine-level accounting of the identical schedule ---------------------
-    floodmin_traffic(ledger, indptr, indices, members, election_rounds)
-    done = tree.completion_times(election_rounds)
-    ticks, src, dst, words = bfs_messages(tree, indptr, indices,
-                                          election_rounds, done)
-    span = int(done[tree.root]) - election_rounds + 1
-    ledger.series(np.minimum(ticks, span - 1), src, dst, words, span=span)
-    profile = TreeFloodProfile(ledger, tree.parent, tree.depth, members)
-    _walk_traffic(ledger, walk, trace, profile, flood_ecc)
+    ledger = _setup(graph, seed, k_machines if k_machines is not None else k,
+                    link_words, partition_seed)
+    trace: dict = {}
+    result = _dra_fast(graph, seed=seed, step_budget=step_budget, trace=trace)
+    result.engine = "kmachine"
+    profile = _charged_global_tree(ledger, graph, trace["tree"],
+                                   diameter_budget(graph.n))
+    if profile is not None:
+        _walk_traffic(ledger, trace["walk"], trace["steps"], profile,
+                      trace["flood_ecc"])
     return _finish(result, ledger)
 
 
@@ -268,30 +271,20 @@ def _dhc2_kmachine(
     replay with bridge-scan bursts charged per pair.
     """
     from repro.core.dhc2 import default_color_count
+    from repro.core.phase1 import resolve_colors
     from repro.engines.batchwalk import node_streams
     from repro.engines.fast_dhc2 import _fail, _phase2
-    from repro.engines.phase1_replay import color_partition
 
     n = graph.n
-    partition, ledger = _setup(graph, seed, k_machines, link_words,
-                               partition_seed)
-    colors = k if k is not None else default_color_count(n, delta)
+    ledger = _setup(graph, seed, k_machines, link_words, partition_seed)
+    colors = resolve_colors(k, lambda: default_color_count(n, delta))
     rngs = node_streams(seed, n)
 
-    color_of, sub_indptr, sub_indices, rows = color_partition(
-        graph, rngs, colors)
     indptr, indices = graph.indptr, graph.indices
-    ledger.burst(csr_sources(indptr), indices, 2)  # colour announcement
-
-    elect_budget = diameter_budget(max(3, (2 * n) // max(1, colors)))
-    phase1_start = 1 + elect_budget
-    floodmin_traffic(ledger, sub_indptr, sub_indices,
-                     np.arange(n, dtype=np.int64), elect_budget)
-
-    p1, flush_phase1 = _charged_phase1(
-        ledger, start_round=phase1_start, indptr=sub_indptr,
-        indices=sub_indices, rows=rows, rngs=rngs, color_of=color_of,
-        colors=colors)
+    # Colour round + class election deadline, as on the fast engine.
+    phase1_start = 1 + diameter_budget(max(3, (2 * n) // max(1, colors)))
+    p1, flush_phase1 = _charged_phase1(ledger, graph, rngs, colors,
+                                       start_round=phase1_start)
     if not p1.ok:
         return _finish(_fail(n, colors, p1.fail_round, p1.fail_reason,
                              "kmachine"), ledger)
@@ -350,8 +343,7 @@ def _turau_kmachine(
     result = _turau_fast(graph, seed=seed, phase_budget=phase_budget,
                          trace=trace)
     result.engine = "kmachine"
-    partition, ledger = _setup(graph, seed, k_machines, link_words,
-                               partition_seed)
+    ledger = _setup(graph, seed, k_machines, link_words, partition_seed)
     indptr, indices = graph.indptr, graph.indices
 
     if trace.get("proposals") is not None:

@@ -169,28 +169,35 @@ class LinkLedger:
         ticks = max(0, int(ticks))
         self.charge(ticks, ticks)
 
-    def tally(self, src: np.ndarray, dst: np.ndarray, words: int,
-              *, times: int = 1) -> np.ndarray:
-        """Book word totals for a message batch; return its link loads.
+    def tally(self, src: np.ndarray, dst: np.ndarray,
+              words: np.ndarray | int, *,
+              times: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """Book word totals for a message batch; return ``(lid, loads)``.
 
         Does **not** advance any round counter — callers turn the
-        returned per-link word loads (or a precomputed profile) into a
-        charge.  ``times`` books the same batch repeatedly (e.g. one
-        renumbering flood's tree edges, once per rotation).
+        per-message link ids ``lid`` (``-1`` when co-hosted, see
+        :meth:`link_ids`), the batch's per-link word ``loads`` or a
+        precomputed profile into a charge.  ``words`` is one size for
+        every message or one per message; ``times`` books the same
+        batch repeatedly (e.g. one renumbering flood's tree edges, once
+        per rotation).
         """
-        src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
-        lid = self.link_ids(src, dst)
-        cross = lid >= 0
-        n_cross = int(cross.sum())
+        lid = self.link_ids(np.asarray(src, dtype=np.int64), dst)
+        words = np.broadcast_to(np.asarray(words, dtype=np.int64), lid.shape)
+        # Shifted ids put co-hosted messages in bin 0.  Float weights are
+        # exact: word totals stay far below 2**53.
+        binned = np.bincount(lid + 1, weights=words,
+                             minlength=self.k * self.k + 1).astype(np.int64)
+        recv = np.bincount(np.where(lid >= 0, self.machine_of[dst], self.k),
+                           weights=words, minlength=self.k + 1)
+        loads = binned[1:]
         m = self.metrics
-        m.local_words += (src.size - n_cross) * words * times
-        m.cross_words += n_cross * words * times
-        loads = np.bincount(lid[cross], minlength=self.k * self.k) * words
+        m.local_words += int(binned[0]) * times
+        m.cross_words += int(loads.sum()) * times
         self._link_flat += loads * times
-        np.add.at(m.recv_words_per_machine, self.machine_of[dst[cross]],
-                  words * times)
-        return loads
+        m.recv_words_per_machine += recv[:self.k].astype(np.int64) * times
+        return lid, loads
 
     def _charge_loads(self, loads: np.ndarray) -> None:
         busiest = int(loads.max()) if loads.size else 0
@@ -200,7 +207,7 @@ class LinkLedger:
 
     def burst(self, src: np.ndarray, dst: np.ndarray, words: int) -> None:
         """One tick delivering the whole batch (the conversion's rule)."""
-        self._charge_loads(self.tally(src, dst, words))
+        self._charge_loads(self.tally(src, dst, words)[1])
 
     def series(self, ticks: np.ndarray, src: np.ndarray, dst: np.ndarray,
                words: np.ndarray | int, *, span: int | None = None) -> None:
@@ -211,25 +218,17 @@ class LinkLedger:
         CONGEST duration matches the schedule's wall clock.
         """
         ticks = np.asarray(ticks, dtype=np.int64)
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        words = np.broadcast_to(np.asarray(words, dtype=np.int64), src.shape)
         duration = int(span if span is not None
                        else (ticks.max() + 1 if ticks.size else 0))
         if duration <= 0:
             return
-        lid = self.link_ids(src, dst)
+        words = np.broadcast_to(np.asarray(words, dtype=np.int64), ticks.shape)
+        lid, _ = self.tally(src, dst, words)
         cross = lid >= 0
-        m = self.metrics
-        m.local_words += int(words[~cross].sum())
-        m.cross_words += int(words[cross].sum())
-        np.add.at(m.recv_words_per_machine, self.machine_of[dst[cross]],
-                  words[cross])
         loads = np.zeros((duration, self.k * self.k), dtype=np.int64)
         np.add.at(loads, (ticks[cross], lid[cross]), words[cross])
-        self._link_flat += loads.sum(axis=0)
-        busiest = loads.max(axis=1) if loads.size else np.zeros(duration, np.int64)
-        peak = int(busiest.max()) if duration else 0
+        busiest = loads.max(axis=1)
+        peak = int(busiest.max())
         if peak > self.metrics.max_round_link_words:
             self.metrics.max_round_link_words = peak
         self.charge(int(np.maximum(1, -(-busiest // self.link_words)).sum()),
@@ -242,21 +241,12 @@ class LinkLedger:
         the charge is ``ceil(words / W)`` for crossing messages and 1
         for co-hosted ones — computed in bulk.
         """
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        lid = self.link_ids(src, dst)
-        cross = lid >= 0
-        n_cross = int(cross.sum())
-        m = self.metrics
-        m.local_words += (src.size - n_cross) * words
-        m.cross_words += n_cross * words
-        self._link_flat += np.bincount(lid[cross],
-                                       minlength=self.k * self.k) * words
-        np.add.at(m.recv_words_per_machine, self.machine_of[dst[cross]], words)
-        if n_cross and words > m.max_round_link_words:
-            m.max_round_link_words = words
+        lid, _ = self.tally(src, dst, words)
+        n_cross = int((lid >= 0).sum())
+        if n_cross and words > self.metrics.max_round_link_words:
+            self.metrics.max_round_link_words = words
         per_cross = max(1, -(-words // self.link_words))
-        self.charge(n_cross * per_cross + (src.size - n_cross), src.size)
+        self.charge(n_cross * per_cross + (lid.size - n_cross), lid.size)
 
     def uniform_burst(self, messages: int, words: int, *, ticks: int = 1) -> None:
         """Estimate a burst whose endpoints the replay never materialises.

@@ -53,7 +53,13 @@ class VertexPartition:
 
     @classmethod
     def random(cls, n: int, k: int, *, seed: int = 0) -> "VertexPartition":
-        """The RVP of [16]: each node picks a machine uniformly at random."""
+        """The RVP of [16]: each node picks a machine uniformly at random.
+
+        Both k-machine paths draw their partition here, so a machine
+        count below 1 is rejected here, by its keyword's name.
+        """
+        if k < 1:
+            raise ValueError(f"k_machines must be at least 1, got {k}")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         return cls(rng.integers(0, k, size=n), k)
 

@@ -774,6 +774,37 @@ class TestMainModule:
         assert json.loads(proc.stdout)["p"] > 0
 
 
+class TestBrokenPipe:
+    @pytest.mark.parametrize("argv", [
+        ["graph", "--nodes", "64", "--seed", "0", "--json"],
+        ["bounds", "--json"],
+    ])
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    def test_closed_reader_exits_quietly(self, argv, unbuffered):
+        # The reader is gone before the CLI writes a byte, so its first
+        # write to stdout fails with EPIPE, as under `... | head -1`.
+        # Unbuffered, that write is the print itself; buffered, it is
+        # the flush of the output the command left behind.
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env["PYTHONPATH"] = (os.path.join(root, "src") + os.pathsep
+                             + env.get("PYTHONPATH", ""))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""  # no traceback, no "Exception ignored"
+        assert proc.returncode == 1
+
+
 class TestGraphCommand:
     def test_graph_properties_json(self, capsys):
         code, out, _ = run_cli(
@@ -842,6 +873,15 @@ class TestTopLevel:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument --seed: expected a non-negative integer" in err
+
+    @pytest.mark.parametrize("engine", [[], ["--engine", "kmachine"]],
+                             ids=["converted", "native"])
+    def test_bad_machine_count_is_named(self, capsys, engine):
+        code, _, err = run_cli(capsys, "run", "--algorithm", "dra",
+                               "--nodes", "16", "--k-machines", "0", *engine)
+        assert code == 2
+        assert "k_machines must be at least 1, got 0" in err
+        assert "Traceback" not in err
 
     def test_zero_seed_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "graph", "--nodes", "16", "--seed", "0",

@@ -24,7 +24,7 @@ import pytest
 import repro
 from repro.core.rotation import FAIL_NO_EDGES
 from repro.engines import arraywalk, batchwalk, fast
-from repro.engines.arraywalk import build_array_tree, observe_walks
+from repro.engines.arraywalk import build_array_tree
 from repro.engines.fast import (
     _dra_fast_py,
     bfs_completion_round,
@@ -78,23 +78,26 @@ def dra_with_final_paths(monkeypatch, graph, seed, **kwargs):
     """DRA on the kernel and on the oracle, plus each walk's final path.
 
     A failed run reports no cycle, so the path the walk ended on is
-    read from the walkers themselves: the kernel's through
-    :func:`observe_walks`, the oracle's through a recording subclass.
+    read from the walkers themselves, each through a recording
+    subclass monkeypatched over the walker class.
     """
-    oracle_walks = []
+    kernel_walks, oracle_walks = [], []
 
-    class RecordingWalk(fast._FastWalk):
-        def run(self):
-            super().run()
-            oracle_walks.append(self)
+    def recording(walker, walks):
+        class RecordingWalk(walker):
+            def run(self):
+                super().run()
+                walks.append(self)
+        return RecordingWalk
 
-    monkeypatch.setattr(fast, "_FastWalk", RecordingWalk)
-    kernel_paths = []
-    with observe_walks(lambda walk: kernel_paths.append(walk.cycle())):
-        kernel = repro.run(graph, "dra", engine="fast", seed=seed, **kwargs)
+    monkeypatch.setattr(arraywalk, "ArrayWalk",
+                        recording(arraywalk.ArrayWalk, kernel_walks))
+    monkeypatch.setattr(fast, "_FastWalk",
+                        recording(fast._FastWalk, oracle_walks))
+    kernel = repro.run(graph, "dra", engine="fast", seed=seed, **kwargs)
     oracle = _dra_fast_py(graph, seed=seed, **kwargs)
-    assert len(kernel_paths) == len(oracle_walks) == 1
-    return kernel, oracle, kernel_paths[0], oracle_walks[0].cycle()
+    assert len(kernel_walks) == len(oracle_walks) == 1
+    return kernel, oracle, kernel_walks[0].cycle(), oracle_walks[0].cycle()
 
 
 class TestDraParity:

@@ -19,6 +19,7 @@ covers the behavioural surface in depth for DRA (the exactly-modelled
 driver) and spot-checks the structural ones.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +35,8 @@ from repro.kmachine import (
     conversion_round_bound,
     run_converted_hc,
 )
+
+from tests.conftest import complete
 
 CONVERTIBLE = ("dra", "dhc1", "dhc2", "turau")
 
@@ -140,6 +143,61 @@ class TestDraNativeParity:
         native = repro.run(g, "dra", engine="kmachine", seed=1, k_machines=2)
         assert not native.success
         assert native.detail["fail_codes"] == ["bfs-unreachable"]
+
+
+class TestDraIsTheFastReplay:
+    """``kmachine`` DRA runs the ``fast`` replay once and charges it.
+
+    Every ``RunResult`` field and every ``detail`` key equals the
+    ``fast`` engine's, except ``engine`` and the k-machine accounting.
+    """
+
+    KMACHINE_KEYS = {"kmachine", "kmachine_rounds", "k_machines", "link_words"}
+    GRAPHS = {
+        "n0": repro.Graph(0, []),
+        "n1": repro.Graph(1, []),
+        "n2": repro.Graph(2, [(0, 1)]),
+        "two-triangles": repro.Graph(6, [(0, 1), (1, 2), (0, 2),
+                                         (3, 4), (4, 5), (3, 5)]),
+        "K6": complete(6),
+        **{f"gnp-{n}-{p}-{s}": gnp_random_graph(n, p, seed=s)
+           for n in (16, 48) for p in (0.15, 0.5) for s in (1, 2)},
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_equals_fast_but_for_the_kmachine_keys(self, name):
+        g = self.GRAPHS[name]
+        for seed in (0, 3, 2**40):
+            for kwargs in ({}, {"step_budget": 20}):
+                fast = repro.run(g, "dra", engine="fast", seed=seed, **kwargs)
+                for k_machines in (1, 3):
+                    native = repro.run(g, "dra", engine="kmachine", seed=seed,
+                                       k_machines=k_machines, **kwargs)
+                    assert native.engine == "kmachine"
+                    assert set(native.detail) == set(fast.detail) | self.KMACHINE_KEYS
+                    detail = {key: value for key, value in native.detail.items()
+                              if key not in self.KMACHINE_KEYS}
+                    assert dataclasses.replace(
+                        native, engine="fast", detail=detail) == fast, (
+                        f"{name} seed={seed} k_machines={k_machines} {kwargs}")
+
+
+class TestBadMachineCount:
+    """A machine count below 1 is rejected by name on both k-machine paths."""
+
+    @pytest.mark.parametrize("k_machines", [0, -3])
+    def test_native(self, k_machines):
+        with pytest.raises(ValueError,
+                           match=f"k_machines must be at least 1, got {k_machines}"):
+            repro.run(_dra_graph(16), "dra", engine="kmachine", seed=1,
+                      k_machines=k_machines)
+
+    @pytest.mark.parametrize("k_machines", [0, -3])
+    def test_converted(self, k_machines):
+        with pytest.raises(ValueError,
+                           match=f"k_machines must be at least 1, got {k_machines}"):
+            run_converted_hc(_dra_graph(16), algorithm="dra",
+                             k_machines=k_machines, seed=1)
 
 
 class TestPartitionThreading:

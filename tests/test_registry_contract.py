@@ -50,3 +50,29 @@ def test_contract_on_degenerate_inputs(spec):
                     assert is_hamiltonian_cycle(graph, result.cycle), case
                 else:
                     assert result.cycle is None, case
+
+
+COLOUR_PAIRS = sorted((s for s in REGISTRY if s.algorithm in ("dhc1", "dhc2")),
+                      key=lambda s: s.key)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+@pytest.mark.parametrize("spec", COLOUR_PAIRS,
+                         ids=lambda s: f"{s.algorithm}-{s.engine}")
+def test_colour_count_below_one_is_rejected_by_name(spec, k):
+    # Every DHC1/DHC2 engine resolves its colour count in one place, so
+    # a k with no colour to draw fails the same way on all of them.
+    with pytest.raises(ValueError, match=f"colour count k must be at least 1, got {k}"):
+        spec.call(complete(6), seed=1, k=k)
+
+
+def test_colour_count_below_one_is_rejected_by_the_batch_kernel(monkeypatch):
+    from repro.engines import _jit
+    from repro.engines.fast_batch import batch_kernel_active
+
+    monkeypatch.setattr(_jit, "walk_kernel", _jit.walk_steps_impl)
+    monkeypatch.setattr(_jit, "tree_kernel", _jit.tree_build_impl)
+    assert batch_kernel_active("dhc2")
+    spec = REGISTRY.get("dhc2", "fast-batch")
+    with pytest.raises(ValueError, match="colour count k must be at least 1, got 0"):
+        spec.call_batch([complete(6), complete(6)], seeds=[1, 2], k=0)
