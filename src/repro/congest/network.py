@@ -52,6 +52,7 @@ import numpy as np
 from repro.congest.errors import (
     BandwidthExceededError,
     DuplicateSendError,
+    NotANeighborError,
     RoundLimitExceeded,
 )
 from repro.congest.message import TAG_BITS, Message, word_bits
@@ -204,17 +205,9 @@ class Network:
 
     def _enqueue(self, src: int, dst: int, payload: tuple) -> None:
         used = self._edges_used
-        if dst in used:
-            raise DuplicateSendError(
-                f"node {src} sent twice over edge ({src}, {dst}) in round "
-                f"{self.round_index}; pack fields into one message"
-            )
         bits = TAG_BITS + (len(payload) - 1) * self._word_bits
-        if bits > self._bandwidth_bits:
-            raise BandwidthExceededError(
-                f"message {payload[0]!r} needs {bits} bits but the edge budget "
-                f"is {self._bandwidth_bits} bits"
-            )
+        if dst in used or bits > self._bandwidth_bits:
+            self._refuse(src, dst, payload, bits)
         used.add(dst)
         self.metrics.bits += bits
         self._sent[src] += 1
@@ -230,6 +223,61 @@ class Network:
         if outbox is None:
             outbox = self._outbox = self._bucket(self._now + 1)[1]
         outbox.append(entry)
+
+    def _enqueue_many(self, src: int, dests: list[int], skip: int, payload: tuple,
+                      neighbors: frozenset[int]) -> None:
+        """``_enqueue`` of one payload to every destination but ``skip``.
+
+        Each destination passes the checks of a ``Context.send`` loop in
+        that loop's order (not a neighbour, then edge used, then bit
+        budget), so an error leaves exactly the earlier destinations
+        enqueued.  The bits are sized once and the counters bumped once.
+        """
+        bits = TAG_BITS + (len(payload) - 1) * self._word_bits
+        fits = bits <= self._bandwidth_bits
+        used = self._edges_used
+        outbox = self._outbox
+        is_async = self._async
+        depth = self._depth[src] + 1  # the Lamport depth of an async send
+        sent = 0
+        try:
+            for dst in dests:
+                if dst == skip:
+                    continue
+                if dst in used or dst not in neighbors or not fits:
+                    self._refuse(src, dst, payload, bits, neighbors)
+                used.add(dst)
+                sent += 1
+                if is_async:
+                    entry = (src, dst, payload, depth, self._send_seq)
+                    self._send_seq += 1
+                    if not self._unit_latency:
+                        self._bucket(self._now + self._latency(src, dst))[1].append(entry)
+                        continue
+                else:
+                    entry = (src, dst, payload)
+                if outbox is None:
+                    outbox = self._outbox = self._bucket(self._now + 1)[1]
+                outbox.append(entry)
+        finally:
+            if sent:
+                self.metrics.bits += bits * sent
+                self._sent[src] += sent
+
+    def _refuse(self, src: int, dst: int, payload: tuple, bits: int,
+                neighbors: frozenset[int] | None = None) -> None:
+        """Raise the first rule a send of ``payload`` from ``src`` to ``dst`` breaks."""
+        if neighbors is not None and dst not in neighbors:
+            raise NotANeighborError(f"node {src} is not adjacent to {dst}")
+        if dst in self._edges_used:
+            raise DuplicateSendError(
+                f"node {src} sent twice over edge ({src}, {dst}) in round "
+                f"{self.round_index}; pack fields into one message"
+            )
+        raise BandwidthExceededError(
+            f"message {payload[0]!r} needs {bits} bits but the edge budget "
+            f"is {self._bandwidth_bits} bits"
+        )
 
     def _edge_free(self, dst: int) -> bool:
         return dst not in self._edges_used

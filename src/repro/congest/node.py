@@ -11,6 +11,8 @@ All interaction with the world goes through the :class:`Context`:
 
 * ``ctx.send(dest, kind, *fields)`` — one CONGEST message (delivered at
   the start of the next round);
+* ``ctx.multicast(dests, payload, skip)`` — the same message to each of
+  several neighbours, as a loop of ``send`` would;
 * ``ctx.request_wake(round_index)`` — ask to be scheduled in a future
   round even without incoming messages (nodes know the global round
   number in the synchronous model, so this is legal);
@@ -61,13 +63,15 @@ class Protocol(ABC):
 class Context:
     """The node's window onto the network during a simulation."""
 
-    __slots__ = ("_network", "_enqueue", "node_id", "neighbors", "_neighbor_set",
-                 "rng", "halted")
+    __slots__ = ("_network", "_enqueue", "_enqueue_many", "node_id", "neighbors",
+                 "_neighbor_set", "rng", "halted")
 
     def __init__(self, network: "Network", node_id: int,
                  neighbors: list[int], rng: np.random.Generator):
         self._network = network
-        self._enqueue = network._enqueue  # noqa: SLF001 — bound once, used per send
+        # Bound once, used per send.
+        self._enqueue = network._enqueue  # noqa: SLF001
+        self._enqueue_many = network._enqueue_many  # noqa: SLF001
         self.node_id = node_id
         self.neighbors = neighbors
         self._neighbor_set = frozenset(neighbors)
@@ -100,6 +104,19 @@ class Context:
         if dest not in self._neighbor_set:
             raise NotANeighborError(f"node {self.node_id} is not adjacent to {dest}")
         self._enqueue(self.node_id, dest, (kind, *fields))
+
+    def multicast(self, dests: list[int], payload: tuple, skip: int = -1) -> None:
+        """Send the prebuilt ``payload`` (``(kind, *fields)``) to each of ``dests``.
+
+        Skips the id ``skip`` (``-1``, no node, by default).  It is a loop
+        of :meth:`send` in ``dests`` order: each destination is checked
+        as ``send`` checks it, so an error leaves exactly the earlier
+        destinations enqueued, and a halted node raises only if there
+        is a destination to send to.
+        """
+        if self.halted and any(dest != skip for dest in dests):
+            raise HaltedNodeError(f"halted node {self.node_id} tried to send")
+        self._enqueue_many(self.node_id, dests, skip, payload, self._neighbor_set)
 
     def edge_free(self, dest: int) -> bool:
         """Whether the edge to ``dest`` is still unused by us this round.

@@ -231,14 +231,15 @@ class Dhc1Protocol(PartitionedPhase1Protocol):
 
     # -- the virtual fabric ------------------------------------------------------------------
 
-    def _vsend(self, ctx: Context, edge: VirtualEdge, suffix: str, *fields) -> None:
-        """Send a walk message over the virtual graph (<= 3 physical hops)."""
-        self._vship(ctx, edge, f"vw.{suffix}", *fields, self.color)
-
     def _vsend_bfs(self, ctx: Context, dest_hyper: int, kind: str, *fields) -> None:
         self._vship(ctx, VirtualEdge(dest_hyper), kind, *fields, self.color)
 
     def _vship(self, ctx: Context, edge: VirtualEdge, kind: str, *fields) -> None:
+        """Send a message over the virtual graph (<= 3 physical hops).
+
+        The virtual walk's transport: its payloads arrive here built,
+        sender hypernode last.
+        """
         if kind.startswith("vw.") and kind.split(".")[1] in ("p", "y"):
             key = (edge.peer, edge.my_port, edge.peer_port)
             far = self._far[key]
@@ -303,7 +304,7 @@ class Dhc1Protocol(PartitionedPhase1Protocol):
             size=self.vbfs.size,
             is_initial_head=self.color == 1,
             step_budget=dra_step_budget(self.vbfs.size),
-            send=self._vsend,
+            send=self._vship,
             latency=latency,
             ported=True,
         )

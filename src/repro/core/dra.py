@@ -35,9 +35,6 @@ _STAGE_BFS = 1
 _STAGE_WALK = 2
 _STAGE_DONE = 3
 
-#: Walk suffix -> wire kind of the ``"rw"`` walk instance.
-_WALK_KINDS = {suffix: f"rw.{suffix}" for suffix in "pyrwf"}
-
 
 class DraProtocol(Protocol, SubMachineHost):
     """Per-node protocol: elect -> build tree -> rotation walk."""
@@ -62,7 +59,10 @@ class DraProtocol(Protocol, SubMachineHost):
 
     def on_round(self, ctx: Context, inbox: list[Message]) -> None:
         self.dispatch(ctx, inbox)
-        self._advance(ctx)
+        # Most activations carry the running walk's traffic; the stage
+        # ladder has nothing to do until the walk is done.
+        if self.stage != _STAGE_WALK or self.walk.done:
+            self._advance(ctx)
 
     # -- stage machine -------------------------------------------------------------
 
@@ -97,16 +97,12 @@ class DraProtocol(Protocol, SubMachineHost):
                 size=self.bfs.size,
                 is_initial_head=self.bfs.is_root,
                 step_budget=self.step_budget,
-                send=self._walk_send,
             )
             self.activate(ctx, self.walk)
         if self.stage == _STAGE_WALK and self.walk is not None and self.walk.done:
             self.stage = _STAGE_DONE
             self.outcome_success = self.walk.success
             ctx.halt()
-
-    def _walk_send(self, ctx: Context, edge: VirtualEdge, suffix: str, *fields: int) -> None:
-        ctx.send(edge.peer, _WALK_KINDS[suffix], *fields, self.node_id)
 
 
 def run_dra(

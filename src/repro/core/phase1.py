@@ -233,7 +233,6 @@ class PartitionedPhase1Protocol(Protocol, SubMachineHost):
                 size=self.cycle_size,
                 is_initial_head=self.bfs.is_root,
                 step_budget=dra_step_budget(self.cycle_size),
-                send=self._walk_send,
             )
             self.activate(ctx, self.walk)
         if self._stage == "walk" and self.walk is not None and self.walk.done:
@@ -246,9 +245,6 @@ class PartitionedPhase1Protocol(Protocol, SubMachineHost):
             self.pred = self.walk.pred
             self.on_phase1_complete(ctx)
         self.advance_hook(ctx)
-
-    def _walk_send(self, ctx: Context, edge: VirtualEdge, suffix: str, *fields: int) -> None:
-        ctx.send(edge.peer, f"rw.{suffix}", *fields, self.node_id)
 
     # -- subclass extension points ------------------------------------------------------
 

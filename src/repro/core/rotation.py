@@ -29,12 +29,15 @@ Theorem 2's step bound degrades by at most a constant factor, and the
 attachments are always stitchable.  In portless mode every edge lives
 on port 0 and every hit is valid — exactly Algorithm 1 as printed.
 
-Wire contract (host/fabric responsibility)
-------------------------------------------
+Wire contract
+-------------
 Every walk message payload is ``(kind, *fields, vsender)`` where
-``vsender`` is the immediate virtual sender, appended by the fabric.
-For progress messages the field ``my_port`` (which port of the receiver
-was hit) is filled in by the receiving side's fabric in ported mode.
+``vsender`` is the immediate virtual sender; the walk builds it.  A
+physical walk sends it straight to its neighbours (a tree flood goes
+out with one ``Context.multicast``); a virtual walk hands it to the
+host's injected ``send`` fabric.  For progress messages the field
+``my_port`` (which port of the receiver was hit) is filled in by the
+receiving side's fabric in ported mode.
 
 Kinds (suffix after the instance prefix):
 
@@ -77,9 +80,16 @@ FAIL_CORRUPT = 4
 
 _NO_PORT = 0
 
-#: Message kind -> walk suffix (``"rw.p"`` -> ``"p"``), resolved once per
-#: distinct kind.  Module-level so the audited per-node state is unchanged.
+#: Message kind -> walk suffix (``"rw.p"`` -> ``"p"``) and back from
+#: ``(prefix, suffix)``, resolved once per distinct kind.  Module-level so
+#: the audited per-node state is unchanged.
 _SUFFIX_OF: dict[str, str] = {}
+_KIND_OF: dict[tuple[str, str], str] = {}
+
+
+def _send_direct(ctx: Context, edge: "VirtualEdge", kind: str, *fields: int) -> None:
+    """The transport of a physical walk: the virtual edge is the physical one."""
+    ctx.send(edge.peer, kind, *fields)
 
 
 class VirtualEdge:
@@ -126,7 +136,7 @@ class RotationWalk(SubMachine):
         size: int,
         is_initial_head: bool,
         step_budget: int,
-        send: Callable[..., None],
+        send: Callable[..., None] | None = None,
         latency: int = 1,
         ported: bool = False,
     ):
@@ -134,16 +144,17 @@ class RotationWalk(SubMachine):
         self.PREFIX = prefix
         self.vid = vid
         self.edges = list(edges)
-        # Flood edges are built once: a VirtualEdge audits as one word,
-        # like the peer id it wraps.
-        self.tree_edges = [VirtualEdge(peer) for peer in tree_neighbors]
+        # A copy: the audit counts a list shared with the BFS machine once.
+        self.tree_peers = list(tree_neighbors)
         self.tree_depth = tree_depth
         self.size = size
         self.is_initial_head = is_initial_head
         self.step_budget = step_budget
         self.latency = max(1, latency)
         self.ported = ported
-        self._send = send
+        # ``send(ctx, edge, kind, *fields)``: a virtual walk's fabric;
+        # a physical walk (``send=None``) sends to its neighbours.
+        self._send = send if send is not None else _send_direct
 
         self.success = False
         self.fail_code = 0
@@ -187,17 +198,17 @@ class RotationWalk(SubMachine):
             fields = payload[1:-1]
             vsender = payload[-1]
             if suffix == "r":  # the bulk of the traffic: renumbering floods
-                self._forward_flood(ctx, vsender, "r", fields)
+                self._forward(ctx, payload, vsender)
                 self._on_rotation(ctx, *fields)
             elif suffix == "p":
                 self._on_progress(ctx, vsender, *fields)
             elif suffix == "y":
                 self._on_retry(ctx, *fields)
             elif suffix == "w":
-                self._forward_flood(ctx, vsender, "w", fields)
+                self._forward(ctx, payload, vsender)
                 self._finish(True)
             elif suffix == "f":
-                self._forward_flood(ctx, vsender, "f", fields)
+                self._forward(ctx, payload, vsender)
                 self._finish(False, fields[0])
 
     def on_wake(self, ctx: Context) -> None:
@@ -230,7 +241,7 @@ class RotationWalk(SubMachine):
         self.succ_peer_port = edge.peer_port
         if self.free_port is None:  # initial head binding its first edge
             self.free_port = _other_port(edge.my_port) if self.ported else _NO_PORT
-        self._send(ctx, edge, "p", step, self.cycindex, edge.my_port, _NO_PORT)
+        self._send(ctx, edge, *self._payload("p", step, self.cycindex, edge.my_port, _NO_PORT))
 
     def _on_retry(self, ctx: Context, step: int) -> None:
         if not self._is_head or self.done:
@@ -241,7 +252,7 @@ class RotationWalk(SubMachine):
         self._progress(ctx, step + 1)
 
     def _abort(self, ctx: Context, code: int) -> None:
-        self._flood(ctx, "f", code)
+        self._flood(ctx, self._payload("f", code))
         self._finish(False, code)
 
     # -- receiving a progress ------------------------------------------------------
@@ -269,13 +280,13 @@ class RotationWalk(SubMachine):
             self.pred = vsender
             self.pred_port = my_port
             self.pred_peer_port = sender_port
-            self._flood(ctx, "w", 0)
+            self._flood(ctx, self._payload("w", 0))
             self._finish(True)
             return
         if self.ported and not tail and my_port != self.succ_port:
             # The hit port is bound toward our predecessor; freeing it
             # would disconnect the path prefix.  Discard and retry.
-            self._send(ctx, VirtualEdge(vsender, my_port, sender_port), "y", step)
+            self._send(ctx, VirtualEdge(vsender, my_port, sender_port), *self._payload("y", step))
             return
 
         # Rotation (l.16-17): we are v_j, the sender is the head v_h.
@@ -288,7 +299,7 @@ class RotationWalk(SubMachine):
         if tail and self.ported:
             self.free_port = _other_port(my_port)
         start = ctx.round_index
-        self._flood(ctx, "r", step, pos, self.cycindex, start)
+        self._flood(ctx, self._payload("r", step, pos, self.cycindex, start))
 
     # -- rotation renumbering (Fig. 2) ----------------------------------------------
 
@@ -344,16 +355,30 @@ class RotationWalk(SubMachine):
         self._pending_head_round = max(flood_start + wait, ctx.round_index + 1)
         self.schedule(ctx, self._pending_head_round)
 
-    # -- tree flooding ----------------------------------------------------------------
+    # -- sending ----------------------------------------------------------------------
 
-    def _flood(self, ctx: Context, suffix: str, *fields: int) -> None:
-        for edge in self.tree_edges:
-            self._send(ctx, edge, suffix, *fields)
+    def _payload(self, suffix: str, *fields: int) -> tuple:
+        """The wire payload ``(kind, *fields, vid)`` of a message this walk starts."""
+        kind = _KIND_OF.get((self.PREFIX, suffix))
+        if kind is None:
+            kind = _KIND_OF[self.PREFIX, suffix] = self.kind(suffix)
+        return (kind, *fields, self.vid)
 
-    def _forward_flood(self, ctx: Context, vsender: int, suffix: str, fields: tuple) -> None:
-        for edge in self.tree_edges:
-            if edge.peer != vsender:
-                self._send(ctx, edge, suffix, *fields)
+    def _flood(self, ctx: Context, payload: tuple, skip: int = -1) -> None:
+        """Send ``payload`` to every tree neighbour but ``skip``."""
+        if self._send is _send_direct:  # physical: the fan-out is one call
+            ctx.multicast(self.tree_peers, payload, skip)
+            return
+        for peer in self.tree_peers:
+            if peer != skip:
+                self._send(ctx, VirtualEdge(peer), *payload)
+
+    def _forward(self, ctx: Context, payload: tuple, vsender: int) -> None:
+        """Pass a received flood on to the other tree neighbours."""
+        peers = self.tree_peers
+        if len(peers) == 1 and peers[0] == vsender:
+            return  # a leaf: the flood came from its one tree neighbour
+        self._flood(ctx, payload[:-1] + (self.vid,), vsender)
 
     # -- termination --------------------------------------------------------------------
 

@@ -52,6 +52,7 @@ from repro.engines.kmachine_engine import (
 )
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph, csr_gather
+from repro.kmachine.ledger import LinkLedger
 from repro.verify.hamiltonicity import verified_cycle
 
 __all__ = ["_dhc1_kmachine"]
@@ -60,9 +61,12 @@ _ROLE_U = 0
 _ROLE_V = 1
 
 
-def _dhc1_fail(n: int, colors: int, reason: str) -> RunResult:
-    return RunResult("dhc1", False, None, 0, engine="kmachine",
-                     detail={"k": colors, "fail": reason})
+def _dhc1_fail(ledger: LinkLedger, colors: int, reason: str, steps: int = 0) -> RunResult:
+    """A failed run, reporting the rounds the ledger charged up to the failure."""
+    result = RunResult("dhc1", False, None, ledger.metrics.congest_rounds,
+                       steps=steps, engine="kmachine",
+                       detail={"k": colors, "fail": reason})
+    return _finish(result, ledger)
 
 
 def _dhc1_kmachine(
@@ -93,15 +97,14 @@ def _dhc1_kmachine(
     if n == 0 or graph.m == 0 or int(graph.degrees().min()) == 0:
         # An isolated node admits no Hamiltonian cycle; the protocol
         # aborts in its first round.
-        result = _dhc1_fail(n, colors, "isolated-node")
-        return _finish(result, ledger)
+        return _dhc1_fail(ledger, colors, "isolated-node")
 
     # -- global election + BFS (consume rounds, not randomness) ----------------
     gtree = build_array_tree(indptr, indices, np.arange(n, dtype=np.int64),
                              root=0)
     gprofile = _charged_global_tree(ledger, graph, gtree, diameter_budget(n))
     if gtree is None:
-        return _finish(_dhc1_fail(n, colors, "global-bfs-unreachable"), ledger)
+        return _dhc1_fail(ledger, colors, "global-bfs-unreachable")
     ledger.quiet(max(1, gtree.tree_depth))  # synchronized announce wait
 
     # -- Phase 1: colours + per-class walks (same replay as DHC2) --------------
@@ -109,7 +112,7 @@ def _dhc1_kmachine(
     p1, flush_phase1 = _charged_phase1(ledger, graph, rngs, colors,
                                        start_round=0)
     if not p1.ok:
-        return _finish(_dhc1_fail(n, colors, p1.fail_reason), ledger)
+        return _dhc1_fail(ledger, colors, p1.fail_reason)
     paths, class_trees = p1.cycles, p1.trees
     flush_phase1()
 
@@ -163,8 +166,7 @@ def _dhc1_kmachine(
     vtree = build_min_id_bfs_tree(list(range(1, colors + 1)),
                                   lambda c: vpeers[c], root=1)
     if vtree is None:
-        return _finish(_dhc1_fail(n, colors, "virtual-bfs-unreachable"),
-                       ledger)
+        return _dhc1_fail(ledger, colors, "virtual-bfs-unreachable")
     latency = 3  # a virtual hop is at most 3 physical hops
     vdepth = max(1, vtree.tree_depth)
     ledger.uniform_burst(4 * colors, 3,
@@ -185,9 +187,8 @@ def _dhc1_kmachine(
                          ticks=latency * max(1, vwalk.steps))
     ledger.quiet(vwalk.rotations * (2 * vdepth * latency + 2))
     if not vwalk.success:
-        result = _dhc1_fail(n, colors, f"virtual-walk-{vwalk.fail_code}")
-        result.steps = vwalk.steps
-        return _finish(result, ledger)
+        return _dhc1_fail(ledger, colors, f"virtual-walk-{vwalk.fail_code}",
+                          vwalk.steps)
 
     # -- stitching (Fig. 1) ------------------------------------------------------
     vorder = vwalk.cycle()  # hypernode colours in virtual-cycle order

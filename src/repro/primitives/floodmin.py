@@ -57,8 +57,7 @@ class FloodMin(SubMachine):
     def begin(self, ctx: Context) -> None:
         self._best = ctx.node_id
         self._deadline = ctx.round_index + self.budget
-        for peer in self.peers:
-            ctx.send(peer, self.kind("m"), self._best)
+        ctx.multicast(self.peers, (self.kind("m"), self._best))
         self.schedule(ctx, self._deadline)
 
     def on_messages(self, ctx: Context, messages: list[Message]) -> None:
@@ -66,8 +65,7 @@ class FloodMin(SubMachine):
         if best_heard < self._best:
             self._best = best_heard
             if ctx.round_index < self._deadline:
-                for peer in self.peers:
-                    ctx.send(peer, self.kind("m"), self._best)
+                ctx.multicast(self.peers, (self.kind("m"), self._best))
 
     def on_wake(self, ctx: Context) -> None:
         self.leader = self._best

@@ -141,6 +141,8 @@ class SubMachineHost:
                     self._early.setdefault(prefix, []).extend(batch)
             elif not machine.done:
                 machine.on_messages(ctx, batch)
+        if not self._wake_targets:
+            return
         due = self._wake_targets.pop(ctx.round_index, None)
         if due:
             for prefix in sorted(due):

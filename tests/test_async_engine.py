@@ -16,6 +16,8 @@ Three contracts, in order of importance:
    trace, so failures under loss are replayable.
 """
 
+import hashlib
+
 import pytest
 
 from repro.congest import (
@@ -27,6 +29,7 @@ from repro.congest import (
 )
 from repro.congest.errors import RoundLimitExceeded
 from repro.core import run_dhc1, run_dhc2, run_dra, run_turau
+from repro.core.dhc2 import Dhc2Protocol, default_color_count
 from repro.core.dra import DraProtocol
 from repro.engines.registry import REGISTRY
 from repro.verify import is_hamiltonian_cycle
@@ -241,6 +244,40 @@ class TestAsyncNetworkMechanics:
         assert first.events  # non-trivial trace
         assert first.events == second.events
         assert first.async_summary() == second.async_summary()
+
+    # sha256 of repr(events), recorded before the rotation flood and
+    # the flood-min fan-out were sent through ``Context.multicast``.
+    # Send order sets ``send_seq``, so a reordered fan-out changes the
+    # digest.  DRA's drops start at round 40, after election and BFS,
+    # so they hit the walk's renumbering floods; DHC2 under this
+    # latency aborts in Phase 1, so its trace pins the colour,
+    # flood-min and abort traffic.
+    PINNED_TRACES = {
+        # name: (n, graph and protocol seed, drop window, events, sha256)
+        "dra": (32, 6, (40, 10**6), 6129,
+                "dd99eb8f40f6959f540fd5f3b23e503303587307a5145666f777b5b954e61e62"),
+        "dhc2": (24, 1, None, 811,
+                 "b49e0fc29f4180f5b2560f889963b98006201c1ddf59c23e3b1ba1a0a5ad85f3"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_TRACES))
+    def test_event_trace_is_pinned(self, name):
+        n, seed, window, events, digest = self.PINNED_TRACES[name]
+        if name == "dra":
+            factory, words = (lambda v: DraProtocol(v, n)), 8
+        else:
+            k = default_color_count(n, 0.5)
+            factory, words = (lambda v: Dhc2Protocol(v, n, k)), 12
+        plan = FaultPlan(drop_probability=0.01, seed=1, window=window)
+        model = NetworkModel(
+            mode="async", fault_plan=plan, seed=2,
+            latency=LatencySpec(kind="uniform", low=0.5, high=1.5))
+        net = Network(dense_gnp(n, seed=seed), factory, seed=seed,
+                      model=model, bandwidth_words=words, record_events=True)
+        FaultInjector(plan).attach(net)
+        net.run(max_rounds=20000, raise_on_limit=False)
+        assert len(net.events) == events
+        assert hashlib.sha256(repr(net.events).encode()).hexdigest() == digest
 
     def test_different_substrate_seed_changes_schedule(self):
         base = NetworkModel(mode="async",

@@ -10,6 +10,7 @@ import pytest
 from repro.congest import (
     BandwidthExceededError,
     DuplicateSendError,
+    HaltedNodeError,
     Message,
     Network,
     NotANeighborError,
@@ -19,7 +20,7 @@ from repro.congest import (
     state_size_words,
     word_bits,
 )
-from repro.congest import FaultPlan, NetworkModel
+from repro.congest import FaultPlan, LatencySpec, NetworkModel
 from repro.core import run_dhc1, run_dhc2, run_dra, run_turau
 from repro.graphs import Graph
 from repro.kmachine import run_converted_hc
@@ -117,6 +118,100 @@ class TestModelRules:
         Network(ring(3), lambda v: Checker()).run(max_rounds=3)
         assert seen == {"before": True, "after": False}
 
+
+
+class _Fanout(Protocol):
+    """Node 0 sends one payload to a list of destinations on start."""
+
+    def __init__(self, v, scenario, use_multicast, log):
+        self.v = v
+        self.scenario = scenario
+        self.use_multicast = use_multicast
+        self.log = log
+
+    def on_start(self, ctx):
+        if self.v != 0:
+            return
+        before, dests, payload, skip = self.scenario
+        if before == "halt":
+            ctx.halt()
+        elif before == "send-2":
+            ctx.send(2, "x")
+        try:
+            if self.use_multicast:
+                ctx.multicast(dests, payload, skip)
+            else:
+                for dest in dests:
+                    if dest != skip:
+                        ctx.send(dest, *payload)
+        except Exception as exc:  # noqa: BLE001 — the error is the datum
+            self.log.append(("error", type(exc).__name__))
+
+    def on_round(self, ctx, inbox):
+        self.log.extend(("got", ctx.node_id, m.sender, m.payload) for m in inbox)
+        ctx.halt()
+
+
+class TestMulticast:
+    """``Context.multicast`` is a loop of ``send``, down to its errors."""
+
+    GRAPH = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (4, 5)])
+    PAYLOAD = ("m", 7, 8)
+    BIG = ("m", *range(50))
+    # name: (before the fan-out, destinations, payload, skip), error
+    SCENARIOS = {
+        "clean": ((None, [1, 2, 3, 4], PAYLOAD, 3), None),
+        "halted": (("halt", [1, 2, 3], PAYLOAD, -1), HaltedNodeError),
+        "halted-nothing-to-send": (("halt", [3], PAYLOAD, 3), None),
+        "not-a-neighbour-mid-list": ((None, [1, 2, 5, 3], PAYLOAD, -1),
+                                     NotANeighborError),
+        "edge-already-used": (("send-2", [1, 2, 3], PAYLOAD, -1),
+                              DuplicateSendError),
+        "repeated-destination": ((None, [1, 2, 1], PAYLOAD, -1),
+                                 DuplicateSendError),
+        "oversized": ((None, [1, 2], BIG, -1), BandwidthExceededError),
+        # The rules are checked in send's order, bit budget last.
+        "oversized-to-a-non-neighbour": ((None, [5, 1], BIG, -1),
+                                         NotANeighborError),
+        "oversized-over-a-used-edge": (("send-2", [2, 1], BIG, -1),
+                                       DuplicateSendError),
+    }
+    MODELS = {
+        "sync": NetworkModel(),
+        "async-unit": NetworkModel(mode="async"),
+        "async-uniform": NetworkModel(
+            mode="async", latency=LatencySpec(kind="uniform", low=0.5, high=1.5)),
+    }
+
+    def _run(self, scenario, model, use_multicast):
+        log = []
+        net = Network(self.GRAPH,
+                      lambda v: _Fanout(v, scenario, use_multicast, log),
+                      model=model, record_events=model.is_async())
+        net.run(max_rounds=5)
+        metrics = net.metrics
+        return (log, metrics.messages, metrics.bits,
+                metrics.sent_per_node.tolist(), net.events)
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_matches_a_loop_of_sends(self, name, model):
+        scenario, error = self.SCENARIOS[name]
+        got = self._run(scenario, self.MODELS[model], use_multicast=True)
+        assert got == self._run(scenario, self.MODELS[model], use_multicast=False)
+        log = got[0]
+        errors = [entry[1] for entry in log if entry[0] == "error"]
+        assert errors == ([] if error is None else [error.__name__])
+        received = sorted(entry[1] for entry in log
+                          if entry[0] == "got" and entry[3] == scenario[2])
+        expected = {
+            "clean": [1, 2, 4],
+            "not-a-neighbour-mid-list": [1, 2],
+            "edge-already-used": [1],
+            "repeated-destination": [1, 2],
+        }.get(name, [])
+        assert received == expected
+        assert got[1] == len(expected) + (scenario[0] == "send-2")
 
 class TestDeliverySemantics:
     def test_next_round_delivery_and_sender(self):

@@ -281,6 +281,26 @@ class TestStructuralDrivers:
         assert native.rounds == fast.rounds
         assert native.detail["fail"] == fast.detail["fail"]
 
+    def test_dhc1_failures_report_charged_rounds(self):
+        # A failed DHC1 run reports the rounds its ledger charged up to
+        # the failure, as a successful one does; only the isolated-node
+        # exit, taken before any phase, charges none.
+        graphs = [gnp_random_graph(n, paper_probability(n, 0.5, 1.5), seed=s)
+                  for n in (48, 64) for s in range(4)]
+        graphs.append(repro.Graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)]))
+        graphs.append(repro.Graph(4, [(0, 1), (1, 2), (2, 0)]))
+        causes = set()
+        for seed, g in enumerate(graphs):
+            result = repro.run(g, "dhc1", engine="kmachine", seed=seed,
+                               k_machines=4)
+            if result.success:
+                continue
+            cause = result.detail["fail"]
+            causes.add(cause)
+            assert result.rounds == result.detail["kmachine"]["congest_rounds"]
+            assert (result.rounds == 0) == (cause == "isolated-node"), cause
+        assert {"isolated-node", "global-bfs-unreachable", "walk-1"} <= causes
+
     def test_too_small_graph(self):
         g = repro.Graph(2, [(0, 1)])
         native = repro.run(g, "turau", engine="kmachine", seed=1, k_machines=2)
