@@ -64,6 +64,8 @@ from repro.graphs.adjacency import Graph
 __all__ = ["Network", "DEFAULT_BANDWIDTH_WORDS"]
 
 DEFAULT_BANDWIDTH_WORDS = 8
+#: Rounds between two memory audits (plus one at start and one at the end).
+AUDIT_EVERY = 64
 
 _sender = itemgetter(0)
 _new_message = tuple.__new__
@@ -91,8 +93,9 @@ class Network:
         ``TAG_BITS + bandwidth_words * ceil(log2(n+1))`` — a constant
         number of O(log n)-bit fields, as the model prescribes).
     audit_memory:
-        If true, periodically record each node's protocol state size
-        (words) to validate the o(n) fully-distributed restriction.
+        If true, record each node's protocol state size (words) every
+        ``AUDIT_EVERY`` rounds to validate the o(n) fully-distributed
+        restriction.
     record_events:
         Keep the async event trace in ``self.events`` (deliveries,
         wake-ups, churn, protocol errors) for determinism tests and
@@ -108,7 +111,6 @@ class Network:
         model: NetworkModel | None = None,
         bandwidth_words: int = DEFAULT_BANDWIDTH_WORDS,
         audit_memory: bool = False,
-        audit_every: int = 64,
         record_events: bool = False,
     ):
         self.graph = graph
@@ -123,7 +125,6 @@ class Network:
         self._word_bits = word_bits(self.n)
         self._bandwidth_bits = TAG_BITS + bandwidth_words * self._word_bits
         self._audit_memory = audit_memory
-        self._audit_every = max(1, audit_every)
         self._last_audit = 0
 
         seeds = np.random.SeedSequence(seed).spawn(self.n)
@@ -203,35 +204,16 @@ class Network:
 
     # -- internal API used by Context -----------------------------------------
 
-    def _enqueue(self, src: int, dst: int, payload: tuple) -> None:
-        used = self._edges_used
-        bits = TAG_BITS + (len(payload) - 1) * self._word_bits
-        if dst in used or bits > self._bandwidth_bits:
-            self._refuse(src, dst, payload, bits)
-        used.add(dst)
-        self.metrics.bits += bits
-        self._sent[src] += 1
-        if self._async:
-            entry = (src, dst, payload, self._depth[src] + 1, self._send_seq)
-            self._send_seq += 1
-            if not self._unit_latency:
-                self._bucket(self._now + self._latency(src, dst))[1].append(entry)
-                return
-        else:
-            entry = (src, dst, payload)
-        outbox = self._outbox
-        if outbox is None:
-            outbox = self._outbox = self._bucket(self._now + 1)[1]
-        outbox.append(entry)
-
-    def _enqueue_many(self, src: int, dests: list[int], skip: int, payload: tuple,
+    def _enqueue_many(self, src: int, dests: list[int] | tuple[int, ...],
+                      skip: int | None, payload: tuple,
                       neighbors: frozenset[int]) -> None:
-        """``_enqueue`` of one payload to every destination but ``skip``.
+        """Enqueue one payload from ``src`` to every destination but ``skip``.
 
-        Each destination passes the checks of a ``Context.send`` loop in
-        that loop's order (not a neighbour, then edge used, then bit
-        budget), so an error leaves exactly the earlier destinations
-        enqueued.  The bits are sized once and the counters bumped once.
+        The one send path (``Context.send`` is its one-destination
+        case).  Each destination is checked in turn (not a neighbour,
+        then edge used, then bit budget), so an error leaves exactly the
+        earlier destinations enqueued.  The bits are sized once and the
+        counters bumped once.
         """
         bits = TAG_BITS + (len(payload) - 1) * self._word_bits
         fits = bits <= self._bandwidth_bits
@@ -265,9 +247,9 @@ class Network:
                 self._sent[src] += sent
 
     def _refuse(self, src: int, dst: int, payload: tuple, bits: int,
-                neighbors: frozenset[int] | None = None) -> None:
+                neighbors: frozenset[int]) -> None:
         """Raise the first rule a send of ``payload`` from ``src`` to ``dst`` breaks."""
-        if neighbors is not None and dst not in neighbors:
+        if dst not in neighbors:
             raise NotANeighborError(f"node {src} is not adjacent to {dst}")
         if dst in self._edges_used:
             raise DuplicateSendError(
@@ -318,20 +300,19 @@ class Network:
         self,
         *,
         max_rounds: int,
-        until: Callable[["Network"], bool] | None = None,
         raise_on_limit: bool = True,
     ) -> Metrics:
         """Execute the protocol until global termination.
 
-        Termination is: every node halted, or the optional ``until``
-        predicate returns true, or no activity remains (no messages in
-        flight, no wake-ups or churn scheduled).  Hitting the watchdog
-        first raises :class:`RoundLimitExceeded` (or returns, when
-        ``raise_on_limit`` is false).  The watchdog is ``max_rounds``
-        rounds in sync mode; in async mode the virtual-time budget
-        scales ``max_rounds`` by the latency distribution's mean (so a
-        mean-2 latency gets twice the virtual time), and an activation
-        cap backstops pathological event storms.
+        Termination is: every node halted, or no activity remains (no
+        messages in flight, no wake-ups or churn scheduled).  Hitting
+        the watchdog first raises :class:`RoundLimitExceeded` (or
+        returns, when ``raise_on_limit`` is false).  The watchdog is
+        ``max_rounds`` rounds in sync mode; in async mode the
+        virtual-time budget scales ``max_rounds`` by the latency
+        distribution's mean (so a mean-2 latency gets twice the virtual
+        time), and an activation cap backstops pathological event
+        storms.
         """
         if self._async and self.round_observer is not None:
             raise ValueError(
@@ -347,7 +328,7 @@ class Network:
                     self._start(v)
             self._maybe_audit(force=True)
             while self._buckets:
-                if self._all_halted() or (until is not None and until(self)):
+                if self._all_halted():
                     break
                 if self._async:
                     when = self._instants[0]
@@ -513,7 +494,7 @@ class Network:
     def _maybe_audit(self, *, force: bool = False) -> None:
         if not self._audit_memory:
             return
-        if not force and self.round_index - self._last_audit < self._audit_every:
+        if not force and self.round_index - self._last_audit < AUDIT_EVERY:
             return
         self._last_audit = self.round_index
         peaks = self.metrics.peak_state_words

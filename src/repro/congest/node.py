@@ -9,10 +9,9 @@ paper's round accounting assumes).
 
 All interaction with the world goes through the :class:`Context`:
 
-* ``ctx.send(dest, kind, *fields)`` — one CONGEST message (delivered at
-  the start of the next round);
-* ``ctx.multicast(dests, payload, skip)`` — the same message to each of
-  several neighbours, as a loop of ``send`` would;
+* ``ctx.multicast(dests, payload, skip)`` — one CONGEST message to each
+  of several neighbours (delivered at the start of the next round);
+* ``ctx.send(dest, kind, *fields)`` — its one-destination case;
 * ``ctx.request_wake(round_index)`` — ask to be scheduled in a future
   round even without incoming messages (nodes know the global round
   number in the synchronous model, so this is legal);
@@ -26,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.congest.errors import HaltedNodeError, NotANeighborError
+from repro.congest.errors import HaltedNodeError
 from repro.congest.message import Message
 from repro.congest.metrics import state_size_words
 
@@ -63,14 +62,13 @@ class Protocol(ABC):
 class Context:
     """The node's window onto the network during a simulation."""
 
-    __slots__ = ("_network", "_enqueue", "_enqueue_many", "node_id", "neighbors",
+    __slots__ = ("_network", "_enqueue_many", "node_id", "neighbors",
                  "_neighbor_set", "rng", "halted")
 
     def __init__(self, network: "Network", node_id: int,
                  neighbors: list[int], rng: np.random.Generator):
         self._network = network
         # Bound once, used per send.
-        self._enqueue = network._enqueue  # noqa: SLF001
         self._enqueue_many = network._enqueue_many  # noqa: SLF001
         self.node_id = node_id
         self.neighbors = neighbors
@@ -95,24 +93,25 @@ class Context:
     def send(self, dest: int, kind: str, *fields: int) -> None:
         """Send one CONGEST message to the adjacent node ``dest``.
 
-        The message is delivered at the start of the next round.  Raises
-        if the node is halted, ``dest`` is not a neighbour, the edge was
-        already used this round, or the payload exceeds the bit budget.
+        The one-destination case of :meth:`multicast`: it raises if the
+        node is halted, ``dest`` is not a neighbour, the edge was already
+        used this round, or the payload exceeds the bit budget.
         """
         if self.halted:
             raise HaltedNodeError(f"halted node {self.node_id} tried to send")
-        if dest not in self._neighbor_set:
-            raise NotANeighborError(f"node {self.node_id} is not adjacent to {dest}")
-        self._enqueue(self.node_id, dest, (kind, *fields))
+        # ``skip=None`` matches no id, so ``dest=-1`` is refused too.
+        self._enqueue_many(self.node_id, (dest,), None, (kind, *fields),
+                           self._neighbor_set)
 
     def multicast(self, dests: list[int], payload: tuple, skip: int = -1) -> None:
         """Send the prebuilt ``payload`` (``(kind, *fields)``) to each of ``dests``.
 
-        Skips the id ``skip`` (``-1``, no node, by default).  It is a loop
-        of :meth:`send` in ``dests`` order: each destination is checked
-        as ``send`` checks it, so an error leaves exactly the earlier
-        destinations enqueued, and a halted node raises only if there
-        is a destination to send to.
+        Skips the id ``skip`` (``-1``, no node, by default).  Destinations
+        are checked in ``dests`` order (halted, not a neighbour, edge
+        already used this round, bit budget), so an error leaves exactly
+        the earlier destinations enqueued, and a halted node raises only
+        if there is a destination to send to.  Every message is
+        delivered at the start of the next round.
         """
         if self.halted and any(dest != skip for dest in dests):
             raise HaltedNodeError(f"halted node {self.node_id} tried to send")

@@ -118,7 +118,7 @@ class Dhc1Protocol(PartitionedPhase1Protocol):
         if self.barrier1 is None:
             self.barrier1 = Barrier(
                 "g1", parent=self.global_bfs.parent,
-                children=self.global_bfs.children, send=self._queued,
+                children=self.global_bfs.children, send=self.queue_send,
             )
             self.activate(ctx, self.barrier1)
 
@@ -126,12 +126,9 @@ class Dhc1Protocol(PartitionedPhase1Protocol):
         if self.barrier2 is None:
             self.barrier2 = Barrier(
                 "g2", parent=self.global_bfs.parent,
-                children=self.global_bfs.children, send=self._queued,
+                children=self.global_bfs.children, send=self.queue_send,
             )
             self.activate(ctx, self.barrier2)
-
-    def _queued(self, ctx: Context, dest: int, kind: str, *fields) -> None:
-        self.queue_send(ctx, dest, kind, *fields)
 
     # -- host-level messages -----------------------------------------------------------
 

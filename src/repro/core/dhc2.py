@@ -105,14 +105,11 @@ class Dhc2Protocol(PartitionedPhase1Protocol):
             is_root=is_root,
             tree_children_count=max(0, children),
             cross_neighbors=cross,
-            send=self._merge_send,
+            send=self.queue_send,
             is_graph_neighbor=ctx.is_neighbor,
         )
         self.activate(ctx, self.merge)
         self.advance_hook(ctx)
-
-    def _merge_send(self, ctx: Context, dest: int, kind: str, *fields: int) -> None:
-        self.queue_send(ctx, dest, kind, *fields)
 
     def advance_hook(self, ctx: Context) -> None:
         if self.aborted or self.finished:
@@ -154,7 +151,7 @@ class Dhc2Protocol(PartitionedPhase1Protocol):
         deadline = ctx.round_index + 6 * diameter_budget(self.cycle_size) + 16
         self.rebuild = BfsTree(
             f"b{self.level}", peers, is_root=self.cycindex == 1, deadline=deadline,
-            send=self._merge_send,
+            send=self.queue_send,
         )
         self.activate(ctx, self.rebuild)
         self.advance_hook(ctx)

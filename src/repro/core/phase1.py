@@ -127,8 +127,7 @@ class PartitionedPhase1Protocol(Protocol, SubMachineHost):
 
     def _announce_color(self, ctx: Context) -> None:
         self.color = 1 + int(ctx.rng.integers(self.k))
-        for peer in ctx.neighbors:
-            ctx.send(peer, "co", self.color)
+        ctx.multicast(ctx.neighbors, ("co", self.color))
         self._color_round = ctx.round_index
         ctx.request_wake(ctx.round_index + 1)
 
@@ -277,11 +276,9 @@ class PartitionedPhase1Protocol(Protocol, SubMachineHost):
         if not self._outqueue or self.aborted or ctx.halted:
             return
         remaining: list[tuple[int, tuple]] = []
-        sent_to: set[int] = set()
         for dest, payload in self._outqueue:
-            if dest not in sent_to and ctx.edge_free(dest):
+            if ctx.edge_free(dest):
                 ctx.send(dest, *payload)
-                sent_to.add(dest)
             else:
                 remaining.append((dest, payload))
         self._outqueue = remaining

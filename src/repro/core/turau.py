@@ -327,8 +327,7 @@ class TurauProtocol(Protocol):
             may_announce = not self._may_request
         if may_announce:
             self._announced = True
-            for peer in ctx.neighbors:
-                ctx.send(peer, "an", pid)
+            ctx.multicast(ctx.neighbors, ("an", pid))
 
     def _active_stage(self, ctx: Context, inbox: list[Message]) -> None:
         if not self._may_request:

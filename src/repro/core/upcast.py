@@ -175,8 +175,7 @@ class UpcastProtocol(Protocol, SubMachineHost):
             self._down_done = True
             self._maybe_finish(ctx)
         elif kind == "fail":
-            for child in self.bfs.children:
-                ctx.send(child, "fail")
+            ctx.multicast(self.bfs.children, ("fail",))
             self.finished = True
             ctx.halt()
 
@@ -194,8 +193,7 @@ class UpcastProtocol(Protocol, SubMachineHost):
         cycle = posa_cycle(self.n, adjacency, rng=ctx.rng,
                            restarts=self.solver_restarts)
         if cycle is None:
-            for child in self.bfs.children:
-                ctx.send(child, "fail")
+            ctx.multicast(self.bfs.children, ("fail",))
             self.finished = True
             ctx.halt()
             return

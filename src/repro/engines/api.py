@@ -86,14 +86,6 @@ class EngineSpec:
     supported_kwargs:
         Keyword arguments (beyond ``graph`` and ``seed``) the runner
         accepts; anything else raises at dispatch time.
-    kmachine_convertible:
-        True for fully-distributed CONGEST runners whose ``network``
-        model's ``network_hook`` reaches the synchronous simulator —
-        the precondition for the Conversion Theorem
-        machinery in :mod:`repro.kmachine.simulation`.
-    audits_memory:
-        True when the runner can record per-node peak state
-        (``audit_memory=True``).
     parity:
         Result fields (``"cycle"``, ``"steps"``, ``"rounds"``)
         guaranteed seed-for-seed identical to the algorithm's
@@ -103,15 +95,6 @@ class EngineSpec:
         engines themselves and for engines with no reference
         counterpart; every non-empty declaration is enforced by
         ``tests/test_engine_parity.py``'s registry parity gate.
-    async_capable:
-        True when the runner can execute in the async mode of the
-        message-passing core (:class:`~repro.congest.network.Network`)
-        via a ``NetworkModel`` with ``mode="async"`` — latency
-        distributions, message loss/reordering, churn.  Declaring it
-        carries a contract: at unit latency with no faults and no
-        churn the async execution must be seed-for-seed identical to
-        the synchronous congest reference
-        (``tests/test_async_engine.py``'s registry gate enforces it).
     jit:
         True when the batch runner needs the optional compiled walk
         kernel in :mod:`repro.engines._jit` (``REPRO_JIT=1`` with
@@ -123,6 +106,11 @@ class EngineSpec:
         :data:`ENGINE_PRIORITY` for the standard engine names.
     summary:
         One line for ``repro engines`` style listings and docs.
+
+    The capabilities ``kmachine_convertible``, ``audits_memory`` and
+    ``async_capable`` are derived from ``engine`` and
+    ``supported_kwargs`` (read-only properties below), so a spec cannot
+    restate them inconsistently.
     """
 
     algorithm: str
@@ -130,10 +118,7 @@ class EngineSpec:
     runner: Callable[..., RunResult] | str
     batch_runner: Callable[..., list[RunResult]] | str | None = None
     supported_kwargs: frozenset[str] = frozenset()
-    kmachine_convertible: bool = False
-    audits_memory: bool = False
     parity: frozenset[str] = frozenset()
-    async_capable: bool = False
     jit: bool = False
     priority: int = field(default=-1)
     summary: str = ""
@@ -156,6 +141,34 @@ class EngineSpec:
     def batched(self) -> bool:
         """Whether this engine can execute many trials per kernel pass."""
         return self.batch_runner is not None
+
+    @property
+    def kmachine_convertible(self) -> bool:
+        """Whether :mod:`repro.kmachine.simulation` may convert this run.
+
+        True for the congest runners that take a ``network`` model: its
+        ``network_hook`` reaches the synchronous simulator, the
+        precondition for the Conversion Theorem machinery.
+        """
+        return self.engine == "congest" and "network" in self.supported_kwargs
+
+    @property
+    def audits_memory(self) -> bool:
+        """Whether the runner can record per-node peak state (``audit_memory``)."""
+        return "audit_memory" in self.supported_kwargs
+
+    @property
+    def async_capable(self) -> bool:
+        """Whether the runner executes in the message core's async mode.
+
+        An ``async`` engine runs on :class:`~repro.congest.network.Network`
+        with a ``mode="async"`` model (latency, loss, reordering, churn).
+        It carries a contract: at unit latency with no faults and no
+        churn it must be seed-for-seed identical to the synchronous
+        congest reference (``tests/test_async_engine.py``'s registry
+        gate enforces it).
+        """
+        return self.engine == "async"
 
     @staticmethod
     def _import(path: str) -> Callable:

@@ -49,11 +49,9 @@ def _builtin_specs() -> list[EngineSpec]:
         # -- the paper's fully-distributed algorithms --------------------------
         EngineSpec("dra", "congest", "repro.core:run_dra",
                    supported_kwargs=("step_budget", *_CONGEST_COMMON),
-                   kmachine_convertible=True, audits_memory=True,
                    summary="Algorithm 1 in the message-level simulator"),
         EngineSpec("dra", "async", "repro.engines.async_runners:_dra_async",
                    supported_kwargs=("step_budget", *_CONGEST_COMMON),
-                   audits_memory=True, async_capable=True,
                    summary="Algorithm 1 on the asynchronous event-queue "
                            "engine (latency, loss, reordering, churn)"),
         EngineSpec("dra", "fast", "repro.engines.fast:_dra_fast",
@@ -75,11 +73,9 @@ def _builtin_specs() -> list[EngineSpec]:
                            "(k is an alias for k_machines here)"),
         EngineSpec("dhc1", "congest", "repro.core:run_dhc1",
                    supported_kwargs=("k", *_CONGEST_COMMON),
-                   kmachine_convertible=True, audits_memory=True,
                    summary="Algorithm 2 in the message-level simulator"),
         EngineSpec("dhc1", "async", "repro.engines.async_runners:_dhc1_async",
                    supported_kwargs=("k", *_CONGEST_COMMON),
-                   audits_memory=True, async_capable=True,
                    summary="Algorithm 2 on the asynchronous event-queue "
                            "engine"),
         EngineSpec("dhc1", "kmachine", "repro.engines.kmachine_dhc1:_dhc1_kmachine",
@@ -89,11 +85,9 @@ def _builtin_specs() -> list[EngineSpec]:
                            "(first step-level DHC1 replay)"),
         EngineSpec("dhc2", "congest", "repro.core:run_dhc2",
                    supported_kwargs=("delta", "k", *_CONGEST_COMMON),
-                   kmachine_convertible=True, audits_memory=True,
                    summary="Algorithm 3 in the message-level simulator"),
         EngineSpec("dhc2", "async", "repro.engines.async_runners:_dhc2_async",
                    supported_kwargs=("delta", "k", *_CONGEST_COMMON),
-                   audits_memory=True, async_capable=True,
                    summary="Algorithm 3 on the asynchronous event-queue "
                            "engine"),
         EngineSpec("dhc2", "fast", "repro.engines.fast_dhc2:_dhc2_fast",
@@ -120,12 +114,10 @@ def _builtin_specs() -> list[EngineSpec]:
         # -- related-work algorithms (ROADMAP: absorbed as registry entries) ----
         EngineSpec("turau", "congest", "repro.core.turau:run_turau",
                    supported_kwargs=("phase_budget", *_CONGEST_COMMON),
-                   kmachine_convertible=True, audits_memory=True,
                    summary="Turau path merging (arXiv:1805.06728) in the "
                            "message-level simulator"),
         EngineSpec("turau", "async", "repro.engines.async_runners:_turau_async",
                    supported_kwargs=("phase_budget", *_CONGEST_COMMON),
-                   audits_memory=True, async_capable=True,
                    summary="Turau path merging on the asynchronous "
                            "event-queue engine (its self-stabilising home "
                            "turf)"),
@@ -164,12 +156,10 @@ def _builtin_specs() -> list[EngineSpec]:
         EngineSpec("upcast", "congest", "repro.core:run_upcast",
                    supported_kwargs=("c_prime", "solver_restarts",
                                      "max_rounds", "audit_memory"),
-                   audits_memory=True,
                    summary="Section III-A sampling upcast"),
         EngineSpec("trivial", "congest", "repro.core:run_trivial",
                    supported_kwargs=("solver_restarts", "max_rounds",
                                      "audit_memory"),
-                   audits_memory=True,
                    summary="collect-everything O(m) baseline"),
         # -- distributed baselines ---------------------------------------------
         EngineSpec("levy", "fast", "repro.baselines:run_levy",

@@ -21,7 +21,8 @@ from repro.congest import (
     word_bits,
 )
 from repro.congest import FaultPlan, LatencySpec, NetworkModel
-from repro.core import run_dhc1, run_dhc2, run_dra, run_turau
+from repro.congest.message import TAG_BITS
+from repro.core import run_dhc1, run_dhc2, run_dra, run_turau, run_upcast
 from repro.graphs import Graph
 from repro.kmachine import run_converted_hc
 from repro.trace import TraceRecorder
@@ -101,6 +102,32 @@ class TestModelRules:
 
         with pytest.raises(NotANeighborError):
             Network(ring(6), lambda v: Reacher()).run(max_rounds=5)
+
+    def test_negative_id_send_rejected(self):
+        # -1 is multicast's default skip id; a send to it is still refused.
+        class Reacher(Protocol):
+            def on_start(self, ctx):
+                ctx.send(-1, "x")
+
+            def on_round(self, ctx, inbox):
+                ctx.halt()
+
+        with pytest.raises(NotANeighborError):
+            Network(ring(6), lambda v: Reacher()).run(max_rounds=5)
+
+    def test_halted_node_send_rejected(self):
+        class Ghost(Protocol):
+            def on_start(self, ctx):
+                ctx.halt()
+                ctx.send(ctx.neighbors[0], "x")
+
+            def on_round(self, ctx, inbox):
+                ctx.halt()
+
+        net = Network(ring(4), lambda v: Ghost())
+        with pytest.raises(HaltedNodeError):
+            net.run(max_rounds=5)
+        assert net.metrics.messages == 0 and net.metrics.bits == 0
 
     def test_edge_free_reflects_usage(self):
         seen = {}
@@ -211,7 +238,15 @@ class TestMulticast:
             "repeated-destination": [1, 2],
         }.get(name, [])
         assert received == expected
-        assert got[1] == len(expected) + (scenario[0] == "send-2")
+        # By value, not only against the loop of ``send`` (itself a
+        # one-destination multicast): every fan-out message carries two
+        # fields, the "send-2" message none.
+        early = int(scenario[0] == "send-2")
+        messages = len(expected) + early
+        assert got[1] == messages
+        assert got[2] == (len(expected) * (TAG_BITS + 2 * word_bits(6))
+                          + early * TAG_BITS)
+        assert got[3] == [messages, 0, 0, 0, 0, 0]
 
 class TestDeliverySemantics:
     def test_next_round_delivery_and_sender(self):
@@ -495,3 +530,32 @@ class TestCoreGolden:
         assert recorder.by_kind() == {
             "rw.r": 17010, "lm.m": 4949, "bt.e": 1977, "rw.p": 334,
             "bt.a": 63, "bt.d": 63, "bt.c": 63, "rw.w": 63}
+
+    # The audited runs above stop short of three send paths: DHC1 fails
+    # before its barriers and DHC2 at delta = 1 has one colour class.
+    # These reach the paced queue hand-over (DHC1's barriers, DHC2's
+    # merges and rebuilds) and Upcast's "fail" broadcast.
+    # name: (runner, graph density c, kwargs), then
+    # (success, rounds, messages, bits, sha256 of state_words).
+    SEND_PATHS = {
+        "dhc1-barriers": (
+            (run_dhc1, 16.0, {}),
+            (True, 453, 20457, 350402, "b9328378fc59bb36701b17dff3d547d2"
+             "06d73c28c0ae515c1578ded64c7d227c")),
+        "dhc2-merges": (
+            (run_dhc2, 16.0, {"delta": 0.75}),
+            (True, 729, 22839, 533244, "f690e86d1b6d7ff6d0fdb1ae9153f0c7"
+             "8a13ae9b7f25a3c72dd4d368a9b58613")),
+        "upcast-fail": (
+            (run_upcast, 8.0, {"c_prime": 0.2, "solver_restarts": 2}),
+            (False, 44, 7429, 112534, "b8415fa8411a91b908de4cb4ab8888fa"
+             "995836c767edd678764ade1c37b6f0f9")),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SEND_PATHS))
+    def test_send_path_runs(self, name):
+        (runner, c, kwargs), pinned = self.SEND_PATHS[name]
+        result = runner(dense_gnp(self.GRAPH_N, c=c), seed=0,
+                        audit_memory=True, **kwargs)
+        assert (result.success, result.rounds, result.messages, result.bits,
+                _sha256(result.detail["state_words"])) == pinned

@@ -269,7 +269,8 @@ class TestConvertedAlgorithms:
 
     def test_centralized_algorithm_rejected(self):
         # upcast is registered but centralized: the registry's congest
-        # spec declares kmachine_convertible=False, so conversion refuses.
+        # spec takes no `network` model, so it is not kmachine_convertible
+        # and conversion refuses.
         graph = self._graph(n=24)
         with pytest.raises(ValueError, match="not k-machine convertible"):
             run_converted_hc(graph, algorithm="upcast", k_machines=2)
