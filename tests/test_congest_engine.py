@@ -503,10 +503,15 @@ class TestCoreGolden:
         assert (result.success, result.rounds, result.messages, result.bits,
                 result.detail["faults"]) == self.FAULTS[name]
 
+    # (congest_rounds, kmachine_rounds, cross_words, max_round_link_words,
+    # local_words, sha256 of [link_words, recv_words_per_machine]).
     KMACHINE = {
-        "dra": (1987, 3477, 83924, 656),
-        "dhc1": (61, 272, 16181, 656),
-        "dhc2": (1989, 3519, 87020, 656),
+        "dra": (1987, 3477, 83924, 656, 34748,
+                "30dd57fe4f75f6adf8fc826423e056634da4c28ed14769f8fb67c44da28732bb"),
+        "dhc1": (61, 272, 16181, 656, 5223,
+                 "db86b6a161b27e5cd3b381ec7b86ef8d6dc00ebf093bad0fbf4f18def3bb9a8b"),
+        "dhc2": (1989, 3519, 87020, 656, 35732,
+                 "5641a5359692a9190edba2f6ee2bed56c33541796ce06106fa0b4879bb6d715e"),
     }
 
     @pytest.mark.parametrize("name", sorted(KMACHINE))
@@ -516,8 +521,11 @@ class TestCoreGolden:
                                             k_machines=4, seed=self.SEED,
                                             **kwargs)
         assert (metrics.congest_rounds, metrics.kmachine_rounds,
-                metrics.cross_words,
-                metrics.max_round_link_words) == self.KMACHINE[name]
+                metrics.cross_words, metrics.max_round_link_words,
+                metrics.local_words,
+                _sha256([metrics.link_words.tolist(),
+                         metrics.recv_words_per_machine.tolist()])
+                ) == self.KMACHINE[name]
 
     def test_trace_recorder(self, graph):
         recorder = TraceRecorder()

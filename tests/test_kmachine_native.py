@@ -20,6 +20,8 @@ driver) and spot-checks the structural ones.
 """
 
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -306,6 +308,51 @@ class TestStructuralDrivers:
         native = repro.run(g, "turau", engine="kmachine", seed=1, k_machines=2)
         assert not native.success
         assert native.detail["kmachine_rounds"] == 0
+
+
+class TestNativeGolden:
+    """Exact native k-machine accounting, pinned.
+
+    Each case is ``(success, kmachine_rounds, sha256 of the full
+    detail["kmachine"] summary)``.  They pin what a refactor of the
+    ledger's charging primitives could silently change.
+    """
+
+    # G(n, p, graph seed) per algorithm: Turau needs the denser graph.
+    GRAPHS = {"dra": (192, 0.6, 11), "dhc1": (192, 0.6, 11),
+              "dhc2": (192, 0.6, 11), "turau": (96, 0.9, 12)}
+    KWARGS = {"dra": {}, "dhc1": {"k": 4}, "dhc2": {"delta": 0.75},
+              "turau": {}}
+    PINS = {
+        ("dra", 2): (True, 44210, "790e9aafdc1079c8dc81dabc225bdefd"
+                                  "b62ddcf784baa6a884dda4d52c3eb1be"),
+        ("dra", 5): (True, 25349, "fd872d5fa46b05c28e6c702bbce19cbf"
+                                  "d44f313e59679e320109ce4c2ead2737"),
+        ("dhc1", 2): (True, 11236, "9f95cfc6b6f6f87e60bcfbbb2486e867"
+                                   "7a87c68ca592e3b6690df1f86cdd90d0"),
+        ("dhc1", 5): (True, 3912, "f85bedc927650bd03c0d7879f2e3a9a7"
+                                  "3ab53f22b55ec36623b4cb9f4ea3424c"),
+        ("dhc2", 2): (True, 8592, "151407f3c7dbc51c5164ead7a067cd89"
+                                  "9fc72ef32ade2057d18fbb0ad20aaf9d"),
+        ("dhc2", 5): (True, 3827, "7f55caccaa675f822e4947d3449c4c5a"
+                                  "c8d7e05c02298d378d40e00c0d7ccb29"),
+        ("turau", 2): (True, 1268, "cee933344fb1844adc1bb9eaf7cb5a09"
+                                   "4a7eab991f369feeb52f5ad03b9f23a0"),
+        ("turau", 5): (True, 636, "4177df30d185cc9c9a6b4311a6f0675d"
+                                  "d91941e42096f58a897dab4bd5c5282a"),
+    }
+
+    @pytest.mark.parametrize("algorithm,k_machines", sorted(PINS),
+                             ids=lambda v: str(v))
+    def test_summary_pins(self, algorithm, k_machines):
+        n, p, graph_seed = self.GRAPHS[algorithm]
+        g = gnp_random_graph(n, p, seed=graph_seed)
+        r = repro.run(g, algorithm, engine="kmachine", seed=3,
+                      k_machines=k_machines, **self.KWARGS[algorithm])
+        summary = json.dumps(r.detail["kmachine"], sort_keys=True)
+        assert (r.success, r.detail["kmachine_rounds"],
+                hashlib.sha256(summary.encode()).hexdigest()
+                ) == self.PINS[algorithm, k_machines]
 
 
 class TestLedgerInvariants:
