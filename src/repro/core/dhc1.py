@@ -42,7 +42,12 @@ from repro.analysis.bounds import diameter_budget, dra_round_budget, dra_step_bu
 from repro.congest.message import Message
 from repro.congest.model import run_protocol
 from repro.congest.node import Context
-from repro.core.phase1 import PartitionedPhase1Protocol, resolve_colors
+from repro.core.phase1 import (
+    PartitionedPhase1Protocol,
+    bfs_broken,
+    class_fail_cause,
+    resolve_colors,
+)
 from repro.core.rotation import RotationWalk, VirtualEdge
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
@@ -342,6 +347,30 @@ def dhc1_round_budget(n: int, k: int) -> int:
     return dra_round_budget(part) + virtual + 60 * diameter_budget(n) + 2048
 
 
+def _fail_cause(graph: Graph, protocols: list[Dhc1Protocol], colors: int,
+                stitched: bool) -> str | None:
+    """Name a failed run's cause with the ``kmachine`` engine's reasons.
+
+    Read from state the protocols already hold, in the order the run
+    meets its stages: a node without neighbours, the global BFS, the
+    Phase-1 classes (:func:`~repro.core.phase1.class_fail_cause`), the
+    virtual BFS and walk over the hypernodes, the stitched cycle.
+    """
+    if not protocols or int(graph.degrees().min()) == 0:
+        return "isolated-node"
+    if any(bfs_broken(p.global_bfs, graph.n) for p in protocols):
+        return "global-bfs-unreachable"
+    cause = class_fail_cause(protocols, colors)
+    if cause is not None:
+        return cause
+    if any(bfs_broken(p.vbfs, colors) for p in protocols):
+        return "virtual-bfs-unreachable"
+    for p in protocols:
+        if p.vwalk is not None and p.vwalk.done and not p.vwalk.success:
+            return f"virtual-walk-{p.vwalk.fail_code}"
+    return "bad-stitch" if stitched else None
+
+
 def run_dhc1(
     graph: Graph,
     *,
@@ -356,7 +385,9 @@ def run_dhc1(
     Intended for the DHC1 regime ``p = c ln n / sqrt(n)``; ``k`` defaults
     to ``sqrt(n)`` colour classes.  ``network`` is a
     :class:`~repro.congest.model.NetworkModel` (or its JSON form)
-    describing the substrate.  A fault plan's counters appear under
+    describing the substrate.  A failed run names its cause in
+    ``detail["fail"]`` with the ``kmachine`` engine's reasons where the
+    protocol state shows one.  A fault plan's counters appear under
     ``detail["faults"]``; async runs also report ``detail["async"]``.
     """
     n = graph.n
@@ -374,13 +405,18 @@ def run_dhc1(
 
     protocols: list[Dhc1Protocol] = run.network.protocols
     cycle = None
-    if protocols and all(
-            p.finished and not p.aborted and p.global_succ >= 0 for p in protocols):
+    stitched = bool(protocols) and all(
+        p.finished and not p.aborted and p.global_succ >= 0 for p in protocols)
+    if stitched:
         cycle = verified_cycle(
             graph, {p.node_id: p.global_succ for p in protocols})
     steps = max(
         (p.vwalk.steps_seen for p in protocols if p.vwalk is not None), default=0
     )
-    return run.result(
-        "dhc1", cycle is not None, cycle, steps=steps,
-        detail={"k": colors, "aborted": sum(p.aborted for p in protocols)})
+    detail = {"k": colors, "aborted": sum(p.aborted for p in protocols)}
+    if cycle is None:
+        cause = _fail_cause(graph, protocols, colors, stitched)
+        if cause is not None:
+            detail["fail"] = cause
+    return run.result("dhc1", cycle is not None, cycle, steps=steps,
+                      detail=detail)

@@ -28,7 +28,6 @@ no wasted watchdog rounds) appears in the measured round counts.
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 from repro.analysis.bounds import diameter_budget, dra_round_budget
 from repro.congest.model import run_protocol
@@ -36,6 +35,7 @@ from repro.congest.node import Context
 from repro.core.merge import MergeMachine
 from repro.core.phase1 import (
     PartitionedPhase1Protocol,
+    class_fail_cause,
     color_at_level,
     colors_at_level,
     merge_levels,
@@ -165,43 +165,6 @@ def dhc2_round_budget(n: int, k: int) -> int:
     return dra_round_budget(part) + levels * per_level + 6 * diameter_budget(n) + 512
 
 
-def _fail_cause(graph: Graph, protocols: list[Dhc2Protocol],
-                colors: int) -> str | None:
-    """Name a failed run's cause with the ``fast`` engine's reasons.
-
-    Read after the run from state the protocols already hold.  A colour
-    class fails at its first broken stage, in ``fast``'s order: no
-    member (``empty-partition``), a failed class BFS or one spanning
-    fewer nodes than the class (``partition-disconnected``), a failed
-    walk (``walk-<code>``); the lowest failing colour names the run.
-    An isolated node halts before it draws a colour, so with one the
-    empty-class test is skipped and, short of a class failure, the run
-    is ``partition-disconnected``.  Else an abort came from a Phase 2
-    merge that found no bridge (``no-bridge``).  The abort flood can
-    stop a class before its own failure shows, so when several classes
-    fail the cause may name a different class than ``fast`` does.
-    """
-    class_size = Counter(p.color for p in protocols)
-    isolated = bool((graph.degrees() == 0).any())
-    failures = [] if isolated else [
-        (c, 0, "empty-partition")
-        for c in range(1, colors + 1) if not class_size[c]
-    ]
-    for p in protocols:
-        if p.bfs is not None and p.bfs.done and (
-                p.bfs.failed or p.bfs.size < class_size[p.color]):
-            failures.append((p.color, 1, "partition-disconnected"))
-        elif p.walk is not None and p.walk.done and not p.walk.success:
-            failures.append((p.color, 2, f"walk-{p.walk.fail_code}"))
-    if failures:
-        return min(failures)[2]
-    if isolated:
-        return "partition-disconnected"
-    if any(p.aborted for p in protocols):
-        return "no-bridge"
-    return None
-
-
 def run_dhc2(
     graph: Graph,
     *,
@@ -251,7 +214,10 @@ def run_dhc2(
         "aborted": sum(p.aborted for p in protocols),
     }
     if cycle is None:
-        cause = _fail_cause(graph, protocols, colors)
+        isolated = bool((graph.degrees() == 0).any())
+        cause = class_fail_cause(protocols, colors, isolated=isolated)
+        if cause is None and any(p.aborted for p in protocols):
+            cause = "no-bridge"  # a Phase 2 merge found no bridge
         if cause is not None:
             detail["fail"] = cause
     return run.result("dhc2", cycle is not None, cycle, steps=steps,

@@ -21,7 +21,8 @@ reports an honest failure (experiment E6 counts these).
 
 from __future__ import annotations
 
-from typing import Callable
+from collections import Counter
+from typing import Callable, Sequence
 
 from repro.analysis.bounds import diameter_budget, dra_step_budget
 from repro.congest.message import Message
@@ -31,8 +32,9 @@ from repro.primitives.bfs import BfsTree
 from repro.primitives.floodmin import FloodMin
 from repro.primitives.submachine import SubMachineHost
 
-__all__ = ["PartitionedPhase1Protocol", "color_at_level", "colors_at_level",
-           "merge_levels", "resolve_colors"]
+__all__ = ["PartitionedPhase1Protocol", "bfs_broken", "class_fail_cause",
+           "color_at_level", "colors_at_level", "merge_levels",
+           "resolve_colors"]
 
 
 def resolve_colors(k: int | None, default: Callable[[], int]) -> int:
@@ -72,6 +74,41 @@ def merge_levels(k: int) -> int:
         k = -(-k // 2)
         levels += 1
     return levels
+
+
+def bfs_broken(bfs: BfsTree | None, size: int) -> bool:
+    """Whether a finished BFS failed or spans fewer than ``size`` nodes."""
+    return bfs is not None and bfs.done and (bfs.failed or bfs.size < size)
+
+
+def class_fail_cause(protocols: Sequence["PartitionedPhase1Protocol"],
+                     colors: int, *, isolated: bool = False) -> str | None:
+    """Name a failed Phase 1 with the ``fast`` engine's reasons.
+
+    Read from state the protocols already hold.  A colour class fails
+    at its first broken stage, in ``fast``'s order: no member
+    (``empty-partition``), a broken class BFS
+    (``partition-disconnected``), a failed walk (``walk-<code>``); the
+    lowest failing colour names the run.  An ``isolated`` node halts
+    before it draws a colour, so with one the empty-class test is
+    skipped and, short of a class failure, its own class is
+    ``partition-disconnected``.  The abort flood can stop a class
+    before its own failure shows, so when several classes fail the
+    cause may name a different class than ``fast`` does.
+    """
+    class_size = Counter(p.color for p in protocols)
+    failures = [] if isolated else [
+        (c, 0, "empty-partition")
+        for c in range(1, colors + 1) if not class_size[c]
+    ]
+    for p in protocols:
+        if bfs_broken(p.bfs, class_size[p.color]):
+            failures.append((p.color, 1, "partition-disconnected"))
+        elif p.walk is not None and p.walk.done and not p.walk.success:
+            failures.append((p.color, 2, f"walk-{p.walk.fail_code}"))
+    if failures:
+        return min(failures)[2]
+    return "partition-disconnected" if isolated else None
 
 
 class PartitionedPhase1Protocol(Protocol, SubMachineHost):

@@ -254,7 +254,7 @@ class _FastWalk:
     """
 
     def __init__(self, *, size, edges_of, rngs, initial_head, step_budget,
-                 tree_depth, start_round, ported=False, latency=1):
+                 tree_depth, start_round, ported=False):
         self.size = size
         self.edges_of = edges_of
         self.rngs = rngs
@@ -263,7 +263,6 @@ class _FastWalk:
         self.tree_depth = tree_depth
         self.round = start_round
         self.ported = ported
-        self.latency = max(1, latency)
 
         self.success = False
         self.fail_code = 0
@@ -329,7 +328,7 @@ class _FastWalk:
                     self.round += 2
                     self.retries += 1
                 else:  # rotation: flood at round+1, head waits quiescence
-                    self.round += 2 * self.tree_depth * self.latency + 3
+                    self.round += 2 * self.tree_depth + 3
                     self.rotations += 1
             step += 1
 

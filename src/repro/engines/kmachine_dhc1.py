@@ -180,7 +180,6 @@ def _dhc1_kmachine(
         tree_depth=vdepth,
         start_round=0,
         ported=True,
-        latency=latency,
     )
     vwalk.run()
     ledger.uniform_burst(3 * max(1, vwalk.steps), 6,

@@ -100,7 +100,7 @@ def _finish(result: RunResult, ledger: LinkLedger) -> RunResult:
     The traffic model walks the same schedule the round estimate in
     ``result.rounds`` describes; any CONGEST ticks the structural
     phases did not explicitly model are quiet (1 machine round each),
-    which is exactly the converted accountant's floor.
+    which is exactly the floor the converted path charges.
     """
     m = ledger.metrics
     gap = result.rounds - m.congest_rounds

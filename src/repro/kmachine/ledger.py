@@ -1,15 +1,16 @@
-"""Machine-level cost accounting for the native k-machine engine.
+"""Machine-level cost accounting for both k-machine paths.
 
-The converted path (:mod:`repro.kmachine.simulation`) learns each
-round's traffic by *watching* the message-level CONGEST simulator.
-The native engine (:mod:`repro.engines.kmachine_engine`) has no
-``Network`` to watch: it replays the algorithm on the CSR array kernel
-and must reconstruct the machine-level cost from the deterministic
-communication schedule instead.  This module is that reconstruction —
-the same charging rule as the conversion (per CONGEST-equivalent tick,
-``max(1, ceil(busiest link load / W))`` k-machine rounds), applied to
-traffic described as *arrays of messages* rather than observed
-one Python object at a time:
+Both paths book through :class:`LinkLedger`, under the Conversion
+Theorem's one charging rule (per CONGEST-equivalent tick,
+``max(1, ceil(busiest link load / W))`` k-machine rounds), written
+once in the ledger.  The converted path
+(:mod:`repro.kmachine.simulation`) learns each round's traffic by
+*watching* the message-level CONGEST simulator and books the observed
+messages as a :meth:`LinkLedger.series`.  The native engine
+(:mod:`repro.engines.kmachine_engine`) has no ``Network`` to watch: it
+replays the algorithm on the CSR array kernel and reconstructs the
+traffic from the deterministic communication schedule instead, as
+*arrays of messages*:
 
 * :class:`LinkLedger` — the accumulator.  Its primitives charge one
   tick of batched messages (:meth:`LinkLedger.burst`), a multi-tick
@@ -91,22 +92,14 @@ class TreeFloodProfile:
             np.add.at(loads, (d, lid[cross]), 1)
         self.depth_loads = loads
 
-    def rounds(self, ledger: "LinkLedger", words: int) -> int:
-        """K-machine rounds one flood needs (one tick per tree level)."""
-        if self.tree_depth == 0:
-            return 0
-        busiest = self.depth_loads.max(axis=1) * words
-        return int(np.maximum(1, -(-busiest // ledger.link_words)).sum())
-
 
 class LinkLedger:
     """Accumulates :class:`KMachineMetrics` from batched traffic.
 
-    One instance accounts one native run.  ``congest_rounds`` counts
-    the CONGEST-equivalent ticks the model walked through (quiet ticks
-    included), ``kmachine_rounds`` the charged machine rounds — the
-    identical semantics the converted simulator's accountant gives
-    those fields.
+    One instance accounts one run, native or converted.
+    ``congest_rounds`` counts the CONGEST-equivalent ticks the model
+    walked through (quiet ticks included), ``kmachine_rounds`` the
+    charged machine rounds.
     """
 
     def __init__(self, partition: VertexPartition, link_words: int):
@@ -199,54 +192,44 @@ class LinkLedger:
         m.recv_words_per_machine += recv[:self.k].astype(np.int64) * times
         return lid, loads
 
-    def _charge_loads(self, loads: np.ndarray) -> None:
-        busiest = int(loads.max()) if loads.size else 0
-        if busiest > self.metrics.max_round_link_words:
-            self.metrics.max_round_link_words = busiest
-        self.charge(max(1, -(-busiest // self.link_words)), 1)
+    def _charge_ticks(self, busiest: np.ndarray, times: int = 1) -> None:
+        """The conversion's rule: one tick per entry of ``busiest`` (its
+        busiest link's words), ``max(1, ceil(b / W))`` machine rounds
+        each, all of it ``times`` over; records the peak link load."""
+        peak = int(busiest.max(initial=0))
+        if peak > self.metrics.max_round_link_words:
+            self.metrics.max_round_link_words = peak
+        rounds = int(np.maximum(1, -(-busiest // self.link_words)).sum())
+        self.charge(rounds * times, busiest.size * times)
 
     def burst(self, src: np.ndarray, dst: np.ndarray, words: int) -> None:
-        """One tick delivering the whole batch (the conversion's rule)."""
-        self._charge_loads(self.tally(src, dst, words)[1])
+        """One tick delivering the whole batch."""
+        self._charge_ticks(self.tally(src, dst, words)[1].max(keepdims=True))
 
     def series(self, ticks: np.ndarray, src: np.ndarray, dst: np.ndarray,
-               words: np.ndarray | int, *, span: int | None = None) -> None:
-        """A multi-tick schedule: messages stamped with relative ticks.
-
-        Charges every tick in ``[0, span)`` (``span`` defaults to the
-        last stamped tick + 1), quiet ticks included, so the modelled
-        CONGEST duration matches the schedule's wall clock.
+               words: np.ndarray | int, *, span: int) -> None:
+        """A ``span``-tick schedule: messages stamped with relative ticks
+        in ``[0, span)``.  Every tick is charged, quiet ones included, so
+        the modelled CONGEST duration matches the schedule's wall clock.
         """
-        ticks = np.asarray(ticks, dtype=np.int64)
-        duration = int(span if span is not None
-                       else (ticks.max() + 1 if ticks.size else 0))
-        if duration <= 0:
+        if span <= 0:
             return
+        ticks = np.asarray(ticks, dtype=np.int64)
         words = np.broadcast_to(np.asarray(words, dtype=np.int64), ticks.shape)
         lid, _ = self.tally(src, dst, words)
         cross = lid >= 0
-        loads = np.zeros((duration, self.k * self.k), dtype=np.int64)
+        loads = np.zeros((span, self.k * self.k), dtype=np.int64)
         np.add.at(loads, (ticks[cross], lid[cross]), words[cross])
-        busiest = loads.max(axis=1)
-        peak = int(busiest.max())
-        if peak > self.metrics.max_round_link_words:
-            self.metrics.max_round_link_words = peak
-        self.charge(int(np.maximum(1, -(-busiest // self.link_words)).sum()),
-                    duration)
+        self._charge_ticks(loads.max(axis=1))
 
     def singles(self, src: np.ndarray, dst: np.ndarray, words: int) -> None:
         """One message per tick, one tick each (sequential walk steps).
 
-        The busiest link of such a tick carries exactly one message, so
-        the charge is ``ceil(words / W)`` for crossing messages and 1
-        for co-hosted ones — computed in bulk.
+        The busiest link of such a tick carries exactly that message
+        when it crosses and nothing when it is co-hosted.
         """
         lid, _ = self.tally(src, dst, words)
-        n_cross = int((lid >= 0).sum())
-        if n_cross and words > self.metrics.max_round_link_words:
-            self.metrics.max_round_link_words = words
-        per_cross = max(1, -(-words // self.link_words))
-        self.charge(n_cross * per_cross + (lid.size - n_cross), lid.size)
+        self._charge_ticks(np.where(lid >= 0, words, 0))
 
     def uniform_burst(self, messages: int, words: int, *, ticks: int = 1) -> None:
         """Estimate a burst whose endpoints the replay never materialises.
@@ -275,11 +258,7 @@ class LinkLedger:
         if times <= 0 or profile.edges == 0:
             return
         self.tally(profile.src, profile.dst, words, times=times)
-        rounds = profile.rounds(self, words)
-        self.charge(rounds * times, profile.tree_depth * times)
-        peak = int(profile.depth_loads.max()) * words
-        if peak > self.metrics.max_round_link_words:
-            self.metrics.max_round_link_words = peak
+        self._charge_ticks(profile.depth_loads.max(axis=1) * words, times)
 
 
 def floodmin_traffic(ledger: LinkLedger, indptr: np.ndarray,

@@ -19,7 +19,8 @@ __all__ = ["KMachineMetrics"]
 
 @dataclass
 class KMachineMetrics:
-    """Counters accumulated by :func:`repro.kmachine.simulation.run_converted`.
+    """Counters a :class:`~repro.kmachine.ledger.LinkLedger` accumulates,
+    for the converted simulator and the native engine alike.
 
     Attributes
     ----------

@@ -12,9 +12,11 @@ machines' link, which carries only ``W`` words per round.
 
 This module implements that simulation *exactly*: it drives the
 message-level CONGEST engine round by round, observes every delivered
-message via :attr:`Network.round_observer`, bins cross-machine traffic
-per link, and charges ``ceil(busiest link load / W)`` k-machine rounds
-per CONGEST round (minimum 1 — the machines advance the simulated round
+message via :attr:`Network.round_observer`, and books the observed
+traffic on a :class:`~repro.kmachine.ledger.LinkLedger` — the ledger
+the native engine charges too — which bins cross-machine traffic per
+link and charges ``ceil(busiest link load / W)`` k-machine rounds per
+CONGEST round (minimum 1 — the machines advance the simulated round
 counter in lockstep even when no traffic crosses).
 
 Charging per CONGEST round (rather than amortising across rounds) is
@@ -36,14 +38,15 @@ the reference walkers gate the fast engines.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from repro.congest.message import payload_words
+import numpy as np
+
 from repro.congest.network import Network
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
+from repro.kmachine.ledger import LinkLedger
 from repro.kmachine.metrics import KMachineMetrics
 from repro.kmachine.partition import VertexPartition
 
@@ -75,37 +78,40 @@ class KMachineResult:
     partition: VertexPartition
 
 
-class _LinkAccountant:
-    """Per-round cross-machine load binning (the conversion's inner loop)."""
+#: Rounds the observer logs before booking them on the ledger; bounds
+#: the log to this many rounds of messages.
+_FLUSH_TICKS = 128
+
+
+class _TrafficLog:
+    """The conversion's round observer, booking on a :class:`LinkLedger`.
+
+    Logs every delivered message as a ``(tick, src, dst, words)`` row,
+    the kind tag charged as one word, and books each block of
+    :data:`_FLUSH_TICKS` rounds as one :meth:`LinkLedger.series`, idle
+    rounds included.
+    """
 
     def __init__(self, partition: VertexPartition, link_words: int):
-        if link_words < 1:
-            raise ValueError(f"link bandwidth must be positive, got {link_words}")
-        self.partition = partition
-        self.link_words = link_words
-        self.metrics = KMachineMetrics.empty(partition.k)
+        self.ledger = LinkLedger(partition, link_words)
+        self._rows: list[tuple[int, int, int, int]] = []
+        self._ticks = 0
 
     def observe(self, network: Network, outbox: list[tuple[int, int, tuple]]) -> None:
-        machine_of = self.partition.machine_of
-        metrics = self.metrics
-        round_loads: dict[tuple[int, int], int] = {}
-        for src, dst, payload in outbox:
-            words = 1 + payload_words(payload)  # kind tag charged as one word
-            a = int(machine_of[src])
-            b = int(machine_of[dst])
-            if a == b:
-                metrics.local_words += words
-                continue
-            link = (a, b) if a < b else (b, a)
-            round_loads[link] = round_loads.get(link, 0) + words
-            metrics.cross_words += words
-            metrics.link_words[link[0], link[1]] += words
-            metrics.recv_words_per_machine[b] += words
-        metrics.congest_rounds += 1
-        busiest = max(round_loads.values(), default=0)
-        if busiest > metrics.max_round_link_words:
-            metrics.max_round_link_words = busiest
-        metrics.kmachine_rounds += max(1, math.ceil(busiest / self.link_words))
+        tick = self._ticks
+        self._rows.extend([(tick, src, dst, len(payload))
+                           for src, dst, payload in outbox])
+        self._ticks = tick + 1
+        if self._ticks == _FLUSH_TICKS:
+            self.book()
+
+    def book(self) -> KMachineMetrics:
+        """Book the rounds logged so far; return the run's counters."""
+        rows = np.array(self._rows, dtype=np.int64).reshape(-1, 4)
+        self.ledger.series(*rows.T, span=self._ticks)
+        self._rows.clear()
+        self._ticks = 0
+        return self.ledger.metrics
 
 
 def run_converted(
@@ -152,10 +158,10 @@ def run_converted(
 
     network = Network(
         graph, protocol_factory, seed=seed, bandwidth_words=bandwidth_words)
-    accountant = _LinkAccountant(partition, link_words)
-    network.round_observer = accountant.observe
+    log = _TrafficLog(partition, link_words)
+    network.round_observer = log.observe
     network.run(max_rounds=max_rounds, raise_on_limit=raise_on_limit)
-    return KMachineResult(network=network, metrics=accountant.metrics,
+    return KMachineResult(network=network, metrics=log.book(),
                           partition=partition)
 
 
@@ -171,8 +177,9 @@ def run_converted_hc(
     """Convert one of the paper's HC algorithms to the k-machine model.
 
     Convenience wrapper: runs ``algorithm`` ("dra", "dhc1" or "dhc2")
-    through its normal front end while a :class:`_LinkAccountant`
-    observes the execution, and returns both the usual
+    through its normal front end while a round observer books the
+    execution's traffic on a :class:`~repro.kmachine.ledger.LinkLedger`,
+    and returns both the usual
     :class:`~repro.engines.results.RunResult` (success, cycle, CONGEST
     rounds) and the :class:`KMachineMetrics`.
 
@@ -186,7 +193,7 @@ def run_converted_hc(
     CLI's ``--k-machines`` flag.
 
     A ``network=`` model (e.g. one carrying a fault plan) passes
-    through to the runner with the accountant composed onto its
+    through to the runner with the round observer composed onto its
     ``network_hook``; the caller's own hook runs first.  Async models
     are refused: the round observer is synchronous-mode only.
     """
@@ -206,7 +213,7 @@ def run_converted_hc(
             "k-machine conversion re-costs a synchronous execution; it "
             "does not compose with an async network model")
     partition = VertexPartition.random(graph.n, k_machines, seed=seed)
-    accountant = _LinkAccountant(partition, link_words)
+    log = _TrafficLog(partition, link_words)
     caller_hook = model.network_hook
 
     def hook(network: Network) -> None:
@@ -217,14 +224,14 @@ def run_converted_hc(
         def observe(net: Network, outbox) -> None:
             if previous is not None:
                 previous(net, outbox)
-            accountant.observe(net, outbox)
+            log.observe(net, outbox)
 
         network.round_observer = observe
 
     result = spec.call(graph, seed=seed,
                        network=replace(model, network_hook=hook),
                        **algorithm_kwargs)
-    return result, accountant.metrics
+    return result, log.book()
 
 
 def conversion_round_bound(

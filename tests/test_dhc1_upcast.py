@@ -2,9 +2,14 @@
 
 import math
 
+import pytest
+
+import repro
+from repro.cli import _sample_graph
+from repro.congest.model import NetworkModel
 from repro.core import run_dhc1, run_trivial, run_upcast, upcast_sample_size
 from repro.core.dhc1 import default_sqrt_colors
-from repro.graphs import gnp_random_graph
+from repro.graphs import Graph, gnp_random_graph
 from repro.verify import is_hamiltonian_cycle
 
 from tests.conftest import complete
@@ -21,6 +26,7 @@ class TestDhc1:
         res = run_dhc1(g, k=5, seed=4)
         assert res.success
         assert is_hamiltonian_cycle(g, res.cycle)
+        assert "fail" not in res.detail
 
     def test_more_hypernodes(self):
         g = dhc1_graph(324, c=2.0, seed=4)
@@ -54,6 +60,43 @@ class TestDhc1:
         words = res.detail["state_words"]
         assert max(words) < 100 * (max_deg + 50)
         assert max(words) < 4 * (sum(words) / len(words))  # balanced
+
+
+def _cliques(*sizes):
+    edges, base = [], 0
+    for size in sizes:
+        edges += [(a, b) for a in range(base, base + size)
+                  for b in range(a + 1, base + size)]
+        base += size
+    return Graph(base, edges)
+
+
+# name: (graph, k, seed, cause).  Sparse G(n, p) below DHC1's regime fails
+# in Phase 1; one colour class leaves a one-hypernode virtual walk.
+DHC1_FAIL_CASES = {
+    **{f"gnp64-{s}": (_sample_graph("gnp", 64, 0.5, 1.5, s)[0], None, s,
+                      cause)
+       for s, cause in enumerate(("partition-disconnected", "walk-1",
+                                  "walk-1", "walk-1"))},
+    "triangle+isolated": (Graph(4, [(0, 1), (1, 2), (2, 0)]), None, 0,
+                          "isolated-node"),
+    "two-k4": (_cliques(4, 4), 1, 0, "global-bfs-unreachable"),
+    "one-class": (dhc1_graph(40, c=4.0), 1, 0, "virtual-walk-3"),
+}
+
+
+class TestDhc1FailureCause:
+    """The CONGEST runs name the cause ``kmachine`` names for the same run."""
+
+    @pytest.mark.parametrize("network", [None, NetworkModel(mode="async")],
+                             ids=["sync", "async"])
+    @pytest.mark.parametrize("case", sorted(DHC1_FAIL_CASES))
+    def test_congest_cause_matches_kmachine(self, case, network):
+        graph, k, seed, cause = DHC1_FAIL_CASES[case]
+        native = repro.run(graph, "dhc1", engine="kmachine", k=k, seed=seed)
+        slow = run_dhc1(graph, k=k, seed=seed, network=network)
+        assert not native.success and not slow.success
+        assert slow.detail["fail"] == native.detail["fail"] == cause
 
 
 class TestUpcast:

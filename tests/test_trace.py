@@ -77,22 +77,22 @@ class TestTraceRecorder:
     def test_chains_with_existing_observer(self):
         # Attach on top of k-machine accounting: both observers must see
         # the full traffic of the same run.
-        from repro.kmachine.simulation import _LinkAccountant
+        from repro.kmachine.simulation import _TrafficLog
 
         graph = gnp_random_graph(32, paper_probability(32, 0.5, 6.0), seed=2)
         part = VertexPartition.round_robin(32, 2)
-        accountant = _LinkAccountant(part, link_words=16)
+        log = _TrafficLog(part, link_words=16)
         recorder = TraceRecorder()
 
         def hook(network):
-            network.round_observer = accountant.observe
+            network.round_observer = log.observe
             recorder.attach(network)  # must chain, not clobber
 
         result = run_dra(graph, seed=2, network=NetworkModel(network_hook=hook))
+        metrics = log.book()
         assert recorder.total_seen == result.messages
-        assert (accountant.metrics.cross_words
-                + accountant.metrics.local_words) > 0
-        assert accountant.metrics.congest_rounds == result.rounds
+        assert metrics.cross_words + metrics.local_words > 0
+        assert metrics.congest_rounds == result.rounds
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
