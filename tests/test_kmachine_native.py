@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.engines import kmachine_dhc1
 from repro.engines.kmachine_engine import DEFAULT_K_MACHINES
 from repro.engines.registry import REGISTRY
 from repro.graphs import gnp_random_graph, paper_probability
@@ -282,6 +283,41 @@ class TestStructuralDrivers:
         fast = repro.run(g, "turau", engine="fast", seed=1)
         assert native.rounds == fast.rounds
         assert native.detail["fail"] == fast.detail["fail"]
+
+    def test_dhc1_ported_walk_matches_congest(self, monkeypatch):
+        # The ported virtual walk over G' against the message-level
+        # RotationWalk it replays: dense graphs whose hypernode walks
+        # rotate and retry, plus a virtual-walk failure.  The walker is
+        # found by its ``_hit`` method, and a recording subclass counts
+        # the outcomes so the grid is known to exercise both port rules.
+        (walker,) = [obj for obj in vars(kmachine_dhc1).values()
+                     if isinstance(obj, type) and hasattr(obj, "_hit")]
+        outcomes = []
+
+        class RecordingWalk(walker):
+            def _hit(self, *args):
+                outcome, head = super()._hit(*args)
+                outcomes.append(outcome)
+                return outcome, head
+
+        monkeypatch.setattr(kmachine_dhc1, walker.__name__, RecordingWalk)
+        grid = [(gnp_random_graph(100, 0.8, seed=g), 8, seed)
+                for g in (0, 1) for seed in (0, 1, 2)]
+        grid.append((gnp_random_graph(48, 0.7, seed=1), 3, 1))
+        successes, causes = 0, set()
+        for g, k, seed in grid:
+            native = repro.run(g, "dhc1", engine="kmachine", k=k, seed=seed)
+            congest = repro.run(g, "dhc1", engine="congest", k=k, seed=seed)
+            context = f"n={g.n} k={k} seed={seed}"
+            assert native.success == congest.success, context
+            assert native.cycle == congest.cycle, context
+            assert native.steps == congest.steps, context
+            assert native.detail.get("fail") == congest.detail.get("fail"), context
+            successes += native.success
+            causes.add(native.detail.get("fail"))
+        assert successes >= 3
+        assert "virtual-walk-1" in causes
+        assert {"rotate", "retry"} <= set(outcomes)
 
     def test_dhc1_failures_report_charged_rounds(self):
         # A failed DHC1 run reports the rounds its ledger charged up to
