@@ -6,9 +6,11 @@ simulator across the sweep sizes, and writes the series to
 performance trajectory to compare against.
 
 ``fast-py`` is no longer a registered engine (retired after its
-deprecation release); its walkers remain importable as the parity
-suite's oracles, and this benchmark times them via direct import so
-the trajectory series keeps its historical key.
+deprecation release); its walkers live in ``tests/oracles.py`` as the
+parity suite's oracles, and this benchmark times them by importing
+that module (run it from the repository root, as for
+``benchmarks.conftest``) so the trajectory series keeps its
+historical key.
 
 Checks (shape, not absolute numbers):
 
@@ -77,12 +79,11 @@ from pathlib import Path
 
 import repro
 from repro.engines import _jit
-from repro.engines.fast import _dra_fast_py
-from repro.engines.fast_dhc2 import _dhc2_fast_py
 from repro.engines.registry import REGISTRY
 from repro.graphs import gnp_random_graph
 
 from benchmarks.conftest import show
+from tests.oracles import _dhc2_fast_py, _dra_fast_py
 
 #: The unregistered pure-Python oracles, timed under their old label.
 _ORACLES = {"dra": _dra_fast_py, "dhc2": _dhc2_fast_py}

@@ -9,9 +9,8 @@ Three ways to execute the library's algorithms:
   CONGEST protocol follows.  Used for large-n scaling experiments;
   cross-validated by integration tests.  It runs on the array-native
   CSR kernel (:mod:`repro.engines.arraywalk`); the pure-Python walker
-  it replaced survives unregistered in :mod:`repro.engines.fast` as
-  the parity suite's test-only oracle (the ``fast-py`` engine name
-  was retired after its deprecation release);
+  it replaced (the retired ``fast-py`` engine) lives outside the
+  package, in ``tests/oracles.py``, as the parity suite's oracle;
 * the sequential engine (:mod:`repro.sequential`) — centralized
   solvers used as oracles and comparators.
 

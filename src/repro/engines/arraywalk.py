@@ -3,9 +3,10 @@
 This module is the step-level engines' hot core, rewritten on raw CSR
 buffers (:attr:`repro.graphs.adjacency.Graph.indptr` /
 :attr:`~repro.graphs.adjacency.Graph.indices`).  The pure-Python
-walker (:class:`repro.engines.fast._FastWalk`) scans a Python edge
-list and a dead-edge *set* on every step; at n=2048 that scan is the
-dominant sweep cost.  Here the same walk runs on:
+walker it replaced (now the parity oracle in ``tests/oracles.py``)
+scans a Python edge list and a dead-edge *set* on every step; at
+n=2048 that scan is the dominant sweep cost.  Here the same walk runs
+on:
 
 * **live-neighbour lists** (:func:`live_rows`): one Python list per
   node holding its not-yet-traversed neighbours in sorted CSR order,
@@ -33,9 +34,9 @@ at each step the head ``v`` draws exactly one
 ``rngs[v].integers(k)`` where ``k`` is the count of its remaining
 (non-dead) edges, listed in sorted CSR order — the same count and
 order the distributed walk sees.  That invariant is what makes the
-``fast`` engine cycle/step/round-identical to ``congest`` and
-``fast-py`` (enforced by the registry ``parity`` declarations and
-``tests/test_engine_parity.py``).
+``fast`` engine cycle/step/round-identical to ``congest`` and to the
+``fast-py`` oracles in ``tests/oracles.py`` (enforced by the registry
+``parity`` declarations and ``tests/test_engine_parity.py``).
 
 CSR invariants the kernel relies on
 -----------------------------------
@@ -111,9 +112,9 @@ def tree_completion_times(indptr: np.ndarray, indices: np.ndarray,
                           start_round: int) -> np.ndarray:
     """Per-member round at which the done-report leaves each node.
 
-    The same recursion as
-    :func:`repro.engines.fast.bfs_completion_round` — ``done(v) =
-    max(join(v) + 1, peer responses, children done + 1)`` — evaluated
+    The same recursion as the parity oracle's completion-round helper
+    (``tests/oracles.py``) — ``done(v) = max(join(v) + 1, peer
+    responses, children done + 1)`` — evaluated
     level by level from the deepest up.  The peer-response term is a
     masked per-row ``maximum.reduceat`` over the members' CSR rows, the
     per-level child term a ``maximum.at`` scatter (each measured the
@@ -192,10 +193,10 @@ def tree_eccentricities(depth: np.ndarray, parent: np.ndarray,
 class ArrayTree:
     """Vectorised replay of the min-id BFS spanning tree.
 
-    Produces the same tree (root, parents, depths) as
-    :func:`repro.engines.fast.build_min_id_bfs_tree` and the same
+    Produces the same tree (root, parents, depths) as the parity
+    oracle's min-id BFS builder (``tests/oracles.py``) and the same
     timing quantities (:meth:`completion_round`,
-    :meth:`eccentricity`) as the pure-Python helpers, computed with
+    :meth:`eccentricity`) as its pure-Python helpers, computed with
     whole-level numpy operations over the CSR.
     """
 
@@ -242,7 +243,7 @@ def build_array_tree(indptr: np.ndarray, indices: np.ndarray,
     deadline).
 
     The CSR must be member-closed (see module docstring).  Matches
-    :func:`repro.engines.fast.build_min_id_bfs_tree`: BFS depths from
+    the parity oracle's min-id BFS builder: BFS depths from
     ``root``, then each non-root member's parent is its *minimum-id*
     neighbour one level up — the offer the distributed protocol keeps.
     """
@@ -293,12 +294,12 @@ def _recentre(buf: np.ndarray, pos: np.ndarray, ramp: np.ndarray,
 class ArrayWalk:
     """The rotation walk of Algorithm 1 on live-neighbour lists.
 
-    Decision-identical to :class:`repro.engines.fast._FastWalk` in its
-    unported mode (the mode both step-level engines use): same RNG
-    draws, same edge kills, same extension/rotation/win sequence, same
-    round accounting and failure codes.  The ported (DHC1 virtual
-    walk) variant stays on the Python walker — port bookkeeping is
-    per-edge state the neighbour lists do not model.
+    Decision-identical to the parity oracle's walker
+    (``tests/oracles.py``): same RNG draws, same edge kills, same
+    extension/rotation/win sequence, same round accounting and failure
+    codes.  DHC1's ported virtual walk runs on its own walker
+    (:class:`repro.engines.kmachine_dhc1._PortedWalk`): port
+    bookkeeping is per-edge state the neighbour lists do not model.
 
     The path lives in a window ``[lo, hi)`` of an int64 buffer four
     times the participant count, read tail-to-head when ``fwd`` is

@@ -18,10 +18,10 @@ pacing.  Cross-engine tests bound the ratio; scaling *shape* (the
 (:mod:`repro.engines.phase1_replay` — also what the native k-machine
 DHC1/DHC2 engines consume) on the array kernel
 (:mod:`repro.engines.arraywalk`) over a colour-filtered CSR built in
-one vectorised pass; ``_dhc2_fast_py`` keeps the pure-Python walker
-as a test-only parity oracle (formerly registered as
-``engine="fast-py"``, retired after its deprecation release).
-Phase 2 is deterministic and shared verbatim by both.  Its replay
+one vectorised pass.  The pure-Python parity oracle (once
+registered as ``engine="fast-py"``) lives in ``tests/oracles.py`` and
+imports :func:`_phase2` and :func:`_fail`
+from here: Phase 2 is deterministic and shared verbatim by both.  Its replay
 stops each merge at the first valid bridge in ``(v, w)`` order, which
 is the one the protocol selects; the k-machine engine still charges
 the full bridge scan every class-A node makes.
@@ -29,12 +29,9 @@ the full bridge scan every class-A node makes.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.analysis.bounds import diameter_budget, dra_step_budget
+from repro.analysis.bounds import diameter_budget
 from repro.core.dhc2 import default_color_count
 from repro.core.phase1 import colors_at_level, merge_levels, resolve_colors
-from repro.engines.fast import _FastWalk, bfs_completion_round, build_min_id_bfs_tree
 from repro.engines.phase1_replay import color_partition, replay_partition_walks
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
@@ -70,61 +67,6 @@ def _dhc2_fast(
         return _fail(n, colors, p1.fail_round, p1.fail_reason, "fast")
 
     return _phase2(graph, p1.cycles, colors, p1.phase1_end, p1.steps, "fast")
-
-
-def _dhc2_fast_py(
-    graph: Graph,
-    *,
-    delta: float = 0.5,
-    k: int | None = None,
-    seed: int = 0,
-) -> RunResult:
-    """Algorithm 3 on the pure-Python walker (the kernel's parity oracle)."""
-    n = graph.n
-    colors = resolve_colors(k, lambda: default_color_count(n, delta))
-    seeds = np.random.SeedSequence(seed).spawn(n) if n else []
-    rngs = [np.random.default_rng(s) for s in seeds]
-
-    color_of = np.array([1 + int(rngs[v].integers(colors)) for v in range(n)], dtype=np.int64)
-    classes: dict[int, list[int]] = {c: [] for c in range(1, colors + 1)}
-    for v in range(n):
-        classes[int(color_of[v])].append(v)
-
-    def same_color_neighbors(v: int) -> list[int]:
-        return [int(w) for w in graph.neighbors(v) if color_of[w] == color_of[v]]
-
-    # -- Phase 1: replay every partition walk ------------------------------------
-    elect_budget = diameter_budget(max(3, (2 * n) // max(1, colors)))
-    phase1_start = 1 + elect_budget  # colour round + election deadline
-    cycles: dict[int, list[int]] = {}
-    steps = 0
-    phase1_end = phase1_start
-    for c, members in classes.items():
-        if not members:
-            return _fail(n, colors, phase1_start, "empty-partition", "fast-py")
-        tree = build_min_id_bfs_tree(members, same_color_neighbors, root=min(members))
-        if tree is None:
-            return _fail(n, colors, phase1_start, "partition-disconnected",
-                         "fast-py")
-        finish = bfs_completion_round(tree, same_color_neighbors, phase1_start)
-        walk = _FastWalk(
-            size=len(members),
-            edges_of=lambda v: [(w, 0, 0) for w in same_color_neighbors(v)],
-            rngs=rngs,
-            initial_head=tree.root,
-            step_budget=dra_step_budget(len(members)),
-            tree_depth=max(1, tree.tree_depth),
-            start_round=finish + 1,
-        )
-        walk.run()
-        steps = max(steps, walk.steps)
-        if not walk.success:
-            return _fail(n, colors, walk.end_round, f"walk-{walk.fail_code}",
-                         "fast-py")
-        cycles[c] = walk.cycle()
-        phase1_end = max(phase1_end, walk.end_round + tree.eccentricity(walk.flood_initiator))
-
-    return _phase2(graph, cycles, colors, phase1_end, steps, "fast-py")
 
 
 def _phase2(graph: Graph, cycles: dict[int, list[int]], colors: int,

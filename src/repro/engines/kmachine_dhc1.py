@@ -21,11 +21,13 @@ the same per-node RNG streams in the same order as
    :class:`VirtualEdge` realizations and the far map keeps the last
    (largest ``phys``) entry, exactly as ``Dhc1Protocol`` builds
    ``_vedges`` / ``_far``.
-4. **Ported virtual walk** — :class:`repro.engines.fast._FastWalk` in
-   the ported mode it was built for, with per-hypernode streams taken
-   from the holders' generators; the min-id virtual BFS tree supplies
-   root/size, and the walk's winning closure edge (``win_edge``) feeds
-   the stitching.
+4. **Ported virtual walk** — :class:`_PortedWalk`, the replay of the
+   ported :class:`~repro.core.rotation.RotationWalk`, with
+   per-hypernode streams taken from the holders' generators; the
+   min-id virtual BFS tree (:func:`~repro.engines.arraywalk.build_array_tree`
+   over a CSR of G') supplies the depth its rotation floods are
+   charged at, and the walk's winning closure edge (``win_edge``)
+   feeds the stitching.
 5. **Stitching** (Fig. 1) — each class's entry/exit ports and the
    ``_far`` lookup reproduce every node's ``global_succ``, flattened
    from node 0 like the CONGEST engine.
@@ -42,7 +44,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.bounds import diameter_budget, dra_step_budget
-from repro.engines.fast import _FastWalk, build_min_id_bfs_tree
 from repro.engines.kmachine_engine import (
     DEFAULT_LINK_WORDS,
     _charged_global_tree,
@@ -161,25 +162,25 @@ def _dhc1_kmachine(
     ledger.flood(gprofile, 1, times=2)        # barrier 2
 
     # -- virtual BFS + ported walk over G' --------------------------------------
-    vpeers = {c: sorted({e[0] for e in realizations[c]})
-              for c in range(1, colors + 1)}
-    vtree = build_min_id_bfs_tree(list(range(1, colors + 1)),
-                                  lambda c: vpeers[c], root=1)
+    # G' as a CSR over ids 0..colors (row 0, no hypernode, stays empty).
+    vpeers = [[]] + [sorted({e[0] for e in realizations[c]})
+                     for c in range(1, colors + 1)]
+    vindptr = np.cumsum([0] + [len(row) for row in vpeers], dtype=np.int64)
+    vindices = np.array([c for row in vpeers for c in row], dtype=np.int64)
+    vtree = build_array_tree(vindptr, vindices,
+                             np.arange(1, colors + 1, dtype=np.int64), root=1)
     if vtree is None:
         return _dhc1_fail(ledger, colors, "virtual-bfs-unreachable")
     latency = 3  # a virtual hop is at most 3 physical hops
     vdepth = max(1, vtree.tree_depth)
     ledger.uniform_burst(4 * colors, 3,
                          ticks=latency * (2 * vtree.tree_depth + 4))
-    vwalk = _FastWalk(
-        size=colors,
-        edges_of=lambda c: [(h, mp, tp) for h, mp, tp, _f in realizations[c]],
+    vwalk = _PortedWalk(
+        edges={c: [(h, mp, tp) for h, mp, tp, _f in realizations[c]]
+               for c in range(1, colors + 1)},
         rngs={c: rngs[int(holder[c])] for c in range(1, colors + 1)},
-        initial_head=1,
+        size=colors,
         step_budget=dra_step_budget(colors),
-        tree_depth=vdepth,
-        start_round=0,
-        ported=True,
     )
     vwalk.run()
     ledger.uniform_burst(3 * max(1, vwalk.steps), 6,
@@ -197,11 +198,11 @@ def _dhc1_kmachine(
     succ_global: dict[int, int] = {}
     for i, c in enumerate(vorder):
         vsucc = vorder[(i + 1) % colors]
-        pred_port, succ_port = vwalk._bound[c]
+        pred_port, succ_port = vwalk.bound[c]
         if c == vhead:
             _head, _target, succ_port, succ_peer_port = vwalk.win_edge
         else:
-            succ_peer_port = vwalk._bound[vsucc][0]
+            succ_peer_port = vwalk.bound[vsucc][0]
         exit_phys = int(holder[c] if succ_port == _ROLE_U else partner[c])
         next_entry = far[c][(vsucc, succ_port, succ_peer_port)]
         entry_is_u = pred_port == _ROLE_U
@@ -229,3 +230,125 @@ def _dhc1_kmachine(
     )
     return _finish(result, ledger)
 
+
+class _PortedWalk:
+    """Centralised replay of the ported :class:`repro.core.rotation.RotationWalk`.
+
+    The walk runs over G', starting at hypernode 1 (the virtual BFS
+    root).  ``edges[c]`` lists hypernode ``c``'s virtual-edge triples
+    ``(peer, my_port, peer_port)`` in exactly the order
+    :class:`~repro.core.dhc1.Dhc1Protocol` builds them, and ``rngs[c]``
+    is the same generator stream; those two invariants make the replay
+    decision-identical.
+
+    Every path edge occupies a port at each end, recorded in
+    ``bound[c] = (pred_port, succ_port)``.  A hit on an interior node's
+    predecessor-side port is discarded and retried; a rotation rebinds
+    the reversed segment's ports.  The stitching reads ``bound`` and
+    the winning closure edge ``win_edge``.
+    """
+
+    def __init__(self, *, edges, rngs, size, step_budget):
+        self.edges = edges
+        self.rngs = rngs
+        self.size = size
+        self.step_budget = step_budget
+
+        self.success = False
+        self.fail_code = 0
+        self.steps = 0
+        self.rotations = 0
+        #: The winning closure edge ``(head, tail, my_port, their_port)``.
+        #: ``RotationWalk`` binds the head's successor ports before the
+        #: win flood.
+        self.win_edge: tuple[int, int, int, int] | None = None
+        self.bound: dict[int, tuple[int, int]] = {}
+
+        self._dead: set[tuple[int, int, int, int]] = set()  # (owner, peer, my, their)
+        self._path: list[int] = []
+        self._pos: dict[int, int] = {}
+        self._free_port: dict[int, int | None] = {}
+
+    def run(self) -> None:
+        from repro.core.rotation import FAIL_BUDGET, FAIL_NO_EDGES, FAIL_TOO_SMALL
+
+        if self.size < 3:
+            self.fail_code = FAIL_TOO_SMALL
+            return
+        head = 1
+        self._path = [head]
+        self._pos[head] = 0
+        self._free_port[head] = None
+        for step in range(1, self.step_budget + 1):
+            free = self._free_port[head]
+            usable = [e for e in self.edges[head]
+                      if (head, *e) not in self._dead
+                      and (free is None or e[1] == free)]
+            if not usable:
+                self.fail_code = FAIL_NO_EDGES
+                return
+            target, my_port, their_port = usable[
+                int(self.rngs[head].integers(len(usable)))]
+            self.steps = step
+            self._dead.add((head, target, my_port, their_port))
+            self._dead.add((target, head, their_port, my_port))
+            if free is None:  # the initial head binds its first edge
+                self._free_port[head] = 1 - my_port
+
+            if target not in self._pos:
+                # Extension: the target joins the path as the new head.
+                self.bound[head] = (self.bound.get(head, (0, 0))[0], my_port)
+                self._pos[target] = len(self._path)
+                self._path.append(target)
+                self.bound[target] = (their_port, 0)
+                self._free_port[target] = 1 - their_port
+                head = target
+                continue
+            outcome, head = self._hit(head, target, my_port, their_port)
+            if outcome == "win":
+                self.success = True
+                return
+            if outcome == "rotate":
+                self.rotations += 1
+        self.fail_code = FAIL_BUDGET
+
+    def _hit(self, head: int, target: int, my_port: int, their_port: int):
+        """Progress landed on an on-path node: closure, retry, or rotation."""
+        tpos = self._pos[target]
+        tail = tpos == 0
+        t_pred_port, t_succ_port = self.bound[target]
+        if (tail and their_port == self._free_port[target]
+                and len(self._path) == self.size):
+            self.bound[target] = (their_port, t_succ_port)
+            self.win_edge = (head, target, my_port, their_port)
+            return "win", head
+        if not tail and their_port != t_succ_port:
+            return "retry", head
+        # Rotation at j = tpos + 1 (1-based), head at h: reverse positions
+        # j+1..h, i.e. list indices tpos+1 .. h-1.
+        seg = self._path[tpos + 1:]
+        seg.reverse()
+        self._path[tpos + 1:] = seg
+        for offset, v in enumerate(seg):
+            self._pos[v] = tpos + 1 + offset
+        # Port rebinding mirrors RotationWalk._on_rotation.
+        if tail:
+            self._free_port[target] = 1 - their_port
+        self.bound[target] = (t_pred_port, their_port)
+        for v in seg:
+            p, s = self.bound[v]
+            if v == head and len(seg) == 1:  # the head hit its own predecessor
+                self.bound[v] = (my_port, 0)
+                self._free_port[v] = p
+            elif v == head:
+                self.bound[v] = (my_port, p)
+            elif v == seg[-1]:  # the new head: pred-side port freed
+                self.bound[v] = (s, 0)
+                self._free_port[v] = p
+            else:
+                self.bound[v] = (s, p)
+        return "rotate", self._path[-1]
+
+    def cycle(self) -> list[int]:
+        """The walk's path in order, tail first (the cycle on a win)."""
+        return list(self._path)

@@ -68,11 +68,14 @@ class KMachineMetrics:
         return int(a), int(b), int(self.link_words[a, b])
 
     def link_imbalance(self) -> float:
-        """Max/mean words over links that carried anything (1.0 = even).
+        """Max/mean words per link, the mean over all ``k(k-1)/2`` links.
 
-        The Conversion Theorem's efficiency rests on RVP spreading each
-        round's traffic evenly over the ``k(k-1)/2`` links; this measures
-        how true that is for a finished run.
+        1.0 means even; idle links count in the mean, so a run whose
+        traffic used one link scores ``k(k-1)/2``.  The Conversion
+        Theorem's efficiency rests on RVP spreading each round's
+        traffic evenly over the links; this measures how true that is
+        for a finished run.  A run with no cross-machine traffic
+        scores 1.0.
         """
         if self.k < 2:
             return 1.0

@@ -8,9 +8,11 @@ on successes and failures alike.
 
 The walkers spent their one deprecation release registered as
 ``engine="fast-py"``; that registry entry is retired, and they now
-live on *only* as this suite's oracles, imported directly
-(``_dra_fast_py`` / ``_dhc2_fast_py``) rather than dispatched through
-``repro.run``.
+live on *only* as this suite's oracles in ``tests/oracles.py``
+(``_dra_fast_py`` / ``_dhc2_fast_py``), imported directly rather than
+dispatched through ``repro.run``.  The shipped package keeps only what
+they share with the kernel engines: DRA's result assembly and DHC2's
+Phase 2.
 
 The kernel's tree helpers are also checked structurally against the
 Python originals, since round accounting flows through them.
@@ -23,14 +25,8 @@ import pytest
 
 import repro
 from repro.core.rotation import FAIL_NO_EDGES
-from repro.engines import arraywalk, batchwalk, fast
+from repro.engines import arraywalk, batchwalk, fast, fast_dhc2
 from repro.engines.arraywalk import build_array_tree
-from repro.engines.fast import (
-    _dra_fast_py,
-    bfs_completion_round,
-    build_min_id_bfs_tree,
-)
-from repro.engines.fast_dhc2 import _dhc2_fast_py
 from repro.engines.registry import REGISTRY
 from repro.graphs import (
     Graph,
@@ -38,6 +34,14 @@ from repro.graphs import (
     gnm_random_graph,
     gnp_random_graph,
     random_regular_graph,
+)
+
+from tests import oracles
+from tests.oracles import (
+    _dhc2_fast_py,
+    _dra_fast_py,
+    bfs_completion_round,
+    build_min_id_bfs_tree,
 )
 
 SIZES = [16, 64, 256]
@@ -92,8 +96,8 @@ def dra_with_final_paths(monkeypatch, graph, seed, **kwargs):
 
     monkeypatch.setattr(arraywalk, "ArrayWalk",
                         recording(arraywalk.ArrayWalk, kernel_walks))
-    monkeypatch.setattr(fast, "_FastWalk",
-                        recording(fast._FastWalk, oracle_walks))
+    monkeypatch.setattr(oracles, "_FastWalk",
+                        recording(oracles._FastWalk, oracle_walks))
     kernel = repro.run(graph, "dra", engine="fast", seed=seed, **kwargs)
     oracle = _dra_fast_py(graph, seed=seed, **kwargs)
     assert len(kernel_walks) == len(oracle_walks) == 1
@@ -451,6 +455,12 @@ class TestFastPyRetirement:
     def test_oracles_stay_importable(self):
         g = sample("gnp", 16, 8.0, seed=1)
         assert _dra_fast_py(g, seed=1).engine == "fast-py"
+        for module, names in ((fast, ("_dra_fast_py", "_FastWalk",
+                                      "SpanningTree", "build_min_id_bfs_tree",
+                                      "bfs_completion_round")),
+                              (fast_dhc2, ("_dhc2_fast_py",))):
+            for name in names:
+                assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
 class TestTreeHelpers:

@@ -1,9 +1,9 @@
-"""Unit tests for the fast engine's tree/timing helpers."""
+"""Unit tests for the parity oracles' tree/timing helpers."""
 
-from repro.engines.fast import SpanningTree, bfs_completion_round, build_min_id_bfs_tree
 from repro.graphs import Graph
 
 from tests.conftest import path_graph, ring
+from tests.oracles import SpanningTree, bfs_completion_round, build_min_id_bfs_tree
 
 
 class TestMinIdBfsTree:

@@ -18,6 +18,7 @@ from repro.core import run_dra
 from repro.graphs import gnp_random_graph, paper_probability
 from repro.graphs.adjacency import Graph
 from repro.kmachine import (
+    KMachineMetrics,
     VertexPartition,
     conversion_round_bound,
     run_converted,
@@ -210,6 +211,15 @@ class TestLinkAccounting:
             graph, _OneShotSend, k=2, partition=part, max_rounds=8, link_words=1)
         assert narrow.metrics.congest_rounds == wide.metrics.congest_rounds
         assert narrow.metrics.kmachine_rounds > wide.metrics.kmachine_rounds
+
+    def test_link_imbalance_mean_counts_idle_links(self):
+        # One busy link out of k(k-1)/2: the mean runs over every link,
+        # so the ratio is the link count, not 1.0.
+        k = 8
+        m = KMachineMetrics.empty(k)
+        m.link_words[2, 5] = 12
+        assert m.link_imbalance() == pytest.approx(k * (k - 1) / 2)
+        assert KMachineMetrics.empty(k).link_imbalance() == 1.0
 
     def test_partition_shape_mismatch_rejected(self):
         graph = Graph(3, [(0, 1), (1, 2)])
