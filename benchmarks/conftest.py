@@ -7,10 +7,10 @@ record via ``extra_info``, and asserts the *shape* the paper predicts
 (fitted exponents, orderings, crossovers) — not absolute numbers.
 
 Monte Carlo sweeps go through :func:`harness_sweep` — the same
-scheduler/store/seed-tree layer (:mod:`repro.harness`) the CLI and
+runner/store/seed-tree layer (:mod:`repro.harness`) the CLI and
 examples use — instead of hand-rolled seed loops, so benchmark trials
-share the library's determinism guarantees and can be parallelised or
-work-stolen without touching the experiment code.
+share the library's determinism guarantees and can be parallelised
+without touching the experiment code.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from repro.analysis import fit_power_law
 from repro.harness import MemoryStore, ParallelTrialRunner, TrialRunner
 
 
-def harness_sweep(trial_fn, points, *, trials, master_seed, jobs=1,
-                  schedule="ordered"):
+def harness_sweep(trial_fn, points, *, trials, master_seed, jobs=1):
     """Run a benchmark sweep through the harness orchestration layer.
 
     ``trial_fn(point, seed)`` follows the
@@ -30,14 +29,13 @@ def harness_sweep(trial_fn, points, *, trials, master_seed, jobs=1,
     ``RunResult`` or a mapping with ``success``).  Records land in a
     :class:`~repro.harness.MemoryStore` (benchmarks re-run from
     scratch by design); seeds derive from ``(master_seed, point #,
-    trial #)`` whatever ``jobs``/``schedule`` says, so a benchmark's
+    trial #)`` whatever ``jobs`` says, so a benchmark's
     numbers are identical serial or parallel.
     """
     store = MemoryStore()
     if jobs and jobs > 1:
         runner = ParallelTrialRunner(trial_fn, master_seed=master_seed,
-                                     store=store, jobs=jobs,
-                                     schedule=schedule)
+                                     store=store, jobs=jobs)
     else:
         runner = TrialRunner(trial_fn, master_seed=master_seed, store=store)
     return runner.run(points, trials=trials)

@@ -14,8 +14,9 @@ It then walks the orchestration layer:
 1. the same sweep on a :class:`ParallelTrialRunner` — shared seed
    derivation, so the parallel run reproduces the serial trials bit
    for bit while using every core;
-2. the work-stealing scheduler on a skewed grid — completion order
-   changes, canonical records don't;
+2. a skewed grid — idle workers pull the next small chunk instead of
+   waiting behind the expensive column, and the parent still writes
+   the store in serial order;
 3. a two-shard split with :class:`ShardedStore` backends — two
    "hosts" each run a disjoint slice off the same master seed tree,
    and :func:`merge_stores` fuses them back into the serial records.
@@ -87,8 +88,6 @@ def main() -> None:
     print()
     print("The same sweep on 4 worker processes (fresh store) derives the")
     print("same seed tree, so every trial reproduces bit for bit:")
-    # chunksize auto-sizes from the sweep (amortising IPC for fast
-    # vectorised trials); any explicit value gives identical records.
     parallel = ParallelTrialRunner(trial, master_seed=42, jobs=4)
     ptrials = parallel.run(grid, trials=10)
     assert [t.canonical_json() for t in ptrials] == \
@@ -97,18 +96,21 @@ def main() -> None:
           f"(seeds, success, metrics).")
 
     print()
-    print("On a skewed grid (n=32 points beside n=256 points), the")
-    print("work-stealing scheduler keeps idle workers pulling chunks")
-    print("instead of waiting behind the expensive column — and still")
-    print("produces the same canonical records:")
+    print("On a skewed grid (n=32 points beside n=256 points), idle")
+    print("workers keep pulling small chunks instead of waiting behind")
+    print("the expensive column, while the parent writes records in")
+    print("submission order — so the store file matches a serial run's")
+    print("line for line (the wall-clock elapsed_s aside):")
     skewed = ParameterGrid(n=[32, 256], c=[4.0, 6.0])
     serial_sk = TrialRunner(trial, master_seed=7).run(skewed, trials=6)
-    stolen = ParallelTrialRunner(trial, master_seed=7, jobs=4,
-                                 schedule="work-stealing").run(
-        skewed, trials=6)
-    assert [t.canonical_json() for t in stolen] == \
+    skewed_store = JsonlStore(workdir / "skewed.jsonl")
+    ParallelTrialRunner(trial, master_seed=7, jobs=4,
+                        store=skewed_store).run(skewed, trials=6)
+    written = skewed_store.load()  # file order
+    assert [t.canonical_json() for t in written] == \
         [t.canonical_json() for t in serial_sk]
-    print(f"  {len(stolen)} work-stolen trials == serial trials.")
+    print(f"  {len(written)} parallel store records == serial trials, "
+          f"in order.")
 
     print()
     print("Sharding splits one sweep across hosts: each shard runs a")
@@ -117,14 +119,13 @@ def main() -> None:
     shard_dir = workdir / "e6_shards"
     for index in range(2):  # two "hosts"
         ParallelTrialRunner(
-            trial, master_seed=7, jobs=2, schedule="work-stealing",
-            shard=(index, 2),
+            trial, master_seed=7, jobs=2, shard=(index, 2),
             store=ShardedStore(shard_dir, shard=f"{index}of2"),
         ).run(skewed, trials=6)
     merged = merge_stores([ShardedStore(shard_dir)])
     assert [t.canonical_json() for t in merged] == \
         [t.canonical_json() for t in canonical_order(serial_sk)]
-    print(f"  2 shards x work-stealing -> merge == serial sweep "
+    print(f"  2 shards x 2 workers -> merge == serial sweep "
           f"({len(merged)} records).")
 
 

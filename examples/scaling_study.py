@@ -6,10 +6,10 @@ the CONGEST simulator; see DESIGN.md) and fits the round-complexity
 exponent, printing the comparison against the paper's O~(n^delta).
 
 The sweep runs through the harness orchestration layer — the same
-grid/runner/seed-tree machinery as ``repro sweep`` — with the
-work-stealing scheduler, so the small-n points don't queue behind the
-n=2048 column, and the numbers reproduce bit for bit serial or
-parallel.
+grid/runner/seed-tree machinery as ``repro sweep`` — on a worker pool
+whose workers pull small chunks as they free up, so no worker idles
+behind the n=2048 column, and the numbers reproduce bit for bit serial
+or parallel.
 
 Run:  python examples/scaling_study.py
 """
@@ -39,8 +39,7 @@ class Dhc2Trial:
 
 def sweep(delta: float, sizes: list[int], c: float = 8.0) -> None:
     print(f"\ndelta = {delta:.2f}  (p = {c} ln n / n^{delta:.2f})")
-    runner = ParallelTrialRunner(Dhc2Trial(delta, c), master_seed=1729,
-                                 schedule="work-stealing")
+    runner = ParallelTrialRunner(Dhc2Trial(delta, c), master_seed=1729)
     trials = runner.run([{"n": n} for n in sizes], trials=ATTEMPTS)
 
     ns, rounds = [], []

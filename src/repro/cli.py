@@ -13,14 +13,15 @@ Subcommands
 
 ``sweep``
     Scaling study: run an algorithm over a node-count grid (optionally
-    across worker processes, with a pluggable scheduler and store
-    backend, and optionally as one shard of a multi-host sweep)::
+    across worker processes, whose records reach the store in the same
+    order as a serial run's, with a pluggable store backend, and
+    optionally as one shard of a multi-host sweep)::
 
         repro sweep --algorithm dhc1 --sizes 64,128,256,512 --trials 3
         repro sweep --algorithm dhc2 --sizes 256,512,1024 --jobs 4 \\
             --store sweep.jsonl
-        repro sweep --sizes 256,8192 --jobs 8 --schedule work-stealing \\
-            --store-backend sharded --store sweep_store/
+        repro sweep --sizes 256,8192 --jobs 8 --store-backend sharded \\
+            --store sweep_store/
         repro sweep --sizes 64,128 --shard 0/2 --store-backend sharded \\
             --store sweep_store/          # host 0 of 2; same seed tree
 
@@ -92,7 +93,6 @@ from repro.graphs import (
     random_regular_graph,
 )
 from repro.harness import (
-    SCHEDULERS,
     STORE_BACKENDS,
     JsonlStore,
     MetricsCollector,
@@ -141,17 +141,28 @@ def _parse_network_arg(text: str, *, engine: str) -> str:
     return model.canonical()
 
 
-def _seed(text: str) -> int:
-    """``--seed``'s type: a non-negative integer, as ``SeedSequence`` needs."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {value}")
-    return value
+def _int_at_least(minimum: int, what: str):
+    """An argparse type: an integer of at least ``minimum``.
+
+    A bad value exits 2 with argparse's message naming the flag
+    (``argument --trials: expected a positive integer, got -1``).
+    """
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {what}, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {value}")
+        return value
+    return parse
+
+
+#: ``--seed``'s type: ``SeedSequence`` takes only non-negative integers.
+_seed = _int_at_least(0, "a non-negative integer")
+#: Trial, job and grid-point counts.
+_count = _int_at_least(1, "a positive integer")
 
 
 def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
@@ -213,16 +224,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="execution engine (auto = fastest available)")
     sweep_p.add_argument("--sizes", default="64,128,256",
                          help="comma-separated node counts")
-    sweep_p.add_argument("--trials", type=int, default=3)
+    sweep_p.add_argument("--trials", type=_count, default=3)
     sweep_p.add_argument("--k-machines", type=int, default=None,
                          help="machine count for --engine kmachine sweeps")
     sweep_p.add_argument("--link-words", type=int, default=None,
                          help="per-link word budget for --engine kmachine "
                               "sweeps")
-    sweep_p.add_argument("--jobs", type=int, default=1,
-                         help="worker processes (1 = serial; seeds and "
-                              "records are identical either way; batches "
-                              "are split across the workers)")
+    sweep_p.add_argument("--jobs", type=_count, default=1,
+                         help="worker processes (1 = serial; seeds, "
+                              "records and their store order are "
+                              "identical either way; batches are split "
+                              "across the workers)")
     sweep_p.add_argument("--batch-size", type=int, default=None,
                          help="trials per engine pass for batched engines "
                               "(e.g. --engine fast-batch); 1 = per-trial "
@@ -237,18 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "with the compiled kernel (REPRO_JIT=1 and "
                               "numba), cre and turau never (their "
                               "fast-batch runs each trial on fast)")
-    sweep_p.add_argument("--chunksize", type=int, default=None,
-                         help="trials per worker IPC message (with --jobs; "
-                              "default auto-sizes from the sweep, 1 = "
-                              "one-task-per-message; results are identical "
-                              "for any value)")
-    sweep_p.add_argument("--schedule", default="ordered",
-                         choices=sorted(SCHEDULERS),
-                         help="trial scheduler (with --jobs): ordered = "
-                              "store records byte-identical to a serial "
-                              "run; work-stealing = completion order, no "
-                              "head-of-line blocking on skewed grids "
-                              "(canonical records identical either way)")
     sweep_p.add_argument("--store", default=None, metavar="PATH",
                          help="trial store for resume: completed trials "
                               "are skipped on rerun (a JSONL file, or a "
@@ -295,10 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     merge_p.add_argument("--out", required=True, metavar="PATH",
                          help="output JSONL store (rewritten in canonical "
                               "order)")
-    merge_p.add_argument("--trials", type=int, default=None,
+    merge_p.add_argument("--trials", type=_count, default=None,
                          help="assert every grid point holds exactly this "
                               "many trials")
-    merge_p.add_argument("--points", type=int, default=None,
+    merge_p.add_argument("--points", type=_count, default=None,
                          help="assert exactly this many distinct grid "
                               "points appear (with --trials: full joint-"
                               "exhaustiveness check — catches a shard "
@@ -596,8 +596,6 @@ def _cmd_sweep(args) -> int:
         runner_kwargs["batch_size"] = batch_size
     if args.jobs > 1:
         runner_kwargs["jobs"] = args.jobs
-        runner_kwargs["chunksize"] = args.chunksize
-        runner_kwargs["schedule"] = args.schedule
     runner = runner_cls(trial_fn, **runner_kwargs)
     points: list[dict] = [{"n": n} for n in sizes]
     if network is not None:
@@ -615,7 +613,7 @@ def _cmd_sweep(args) -> int:
         context = {"algorithm": algorithm, "engine": resolved_engine,
                    "sizes": sizes, "trials": args.trials,
                    "master_seed": args.seed, "jobs": args.jobs,
-                   "schedule": args.schedule if args.jobs > 1 else "serial"}
+                   "schedule": "ordered" if args.jobs > 1 else "serial"}
         if shard is not None:
             context["shard"] = str(shard)
         payload = collector.payload(context)

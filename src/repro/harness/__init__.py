@@ -1,4 +1,4 @@
-"""Experiment harness: grids, trials, scheduling, sharding, persistence.
+"""Experiment harness: grids, trials, worker pools, sharding, persistence.
 
 The benchmark files under ``benchmarks/`` each hand-roll the same three
 things: a parameter grid, a loop of seeded Monte Carlo trials, and
@@ -12,10 +12,10 @@ and available to downstream users building their own experiments:
   over grid x seeds with deterministic seed derivation, collecting
   :class:`~repro.harness.runner.Trial` records;
 * :class:`~repro.harness.runner.ParallelTrialRunner` — the same
-  contract fanned out over worker processes, with a pluggable
-  scheduler (:mod:`repro.harness.scheduler`): ``ordered`` keeps store
-  records byte-identical to a serial run, ``work-stealing`` keeps
-  every core busy on skewed grids;
+  contract fanned out over worker processes: workers pull small
+  chunks as they free up, and the parent writes results in
+  submission order, so store records are byte-identical to a serial
+  run;
 * :mod:`repro.harness.store` — pluggable persistence backends with
   resume: :class:`~repro.harness.store.JsonlStore` (one file),
   :class:`~repro.harness.store.ShardedStore` (one lock-free shard file
@@ -35,7 +35,7 @@ and available to downstream users building their own experiments:
   ``*.metrics.json`` store sidecar (see ``docs/OBSERVABILITY.md``).
 
 Every layer preserves the seed tree: seeds derive from (master seed,
-point index, trial index) whatever the scheduler, backend, or shard
+point index, trial index) whatever the job count, backend, or shard
 split, so the *canonical records* of a sweep are invariant across all
 of them (see :meth:`~repro.harness.runner.Trial.canonical_json`).
 """
@@ -48,12 +48,6 @@ from repro.harness.metrics import (
     validate_metrics_payload,
 )
 from repro.harness.runner import ParallelTrialRunner, Trial, TrialRunner
-from repro.harness.scheduler import (
-    SCHEDULERS,
-    OrderedScheduler,
-    TrialScheduler,
-    WorkStealingScheduler,
-)
 from repro.harness.sharding import ShardSpec, merge_stores
 from repro.harness.store import (
     STORE_BACKENDS,
@@ -70,10 +64,6 @@ __all__ = [
     "Trial",
     "TrialRunner",
     "ParallelTrialRunner",
-    "TrialScheduler",
-    "OrderedScheduler",
-    "WorkStealingScheduler",
-    "SCHEDULERS",
     "ShardSpec",
     "merge_stores",
     "TrialStore",

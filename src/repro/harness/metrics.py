@@ -145,11 +145,15 @@ class MetricsCollector:
         self._workers = int(workers)
         self._t0 = self._last_sample_t = self._clock()
 
-    def annotate_pool(self, *, scheduler: str, workers: int,
-                      chunksize: int) -> None:
-        """Record the parallel pool shape (called by the scheduler)."""
+    def annotate_pool(self, *, workers: int, chunksize: int) -> None:
+        """Record the parallel pool shape (called by the parallel runner).
+
+        ``scheduler`` stays in the payload as ``"ordered"``, the one
+        way the pool's results are consumed, so sidecars keep schema
+        version 1.
+        """
         self._workers = int(workers)
-        self._run_info.update({"scheduler": scheduler,
+        self._run_info.update({"scheduler": "ordered",
                                "workers": int(workers),
                                "chunksize": int(chunksize)})
 
@@ -349,9 +353,8 @@ class MetricsCollector:
                          f"{ev['batch_occupancy_mean']:g}, "
                          f"max {ev['batch_occupancy_max']}")
         run = p["run"]
-        if "scheduler" in run:
+        if "chunksize" in run:
             lines.append(f"pool        {run['workers']} workers, "
-                         f"{run['scheduler']} scheduler, "
                          f"chunksize {run['chunksize']}")
         lines.append(f"samples     {len(p['sampled']['samples'])} "
                      f"(interval {p['sampled']['interval_s']:g} s)")

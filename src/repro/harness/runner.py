@@ -16,9 +16,9 @@ Orchestration layers (all optional, all preserving the seed tree):
 
 * **store backends** (:mod:`repro.harness.store`) persist completed
   trials and power resume;
-* **schedulers** (:mod:`repro.harness.scheduler`) decide how the
-  parallel runner's pending trials flow through the worker pool —
-  ordered (byte-identical store) or work-stealing (skew-tolerant);
+* **worker processes** (:class:`ParallelTrialRunner`) run the pending
+  trials on a pool and write them in submission order, so the store
+  is byte-identical to a serial run's;
 * **sharding** (:mod:`repro.harness.sharding`) restricts a runner to a
   deterministic slice of the (point, trial) grid so N hosts can split
   one sweep.
@@ -93,18 +93,18 @@ class Trial:
         """Identity of this trial for resume de-duplication.
 
         Also the sort key of the deterministic *canonical order*
-        (:func:`repro.harness.store.canonical_order`) that
-        work-stealing stores and shard merges are normalised into.
+        (:func:`repro.harness.store.canonical_order`) that shard
+        merges are normalised into.
         """
         return (tuple(sorted(self.point.items())), self.trial_index)
 
     def canonical_json(self) -> dict[str, Any]:
         """:meth:`to_json` minus wall-clock fields.
 
-        Two runs of the same sweep — serial or parallel, any
-        scheduler, any store backend, any shard split, fresh or
-        resumed — produce identical canonical records; only
-        ``elapsed_s`` varies with the machine's load.
+        Two runs of the same sweep — serial or parallel, any chunk
+        size, any store backend, any shard split, fresh or resumed —
+        produce identical canonical records; only ``elapsed_s``
+        varies with the machine's load.
         """
         data = self.to_json()
         data.pop("elapsed_s", None)
@@ -117,8 +117,7 @@ def trial_key(point: Mapping[str, Any], trial_index: int) -> tuple:
 
 
 #: One unit of work: ``(first slot, point, trial indices, seeds)``.
-#: Its trials fill the schedule slots from ``first slot`` on, so
-#: out-of-order completions are re-keyed without ambiguity.
+#: Its trials fill the schedule slots from ``first slot`` on.
 Group = tuple[int, dict, tuple[int, ...], tuple[int, ...]]
 
 
@@ -211,8 +210,11 @@ class TrialRunner:
 
         Grid enumeration order, filtered to this runner's shard slice;
         the fourth element is the already-stored trial for resumed
-        pairs, ``None`` for pending ones.
+        pairs, ``None`` for pending ones.  A negative ``trials`` is a
+        :class:`ValueError`.
         """
+        if trials < 0:
+            raise ValueError(f"trials must be >= 0, got {trials}")
         done: dict[tuple, Trial] = {}
         if self.store is not None:
             for trial in self.store.load():
@@ -331,21 +333,23 @@ class TrialRunner:
 class ParallelTrialRunner(TrialRunner):
     """A :class:`TrialRunner` that fans trials out over worker processes.
 
-    Seed derivation, trial ordering, store *contents*, and resume
+    Seed derivation, trial ordering, store records, and resume
     behaviour are all identical to the serial runner: seeds come from
     the same ``SeedSequence`` tree keyed by (grid point #, trial #),
-    and the returned list is always in schedule (grid) order.  How
-    results flow back — and hence the store's *write order* — is the
-    pluggable scheduler's choice (:mod:`repro.harness.scheduler`):
+    the returned list is in schedule (grid) order, and results are
+    consumed in submission order (``Pool.imap``), so a JSONL store
+    receives the same records in the same order as a serial run —
+    byte-identical up to the wall-clock ``elapsed_s`` field (see
+    :meth:`Trial.canonical_json`).
 
-    * ``schedule="ordered"`` (default) consumes completions in
-      submission order, so a JSONL store receives the same records in
-      the same order as a serial run — byte-identical up to the
-      wall-clock ``elapsed_s`` field (see :meth:`Trial.canonical_json`);
-    * ``schedule="work-stealing"`` consumes completions as they land,
-      so skewed grids don't serialise behind head-of-line chunks; the
-      store becomes a completion log whose records re-canonicalise to
-      the same set at load/aggregate time.
+    No worker idles behind a slow trial: each pulls its next chunk of
+    groups as soon as it is free, and :func:`_chunksize` cuts about 16
+    chunks per worker, so a straggler chunk costs at most ~1/16 of a
+    worker's share.  Only the parent's *writes* keep submission order.
+    What that gives up is write timing: a record that finishes behind
+    a slow head chunk waits in the parent until that chunk lands.  A
+    crash loses at most those records, and resuming from the store
+    recomputes them bit-identically.
 
     The trial function and ``batch_fn`` must be picklable (a
     module-level function or class instance), as must their return
@@ -355,47 +359,33 @@ class ParallelTrialRunner(TrialRunner):
     Parameters
     ----------
     jobs:
-        Worker process count; defaults to the machine's CPU count.
-        ``jobs=1`` degrades to the serial code path (no pool spawned).
+        Worker process count (at least 1); ``None`` (default) means the
+        machine's CPU count.  ``jobs=1`` degrades to the serial code
+        path (no pool spawned).
     mp_context:
         ``multiprocessing`` start method.  Defaults to ``"fork"`` on
         Linux (cheap, inherits imports) and the platform default
         elsewhere — macOS lists ``fork`` but defaults to ``spawn``
         because forking a threaded/Accelerate-initialised process is
         unsafe there.
-    chunksize:
-        Groups handed to a worker per IPC message (a group is one
-        trial unless batching is on).  ``None`` (default) auto-sizes
-        from the group count, worker count, and the scheduler (work
-        stealing prefers finer chunks — they are the stealing unit);
-        pass an explicit value to pin it (``1`` reproduces
-        one-group-per-message).  Chunking never changes results.
-    schedule:
-        Scheduler name (``"ordered"`` / ``"work-stealing"``), class,
-        or :class:`~repro.harness.scheduler.TrialScheduler` instance.
     """
 
     def __init__(self, fn: Callable[[dict, int], Any], *,
                  master_seed: int = 0, store=None, shard=None,
                  jobs: int | None = None, mp_context: str | None = None,
-                 chunksize: int | None = None, schedule="ordered",
                  batch_fn: Callable[[dict, list[int]], Any] | None = None,
                  batch_size: int | Callable[[dict], int] = 1,
                  metrics=None):
-        from repro.harness.scheduler import resolve_scheduler
-
         super().__init__(fn, master_seed=master_seed, store=store,
                          shard=shard, batch_fn=batch_fn,
                          batch_size=batch_size, metrics=metrics)
-        self.jobs = int(jobs) if jobs else (os.cpu_count() or 1)
+        if jobs is not None and int(jobs) < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        self.jobs = int(jobs) if jobs is not None else (os.cpu_count() or 1)
         if mp_context is None and sys.platform.startswith("linux") \
                 and "fork" in multiprocessing.get_all_start_methods():
             mp_context = "fork"
         self.mp_context = mp_context
-        if chunksize is not None and int(chunksize) < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        self.chunksize = int(chunksize) if chunksize is not None else None
-        self.scheduler = resolve_scheduler(schedule)
 
     def run(self, points, *, trials: int = 1,
             progress: Callable[[Trial], None] | None = None) -> list[Trial]:
@@ -407,31 +397,55 @@ class ParallelTrialRunner(TrialRunner):
             return super().run(points, trials=trials, progress=progress)
 
         self._metrics_begin(plan, workers=min(self.jobs, pending))
-        # Resumed trials are reported up front (schedule order); the
-        # scheduler then emits freshly computed ones as it completes
-        # them.  Either way progress — and the metrics event hook —
-        # fires once per returned trial (see :meth:`_report`).
+        # Resumed trials are reported up front (schedule order), fresh
+        # ones as their chunks land (submission order).  Either way
+        # progress — and the metrics event hook — fires once per
+        # returned trial (see :meth:`_report`).
         results: list = [existing for *_, existing in plan]
         self._report_resumed(results, 0, len(results), progress)
         groups = list(self._groups(plan))
-        #: slot -> size of the group that computes it (metrics).
-        group_size = {first + offset: len(indices)
-                      for first, _, indices, _ in groups
-                      for offset in range(len(indices))}
         workers = min(self.jobs, len(groups))
-        chunksize = (self.chunksize if self.chunksize is not None
-                     else self.scheduler.auto_chunksize(len(groups), workers))
-
-        def emit(slot: int, trial: Trial) -> None:
-            self._emit(results, slot, trial, progress, group_size[slot])
-
-        self.scheduler.execute(
-            multiprocessing.get_context(self.mp_context), self.fn, groups,
-            workers=workers, chunksize=chunksize, emit=emit,
-            batch_fn=self.batch_fn if self._batching() else None,
-            metrics=self.metrics)
+        chunksize = _chunksize(len(groups), workers)
+        if self.metrics is not None:
+            self.metrics.annotate_pool(workers=workers, chunksize=chunksize)
+        batch_fn = self.batch_fn if self._batching() else None
+        ctx = multiprocessing.get_context(self.mp_context)
+        with ctx.Pool(workers, initializer=_pool_initializer,
+                      initargs=(self.fn, batch_fn)) as pool:
+            for first, ran in pool.imap(_pool_group, groups,
+                                        chunksize=chunksize):
+                for offset, trial in enumerate(ran):
+                    self._emit(results, first + offset, trial, progress,
+                               len(ran))
         self._metrics_finish()
         return results
+
+
+def _chunksize(groups: int, workers: int) -> int:
+    """Groups per worker IPC message: ~16 chunks per worker, at most 64.
+
+    Sixteen chunks per worker bound a straggler chunk's cost at ~1/16
+    of a worker's share; the cap of 64 groups per message bounds the
+    per-chunk latency of slow trial functions.
+    """
+    return max(1, min(64, -(-groups // (16 * workers))))
+
+
+#: The per-worker ``(fn, batch_fn)``, installed once by the pool
+#: initializer so each task message carries only its group.
+_worker_fns: tuple = (None, None)
+
+
+def _pool_initializer(fn: Callable[[dict, int], Any],
+                      batch_fn: Callable[[dict, list[int]], Any] | None
+                      ) -> None:
+    global _worker_fns
+    _worker_fns = (fn, batch_fn)
+
+
+def _pool_group(group: Group) -> tuple[int, list[Trial]]:
+    """The pool's task: :func:`run_group` keyed by the group's first slot."""
+    return group[0], run_group(*_worker_fns, group)
 
 
 def run_group(fn: Callable[[dict, int], Any],

@@ -8,15 +8,15 @@ unit, and ``clear`` resets the store for a fresh sweep.
 
 Canonical order
 ---------------
-Schedulers (:mod:`repro.harness.scheduler`) may complete trials out of
-submission order, and sharded sweeps write to several files at once, so
-*file* order is an execution detail — the store file doubles as a
-write-ahead completion log.  The deterministic, execution-independent
-order of a sweep's records is :func:`canonical_order`: sorted by
-``Trial.key()`` — ``(sorted point items, trial_index)``.  For a grid
-whose points enumerate in ascending axis order (the common case, e.g.
-``--sizes 64,128,256``) this coincides with grid order, so a serial
-ordered run's JSONL file is already canonical.
+Serial and parallel runs write one store in schedule order, but
+sharded sweeps write to several files at once, so *file* order across
+a sharded store is an execution detail.  The deterministic,
+execution-independent order of a sweep's records is
+:func:`canonical_order`: sorted by ``Trial.key()`` — ``(sorted point
+items, trial_index)``.  For a grid whose points enumerate in ascending
+axis order (the common case, e.g. ``--sizes 64,128,256``) this
+coincides with grid order, so a serial or parallel run's JSONL file is
+already canonical.
 
 Backends register in :data:`STORE_BACKENDS` so the CLI's
 ``--store-backend`` choices and :func:`make_store` stay in sync with
@@ -52,7 +52,7 @@ def canonical_order(trials: Iterable["Trial"]) -> list["Trial"]:
     """Trials sorted into the deterministic cross-backend order.
 
     Sorting key is :meth:`Trial.key` — ``(sorted point items,
-    trial_index)`` — so any scheduler/store/shard combination of the
+    trial_index)`` — so any job count/store/shard combination of the
     same sweep canonicalises to the same sequence.
     """
     return sorted(trials, key=lambda t: t.key())

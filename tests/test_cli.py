@@ -324,6 +324,17 @@ class TestMergeCommand:
         assert "no trial records" in err
         assert not (tmp_path / "out.jsonl").exists()
 
+    @pytest.mark.parametrize("flag", ["--trials", "--points"])
+    def test_merge_rejects_nonpositive_counts_by_name(self, capsys,
+                                                      tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["merge", str(tmp_path), "--out",
+                  str(tmp_path / "out.jsonl"), flag, "-1"])
+        assert exc.value.code == 2
+        assert (f"argument {flag}: expected a positive integer, got -1"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out.jsonl").exists()
+
     def test_merge_happy_path_still_works(self, capsys, tmp_path):
         shard_dir = self._sweep_into(capsys, tmp_path, "shards")
         out = tmp_path / "merged.jsonl"
@@ -523,32 +534,22 @@ class TestSweepCommand:
         assert canonical_records(serial_store) \
             == canonical_records(parallel_store)
 
-    def test_sweep_work_stealing_matches_serial_canonically(
-            self, capsys, tmp_path):
-        """--schedule work-stealing changes write order, not records."""
-        args = ("sweep", "--algorithm", "dra", "--engine", "fast",
-                "--sizes", "48,64", "--trials", "4", "--c", "8",
-                "--delta", "1.0", "--seed", "5", "--json")
-        serial_store = tmp_path / "serial.jsonl"
-        stolen_store = tmp_path / "stolen.jsonl"
-        code_s, out_s, _ = run_cli(capsys, *args, "--store", str(serial_store))
-        code_w, out_w, _ = run_cli(capsys, *args, "--jobs", "2",
-                                   "--schedule", "work-stealing",
-                                   "--store", str(stolen_store))
-        assert code_s == code_w == 0
-        # The aggregate table is computed from the runner's schedule-
-        # ordered return value, so it is identical verbatim.
-        assert json.loads(out_s)["rows"] == json.loads(out_w)["rows"]
-
-        assert sorted(canonical_records(serial_store)) \
-            == sorted(canonical_records(stolen_store))
+    @pytest.mark.parametrize("flag", ["--trials", "--jobs"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_sweep_rejects_nonpositive_counts_by_name(self, capsys, flag,
+                                                      value):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--sizes", "48,64", flag, value])
+        assert exc.value.code == 2
+        assert (f"argument {flag}: expected a positive integer, got {value}"
+                in capsys.readouterr().err)
 
     def test_sweep_related_algorithms_through_full_harness(
             self, capsys, tmp_path):
         """turau and cre run the whole orchestration stack unchanged.
 
-        Work-stealing schedule, two-shard sharded store, `repro merge`
-        with the joint-exhaustiveness check — and the merged JSONL is
+        Two workers, two-shard sharded store, `repro merge` with the
+        joint-exhaustiveness check — and the merged JSONL is
         canonically identical to a serial single-host sweep.
         """
         for algorithm, extra in (("turau", ()), ("cre", ())):
@@ -562,8 +563,7 @@ class TestSweepCommand:
             assert code == 0
             for shard in ("0/2", "1/2"):
                 code, _, _ = run_cli(
-                    capsys, *base, "--jobs", "2", "--schedule",
-                    "work-stealing", "--shard", shard,
+                    capsys, *base, "--jobs", "2", "--shard", shard,
                     "--store-backend", "sharded", "--store", str(shard_dir))
                 assert code == 0
             code, out, _ = run_cli(

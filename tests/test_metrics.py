@@ -178,23 +178,19 @@ class TestRunnerIntegration:
         serial = MetricsCollector()
         TrialRunner(steps_fn, master_seed=11,
                     metrics=serial).run(self.POINTS, trials=6)
-        for schedule in ("ordered", "work-stealing"):
-            parallel = MetricsCollector()
-            ParallelTrialRunner(steps_fn, master_seed=11, jobs=2,
-                                schedule=schedule,
-                                metrics=parallel).run(self.POINTS, trials=6)
-            assert (parallel.payload()["kpis"]
-                    == serial.payload()["kpis"]), schedule
+        parallel = MetricsCollector()
+        ParallelTrialRunner(steps_fn, master_seed=11, jobs=2,
+                            metrics=parallel).run(self.POINTS, trials=6)
+        assert parallel.payload()["kpis"] == serial.payload()["kpis"]
 
     def test_parallel_pool_annotation(self):
         collector = MetricsCollector()
         ParallelTrialRunner(steps_fn, master_seed=1, jobs=2,
-                            schedule="work-stealing",
                             metrics=collector).run(self.POINTS, trials=4)
         run = collector.payload()["run"]
-        assert run["scheduler"] == "work-stealing"
+        assert run["scheduler"] == "ordered"  # schema v1 keeps the field
         assert run["workers"] == 2
-        assert run["chunksize"] >= 1
+        assert run["chunksize"] == 1  # 8 groups over 2 workers
 
     def test_metrics_composes_with_progress(self):
         seen = []
@@ -266,13 +262,11 @@ class TestBatchGrouping:
                 store.append(trial)
         return store
 
-    @pytest.mark.parametrize("schedule", ["ordered", "work-stealing"])
-    def test_serial_and_parallel_batch_occupancy_match(self, tmp_path,
-                                                       schedule):
+    def test_serial_and_parallel_batch_occupancy_match(self, tmp_path):
         events = {}
         for jobs in (1, 2):
             cls = ParallelTrialRunner if jobs > 1 else TrialRunner
-            kwargs = {"jobs": jobs, "schedule": schedule} if jobs > 1 else {}
+            kwargs = {"jobs": jobs} if jobs > 1 else {}
             collector = MetricsCollector()
             cls(steps_fn, master_seed=4, batch_fn=batch_steps_fn,
                 batch_size=small_cap, metrics=collector,

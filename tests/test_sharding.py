@@ -88,7 +88,7 @@ class TestShardedRunner:
         by_key = {t.key(): t.seed for t in sharded}
         assert all(by_key[t.key()] == t.seed for t in reference)
 
-    def test_parallel_sharded_work_stealing_matches(self, tmp_path):
+    def test_parallel_sharded_matches(self, tmp_path):
         grid = ParameterGrid(x=[1, 2])
         reference = TrialRunner(mapping_trial, master_seed=4).run(
             grid, trials=6)
@@ -98,7 +98,7 @@ class TestShardedRunner:
             stores.append(store)
             ParallelTrialRunner(
                 mapping_trial, master_seed=4, shard=(index, 2), jobs=2,
-                schedule="work-stealing", store=store).run(grid, trials=6)
+                store=store).run(grid, trials=6)
         merged = merge_stores(stores)
         assert canonical(merged) == canonical(reference)
 
