@@ -302,6 +302,22 @@ class TrialRunner:
             if trial is not None:
                 self._report(trial, progress, resumed=True)
 
+    def _consume(self, results: list, landed,
+                 progress: Callable[[Trial], None] | None) -> None:
+        """Store and report each landed ``(first, ran)`` group.
+
+        ``landed`` yields groups in slot order, so reporting the resumed
+        trials that sit before each group keeps one event stream for
+        the serial and the parallel runner: every slot, in slot order.
+        """
+        done = 0
+        for first, ran in landed:
+            self._report_resumed(results, done, first, progress)
+            for offset, trial in enumerate(ran):
+                self._emit(results, first + offset, trial, progress, len(ran))
+            done = first + len(ran)
+        self._report_resumed(results, done, len(results), progress)
+
     def run(self, points, *, trials: int = 1,
             progress: Callable[[Trial], None] | None = None) -> list[Trial]:
         """Execute every owned (point, trial) pair; returns them in order.
@@ -317,15 +333,8 @@ class TrialRunner:
         self._metrics_begin(plan)
         batch_fn = self.batch_fn if self._batching() else None
         results: list = [existing for *_, existing in plan]
-        done = 0
-        for group in self._groups(plan):
-            first = group[0]
-            self._report_resumed(results, done, first, progress)
-            ran = run_group(self.fn, batch_fn, group)
-            for offset, trial in enumerate(ran):
-                self._emit(results, first + offset, trial, progress, len(ran))
-            done = first + len(ran)
-        self._report_resumed(results, done, len(results), progress)
+        self._consume(results, ((group[0], run_group(self.fn, batch_fn, group))
+                                for group in self._groups(plan)), progress)
         self._metrics_finish()
         return results
 
@@ -397,12 +406,7 @@ class ParallelTrialRunner(TrialRunner):
             return super().run(points, trials=trials, progress=progress)
 
         self._metrics_begin(plan, workers=min(self.jobs, pending))
-        # Resumed trials are reported up front (schedule order), fresh
-        # ones as their chunks land (submission order).  Either way
-        # progress — and the metrics event hook — fires once per
-        # returned trial (see :meth:`_report`).
         results: list = [existing for *_, existing in plan]
-        self._report_resumed(results, 0, len(results), progress)
         groups = list(self._groups(plan))
         workers = min(self.jobs, len(groups))
         chunksize = _chunksize(len(groups), workers)
@@ -412,11 +416,8 @@ class ParallelTrialRunner(TrialRunner):
         ctx = multiprocessing.get_context(self.mp_context)
         with ctx.Pool(workers, initializer=_pool_initializer,
                       initargs=(self.fn, batch_fn)) as pool:
-            for first, ran in pool.imap(_pool_group, groups,
-                                        chunksize=chunksize):
-                for offset, trial in enumerate(ran):
-                    self._emit(results, first + offset, trial, progress,
-                               len(ran))
+            self._consume(results, pool.imap(_pool_group, groups,
+                                             chunksize=chunksize), progress)
         self._metrics_finish()
         return results
 

@@ -172,6 +172,17 @@ class TestChunkedScheduling:
         assert auto(10_000, 4) == 64  # capped per-message batch
         assert auto(0, 8) == 1        # degenerate input stays valid
 
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8])
+    def test_chunk_rule_keeps_sixteen_chunks_per_worker(self, workers):
+        """Below the cap, every worker gets ~16 chunks (or one per group)."""
+        auto = harness_runner._chunksize
+        for groups in range(1, 16 * 64 * workers + 1):
+            size = auto(groups, workers)
+            chunks = -(-groups // size)
+            assert 1 <= size <= 64
+            assert chunks >= min(groups, 8 * workers)
+            assert chunks <= 16 * workers
+
     @pytest.mark.parametrize("chunksize", [None, 1, 3, 64])
     def test_store_records_byte_identical_across_chunk_sizes(
             self, tmp_path, monkeypatch, chunksize):
@@ -269,6 +280,22 @@ class TestProgressSemantics:
         assert len(seen) == len(out) == 8
         assert sorted(t.key() for t in seen) == \
             sorted(t.key() for t in out)
+
+    def test_parallel_resume_reports_in_slot_order(self, tmp_path):
+        """Resumed and fresh trials surface in slot order, as in serial."""
+        grid = ParameterGrid(n=[8, 16])
+        streams = {}
+        for jobs in (1, 2):
+            store = JsonlStore(tmp_path / f"jobs{jobs}.jsonl")
+            TrialRunner(mapping_trial, master_seed=2, store=store).run(
+                grid, trials=2)
+            seen = []
+            out = ParallelTrialRunner(
+                mapping_trial, master_seed=2, store=store, jobs=jobs).run(
+                grid, trials=4, progress=seen.append)
+            streams[jobs] = [t.key() for t in seen]
+            assert streams[jobs] == [t.key() for t in out]
+        assert streams[2] == streams[1]
 
     def test_canonical_order_helper_sorts_by_key(self):
         trials = TrialRunner(mapping_trial, master_seed=1).run(
