@@ -8,16 +8,13 @@ claim), and checks that the fast engine's merge (``_merge_pair``) joins
 every such pair.  It asserts at least one candidate per pair and a mean
 above three.
 
-The level-1 partition cycles come from the Phase-1 calls the fast
-engine itself makes (:func:`~repro.engines.phase1_replay.color_partition`
-and :func:`~repro.engines.phase1_replay.replay_partition_walks` on the
-run's per-node streams), so they are the cycles ``repro.run`` merged.
+The level-1 partition cycles are read from the ``trace`` of the fast
+engine's own run (``trace["phase1"].cycles`` from
+:func:`~repro.engines.fast_dhc2._dhc2_fast`), so they are the cycles it
+merged.
 """
 
-import repro
-from repro.engines.batchwalk import node_streams
-from repro.engines.fast_dhc2 import _merge_pair
-from repro.engines.phase1_replay import color_partition, replay_partition_walks
+from repro.engines.fast_dhc2 import _dhc2_fast, _merge_pair
 from repro.graphs import gnp_random_graph, paper_probability
 
 from benchmarks.conftest import show
@@ -45,19 +42,11 @@ def test_a1_bridge_selection_ablation(benchmark):
     p = paper_probability(n, delta, c)
     g = gnp_random_graph(n, p, seed=41)
 
-    res = repro.run(g, "dhc2", engine="fast", delta=delta, seed=42)
+    trace: dict = {}
+    res = _dhc2_fast(g, delta=delta, seed=42, trace=trace)
     assert res.success
     k = res.detail["k"]
-    # Phase 1 as ``_dhc2_fast`` runs it: the colour draw, then every
-    # class walk in colour order on the same streams.  The start round
-    # only shifts the round count, never a cycle.
-    rngs = node_streams(42, n)
-    color_of, sub_indptr, sub_indices, rows = color_partition(g, rngs, k)
-    p1 = replay_partition_walks(
-        indptr=sub_indptr, indices=sub_indices, rows=rows, rngs=rngs,
-        color_of=color_of, colors=k, start_round=0)
-    assert p1.ok and p1.steps == res.steps
-    cycles = p1.cycles
+    cycles = trace["phase1"].cycles
     assert len(cycles) == k
     assert sum(len(cyc) for cyc in cycles.values()) == n
 

@@ -25,6 +25,8 @@ __all__ = [
     "dra_step_budget",
     "diameter_bound_sparse",
     "diameter_budget",
+    "bfs_deadline",
+    "class_size_cap",
     "predicted_dra_steps",
     "predicted_dhc1_rounds",
     "predicted_dhc2_rounds",
@@ -63,6 +65,26 @@ def diameter_bound_sparse(n_sub: int, *, factor: float = 6.0, slack: int = 8) ->
 def diameter_budget(n_sub: int) -> int:
     """Round budget for one flood/broadcast over a subgraph of size ``n_sub``."""
     return diameter_bound_sparse(n_sub)
+
+
+def bfs_deadline(start: int, budget: int) -> int:
+    """The round by which a BFS build begun at ``start`` must commit.
+
+    ``budget`` is the diameter budget of the participant graph: the
+    explore wave, the done convergecast and the commit broadcast each
+    fit in one budget, plus slack.  Reaching the deadline first marks
+    the build failed (a disconnected partition).
+    """
+    return start + 3 * budget + 8
+
+
+def class_size_cap(n: int, colors: int) -> int:
+    """The size a Phase-1 colour class budgets its floods for.
+
+    Lemma 4/7 keep every class below twice its mean ``n / colors``
+    whp; the floor of 3 is the smallest class a rotation walk can close.
+    """
+    return max(3, (2 * n) // max(1, colors))
 
 
 def dra_round_budget(n_sub: int, step_budget: int | None = None) -> int:

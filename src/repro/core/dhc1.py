@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import math
 
-from repro.analysis.bounds import diameter_budget, dra_round_budget, dra_step_budget
+from repro.analysis.bounds import (class_size_cap, diameter_budget,
+                                   dra_round_budget, dra_step_budget)
 from repro.congest.message import Message
 from repro.congest.model import run_protocol
 from repro.congest.node import Context
@@ -342,7 +343,7 @@ class Dhc1Protocol(PartitionedPhase1Protocol):
 
 def dhc1_round_budget(n: int, k: int) -> int:
     """Watchdog ``max_rounds`` for DHC1 (failure backstop only)."""
-    part = max(3, (2 * n) // max(1, k))
+    part = class_size_cap(n, k)
     virtual = dra_round_budget(k) * 12  # relays + queue pacing
     return dra_round_budget(part) + virtual + 60 * diameter_budget(n) + 2048
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 
-from repro.analysis.bounds import diameter_budget, dra_round_budget
+from repro.analysis.bounds import class_size_cap, diameter_budget, dra_round_budget
 from repro.congest.model import run_protocol
 from repro.congest.node import Context
 from repro.core.merge import MergeMachine
@@ -159,7 +159,7 @@ class Dhc2Protocol(PartitionedPhase1Protocol):
 
 def dhc2_round_budget(n: int, k: int) -> int:
     """Watchdog ``max_rounds`` for a DHC2 run (failure backstop only)."""
-    part = max(3, (2 * n) // max(1, k))
+    part = class_size_cap(n, k)
     levels = merge_levels(k)
     per_level = 30 * diameter_budget(n) + 8 * int(math.log(n + 2)) + 300
     return dra_round_budget(part) + levels * per_level + 6 * diameter_budget(n) + 512

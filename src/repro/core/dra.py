@@ -16,7 +16,7 @@ protocol stacks the standard setup on top of the walk:
 
 from __future__ import annotations
 
-from repro.analysis.bounds import diameter_budget, dra_round_budget, dra_step_budget
+from repro.analysis.bounds import bfs_deadline, diameter_budget, dra_round_budget, dra_step_budget
 from repro.congest.message import Message
 from repro.congest.model import run_protocol
 from repro.congest.node import Context, Protocol
@@ -69,7 +69,7 @@ class DraProtocol(Protocol, SubMachineHost):
     def _advance(self, ctx: Context) -> None:
         if self.stage == _STAGE_ELECT and self.election.done:
             self.stage = _STAGE_BFS
-            deadline = ctx.round_index + 3 * diameter_budget(self.n) + 8
+            deadline = bfs_deadline(ctx.round_index, diameter_budget(self.n))
             self.bfs = BfsTree(
                 "bt", ctx.neighbors, is_root=self.election.is_leader, deadline=deadline
             )

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Sequence
 
-from repro.analysis.bounds import diameter_budget, dra_step_budget
+from repro.analysis.bounds import bfs_deadline, class_size_cap, diameter_budget, dra_step_budget
 from repro.congest.message import Message
 from repro.congest.node import Context, Protocol
 from repro.core.rotation import RotationWalk, VirtualEdge
@@ -146,8 +146,7 @@ class PartitionedPhase1Protocol(Protocol, SubMachineHost):
         self._outqueue: list[tuple[int, tuple]] = []
         self._halt_when_drained = False
 
-        expected = max(3, (2 * n) // max(1, k))
-        self._elect_budget = diameter_budget(expected)
+        self._elect_budget = diameter_budget(class_size_cap(n, k))
 
     # -- protocol interface ------------------------------------------------------
 
@@ -204,7 +203,7 @@ class PartitionedPhase1Protocol(Protocol, SubMachineHost):
             is_leader = self.global_election.is_leader
             self.global_election = None
             self._stage = "gbfs"
-            deadline = ctx.round_index + 3 * diameter_budget(self.n) + 8
+            deadline = bfs_deadline(ctx.round_index, diameter_budget(self.n))
             self.global_bfs = BfsTree(
                 "gb", ctx.neighbors,
                 is_root=is_leader, deadline=deadline,
@@ -241,7 +240,7 @@ class PartitionedPhase1Protocol(Protocol, SubMachineHost):
             is_leader = self.election.is_leader
             self.election = None
             self._stage = "bfs"
-            deadline = ctx.round_index + 3 * self._elect_budget + 8
+            deadline = bfs_deadline(ctx.round_index, self._elect_budget)
             self.bfs = BfsTree("b0", self.peers,
                                is_root=is_leader, deadline=deadline)
             self.activate(ctx, self.bfs)

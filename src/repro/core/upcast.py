@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from repro.analysis.bounds import diameter_budget
+from repro.analysis.bounds import bfs_deadline, diameter_budget
 from repro.congest.message import Message
 from repro.congest.model import run_protocol
 from repro.congest.node import Context, Protocol
@@ -103,7 +103,7 @@ class UpcastProtocol(Protocol, SubMachineHost):
     def _advance(self, ctx: Context) -> None:
         if self._stage == "elect" and self.election.done:
             self._stage = "bfs"
-            deadline = ctx.round_index + 3 * diameter_budget(self.n) + 8
+            deadline = bfs_deadline(ctx.round_index, diameter_budget(self.n))
             self.bfs = BfsTree("bt", ctx.neighbors,
                                is_root=self.election.is_leader, deadline=deadline,
                                tie_break="random")

@@ -206,22 +206,21 @@ class EngineSpec:
         """The subset of ``kwargs`` this runner accepts (soft dispatch)."""
         return {k: v for k, v in kwargs.items() if k in self.supported_kwargs}
 
-    def call(self, graph, *, seed: int = 0, **kwargs: Any) -> RunResult:
-        """Execute, rejecting keywords the runner does not declare."""
+    def _check_kwargs(self, kwargs: dict[str, Any]) -> None:
+        """Reject keywords the runner does not declare."""
         unsupported = sorted(set(kwargs) - self.supported_kwargs)
         if unsupported:
             raise TypeError(
                 f"engine {self.engine!r} for algorithm {self.algorithm!r} "
                 f"does not support: {', '.join(unsupported)} "
                 f"(supported: {', '.join(sorted(self.supported_kwargs)) or 'none'})")
+
+    def call(self, graph, *, seed: int = 0, **kwargs: Any) -> RunResult:
+        """Execute, rejecting keywords the runner does not declare."""
+        self._check_kwargs(kwargs)
         return self.load()(graph, seed=seed, **kwargs)
 
     def call_batch(self, graphs, *, seeds, **kwargs: Any) -> list[RunResult]:
         """Execute a batch of trials, validating keywords like :meth:`call`."""
-        unsupported = sorted(set(kwargs) - self.supported_kwargs)
-        if unsupported:
-            raise TypeError(
-                f"engine {self.engine!r} for algorithm {self.algorithm!r} "
-                f"does not support: {', '.join(unsupported)} "
-                f"(supported: {', '.join(sorted(self.supported_kwargs)) or 'none'})")
+        self._check_kwargs(kwargs)
         return self.load_batch()(graphs, seeds=seeds, **kwargs)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.bounds import diameter_budget, dra_step_budget
+from repro.analysis.bounds import bfs_deadline, diameter_budget, dra_step_budget
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
 from repro.verify.hamiltonicity import verified_cycle
@@ -72,7 +72,7 @@ def _dra_fast(
     if trace is not None:
         trace.update(tree=tree, steps=[])
     if tree is None:
-        deadline = election_rounds + 3 * diameter_budget(n) + 8
+        deadline = bfs_deadline(election_rounds, diameter_budget(n))
         return RunResult("dra", False, None, deadline, engine="fast",
                          detail={"fail_codes": ["bfs-unreachable"]})
 

@@ -66,7 +66,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.analysis.bounds import diameter_budget, dra_step_budget
+from repro.analysis.bounds import bfs_deadline, class_size_cap, diameter_budget, dra_step_budget
 from repro.engines import _jit
 from repro.engines.batchwalk import (
     BatchWalk,
@@ -217,7 +217,7 @@ def _dra_fast_batch(graphs, *, seeds, step_budget: int | None = None,
     if not batch_kernel_active("dra"):
         return _per_trial(_dra_fast, graphs, seeds, step_budget=step_budget)
     if n == 0:
-        deadline = diameter_budget(0) + 3 * diameter_budget(0) + 8
+        deadline = bfs_deadline(diameter_budget(0), diameter_budget(0))
         return [RunResult("dra", False, None, deadline, engine="fast-batch",
                           detail={"fail_codes": ["bfs-unreachable"]})
                 for _ in range(len(graphs))]
@@ -240,7 +240,7 @@ def _dra_chunk(graphs, seeds, results, offset, step_budget) -> None:
     indptr, indices, twins = _stacked_csr(graphs)
     roots = np.arange(batch, dtype=np.int64) * n
     tree = build_batch_tree(indptr, indices, batch, n, roots)
-    deadline = election_rounds + 3 * diameter_budget(n) + 8
+    deadline = bfs_deadline(election_rounds, diameter_budget(n))
     for b in np.flatnonzero(~tree.ok).tolist():
         results[offset + b] = RunResult(
             "dra", False, None, deadline, engine="fast-batch",
@@ -358,7 +358,7 @@ def _dhc2_chunk(graphs, seeds, results, offset, delta, k) -> None:
     color_mat = color_of.reshape(batch, n)
     base = np.arange(batch, dtype=np.int64) * n
 
-    elect_budget = diameter_budget(max(3, (2 * n) // max(1, colors)))
+    elect_budget = diameter_budget(class_size_cap(n, colors))
     phase1_start = 1 + elect_budget  # colour round + election deadline
 
     ok = np.ones(batch, dtype=bool)

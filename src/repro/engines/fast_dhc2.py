@@ -15,24 +15,27 @@ pacing.  Cross-engine tests bound the ratio; scaling *shape* (the
 ``n**delta`` exponent of Theorem 10) is unaffected.
 
 ``engine="fast"`` replays Phase 1 through the shared replay core
-(:mod:`repro.engines.phase1_replay` — also what the native k-machine
-DHC1/DHC2 engines consume) on the array kernel
-(:mod:`repro.engines.arraywalk`) over a colour-filtered CSR built in
-one vectorised pass.  The pure-Python parity oracle (once
-registered as ``engine="fast-py"``) lives in ``tests/oracles.py`` and
-imports :func:`_phase2` and :func:`_fail`
-from here: Phase 2 is deterministic and shared verbatim by both.  Its replay
-stops each merge at the first valid bridge in ``(v, w)`` order, which
-is the one the protocol selects; the k-machine engine still charges
-the full bridge scan every class-A node makes.
+(:func:`repro.engines.phase1_replay.replay_phase1` — also what native
+k-machine DHC1 runs) on the array kernel (:mod:`repro.engines.arraywalk`)
+over a colour-filtered CSR built in one vectorised pass.  The
+pure-Python parity oracle (once registered as ``engine="fast-py"``)
+lives in ``tests/oracles.py`` and imports :func:`_phase2` and
+:func:`_fail` from here: Phase 2 is deterministic and shared verbatim
+by both.  Its replay stops each merge at the first valid bridge in
+``(v, w)`` order, which is the one the protocol selects.
+
+The native k-machine engine does not re-run DHC2: it calls
+:func:`_dhc2_fast` with the internal ``trace=`` dict and charges its
+link ledger from the recorded Phase-1 classes and merges (including
+the full bridge scan every class-A node makes).
 """
 
 from __future__ import annotations
 
-from repro.analysis.bounds import diameter_budget
+from repro.analysis.bounds import class_size_cap, diameter_budget
 from repro.core.dhc2 import default_color_count
 from repro.core.phase1 import colors_at_level, merge_levels, resolve_colors
-from repro.engines.phase1_replay import color_partition, replay_partition_walks
+from repro.engines.phase1_replay import replay_phase1
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
 from repro.verify.hamiltonicity import verified_cycle
@@ -46,37 +49,44 @@ def _dhc2_fast(
     delta: float = 0.5,
     k: int | None = None,
     seed: int = 0,
+    trace: dict | None = None,
 ) -> RunResult:
-    """Algorithm 3 with Phase 1 on the array kernel."""
+    """Algorithm 3 with Phase 1 on the array kernel.
+
+    ``trace``, if given, receives Phase 1's per-class records
+    (``classes``, see :func:`~repro.engines.phase1_replay.replay_phase1`),
+    its result ``phase1`` and the successful pair merges ``merges``,
+    without perturbing any decision; the native k-machine engine
+    charges from it.
+    """
     from repro.engines.batchwalk import node_streams
 
     n = graph.n
     colors = resolve_colors(k, lambda: default_color_count(n, delta))
     rngs = node_streams(seed, n)
+    if trace is not None:
+        trace.update(classes=[], merges=[])
 
-    color_of, sub_indptr, sub_indices, rows = color_partition(
-        graph, rngs, colors)
-
-    # -- Phase 1: replay every partition walk ------------------------------------
-    elect_budget = diameter_budget(max(3, (2 * n) // max(1, colors)))
-    phase1_start = 1 + elect_budget  # colour round + election deadline
-    p1 = replay_partition_walks(
-        indptr=sub_indptr, indices=sub_indices, rows=rows, rngs=rngs,
-        color_of=color_of, colors=colors, start_round=phase1_start)
+    # -- Phase 1: colour draw + every partition walk -----------------------------
+    phase1_start = 1 + diameter_budget(class_size_cap(n, colors))  # colour round + election
+    p1 = replay_phase1(graph, rngs, colors, start_round=phase1_start,
+                       trace=None if trace is None else trace["classes"])
+    if trace is not None:
+        trace["phase1"] = p1
     if not p1.ok:
         return _fail(n, colors, p1.fail_round, p1.fail_reason, "fast")
 
-    return _phase2(graph, p1.cycles, colors, p1.phase1_end, p1.steps, "fast")
+    return _phase2(graph, p1.cycles, colors, p1.phase1_end, p1.steps, "fast",
+                   trace=None if trace is None else trace["merges"])
 
 
 def _phase2(graph: Graph, cycles: dict[int, list[int]], colors: int,
             phase1_end: int, steps: int, engine: str,
-            observer=None) -> RunResult:
+            trace: list | None = None) -> RunResult:
     """Phase 2: deterministic merges (identical for both Phase-1 paths).
 
-    ``observer(a_cycle, b_cycle, merged)``, if given, sees every
-    successful pair merge in execution order without perturbing it —
-    the native k-machine engine charges bridge-scan traffic there.
+    ``trace``, if given, receives an ``(a_cycle, b_cycle, merged)``
+    record per successful pair merge, in execution order.
     """
     n = graph.n
     rounds = phase1_end
@@ -99,8 +109,8 @@ def _phase2(graph: Graph, cycles: dict[int, list[int]], colors: int,
             merged = _merge_pair(graph, a_members, b_members)
             if merged is None:
                 return _fail(n, colors, rounds, "no-bridge", engine)
-            if observer is not None:
-                observer(a_members, b_members, merged)
+            if trace is not None:
+                trace.append((a_members, b_members, merged))
             next_cycles[new_color] = merged
             rounds += _level_cost(len(merged))
         cycles = next_cycles

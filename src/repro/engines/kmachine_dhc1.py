@@ -46,8 +46,8 @@ import numpy as np
 from repro.analysis.bounds import diameter_budget, dra_step_budget
 from repro.engines.kmachine_engine import (
     DEFAULT_LINK_WORDS,
+    _charge_phase1,
     _charged_global_tree,
-    _charged_phase1,
     _finish,
     _setup,
 )
@@ -88,6 +88,7 @@ def _dhc1_kmachine(
     from repro.core.phase1 import resolve_colors
     from repro.engines.arraywalk import build_array_tree
     from repro.engines.batchwalk import node_streams
+    from repro.engines.phase1_replay import replay_phase1
 
     n = graph.n
     ledger = _setup(graph, seed, k_machines, link_words, partition_seed)
@@ -110,19 +111,18 @@ def _dhc1_kmachine(
 
     # -- Phase 1: colours + per-class walks (same replay as DHC2) --------------
     # Relative clock: class BFS begins after the election.
-    p1, flush_phase1 = _charged_phase1(ledger, graph, rngs, colors,
-                                       start_round=0)
+    classes: list = []
+    p1 = replay_phase1(graph, rngs, colors, start_round=0, trace=classes)
+    _charge_phase1(ledger, graph, p1, classes, colors)
     if not p1.ok:
         return _dhc1_fail(ledger, colors, p1.fail_reason)
-    paths, class_trees = p1.cycles, p1.trees
-    flush_phase1()
+    paths = p1.cycles
 
     # -- hypernode selection (l.13-15) + port announcement ----------------------
     holder = np.full(colors + 1, -1, dtype=np.int64)   # u_i per class
     partner = np.full(colors + 1, -1, dtype=np.int64)  # v_i per class
     port_class = np.zeros(n, dtype=np.int64)
     port_role = np.zeros(n, dtype=np.int64)
-    max_class_depth = 0
     for c in range(1, colors + 1):
         path = paths[c]
         size = len(path)
@@ -133,8 +133,8 @@ def _dhc1_kmachine(
         holder[c], partner[c] = u, v
         port_class[u], port_role[u] = c, _ROLE_U
         port_class[v], port_role[v] = c, _ROLE_V
-        max_class_depth = max(max_class_depth, class_trees[c].tree_depth)
     # Selection floods over the class trees, then the "hp" broadcast.
+    max_class_depth = max(tree.tree_depth for tree, *_ in classes)
     ledger.uniform_burst(2 * (n - colors), 2, ticks=max(1, 2 * max_class_depth))
     ports = np.flatnonzero(port_class > 0)
     counts = indptr[ports + 1] - indptr[ports]

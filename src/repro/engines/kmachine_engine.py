@@ -16,11 +16,12 @@ traffic is word-capped bundles accounted by
 rule of the Conversion Theorem (per CONGEST-equivalent tick,
 ``max(1, ceil(busiest link / W))`` machine rounds).
 
-DRA and Turau replay nothing of their own: each runs its ``fast``
-replay once with the internal ``trace=`` dict and charges the ledger
-from the trace, so apart from ``engine`` and the k-machine keys the
-result *is* the ``fast`` result.  DHC1 and DHC2 charge the shared
-Phase-1 replay through its ``observer`` hook.
+DRA, DHC2 and Turau replay nothing of their own: each runs its
+``fast`` replay once with the internal ``trace=`` dict and charges the
+ledger from the trace, so apart from ``engine`` and the k-machine keys
+the result *is* the ``fast`` result.  DHC1 charges the trace of the
+shared Phase-1 replay (:func:`~repro.engines.phase1_replay.replay_phase1`)
+the same way, through :func:`_charge_phase1`.
 
 Parity contract (enforced by ``tests/test_kmachine_native.py`` and the
 registry gate)
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.bounds import diameter_budget
+from repro.analysis.bounds import class_size_cap, diameter_budget
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph, csr_gather, csr_sources
 from repro.kmachine.ledger import (
@@ -152,59 +153,39 @@ def _charged_global_tree(ledger: LinkLedger, graph: Graph, tree,
     return TreeFloodProfile(ledger, tree.parent, tree.depth, tree.members)
 
 
-def _charged_phase1(ledger: LinkLedger, graph: Graph, rngs, colors: int, *,
-                    start_round: int):
-    """Phase 1 (colour draw + class walks), charged to ``ledger``.
+def _charge_phase1(ledger: LinkLedger, graph: Graph, p1, classes: list,
+                   colors: int) -> None:
+    """Charge Phase 1 (colour draw + class walks) from its replay trace.
 
-    Charges the colour announcement and the classes' concurrent
-    elections, then replays the class walks with their BFS builds
-    starting at ``start_round``.  Returns ``(p1, flush)``: the
-    :func:`~repro.engines.phase1_replay.replay_partition_walks` result
-    and the call that charges the classes' concurrent traffic.  The
-    classes' BFS builds and walks share wall-clock rounds, so ``flush``
-    bins the BFS schedules jointly and folds the walk forks as a
-    maximum.  A failed walk is charged here (the traffic demonstrably
-    ran); on success the caller flushes when Phase 1's traffic is due.
+    ``p1`` and ``classes`` are what
+    :func:`~repro.engines.phase1_replay.replay_phase1` returned and
+    traced.  Charges the colour announcement and the classes'
+    concurrent elections, then the class BFS builds and walks.  These
+    share wall-clock rounds, so the BFS schedules are binned jointly
+    and the walk forks fold as a maximum.  A class that fails
+    structurally (empty or disconnected) charges no BFS or walk; a
+    failed walk is charged, since its traffic demonstrably ran.
     """
-    from repro.engines.phase1_replay import color_partition, replay_partition_walks
-
-    n = graph.n
-    color_of, indptr, indices, rows = color_partition(graph, rngs, colors)
+    n, indptr, indices = graph.n, p1.indptr, p1.indices
     ledger.burst(csr_sources(graph.indptr), graph.indices, 2)  # colour announcement
     floodmin_traffic(ledger, indptr, indices, np.arange(n, dtype=np.int64),
-                     diameter_budget(max(3, (2 * n) // max(1, colors))))
-    bfs_parts: list[tuple] = []
-    bfs_span = 1
-    walk_forks: list[LinkLedger] = []
-
-    def flush():
-        if bfs_parts:
-            ticks = np.concatenate([p[0] for p in bfs_parts])
-            ledger.series(np.minimum(ticks, bfs_span - 1),
-                          np.concatenate([p[1] for p in bfs_parts]),
-                          np.concatenate([p[2] for p in bfs_parts]),
-                          np.concatenate([p[3] for p in bfs_parts]),
-                          span=bfs_span)
-        ledger.absorb_concurrent(walk_forks)
-
-    def charge_class(c, members, tree, done, walk, trace, flood_ecc):
-        nonlocal bfs_span
-        bfs_parts.append(bfs_messages(tree, indptr, indices, start_round,
-                                      done))
-        bfs_span = max(bfs_span, int(done[tree.root]) - start_round + 1)
+                     diameter_budget(class_size_cap(n, colors)))
+    if not (p1.ok or p1.walk_failed):
+        return
+    start = p1.start_round
+    parts = [bfs_messages(tree, indptr, indices, start, done)
+             for tree, done, *_ in classes]
+    span = max(int(done[tree.root]) - start + 1 for tree, done, *_ in classes)
+    ticks, src, dst, words = (np.concatenate(column) for column in zip(*parts))
+    ledger.series(np.minimum(ticks, span - 1), src, dst, words, span=span)
+    forks = []
+    for tree, _done, walk, steps, flood_ecc in classes:
         fork = ledger.fork()
-        _walk_traffic(fork, walk, trace,
-                      TreeFloodProfile(fork, tree.parent, tree.depth, members),
+        _walk_traffic(fork, walk, steps,
+                      TreeFloodProfile(fork, tree.parent, tree.depth, tree.members),
                       flood_ecc)
-        walk_forks.append(fork)
-
-    p1 = replay_partition_walks(
-        indptr=indptr, indices=indices, rows=rows, rngs=rngs,
-        color_of=color_of, colors=colors, start_round=start_round,
-        observer=charge_class)
-    if not p1.ok and p1.walk_failed:
-        flush()
-    return p1, flush
+        forks.append(fork)
+    ledger.absorb_concurrent(forks)
 
 
 # ---------------------------------------------------------------------------
@@ -262,42 +243,26 @@ def _dhc2_kmachine(
 ) -> RunResult:
     """Algorithm 3 under native k-machine execution.
 
-    Phase 1 replays every colour-class walk on the shared-mask CSR
-    kernel exactly as the ``fast`` engine does (``k`` keeps its DHC2
-    meaning: the colour count).  Concurrent class traffic folds with
-    wall-clock semantics: the shared election and BFS ticks are binned
-    jointly across classes, and per-class walk charges combine as the
-    across-class maximum.  Phase 2 reuses the deterministic merge
-    replay with bridge-scan bursts charged per pair.
+    The ``fast`` replay itself (``k`` keeps its DHC2 meaning: the
+    colour count): DHC2 runs once, through ``_dhc2_fast``'s ``trace``,
+    and the ledger is charged from it.  Phase 1's concurrent classes
+    fold with wall-clock semantics (see :func:`_charge_phase1`);
+    every recorded pair merge charges its bridge scan.
     """
-    from repro.core.dhc2 import default_color_count
-    from repro.core.phase1 import resolve_colors
-    from repro.engines.batchwalk import node_streams
-    from repro.engines.fast_dhc2 import _fail, _phase2
+    from repro.engines.fast_dhc2 import _dhc2_fast
 
-    n = graph.n
     ledger = _setup(graph, seed, k_machines, link_words, partition_seed)
-    colors = resolve_colors(k, lambda: default_color_count(n, delta))
-    rngs = node_streams(seed, n)
-
+    trace: dict = {}
+    result = _dhc2_fast(graph, delta=delta, k=k, seed=seed, trace=trace)
+    result.engine = "kmachine"
+    _charge_phase1(ledger, graph, trace["phase1"], trace["classes"],
+                   result.detail["k"])
     indptr, indices = graph.indptr, graph.indices
-    # Colour round + class election deadline, as on the fast engine.
-    phase1_start = 1 + diameter_budget(max(3, (2 * n) // max(1, colors)))
-    p1, flush_phase1 = _charged_phase1(ledger, graph, rngs, colors,
-                                       start_round=phase1_start)
-    if not p1.ok:
-        return _finish(_fail(n, colors, p1.fail_round, p1.fail_reason,
-                             "kmachine"), ledger)
-    cycles, steps, phase1_end = p1.cycles, p1.steps, p1.phase1_end
-
-    ledger.quiet(1)  # the BFS-commit / walk-start separation round
-    flush_phase1()
-
-    def _charge_merge(a_cycle, b_cycle, merged):
+    for a_cycle, b_cycle, merged in trace["merges"]:
         # Bridge scan: every class-A node polls its class-B neighbours,
         # candidates answer — one burst each way over the A-B edges.
         a_arr = np.asarray(a_cycle, dtype=np.int64)
-        in_b = np.zeros(n, dtype=bool)
+        in_b = np.zeros(graph.n, dtype=bool)
         in_b[np.asarray(b_cycle, dtype=np.int64)] = True
         counts = indptr[a_arr + 1] - indptr[a_arr]
         v_e = np.repeat(a_arr, counts)
@@ -308,9 +273,6 @@ def _dhc2_kmachine(
         # Winner convergecast + splice broadcast over the merged class:
         # structural, like the fast engine's level cost.
         ledger.uniform_burst(2 * len(merged), 3, ticks=2)
-
-    result = _phase2(graph, cycles, colors, phase1_end, steps, "kmachine",
-                     observer=_charge_merge)
     return _finish(result, ledger)
 
 

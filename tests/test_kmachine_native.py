@@ -149,13 +149,21 @@ class TestDraNativeParity:
 
 
 class TestDraIsTheFastReplay:
-    """``kmachine`` DRA runs the ``fast`` replay once and charges it.
+    """``kmachine`` DRA, DHC2 and Turau run the ``fast`` replay once and
+    charge it.
 
     Every ``RunResult`` field and every ``detail`` key equals the
     ``fast`` engine's, except ``engine`` and the k-machine accounting.
+    The graphs reach DHC2's ``empty-partition``,
+    ``partition-disconnected`` and walk failures as well as successes.
     """
 
     KMACHINE_KEYS = {"kmachine", "kmachine_rounds", "k_machines", "link_words"}
+    KWARGS = {
+        "dra": ({}, {"step_budget": 20}),
+        "dhc2": ({}, {"delta": 0.75}, {"k": 3}, {"delta": 1.0}),
+        "turau": ({}, {"phase_budget": 3}),
+    }
     GRAPHS = {
         "n0": repro.Graph(0, []),
         "n1": repro.Graph(1, []),
@@ -170,19 +178,24 @@ class TestDraIsTheFastReplay:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_equals_fast_but_for_the_kmachine_keys(self, name):
         g = self.GRAPHS[name]
-        for seed in (0, 3, 2**40):
-            for kwargs in ({}, {"step_budget": 20}):
-                fast = repro.run(g, "dra", engine="fast", seed=seed, **kwargs)
-                for k_machines in (1, 3):
-                    native = repro.run(g, "dra", engine="kmachine", seed=seed,
-                                       k_machines=k_machines, **kwargs)
-                    assert native.engine == "kmachine"
-                    assert set(native.detail) == set(fast.detail) | self.KMACHINE_KEYS
-                    detail = {key: value for key, value in native.detail.items()
-                              if key not in self.KMACHINE_KEYS}
-                    assert dataclasses.replace(
-                        native, engine="fast", detail=detail) == fast, (
-                        f"{name} seed={seed} k_machines={k_machines} {kwargs}")
+        for algorithm, kwarg_sets in self.KWARGS.items():
+            for seed in (0, 3, 2**40):
+                for kwargs in kwarg_sets:
+                    fast = repro.run(g, algorithm, engine="fast", seed=seed,
+                                     **kwargs)
+                    for k_machines in (1, 3):
+                        native = repro.run(g, algorithm, engine="kmachine",
+                                           seed=seed, k_machines=k_machines,
+                                           **kwargs)
+                        context = (f"{algorithm} {name} seed={seed} "
+                                   f"k_machines={k_machines} {kwargs}")
+                        assert native.engine == "kmachine", context
+                        assert (set(native.detail)
+                                == set(fast.detail) | self.KMACHINE_KEYS), context
+                        detail = {key: value for key, value in native.detail.items()
+                                  if key not in self.KMACHINE_KEYS}
+                        assert dataclasses.replace(
+                            native, engine="fast", detail=detail) == fast, context
 
 
 class TestBadMachineCount:
@@ -401,6 +414,31 @@ class TestLedgerInvariants:
         assert s["cross_words"] >= 0 and s["local_words"] >= 0
         assert s["kmachine_rounds"] >= s["congest_rounds"]
         assert s["max_round_link_words"] <= s["cross_words"]
+
+    @pytest.mark.parametrize("algorithm,kwargs", [
+        ("dra", {}),
+        ("dhc1", {"k": 4}),
+        ("dhc2", {"delta": 0.65}),
+        ("dhc2", {"delta": 1.0}),
+        ("turau", {}),
+    ], ids=lambda v: str(v))
+    def test_success_charges_exactly_the_reported_rounds(self, algorithm, kwargs):
+        # The ledger models the schedule ``rounds`` describes: a
+        # successful run charges no CONGEST tick beyond it.  (``_finish``
+        # tops up a short ledger with quiet ticks, so only an
+        # over-charge can break the equality.)
+        successes = 0
+        for n, gseed in ((64, 1), (100, 2)):
+            g = gnp_random_graph(n, 0.8, seed=gseed)
+            for seed in range(4):
+                for k_machines in (1, 4):
+                    r = repro.run(g, algorithm, engine="kmachine", seed=seed,
+                                  k_machines=k_machines, **kwargs)
+                    if r.success:
+                        successes += 1
+                        assert r.detail["kmachine"]["congest_rounds"] == r.rounds, (
+                            f"n={n} seed={seed} k_machines={k_machines}")
+        assert successes >= 4
 
     def test_link_matrix_totals(self):
         part = VertexPartition(np.array([0, 0, 1, 1]), k=2)
