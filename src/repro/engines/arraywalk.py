@@ -38,6 +38,19 @@ order the distributed walk sees.  That invariant is what makes the
 ``fast-py`` oracles in ``tests/oracles.py`` (enforced by the registry
 ``parity`` declarations and ``tests/test_engine_parity.py``).
 
+The draw is the stream's own ``integers(k)`` but for one inlined case,
+in :meth:`ArrayWalk.run` and nowhere else.  The streams
+:func:`~repro.engines.batchwalk.node_streams` returns carry ``halves``,
+each node's queue of prefetched 32-bit halves.  When the head's queue
+is not empty, ``k > 1`` and ``(half * k) mod 2**32 >= k``, the walk
+pops that half and uses ``(half * k) >> 32``.  That is the value
+Lemire's reduction returns at once, because its rejection threshold
+``(2**32 - k) % k`` lies below ``k``.  Every other draw (an empty
+queue, ``k == 1``, a possible rejection) calls ``rngs[head].integers(k)``,
+which builds that node's stream on first use.  So do all draws from
+real Generators, which have no queue.  Either way the node's stream
+moves on by exactly the halves the Generator would consume.
+
 CSR invariants the kernel relies on
 -----------------------------------
 * every row slice ``indices[indptr[v]:indptr[v+1]]`` is sorted
@@ -53,8 +66,8 @@ CSR invariants the kernel relies on
 A new algorithm targets the kernel by building (or filtering) a CSR,
 taking its per-node streams from
 :func:`~repro.engines.batchwalk.node_streams` (the exact scalar
-replication of ``SeedSequence(seed).spawn(n)`` Generators; only
-``integers`` is available), and driving :class:`ArrayWalk` /
+replication of ``SeedSequence(seed).spawn(n)`` Generators, indexed by
+node id; only ``integers`` is available), and driving :class:`ArrayWalk` /
 :class:`ArrayTree`; see ``docs/ARCHITECTURE.md``.  The ``congest``
 engine keeps real Generators, as the independent reference.
 """
@@ -106,6 +119,21 @@ def filtered_csr(indptr: np.ndarray, indices: np.ndarray,
     return new_indptr, new_indices
 
 
+def _member_entries(indptr: np.ndarray, indices: np.ndarray,
+                    members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(counts, srcs, dsts)``: the directed CSR entries of ``members``' rows.
+
+    ``members`` is sorted.  When it holds every node its rows are the
+    whole CSR, so ``indices`` is ``dsts`` as it stands and the O(m)
+    gather is skipped.
+    """
+    counts = indptr[members + 1] - indptr[members]
+    srcs = np.repeat(members, counts)
+    if members.size == len(indptr) - 1:
+        return counts, srcs, indices
+    return counts, srcs, csr_gather(indptr, indices, members)
+
+
 def tree_completion_times(indptr: np.ndarray, indices: np.ndarray,
                           members: np.ndarray, depth: np.ndarray,
                           parent: np.ndarray, tree_depth: int,
@@ -124,9 +152,7 @@ def tree_completion_times(indptr: np.ndarray, indices: np.ndarray,
     """
     n = len(indptr) - 1
     lowest = np.iinfo(np.int64).min
-    counts = indptr[members + 1] - indptr[members]
-    srcs = np.repeat(members, counts)
-    dsts = csr_gather(indptr, indices, members)
+    counts, srcs, dsts = _member_entries(indptr, indices, members)
     # resp(v) = max over non-parent member neighbours w of
     # (start + depth(w) + 1); 0 when v has no such neighbour.
     masked = np.where(dsts != parent[srcs], depth[dsts], lowest)
@@ -265,9 +291,7 @@ def build_array_tree(indptr: np.ndarray, indices: np.ndarray,
     if reached != members.size:
         return None
 
-    counts = indptr[members + 1] - indptr[members]
-    srcs = np.repeat(members, counts)
-    dsts = csr_gather(indptr, indices, members)
+    _, srcs, dsts = _member_entries(indptr, indices, members)
     up = depth[dsts] == depth[srcs] - 1
     parent = np.full(n, n, dtype=np.int64)  # sentinel above any id
     np.minimum.at(parent, srcs[up], dsts[up])
@@ -323,7 +347,12 @@ class ArrayWalk:
         endpoints' lists, so one object serves walks on disjoint
         member sets (the DHC2 colour classes).
     rngs:
-        Per-node generators, indexed by *original* node id.
+        Per-node generators, indexed by *original* node id.  When it
+        has ``halves`` (a queue of prefetched halves per node, as
+        :func:`~repro.engines.batchwalk.node_streams` gives), the walk
+        takes the common draw from the head's queue itself and leaves
+        the rest to ``rngs[head].integers`` (see the module's
+        RNG-parity contract); real Generators get every draw.
     size:
         Participant count — the cycle length a win requires.
     """
@@ -372,6 +401,11 @@ class ArrayWalk:
             self._fail(FAIL_TOO_SMALL, self.initial_head)
             return
         rows, buf, pos, rngs = self._rows, self._buf, self._pos, self.rngs
+        # The heads' prefetched halves (``node_streams``); real
+        # Generators have none, so every draw goes to them.
+        queues = getattr(rngs, "halves", None)
+        if queues is None:
+            queues = [()] * len(rows)
         # Hot-loop locals: a slot ramp for position updates, the
         # per-step constants, and the counters written back at exit.
         cap = buf.size
@@ -399,7 +433,17 @@ class ArrayWalk:
             # The head's live edges in sorted CSR order: the same count
             # and order the distributed walk draws over.  Pops keep the
             # rows sorted, so the reverse orientation is found by bisection.
-            target = live.pop(rngs[head].integers(len(live)))
+            # Lemire's accept test on the head's next prefetched half: a
+            # low product word of at least k clears every rejection
+            # threshold, (2**32 - k) % k < k.  An empty queue, k == 1 or
+            # a possible rejection leaves the draw to the stream itself.
+            k = len(live)
+            queue = queues[head]
+            if queue and k > 1 and (m := queue[-1] * k) & 0xFFFFFFFF >= k:
+                queue.pop()
+                target = live.pop(m >> 32)
+            else:
+                target = live.pop(rngs[head].integers(k))
             row = rows[target]
             del row[bisect_left(row, head)]
             steps += 1

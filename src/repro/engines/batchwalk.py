@@ -68,12 +68,18 @@ trial, since the fused kernel advances the pool's state arrays).
 The per-trial engines (``fast``, ``kmachine``) draw one value at a
 time, so they take the scalar form of the same replication:
 :func:`node_streams` seeds a trial's n children in one vector pass,
-which also prefetches each child's first raw words as 32-bit halves,
-and hands back small Python-int PCG64 streams whose
-``integers(bound)`` is bit-identical to the Generator's;
-:func:`trial_stream` does the same
-for CRE's single ``default_rng(seed)`` stream.  Both share the pools'
-self-check verdict, and fall back to real Generators with them.
+which also prefetches each child's first raw words as 32-bit halves.
+It keeps those half queues and the LCG state columns, and builds a
+node's small Python-int PCG64 stream (:class:`_NodeStream`, whose
+``integers(bound)`` is bit-identical to the Generator's) only when
+``rngs[v]`` is first asked for: on a refill or a draw the walk leaves
+to the stream, and for Turau's, DHC1's and Phase 1's colour draws.
+The rotation walk takes its common draw straight from the queue
+(:class:`~repro.engines.arraywalk.ArrayWalk`'s one inlined accept
+test).  :func:`trial_stream` gives CRE's single ``default_rng(seed)``
+stream, its first words prefetched by one ``random_raw`` call.  Both
+share the pools' self-check verdict, and fall back to real Generators
+with them.
 
 Dispatch looks the compiled kernels up on :mod:`repro.engines._jit`
 at call time, so a host can toggle them within one process.  The
@@ -166,8 +172,10 @@ _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 _TWO32 = 1 << 32
 #: Raw words per node that :func:`node_streams`' vector pass prefetches,
-#: and that a :class:`_NodeStream` computes per scalar refill.
+#: that :func:`trial_stream` draws up front, and that a
+#: :class:`_NodeStream` computes per scalar refill.
 _PREFETCH_WORDS = 8
+_TRIAL_PREFETCH_WORDS = 64
 _REFILL_WORDS = 4
 
 
@@ -290,9 +298,10 @@ def _replication_self_check() -> bool:
     no-consumption ``bound == 1`` case, small and large bounds, the
     rejection path (``2**31 + 1`` rejects ~50% of halves) and the
     full-width ``2**32``.  One stream is built as :func:`trial_stream`
-    builds one (scalar refills only), two more as :func:`node_streams`
-    builds them (:func:`_prefetched_streams`), drawn interleaved and
-    well past their prefetched halves.  Any numpy whose bounded-integer
+    builds one (:func:`_raw_prefetched_stream`), two more as
+    :func:`node_streams` builds them (:func:`_prefetched_streams`),
+    drawn interleaved and well past their prefetched halves into the
+    scalar refills.  Any numpy whose bounded-integer
     algorithm or buffering differs, or a wrong split of prefetched
     words into halves, fails this check and demotes every pool and
     every :func:`node_streams` call to real generators, keeping parity
@@ -300,8 +309,7 @@ def _replication_self_check() -> bool:
     """
     ss = np.random.SeedSequence(0xBA7C4ED)
     ref = np.random.default_rng(ss)
-    st = np.random.PCG64(ss).state["state"]
-    stream = _NodeStream(st["state"], st["inc"])
+    stream = _raw_prefetched_stream(np.random.PCG64(ss))
     bounds = [1, 2, 3, 7, 1, 100, 4096, 2**31 + 1, 1, 5, 12,
               1000003, 2**31 + 1, 64, 1, 2, 2**32] * 4
     if not all(stream.integers(c) == int(ref.integers(c)) for c in bounds):
@@ -370,18 +378,21 @@ class _NodeStream:
     nothing.  Here the queue holds those halves in reverse draw order,
     so the common draw is one ``list.pop`` and one multiply.  The queue
     starts with the words :func:`node_streams` prefetched in its
-    vector pass (empty for :func:`trial_stream`); when it runs dry,
-    :meth:`_refill` steps the LCG :data:`_REFILL_WORDS` times in
-    Python ints and queues the next chunk.  ``_state`` is always the
-    LCG state after the last queued word.
+    vector pass, or those :func:`trial_stream` took from one
+    ``random_raw`` call; when it runs dry, :meth:`_refill` steps the
+    LCG :data:`_REFILL_WORDS` times in Python ints and queues the next
+    chunk.  ``_state`` is always the LCG state after the last queued
+    word.  :meth:`integers` is the reference draw: the one shortcut,
+    :class:`~repro.engines.arraywalk.ArrayWalk`'s inlined accept test,
+    pops a half only where this method would return it at once.
     """
 
     __slots__ = ("_state", "_inc", "_halves")
 
-    def __init__(self, state: int, inc: int, halves: list | None = None):
+    def __init__(self, state: int, inc: int, halves: list):
         self._state = state
         self._inc = inc
-        self._halves = [] if halves is None else halves
+        self._halves = halves
 
     def _refill(self) -> int:
         """Queue the next chunk of halves; return (and consume) the first."""
@@ -429,32 +440,63 @@ def _replicable(seed) -> bool:
 def trial_stream(seed):
     """One trial's ``default_rng(seed)`` stream as a :class:`_NodeStream`.
 
-    Seeded from ``PCG64(seed).state``, so ``integers(bound)`` is
-    bit-identical to the Generator's at a fraction of the per-draw
-    cost.  Falls back to ``default_rng(seed)`` under the same rule as
-    :func:`node_streams`.  Callers may only call ``integers``.
+    One ``PCG64(seed).random_raw`` call queues the stream's first
+    :data:`_TRIAL_PREFETCH_WORDS` raw words as halves
+    (:func:`_raw_prefetched_stream`), so a CRE trial at n = 64 draws
+    without stepping the LCG in Python ints; ``integers(bound)`` is
+    bit-identical to the Generator's.  Falls back to
+    ``default_rng(seed)`` under the same rule as :func:`node_streams`.
+    Callers may only call ``integers``.
     """
     if not _replicable(seed):
         return np.random.default_rng(seed)
-    state = np.random.PCG64(seed).state["state"]
-    return _NodeStream(state["state"], state["inc"])
+    return _raw_prefetched_stream(np.random.PCG64(seed))
 
 
-def node_streams(seed, n: int) -> list:
-    """The per-node random streams of one trial, one per node id.
+def _raw_prefetched_stream(bitgen: np.random.PCG64) -> "_NodeStream":
+    """A :class:`_NodeStream` that continues ``bitgen``, words prefetched.
+
+    Queues the bit generator's next :data:`_TRIAL_PREFETCH_WORDS` raw
+    words as halves and takes the LCG state from it afterwards.
+    """
+    words = bitgen.random_raw(_TRIAL_PREFETCH_WORDS)
+    state = bitgen.state["state"]
+    return _NodeStream(state["state"], state["inc"], _queued_halves(words))
+
+
+def _queued_halves(words: np.ndarray) -> list:
+    """Raw words (last axis in draw order) as ``pop``-ordered half queues.
+
+    ``Generator.integers`` consumes each word low half first; a queue
+    holds the halves in reverse draw order (the last word's high half
+    first).  Splitting by shift and mask keeps this right on any byte
+    order.  A 1-D ``words`` gives one queue, a 2-D one a queue per row.
+    """
+    late_first = words[..., ::-1]
+    queues = np.empty(late_first.shape[:-1] + (2 * late_first.shape[-1],),
+                      dtype=np.uint64)
+    queues[..., 0::2] = late_first >> _U32
+    queues[..., 1::2] = late_first & _MASK32
+    return queues.tolist()
+
+
+def node_streams(seed, n: int):
+    """The per-node random streams of one trial, indexed by node id.
 
     Element ``v`` draws exactly as ``default_rng(SeedSequence(seed)
     .spawn(n)[v])`` would — every per-trial engine's per-node
     randomness — but costs no ``SeedSequence`` / ``Generator``
     objects: the children's PCG64 states come from the same vector
-    seeding replication :class:`DrawPool` uses, and each stream is a
-    :class:`_NodeStream` whose ``integers(bound)`` is bit-identical to
-    the Generator's.  The same vector pass also prefetches every
-    node's first :data:`_PREFETCH_WORDS` raw words (see
-    :func:`_prefetched_streams`), so most draws of a walk never step
-    an LCG in Python ints.  Callers may only call ``integers``.  When
-    the self-checks find this numpy disagreeing (or ``seed`` is not a
-    non-negative integer), the real Generators come back instead.
+    seeding replication :class:`DrawPool` uses, and that vector pass
+    also prefetches every node's first :data:`_PREFETCH_WORDS` raw
+    words (see :func:`_prefetched_streams`).  What comes back is a
+    :class:`_NodeStreams`, which builds a node's :class:`_NodeStream`
+    only when ``rngs[v]`` is first asked for; the rotation walk draws
+    most of its values from the prefetched halves without one.
+    Callers may only index (or iterate) it and call ``integers``.
+    When the self-checks find this numpy disagreeing (or ``seed`` is
+    not a non-negative integer), a list of the real Generators comes
+    back instead; ``n == 0`` gives ``[]``.
     """
     if n == 0:
         return []
@@ -464,31 +506,55 @@ def node_streams(seed, n: int) -> list:
     return _prefetched_streams(_spawned_pcg_states([seed], n))
 
 
-def _prefetched_streams(states: np.ndarray) -> list:
-    """:class:`_NodeStream` per row of PCG64 seed material, words prefetched.
+def _prefetched_streams(states: np.ndarray) -> "_NodeStreams":
+    """:class:`_NodeStreams` over rows of PCG64 seed material.
 
     Seeds every row's LCG (:func:`_pcg_srandom`), steps all of them
-    :data:`_PREFETCH_WORDS` times in one array pass each, and splits
-    every XSL-RR output word arithmetically (shift and mask, so on any
-    byte order) into its 32-bit halves, which ``Generator.integers``
-    consumes low half first.  Each stream gets its halves in reverse
-    draw order, for ``pop``, and the LCG state after its last
-    prefetched word.
+    :data:`_PREFETCH_WORDS` times in one array pass each, and queues
+    every row's XSL-RR output words as halves (:func:`_queued_halves`).
+    The LCG states after the last prefetched word stay uint64 columns
+    until a node's stream is built.
     """
     sh, sl, ih, il = _pcg_srandom(states)
     words = np.empty((_PREFETCH_WORDS, states.shape[0]), dtype=np.uint64)
     for k in range(_PREFETCH_WORDS):
         sl, sh = _pcg_mult_add(sl, sh, il, ih)
         words[k] = _pcg_out(sh, sl)
-    # Reverse draw order: the last word's high half first, then its low.
-    late_first = words[::-1].T
-    queues = np.empty((states.shape[0], 2 * _PREFETCH_WORDS), dtype=np.uint64)
-    queues[:, 0::2] = late_first >> _U32
-    queues[:, 1::2] = late_first & _MASK32
-    return [_NodeStream((a << 64) | b, (c << 64) | d, queue)
-            for a, b, c, d, queue in zip(
-                sh.tolist(), sl.tolist(), ih.tolist(), il.tolist(),
-                queues.tolist())]
+    return _NodeStreams(_queued_halves(words.T), (sh, sl, ih, il))
+
+
+class _NodeStreams:
+    """One trial's per-node streams, each built on first use.
+
+    ``halves[v]`` is node ``v``'s queue of prefetched 32-bit halves in
+    reverse draw order, as :class:`_NodeStream` keeps it.
+    :class:`~repro.engines.arraywalk.ArrayWalk` pops the common draw
+    straight from it.  ``streams[v]`` builds node ``v``'s
+    :class:`_NodeStream` the first time it is asked for, from the
+    uint64 state columns and sharing ``halves[v]``.  Until then nothing
+    has refilled that queue, so the columns still hold the LCG state
+    after its last word, as the stream requires.  Iterating builds
+    every stream.
+    """
+
+    __slots__ = ("halves", "_columns", "_built")
+
+    def __init__(self, halves: list, columns: tuple):
+        self.halves = halves
+        self._columns = columns  # (state hi, state lo, inc hi, inc lo)
+        self._built: list = [None] * len(halves)
+
+    def __getitem__(self, v) -> _NodeStream:
+        stream = self._built[v]
+        if stream is None:
+            sh, sl, ih, il = self._columns
+            stream = self._built[v] = _NodeStream(
+                (sh.item(v) << 64) | sl.item(v),
+                (ih.item(v) << 64) | il.item(v), self.halves[v])
+        return stream
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.halves)))
 
 
 class DrawPool:

@@ -115,16 +115,37 @@ def _finish(result: RunResult, ledger: LinkLedger) -> RunResult:
 
 
 def _walk_traffic(ledger: LinkLedger, walk, trace: list,
-                  profile: TreeFloodProfile, flood_ecc: int) -> None:
+                  profile: TreeFloodProfile, flood_ecc: int,
+                  stop: int | None = None) -> None:
     """Charge one rotation walk: progress singles, renumbering floods
-    with their quiescence windows, and the final win/fail flood."""
-    if trace:
-        arr = np.asarray(trace, dtype=np.int64)
-        ledger.singles(arr[:, 0], arr[:, 1], _PROGRESS_WORDS)
-    if walk.rotations:
-        ledger.flood(profile, _ROTATE_WORDS, times=walk.rotations)
+    with their quiescence windows, and the final win/fail flood.
+
+    With ``stop``, the run ends ``stop`` ticks into the walk: only the
+    steps finished by then are charged, the rest of those ticks are
+    quiet, and no final flood runs.
+    """
+    steps = np.asarray(trace, dtype=np.int64).reshape(-1, 2)
+    rotations = walk.rotations
+    spare = 0
+    if stop is not None:
+        # A step rotates unless its target is the next head (the walk's
+        # last head, for the last step).  An extension or the closure
+        # takes 1 tick; a rotation 2 * tree_depth + 3 (its progress
+        # message, renumbering flood and quiescence wait).
+        rotates = steps[:, 1] != np.append(steps[1:, 0], walk.flood_initiator)
+        ends = np.cumsum(np.where(rotates, 2 * walk.tree_depth + 3, 1))
+        finished = int(np.searchsorted(ends, stop, side="right"))
+        steps, rotations = steps[:finished], int(rotates[:finished].sum())
+        spare = stop - (int(ends[finished - 1]) if finished else 0)
+    if steps.size:
+        ledger.singles(steps[:, 0], steps[:, 1], _PROGRESS_WORDS)
+    if rotations:
+        ledger.flood(profile, _ROTATE_WORDS, times=rotations)
         wait = 2 * walk.tree_depth + 2 - profile.tree_depth
-        ledger.quiet(wait * walk.rotations)
+        ledger.quiet(wait * rotations)
+    if stop is not None:
+        ledger.quiet(spare)
+        return
     ledger.flood(profile, _FLOOD_WORDS)
     ledger.quiet(max(0, flood_ecc - profile.tree_depth))
 
@@ -154,7 +175,7 @@ def _charged_global_tree(ledger: LinkLedger, graph: Graph, tree,
 
 
 def _charge_phase1(ledger: LinkLedger, graph: Graph, p1, classes: list,
-                   colors: int) -> None:
+                   colors: int, *, stop_at_failure: bool = False) -> None:
     """Charge Phase 1 (colour draw + class walks) from its replay trace.
 
     ``p1`` and ``classes`` are what
@@ -165,6 +186,12 @@ def _charge_phase1(ledger: LinkLedger, graph: Graph, p1, classes: list,
     and the walk forks fold as a maximum.  A class that fails
     structurally (empty or disconnected) charges no BFS or walk; a
     failed walk is charged, since its traffic demonstrably ran.
+
+    With ``stop_at_failure`` (DHC2, whose run ends at the failing
+    walk's ``p1.fail_round``), a walk failure cuts every class walk at
+    that round (see :func:`_walk_traffic`), so the ledger stops where
+    the reported rounds do.  DHC1 reports the ledger's own clock, fail
+    flood included.
     """
     n, indptr, indices = graph.n, p1.indptr, p1.indices
     ledger.burst(csr_sources(graph.indptr), graph.indices, 2)  # colour announcement
@@ -178,12 +205,15 @@ def _charge_phase1(ledger: LinkLedger, graph: Graph, p1, classes: list,
     span = max(int(done[tree.root]) - start + 1 for tree, done, *_ in classes)
     ticks, src, dst, words = (np.concatenate(column) for column in zip(*parts))
     ledger.series(np.minimum(ticks, span - 1), src, dst, words, span=span)
+    stop = None
+    if stop_at_failure and not p1.ok:
+        stop = max(0, p1.fail_round - start - span)
     forks = []
     for tree, _done, walk, steps, flood_ecc in classes:
         fork = ledger.fork()
         _walk_traffic(fork, walk, steps,
                       TreeFloodProfile(fork, tree.parent, tree.depth, tree.members),
-                      flood_ecc)
+                      flood_ecc, stop)
         forks.append(fork)
     ledger.absorb_concurrent(forks)
 
@@ -256,7 +286,7 @@ def _dhc2_kmachine(
     result = _dhc2_fast(graph, delta=delta, k=k, seed=seed, trace=trace)
     result.engine = "kmachine"
     _charge_phase1(ledger, graph, trace["phase1"], trace["classes"],
-                   result.detail["k"])
+                   result.detail["k"], stop_at_failure=True)
     indptr, indices = graph.indptr, graph.indices
     for a_cycle, b_cycle, merged in trace["merges"]:
         # Bridge scan: every class-A node polls its class-B neighbours,

@@ -120,6 +120,30 @@ class TestDraParity:
                 detail_keys=("fail_codes", "rotations", "extensions", "retries"))
             assert kernel.engine == "fast" and oracle.engine == "fast-py"
 
+    @pytest.mark.parametrize("route", ["generator-fallback", "numpy-seed"])
+    def test_draw_routes(self, route, monkeypatch):
+        # Both draw paths of fast: the lazily built node streams, whose
+        # common draws the walk takes inline (here from an np.int64
+        # seed), and the real Generators they fall back to.
+        if route == "generator-fallback":
+            monkeypatch.setattr(batchwalk, "_EXACT", False)
+        outcomes = set()
+        for factor in (1.0, 8.0):
+            for seed in (1, 7):
+                g = sample("gnp", 64, factor, seed)
+                drawn = np.int64(seed) if route == "numpy-seed" else seed
+                assert isinstance(batchwalk.node_streams(drawn, 4)[0],
+                                  np.random.Generator) == (
+                    route == "generator-fallback")
+                kernel = repro.run(g, "dra", engine="fast", seed=drawn)
+                oracle = _dra_fast_py(g, seed=seed)
+                assert_parity(kernel, oracle,
+                              f"dra {route} factor={factor} seed={seed}",
+                              detail_keys=("fail_codes", "rotations",
+                                           "extensions"))
+                outcomes.add(kernel.success)
+        assert outcomes == {True, False}
+
     def test_step_budget_failure_matches(self, monkeypatch):
         g = sample("gnp", 64, 8.0, seed=3)
         for budget in (5, 40, 200):
@@ -197,6 +221,25 @@ class TestDhc2Parity:
             assert_parity(kernel, oracle,
                           f"dhc2 {model} n={n} seed={seed}",
                           detail_keys=("fail", "k", "levels"))
+
+    @pytest.mark.parametrize("route", ["generator-fallback", "numpy-seed"])
+    def test_draw_routes(self, route, monkeypatch):
+        # As DRA's: Phase 1's colour draws build every node's stream,
+        # then the class walks take their common draws inline.
+        if route == "generator-fallback":
+            monkeypatch.setattr(batchwalk, "_EXACT", False)
+        outcomes = set()
+        for factor, k in ((1.0, 8), (32.0, 4)):
+            for seed in (1, 2, 7):
+                g = sample("gnp", 64, factor, seed)
+                drawn = np.int64(seed) if route == "numpy-seed" else seed
+                kernel = repro.run(g, "dhc2", engine="fast", k=k, seed=drawn)
+                oracle = _dhc2_fast_py(g, k=k, seed=seed)
+                assert_parity(kernel, oracle,
+                              f"dhc2 {route} factor={factor} seed={seed}",
+                              detail_keys=("fail", "k", "levels"))
+                outcomes.add(kernel.success)
+        assert outcomes == {True, False}
 
     def test_sparse_failure_codes_match(self):
         for seed in (2, 9):

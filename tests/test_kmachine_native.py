@@ -440,6 +440,24 @@ class TestLedgerInvariants:
                             f"n={n} seed={seed} k_machines={k_machines}")
         assert successes >= 4
 
+    @pytest.mark.parametrize("k_machines", [1, 4])
+    def test_walk_failure_charges_exactly_the_reported_rounds(self, k_machines):
+        # The failure twin: DHC2 reports a class-walk failure at the
+        # failing walk's end round, so the ledger stops there too, with
+        # no fail flood and no tick of an earlier class that was still
+        # walking (G(48, 0.5) at seed 3).
+        failures = 0
+        for n, p in ((48, 0.5), (64, 0.4), (96, 0.3)):
+            g = gnp_random_graph(n, p, seed=0)
+            for seed in range(4):
+                r = repro.run(g, "dhc2", engine="kmachine", seed=seed,
+                              delta=0.5, k_machines=k_machines)
+                if r.detail.get("fail", "").startswith("walk-"):
+                    failures += 1
+                    assert r.detail["kmachine"]["congest_rounds"] == r.rounds, (
+                        f"n={n} seed={seed}")
+        assert failures >= 8
+
     def test_link_matrix_totals(self):
         part = VertexPartition(np.array([0, 0, 1, 1]), k=2)
         ledger = LinkLedger(part, 4)

@@ -9,13 +9,24 @@ the no-consumption ``bound == 1`` draw, the full-width ``2**32`` draw
 (which returns the raw half itself) and a Lemire rejection whose retry
 is the first half of the first refill.  They also check that the
 replication self-check notices a wrong half split.
+
+:class:`~repro.engines.arraywalk.ArrayWalk` takes the common draw
+itself, from a node's prefetched halves, before that node's stream is
+built.  The walk cases compare it with the oracle walker of
+``tests/oracles.py`` on draws that reject, draw with bound 1 and
+refill, and check that a stream built after the walk continues the
+spawned Generator's stream.
 """
 
 import numpy as np
 import pytest
 
 from repro.engines import batchwalk
+from repro.engines.arraywalk import ArrayWalk, live_rows
 from repro.engines.batchwalk import node_streams
+from repro.graphs import Graph
+
+from tests.oracles import _FastWalk
 
 #: Rejects roughly half of all 32-bit halves (threshold 2**31 - 1).
 REJECTING = 2**31 + 1
@@ -104,3 +115,88 @@ class TestPrefetchedStreams:
         monkeypatch.setattr(batchwalk, "_EXACT", None)
         assert all(isinstance(s, np.random.Generator)
                    for s in node_streams(3, 4))
+
+
+def complete_bipartite(m):
+    """K_{m,m+1}: no Hamiltonian cycle, so the walk runs to a dead end."""
+    return Graph(2 * m + 1, [(u, m + w) for u in range(m)
+                             for w in range(m + 1)])
+
+
+def walk_pair(graph, kernel_rngs, oracle_rngs):
+    """The same DRA walk on the array kernel and on the oracle walker."""
+    common = dict(size=graph.n, initial_head=0, step_budget=10**6,
+                  tree_depth=2, start_round=0)
+    kernel = ArrayWalk(rows=live_rows(graph.indptr, graph.indices),
+                       rngs=kernel_rngs, **common)
+    oracle = _FastWalk(
+        edges_of=lambda v: [(w, 0, 0) for w in graph.neighbor_list(v)],
+        rngs=oracle_rngs, **common)
+    kernel.run()
+    oracle.run()
+    for field in ("success", "fail_code", "steps", "rotations",
+                  "extensions", "round", "end_round", "flood_initiator"):
+        assert getattr(kernel, field) == getattr(oracle, field), field
+    assert kernel.cycle() == oracle.cycle()
+
+
+@pytest.mark.usefixtures("replicated")
+class TestWalkDrawRoutes:
+    """ArrayWalk's inlined accept test against the streams' own draws."""
+
+    def test_rejection_bound_one_and_refill_match_the_oracle(self, monkeypatch):
+        # On K_{30,31} every head draws from its shrinking row until it
+        # dead-ends: rows fall to one live edge (bound 1) and nodes
+        # draw past their prefetched halves (a refill).  A zero half
+        # queued first at every node is rejected by any bound that is
+        # not a power of two, so each node's first draw rejects.
+        graph = complete_bipartite(30)
+        theirs = node_streams(4, graph.n)
+        for queue in theirs.halves:
+            queue.append(0)
+        theirs = list(theirs)  # the oracle draws through integers only
+        routes = {"bound-1": 0, "rejection": 0, "refill": 0}
+
+        class Recording(batchwalk._NodeStream):
+            __slots__ = ()
+
+            def integers(self, bound):
+                queue = self._halves
+                if bound == 1:
+                    routes["bound-1"] += 1
+                elif queue and rejected(queue[-1], bound):
+                    routes["rejection"] += 1
+                return super().integers(bound)
+
+            def _refill(self):
+                routes["refill"] += 1
+                return super()._refill()
+
+        # Only the kernel's streams are built after this, so the counts
+        # are the draws the walk left to them.
+        monkeypatch.setattr(batchwalk, "_NodeStream", Recording)
+        ours = node_streams(4, graph.n)
+        for queue in ours.halves:
+            queue.append(0)
+        walk_pair(graph, ours, theirs)
+        assert all(routes.values()), routes
+        assert [(s._state, s._halves) for s in ours] == [
+            (s._state, s._halves) for s in theirs]
+
+    def test_lazy_stream_continues_the_spawned_generator(self):
+        # A node first drawn inside the walk (its stream not yet built)
+        # and then through rngs[v].integers continues the stream of
+        # default_rng(SeedSequence(seed).spawn(n)[v]).
+        graph = complete_bipartite(8)
+        ours = node_streams(13, graph.n)
+        ref = spawned(13, graph.n)
+        walk_pair(graph, ours, ref)
+        inline_only = [v for v in range(graph.n)
+                       if ours._built[v] is None and len(ours.halves[v]) < PREFETCHED]
+        assert inline_only
+        bounds = (2, 7, REJECTING, 1, 2**32, 1000003)
+        for v in range(graph.n):
+            for i in range(3 * PREFETCHED):
+                bound = bounds[i % len(bounds)]
+                assert ours[v].integers(bound) == int(ref[v].integers(bound)), (
+                    f"node {v}, draw {i}")
