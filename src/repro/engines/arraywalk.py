@@ -78,7 +78,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from repro.graphs.adjacency import csr_gather, csr_sources, sorted_unique
+from repro.graphs.adjacency import csr_gather, sorted_unique
 
 __all__ = [
     "ArrayTree",
@@ -86,6 +86,7 @@ __all__ = [
     "build_array_tree",
     "filtered_csr",
     "live_rows",
+    "same_color_csr",
     "tree_completion_times",
     "tree_eccentricities",
 ]
@@ -109,14 +110,25 @@ def filtered_csr(indptr: np.ndarray, indices: np.ndarray,
     ``keep`` is a boolean mask parallel to ``indices``.  Row order (and
     hence per-row sortedness) is preserved.  The caller is responsible
     for keeping the mask symmetric (keep ``u→v`` iff ``v→u``) so the
-    result is still an undirected CSR.
+    result is still an undirected CSR.  The new row pointers are the
+    running count of kept entries read at the old ones, so no per-entry
+    source ids are built.
     """
-    n = len(indptr) - 1
-    src = csr_sources(indptr)
-    new_indices = indices[keep]
-    new_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src[keep], minlength=n), out=new_indptr[1:])
-    return new_indptr, new_indices
+    kept = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    return kept[indptr], indices[keep]
+
+
+def same_color_csr(indptr: np.ndarray, indices: np.ndarray,
+                   color_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`filtered_csr` keeping the entries whose ends share a colour.
+
+    DHC2's Phase-1 CSR: one graph whose components are the colour
+    classes.  The mask compares each row's colour, repeated over the
+    row, with its neighbours' colours; it is symmetric by construction.
+    """
+    return filtered_csr(indptr, indices,
+                        np.repeat(color_of, np.diff(indptr)) == color_of[indices])
 
 
 def _member_entries(indptr: np.ndarray, indices: np.ndarray,

@@ -72,11 +72,13 @@ which also prefetches each child's first raw words as 32-bit halves.
 It keeps those half queues and the LCG state columns, and builds a
 node's small Python-int PCG64 stream (:class:`_NodeStream`, whose
 ``integers(bound)`` is bit-identical to the Generator's) only when
-``rngs[v]`` is first asked for: on a refill or a draw the walk leaves
-to the stream, and for Turau's, DHC1's and Phase 1's colour draws.
-The rotation walk takes its common draw straight from the queue
-(:class:`~repro.engines.arraywalk.ArrayWalk`'s one inlined accept
-test).  :func:`trial_stream` gives CRE's single ``default_rng(seed)``
+``rngs[v]`` is first asked for: on a refill, a draw the walk leaves
+to the stream, or one of Turau's merge-phase or DHC1's draws.  The
+rotation walk takes its common draw straight from the queue
+(:class:`~repro.engines.arraywalk.ArrayWalk`'s inlined accept test),
+and :func:`first_draws` applies the same test to every node at once
+for the draws that open a trial: Phase 1's colours and Turau's
+proposals.  :func:`trial_stream` gives CRE's single ``default_rng(seed)``
 stream, its first words prefetched by one ``random_raw`` call.  Both
 share the pools' self-check verdict, and fall back to real Generators
 with them.
@@ -115,6 +117,7 @@ __all__ = [
     "BatchWalk",
     "DrawPool",
     "build_batch_tree",
+    "first_draws",
     "node_streams",
     "stack_graph_csrs",
     "stacked_edge_twins",
@@ -555,6 +558,43 @@ class _NodeStreams:
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self.halves)))
+
+
+def first_draws(rngs, bounds) -> np.ndarray:
+    """Every node's ``rngs[v].integers(bounds[v])``, drawn as one vector.
+
+    Phase 1's colour draw and Turau's proposal round make one draw per
+    node before anything else draws.  Node ``v`` with ``bounds[v] == 0``
+    draws nothing and ``bounds[v] == 1`` draws ``0`` without consuming
+    (as ``integers(1)`` does); both read ``0``.  Otherwise this applies
+    :class:`~repro.engines.arraywalk.ArrayWalk`'s inlined accept test to
+    all nodes at once: where the node's half queue (``rngs.halves``) is
+    not empty and ``(half * k) mod 2**32 >= k``, it pops that half and
+    draws ``(half * k) >> 32``.  Every other node (an empty queue reads
+    as a zero half, which fails the test), and every node of a list of
+    real Generators, draws through ``rngs[v].integers(k)``.  The nodes'
+    streams are independent, so the order across nodes is free, and
+    lazy streams stay unbuilt for the accepted nodes.  Bounds are at
+    most ``2**32``, as :meth:`_NodeStream.integers` requires.
+    """
+    bounds = np.asarray(bounds, dtype=np.int64)
+    out = np.zeros(bounds.size, dtype=np.int64)
+    rest = np.flatnonzero(bounds > 1)
+    queues = getattr(rngs, "halves", None)
+    if queues is not None and rest.size:
+        pending = [queues[v] for v in rest.tolist()]
+        tops = np.array([q[-1] if q else 0 for q in pending], dtype=np.uint64)
+        k = bounds[rest].astype(np.uint64)
+        m = tops * k
+        accept = (m & _MASK32) >= k
+        hit = rest[accept]
+        out[hit] = m[accept] >> _U32
+        for v in hit.tolist():
+            queues[v].pop()
+        rest = rest[~accept]
+    for v in rest.tolist():
+        out[v] = rngs[v].integers(bounds.item(v))
+    return out
 
 
 class DrawPool:

@@ -330,9 +330,8 @@ def _dhc2_fast_batch(graphs, *, seeds, delta: float = 0.5,
 def _dhc2_chunk(graphs, seeds, results, offset, delta, k) -> None:
     from repro.core.dhc2 import default_color_count
     from repro.core.phase1 import resolve_colors
-    from repro.engines.arraywalk import filtered_csr
+    from repro.engines.arraywalk import same_color_csr
     from repro.engines.fast_dhc2 import _fail, _phase2
-    from repro.graphs.adjacency import csr_sources
 
     n = _batch_n(graphs)
     batch = len(graphs)
@@ -348,12 +347,10 @@ def _dhc2_chunk(graphs, seeds, results, offset, delta, k) -> None:
     else:
         color_of = np.zeros(0, dtype=np.int64)
     indptr, indices, _ = _stacked_csr(graphs)
-    src = csr_sources(indptr)
     # One colour-filtered CSR shared by all classes (as in serial):
     # classes are edge-disjoint within it, so the fresh dead-edge mask
     # each class walk starts from equals the serial shared mask.
-    sub_indptr, sub_indices = filtered_csr(
-        indptr, indices, color_of[src] == color_of[indices])
+    sub_indptr, sub_indices = same_color_csr(indptr, indices, color_of)
     twins = stacked_edge_twins(sub_indptr, sub_indices, batch, n)
     color_mat = color_of.reshape(batch, n)
     base = np.arange(batch, dtype=np.int64) * n

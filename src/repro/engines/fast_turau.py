@@ -114,7 +114,7 @@ def _turau_fast(
     decision.  The native k-machine engine uses it to bin the
     protocol's traffic onto machine links.
     """
-    from repro.engines.batchwalk import node_streams
+    from repro.engines.batchwalk import first_draws, node_streams
 
     n = graph.n
     if trace is not None:
@@ -135,13 +135,16 @@ def _turau_fast(
 
     # -- proposal round: each node picks one random higher-id neighbour,
     # each target accepts its minimum-id proposer --------------------------------
+    # v's higher-id neighbours are the tail of its sorted row; a node
+    # with none draws nothing, the others draw as one vector.
+    above = np.zeros(indices.size + 1, dtype=np.int64)
+    np.cumsum(np.repeat(np.arange(n), np.diff(indptr)) < indices, out=above[1:])
+    higher = above[indptr[1:]] - above[indptr[:-1]]
+    pick = first_draws(rngs, higher)
+    proposers = np.flatnonzero(higher)
     propose = np.full(n, -1, dtype=np.int64)
-    for v in range(n):
-        row = indices[indptr[v]:indptr[v + 1]]
-        higher = row[row > v]
-        if higher.size:
-            propose[v] = higher[int(rngs[v].integers(higher.size))]
-    proposers = np.flatnonzero(propose >= 0)
+    propose[proposers] = indices[
+        indptr[proposers + 1] - higher[proposers] + pick[proposers]]
     # Sorting by (target, proposer) makes the first entry per target the
     # min-id winner — the acceptance rule of the distributed round.
     order = np.lexsort((proposers, propose[proposers]))

@@ -9,8 +9,12 @@ in class order.  :func:`replay_phase1` is that one implementation; the
 engines wrap it with their own round accounting, and the k-machine
 engines charge their link ledgers from its ``trace``.
 
-The colour draw builds one colour-filtered CSR that every class walk
-shares (classes partition the nodes, so the filtered CSR is
+The colour draw is every node's first draw, taken as one vector by
+:func:`~repro.engines.batchwalk.first_draws` (which pops most colours
+straight off the prefetched half queues, so the lazy per-node streams
+stay unbuilt until a walk needs them).  It builds one colour-filtered
+CSR (:func:`~repro.engines.arraywalk.same_color_csr`) that every class
+walk shares (classes partition the nodes, so the filtered CSR is
 member-closed per class and one set of live-neighbour lists serves all
 walks).  The per-class min-id BFS tree builds and rotation walks then
 run in colour order, stopping at the first failure with the same fail
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.bounds import dra_step_budget
-from repro.graphs.adjacency import Graph, csr_sources
+from repro.graphs.adjacency import Graph
 
 __all__ = ["Phase1Replay", "replay_phase1"]
 
@@ -73,15 +77,11 @@ def replay_phase1(graph: Graph, rngs, colors: int, *, start_round: int,
     its final flood.  Without a trace the walk's hot loop stays
     branch-only.
     """
-    from repro.engines.arraywalk import ArrayWalk, build_array_tree, filtered_csr, live_rows
+    from repro.engines.arraywalk import ArrayWalk, build_array_tree, live_rows, same_color_csr
+    from repro.engines.batchwalk import first_draws
 
-    n = graph.n
-    color_of = np.array(
-        [1 + int(rngs[v].integers(colors)) for v in range(n)],
-        dtype=np.int64)
-    src = csr_sources(graph.indptr)
-    indptr, indices = filtered_csr(
-        graph.indptr, graph.indices, color_of[src] == color_of[graph.indices])
+    color_of = 1 + first_draws(rngs, np.full(graph.n, colors, dtype=np.int64))
+    indptr, indices = same_color_csr(graph.indptr, graph.indices, color_of)
     rows = live_rows(indptr, indices)
 
     res = Phase1Replay(indptr, indices, start_round,

@@ -14,9 +14,12 @@ twin table *directly* from the pooled pair set:
 * distinct-pair sampling with the expensive non-stream work pooled —
   one keyed sorted unique over every sparse trial's rejection draws
   instead of B separate uniques,
-* one vectorised pair decode and one concatenated ``lexsort`` CSR
-  build for the whole batch, with the twin (reverse-edge) table read
-  off the sort permutation for free.
+* a per-trial pair decode of each trial's sorted index run (the
+  sorted-input decode of :mod:`repro.graphs._sampling`: one
+  ``searchsorted`` of the ``n`` row starts per trial, not one
+  bisection per pair), and one concatenated ``lexsort`` CSR build for
+  the whole batch, with the twin (reverse-edge) table read off the
+  sort permutation for free.
 
 **Determinism contract:** every call that consumes a trial's random
 stream (``binomial``, ``integers``, the top-up loop, ``choice``,
@@ -24,8 +27,8 @@ stream (``binomial``, ``integers``, the top-up loop, ``choice``,
 exactly the order :func:`gnp_random_graph` makes it, and per-trial
 control flow depends only on that trial's own draws — so the sampled
 edge sets are seed-for-seed identical to the per-trial generator.
-Only order-insensitive set algebra (the sorted unique, the pair decode,
-the CSR sort) is pooled.  Like ``DrawPool``, the pooled path
+Only order-insensitive set algebra (the sorted unique, the CSR sort)
+is pooled.  Like ``DrawPool``, the pooled path
 self-checks against :func:`gnp_random_graph` once per process
 (:func:`pooled_sampling_exact`) and falls back to literal per-trial
 :func:`~repro.graphs._sampling.sample_distinct` calls — still exact by
@@ -208,7 +211,10 @@ def _generate(n: int, p: float, seeds: list, *, pooled: bool) -> GnpBatch:
     if offsets[-1] == 0:
         return GnpBatch(n, p, _EMPTY, _EMPTY, offsets)
     indices = _sample_batch_indices(rngs, total, counts, pooled=pooled)
-    lo, hi = decode_pair_indices(n, indices)
+    lo = np.empty_like(indices)
+    hi = np.empty_like(indices)
+    for s, e in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        lo[s:e], hi[s:e] = decode_pair_indices(n, indices[s:e])
     return GnpBatch(n, p, lo, hi, offsets)
 
 
@@ -216,6 +222,7 @@ def _sample_batch_indices(rngs: list, upper: int, counts: np.ndarray,
                           *, pooled: bool) -> np.ndarray:
     """Concatenated per-trial distinct pair indices, in trial order.
 
+    Each trial's run is sorted, as :func:`sample_distinct` returns it.
     Mirrors :func:`sample_distinct` trial by trial; when ``pooled``,
     the sparse-regime first-round deduplication — the dominant cost —
     is one keyed :func:`~repro.graphs.adjacency.sorted_unique` across
@@ -230,9 +237,7 @@ def _sample_batch_indices(rngs: list, upper: int, counts: np.ndarray,
         k = int(counts[b])
         if k == 0:
             parts[b] = _EMPTY
-        elif k * 3 >= upper:
-            parts[b] = rng.permutation(upper)[:k].astype(np.int64)
-        elif not pooled:
+        elif k * 3 >= upper or not pooled:
             parts[b] = sample_distinct(rng, upper, k)
         else:
             draws.append(rng.integers(0, upper, size=int(k * 1.1) + 16,

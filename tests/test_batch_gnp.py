@@ -22,7 +22,12 @@ from repro.graphs import GnpBatch, batch_gnp, gnp_random_graph
 # ``repro.graphs`` re-exports the *function* ``batch_gnp``, shadowing
 # the submodule attribute of the same name — go via sys.modules.
 batch_gnp_module = importlib.import_module("repro.graphs.batch_gnp")
-from repro.graphs._sampling import pair_count, sample_distinct
+from repro.graphs._sampling import (
+    decode_pair_indices,
+    encode_pairs,
+    pair_count,
+    sample_distinct,
+)
 
 GRID = [
     # (n, p, trials): sparse pooled, dense permutation, degenerate.
@@ -231,6 +236,88 @@ class TestTopUpBranch:
         chosen = np.unique(b.integers(0, upper, size=first, dtype=np.int64))
         got = batch_gnp_module.top_up_distinct(b, upper, k, chosen)
         np.testing.assert_array_equal(got, want)
+
+
+class TestSortedSamplingContract:
+    """``sample_distinct`` returns sorted indices; the decode needs them.
+
+    ``decode_pair_indices`` reads each row's pair count off the sorted
+    indices, so it is checked against ``encode_pairs`` and against
+    ``np.triu_indices`` (whose row-major order is the pair index order)
+    over every index, strided subsets and every row boundary.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 63, 64, 65, 127, 200])
+    def test_decode_every_pair_index(self, n):
+        total = pair_count(n)
+        want_lo, want_hi = np.triu_indices(n, 1)
+        lo, hi = decode_pair_indices(n, np.arange(total, dtype=np.int64))
+        np.testing.assert_array_equal(lo, want_lo)
+        np.testing.assert_array_equal(hi, want_hi)
+        assert lo.dtype == hi.dtype == np.int64
+        np.testing.assert_array_equal(encode_pairs(n, lo, hi),
+                                      np.arange(total))
+
+    @pytest.mark.parametrize("n", range(2, 201, 9))
+    def test_decode_strided_subsets(self, n):
+        total = pair_count(n)
+        want_lo, want_hi = np.triu_indices(n, 1)
+        for start in {0, 1, total // 2, total - 1}:
+            for stride in (1, 2, 3, n - 1, n, n + 1, 97):
+                idx = np.arange(start, total, stride, dtype=np.int64)
+                lo, hi = decode_pair_indices(n, idx)
+                np.testing.assert_array_equal(lo, want_lo[idx])
+                np.testing.assert_array_equal(hi, want_hi[idx])
+                np.testing.assert_array_equal(encode_pairs(n, lo, hi), idx)
+
+    def test_decode_row_boundaries_at_large_n(self):
+        n = 10**5
+        rows = np.arange(n - 1, dtype=np.int64)
+        starts = rows * n - rows * (rows + 1) // 2
+        lo, hi = decode_pair_indices(n, starts)
+        np.testing.assert_array_equal(lo, rows)
+        np.testing.assert_array_equal(hi, rows + 1)
+        lo, hi = decode_pair_indices(n, starts[1:] - 1)  # each row's last pair
+        np.testing.assert_array_equal(lo, rows[:-1])
+        np.testing.assert_array_equal(hi, np.full(n - 2, n - 1))
+        lo, hi = decode_pair_indices(n, np.array([pair_count(n) - 1]))
+        assert (lo.tolist(), hi.tolist()) == ([n - 2], [n - 1])
+
+    def test_decode_empty(self):
+        for n in (0, 1, 5):
+            lo, hi = decode_pair_indices(n, np.empty(0, dtype=np.int64))
+            assert lo.size == hi.size == 0
+
+    @pytest.mark.parametrize("upper,k", [
+        (1000, 400),     # dense: k * 3 >= upper, permutation branch
+        (1000, 1000),    # dense: every value
+        (10**6, 2000),   # sparse: rejection, downsampled overshoot
+        (10**12, 50),    # sparse, huge range
+    ])
+    def test_sample_distinct_is_sorted_and_distinct(self, upper, k):
+        for seed in range(5):
+            out = sample_distinct(np.random.default_rng(seed), upper, k)
+            assert out.dtype == np.int64 and out.size == k
+            assert np.all(np.diff(out) > 0)
+            assert out[0] >= 0 and out[-1] < upper
+
+    def test_top_up_keeps_the_order(self):
+        upper, k = 1000, 50
+        first = int(k * 1.1) + 16
+        rng = ScriptedRng([np.tile(np.arange(10), 8)[:first],
+                           np.arange(900, 900 - (k - 10 + 16), -1)])
+        out = sample_distinct(rng, upper, k)
+        assert out.size == k and np.all(np.diff(out) > 0)
+
+    @pytest.mark.parametrize("n,p", [(96, 0.4), (300, 0.9), (128, 0.06),
+                                     (400, 0.02)])
+    def test_batch_matches_per_trial_generator(self, n, p):
+        # Dense points (p >= 1/3) take the permutation branch through
+        # sample_distinct; sparse ones the pooled unique.
+        seeds = [5, 17, 2**40 + 1]
+        batch = batch_gnp(n, p, seeds)
+        for b, want in enumerate(reference(n, p, seeds)):
+            assert batch[b] == want, f"trial {b}"
 
 
 class TestValidation:

@@ -28,6 +28,7 @@ from repro.core.rotation import FAIL_NO_EDGES
 from repro.engines import arraywalk, batchwalk, fast, fast_dhc2
 from repro.engines.arraywalk import build_array_tree
 from repro.engines.registry import REGISTRY
+from repro.graphs.adjacency import csr_sources
 from repro.graphs import (
     Graph,
     csr_gather,
@@ -224,8 +225,9 @@ class TestDhc2Parity:
 
     @pytest.mark.parametrize("route", ["generator-fallback", "numpy-seed"])
     def test_draw_routes(self, route, monkeypatch):
-        # As DRA's: Phase 1's colour draws build every node's stream,
-        # then the class walks take their common draws inline.
+        # As DRA's: Phase 1's colour draws come off the prefetched
+        # halves as one vector (batchwalk.first_draws), then the class
+        # walks take their common draws inline.
         if route == "generator-fallback":
             monkeypatch.setattr(batchwalk, "_EXACT", False)
         outcomes = set()
@@ -720,3 +722,37 @@ class TestCsrHelpers:
         expected = np.concatenate([g.neighbors(int(v)) for v in nodes])
         assert np.array_equal(
             csr_gather(g.indptr, g.indices, nodes), expected)
+
+    @staticmethod
+    def same_color_rows(graph, color_of):
+        """Per-row reference: each node's same-colour neighbours."""
+        return [[w for w in graph.neighbor_list(v) if color_of[w] == color_of[v]]
+                for v in range(graph.n)]
+
+    @pytest.mark.parametrize("case", [
+        "isolated-inside", "isolated-last", "isolated-first", "edgeless",
+        "no-nodes", "gnp"])
+    def test_same_color_csr_matches_filtered_csr(self, case):
+        graph = {
+            "isolated-inside": Graph(7, [(0, 1), (0, 4), (1, 4), (4, 6), (5, 6)]),
+            "isolated-last": Graph(8, [(0, 1), (1, 2), (0, 3), (2, 3), (3, 4)]),
+            "isolated-first": Graph(5, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+            "edgeless": Graph(6, []),
+            "no-nodes": Graph(0, []),
+            "gnp": sample("gnp", 256, 2.0, seed=3),
+        }[case]
+        for k in (1, 2, 3):
+            color_of = 1 + np.random.default_rng(k).integers(
+                k, size=graph.n).astype(np.int64)
+            src = csr_sources(graph.indptr)
+            want = arraywalk.filtered_csr(
+                graph.indptr, graph.indices,
+                color_of[src] == color_of[graph.indices])
+            got = arraywalk.same_color_csr(graph.indptr, graph.indices, color_of)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+                assert a.dtype == b.dtype
+            indptr, indices = got
+            assert indptr.dtype == np.int64 and indptr.size == graph.n + 1
+            rows = [indices[a:b].tolist() for a, b in zip(indptr, indptr[1:])]
+            assert rows == self.same_color_rows(graph, color_of)

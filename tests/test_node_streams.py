@@ -16,15 +16,24 @@ built.  The walk cases compare it with the oracle walker of
 ``tests/oracles.py`` on draws that reject, draw with bound 1 and
 refill, and check that a stream built after the walk continues the
 spawned Generator's stream.
+
+:func:`~repro.engines.batchwalk.first_draws` applies the same test to
+every node at once (Phase 1's colours, Turau's proposals).  It must
+equal per-node ``integers`` draws on the replicated streams and on the
+Generator fallback, take the stream's own route on a half that fails
+the test and on an empty queue, consume nothing for ``bound == 1`` or
+``0``, and leave the accepted nodes' streams unbuilt.
 """
 
 import numpy as np
 import pytest
 
 from repro.engines import batchwalk
+from repro.engines import arraywalk
 from repro.engines.arraywalk import ArrayWalk, live_rows
-from repro.engines.batchwalk import node_streams
-from repro.graphs import Graph
+from repro.engines.batchwalk import first_draws, node_streams
+from repro.engines.phase1_replay import replay_phase1
+from repro.graphs import Graph, gnp_random_graph
 
 from tests.oracles import _FastWalk
 
@@ -200,3 +209,108 @@ class TestWalkDrawRoutes:
                 bound = bounds[i % len(bounds)]
                 assert ours[v].integers(bound) == int(ref[v].integers(bound)), (
                     f"node {v}, draw {i}")
+
+
+#: ``3 * INV3 == 2**33 + 1``: with bound 3 this half's low product word
+#: is 1, below the bound (the inlined test fails) but not below Lemire's
+#: threshold ``(2**32 - 3) % 3 == 1`` (the stream accepts it: draw 2).
+INV3 = 0xAAAAAAAB
+
+
+def assert_same_streams(ours, theirs):
+    n = len(theirs)
+    for v in range(n):
+        for i in range(2 * PREFETCHED):
+            bound = (2, 7, REJECTING, 1, 2**32)[i % 5]
+            assert ours[v].integers(bound) == int(theirs[v].integers(bound)), (
+                f"node {v}, draw {i}")
+
+
+class TestFirstDraws:
+    """The vector first draw against per-node ``integers`` draws."""
+
+    BOUNDS = [0, 1, 2, 3, 7, 64, 1000003, REJECTING, 2**31, 2**32 - 1]
+
+    def bounds(self, n):
+        return np.array([self.BOUNDS[v % len(self.BOUNDS)] for v in range(n)],
+                        dtype=np.int64)
+
+    @pytest.mark.usefixtures("replicated")
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 7])
+    def test_equals_per_node_draws_on_replicated_streams(self, seed):
+        n = 60
+        bounds = self.bounds(n)
+        ours, ref = node_streams(seed, n), spawned(seed, n)
+        got = first_draws(ours, bounds)
+        want = [int(ref[v].integers(b)) if b else 0
+                for v, b in enumerate(bounds.tolist())]
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert_same_streams(ours, ref)
+
+    def test_equals_per_node_draws_on_the_generator_fallback(self, monkeypatch):
+        monkeypatch.setattr(batchwalk, "_EXACT", False)
+        n, seed = 40, 8
+        ours, ref = node_streams(seed, n), spawned(seed, n)
+        assert all(isinstance(g, np.random.Generator) for g in ours)
+        bounds = self.bounds(n)
+        got = first_draws(ours, bounds)
+        want = [int(ref[v].integers(b)) if b else 0
+                for v, b in enumerate(bounds.tolist())]
+        assert got.tolist() == want
+        assert_same_streams(ours, ref)
+
+    @pytest.mark.usefixtures("replicated")
+    def test_failed_test_rejection_bound_one_and_empty_queue(self):
+        # Node 0: a zero half, rejected by bound 3 (retry).  Node 1: a
+        # half that fails the inlined test but that the stream accepts.
+        # Node 2: bound 1.  Node 3: bound 0.  Node 4: its queue drained
+        # first, so the draw refills.  Node 5: the common case.
+        n, seed = 6, 31
+        copies = []
+        for _ in range(2):
+            streams = node_streams(seed, n)
+            streams.halves[0].append(0)
+            streams.halves[1].append(INV3)
+            for _ in range(PREFETCHED):
+                streams[4].integers(2**32)
+            copies.append(streams)
+        ours, theirs = copies
+        theirs = list(theirs)  # every draw through integers
+        bounds = np.array([3, 3, 1, 0, 5, 9], dtype=np.int64)
+        queued = [len(q) for q in ours.halves]
+        got = first_draws(ours, bounds)
+        want = [theirs[v].integers(b) if b else 0
+                for v, b in enumerate(bounds.tolist())]
+        assert got.tolist() == want
+        assert got[1] == 2
+        assert len(ours.halves[0]) == queued[0] - 2  # rejected, then retried
+        assert len(ours.halves[1]) == queued[1] - 1
+        assert len(ours.halves[2]) == queued[2]  # bound 1 consumes nothing
+        assert len(ours.halves[3]) == queued[3]
+        assert [s is not None for s in ours._built] == [
+            True, True, False, False, True, False]
+        assert [(s._state, s._halves) for s in ours] == [
+            (s._state, s._halves) for s in theirs]
+
+    @pytest.mark.usefixtures("replicated")
+    def test_phase1_colour_draw_builds_no_stream(self, monkeypatch):
+        built = []
+        real = arraywalk.same_color_csr
+
+        def spy(indptr, indices, color_of):
+            built.append(sum(s is not None for s in rngs._built))
+            return real(indptr, indices, color_of)
+
+        monkeypatch.setattr(arraywalk, "same_color_csr", spy)
+        graph = gnp_random_graph(256, 0.3, seed=2)
+        rngs = node_streams(9, graph.n)
+        ref = spawned(9, graph.n)
+        res = replay_phase1(graph, rngs, 4, start_round=1)
+        assert built == [0]
+        # The colours are the spawned Generators' first draws: each
+        # class cycle covers exactly one colour's nodes.
+        colors = [1 + int(g.integers(4)) for g in ref]
+        assert res.ok and sorted(res.cycles) == [1, 2, 3, 4]
+        for c, cycle in res.cycles.items():
+            assert sorted(cycle) == [v for v in range(graph.n)
+                                     if colors[v] == c]
