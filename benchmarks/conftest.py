@@ -1,10 +1,13 @@
 """Shared helpers for the experiment benchmarks.
 
-Every benchmark regenerates one experiment from DESIGN.md's index: it
-prints the paper-style series (visible with ``pytest benchmarks/
---benchmark-only -s``), attaches the series to the pytest-benchmark
-record via ``extra_info``, and asserts the *shape* the paper predicts
-(fitted exponents, orderings, crossovers) — not absolute numbers.
+Every benchmark regenerates one experiment from the paper-figure index
+in ``docs/BENCHMARKS.md``: it prints the paper-style series through
+:func:`show`, which renders it with
+:func:`repro.reporting.render_table` (visible with ``pytest
+benchmarks/ --benchmark-only -s``), attaches the series to the
+pytest-benchmark record via ``extra_info``, and asserts the *shape*
+the paper predicts (fitted exponents, orderings, crossovers) — not
+absolute numbers.
 
 Monte Carlo sweeps go through :func:`harness_sweep` — the same
 runner/store/seed-tree layer (:mod:`repro.harness`) the CLI and
@@ -19,6 +22,7 @@ import math
 
 from repro.analysis import fit_power_law
 from repro.harness import MemoryStore, ParallelTrialRunner, TrialRunner
+from repro.reporting import render_table
 
 
 def harness_sweep(trial_fn, points, *, trials, master_seed, jobs=1):
@@ -42,15 +46,12 @@ def harness_sweep(trial_fn, points, *, trials, master_seed, jobs=1):
 
 
 def show(title: str, header: list[str], rows: list[tuple]) -> None:
-    """Print an experiment table."""
-    print(f"\n=== {title} ===")
-    widths = [max(len(h), 12) for h in header]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        cells = [
-            f"{v:.4g}" if isinstance(v, float) else str(v) for v in row
-        ]
-        print("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
+    """Print an experiment table through :func:`render_table`.
+
+    The title opens with a blank line, so under ``pytest -s`` the table
+    does not run on from the progress dots.
+    """
+    print(render_table(header, rows, title=f"\n=== {title} ===", precision=4))
 
 
 def fitted_exponent(xs: list[float], ys: list[float]) -> float:

@@ -3,11 +3,11 @@
 The proof of Theorem 2 relates the rotation walk to a relaxed process:
 "every node has equal probability 1/n to be chosen in every step of
 growing the path", i.e. collecting n coupons at 1/n each, followed by a
-geometric wait for the closing edge.  This module implements that
-relaxed process both in closed form and as a simulation, so experiment
-E1 can compare the *measured* DRA step counts against the exact model
-the proof charges (the walk must do no worse; Theorem 2's 7·n·ln n is
-an upper bound on the relaxed process itself).
+geometric wait for the closing edge.  This module computes that
+relaxed process in closed form (its expected length, the two failure
+bounds of the proof and the step budget they give) and simulates it
+step by step.  Theorem 2's 7·n·ln n is an upper bound on the relaxed
+process itself.
 """
 
 from __future__ import annotations

@@ -80,13 +80,13 @@ class Graph:
     >>> g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     >>> g.degree(0)
     2
-    >>> sorted(g.neighbors(1))
+    >>> g.neighbor_list(1)
     [0, 2]
     >>> g.has_edge(0, 2)
     False
     """
 
-    __slots__ = ("_n", "_m", "_indptr", "_indices")
+    __slots__ = ("_n", "_m", "_indptr", "_indices", "__weakref__")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
         if n < 0:

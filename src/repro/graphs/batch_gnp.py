@@ -38,9 +38,10 @@ branch is pinned by unit tests with scripted generators
 
 :class:`GnpBatch` quacks enough like a list of
 :class:`~repro.graphs.adjacency.Graph` for the batch runners:
-``len(batch)``, ``batch[b]`` (a lazily materialised per-trial
-``Graph``), contiguous ``batch[lo:hi]`` slices (zero-copy views over
-the shared pair arrays, for edge-budget chunking), and iteration.
+``len(batch)``, ``batch[b]`` (trial ``b``'s ``Graph``, built on each
+access and not kept, so a batch holds only its pair arrays),
+contiguous ``batch[lo:hi]`` slices (zero-copy views over the shared
+pair arrays, for edge-budget chunking), and iteration.
 ``batch.stacked()`` returns ``(indptr, indices, twins)`` bit-identical
 to ``stack_graph_csrs`` + ``stacked_edge_twins`` over the
 materialised graphs.
@@ -77,7 +78,7 @@ class GnpBatch:
     plus :meth:`stacked` and the per-trial :attr:`edge_counts`.
     """
 
-    __slots__ = ("n", "p", "_lo", "_hi", "_offsets", "_graphs", "_stacked")
+    __slots__ = ("n", "p", "_lo", "_hi", "_offsets", "_stacked")
 
     def __init__(self, n: int, p: float, lo: np.ndarray, hi: np.ndarray,
                  offsets: np.ndarray):
@@ -86,7 +87,6 @@ class GnpBatch:
         self._lo = lo
         self._hi = hi
         self._offsets = offsets  # absolute int64 offsets into lo/hi, len B+1
-        self._graphs: dict[int, Graph] = {}
         self._stacked: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
@@ -118,12 +118,8 @@ class GnpBatch:
             b += len(self)
         if not 0 <= b < len(self):
             raise IndexError("trial index out of range")
-        graph = self._graphs.get(b)
-        if graph is None:
-            s, e = int(self._offsets[b]), int(self._offsets[b + 1])
-            graph = Graph.from_sorted_pairs(self.n, self._lo[s:e], self._hi[s:e])
-            self._graphs[b] = graph
-        return graph
+        s, e = int(self._offsets[b]), int(self._offsets[b + 1])
+        return Graph.from_sorted_pairs(self.n, self._lo[s:e], self._hi[s:e])
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The batch as one disjoint-union CSR: ``(indptr, indices, twins)``.

@@ -29,12 +29,13 @@ class JsonlStore(TrialStore):
     Examples
     --------
     >>> import tempfile, os
-    >>> path = os.path.join(tempfile.mkdtemp(), "trials.jsonl")
-    >>> store = JsonlStore(path)
+    >>> tmp = tempfile.TemporaryDirectory()
+    >>> store = JsonlStore(os.path.join(tmp.name, "trials.jsonl"))
     >>> store.append(Trial(point={"n": 8}, trial_index=0, seed=1,
     ...                    success=True, metrics={"rounds": 12.0}))
     >>> [t.metrics["rounds"] for t in store.load()]
     [12.0]
+    >>> tmp.cleanup()
     """
 
     def __init__(self, path: str | Path):

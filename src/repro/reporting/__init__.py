@@ -1,22 +1,13 @@
-"""Result presentation for the benchmark harness.
+"""Plain-text tables: the one table renderer of the package.
 
-The paper is a theory paper: its "tables" are theorem statements and
-its "figures" are scaling claims.  Every bench in ``benchmarks/``
-prints a paper-style series through this subpackage —
-:func:`~repro.reporting.table.render_table` for the rows,
-:func:`~repro.reporting.chart.loglog_chart` for an ASCII look at the
-scaling shape, and :class:`~repro.reporting.record.ExperimentRecord`
-for the paper-vs-measured verdicts that EXPERIMENTS.md records.
+:func:`~repro.reporting.table.render_table` aligns rows under a header
+and formats each cell with :func:`~repro.reporting.table.format_cell`.
+The CLI's text output (``repro run``, ``sweep``, ``engines``,
+``graph`` and ``bounds``), :mod:`repro.trace`'s per-kind traffic
+table, the examples and every benchmark (through
+``benchmarks/conftest.show``) print through it.
 """
 
-from repro.reporting.chart import loglog_chart, series_chart
-from repro.reporting.record import ExperimentRecord, Verdict
 from repro.reporting.table import render_table
 
-__all__ = [
-    "render_table",
-    "loglog_chart",
-    "series_chart",
-    "ExperimentRecord",
-    "Verdict",
-]
+__all__ = ["render_table"]

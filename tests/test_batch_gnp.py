@@ -11,6 +11,8 @@ generators, since honest oversampling makes it a ~1e-10 event at test
 sizes.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -138,9 +140,15 @@ class TestStackedCsr:
 
 
 class TestListProtocol:
-    def test_lazy_graphs_are_cached(self):
-        batch = batch_gnp(16, 0.3, [1, 2, 3])
-        assert batch[1] is batch[1]
+    def test_graphs_are_built_on_access_and_not_kept(self):
+        seeds = [1, 2, 3]
+        batch = batch_gnp(16, 0.3, seeds)
+        for b, seed in enumerate(seeds):
+            assert batch[b] == gnp_random_graph(16, 0.3, seed=seed)
+        graph = batch[1]
+        ref = weakref.ref(graph)
+        del graph
+        assert ref() is None
 
     def test_negative_index_and_bounds(self):
         batch = batch_gnp(16, 0.3, [1, 2, 3])

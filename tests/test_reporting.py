@@ -1,16 +1,10 @@
-"""Tests for the reporting subpackage (tables, charts, records)."""
+"""Tests for the reporting subpackage (the table renderer)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.reporting import (
-    ExperimentRecord,
-    Verdict,
-    loglog_chart,
-    render_table,
-    series_chart,
-)
+from repro.reporting import render_table
 from repro.reporting.table import format_cell
 
 
@@ -57,75 +51,3 @@ class TestRenderTable:
         out = render_table(["x", "y"], rows)
         assert len(out.splitlines()) == 2 + len(rows)
 
-
-class TestCharts:
-    def test_loglog_renders_marks_and_legend(self):
-        out = loglog_chart(
-            [64, 128, 256], {"dhc1": [100, 160, 250], "upcast": [80, 120, 190]})
-        assert "o=dhc1" in out
-        assert "x=upcast" in out
-        assert "o" in out.split("legend")[0]
-
-    def test_loglog_rejects_empty(self):
-        with pytest.raises(ValueError):
-            loglog_chart([1], {})
-
-    def test_loglog_rejects_mismatched_series(self):
-        with pytest.raises(ValueError, match="one value per x"):
-            loglog_chart([1, 2], {"a": [1]})
-
-    def test_loglog_skips_nonpositive(self):
-        out = loglog_chart([1, 10], {"a": [0, 100]})  # the 0 is dropped
-        assert "a" in out
-
-    def test_loglog_all_nonpositive_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            loglog_chart([1], {"a": [0]})
-
-    def test_series_chart_linear(self):
-        out = series_chart([0, 1, 2], {"rate": [0.0, 0.5, 1.0]})
-        assert "legend" in out
-        assert "rate" in out
-
-
-class TestExperimentRecord:
-    def _record(self, **overrides):
-        base = dict(
-            experiment_id="E2",
-            claim="Theorem 1: DHC1 rounds scale as sqrt(n) polylog",
-            predicted="slope 0.5",
-            measured="slope 0.54",
-            verdict=Verdict.REPRODUCED,
-            series={"n": [64, 256], "rounds": [112, 430]},
-            notes="c=6, 5 trials",
-        )
-        base.update(overrides)
-        return ExperimentRecord(**base)
-
-    def test_render_contains_all_fields(self):
-        text = self._record().render()
-        assert "[E2]" in text
-        assert "slope 0.5" in text
-        assert "slope 0.54" in text
-        assert "reproduced" in text
-        assert "c=6" in text
-        assert "rounds" in text
-
-    def test_markdown_has_table(self):
-        md = self._record().to_markdown()
-        assert md.startswith("### E2")
-        assert "| n | rounds |" in md
-        assert "| 64 | 112 |" in md
-
-    def test_mismatched_series_rejected(self):
-        with pytest.raises(ValueError, match="mismatched"):
-            self._record(series={"n": [1, 2], "rounds": [3]})
-
-    def test_no_series_is_fine(self):
-        record = self._record(series={})
-        assert record.data_rows() == []
-        assert "verdict" in record.render()
-
-    def test_verdict_strings(self):
-        assert str(Verdict.REPRODUCED) == "reproduced"
-        assert str(Verdict.DEVIATION) == "deviation (documented)"
