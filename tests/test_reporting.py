@@ -1,4 +1,8 @@
-"""Tests for the reporting subpackage (the table renderer)."""
+"""Tests for the reporting subpackage (the table renderer) and for
+``benchmarks/conftest.show``, which prints every benchmark table through it."""
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +10,16 @@ from hypothesis import strategies as st
 
 from repro.reporting import render_table
 from repro.reporting.table import format_cell
+
+_CONFTEST = Path(__file__).resolve().parent.parent / "benchmarks" / "conftest.py"
+
+
+def _benchmark_show():
+    # Loaded under its own name: ``conftest`` is this suite's module.
+    spec = importlib.util.spec_from_file_location("benchmarks_conftest", _CONFTEST)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.show
 
 
 class TestFormatCell:
@@ -51,3 +65,20 @@ class TestRenderTable:
         out = render_table(["x", "y"], rows)
         assert len(out.splitlines()) == 2 + len(rows)
 
+
+
+class TestBenchmarkShow:
+    def test_prints_render_table(self, capsys):
+        header, rows = ["n", "rounds", "ratio"], [(64, 112, 1.75), (256, 230.0, 0.8984)]
+        _benchmark_show()("E1", header, rows)
+        expected = render_table(header, rows, title="\n=== E1 ===", precision=4)
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_floats_keep_four_significant_digits(self, capsys):
+        _benchmark_show()("E2", ["x", "y"], [(3.14159265, 42.0)])
+        row = capsys.readouterr().out.splitlines()[-1]
+        assert row.split() == ["3.142", "42"]
+
+    def test_ragged_row_rejected(self):
+        with pytest.raises(ValueError, match="cells"):
+            _benchmark_show()("E3", ["a", "b"], [(1,)])
