@@ -206,49 +206,65 @@ def _generate(n: int, p: float, seeds: list, *, pooled: bool) -> GnpBatch:
     np.cumsum(counts, out=offsets[1:])
     if offsets[-1] == 0:
         return GnpBatch(n, p, _EMPTY, _EMPTY, offsets)
-    indices = _sample_batch_indices(rngs, total, counts, pooled=pooled)
-    lo = np.empty_like(indices)
-    hi = np.empty_like(indices)
-    for s, e in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
-        lo[s:e], hi[s:e] = decode_pair_indices(n, indices[s:e])
+    # Each trial's run is decoded straight into the pool arrays, so no
+    # batch-sized index array or list of runs is built and freed on the
+    # way; the sparse trials' pooled unique is done before the pool
+    # arrays exist.
+    runs = _trial_runs(rngs, total, counts, pooled=pooled)
+    lo = np.empty(int(offsets[-1]), dtype=np.int64)
+    hi = np.empty_like(lo)
+    for b, run in runs:
+        s, e = int(offsets[b]), int(offsets[b + 1])
+        lo[s:e], hi[s:e] = decode_pair_indices(n, run)
     return GnpBatch(n, p, lo, hi, offsets)
 
 
-def _sample_batch_indices(rngs: list, upper: int, counts: np.ndarray,
-                          *, pooled: bool) -> np.ndarray:
-    """Concatenated per-trial distinct pair indices, in trial order.
+def _trial_runs(rngs: list, upper: int, counts: np.ndarray, *, pooled: bool):
+    """An iterator of ``(b, run)``: trial ``b``'s distinct pair indices, sorted.
 
-    Each trial's run is sorted, as :func:`sample_distinct` returns it.
-    Mirrors :func:`sample_distinct` trial by trial; when ``pooled``,
-    the sparse-regime first-round deduplication — the dominant cost —
-    is one keyed :func:`~repro.graphs.adjacency.sorted_unique` across
-    all sparse trials (key = ``slot * upper + value``, collision-free
-    and overflow-guarded).
+    Trials with no edges yield nothing; dense trials come first, in
+    trial order, then the sparse ones.  Mirrors :func:`sample_distinct`
+    trial by trial; when ``pooled``, the sparse-regime first-round
+    deduplication — the dominant cost — is one keyed
+    :func:`~repro.graphs.adjacency.sorted_unique` across all sparse
+    trials (key = ``slot * upper + value``, collision-free and
+    overflow-guarded).  That unique runs here, before the iterator is
+    returned, so its temporaries are gone before the caller allocates
+    the pool; each run is drawn only when the iterator reaches it.
+    Every trial draws from its own Generator, so neither order changes
+    any draw.
     """
-    parts: list = [None] * len(rngs)
+    dense: list[int] = []
     sparse: list[int] = []
     draws: list[np.ndarray] = []
     pooled = pooled and len(rngs) * max(upper, 1) < 2**62
     for b, rng in enumerate(rngs):
         k = int(counts[b])
         if k == 0:
-            parts[b] = _EMPTY
-        elif k * 3 >= upper or not pooled:
-            parts[b] = sample_distinct(rng, upper, k)
+            continue
+        if k * 3 >= upper or not pooled:
+            dense.append(b)
         else:
             draws.append(rng.integers(0, upper, size=int(k * 1.1) + 16,
                                       dtype=np.int64))
             sparse.append(b)
+    pool = bounds = _EMPTY
     if sparse:
         sizes = np.array([d.size for d in draws], dtype=np.int64)
         base = np.repeat(np.arange(len(draws), dtype=np.int64) * upper, sizes)
         pool = sorted_unique(np.concatenate(draws) + base)
+        del draws, base
         bounds = np.searchsorted(
-            pool, np.arange(len(draws) + 1, dtype=np.int64) * upper)
+            pool, np.arange(len(sparse) + 1, dtype=np.int64) * upper)
+
+    def runs():
+        for b in dense:
+            yield b, sample_distinct(rngs[b], upper, int(counts[b]))
         for slot, b in enumerate(sparse):
             chosen = pool[bounds[slot]:bounds[slot + 1]] - slot * upper
-            parts[b] = top_up_distinct(rngs[b], upper, int(counts[b]), chosen)
-    return np.concatenate(parts)
+            yield b, top_up_distinct(rngs[b], upper, int(counts[b]), chosen)
+
+    return runs()
 
 
 def _self_check() -> bool:

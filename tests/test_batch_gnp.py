@@ -11,6 +11,7 @@ generators, since honest oversampling makes it a ~1e-10 event at test
 sizes.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -101,13 +102,29 @@ class TestSeedForSeedEquality:
         upper = 2**61
         counts = np.array([3, 4], dtype=np.int64)
         rngs = [np.random.default_rng(s) for s in (11, 12)]
-        got = batch_gnp_module._sample_batch_indices(
-            rngs, upper, counts, pooled=True)
-        want = np.concatenate([
-            sample_distinct(np.random.default_rng(11), upper, 3),
-            sample_distinct(np.random.default_rng(12), upper, 4),
-        ])
-        np.testing.assert_array_equal(got, want)
+        got = dict(batch_gnp_module._trial_runs(
+            rngs, upper, counts, pooled=True))
+        assert sorted(got) == [0, 1]
+        np.testing.assert_array_equal(
+            got[0], sample_distinct(np.random.default_rng(11), upper, 3))
+        np.testing.assert_array_equal(
+            got[1], sample_distinct(np.random.default_rng(12), upper, 4))
+
+    @pytest.mark.parametrize("p", [0.4, 0.9])
+    def test_dense_pool_is_the_only_batch_sized_allocation(self, p):
+        # Dense runs are drawn and decoded straight into the pair
+        # arrays one trial at a time: traced peak memory stays near the
+        # pool itself (lo + hi), with no batch-sized index array or
+        # list of runs alive beside it.
+        batch_gnp(60, p, [0])  # self-check and imports outside the trace
+        tracemalloc.start()
+        try:
+            batch = batch_gnp(200, p, list(range(40)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pool = 2 * 8 * int(batch.edge_counts.sum())
+        assert peak < 1.25 * pool
 
 
 class TestStackedCsr:
