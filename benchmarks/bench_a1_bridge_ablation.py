@@ -1,7 +1,8 @@
 """A1 — bridge availability per level-1 merge pair in DHC2's Phase 2.
 
-DESIGN.md commits to a deterministic rule (prefer ``w' = succ(w)``;
-min-``w`` per active node; min-``(v, w)`` globally).  This benchmark
+The reproduction commits to a deterministic rule (prefer
+``w' = succ(w)``; min-``w`` per active node; min-``(v, w)`` globally;
+see :mod:`repro.core.merge`).  This benchmark
 counts how many bridge candidates exist per level-1 merge pair, which
 shows the selection rule has plenty of slack (Lemma 8's "many bridges"
 claim), and checks that the fast engine's merge (``_merge_pair``) joins

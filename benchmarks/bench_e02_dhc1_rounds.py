@@ -23,8 +23,7 @@ def _colors(n: int) -> int:
     # K = sqrt(n) / 1.5: the paper's partition count up to a constant.
     # At laptop n, sqrt(n)-sized partitions fail their own HC walk too
     # often (the proofs assume c >= 86); a constant-factor reduction
-    # keeps the asymptotics while making runs completable.  Recorded in
-    # EXPERIMENTS.md.
+    # keeps the asymptotics while making runs completable.
     return max(2, round(math.sqrt(n) / 1.5))
 
 

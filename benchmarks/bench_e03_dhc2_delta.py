@@ -12,7 +12,7 @@ from repro.graphs import gnp_random_graph, paper_probability
 
 from benchmarks.conftest import fitted_exponent, show
 
-# Grid note (reproduction finding, recorded in EXPERIMENTS.md): small
+# Grid note (a reproduction finding): small
 # delta means partitions of size n**delta, and below ~20 nodes a
 # partition's own Hamiltonian-cycle walk fails too often at any density
 # (the paper's c >= 86 exists to suppress exactly this).  At laptop n

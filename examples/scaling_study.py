@@ -2,7 +2,8 @@
 """Mini scaling study: reproduce the shape of Theorem 10 interactively.
 
 Sweeps n at two densities on the fast engine (decision-identical to
-the CONGEST simulator; see DESIGN.md) and fits the round-complexity
+the CONGEST simulator; see "The array kernel layer" in
+docs/ARCHITECTURE.md) and fits the round-complexity
 exponent, printing the comparison against the paper's O~(n^delta).
 
 The sweep runs through the harness orchestration layer — the same

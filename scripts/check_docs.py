@@ -1,20 +1,25 @@
 #!/usr/bin/env python
-"""Validate intra-repo markdown links.
+"""Validate intra-repo markdown links and the docs that code names.
 
 Usage::
 
     python scripts/check_docs.py [ROOT]
 
-Walks every tracked ``*.md`` file under ROOT (default: the repo root,
-one directory above this script), extracts inline markdown links
+Walks every ``*.md`` file under ROOT (default: the repo root, one
+directory above this script), extracts inline markdown links
 ``[text](target)``, and checks that every *relative* target resolves
 to an existing file or directory, including a ``#fragment``'s heading
 when the target is a markdown file.  External links (``http(s)://``,
 ``mailto:``) are skipped — this is a repo-consistency check, not a
 link crawler, and CI must not flake on network weather.
 
-Exit status: 0 when every relative link resolves, 1 otherwise (each
-broken link reported as ``file:line: target``).
+It also reads every ``*.py`` file under ``src/``, ``benchmarks/``,
+``examples/`` and ``scripts/`` for the names of markdown
+files: a bare name must match some markdown file in the repo, a name
+with a directory the file at that path from ROOT.
+
+Exit status: 0 when every link and name resolves, 1 otherwise (each
+problem reported as ``file:line: target``).
 """
 
 from __future__ import annotations
@@ -27,6 +32,10 @@ from pathlib import Path
 #: checked too (a missing figure is just as broken).
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 SKIP_SCHEMES = ("http://", "https://", "mailto:")
+#: A markdown file's name, bare or with its directory, in Python text.
+MD_NAME_RE = re.compile(r"[\w./-]*\w\.md\b")
+#: Directories whose Python files may name docs.
+CODE_DIRS = ("src", "benchmarks", "examples", "scripts")
 #: Directories that hold no docs of ours.
 SKIP_PARTS = {".git", ".venv", "node_modules", "__pycache__",
               ".pytest_cache", "build", "dist"}
@@ -80,19 +89,38 @@ def check_file(path: Path, root: Path) -> list[str]:
     return problems
 
 
+def check_code_references(root: Path, doc_names: set[str]) -> list[str]:
+    """Markdown names in the code directories' ``*.py`` files that
+    match no markdown file (``doc_names``: every one's basename)."""
+    problems = []
+    for folder in CODE_DIRS:
+        for path in sorted((root / folder).rglob("*.py")):
+            if SKIP_PARTS.intersection(path.relative_to(root).parts):
+                continue
+            lines = path.read_text(encoding="utf-8").splitlines()
+            for lineno, line in enumerate(lines, 1):
+                for name in MD_NAME_RE.findall(line):
+                    found = ((root / name).is_file() if "/" in name
+                             else name in doc_names)
+                    if not found:
+                        problems.append(f"{path.relative_to(root)}:{lineno}: "
+                                        f"{name} does not exist")
+    return problems
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = Path(argv[0]).resolve() if argv else \
         Path(__file__).resolve().parent.parent
     problems = []
-    checked = 0
-    for path in iter_markdown_files(root):
-        checked += 1
+    docs = list(iter_markdown_files(root))
+    for path in docs:
         problems.extend(check_file(path, root))
+    problems.extend(check_code_references(root, {p.name for p in docs}))
     for problem in problems:
         print(f"check_docs: {problem}", file=sys.stderr)
-    print(f"check_docs: {checked} markdown files, "
-          f"{len(problems)} broken links")
+    print(f"check_docs: {len(docs)} markdown files, "
+          f"{len(problems)} broken links or names")
     return 1 if problems else 0
 
 

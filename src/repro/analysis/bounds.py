@@ -8,9 +8,10 @@ Two distinct uses:
    Budgets are deliberately generous (failure turns into an *observable*
    protocol failure, which experiment E6 measures).
 
-2. *Predicted curves for the benchmarks.*  Each experiment in
-   EXPERIMENTS.md compares a measured series against the corresponding
-   ``predicted_*`` function up to a fitted constant.
+2. *Predicted curves for the benchmarks.*  Each experiment
+   (``benchmarks/bench_e*.py``, indexed by paper claim in
+   docs/BENCHMARKS.md) compares a measured series against the
+   corresponding ``predicted_*`` function up to a fitted constant.
 
 References into the paper: Theorem 1 and 2 (DRA/DHC1), Theorem 10
 (DHC2), Theorems 17/19 (Upcast), the diameter facts of [5] (Chung–Lu),

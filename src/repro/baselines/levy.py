@@ -8,8 +8,8 @@ denser regime than the Hamiltonicity threshold.  Their algorithm
 initial cycle, finding ``sqrt(n)`` disjoint paths, and finally patching
 paths into the cycle to build the HC" (Section I-B).
 
-Reconstruction (documented in DESIGN.md, substitution 5)
---------------------------------------------------------
+Reconstruction (a substitution for the lost original)
+-----------------------------------------------------
 The original workshop paper predates artifact culture and no
 implementation survives; we rebuild the three-phase structure at step
 level with explicit round accounting:

@@ -8,7 +8,7 @@ random cycle node and ``v_i = predecessor(u_i)`` (Algorithm 2 l.13-15)
 The HC of G' fixes, per class, where the global cycle enters and leaves
 the class cycle, which completes the Hamiltonian cycle of G (Fig. 1).
 
-Reproduction decisions (DESIGN.md):
+Reproduction decisions:
 
 * *Dynamic ports.*  The paper fixes ``u_i`` as in-port and ``v_i`` as
   out-port, but an undirected walk over G' cannot maintain a globally

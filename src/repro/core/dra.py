@@ -7,7 +7,8 @@ protocol stacks the standard setup on top of the walk:
 1. flood-min leader election (the "only one v becomes head" init of
    Algorithm 1, line 5);
 2. BFS spanning tree from the leader — the broadcast backbone for
-   rotation renumbering (DESIGN.md substitution 3);
+   rotation renumbering (a reproduction choice, see
+   :mod:`repro.core.rotation`);
 3. the :class:`~repro.core.rotation.RotationWalk` itself.
 
 ``run_dra`` wraps the whole thing into one call returning a

@@ -44,7 +44,7 @@ over ``pred(w)``; an active node keeps the verdict with the smallest
 ``(v, w)``.  (Ablation A1 revisits these rules.)  Determinism is what
 lets the fast engine replay identical merges.
 
-Renumbering (derived in DESIGN.md): the merged cycle starts at ``w``
+Renumbering (this reproduction's derivation): the merged cycle starts at ``w``
 (new index 1), walks the passive cycle away from ``w'``, crosses
 ``w' -> u``, walks the active cycle forward, and closes ``v -> w``:
 

@@ -2,8 +2,9 @@
 
 The walk grows a Hamiltonian path with the head extending along random
 unused edges; hitting an on-path node triggers a *rotation* (Fig. 2),
-implemented as a renumbering broadcast over a pre-built spanning tree
-(DESIGN.md substitution 3).  The closing edge back to the start node
+implemented as a renumbering broadcast over a spanning tree built
+before the walk (a reproduction substitution: each rotation then costs
+``O(tree depth)`` rounds).  The closing edge back to the start node
 upgrades the path to a Hamiltonian cycle.
 
 The machine runs over a *virtual graph* so one implementation serves
@@ -16,7 +17,7 @@ both uses in the paper:
   two physical endpoints act as ports, and virtual messages are relayed
   through at most 3 physical hops (``latency = 3``, ``ported = True``).
 
-Port-awareness (a reproduction decision, documented in DESIGN.md): with
+Port-awareness (a reproduction decision): with
 hypernodes the paper fixes ``u_i`` as in-port and ``v_i`` as out-port,
 but an undirected rotation walk cannot maintain that orientation
 globally — both cycle edges could land on one port, and the final

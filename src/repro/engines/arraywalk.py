@@ -19,12 +19,15 @@ on:
   copied reversed past the head with the orientation flipped — as
   one slice copy and one fancy-indexed slot update instead of a
   Python loop (see :class:`ArrayWalk`);
-* **vectorised tree construction** (:class:`ArrayTree`): frontier BFS,
-  the min-id parent rule, the BFS completion-round recursion, and tree
-  eccentricities all run as whole-level numpy operations.  The last
-  two are the module functions :func:`tree_completion_times` and
-  :func:`tree_eccentricities`, which the batch engine's
-  :class:`~repro.engines.batchwalk.BatchTree` calls too.
+* **vectorised tree construction** (:class:`ArrayTree`): frontier BFS
+  with the min-id parent rule (:func:`bfs_forest`), the BFS
+  completion-round recursion (:func:`tree_completion_times`) and tree
+  eccentricities (:func:`tree_eccentricities`) all run as whole-level
+  numpy operations, and each takes a forest as readily as one tree:
+  DHC2's Phase 1 times all its colour classes in one call of each
+  (:func:`~repro.engines.phase1_replay.build_class_forest`), and the
+  batch engine's :class:`~repro.engines.batchwalk.BatchTree` uses the
+  last two as well.
 
 RNG-parity contract
 -------------------
@@ -78,11 +81,12 @@ from bisect import bisect_left
 
 import numpy as np
 
-from repro.graphs.adjacency import csr_gather, sorted_unique
+from repro.graphs.adjacency import csr_gather
 
 __all__ = [
     "ArrayTree",
     "ArrayWalk",
+    "bfs_forest",
     "build_array_tree",
     "filtered_csr",
     "live_rows",
@@ -110,13 +114,13 @@ def filtered_csr(indptr: np.ndarray, indices: np.ndarray,
     ``keep`` is a boolean mask parallel to ``indices``.  Row order (and
     hence per-row sortedness) is preserved.  The caller is responsible
     for keeping the mask symmetric (keep ``u→v`` iff ``v→u``) so the
-    result is still an undirected CSR.  The new row pointers are the
-    running count of kept entries read at the old ones, so no per-entry
+    result is still an undirected CSR.  The new row pointers count the
+    kept entries before each old one: a ``searchsorted`` of the old row
+    pointers into the kept positions, so no per-entry running count or
     source ids are built.
     """
-    kept = np.zeros(keep.size + 1, dtype=np.int64)
-    np.cumsum(keep, out=kept[1:])
-    return kept[indptr], indices[keep]
+    kept = np.flatnonzero(keep)
+    return np.searchsorted(kept, indptr), indices[kept]
 
 
 def same_color_csr(indptr: np.ndarray, indices: np.ndarray,
@@ -129,21 +133,6 @@ def same_color_csr(indptr: np.ndarray, indices: np.ndarray,
     """
     return filtered_csr(indptr, indices,
                         np.repeat(color_of, np.diff(indptr)) == color_of[indices])
-
-
-def _member_entries(indptr: np.ndarray, indices: np.ndarray,
-                    members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(counts, srcs, dsts)``: the directed CSR entries of ``members``' rows.
-
-    ``members`` is sorted.  When it holds every node its rows are the
-    whole CSR, so ``indices`` is ``dsts`` as it stands and the O(m)
-    gather is skipped.
-    """
-    counts = indptr[members + 1] - indptr[members]
-    srcs = np.repeat(members, counts)
-    if members.size == len(indptr) - 1:
-        return counts, srcs, indices
-    return counts, srcs, csr_gather(indptr, indices, members)
 
 
 def tree_completion_times(indptr: np.ndarray, indices: np.ndarray,
@@ -159,12 +148,17 @@ def tree_completion_times(indptr: np.ndarray, indices: np.ndarray,
     masked per-row ``maximum.reduceat`` over the members' CSR rows, the
     per-level child term a ``maximum.at`` scatter (each measured the
     faster of the two formulations).  Entries outside ``members``
-    stay 0.  :class:`ArrayTree` calls it on its CSR and the
-    batch tree once per trial, on that trial's block.
+    stay 0.  ``members`` (sorted) may span a forest: every term of a
+    node comes from its own tree, so the DHC2 Phase-1 replay times all
+    its colour classes in one call.  :class:`ArrayTree` calls it on its
+    CSR and the batch tree once per trial, on that trial's block.
     """
     n = len(indptr) - 1
     lowest = np.iinfo(np.int64).min
-    counts, srcs, dsts = _member_entries(indptr, indices, members)
+    counts = indptr[members + 1] - indptr[members]
+    srcs = np.repeat(members, counts)
+    # Members holding every node own the whole CSR: no gather needed.
+    dsts = indices if members.size == n else csr_gather(indptr, indices, members)
     # resp(v) = max over non-parent member neighbours w of
     # (start + depth(w) + 1); 0 when v has no such neighbour.
     masked = np.where(dsts != parent[srcs], depth[dsts], lowest)
@@ -189,43 +183,42 @@ def tree_completion_times(indptr: np.ndarray, indices: np.ndarray,
     return done
 
 
-def tree_eccentricities(depth: np.ndarray, parent: np.ndarray,
-                        starts: np.ndarray, block: int) -> np.ndarray:
+def tree_eccentricities(parent: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Largest tree distance from each start (the cost of its flood).
 
-    One multi-source BFS over the tree edges of every node with
-    ``depth > 0``.  Node ``v`` lies in block ``v // block``; each block
-    holds one tree and at most one start, so each BFS wave stays in
-    its own tree and the last level that touches a block is that
-    start's eccentricity.
+    ``parent`` is a forest over the full id space (-1 at roots and
+    outside the trees); each start must lie in its own tree.  One
+    multi-source BFS runs over the tree edges, carrying each start's
+    slot along its waves: a wave never leaves its tree, and in a tree
+    every node is first reached from exactly one neighbour, so no
+    wave needs de-duplication.  The last wave that carries a slot is
+    that start's eccentricity.
     """
     far = np.zeros(starts.size, dtype=np.int64)
-    kids = np.flatnonzero(depth > 0)
+    kids = np.flatnonzero(parent >= 0)
     if kids.size == 0 or starts.size == 0:
         return far
     src = np.concatenate((kids, parent[kids]))
-    dst = np.concatenate((parent[kids], kids))
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    total = depth.size
+    dst = np.concatenate((parent[kids], kids))[np.argsort(src, kind="stable")]
+    total = parent.size
     tree_indptr = np.zeros(total + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=total), out=tree_indptr[1:])
-    slot_of_block = np.full(total // block, -1, dtype=np.int64)
-    slot_of_block[starts // block] = np.arange(starts.size)
     seen = np.zeros(total, dtype=bool)
-    seen[starts] = True
     frontier = np.asarray(starts, dtype=np.int64)
+    seen[frontier] = True
+    slots = np.arange(starts.size)
     level = 0
-    while frontier.size:
+    while True:
+        counts = tree_indptr[frontier + 1] - tree_indptr[frontier]
         nbrs = csr_gather(tree_indptr, dst, frontier)
-        fresh = sorted_unique(nbrs[~seen[nbrs]])
-        if fresh.size == 0:
-            break
+        fresh = ~seen[nbrs]
+        if not fresh.any():
+            return far
         level += 1
-        seen[fresh] = True
-        far[slot_of_block[fresh // block]] = level
-        frontier = fresh
-    return far
+        frontier = nbrs[fresh]
+        slots = np.repeat(slots, counts)[fresh]
+        seen[frontier] = True
+        far[slots] = level
 
 
 class ArrayTree:
@@ -270,8 +263,41 @@ class ArrayTree:
     def eccentricity(self, v: int) -> int:
         """Largest tree distance from ``v`` (cost of a flood it starts)."""
         return int(tree_eccentricities(
-            self.depth, self.parent, np.array([v], dtype=np.int64),
-            self.depth.size)[0])
+            self.parent, np.array([v], dtype=np.int64))[0])
+
+
+def bfs_forest(indptr: np.ndarray, indices: np.ndarray,
+               roots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Min-id BFS trees grown from every root at once: ``(depth, parent, reached)``.
+
+    Each root must lie in its own component of the CSR (the DHC2 colour
+    classes of the same-colour CSR, or one root of a member-closed
+    CSR), so the trees never meet and one frontier BFS builds them
+    all.  Each wave's fresh node takes as parent its *minimum-id*
+    offer from the wave before — the offer the distributed protocol
+    keeps — by one ``minimum.at`` scatter of the offering ids.
+    ``depth`` and ``parent`` span the full id space (-1 where
+    unreached; ``parent`` -1 at the roots); ``reached`` lists the
+    reached ids ascending.
+    """
+    n = len(indptr) - 1
+    depth = np.full(n, -1, dtype=np.int64)
+    parent = np.full(n, -1, dtype=np.int64)
+    offer = np.full(n, n, dtype=np.int64)  # sentinel above any id
+    frontier = np.asarray(roots, dtype=np.int64)
+    depth[frontier] = 0
+    d = 0
+    while frontier.size:
+        counts = indptr[frontier + 1] - indptr[frontier]
+        nbrs = csr_gather(indptr, indices, frontier)
+        fresh = depth[nbrs] < 0
+        np.minimum.at(offer, nbrs[fresh], np.repeat(frontier, counts)[fresh])
+        frontier = np.flatnonzero(offer < n)
+        d += 1
+        depth[frontier] = d
+        parent[frontier] = offer[frontier]
+        offer[frontier] = n
+    return depth, parent, np.flatnonzero(depth >= 0)
 
 
 def build_array_tree(indptr: np.ndarray, indices: np.ndarray,
@@ -280,36 +306,18 @@ def build_array_tree(indptr: np.ndarray, indices: np.ndarray,
     member subgraph is disconnected (the distributed BFS would hit its
     deadline).
 
-    The CSR must be member-closed (see module docstring).  Matches
-    the parity oracle's min-id BFS builder: BFS depths from
-    ``root``, then each non-root member's parent is its *minimum-id*
-    neighbour one level up — the offer the distributed protocol keeps.
+    The CSR must be member-closed (see module docstring).  This is
+    :func:`bfs_forest` with the one root, and gives the parity
+    oracle's min-id BFS tree.  A DHC2 Phase 1 builds all its colour
+    classes' trees as one forest instead
+    (:func:`~repro.engines.phase1_replay.replay_phase1`).
     """
-    n = len(indptr) - 1
-    depth = np.full(n, -1, dtype=np.int64)
-    depth[root] = 0
-    frontier = np.array([root], dtype=np.int64)
-    reached = 1
-    d = 0
-    while frontier.size:
-        nbrs = csr_gather(indptr, indices, frontier)
-        fresh = sorted_unique(nbrs[depth[nbrs] < 0])
-        if fresh.size == 0:
-            break
-        d += 1
-        depth[fresh] = d
-        reached += fresh.size
-        frontier = fresh
-    if reached != members.size:
+    depth, parent, reached = bfs_forest(
+        indptr, indices, np.array([root], dtype=np.int64))
+    if reached.size != members.size:
         return None
-
-    _, srcs, dsts = _member_entries(indptr, indices, members)
-    up = depth[dsts] == depth[srcs] - 1
-    parent = np.full(n, n, dtype=np.int64)  # sentinel above any id
-    np.minimum.at(parent, srcs[up], dsts[up])
-    parent[parent == n] = -1
-    parent[root] = -1
-    return ArrayTree(root, depth, parent, d, members, indptr, indices)
+    return ArrayTree(root, depth, parent, int(depth.max()), members,
+                     indptr, indices)
 
 
 def _recentre(buf: np.ndarray, pos: np.ndarray, ramp: np.ndarray,

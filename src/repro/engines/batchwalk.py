@@ -777,10 +777,9 @@ class BatchTree:
         """Largest tree distance from each start (one per connected trial).
 
         :func:`~repro.engines.arraywalk.tree_eccentricities` over the
-        union's trees, one block per trial; starts must lie in distinct
-        trials.
+        union's trees; starts must lie in distinct trials.
         """
-        return tree_eccentricities(self.depth, self.parent, starts, self.n)
+        return tree_eccentricities(self.parent, starts)
 
 
 def build_batch_tree(indptr: np.ndarray, indices: np.ndarray,

@@ -120,8 +120,10 @@ class Graph:
         """Build a graph from pre-validated distinct pairs with ``lo < hi``.
 
         Fast path used by the random-graph generators, which already
-        guarantee distinctness and orientation.  No validation is done,
-        and the pairs need not be sorted: the CSR build sorts them.
+        guarantee distinctness and orientation.  No validation is done.
+        The pairs must come in ascending ``(lo, hi)`` order, as every
+        generator emits them: the CSR build then orders only the
+        reverse orientation (see ``_build_csr``).
         """
         graph = cls.__new__(cls)
         graph._n = int(n)
@@ -221,9 +223,10 @@ class Graph:
         edge_arr = self.edge_array()
         mu, mv = new_id[edge_arr[:, 0]], new_id[edge_arr[:, 1]]
         keep = (mu >= 0) & (mv >= 0)
-        mu, mv = mu[keep], mv[keep]
-        sub = Graph.from_sorted_pairs(
-            len(node_list), np.minimum(mu, mv), np.maximum(mu, mv))
+        lo = np.minimum(mu[keep], mv[keep])
+        hi = np.maximum(mu[keep], mv[keep])
+        order = np.argsort(lo * np.int64(len(node_list)) + hi)
+        sub = Graph.from_sorted_pairs(len(node_list), lo[order], hi[order])
         return sub, mapping
 
     # -- dunder ---------------------------------------------------------------
@@ -251,12 +254,24 @@ class Graph:
 def _build_csr(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Build (indptr, indices) CSR arrays from distinct pairs with lo < hi.
 
-    Both orientations are encoded as one int64 key ``src*n + dst``, so
-    a single sort orders the directed entries by ``(src, dst)``.
+    Each directed entry is one int64 key ``src*n + dst``.  The pairs
+    come in ascending ``(lo, hi)`` order, so the forward keys are
+    already one sorted run: only the reverse keys need a sort, and the
+    stable (merge) sort of both runs is then one linear merge.
+    Unordered pairs still give the right CSR, through a full sort.
+    The row starts are a ``searchsorted`` of the row keys, and each
+    row's key offset is subtracted in place to leave the ``dst``s.
     """
-    keys = np.concatenate((lo * np.int64(n) + hi, hi * np.int64(n) + lo))
-    keys.sort()
-    src, dst = np.divmod(keys, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst
+    m = lo.size
+    keys = np.empty(2 * m, dtype=np.int64)
+    forward, reverse = keys[:m], keys[m:]
+    np.multiply(lo, n, out=forward)
+    forward += hi
+    np.multiply(hi, n, out=reverse)
+    reverse += lo
+    reverse.sort()
+    keys.sort(kind="stable")
+    row_keys = np.arange(n + 1, dtype=np.int64) * n
+    indptr = np.searchsorted(keys, row_keys)
+    keys -= np.repeat(row_keys[:-1], np.diff(indptr))
+    return indptr, keys

@@ -19,8 +19,9 @@ participant count:
 
 Rounds: O(diameter) for construction + O(depth) for the convergecast
 and commit.  The tree is the broadcast backbone for the rotation and
-merge phases (DESIGN.md substitution 3): flooding over tree edges costs
-at most ``2 * tree_depth`` rounds from an arbitrary initiator.
+merge phases: this reproduction floods their renumberings over tree
+edges, which costs at most ``2 * tree_depth`` rounds from an arbitrary
+initiator.
 
 Failure: participants outside the root's component (possible when a
 random partition is disconnected — one of the whp failure events the

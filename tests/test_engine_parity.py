@@ -27,6 +27,7 @@ import repro
 from repro.core.rotation import FAIL_NO_EDGES
 from repro.engines import arraywalk, batchwalk, fast, fast_dhc2
 from repro.engines.arraywalk import build_array_tree
+from repro.engines.phase1_replay import build_class_forest, replay_phase1
 from repro.engines.registry import REGISTRY
 from repro.graphs.adjacency import csr_sources
 from repro.graphs import (
@@ -34,6 +35,7 @@ from repro.graphs import (
     csr_gather,
     gnm_random_graph,
     gnp_random_graph,
+    paper_probability,
     random_regular_graph,
 )
 
@@ -594,6 +596,151 @@ class TestPhase1ReplayPin:
             assert fast.success == native.success
             assert fast.cycle == native.cycle
             assert fast.steps == native.steps
+
+
+def _isolated_graph() -> Graph:
+    """G(24, 0.3) on ids 3..26 of 30 nodes: 0-2 and 27-29 are isolated."""
+    inner = gnp_random_graph(24, 0.3, seed=2)
+    return Graph(30, inner.edge_array() + 3)
+
+
+class TestPhase1Forest:
+    """Phase 1's one forest equals a per-class ``build_array_tree``.
+
+    :func:`~repro.engines.phase1_replay.build_class_forest` grows every
+    colour class's tree in one BFS; each class must come out as the
+    single-root build on its own members would: depth and parent at
+    the members, tree depth, completion rounds, and the eccentricity
+    from every member.  The cases cover an empty class, classes split
+    into components, and isolated nodes.
+    """
+
+    START = 7
+
+    CASES = {
+        # name: (graph factory, run seed, colours)
+        "empty-class": (lambda: gnp_random_graph(
+            32, paper_probability(32, 0.5, 1.0), seed=0), 0, 12),
+        "split-class": (lambda: gnp_random_graph(
+            32, paper_probability(32, 0.5, 1.0), seed=0), 1, 5),
+        "isolated-nodes": (_isolated_graph, 0, 4),
+        "dense": (lambda: gnp_random_graph(96, 0.3, seed=5), 2, 4),
+    }
+
+    @classmethod
+    def forest(cls, name):
+        """``(colors, color_of, indptr, indices, forest)`` of one case."""
+        make, seed, colors = cls.CASES[name]
+        graph = make()
+        rngs = batchwalk.node_streams(seed, graph.n)
+        color_of = 1 + batchwalk.first_draws(
+            rngs, np.full(graph.n, colors, dtype=np.int64))
+        indptr, indices = arraywalk.same_color_csr(
+            graph.indptr, graph.indices, color_of)
+        return colors, color_of, indptr, indices, build_class_forest(
+            indptr, indices, color_of, colors, cls.START)
+
+    @staticmethod
+    def components(color_of, colors, forest):
+        """Per class: its members, and those its forest tree reached."""
+        for c in range(1, colors + 1):
+            members = np.flatnonzero(color_of == c)
+            yield members, members[forest.depth[members] >= 0]
+
+    def test_case_premises(self):
+        forest = self.forest("empty-class")[-1]
+        assert forest.sizes[2] == 0
+        forest = self.forest("split-class")[-1]
+        assert (forest.sizes[4], forest.spans[4]) == (5, 2)
+        forest = self.forest("isolated-nodes")[-1]
+        # Class 4's root, node 0, is isolated: its tree is one node.
+        assert (forest.roots[4], forest.spans[4], forest.sizes[4]) == (0, 1, 7)
+        forest = self.forest("dense")[-1]
+        assert (forest.spans == forest.sizes).all()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_classes_match_single_root_builds(self, name):
+        colors, color_of, ip, ix, forest = self.forest(name)
+        for c, (members, reached) in enumerate(
+                self.components(color_of, colors, forest), 1):
+            assert forest.sizes[c] == members.size
+            if members.size == 0:
+                assert forest.spans[c] == 0
+                continue
+            root = int(members[0])
+            assert forest.roots[c] == root
+            assert forest.spans[c] == reached.size
+            if build_array_tree(ip, ix, members, root) is None:
+                assert reached.size < members.size
+            # The root's component, built alone, is the forest's tree.
+            want = build_array_tree(ip, ix, reached, root)
+            np.testing.assert_array_equal(forest.depth[reached],
+                                          want.depth[reached])
+            np.testing.assert_array_equal(forest.parent[reached],
+                                          want.parent[reached])
+            assert forest.heights[c] == want.tree_depth
+            np.testing.assert_array_equal(
+                forest.done[reached],
+                want.completion_times(self.START)[reached])
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_eccentricity_from_every_member(self, name):
+        # Round i starts one flood in every class with more than i
+        # reached members, at its i-th one.
+        colors, color_of, ip, ix, forest = self.forest(name)
+        comps = [reached for _, reached in
+                 self.components(color_of, colors, forest) if reached.size]
+        trees = [build_array_tree(ip, ix, comp, int(comp[0]))
+                 for comp in comps]
+        for i in range(max(comp.size for comp in comps)):
+            live = [k for k, comp in enumerate(comps) if comp.size > i]
+            starts = np.array([comps[k][i] for k in live], dtype=np.int64)
+            got = arraywalk.tree_eccentricities(forest.parent, starts)
+            want = [trees[k].eccentricity(int(comps[k][i])) for k in live]
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_multi_start_equals_single_starts(self, name):
+        colors, color_of, _, _, forest = self.forest(name)
+        comps = [reached for _, reached in
+                 self.components(color_of, colors, forest) if reached.size]
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            starts = np.array([rng.choice(comp) for comp in comps],
+                              dtype=np.int64)
+            got = arraywalk.tree_eccentricities(forest.parent, starts)
+            single = [int(arraywalk.tree_eccentricities(
+                forest.parent, starts[k:k + 1])[0])
+                for k in range(starts.size)]
+            assert got.tolist() == single
+
+    @pytest.mark.parametrize("p,seed,ok,floods", [
+        (0.3, 7, True, [3, 2, 2, 2]), (0.35, 9, False, [4])],
+        ids=["success", "walk-fail"])
+    def test_replay_trace_matches_single_root_builds(self, p, seed, ok, floods):
+        # Every walked class's trace record, the failing walk's too: its
+        # own tree, its completion rounds (0 outside the class) and its
+        # flood cost (unequal across the classes of the first case).
+        g = gnp_random_graph(192, p, seed=11)
+        color_of = 1 + batchwalk.first_draws(
+            batchwalk.node_streams(seed, g.n), np.full(g.n, 4, dtype=np.int64))
+        records: list = []
+        res = replay_phase1(g, batchwalk.node_streams(seed, g.n), 4,
+                            start_round=self.START, trace=records)
+        assert res.ok == ok
+        assert [record[-1] for record in records] == floods
+        for c, (tree, done, walk, _steps, flood_ecc) in enumerate(records, 1):
+            members = np.flatnonzero(color_of == c)
+            want = build_array_tree(res.indptr, res.indices, members,
+                                    int(members[0]))
+            assert tree.root == want.root
+            np.testing.assert_array_equal(tree.members, members)
+            assert tree.tree_depth == want.tree_depth
+            np.testing.assert_array_equal(tree.depth, want.depth)
+            np.testing.assert_array_equal(tree.parent, want.parent)
+            np.testing.assert_array_equal(done,
+                                          want.completion_times(self.START))
+            assert flood_ecc == want.eccentricity(walk.flood_initiator)
 
 
 class TestFastBatchParity:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.graphs import (
     Graph,
+    batch_gnp,
     chung_lu_graph,
     gnm_random_graph,
     gnp_random_graph,
@@ -126,6 +127,46 @@ class TestCsrBuild:
             assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
             np.testing.assert_array_equal(g.indptr, indptr)
             np.testing.assert_array_equal(g.indices, indices)
+
+    #: Every path into ``Graph.from_sorted_pairs``; each factory's last
+    #: call there builds the graph it returns.
+    PAIR_SOURCES = {
+        "gnp": lambda: gnp_random_graph(300, 0.05, seed=1),
+        "gnm": lambda: gnm_random_graph(200, 900, seed=2),
+        "regular": lambda: random_regular_graph(100, 6, seed=3),
+        "chung-lu": lambda: chung_lu_graph(
+            power_law_weights(200, 2.5, mean_degree=6.0), seed=4),
+        "subgraph": lambda: gnp_random_graph(120, 0.1, seed=5).subgraph(
+            range(119, -1, -3))[0],
+        "batch": lambda: batch_gnp(64, 0.2, [7, 8])[1],
+        "edgeless": lambda: gnp_random_graph(40, 0.0, seed=6),
+        "n0": lambda: gnp_random_graph(0, 0.5, seed=0),
+        "n1": lambda: gnp_random_graph(1, 0.5, seed=0),
+        "n2": lambda: gnp_random_graph(2, 1.0, seed=0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PAIR_SOURCES))
+    def test_pair_sources_hand_ordered_pairs(self, name, monkeypatch):
+        # The CSR build orders only the reverse orientation, so every
+        # source must hand over its pairs in ascending (lo, hi) order;
+        # the result must equal the lexsort reference on those pairs.
+        calls = []
+        build = Graph.from_sorted_pairs.__func__
+
+        def spy(cls, n, lo, hi):
+            calls.append((n, np.array(lo), np.array(hi)))
+            return build(cls, n, lo, hi)
+
+        monkeypatch.setattr(Graph, "from_sorted_pairs", classmethod(spy))
+        g = self.PAIR_SOURCES[name]()
+        n, lo, hi = calls[-1]
+        assert np.all(lo < hi)
+        assert np.all(np.diff(lo * n + hi) > 0)
+        indptr, indices = self.lexsort_csr(n, lo, hi)
+        assert (g.n, g.m) == (n, lo.size)
+        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+        np.testing.assert_array_equal(g.indptr, indptr)
+        np.testing.assert_array_equal(g.indices, indices)
 
     @pytest.mark.parametrize("seed", sorted(GNP_1024_INDICES_SHA256))
     def test_gnp_golden_indices(self, seed):
