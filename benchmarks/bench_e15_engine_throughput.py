@@ -31,18 +31,12 @@ Environment knobs (the CI perf-smoke step runs ``E15_SIZES=256``):
   CI smoke step to feed the advisory ``check_bench`` comparison; the
   committed baseline is still only rewritten on a full sweep).
 
-The batched lane is timed twice: once with the kernel dispatch forced
-off (the ``batch_trials_per_sec`` column — honest even when this
-process runs under ``REPRO_JIT=1``), and once through the fused
-compiled kernels (``batch_jit_trials_per_sec``).  Without a kernel,
-DRA's ``fast-batch`` runs each trial on per-trial ``fast``, so the
-first column tracks the paired ``fast`` reference.  On hosts without
-numba the jitted column records ``null`` rather than timing the
-uncompiled ``*_impl`` loops as if they were compiled — the committed
-curve never claims a speedup the host could not measure.
+The batched lane (``batch_trials_per_sec``) times DRA's
+``fast-batch``, which runs each trial on per-trial ``fast``, so it
+tracks the paired ``fast`` reference.
 
 A ``setup_profile`` section measures the generation+stacking share of
-one uncompiled ``fast-batch`` call (``setup_fraction``), for per-trial
+one ``fast-batch`` call (``setup_fraction``), for per-trial
 ``gnp_random_graph`` + serial stacking and for the pooled
 :func:`repro.graphs.batch_gnp` path that emits the stacked CSR and
 twin table directly.  The per-trial route consumes neither stacked
@@ -74,11 +68,9 @@ import json
 import math
 import os
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import repro
-from repro.engines import _jit
 from repro.engines.registry import REGISTRY
 from repro.graphs import gnp_random_graph
 
@@ -134,58 +126,32 @@ def _throughput(algorithm: str, engine: str, n: int) -> float:
     return trials / (time.perf_counter() - start)
 
 
-@contextmanager
-def _noop():
-    yield
-
-
-@contextmanager
-def _numpy_kernels():
-    """Force the uncompiled batch path for one timed lane.
-
-    DRA's ``fast-batch`` then runs each trial on per-trial ``fast``.
-    """
-    saved = (_jit.walk_kernel, _jit.tree_kernel)
-    _jit.walk_kernel = _jit.tree_kernel = None
-    try:
-        yield
-    finally:
-        _jit.walk_kernel, _jit.tree_kernel = saved
-
-
-def _batch_throughput(n: int, batch: int, *, jit: bool = False) -> float:
-    """Trials/sec of one ``fast-batch`` engine pass over ``batch`` graphs.
+def _batch_throughput(n: int, batch: int) -> float:
+    """Trials/sec of one ``fast-batch`` engine call over ``batch`` graphs.
 
     Graph sampling stays outside the timed window (as in
-    :func:`_throughput`); small (n, batch) points repeat the pass to
-    widen the timing window.  ``jit=False`` pins the uncompiled route
-    (per-trial ``fast``) regardless of ``REPRO_JIT``; ``jit=True``
-    times whatever
-    :mod:`repro.engines._jit` compiled (callers must check
-    ``_jit.ENABLED`` first — the warm-up pass also absorbs numba's
-    first-call compilation).
+    :func:`_throughput`); small (n, batch) points repeat the call to
+    widen the timing window.
     """
     spec = REGISTRY.resolve("dra", "fast-batch")
     rounds = 3 if n * batch <= 64 * 1024 else 1
-    with (_noop() if jit else _numpy_kernels()):
-        spec.call_batch([_graph("dra", 64, seed=99)], seeds=[99])  # warm up
-        elapsed = 0.0
-        for r in range(rounds):
-            graphs = [_graph("dra", n, seed=1000 + r * batch + i)
-                      for i in range(batch)]
-            seeds = [r * batch + i for i in range(batch)]
-            start = time.perf_counter()
-            spec.call_batch(graphs, seeds=seeds)
-            elapsed += time.perf_counter() - start
+    spec.call_batch([_graph("dra", 64, seed=99)], seeds=[99])  # warm up
+    elapsed = 0.0
+    for r in range(rounds):
+        graphs = [_graph("dra", n, seed=1000 + r * batch + i)
+                  for i in range(batch)]
+        seeds = [r * batch + i for i in range(batch)]
+        start = time.perf_counter()
+        spec.call_batch(graphs, seeds=seeds)
+        elapsed += time.perf_counter() - start
     return rounds * batch / elapsed
 
 
 def _setup_profile(n: int, batch: int) -> dict:
-    """Generation+stacking share of one uncompiled batch call, both ways.
+    """Generation+stacking share of one batch call, both ways.
 
-    ``setup`` is everything before the kernel proper can start: graph
-    sampling plus the stacked CSR + twin-table build.  The per-trial
-    column measures ``gnp_random_graph`` per seed plus the serial
+    ``setup`` is graph sampling plus the stacked CSR + twin-table
+    build.  The per-trial column measures ``gnp_random_graph`` per seed plus the serial
     ``stack_graph_csrs``/``stacked_edge_twins`` pair; the batched
     column measures ``batch_gnp`` + ``GnpBatch.stacked()`` (one pooled
     build, cached for the subsequent engine pass).  Totals are honest
@@ -199,39 +165,38 @@ def _setup_profile(n: int, batch: int) -> dict:
     seeds = list(range(batch))
     spec = REGISTRY.resolve("dra", "fast-batch")
     profile: dict = {"point": f"n={n},batch={batch}"}
-    with _numpy_kernels():
-        spec.call_batch([_graph("dra", 64, seed=99)], seeds=[99])  # warm up
-        batch_gnp(64, 0.2, [99]).stacked()  # absorb the one-time self-check
-        start = time.perf_counter()
-        graphs = [gnp_random_graph(n, p, seed=s) for s in seeds]
-        gen_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        indptr, indices = stack_graph_csrs(graphs)
-        stacked_edge_twins(indptr, indices, batch, n)
-        stack_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        spec.call_batch(graphs, seeds=seeds)  # per-trial fast
-        run_seconds = time.perf_counter() - start
-        setup = gen_seconds + stack_seconds
-        total = gen_seconds + run_seconds
-        profile["per_trial"] = {
-            "setup_seconds": round(setup, 5),
-            "total_seconds": round(total, 5),
-            "setup_fraction": round(setup / total, 4),
-        }
-        start = time.perf_counter()
-        gbatch = batch_gnp(n, p, seeds)
-        gbatch.stacked()
-        setup = time.perf_counter() - start
-        start = time.perf_counter()
-        spec.call_batch(gbatch, seeds=seeds)  # materialises each Graph
-        run_seconds = time.perf_counter() - start
-        total = setup + run_seconds
-        profile["batched_gen"] = {
-            "setup_seconds": round(setup, 5),
-            "total_seconds": round(total, 5),
-            "setup_fraction": round(setup / total, 4),
-        }
+    spec.call_batch([_graph("dra", 64, seed=99)], seeds=[99])  # warm up
+    batch_gnp(64, 0.2, [99]).stacked()  # absorb the one-time self-check
+    start = time.perf_counter()
+    graphs = [gnp_random_graph(n, p, seed=s) for s in seeds]
+    gen_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    indptr, indices = stack_graph_csrs(graphs)
+    stacked_edge_twins(indptr, indices, batch, n)
+    stack_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    spec.call_batch(graphs, seeds=seeds)  # per-trial fast
+    run_seconds = time.perf_counter() - start
+    setup = gen_seconds + stack_seconds
+    total = gen_seconds + run_seconds
+    profile["per_trial"] = {
+        "setup_seconds": round(setup, 5),
+        "total_seconds": round(total, 5),
+        "setup_fraction": round(setup / total, 4),
+    }
+    start = time.perf_counter()
+    gbatch = batch_gnp(n, p, seeds)
+    gbatch.stacked()
+    setup = time.perf_counter() - start
+    start = time.perf_counter()
+    spec.call_batch(gbatch, seeds=seeds)  # materialises each Graph
+    run_seconds = time.perf_counter() - start
+    total = setup + run_seconds
+    profile["batched_gen"] = {
+        "setup_seconds": round(setup, 5),
+        "total_seconds": round(total, 5),
+        "setup_fraction": round(setup / total, 4),
+    }
     return profile
 
 
@@ -319,7 +284,7 @@ def test_e15_engine_throughput(benchmark):
     show("E15: engine throughput (trials/sec)",
          ["algorithm", "engine", "n", "trials/sec"], rows)
 
-    # Batched lane: DRA through one fast-batch kernel pass per group.
+    # Batched lane: DRA through one fast-batch engine call per group.
     # Minutes of sustained full-CPU sweep throttle this host measurably
     # between the engine series above and these rows, so each size's
     # speedup divides by a *paired* fast reference measured adjacent to
@@ -346,34 +311,7 @@ def test_e15_engine_throughput(benchmark):
     }
     print(f"fast-batch vs fast speedups: {batch_speedups}")
 
-    # Jitted lane: the same passes through the fused compiled kernels.
-    # Without numba every point records null — the committed curve
-    # never claims a compiled speedup the host could not measure.
-    jit_series: dict[str, dict[str, float | None]] = {}
-    jit_rows = []
-    for n in SIZES:
-        jit_series[str(n)] = {}
-        for batch in BATCH_SIZES:
-            tps = (_batch_throughput(n, batch, jit=True)
-                   if _jit.ENABLED else None)
-            jit_series[str(n)][str(batch)] = tps
-            jit_rows.append((n, batch,
-                             "skipped (no numba)" if tps is None
-                             else round(tps, 3),
-                             "-" if tps is None
-                             else round(tps / batch_series[str(n)][str(batch)],
-                                        2)))
-    show("E15: jitted batched throughput (dra, fast-batch, REPRO_JIT)",
-         ["n", "batch", "trials/sec", "vs numpy batch"], jit_rows)
-    jit_speedups = {
-        n: {b: (None if tps is None
-                else round(tps / batch_series[n][b], 2))
-            for b, tps in by_batch.items()}
-        for n, by_batch in jit_series.items()
-    }
-    print(f"jit vs numpy fast-batch speedups: {jit_speedups}")
-
-    # Setup lane: how much of an uncompiled batch call is generation +
+    # Setup lane: how much of a batch call is generation +
     # stacking, per-trial vs pooled batched generation.  Profiled at
     # the mid-grid point (n=1024, batch=64 — the point the pooled-
     # generation claim was established at): batch_gnp's win is dispatch
@@ -385,7 +323,7 @@ def test_e15_engine_throughput(benchmark):
     setup_n = 1024 if 1024 in SIZES else SIZES[len(SIZES) // 2]
     setup_batch = min(64, max(BATCH_SIZES))
     setup_profile = _setup_profile(setup_n, setup_batch)
-    show(f"E15: setup share (dra, fast-batch uncompiled, n={setup_n}, "
+    show(f"E15: setup share (dra, fast-batch, n={setup_n}, "
          f"batch={setup_batch})",
          ["generation", "setup s", "total s", "setup fraction"],
          [(mode,
@@ -424,14 +362,8 @@ def test_e15_engine_throughput(benchmark):
         # The acceptance bar of the array-native refactor: the
         # rotation-walk engine at the headline sweep size.
         assert speedups["dra"]["1024"] >= 5.0, speedups
-        if _jit.ENABLED:
-            # The fused kernel must not lose to the per-trial route it
-            # replaces at the headline point (n=max, batch >= 32).
-            best_jit = max(v for b, v in jit_speedups[str(max(SIZES))]
-                           .items() if v is not None and int(b) >= 32)
-            assert best_jit >= 1.0, jit_speedups
         # Batched generation must measurably cut the setup share of
-        # the uncompiled batch call — the whole point of batch_gnp.
+        # the batch call — the whole point of batch_gnp.
         assert (setup_profile["batched_gen"]["setup_fraction"]
                 < setup_profile["per_trial"]["setup_fraction"]), setup_profile
         # The observability layer must be effectively free: under 2%
@@ -450,9 +382,6 @@ def test_e15_engine_throughput(benchmark):
         "batch_trials_per_sec": batch_series,
         "batch_fast_ref_trials_per_sec": batch_fast_ref,
         "speedup_fast_batch_vs_fast": batch_speedups,
-        "jit_enabled": _jit.ENABLED,
-        "batch_jit_trials_per_sec": jit_series,
-        "speedup_jit_vs_numpy_batch": jit_speedups,
         "metrics_lane": {
             f"trials_{metrics_lane['trials']}":
                 {k: v for k, v in metrics_lane.items() if k != "trials"},
@@ -473,8 +402,8 @@ def test_e15_engine_throughput(benchmark):
         "setup_profile": setup_profile,
         "setup_note": (
             "setup_profile measures the generation+stacking share of "
-            "one uncompiled fast-batch call at the headline point, "
-            "which for DRA runs each trial on per-trial fast. "
+            "one fast-batch call at the headline point, which runs "
+            "each trial on per-trial fast. "
             "per_trial = gnp_random_graph per seed + serial "
             "stack_graph_csrs/stacked_edge_twins; batched_gen = "
             "batch_gnp + GnpBatch.stacked() (one pooled keyed-unique "
@@ -483,28 +412,19 @@ def test_e15_engine_throughput(benchmark):
             "form, and on a GnpBatch it materialises each Graph inside "
             "the call. The full-sweep gate asserts batched_gen's "
             "setup_fraction is strictly below per_trial's."),
-        "jit_note": (
-            "batch_jit_* columns time the fused numba kernels "
-            "(REPRO_JIT=1); null means this host has no numba and the "
-            "compiled path was not measured — the numpy columns above "
-            "are the fallback every host gets. The CI jit lane runs "
-            "the smoke grid compiled and feeds check_bench."),
         "batch_note": (
-            "batch_trials_per_sec times DRA fast-batch with the kernel "
-            "dispatch forced off. Without a compiled kernel DRA "
-            "fast-batch runs each trial on per-trial fast (the numpy "
-            "batch-major walk was deleted: it cost ~11.4 us per "
-            "lane-step against ArrayWalk's ~4.0 and lost to fast at "
-            "every measured point), so speedup_fast_batch_vs_fast "
-            "sits near 1.0. Speedups divide by the paired "
+            "batch_trials_per_sec times DRA fast-batch, which runs "
+            "each trial on per-trial fast (the numpy batch-major walk "
+            "was deleted: it cost ~11.4 us per lane-step against "
+            "ArrayWalk's ~4.0 and lost to fast at every measured "
+            "point), so speedup_fast_batch_vs_fast sits near 1.0. Speedups divide by the paired "
             "batch_fast_ref_trials_per_sec reference measured "
             "adjacent to the batch rows: minutes of sustained sweep "
             "throttle a shared host measurably, so same-CPU-state pairing "
             "is what keeps the ratio honest. The reference times "
             "other graphs (seeds 0-2) than the batch rows, so ratios "
             "off 1.0 here reflect graph-to-graph step counts, not the "
-            "route. No gate applies to this column; the batch kernel "
-            "proper is the jitted column, gated against it."),
+            "route. No gate applies to this column."),
     }
     if FULL_SWEEP:
         OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -74,11 +74,7 @@ from repro.analysis.bounds import (
     predicted_upcast_rounds,
 )
 from repro.analysis.concentration import merge_step_failure, partition_size_failure
-from repro.engines.fast_batch import (
-    AUTO_BATCH_MIN_TRIALS,
-    auto_batch_size,
-    batch_kernel_active,
-)
+from repro.engines.fast_batch import auto_batch_size
 from repro.engines.registry import REGISTRY
 from repro.graphs import (
     batch_gnp,
@@ -236,19 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
                               "identical either way; batches are split "
                               "across the workers)")
     sweep_p.add_argument("--batch-size", type=int, default=None,
-                         help="trials per engine pass for batched engines "
-                              "(e.g. --engine fast-batch); 1 = per-trial "
-                              "calls; engines without batch support warn "
-                              "and fall back (records are identical for "
-                              "any value).  Default: batched engines size "
-                              "batches per point from "
-                              "REPRO_BATCH_EDGE_BUDGET, and with --engine "
-                              f"auto and >= {AUTO_BATCH_MIN_TRIALS} trials "
-                              "the sweep selects fast-batch where its "
-                              "batch kernel is active: dra and dhc2 only "
-                              "with the compiled kernel (REPRO_JIT=1 and "
-                              "numba), cre and turau never (their "
-                              "fast-batch runs each trial on fast)")
+                         help="trials per engine call for batched engines "
+                              "(--engine fast-batch, which generates a "
+                              "batch's graphs in one pooled pass and runs "
+                              "each trial on fast); 1 = per-trial calls; "
+                              "engines without batch support warn and fall "
+                              "back (records are identical for any value).  "
+                              "Default: batched engines size batches per "
+                              "point so the pooled graphs fit a fixed edge "
+                              "budget")
     sweep_p.add_argument("--store", default=None, metavar="PATH",
                          help="trial store for resume: completed trials "
                               "are skipped on rerun (a JSONL file, or a "
@@ -478,9 +470,9 @@ class _AutoBatchSize:
     """Picklable per-point batch caps for batched sweeps without --batch-size.
 
     Sizes each grid point's groups from its expected edge density
-    (:func:`~repro.engines.fast_batch.auto_batch_size` under
-    ``REPRO_BATCH_EDGE_BUDGET``), so one sweep mixes small-n points
-    batched in the hundreds with large-n points batched to fit memory.
+    (:func:`~repro.engines.fast_batch.auto_batch_size`), so one sweep
+    mixes small-n points batched in the hundreds with large-n points
+    batched to fit memory.
     """
 
     def __init__(self, delta: float, c: float):
@@ -497,16 +489,16 @@ class _SweepTrialBatch(_SweepTrial):
 
     Same parameters and engine kwargs as :class:`_SweepTrial`, but
     called with ``(point, seeds)``: samples one graph per seed and
-    hands the whole group to ``spec.call_batch`` — one kernel pass over
+    hands the whole group to ``spec.call_batch`` — one engine call for
     the group, with per-seed results identical to per-trial calls.
     """
 
     def __call__(self, point: dict, seeds: list[int]):
         n = int(point["n"])
         if self.model == "gnp":
-            # Zero-copy batch setup: the pooled generator emits the
-            # stacked CSR + twin table the kernel consumes directly,
-            # seed-for-seed identical to per-trial sampling.
+            # One pooled generation pass for the whole group,
+            # seed-for-seed identical to per-trial sampling; each
+            # trial's Graph is built as the engine reaches it.
             graphs = batch_gnp(n, paper_probability(n, self.delta, self.c),
                                seeds)
         else:
@@ -544,15 +536,6 @@ def _cmd_sweep(args) -> int:
         return 2
     batch_size: int | _AutoBatchSize = args.batch_size or 1
     if args.batch_size is None:
-        # Large same-point queues get the batch kernel without a flag
-        # where it is active: results are seed-for-seed identical to
-        # per-trial fast, so auto-selection only changes throughput.
-        if (engine == "auto" and args.trials >= AUTO_BATCH_MIN_TRIALS
-                and (algorithm, "fast-batch") in REGISTRY
-                and batch_kernel_active(algorithm)):
-            engine = "fast-batch"
-            spec = REGISTRY.get(algorithm, "fast-batch")
-            resolved_engine = spec.engine
         if spec.batched:
             batch_size = _AutoBatchSize(args.delta, args.c)
     elif batch_size > 1 and not spec.batched:
@@ -642,9 +625,11 @@ def _cmd_sweep(args) -> int:
         rounds = [t.metrics["rounds"] for t in bucket
                   if t.success and "rounds" in t.metrics]
         p = paper_probability(n, args.delta, args.c)
-        mean = sum(rounds) / len(rounds) if rounds else float("nan")
+        mean = sum(rounds) / len(rounds) if rounds else None
         owned = len(bucket) if shard is not None else args.trials
-        rows.append([n, f"{p:.4f}", wins, owned, round(mean, 1)])
+        # No successful trial, no mean: JSON null, n/a in the table.
+        rows.append([n, f"{p:.4f}", wins, owned,
+                     None if mean is None else round(mean, 1)])
         if rounds and mean > 0:
             # Sequential engines report rounds=0 (nothing distributed
             # to account for); a power-law fit is meaningless there.
@@ -671,7 +656,8 @@ def _cmd_sweep(args) -> int:
                  f"delta={args.delta}, c={args.c}")
         title += f", shard {shard})" if shard is not None else ")"
         print(render_table(["n", "p", "successes", "trials", "mean rounds"],
-                           rows, title=title))
+                           [[*row[:-1], "n/a" if row[-1] is None else row[-1]]
+                            for row in rows], title=title))
         if exponent is not None:
             print(f"fitted rounds ~ n^{exponent:.3f}")
         if shard is not None:
@@ -733,7 +719,6 @@ def _cmd_engines(args) -> int:
             "audits_memory": s.audits_memory,
             "batched": s.batched,
             "async_capable": s.async_capable,
-            "jit": s.jit,
             "parity": sorted(s.parity),
             "summary": s.summary,
         } for s in specs], indent=2))
@@ -743,13 +728,12 @@ def _cmd_engines(args) -> int:
                  "yes" if s.audits_memory else "-",
                  "yes" if s.batched else "-",
                  "yes" if s.async_capable else "-",
-                 "yes" if s.jit else "-",
                  ",".join(sorted(s.supported_kwargs)) or "-",
                  s.summary]
                 for s in specs]
         print(render_table(
             ["algorithm", "engine", "k-machine", "audit", "batched", "async",
-             "jit", "kwargs", "summary"],
+             "kwargs", "summary"],
             rows, title="registered (algorithm, engine) pairs"))
     return 0
 

@@ -44,10 +44,9 @@ from repro.engines.results import RunResult
 __all__ = ["Engine", "EngineSpec", "ENGINE_PRIORITY"]
 
 #: ``engine="auto"`` preference order (higher wins): the array-kernel
-#: step-level engine when it can honour the request, the batch-major
-#: kernel just below it (a single-trial ``repro.run`` call gains
-#: nothing from batching, so ``auto`` prefers plain ``fast``; the
-#: harness opts into ``fast-batch`` explicitly via ``batch_size``),
+#: step-level engine when it can honour the request, the batch engine
+#: just below it (it runs each trial on ``fast``, so ``auto`` prefers
+#: plain ``fast``; a sweep opts into ``fast-batch`` by name),
 #: the message-level simulator when full CONGEST fidelity (or a
 #: capability only it has, e.g. ``audit_memory`` / ``network``) is
 #: needed, the native k-machine simulator when the caller asks for
@@ -79,8 +78,8 @@ class EngineSpec:
     batch_runner:
         Optional batched entry point ``run_batch(graphs, *, seeds,
         **kwargs) -> list[RunResult]`` (callable or dotted path)
-        executing many independent same-n trials in shared kernel
-        passes.  Declaring one is the ``batched`` capability the
+        executing many independent same-n trials in one call.
+        Declaring one is the ``batched`` capability the
         harness dispatches on; results must be seed-for-seed identical
         to calling ``runner`` once per ``(graph, seed)`` pair.
     supported_kwargs:
@@ -95,12 +94,6 @@ class EngineSpec:
         engines themselves and for engines with no reference
         counterpart; every non-empty declaration is enforced by
         ``tests/test_engine_parity.py``'s registry parity gate.
-    jit:
-        True when the batch runner needs the optional compiled walk
-        kernel in :mod:`repro.engines._jit` (``REPRO_JIT=1`` with
-        numba) to batch at all; without it the runner runs each trial
-        on per-trial ``fast``.  Results are bitwise identical either
-        way.  Informational — ``repro engines`` lists it.
     priority:
         ``engine="auto"`` preference (higher wins); defaults to
         :data:`ENGINE_PRIORITY` for the standard engine names.
@@ -119,7 +112,6 @@ class EngineSpec:
     batch_runner: Callable[..., list[RunResult]] | str | None = None
     supported_kwargs: frozenset[str] = frozenset()
     parity: frozenset[str] = frozenset()
-    jit: bool = False
     priority: int = field(default=-1)
     summary: str = ""
 
@@ -139,7 +131,7 @@ class EngineSpec:
 
     @property
     def batched(self) -> bool:
-        """Whether this engine can execute many trials per kernel pass."""
+        """Whether this engine can execute many trials per call."""
         return self.batch_runner is not None
 
     @property

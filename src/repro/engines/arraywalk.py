@@ -25,9 +25,7 @@ on:
   eccentricities (:func:`tree_eccentricities`) all run as whole-level
   numpy operations, and each takes a forest as readily as one tree:
   DHC2's Phase 1 times all its colour classes in one call of each
-  (:func:`~repro.engines.phase1_replay.build_class_forest`), and the
-  batch engine's :class:`~repro.engines.batchwalk.BatchTree` uses the
-  last two as well.
+  (:func:`~repro.engines.phase1_replay.build_class_forest`).
 
 RNG-parity contract
 -------------------
@@ -43,7 +41,7 @@ order the distributed walk sees.  That invariant is what makes the
 
 The draw is the stream's own ``integers(k)`` but for one inlined case,
 in :meth:`ArrayWalk.run` and nowhere else.  The streams
-:func:`~repro.engines.batchwalk.node_streams` returns carry ``halves``,
+:func:`~repro.engines.streams.node_streams` returns carry ``halves``,
 each node's queue of prefetched 32-bit halves.  When the head's queue
 is not empty, ``k > 1`` and ``(half * k) mod 2**32 >= k``, the walk
 pops that half and uses ``(half * k) >> 32``.  That is the value
@@ -68,7 +66,7 @@ CSR invariants the kernel relies on
 
 A new algorithm targets the kernel by building (or filtering) a CSR,
 taking its per-node streams from
-:func:`~repro.engines.batchwalk.node_streams` (the exact scalar
+:func:`~repro.engines.streams.node_streams` (the exact scalar
 replication of ``SeedSequence(seed).spawn(n)`` Generators, indexed by
 node id; only ``integers`` is available), and driving :class:`ArrayWalk` /
 :class:`ArrayTree`; see ``docs/ARCHITECTURE.md``.  The ``congest``
@@ -369,7 +367,7 @@ class ArrayWalk:
     rngs:
         Per-node generators, indexed by *original* node id.  When it
         has ``halves`` (a queue of prefetched halves per node, as
-        :func:`~repro.engines.batchwalk.node_streams` gives), the walk
+        :func:`~repro.engines.streams.node_streams` gives), the walk
         takes the common draw from the head's queue itself and leaves
         the rest to ``rngs[head].integers`` (see the module's
         RNG-parity contract); real Generators get every draw.

@@ -59,7 +59,7 @@ def _dra_fast(
     any decision; the native k-machine engine charges from it.
     """
     from repro.engines.arraywalk import ArrayWalk, build_array_tree, live_rows
-    from repro.engines.batchwalk import node_streams
+    from repro.engines.streams import node_streams
 
     n = graph.n
     budget = step_budget if step_budget is not None else dra_step_budget(n)

@@ -7,7 +7,7 @@ plus one fancy-indexed ``pos`` update, so long paths still scale
 (:class:`~repro.engines.arraywalk.ArrayWalk` goes one step further
 and moves only the shorter side of the cut).  Each step pays only for the move it makes:
 
-* draws come from one :func:`~repro.engines.batchwalk.trial_stream`,
+* draws come from one :func:`~repro.engines.streams.trial_stream`,
   the Generator's stream in Python ints;
 * an extension is one masked row slice over an unvisited-node mask;
 * closure is a lookup in the tail's neighbour marks, asked only at
@@ -33,7 +33,7 @@ from repro.core.cre import (
     CRE_FAIL_TOO_SMALL,
     cre_step_budget,
 )
-from repro.engines.batchwalk import trial_stream
+from repro.engines.streams import trial_stream
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
 from repro.verify.hamiltonicity import verified_cycle

@@ -59,7 +59,7 @@ def _dhc2_fast(
     without perturbing any decision; the native k-machine engine
     charges from it.
     """
-    from repro.engines.batchwalk import node_streams
+    from repro.engines.streams import node_streams
 
     n = graph.n
     colors = resolve_colors(k, lambda: default_color_count(n, delta))

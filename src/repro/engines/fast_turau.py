@@ -114,7 +114,7 @@ def _turau_fast(
     decision.  The native k-machine engine uses it to bin the
     protocol's traffic onto machine links.
     """
-    from repro.engines.batchwalk import first_draws, node_streams
+    from repro.engines.streams import first_draws, node_streams
 
     n = graph.n
     if trace is not None:

@@ -87,7 +87,7 @@ def _dhc1_kmachine(
     from repro.core.dhc1 import default_sqrt_colors
     from repro.core.phase1 import resolve_colors
     from repro.engines.arraywalk import build_array_tree
-    from repro.engines.batchwalk import node_streams
+    from repro.engines.streams import node_streams
     from repro.engines.phase1_replay import replay_phase1
 
     n = graph.n

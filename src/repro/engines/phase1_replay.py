@@ -10,7 +10,7 @@ engines wrap it with their own round accounting, and the k-machine
 engines charge their link ledgers from its ``trace``.
 
 The colour draw is every node's first draw, taken as one vector by
-:func:`~repro.engines.batchwalk.first_draws` (which pops most colours
+:func:`~repro.engines.streams.first_draws` (which pops most colours
 straight off the prefetched half queues, so the lazy per-node streams
 stay unbuilt until a walk needs them).  It builds one colour-filtered
 CSR (:func:`~repro.engines.arraywalk.same_color_csr`) whose components
@@ -138,7 +138,7 @@ def replay_phase1(graph: Graph, rngs, colors: int, *, start_round: int,
         same_color_csr,
         tree_eccentricities,
     )
-    from repro.engines.batchwalk import first_draws
+    from repro.engines.streams import first_draws
 
     color_of = 1 + first_draws(rngs, np.full(graph.n, colors, dtype=np.int64))
     indptr, indices = same_color_csr(graph.indptr, graph.indices, color_of)

@@ -62,10 +62,9 @@ def _builtin_specs() -> list[EngineSpec]:
                    "repro.engines.fast_batch:_dra_fast_batch_one",
                    batch_runner="repro.engines.fast_batch:_dra_fast_batch",
                    supported_kwargs=("step_budget",),
-                   parity=("cycle", "steps", "rounds"), jit=True,
-                   summary="Algorithm 1, hundreds of trials per pass on the "
-                           "compiled batch kernel; per-trial fast without "
-                           "it"),
+                   parity=("cycle", "steps", "rounds"),
+                   summary="Algorithm 1, per-trial fast on each trial of "
+                           "the batch"),
         EngineSpec("dra", "kmachine", "repro.engines.kmachine_engine:_dra_kmachine",
                    supported_kwargs=("step_budget", "k", *_KMACHINE_COMMON),
                    parity=("cycle", "steps", "rounds"),
@@ -98,10 +97,9 @@ def _builtin_specs() -> list[EngineSpec]:
                    "repro.engines.fast_batch:_dhc2_fast_batch_one",
                    batch_runner="repro.engines.fast_batch:_dhc2_fast_batch",
                    supported_kwargs=("delta", "k"),
-                   parity=("cycle", "steps"), jit=True,
-                   summary="Algorithm 3, Phase 1 batched per colour class on "
-                           "the compiled batch kernel; per-trial fast "
-                           "without it"),
+                   parity=("cycle", "steps"),
+                   summary="Algorithm 3, per-trial fast on each trial of "
+                           "the batch"),
         EngineSpec("dhc2", "kmachine", "repro.engines.kmachine_engine:_dhc2_kmachine",
                    supported_kwargs=("delta", "k", *_KMACHINE_COMMON),
                    parity=("cycle", "steps"),
@@ -118,8 +116,7 @@ def _builtin_specs() -> list[EngineSpec]:
         EngineSpec("turau", "async", "repro.engines.async_runners:_turau_async",
                    supported_kwargs=("phase_budget", *_CONGEST_COMMON),
                    summary="Turau path merging on the asynchronous "
-                           "event-queue engine (its self-stabilising home "
-                           "turf)"),
+                           "event-queue engine"),
         EngineSpec("turau", "fast", "repro.engines.fast_turau:_turau_fast",
                    supported_kwargs=("phase_budget",),
                    parity=("cycle", "steps"),

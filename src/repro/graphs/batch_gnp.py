@@ -150,7 +150,7 @@ class GnpBatch:
             if 2 * m >= 2**31 or rows >= 2**31:
                 raise ValueError(
                     "stacked batch exceeds int32 CSR addressing; "
-                    "lower the batch size or REPRO_BATCH_EDGE_BUDGET")
+                    "lower the batch size")
             src = np.concatenate((glo, ghi))
             dst = np.concatenate((ghi, glo))
             order = np.lexsort((dst, src))

@@ -144,10 +144,10 @@ class TrialRunner:
         [raw, ...]`` (one raw result per seed, same normalisation as
         ``fn``'s return).  When set together with ``batch_size > 1``,
         consecutive pending trials that share a grid point are handed
-        over as one call — the fast-batch engines then run them in
-        one kernel pass.  Seeds, trial order, and store records are
-        identical to the unbatched run (``elapsed_s`` aside, which
-        the canonical records exclude).
+        over as one call — the fast-batch engines then generate
+        their graphs in one pooled pass.  Seeds, trial order, and store
+        records are identical to the unbatched run (``elapsed_s``
+        aside, which the canonical records exclude).
     batch_size:
         Largest group handed to ``batch_fn`` (default 1 = unbatched),
         or a callable ``batch_size(point) -> int`` sizing each grid

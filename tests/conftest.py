@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import pytest
@@ -25,6 +26,31 @@ def path_graph(n: int) -> Graph:
 def dense_gnp(n: int, c: float = 8.0, seed: int = 0) -> Graph:
     """G(n, p) comfortably above the Hamiltonicity threshold."""
     return gnp_random_graph(n, min(1.0, c * math.log(n) / n), seed=seed)
+
+
+@contextlib.contextmanager
+def generator_fallback(monkeypatch):
+    """Force every replicated stream onto real Generators, and check it.
+
+    Patches :mod:`repro.engines.streams`' self-check verdict to False
+    and records each ``_replicable`` answer the engines get, so a
+    patch on a module the engines no longer read fails here instead of
+    passing silently.  Yields the recorded answers.
+    """
+    from repro.engines import streams
+
+    verdicts: list[bool] = []
+    replicable = streams._replicable
+
+    def recording(seed) -> bool:
+        verdicts.append(replicable(seed))
+        return verdicts[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(streams, "_EXACT", False)
+        m.setattr(streams, "_replicable", recording)
+        yield verdicts
+    assert verdicts and not any(verdicts), "the Generator route was not taken"
 
 
 @pytest.fixture

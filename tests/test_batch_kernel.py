@@ -1,74 +1,74 @@
-"""The fused batch kernels and the ``fast-batch`` route around them.
+"""The ``fast-batch`` route and the batch state the benchmark still names.
 
-The fused batch kernels (:func:`~repro.engines._jit.walk_steps_impl`,
-:func:`~repro.engines._jit.tree_build_impl`) promise results *bitwise
-identical* to per-trial ``fast`` whether or not numba compiles them.  These tests enforce that promise on every host by
-installing the ``*_impl`` functions **uncompiled** as the dispatch
-targets — the exact code numba would compile, minus the compilation —
-and holding every RunResult field against per-trial ``fast`` (and the
-tree kernel against :func:`~repro.engines.arraywalk.build_array_tree`
-per block).  The CI jit lane (``REPRO_JIT=1`` with numba installed)
-re-runs the whole suite with the kernels actually compiled.  CRE and
-Turau have no batch kernel; their ``fast-batch`` rides the same
-equality checks as the per-trial route.
+:class:`TestPerTrialRoute` pins the route: every ``fast-batch`` runner
+runs each trial on per-trial ``fast``, so each RunResult field equals
+``fast``'s on a list of graphs, on a pooled
+:func:`~repro.graphs.batch_gnp.batch_gnp` batch and through the
+single-graph ``*_one`` runner.
 
-:class:`TestBatchTreeTiming` holds the batch tree's completion rounds
-and flood eccentricities to :class:`~repro.engines.arraywalk.ArrayTree`
-per trial, over full and colour-class blocks.
+:class:`TestAutoBatchSize` pins
+:func:`~repro.engines.fast_batch.auto_batch_size`, the per-point batch
+cap of pooled generation, to its edge budget.
 
-:class:`TestKernelRoute` pins the route: without a dispatchable walk
-kernel, DRA and DHC2 ``fast-batch`` run each trial on ``fast``, and
-CRE and Turau always do.
+:class:`TestFusedTreeKernel` and :class:`TestBatchTreeTiming` hold
+:func:`~repro.engines.batchwalk.build_batch_tree` and its
+:class:`~repro.engines.batchwalk.BatchTree` to
+:class:`~repro.engines.arraywalk.ArrayTree` per trial, over full and
+colour-class blocks; :class:`TestStackedEdgeTwins` checks the stacked
+twin table.
 
-:class:`TestNodeStreams` pins the scalar half of the same replication,
-:func:`~repro.engines.batchwalk.node_streams`, to the spawned
-``default_rng`` generators the per-trial engines used to build.
+:class:`TestNodeStreams` pins :func:`~repro.engines.streams.node_streams`
+to the spawned ``default_rng`` generators the per-trial engines used
+to build.
 """
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engines import _jit, batchwalk, fast_batch
+from repro.cli import _AutoBatchSize
+from repro.engines import streams
 from repro.engines.arraywalk import build_array_tree, filtered_csr
 from repro.engines.batchwalk import (
     build_batch_tree,
-    node_streams,
     stack_graph_csrs,
     stacked_edge_twins,
 )
 from repro.engines.fast import _dra_fast
 from repro.engines.fast_batch import (
     _cre_fast_batch,
+    _cre_fast_batch_one,
     _dhc2_fast_batch,
     _dhc2_fast_batch_one,
     _dra_fast_batch,
     _dra_fast_batch_one,
     _turau_fast_batch,
-    batch_kernel_active,
+    _turau_fast_batch_one,
+    auto_batch_size,
 )
 from repro.engines.fast_cre import _cre_fast
 from repro.engines.fast_dhc2 import _dhc2_fast
 from repro.engines.fast_turau import _turau_fast
 from repro.engines.kmachine_engine import _dra_kmachine
+from repro.engines.streams import node_streams
 from repro.graphs import batch_gnp, gnp_random_graph
 from repro.graphs.adjacency import csr_sources
 
-BATCH_RUNNERS = {
-    "dra": _dra_fast_batch,
-    "cre": _cre_fast_batch,
-    "dhc2": _dhc2_fast_batch,
-    "turau": _turau_fast_batch,
-}
+from tests.conftest import generator_fallback
 
-FAST_RUNNERS = {
-    "dra": _dra_fast,
-    "cre": _cre_fast,
-    "dhc2": _dhc2_fast,
-    "turau": _turau_fast,
+#: algorithm -> (batch runner, single-graph runner, per-trial fast).
+RUNNERS = {
+    "dra": (_dra_fast_batch, _dra_fast_batch_one, _dra_fast),
+    "cre": (_cre_fast_batch, _cre_fast_batch_one, _cre_fast),
+    "dhc2": (_dhc2_fast_batch, _dhc2_fast_batch_one, _dhc2_fast),
+    "turau": (_turau_fast_batch, _turau_fast_batch_one, _turau_fast),
 }
 
 FIELDS = ("success", "cycle", "steps", "rounds", "detail")
@@ -92,63 +92,78 @@ def mixed_batch(n, trials, *, factors=(1.0, 8.0, 14.0), base_seed=300):
     return graphs, [50 + i for i in range(trials)]
 
 
-@pytest.fixture
-def fused(monkeypatch):
-    """Install the uncompiled impls as the live kernel dispatch targets."""
-    monkeypatch.setattr(_jit, "walk_kernel", _jit.walk_steps_impl)
-    monkeypatch.setattr(_jit, "tree_kernel", _jit.tree_build_impl)
+class TestPerTrialRoute:
+    """Every ``fast-batch`` runner is per-trial ``fast``, field for field."""
 
-
-class TestFusedKernelEquality:
-    """One fused trial-at-a-time loop == per-trial ``fast``."""
-
-    def assert_paths_identical(self, algorithm, graphs, seeds, monkeypatch,
-                               **kwargs):
-        serial = FAST_RUNNERS[algorithm]
-        plain = [serial(g, seed=s, **kwargs) for g, s in zip(graphs, seeds)]
-        with monkeypatch.context() as m:
-            m.setattr(_jit, "walk_kernel", _jit.walk_steps_impl)
-            m.setattr(_jit, "tree_kernel", _jit.tree_build_impl)
-            assert batch_kernel_active(algorithm) == (
-                algorithm in ("dra", "dhc2"))
-            fused = BATCH_RUNNERS[algorithm](graphs, seeds=seeds, **kwargs)
-        assert len(fused) == len(plain) == len(graphs)
+    @staticmethod
+    def assert_fast(results, graphs, seeds, serial):
+        assert len(results) == len(graphs)
         outcomes = set()
-        for i, (a, b) in enumerate(zip(fused, plain)):
-            outcomes.add(b.success)
+        for i, (got, seed) in enumerate(zip(results, seeds)):
+            want = serial(graphs[i], seed=seed)
+            outcomes.add(want.success)
+            assert got.engine == "fast-batch"
             for field in FIELDS:
-                assert getattr(a, field) == getattr(b, field), (
-                    f"{algorithm}: trial {i} field {field}")
+                assert getattr(got, field) == getattr(want, field), (
+                    f"trial {i} field {field}")
         return outcomes
 
-    @pytest.mark.parametrize("algorithm", sorted(BATCH_RUNNERS))
-    @pytest.mark.parametrize("n", [16, 96])
-    def test_mixed_outcomes(self, algorithm, n, monkeypatch):
-        graphs, seeds = mixed_batch(n, 9)
-        outcomes = self.assert_paths_identical(
-            algorithm, graphs, seeds, monkeypatch)
-        if n == 96 and algorithm in ("dra", "cre"):
-            # The density mix must exercise success and failure alike.
+    @pytest.mark.parametrize("source", ["graphs", "pooled", "one"])
+    @pytest.mark.parametrize("algorithm", sorted(RUNNERS))
+    def test_every_field_equals_fast(self, algorithm, source):
+        batch_fn, one_fn, serial = RUNNERS[algorithm]
+        if source == "graphs":
+            graphs, seeds = mixed_batch(96, 6, factors=(1.0, 8.0, 30.0))
+            outcomes = self.assert_fast(batch_fn(graphs, seeds=seeds),
+                                        graphs, seeds, serial)
             assert outcomes == {True, False}
+        elif source == "pooled":
+            pooled = batch_gnp(48, 0.5, [7, 8, 9])
+            self.assert_fast(batch_fn(pooled, seeds=[1, 2, 3]), pooled,
+                             [1, 2, 3], serial)
+        else:
+            graphs, seeds = mixed_batch(96, 1, factors=(8.0,))
+            self.assert_fast([one_fn(graphs[0], seed=seeds[0])], graphs,
+                             seeds, serial)
 
-    @pytest.mark.parametrize("algorithm", sorted(BATCH_RUNNERS))
-    def test_single_trial(self, algorithm, monkeypatch):
-        graphs, seeds = mixed_batch(64, 1, factors=(8.0,))
-        self.assert_paths_identical(algorithm, graphs, seeds, monkeypatch)
 
-    def test_budget_failures(self, monkeypatch):
-        # FAIL_BUDGET exits mid-walk: end_round / flood bookkeeping
-        # must match where the per-trial walk stops.
-        graphs, seeds = mixed_batch(64, 4, factors=(8.0,))
-        self.assert_paths_identical("dra", graphs, seeds, monkeypatch,
-                                    step_budget=7)
+class TestAutoBatchSize:
+    """Batch caps fill the 80M directed-entry budget of pooled generation."""
 
-    def test_dhc2_partition_walks(self, monkeypatch):
-        # Explicit k forces empty / disconnected colour classes, so the
-        # fused walk runs with per-trial sizes below the block size.
-        graphs = [sample(12, 3.0, 900 + i) for i in range(6)]
-        self.assert_paths_identical("dhc2", graphs, list(range(6)),
-                                    monkeypatch, k=5)
+    @pytest.mark.parametrize("n, p, want", [
+        (512, None, 305),       # no density given: the complete graph
+        (512, 2.0, 305),        # density clipped to 1
+        (512, 0.0, 1024),       # an empty graph costs one entry a trial
+        (16, None, 1024),       # small points stop at the cap
+        (0, None, 1024),
+        (100_000, None, 1),     # one trial over budget still runs
+    ])
+    def test_budget_over_expected_entries(self, n, p, want):
+        assert auto_batch_size(n, p) == want
+
+    def test_explicit_cap(self):
+        assert auto_batch_size(64, cap=8) == 8
+        assert auto_batch_size(64, 0.1, cap=1) == 1
+
+    def test_sweep_point_caps_survive_pickling(self):
+        # Sweeps hand the cap to worker processes; at the paper density
+        # for delta=0.75, c=6 an n=512 point batches 879 trials.
+        caps = pickle.loads(pickle.dumps(_AutoBatchSize(0.75, 6.0)))
+        assert caps({"n": 512}) == 879
+        assert caps({"n": 16}) == 1024
+
+    def test_budget_is_not_read_from_the_environment(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, REPRO_BATCH_EDGE_BUDGET="1000")
+        env["PYTHONPATH"] = (os.path.join(root, "src") + os.pathsep
+                             + env.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.engines.fast_batch import auto_batch_size\n"
+             "print(auto_batch_size(512))"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "305"
 
 
 class TestFusedTreeKernel:
@@ -260,116 +275,6 @@ class TestStackedEdgeTwins:
         assert np.array_equal(twins[twins], np.arange(twins.size))
 
 
-class TestJitGating:
-    def test_disabled_by_default(self):
-        # Without REPRO_JIT (or without numba) nothing is compiled and
-        # the dispatch attributes are None -> pure-numpy everywhere.
-        if not _jit.ENABLED:
-            assert _jit.walk_kernel is None
-            assert _jit.tree_kernel is None
-
-    def test_impls_are_plain_python(self):
-        # The docstring contract: *_impl stay callable uncompiled.
-        for fn in (_jit.walk_steps_impl, _jit.tree_build_impl):
-            assert callable(fn) and fn.__module__ == "repro.engines._jit"
-
-    def test_fused_not_used_without_exact_pool(self, fused, monkeypatch):
-        # The kernel replays DrawPool's PCG64 state arrays directly, so
-        # DRA must run per trial when the pool fell back to per-node
-        # Generators (no state arrays to advance) — and the fallback
-        # results must equal the fused ones.
-        calls = []
-
-        def counting_kernel(*args):
-            calls.append(1)
-            return _jit.walk_steps_impl(*args)
-
-        monkeypatch.setattr(_jit, "walk_kernel", counting_kernel)
-        graphs, seeds = mixed_batch(16, 2, factors=(8.0,))
-        with monkeypatch.context() as m:
-            m.setattr(batchwalk, "_EXACT", False)
-            plain = _dra_fast_batch(graphs, seeds=seeds)
-        assert calls == []  # kernel installed but never dispatched
-        want = _dra_fast_batch(graphs, seeds=seeds)
-        assert calls  # exact pool restored -> fused dispatch taken
-        for a, b in zip(plain, want):
-            for field in FIELDS:
-                assert getattr(a, field) == getattr(b, field)
-
-
-class TestKernelRoute:
-    """Without a dispatchable walk kernel DRA/DHC2 run per-trial ``fast``;
-    CRE and Turau always do."""
-
-    RUNNERS = {"dra": (_dra_fast_batch, _dra_fast_batch_one, _dra_fast),
-               "dhc2": (_dhc2_fast_batch, _dhc2_fast_batch_one, _dhc2_fast)}
-
-    @staticmethod
-    def assert_fast(results, graphs, seeds, serial):
-        assert len(results) == len(graphs)
-        outcomes = set()
-        for i, (got, seed) in enumerate(zip(results, seeds)):
-            want = serial(graphs[i], seed=seed)
-            outcomes.add(want.success)
-            assert got.engine == "fast-batch"
-            for field in FIELDS:
-                assert getattr(got, field) == getattr(want, field), (
-                    f"trial {i} field {field}")
-        return outcomes
-
-    @pytest.mark.parametrize("algorithm", sorted(RUNNERS))
-    def test_inactive_kernel_runs_fast(self, algorithm, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("batch walk state built without a kernel")
-
-        monkeypatch.setattr(_jit, "walk_kernel", None)
-        monkeypatch.setattr(fast_batch, "BatchWalk", refuse)
-        monkeypatch.setattr(fast_batch, "build_batch_tree", refuse)
-        assert not batch_kernel_active(algorithm)
-        batch_fn, one_fn, serial = self.RUNNERS[algorithm]
-        graphs, seeds = mixed_batch(96, 6, factors=(1.0, 8.0, 30.0))
-        outcomes = self.assert_fast(batch_fn(graphs, seeds=seeds), graphs,
-                                    seeds, serial)
-        assert outcomes == {True, False}
-        pooled = batch_gnp(48, 0.5, [7, 8, 9])
-        self.assert_fast(batch_fn(pooled, seeds=[1, 2, 3]), pooled,
-                         [1, 2, 3], serial)
-        self.assert_fast([one_fn(graphs[0], seed=seeds[0])], graphs[:1],
-                         seeds[:1], serial)
-
-    @pytest.mark.parametrize("algorithm", sorted(RUNNERS))
-    def test_active_kernel_dispatches(self, algorithm, fused, monkeypatch):
-        calls = []
-
-        def counting_kernel(*args):
-            calls.append(1)
-            return _jit.walk_steps_impl(*args)
-
-        monkeypatch.setattr(_jit, "walk_kernel", counting_kernel)
-        assert batch_kernel_active(algorithm)
-        batch_fn, one_fn, serial = self.RUNNERS[algorithm]
-        graphs, seeds = mixed_batch(48, 3, factors=(8.0,))
-        self.assert_fast(batch_fn(graphs, seeds=seeds), graphs, seeds,
-                         serial)
-        assert calls
-        del calls[:]
-        self.assert_fast([one_fn(graphs[0], seed=seeds[0])], graphs[:1],
-                         seeds[:1], serial)
-        assert calls
-
-    def test_cre_and_turau_never_batch(self, monkeypatch):
-        # With or without a walk kernel, CRE and Turau run each trial
-        # on fast, pooled graphs included.
-        pooled = batch_gnp(48, 0.5, [7, 8, 9])
-        for kernel in (None, _jit.walk_steps_impl):
-            monkeypatch.setattr(_jit, "walk_kernel", kernel)
-            for algorithm in ("cre", "turau"):
-                assert not batch_kernel_active(algorithm)
-                self.assert_fast(
-                    BATCH_RUNNERS[algorithm](pooled, seeds=[1, 2, 3]),
-                    pooled, [1, 2, 3], FAST_RUNNERS[algorithm])
-
-
 class TestNodeStreams:
     """Scalar per-node streams == ``default_rng`` of every spawn child."""
 
@@ -384,8 +289,8 @@ class TestNodeStreams:
     def test_bit_identical_to_spawned_generators(self, seed):
         n = 9
         ours, ref = node_streams(seed, n), self.spawned(seed, n)
-        if batchwalk._exact():
-            assert all(isinstance(s, batchwalk._NodeStream) for s in ours)
+        if streams._exact():
+            assert all(isinstance(s, streams._NodeStream) for s in ours)
         # Interleaved node order: each stream's buffered half-word must
         # survive other nodes' draws in between.
         order = np.random.default_rng(seed % 97)
@@ -421,8 +326,7 @@ class TestNodeStreams:
             return {name: [run(g, seed=20 + i) for i, g in enumerate(graphs)]
                     for name, run in runners.items()}
 
-        with monkeypatch.context() as m:
-            m.setattr(batchwalk, "_EXACT", False)
+        with generator_fallback(monkeypatch):
             assert all(isinstance(s, np.random.Generator)
                        for s in node_streams(3, 4))
             fallback = run_grid()

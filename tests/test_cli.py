@@ -10,6 +10,8 @@ import pytest
 from repro.cli import main
 from repro.harness import validate_metrics_payload
 
+from tests.conftest import generator_fallback
+
 
 def canonical_records(path):
     """A JSONL store's records minus ``elapsed_s``, as sorted-key JSON."""
@@ -254,23 +256,17 @@ class TestEnginesCommand:
         code, out, _ = run_cli(capsys, "engines")
         assert "turau" in out and "cre" in out
 
-    def test_engines_listing_shows_batch_and_jit_capabilities(self, capsys):
+    def test_engines_listing_shows_batch_capability(self, capsys):
         code, out, _ = run_cli(capsys, "engines", "--json")
         specs = {(s["algorithm"], s["engine"]): s for s in json.loads(out)}
         for algorithm in ("dra", "cre", "dhc2", "turau"):
             assert specs[(algorithm, "fast-batch")]["batched"] is True
             assert specs[(algorithm, "fast")]["batched"] is False
-        # jit marks batch entries that need the compiled walk kernel;
-        # CRE batches on numpy alone and Turau's batch runner loops
-        # per-trial fast.
-        assert specs[("dra", "fast-batch")]["jit"] is True
-        assert specs[("dhc2", "fast-batch")]["jit"] is True
-        assert specs[("cre", "fast-batch")]["jit"] is False
-        assert specs[("turau", "fast-batch")]["jit"] is False
-        assert specs[("dra", "fast")]["jit"] is False
+        # No entry needs a compiled kernel, so none lists a jit column.
+        assert all("jit" not in spec for spec in specs.values())
         code, out, _ = run_cli(capsys, "engines")
         header = out.splitlines()[1]
-        assert "batched" in header and "jit" in header
+        assert "batched" in header and "jit" not in header
 
     def test_engines_listing_shows_async_capability(self, capsys):
         code, out, _ = run_cli(capsys, "engines", "--json")
@@ -365,6 +361,26 @@ class TestSweepCommand:
         assert "mean rounds" in out
         assert "fitted rounds ~ n^" in out
 
+    def test_sweep_point_without_success_has_no_mean(self, capsys):
+        # At n=16 no gnm trial succeeds, so that point has no mean
+        # rounds: JSON null (not the invalid NaN token), n/a in the
+        # table.
+        def refuse(token):
+            raise ValueError(f"invalid JSON constant {token}")
+
+        base = ("sweep", "--algorithm", "dhc2", "--engine", "fast",
+                "--model", "gnm", "--sizes", "16,24", "--trials", "3")
+        code, out, _ = run_cli(capsys, *base, "--json")
+        assert code == 0
+        rows = json.loads(out, parse_constant=refuse)["rows"]
+        assert rows[0][0] == 16 and rows[0][2] == 0
+        assert rows[0][4] is None
+        code, out, _ = run_cli(capsys, *base)
+        assert code == 0
+        row = next(line for line in out.splitlines()
+                   if line.startswith("16 "))
+        assert row.split()[-1] == "n/a"
+
     def test_sweep_needs_two_sizes(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--sizes", "64")
         assert code == 2
@@ -434,66 +450,32 @@ class TestSweepCommand:
         assert code == 0
         assert groups == []
 
-    def test_sweep_auto_selects_fast_batch_for_large_queues(
-            self, capsys, monkeypatch):
-        # engine=auto + many same-point trials -> fast-batch where its
-        # batch kernel is active (threshold lowered so the test stays
-        # fast): dra/dhc2 only with a walk kernel, cre and turau never.
-        from repro.engines import _jit
-
-        monkeypatch.setattr("repro.cli.AUTO_BATCH_MIN_TRIALS", 4)
-        base = ("sweep", "--sizes", "24,32", "--c", "8", "--delta", "1.0",
-                "--seed", "5", "--json")
-        for kernel in (None, _jit.walk_steps_impl):
-            monkeypatch.setattr(_jit, "walk_kernel", kernel)
-            for algorithm in ("dra", "dhc2", "cre", "turau"):
-                batched = (kernel is not None
-                           and algorithm in ("dra", "dhc2"))
-                code, out, _ = run_cli(capsys, *base, "--algorithm",
-                                       algorithm, "--trials", "4")
-                assert code == 0
-                assert json.loads(out)["engine"] == (
-                    "fast-batch" if batched else "fast"), (algorithm, kernel)
-        # Below the threshold auto stays on per-trial fast (the walk
-        # kernel is still installed, so dra would batch above it).
-        code, out, _ = run_cli(capsys, *base, "--algorithm", "dra",
-                               "--trials", "3")
+    @pytest.mark.parametrize("algorithm", ["dra", "dhc2", "cre", "turau"])
+    def test_sweep_auto_engine_stays_per_trial(self, capsys, algorithm):
+        # fast-batch runs each trial on fast, so auto keeps its own
+        # pick however many same-point trials a sweep queues.
+        code, out, _ = run_cli(capsys, "sweep", "--algorithm", algorithm,
+                               "--sizes", "24,32", "--trials", "100",
+                               "--c", "8", "--delta", "1.0", "--seed", "5",
+                               "--json")
         assert code == 0
-        assert json.loads(out)["engine"] == "fast"
-        # An explicit --batch-size 1 opts out of auto-selection.
-        code, out, _ = run_cli(capsys, *base, "--algorithm", "dra",
-                               "--trials", "4", "--batch-size", "1")
-        assert code == 0
-        assert json.loads(out)["engine"] == "fast"
-        # Algorithms with no fast-batch entry are left on auto's pick.
-        code, out, _ = run_cli(capsys, *base, "--algorithm", "posa",
-                               "--trials", "4")
-        assert code == 0
-        assert json.loads(out)["engine"] == "sequential"
+        payload = json.loads(out)
+        assert payload["engine"] == "fast"
+        assert [row[0] for row in payload["rows"]] == [24, 32]
 
     @pytest.mark.parametrize("algorithm", ["dra", "dhc2", "cre", "turau"])
     def test_sweep_auto_batched_records_match_fast(self, capsys, monkeypatch,
                                                    tmp_path, algorithm):
-        # Auto-batching must be invisible in the store: same seeds,
-        # same records as an explicit per-trial fast sweep.  The
-        # uncompiled kernels stand in for compiled ones so dra and dhc2
-        # take the batch path too.  Auto keeps cre and turau on fast, so
-        # their fast-batch route is named explicitly.
-        from repro.engines import _jit
-
+        # Auto-capped batches must be invisible in the store: same
+        # seeds, same records as an explicit per-trial fast sweep.
         base = ("sweep", "--algorithm", algorithm, "--sizes", "24,32",
                 "--trials", "5", "--c", "8", "--delta", "1.0",
                 "--seed", "5", "--json")
         code, _, _ = run_cli(capsys, *base, "--engine", "fast",
                              "--store", str(tmp_path / "fast.jsonl"))
         assert code == 0
-        monkeypatch.setattr("repro.cli.AUTO_BATCH_MIN_TRIALS", 5)
-        monkeypatch.setattr(_jit, "walk_kernel", _jit.walk_steps_impl)
-        monkeypatch.setattr(_jit, "tree_kernel", _jit.tree_build_impl)
-        forced = (("--engine", "fast-batch") if algorithm in ("cre", "turau")
-                  else ())
-        code, out, _ = run_cli(capsys, *base, *forced, "--store",
-                               str(tmp_path / "auto.jsonl"))
+        code, out, _ = run_cli(capsys, *base, "--engine", "fast-batch",
+                               "--store", str(tmp_path / "auto.jsonl"))
         assert code == 0
         assert json.loads(out)["engine"] == "fast-batch"
 
@@ -629,13 +611,11 @@ class TestSweepJobsWithBatching:
 
         assert canonical_records(serial) == canonical_records(fanout)
 
-    def test_drawpool_fallback_through_full_sweep(self, capsys,
-                                                  monkeypatch, tmp_path):
-        # DrawPool's per-node-Generator fallback (pooled stream check
+    def test_generator_fallback_through_full_sweep(self, capsys,
+                                                   monkeypatch, tmp_path):
+        # The streams' per-node-Generator fallback (replication check
         # failed) must be invisible end-to-end: a full fast-batch sweep
         # writes the same records either way.
-        from repro.engines import batchwalk
-
         base = ("sweep", "--algorithm", "dra", "--engine", "fast-batch",
                 "--sizes", "24,32", "--trials", "4", "--c", "8",
                 "--delta", "1.0", "--seed", "5", "--batch-size", "4",
@@ -644,8 +624,7 @@ class TestSweepJobsWithBatching:
         fallback = tmp_path / "fallback.jsonl"
         code, _, _ = run_cli(capsys, *base, "--store", str(exact))
         assert code == 0
-        with monkeypatch.context() as m:
-            m.setattr(batchwalk, "_EXACT", False)
+        with generator_fallback(monkeypatch):
             code, _, _ = run_cli(capsys, *base, "--store", str(fallback))
         assert code == 0
 
@@ -772,6 +751,31 @@ class TestMainModule:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["p"] > 0
+
+
+    def test_fast_batch_sweep_never_imports_batchwalk(self):
+        # fast-batch runs each trial on fast, so a fresh interpreter
+        # that sweeps every fast-batch entry (pooled generation
+        # included) never loads the batch-major walk module.
+        env = dict(os.environ)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env["PYTHONPATH"] = (os.path.join(root, "src") + os.pathsep
+                             + env.get("PYTHONPATH", ""))
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "for algorithm in ('dra', 'dhc2', 'cre', 'turau'):\n"
+            "    assert main(['sweep', '--algorithm', algorithm,\n"
+            "                 '--engine', 'fast-batch', '--sizes', '24,32',\n"
+            "                 '--trials', '3', '--c', '8', '--delta', '1.0',\n"
+            "                 '--json']) == 0\n"
+            "assert 'repro.graphs.batch_gnp' in sys.modules\n"
+            "print('repro.engines.batchwalk' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestBrokenPipe:

@@ -18,6 +18,7 @@ The kernel's tree helpers are also checked structurally against the
 Python originals, since round accounting flows through them.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ import pytest
 
 import repro
 from repro.core.rotation import FAIL_NO_EDGES
-from repro.engines import arraywalk, batchwalk, fast, fast_dhc2
+from repro.engines import arraywalk, fast, fast_dhc2, streams
 from repro.engines.arraywalk import build_array_tree
 from repro.engines.phase1_replay import build_class_forest, replay_phase1
 from repro.engines.registry import REGISTRY
@@ -40,6 +41,7 @@ from repro.graphs import (
 )
 
 from tests import oracles
+from tests.conftest import generator_fallback
 from tests.oracles import (
     _dhc2_fast_py,
     _dra_fast_py,
@@ -54,6 +56,13 @@ MODELS = ["gnp", "gnm", "regular"]
 #: preference order: the message-level simulator where one exists,
 #: otherwise the scalar sequential implementation.
 REFERENCE_ENGINES = ("congest", "sequential")
+
+
+def fallback_if(route: str, monkeypatch):
+    """The forced Generator fallback on the ``generator-fallback`` route."""
+    if route == "generator-fallback":
+        return generator_fallback(monkeypatch)
+    return contextlib.nullcontext()
 
 
 def sample(model: str, n: int, factor: float, seed: int):
@@ -128,24 +137,23 @@ class TestDraParity:
         # Both draw paths of fast: the lazily built node streams, whose
         # common draws the walk takes inline (here from an np.int64
         # seed), and the real Generators they fall back to.
-        if route == "generator-fallback":
-            monkeypatch.setattr(batchwalk, "_EXACT", False)
-        outcomes = set()
-        for factor in (1.0, 8.0):
-            for seed in (1, 7):
-                g = sample("gnp", 64, factor, seed)
-                drawn = np.int64(seed) if route == "numpy-seed" else seed
-                assert isinstance(batchwalk.node_streams(drawn, 4)[0],
-                                  np.random.Generator) == (
-                    route == "generator-fallback")
-                kernel = repro.run(g, "dra", engine="fast", seed=drawn)
-                oracle = _dra_fast_py(g, seed=seed)
-                assert_parity(kernel, oracle,
-                              f"dra {route} factor={factor} seed={seed}",
-                              detail_keys=("fail_codes", "rotations",
-                                           "extensions"))
-                outcomes.add(kernel.success)
-        assert outcomes == {True, False}
+        with fallback_if(route, monkeypatch):
+            outcomes = set()
+            for factor in (1.0, 8.0):
+                for seed in (1, 7):
+                    g = sample("gnp", 64, factor, seed)
+                    drawn = np.int64(seed) if route == "numpy-seed" else seed
+                    assert isinstance(streams.node_streams(drawn, 4)[0],
+                                      np.random.Generator) == (
+                        route == "generator-fallback")
+                    kernel = repro.run(g, "dra", engine="fast", seed=drawn)
+                    oracle = _dra_fast_py(g, seed=seed)
+                    assert_parity(kernel, oracle,
+                                  f"dra {route} factor={factor} seed={seed}",
+                                  detail_keys=("fail_codes", "rotations",
+                                               "extensions"))
+                    outcomes.add(kernel.success)
+            assert outcomes == {True, False}
 
     def test_step_budget_failure_matches(self, monkeypatch):
         g = sample("gnp", 64, 8.0, seed=3)
@@ -228,22 +236,21 @@ class TestDhc2Parity:
     @pytest.mark.parametrize("route", ["generator-fallback", "numpy-seed"])
     def test_draw_routes(self, route, monkeypatch):
         # As DRA's: Phase 1's colour draws come off the prefetched
-        # halves as one vector (batchwalk.first_draws), then the class
+        # halves as one vector (streams.first_draws), then the class
         # walks take their common draws inline.
-        if route == "generator-fallback":
-            monkeypatch.setattr(batchwalk, "_EXACT", False)
-        outcomes = set()
-        for factor, k in ((1.0, 8), (32.0, 4)):
-            for seed in (1, 2, 7):
-                g = sample("gnp", 64, factor, seed)
-                drawn = np.int64(seed) if route == "numpy-seed" else seed
-                kernel = repro.run(g, "dhc2", engine="fast", k=k, seed=drawn)
-                oracle = _dhc2_fast_py(g, k=k, seed=seed)
-                assert_parity(kernel, oracle,
-                              f"dhc2 {route} factor={factor} seed={seed}",
-                              detail_keys=("fail", "k", "levels"))
-                outcomes.add(kernel.success)
-        assert outcomes == {True, False}
+        with fallback_if(route, monkeypatch):
+            outcomes = set()
+            for factor, k in ((1.0, 8), (32.0, 4)):
+                for seed in (1, 2, 7):
+                    g = sample("gnp", 64, factor, seed)
+                    drawn = np.int64(seed) if route == "numpy-seed" else seed
+                    kernel = repro.run(g, "dhc2", engine="fast", k=k, seed=drawn)
+                    oracle = _dhc2_fast_py(g, k=k, seed=seed)
+                    assert_parity(kernel, oracle,
+                                  f"dhc2 {route} factor={factor} seed={seed}",
+                                  detail_keys=("fail", "k", "levels"))
+                    outcomes.add(kernel.success)
+            assert outcomes == {True, False}
 
     def test_sparse_failure_codes_match(self):
         for seed in (2, 9):
@@ -328,21 +335,20 @@ class TestCreParity:
     def test_draw_routes(self, route, monkeypatch):
         # Both draw paths of fast: the replicated stream (here from an
         # np.int64 seed) and the real Generator it falls back to.
-        if route == "generator-fallback":
-            monkeypatch.setattr(batchwalk, "_EXACT", False)
-        for factor in (1.0, 8.0):
-            for seed in (1, 7):
-                g = sample("gnp", 64, factor, seed)
-                drawn = np.int64(seed) if route == "numpy-seed" else seed
-                assert isinstance(batchwalk.trial_stream(drawn),
-                                  np.random.Generator) == (
-                    route == "generator-fallback")
-                kernel = repro.run(g, "cre", engine="fast", seed=drawn)
-                oracle = repro.run(g, "cre", engine="sequential", seed=seed)
-                assert_parity(
-                    kernel, oracle, f"cre {route} factor={factor} seed={seed}",
-                    detail_keys=CRE_DETAIL_KEYS,
-                    fields=("success", "cycle", "steps"))
+        with fallback_if(route, monkeypatch):
+            for factor in (1.0, 8.0):
+                for seed in (1, 7):
+                    g = sample("gnp", 64, factor, seed)
+                    drawn = np.int64(seed) if route == "numpy-seed" else seed
+                    assert isinstance(streams.trial_stream(drawn),
+                                      np.random.Generator) == (
+                        route == "generator-fallback")
+                    kernel = repro.run(g, "cre", engine="fast", seed=drawn)
+                    oracle = repro.run(g, "cre", engine="sequential", seed=seed)
+                    assert_parity(
+                        kernel, oracle, f"cre {route} factor={factor} seed={seed}",
+                        detail_keys=CRE_DETAIL_KEYS,
+                        fields=("success", "cycle", "steps"))
 
     @pytest.mark.parametrize("name", sorted(DEGENERATE_GRAPHS))
     def test_degenerate_graphs(self, name):
@@ -632,8 +638,8 @@ class TestPhase1Forest:
         """``(colors, color_of, indptr, indices, forest)`` of one case."""
         make, seed, colors = cls.CASES[name]
         graph = make()
-        rngs = batchwalk.node_streams(seed, graph.n)
-        color_of = 1 + batchwalk.first_draws(
+        rngs = streams.node_streams(seed, graph.n)
+        color_of = 1 + streams.first_draws(
             rngs, np.full(graph.n, colors, dtype=np.int64))
         indptr, indices = arraywalk.same_color_csr(
             graph.indptr, graph.indices, color_of)
@@ -722,10 +728,10 @@ class TestPhase1Forest:
         # own tree, its completion rounds (0 outside the class) and its
         # flood cost (unequal across the classes of the first case).
         g = gnp_random_graph(192, p, seed=11)
-        color_of = 1 + batchwalk.first_draws(
-            batchwalk.node_streams(seed, g.n), np.full(g.n, 4, dtype=np.int64))
+        color_of = 1 + streams.first_draws(
+            streams.node_streams(seed, g.n), np.full(g.n, 4, dtype=np.int64))
         records: list = []
-        res = replay_phase1(g, batchwalk.node_streams(seed, g.n), 4,
+        res = replay_phase1(g, streams.node_streams(seed, g.n), 4,
                             start_round=self.START, trace=records)
         assert res.ok == ok
         assert [record[-1] for record in records] == floods
@@ -746,11 +752,10 @@ class TestPhase1Forest:
 class TestFastBatchParity:
     """``fast-batch`` is seed-for-seed identical to per-trial ``fast``.
 
-    The batch kernel interleaves hundreds of trials' draws through
-    shared array passes; these tests hold every RunResult field
-    (including failure codes and step/rotation counters in ``detail``)
-    against a serial loop over the same (graph, seed) pairs — on
-    mixed-outcome batches, single-trial batches, and chunked batches.
+    Through the registry's ``call_batch``, these tests hold every
+    RunResult field (including failure codes and step/rotation
+    counters in ``detail``) against a serial loop over the same
+    (graph, seed) pairs — on mixed-outcome and single-trial batches.
     """
 
     FIELDS = ("success", "cycle", "steps", "rounds", "detail")
@@ -839,19 +844,6 @@ class TestFastBatchParity:
         graphs, seeds = self._mixed_batch(64, 4, factors=(8.0,))
         self.assert_batch_parity("dra", graphs, seeds, "dra budget",
                                  step_budget=7)
-
-    def test_chunked_equals_unchunked(self, monkeypatch):
-        from repro.engines import fast_batch
-
-        graphs, seeds = self._mixed_batch(48, 7)
-        spec = REGISTRY.get("dra", "fast-batch")
-        whole = spec.call_batch(graphs, seeds=seeds)
-        monkeypatch.setattr(fast_batch, "_EDGE_BUDGET",
-                            graphs[0].indices.size + 1)
-        chunked = spec.call_batch(graphs, seeds=seeds)
-        for a, b in zip(whole, chunked):
-            for field in self.FIELDS:
-                assert getattr(a, field) == getattr(b, field)
 
     def test_same_n_required(self):
         spec = REGISTRY.get("dra", "fast-batch")

@@ -1,6 +1,6 @@
 """Prefetched per-node streams stay exact past the prefetch.
 
-:func:`repro.engines.batchwalk.node_streams` serves each node's first
+:func:`repro.engines.streams.node_streams` serves each node's first
 ``_PREFETCH_WORDS`` raw PCG64 words from its vector seeding pass, split
 into 32-bit halves, and steps the LCG in Python ints after that.  These
 tests drain streams well past that boundary against the real
@@ -17,7 +17,7 @@ built.  The walk cases compare it with the oracle walker of
 refill, and check that a stream built after the walk continues the
 spawned Generator's stream.
 
-:func:`~repro.engines.batchwalk.first_draws` applies the same test to
+:func:`~repro.engines.streams.first_draws` applies the same test to
 every node at once (Phase 1's colours, Turau's proposals).  It must
 equal per-node ``integers`` draws on the replicated streams and on the
 Generator fallback, take the stream's own route on a half that fails
@@ -28,18 +28,18 @@ the test and on an empty queue, consume nothing for ``bound == 1`` or
 import numpy as np
 import pytest
 
-from repro.engines import batchwalk
-from repro.engines import arraywalk
+from repro.engines import arraywalk, streams
 from repro.engines.arraywalk import ArrayWalk, live_rows
-from repro.engines.batchwalk import first_draws, node_streams
 from repro.engines.phase1_replay import replay_phase1
+from repro.engines.streams import first_draws, node_streams
 from repro.graphs import Graph, gnp_random_graph
 
+from tests.conftest import generator_fallback
 from tests.oracles import _FastWalk
 
 #: Rejects roughly half of all 32-bit halves (threshold 2**31 - 1).
 REJECTING = 2**31 + 1
-PREFETCHED = 2 * batchwalk._PREFETCH_WORDS  # halves per node
+PREFETCHED = 2 * streams._PREFETCH_WORDS  # halves per node
 
 
 def spawned(seed, n):
@@ -63,7 +63,7 @@ def rejected(half, bound):
 @pytest.fixture
 def replicated():
     """Streams must be the replication, not the Generator fallback."""
-    assert batchwalk._exact()
+    assert streams._exact()
 
 
 @pytest.mark.usefixtures("replicated")
@@ -72,7 +72,7 @@ class TestPrefetchedStreams:
     def test_interleaved_mix_far_past_the_prefetch(self, seed):
         n = 6
         ours, ref = node_streams(seed, n), spawned(seed, n)
-        assert all(isinstance(s, batchwalk._NodeStream) for s in ours)
+        assert all(isinstance(s, streams._NodeStream) for s in ours)
         bounds = (1, 2, 7, REJECTING, 2**32, 1000003, 1, 64)
         order = np.random.default_rng(seed % 101)
         drawn = [0] * n
@@ -86,7 +86,7 @@ class TestPrefetchedStreams:
     def test_full_width_draws_return_the_halves_low_first(self):
         n = 3
         ours = node_streams(9, n)
-        want = raw_halves(9, n, 2 * batchwalk._PREFETCH_WORDS)
+        want = raw_halves(9, n, 2 * streams._PREFETCH_WORDS)
         for v in range(n):
             got = [ours[v].integers(2**32) for _ in range(2 * PREFETCHED)]
             assert got == want[v]
@@ -96,7 +96,7 @@ class TestPrefetchedStreams:
         # draws with a rejecting bound: where that last half is
         # rejected, the retry is the first half of the first refill.
         seed, n = 21, 40
-        halves = raw_halves(seed, n, batchwalk._PREFETCH_WORDS + 1)
+        halves = raw_halves(seed, n, streams._PREFETCH_WORDS + 1)
         straddling = [v for v in range(n)
                       if rejected(halves[v][PREFETCHED - 1], REJECTING)]
         assert 5 <= len(straddling) < n
@@ -109,19 +109,19 @@ class TestPrefetchedStreams:
                 assert ours[v].integers(bound) == int(ref[v].integers(bound))
 
     def test_wrong_half_split_fails_the_self_check(self, monkeypatch):
-        prefetched = batchwalk._prefetched_streams
+        prefetched = streams._prefetched_streams
 
         def high_half_first(states):
-            streams = prefetched(states)
-            for stream in streams:
+            rngs = prefetched(states)
+            for stream in rngs:
                 queue = stream._halves
                 queue[0::2], queue[1::2] = queue[1::2], queue[0::2]
-            return streams
+            return rngs
 
-        assert batchwalk._replication_self_check()
-        monkeypatch.setattr(batchwalk, "_prefetched_streams", high_half_first)
-        assert not batchwalk._replication_self_check()
-        monkeypatch.setattr(batchwalk, "_EXACT", None)
+        assert streams._replication_self_check()
+        monkeypatch.setattr(streams, "_prefetched_streams", high_half_first)
+        assert not streams._replication_self_check()
+        monkeypatch.setattr(streams, "_EXACT", None)
         assert all(isinstance(s, np.random.Generator)
                    for s in node_streams(3, 4))
 
@@ -166,7 +166,7 @@ class TestWalkDrawRoutes:
         theirs = list(theirs)  # the oracle draws through integers only
         routes = {"bound-1": 0, "rejection": 0, "refill": 0}
 
-        class Recording(batchwalk._NodeStream):
+        class Recording(streams._NodeStream):
             __slots__ = ()
 
             def integers(self, bound):
@@ -183,7 +183,7 @@ class TestWalkDrawRoutes:
 
         # Only the kernel's streams are built after this, so the counts
         # are the draws the walk left to them.
-        monkeypatch.setattr(batchwalk, "_NodeStream", Recording)
+        monkeypatch.setattr(streams, "_NodeStream", Recording)
         ours = node_streams(4, graph.n)
         for queue in ours.halves:
             queue.append(0)
@@ -248,9 +248,10 @@ class TestFirstDraws:
         assert_same_streams(ours, ref)
 
     def test_equals_per_node_draws_on_the_generator_fallback(self, monkeypatch):
-        monkeypatch.setattr(batchwalk, "_EXACT", False)
         n, seed = 40, 8
-        ours, ref = node_streams(seed, n), spawned(seed, n)
+        with generator_fallback(monkeypatch):
+            ours = node_streams(seed, n)
+        ref = spawned(seed, n)
         assert all(isinstance(g, np.random.Generator) for g in ours)
         bounds = self.bounds(n)
         got = first_draws(ours, bounds)
@@ -268,12 +269,12 @@ class TestFirstDraws:
         n, seed = 6, 31
         copies = []
         for _ in range(2):
-            streams = node_streams(seed, n)
-            streams.halves[0].append(0)
-            streams.halves[1].append(INV3)
+            rngs = node_streams(seed, n)
+            rngs.halves[0].append(0)
+            rngs.halves[1].append(INV3)
             for _ in range(PREFETCHED):
-                streams[4].integers(2**32)
-            copies.append(streams)
+                rngs[4].integers(2**32)
+            copies.append(rngs)
         ours, theirs = copies
         theirs = list(theirs)  # every draw through integers
         bounds = np.array([3, 3, 1, 0, 5, 9], dtype=np.int64)

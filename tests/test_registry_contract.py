@@ -66,13 +66,32 @@ def test_colour_count_below_one_is_rejected_by_name(spec, k):
         spec.call(complete(6), seed=1, k=k)
 
 
-def test_colour_count_below_one_is_rejected_by_the_batch_kernel(monkeypatch):
-    from repro.engines import _jit
-    from repro.engines.fast_batch import batch_kernel_active
+BATCHED = sorted((s for s in REGISTRY if s.batched), key=lambda s: s.key)
 
-    monkeypatch.setattr(_jit, "walk_kernel", _jit.walk_steps_impl)
-    monkeypatch.setattr(_jit, "tree_kernel", _jit.tree_build_impl)
-    assert batch_kernel_active("dhc2")
-    spec = REGISTRY.get("dhc2", "fast-batch")
-    with pytest.raises(ValueError, match="colour count k must be at least 1, got 0"):
-        spec.call_batch([complete(6), complete(6)], seeds=[1, 2], k=0)
+
+@pytest.mark.parametrize("spec", BATCHED,
+                         ids=lambda s: f"{s.algorithm}-{s.engine}")
+def test_batch_contract_on_degenerate_inputs(spec):
+    # A batch of one degenerate graph per seed answers exactly as
+    # ``call`` does on each (graph, seed) pair.
+    for name, graph in GRAPHS.items():
+        got = spec.call_batch([graph] * len(SEEDS), seeds=list(SEEDS))
+        assert len(got) == len(SEEDS), name
+        for seed, result in zip(SEEDS, got):
+            want = spec.call(graph, seed=seed)
+            case = f"{name} seed={seed!r}"
+            assert result.success == want.success, case
+            assert result.cycle == want.cycle, case
+            assert result.detail == want.detail, case
+            if result.success:
+                assert is_hamiltonian_cycle(graph, result.cycle), case
+            else:
+                assert result.cycle is None, case
+
+
+@pytest.mark.parametrize("k", [0, -2])
+@pytest.mark.parametrize("spec", [s for s in COLOUR_PAIRS if s.batched],
+                         ids=lambda s: f"{s.algorithm}-{s.engine}")
+def test_colour_count_below_one_is_rejected_by_call_batch(spec, k):
+    with pytest.raises(ValueError, match=f"colour count k must be at least 1, got {k}"):
+        spec.call_batch([complete(6), complete(6)], seeds=[1, 2], k=k)
