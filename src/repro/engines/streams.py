@@ -8,9 +8,10 @@ trial's walk, so this module replicates the numpy stack below
 ``Generator.integers(bound)`` instead, bit for bit:
 
 * the SeedSequence entropy-pool hash that seeds every spawned child
-  (children differ only in their spawn-key word, so one vector pass
-  per parent seed yields all n child states,
-  :func:`_spawned_pcg_states`);
+  (children differ only in their last spawn-key word, so one vector
+  pass per parent seed yields all n child states,
+  :func:`spawn_states`; the sweep harness derives its trial seeds
+  with the same pass);
 * PCG64's seeding, its 128-bit LCG advance in 64-bit limbs and its
   XSL-RR output (:func:`_pcg_srandom`, :func:`_pcg_mult_add`,
   :func:`_pcg_out`);
@@ -46,7 +47,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["first_draws", "node_streams", "trial_stream"]
+__all__ = ["first_draws", "node_streams", "spawn_states", "trial_stream"]
 
 # -- uint64 constants (kept typed: see the module docstring) ---------------
 
@@ -100,66 +101,88 @@ def _entropy_words(seed: int) -> list[int]:
     return words or [0]
 
 
-def _spawned_pcg_states(seeds, n: int) -> np.ndarray:
-    """PCG64 seed material of every spawn child, one vector pass per seed.
+def spawn_states(entropy: int, keys, *, prefix=(), words: int = 4
+                 ) -> np.ndarray:
+    """SeedSequence output for a vector of spawn keys, in one pass.
 
-    Row ``s * n + i`` is ``SeedSequence(seeds[s]).spawn(n)[i]
-    .generate_state(4, uint64)``.  A child's assembled entropy is the
-    parent's entropy words zero-padded to the pool size (4) plus the
-    child index, so the entropy-pool state after the scalar prefix is
-    shared by all n children; only the final four spawn-key mixes and
-    the eight ``generate_state`` hashes see the index, and those
-    vectorise over ``arange(n)``.
+    Row ``i`` is ``SeedSequence(entropy, spawn_key=(*prefix, keys[i]))
+    .generate_state(words, uint64)`` for a non-negative int ``entropy``,
+    non-negative int ``prefix`` entries and uint32 ``keys``.  The
+    assembled entropy is ``entropy``'s words zero-padded to the pool
+    size (4), then the prefix's words, then the key, so the
+    entropy-pool state after everything but the key is one scalar
+    prefix shared by every row; only the key's four mixes and the
+    ``2 * words`` ``generate_state`` hashes see the vector, and those
+    vectorise over ``keys``.  Children of ``SeedSequence(seed)
+    .spawn(n)`` are the rows of ``keys = arange(n)`` with no prefix
+    (:func:`_spawned_pcg_states`); the sweep harness derives its trial
+    seeds with ``prefix=(point_index,)`` and ``words=1``.
     """
-    out = np.empty((len(seeds) * n, 4), dtype=np.uint64)
-    iv = np.arange(n, dtype=np.uint32)
-    for s_at, seed in enumerate(seeds):
-        words = _entropy_words(int(seed))
-        if len(words) < 4:
-            words = words + [0] * (4 - len(words))
-        hc = _SS_INIT_A
+    keys = np.asarray(keys, dtype=np.uint32)
+    assembled = _entropy_words(int(entropy))
+    assembled += [0] * (4 - len(assembled))
+    for part in prefix:
+        assembled += _entropy_words(int(part))
+    hc = _SS_INIT_A
 
-        def hashmix(value: int) -> int:
-            nonlocal hc
-            value = (value ^ hc) & _M32
-            hc = (hc * _SS_MULT_A) & _M32
-            value = (value * hc) & _M32
-            return value ^ (value >> 16)
+    def hashmix(value: int) -> int:
+        nonlocal hc
+        value = (value ^ hc) & _M32
+        hc = (hc * _SS_MULT_A) & _M32
+        value = (value * hc) & _M32
+        return value ^ (value >> 16)
 
-        def mix(x: int, y: int) -> int:
-            r = (x * _SS_MIX_L - y * _SS_MIX_R) & _M32
-            return r ^ (r >> 16)
+    def mix(x: int, y: int) -> int:
+        r = (x * _SS_MIX_L - y * _SS_MIX_R) & _M32
+        return r ^ (r >> 16)
 
-        pool = [hashmix(w) for w in words[:4]]
-        for i_src in range(4):
-            for i_dst in range(4):
-                if i_src != i_dst:
-                    pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-        for w in words[4:]:
-            for i_dst in range(4):
-                pool[i_dst] = mix(pool[i_dst], hashmix(w))
-        # Spawn key (the child index): the one vector word, mixed last.
-        poolv = []
+    pool = [hashmix(w) for w in assembled[:4]]
+    for i_src in range(4):
         for i_dst in range(4):
-            v = iv ^ np.uint32(hc)
-            hc = (hc * _SS_MULT_A) & _M32
-            v = v * np.uint32(hc)
-            v ^= v >> _SS_XSHIFT
-            r = np.uint32((pool[i_dst] * _SS_MIX_L) & _M32) \
-                - v * np.uint32(_SS_MIX_R)
-            r ^= r >> _SS_XSHIFT
-            poolv.append(r)
-        hc2 = _SS_INIT_B
-        halves = []
-        for i_dst in range(8):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for w in assembled[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(w))
+    # The key: the one vector word, mixed last.  Output words read the
+    # pool entries cyclically, so fewer than four may be needed.
+    poolv = []
+    for i_dst in range(4):
+        salt = hc
+        hc = (hc * _SS_MULT_A) & _M32
+        if i_dst >= 2 * words:
+            continue
+        v = (keys ^ np.uint32(salt)) * np.uint32(hc)
+        v ^= v >> _SS_XSHIFT
+        r = np.uint32((pool[i_dst] * _SS_MIX_L) & _M32) \
+            - v * np.uint32(_SS_MIX_R)
+        r ^= r >> _SS_XSHIFT
+        poolv.append(r)
+    out = np.empty((keys.size, words), dtype=np.uint64)
+    hc2 = _SS_INIT_B
+    for k in range(words):
+        pair = []
+        for i_dst in (2 * k, 2 * k + 1):
             d = poolv[i_dst % 4] ^ np.uint32(hc2)
             hc2 = (hc2 * _SS_MULT_B) & _M32
             d = d * np.uint32(hc2)
             d ^= d >> _SS_XSHIFT
-            halves.append(d.astype(np.uint64))
-        rows = out[s_at * n:(s_at + 1) * n]
-        for k in range(4):
-            rows[:, k] = halves[2 * k] | (halves[2 * k + 1] << _U32)
+            pair.append(d.astype(np.uint64))
+        out[:, k] = pair[0] | (pair[1] << _U32)
+    return out
+
+
+def _spawned_pcg_states(seeds, n: int) -> np.ndarray:
+    """PCG64 seed material of every spawn child, one vector pass per seed.
+
+    Row ``s * n + i`` is ``SeedSequence(seeds[s]).spawn(n)[i]
+    .generate_state(4, uint64)`` (:func:`spawn_states` over
+    ``arange(n)``).
+    """
+    out = np.empty((len(seeds) * n, 4), dtype=np.uint64)
+    iv = np.arange(n, dtype=np.uint32)
+    for s_at, seed in enumerate(seeds):
+        out[s_at * n:(s_at + 1) * n] = spawn_states(seed, iv)
     return out
 
 

@@ -1,13 +1,14 @@
 """Batched ``G(n, p)`` generation: one build for a whole trial batch.
 
-``fast-batch`` sweeps sample B same-``n`` graphs and immediately stack
-them into one disjoint-union CSR (node ``v`` of trial ``b`` becomes
-global id ``b*n + v``).  Generating those graphs one
+``fast-batch`` sweeps sample B same-``n`` graphs in one call and then
+run each trial on the per-trial ``fast`` engine; only the generation
+is pooled.  Generating those graphs one
 :func:`~repro.graphs.gnp.gnp_random_graph` call at a time pays B
-rounds of numpy dispatch, B per-graph ``lexsort`` CSR builds, and then
-a full stacking copy plus a twin-table argsort — all of it setup the
-batch kernel throws away.  :func:`batch_gnp` emits the stacked CSR and
-twin table *directly* from the pooled pair set:
+rounds of numpy dispatch.  :func:`batch_gnp` samples them from one
+pooled pair set, and :meth:`GnpBatch.stacked` can still emit their
+disjoint-union CSR (node ``v`` of trial ``b`` becomes global id
+``b*n + v``) and twin table *directly* from it, although no engine
+reads that form any more:
 
 * per-trial ``Binomial(C(n,2), p)`` edge counts drawn from each
   trial's own Generator,

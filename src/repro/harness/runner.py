@@ -47,8 +47,12 @@ from typing import Any, Callable, Iterator, Mapping
 import numpy as np
 
 from repro.engines.results import RunResult
+from repro.engines.streams import spawn_states
 
 __all__ = ["Trial", "TrialRunner", "ParallelTrialRunner"]
+
+#: Trial seeds are SeedSequence words reduced modulo ``2**31 - 1``.
+_SEED_MODULUS = np.uint64(2**31 - 1)
 
 
 @dataclass
@@ -203,7 +207,31 @@ class TrialRunner:
             entropy=self.master_seed,
             spawn_key=(point_index, trial_index),
         )
-        return int(seq.generate_state(1, dtype=np.uint64)[0] % (2**31 - 1))
+        return int(seq.generate_state(1, dtype=np.uint64)[0] % _SEED_MODULUS)
+
+    def _point_seeds(self, point_index: int,
+                     trial_indices: list[int]) -> list[int]:
+        """:meth:`derive_seed` for each of one grid point's trial indices.
+
+        One vector pass of SeedSequence's pool hash
+        (:func:`~repro.engines.streams.spawn_states`) derives them all
+        when the master seed is a non-negative int and every trial
+        index fits one uint32 word.  That pass is trusted only if its
+        first and last seeds equal :meth:`derive_seed`'s; otherwise
+        (or with two seeds or fewer) every seed comes from
+        :meth:`derive_seed` itself.
+        """
+        master = self.master_seed
+        if (len(trial_indices) > 2 and type(master) is int and master >= 0
+                and max(trial_indices) < 2**32):
+            words = spawn_states(master, trial_indices,
+                                 prefix=(point_index,), words=1)
+            seeds = (words[:, 0] % _SEED_MODULUS).tolist()
+            if (seeds[0] == self.derive_seed(point_index, trial_indices[0])
+                    and seeds[-1] == self.derive_seed(point_index,
+                                                      trial_indices[-1])):
+                return seeds
+        return [self.derive_seed(point_index, t) for t in trial_indices]
 
     def _plan(self, points, trials: int) -> list[tuple[int, int, dict, Trial | None]]:
         """This runner's schedule: (point #, trial #, point, resumed trial).
@@ -265,9 +293,16 @@ class TrialRunner:
         reaches the point's :meth:`_batch_cap`.  Every group covers
         consecutive slots, so a trial's slot is its group's first slot
         plus its offset.  The cut happens here, in the parent process,
-        so workers only ever see finished groups.
+        so workers only ever see finished groups, and every pending
+        seed of a grid point is derived up front (:meth:`_point_seeds`).
         """
         batching = self._batching()
+        pending: dict[int, list[int]] = {}
+        for point_index, trial_index, _pt, existing in plan:
+            if existing is None:
+                pending.setdefault(point_index, []).append(trial_index)
+        point_seeds = {point_index: iter(self._point_seeds(point_index, ts))
+                       for point_index, ts in pending.items()}
         first, point, cap = 0, None, 1
         indices: list[int] = []
         seeds: list[int] = []
@@ -282,7 +317,7 @@ class TrialRunner:
                 first, point = slot, pt
                 cap = self._batch_cap(pt) if batching else 1
             indices.append(trial_index)
-            seeds.append(self.derive_seed(point_index, trial_index))
+            seeds.append(next(point_seeds[point_index]))
         if indices:
             yield first, point, tuple(indices), tuple(seeds)
 

@@ -4,7 +4,8 @@ Long sweeps (hours at large n) must survive interruption: every
 completed trial is appended as one JSON line, and a rerun of the same
 sweep skips trials whose (point, trial index) already appear.  JSONL
 keeps the file append-only — a crash can at worst truncate the final
-line, which :meth:`JsonlStore.load` tolerates by skipping it.
+line, which :meth:`JsonlStore.load` tolerates by skipping it and
+which the resumed sweep's first append cuts off.
 
 The on-disk format is unchanged from the pre-backend ``TrialStore``:
 one ``json.dumps(trial.to_json(), sort_keys=True)`` per line.
@@ -40,13 +41,19 @@ class JsonlStore(TrialStore):
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self._tail_checked = False
 
     def append(self, trial: Trial) -> None:
-        """Append one trial (creates the file and parents on first use)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(trial.to_json(), sort_keys=True))
-            fh.write("\n")
+        """Append one trial (creates the file and parents on first use).
+
+        This store's first append cuts off a torn final line left by a
+        crash (:func:`drop_torn_tail`), so a resumed sweep's first
+        record starts a line of its own.
+        """
+        if not self._tail_checked:
+            drop_torn_tail(self.path)
+            self._tail_checked = True
+        append_record(self.path, trial)
 
     def metrics_path(self) -> Path:
         """Sidecar next to the store file: ``sweep.jsonl`` ->
@@ -76,6 +83,58 @@ class JsonlStore(TrialStore):
         excluded, matching what ``load()`` would return.
         """
         return count_complete_lines(self.path)
+
+
+def append_record(path: Path, trial: Trial) -> None:
+    """Append ``trial`` to the JSONL file at ``path`` in one write.
+
+    The line is encoded once and written by one ``os.write`` on an
+    ``O_APPEND`` descriptor that is closed again at once, so each
+    record is as durable as a closed file and no descriptor outlives
+    the call.  The parent directory is created only when the open
+    finds it missing.  The file-backed stores' shared ``append``.
+    """
+    data = (json.dumps(trial.to_json(), sort_keys=True) + "\n").encode()
+    flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+    try:
+        fd = os.open(path, flags, 0o666)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, flags, 0o666)
+    try:
+        while data:  # a regular file takes it all in one write
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
+def drop_torn_tail(path: Path) -> None:
+    """Cut the torn final line a crash left in the JSONL file at ``path``.
+
+    :meth:`JsonlStore.load` skips such a line, but a record appended
+    after it would join it into one undecodable line in mid-file.  The
+    cut keeps every newline-terminated line; a missing file, or one
+    that ends in a newline, is left as it is.
+    """
+    try:
+        fh = path.open("r+b")
+    except FileNotFoundError:
+        return
+    with fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) == b"\n":
+                return
+        while end:
+            start = max(0, end - 65536)
+            fh.seek(start)
+            at = fh.read(end - start).rfind(b"\n")
+            if at >= 0:
+                fh.truncate(start + at + 1)
+                return
+            end = start
+        fh.truncate(0)
 
 
 def count_complete_lines(path) -> int:

@@ -18,13 +18,17 @@ corrupts another host's records.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 from repro.harness.runner import Trial
 from repro.harness.store.base import TrialStore, canonical_order, register_backend
-from repro.harness.store.jsonl import count_complete_lines, parse_jsonl_lines
+from repro.harness.store.jsonl import (
+    append_record,
+    count_complete_lines,
+    drop_torn_tail,
+    parse_jsonl_lines,
+)
 
 __all__ = ["ShardedStore"]
 
@@ -49,13 +53,18 @@ class ShardedStore(TrialStore):
         self.directory = Path(directory)
         self.shard = str(shard) if shard is not None else str(os.getpid())
         self.path = self.directory / f"shard-{self.shard}.jsonl"
+        self._tail_checked = False
 
     def append(self, trial: Trial) -> None:
-        """Append to this writer's own shard (no cross-writer locking)."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(trial.to_json(), sort_keys=True))
-            fh.write("\n")
+        """Append to this writer's own shard (no cross-writer locking).
+
+        The first append cuts a crash's torn final line off the shard,
+        as :meth:`JsonlStore.append` does.
+        """
+        if not self._tail_checked:
+            drop_torn_tail(self.path)
+            self._tail_checked = True
+        append_record(self.path, trial)
 
     def metrics_path(self) -> Path:
         """Per-writer sidecar: ``shard-<label>.metrics.json``.

@@ -42,15 +42,20 @@ def verify_cycle(graph: Graph, cycle: Sequence[int]) -> None:
     if len(cycle) != n:
         raise CycleViolation(f"cycle visits {len(cycle)} nodes, expected {n}")
     nodes = _integer_nodes(cycle)
-    seen = set()
-    for v in nodes.tolist():
-        if not 0 <= v < n:
-            raise CycleViolation(f"node {v} out of range")
-        if v in seen:
-            raise CycleViolation(f"node {v} visited twice")
-        seen.add(v)
+    if not _is_permutation(nodes, n):
+        # Name the first offender in traversal order.
+        seen = set()
+        for v in nodes.tolist():
+            if not 0 <= v < n:
+                raise CycleViolation(f"node {v} out of range")
+            if v in seen:
+                raise CycleViolation(f"node {v} visited twice")
+            seen.add(v)
     nodes = nodes.astype(np.int64, copy=False)
-    i = _first_non_edge(graph, nodes, np.roll(nodes, -1))
+    successors = np.empty_like(nodes)
+    successors[:-1] = nodes[1:]
+    successors[-1] = nodes[0]
+    i = _first_non_edge(graph, nodes, successors)
     if i >= 0:
         a, b = cycle[i], cycle[(i + 1) % n]
         raise CycleViolation(f"({a}, {b}) is not an edge of the graph")
@@ -83,15 +88,31 @@ def verified_cycle(
 
 
 def _integer_nodes(nodes: Sequence[int]) -> np.ndarray:
-    """``nodes`` as one array; :class:`CycleViolation` unless integral.
+    """``nodes`` as one flat array; :class:`CycleViolation` unless integral.
 
     A float id such as ``1.5`` would otherwise pass the range and
-    duplicate checks and then truncate silently to a real node.
+    duplicate checks and then truncate silently to a real node, and a
+    nested sequence would reach them as rows instead of ids.
     """
-    arr = np.asarray(nodes)
+    try:
+        arr = np.asarray(nodes)
+    except ValueError:  # ragged nesting
+        raise CycleViolation("node ids must form a flat sequence") from None
+    if arr.ndim != 1:
+        raise CycleViolation(
+            f"node ids must form a flat sequence, got shape {arr.shape}")
     if arr.dtype.kind not in "iu":
         raise CycleViolation(f"node ids must be integers, got {arr.dtype}")
     return arr
+
+
+def _is_permutation(nodes: np.ndarray, n: int) -> bool:
+    """Whether the ``n`` integer ids in ``nodes`` are ``0..n-1``, each once."""
+    if nodes.min() < 0 or nodes.max() >= n:
+        return False
+    marks = np.zeros(n, dtype=bool)
+    marks[nodes] = True
+    return bool(marks.all())
 
 
 def _first_non_edge(graph: Graph, a: np.ndarray, b: np.ndarray) -> int:
@@ -128,8 +149,7 @@ def is_hamiltonian_path(graph: Graph, path: Sequence[int]) -> bool:
         nodes = _integer_nodes(path)
     except CycleViolation:
         return False
-    values = nodes.tolist()
-    if len(set(values)) != n or any(not 0 <= v < n for v in values):
+    if not _is_permutation(nodes, n):
         return False
     nodes = nodes.astype(np.int64, copy=False)
     return _first_non_edge(graph, nodes[:-1], nodes[1:]) < 0

@@ -19,14 +19,16 @@ Python originals, since round accounting flows through them.
 """
 
 import contextlib
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import repro
+from repro.core.cre import run_cre
 from repro.core.rotation import FAIL_NO_EDGES
-from repro.engines import arraywalk, fast, fast_dhc2, streams
+from repro.engines import arraywalk, fast, fast_cre, fast_dhc2, streams
 from repro.engines.arraywalk import build_array_tree
 from repro.engines.phase1_replay import build_class_forest, replay_phase1
 from repro.engines.registry import REGISTRY
@@ -372,6 +374,20 @@ class TestCreParity:
         assert not kernel.success
         assert kernel.steps == oracle.steps == 10
         assert kernel.detail["fail"] == oracle.detail["fail"] == "budget"
+
+    def test_draws_past_the_prefetch(self):
+        # More extension draws than the trial stream prefetched, so its
+        # half queue refills mid-walk; every RunResult field must equal
+        # the reference's, which draws from a real default_rng.
+        for seed in (2, 5):
+            g = sample("gnp", 200, 4.0, seed)
+            kernel = fast_cre._cre_fast(g, seed=seed)
+            oracle = run_cre(g, seed=seed)
+            assert kernel.detail["extensions"] > 2 * streams._TRIAL_PREFETCH_WORDS
+            for field in dataclasses.fields(kernel):
+                if field.name != "engine":
+                    assert getattr(kernel, field.name) == getattr(
+                        oracle, field.name), f"seed={seed}: {field.name}"
 
 
 def _reference_spec(algorithm):

@@ -2,6 +2,8 @@
 
 import json
 
+import numpy as np
+
 import repro
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engines.results import RunResult
+from repro.harness import runner as runner_module
 from repro.harness import (
     JsonlStore,
     ParameterGrid,
@@ -109,6 +112,81 @@ class TestTrialRunner:
             [{"x": 1}], trials=2, progress=seen.append)
         assert len(seen) == 2
         assert all(isinstance(t, Trial) for t in seen)
+
+
+def seed_of(point, seed):
+    return {"success": True, "seed": seed}
+
+
+class TestVectorSeeds:
+    """A grid point's pending seeds, derived in one vector pass.
+
+    Every seed must equal :meth:`TrialRunner.derive_seed`; the guard
+    (first and last seed against the scalar derivation) must send a
+    wrong vector result, a non-int master and a trial index past one
+    uint32 word to the scalar loop.
+    """
+
+    TRIALS = list(range(300)) + [2**31, 2**32 - 1]
+
+    @pytest.mark.parametrize("master", [0, 7, 2**32 + 5, 2**70 + 3])
+    @pytest.mark.parametrize("point_index", [0, 3, 2**33])
+    def test_equal_to_derive_seed(self, master, point_index, monkeypatch):
+        runner = TrialRunner(seed_of, master_seed=master)
+        scalar = [runner.derive_seed(point_index, t) for t in self.TRIALS]
+        calls = []
+        derive = runner.derive_seed
+        monkeypatch.setattr(runner, "derive_seed",
+                            lambda *a: calls.append(a) or derive(*a))
+        assert runner._point_seeds(point_index, self.TRIALS) == scalar
+        assert len(calls) == 2  # the guard only: the vector pass held
+
+    @pytest.mark.parametrize("master, trials", [
+        (np.int64(7), [0, 1, 2, 3]),
+        (7, [0, 1, 2**32]),
+    ], ids=["numpy-master", "wide-trial-index"])
+    def test_scalar_loop_outside_the_vector_domain(self, master, trials,
+                                                   monkeypatch):
+        runner = TrialRunner(seed_of, master_seed=master)
+        want = [runner.derive_seed(2, t) for t in trials]
+        monkeypatch.setattr(runner_module, "spawn_states", None)
+        assert runner._point_seeds(2, trials) == want
+
+    def test_sharded_and_resumed_plans_get_the_same_seeds(self, tmp_path):
+        grid = ParameterGrid(x=[1, 2, 3])
+        reference = TrialRunner(seed_of, master_seed=9)
+        want = {(t.point["x"], t.trial_index): t.seed
+                for t in reference.run(grid, trials=7)}
+        assert want == {(x, t): reference.derive_seed(i, t)
+                        for i, x in enumerate((1, 2, 3)) for t in range(7)}
+        got = {}
+        for index in range(3):
+            for t in TrialRunner(seed_of, master_seed=9,
+                                 shard=(index, 3)).run(grid, trials=7):
+                got[(t.point["x"], t.trial_index)] = t.seed
+        assert got == want
+        store = JsonlStore(tmp_path / "t.jsonl")
+        runner = TrialRunner(seed_of, master_seed=9, store=store)
+        runner.run(grid, trials=3)
+        resumed = runner.run(grid, trials=7)
+        assert {(t.point["x"], t.trial_index): t.seed
+                for t in resumed} == want
+        assert all(t.metrics["seed"] == t.seed for t in store.load())
+
+    def test_wrong_vector_result_falls_back(self, tmp_path, monkeypatch):
+        grid = ParameterGrid(x=[1, 2])
+        right = JsonlStore(tmp_path / "right.jsonl")
+        TrialRunner(seed_of, master_seed=5, store=right).run(grid, trials=9)
+        real = runner_module.spawn_states
+
+        def off_by_one(*args, **kwargs):
+            return real(*args, **kwargs) + np.uint64(1)
+
+        monkeypatch.setattr(runner_module, "spawn_states", off_by_one)
+        wrong = JsonlStore(tmp_path / "wrong.jsonl")
+        TrialRunner(seed_of, master_seed=5, store=wrong).run(grid, trials=9)
+        assert [t.canonical_json() for t in wrong.load()] == [
+            t.canonical_json() for t in right.load()]
 
 
 class TestTrialStore:

@@ -1,6 +1,7 @@
 """The store backend layer: JSONL, sharded, memory — one contract."""
 
 import json
+import os
 
 import pytest
 
@@ -115,6 +116,91 @@ class TestShardedStore:
         store = ShardedStore(tmp_path / "d")
         store.append(make_trial())
         assert store.path.name.startswith("shard-")
+
+
+FILE_BACKENDS = {
+    "jsonl": lambda root: JsonlStore(root / "deep" / "er" / "t.jsonl"),
+    "sharded": lambda root: ShardedStore(root / "deep" / "er", shard="0of1"),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(FILE_BACKENDS))
+class TestOneWriteAppend:
+    """``append`` on the file-backed stores: one encoded write per record."""
+
+    TRIALS = [
+        make_trial(),
+        Trial(point={"name": "caf\u00e9", "n": 8}, trial_index=3, seed=2**31 - 2,
+              success=False, metrics={"rounds": 0.1, "bits": 1e300},
+              elapsed_s=1.5),
+    ]
+
+    def test_lines_are_the_sorted_json_records(self, tmp_path, backend):
+        store = FILE_BACKENDS[backend](tmp_path)
+        for trial in self.TRIALS:
+            store.append(trial)
+        assert store.path.read_bytes() == b"".join(
+            (json.dumps(t.to_json(), sort_keys=True) + "\n").encode("utf-8")
+            for t in self.TRIALS)
+
+    def test_missing_parent_is_created(self, tmp_path, backend):
+        store = FILE_BACKENDS[backend](tmp_path)
+        assert not store.path.parent.exists()
+        store.append(self.TRIALS[0])
+        assert [t.to_json() for t in store.load()] == [self.TRIALS[0].to_json()]
+
+    def test_torn_tail_is_skipped_on_load(self, tmp_path, backend):
+        store = FILE_BACKENDS[backend](tmp_path)
+        for trial in self.TRIALS:
+            store.append(trial)
+        with store.path.open("a") as fh:
+            fh.write('{"point": {"x": 2}, "trial_in')  # crash mid-append
+        assert len(store) == 2
+        assert [t.to_json() for t in store.load_canonical()] == [
+            t.to_json() for t in sorted(self.TRIALS, key=Trial.key)]
+
+    @pytest.mark.parametrize("kept", [0, 1, 2])
+    def test_resumed_append_cuts_a_torn_tail(self, tmp_path, backend, kept):
+        store = FILE_BACKENDS[backend](tmp_path)
+        for trial in self.TRIALS[:kept]:
+            store.append(trial)
+        store.path.parent.mkdir(parents=True, exist_ok=True)
+        with store.path.open("a") as fh:
+            fh.write('{"point": {"x": 2}, "trial_in')  # crash mid-append
+        resumed = FILE_BACKENDS[backend](tmp_path)  # the rerun's store
+        resumed.append(make_trial(index=9))
+        written = self.TRIALS[:kept] + [make_trial(index=9)]
+        assert store.path.read_bytes() == b"".join(
+            (json.dumps(t.to_json(), sort_keys=True) + "\n").encode("utf-8")
+            for t in written)
+        assert len(resumed.load()) == len(written)
+
+    def test_one_write_per_record(self, tmp_path, backend, monkeypatch):
+        store = FILE_BACKENDS[backend](tmp_path)
+        store.append(self.TRIALS[0])  # parent now exists
+        calls = []
+        real_write = os.write
+
+        def counting(fd, data):
+            calls.append(bytes(data))
+            return real_write(fd, data)
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "write", counting)
+            store.append(self.TRIALS[1])
+        assert calls == [(json.dumps(self.TRIALS[1].to_json(), sort_keys=True)
+                          + "\n").encode("utf-8")]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts descriptors through /proc (Linux)")
+    def test_no_descriptor_outlives_an_append(self, tmp_path, backend):
+        store = FILE_BACKENDS[backend](tmp_path)
+        store.append(self.TRIALS[0])
+        before = len(os.listdir("/proc/self/fd"))
+        for index in range(100):
+            store.append(make_trial(index=index + 1))
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert len(store) == 101
 
 
 class TestResumeAcrossBackends:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import Graph
+from repro.graphs import Graph, gnp_random_graph
 from repro.verify import (
     CycleViolation,
     cycle_from_successors,
@@ -90,6 +90,66 @@ class TestVerifyCycle:
     def test_integer_kinds_accepted(self):
         verify_cycle(ring(4), [np.int32(0), np.int64(1), 2, np.uint8(3)])
         verify_cycle(ring(4), np.array([3, 2, 1, 0], dtype=np.uint16))
+
+
+class TestVectorChecks:
+    """The vector range, duplicate and edge checks name what the loop named."""
+
+    @pytest.mark.parametrize("nested", [
+        [[0, 1]] * 6,
+        np.zeros((6, 2), dtype=int),
+        [[0, 1], [2]] * 3,
+    ], ids=["list-of-pairs", "2d-array", "ragged"])
+    def test_nested_sequences_fail_cleanly(self, nested):
+        g = gnp_random_graph(6, 1.0, seed=0)
+        with pytest.raises(CycleViolation, match="flat sequence"):
+            verify_cycle(g, nested)
+        assert verified_cycle(g, nested) is None
+        assert not is_hamiltonian_cycle(g, nested)
+        assert not is_hamiltonian_path(g, nested)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_first_offender_is_named_in_traversal_order(self, data):
+        n = data.draw(st.integers(3, 9))
+        cycle = data.draw(st.lists(st.integers(-2, n + 2), min_size=n,
+                                   max_size=n))
+        graph = complete(n)
+        want = None
+        seen = set()
+        for v in cycle:  # the ordered reference check
+            if not 0 <= v < n:
+                want = f"node {v} out of range"
+            elif v in seen:
+                want = f"node {v} visited twice"
+            seen.add(v)
+            if want:
+                break
+        if want is None:
+            verify_cycle(graph, cycle)
+        else:
+            with pytest.raises(CycleViolation, match=f"^{want}$"):
+                verify_cycle(graph, cycle)
+        assert is_hamiltonian_path(graph, cycle) == (want is None)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_edge_check_matches_has_edge(self, data):
+        n = data.draw(st.integers(3, 12))
+        graph = gnp_random_graph(n, data.draw(st.sampled_from([0.0, 0.3, 0.9])),
+                                 seed=data.draw(st.integers(0, 99)))
+        cycle = data.draw(st.permutations(list(range(n))))
+        pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
+        missing = [(a, b) for a, b in pairs if not graph.has_edge(a, b)]
+        if missing:
+            a, b = missing[0]
+            with pytest.raises(CycleViolation,
+                               match=rf"^\({a}, {b}\) is not an edge"):
+                verify_cycle(graph, cycle)
+        else:
+            verify_cycle(graph, cycle)
+        assert is_hamiltonian_path(graph, cycle) == all(
+            graph.has_edge(a, b) for a, b in pairs[:-1])
 
 
 class TestHamiltonianPath:
