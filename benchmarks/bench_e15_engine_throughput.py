@@ -166,7 +166,7 @@ def _setup_profile(n: int, batch: int) -> dict:
     spec = REGISTRY.resolve("dra", "fast-batch")
     profile: dict = {"point": f"n={n},batch={batch}"}
     spec.call_batch([_graph("dra", 64, seed=99)], seeds=[99])  # warm up
-    batch_gnp(64, 0.2, [99]).stacked()  # absorb the one-time self-check
+    batch_gnp(64, 0.2, [99]).stacked()  # warm up its imports
     start = time.perf_counter()
     graphs = [gnp_random_graph(n, p, seed=s) for s in seeds]
     gen_seconds = time.perf_counter() - start
@@ -406,9 +406,10 @@ def test_e15_engine_throughput(benchmark):
             "each trial on per-trial fast. "
             "per_trial = gnp_random_graph per seed + serial "
             "stack_graph_csrs/stacked_edge_twins; batched_gen = "
-            "batch_gnp + GnpBatch.stacked() (one pooled keyed-unique "
-            "sample, one global lexsort, twins read off the sort "
-            "permutation). The per-trial route reads neither stacked "
+            "batch_gnp + GnpBatch.stacked() (each trial's own "
+            "sample_distinct decoded into one shared pair pool, one "
+            "global lexsort, twins read off the sort permutation). "
+            "The per-trial route reads neither stacked "
             "form, and on a GnpBatch it materialises each Graph inside "
             "the call. The full-sweep gate asserts batched_gen's "
             "setup_fraction is strictly below per_trial's."),

@@ -18,9 +18,9 @@ Every runner runs each trial on per-trial ``fast`` and tags the
 result ``engine="fast-batch"``.  No batch-major kernel beat that on a
 measured host: the numpy batch walks of DRA, DHC2, CRE and Turau each
 lost to per-trial ``fast`` in time, and most in memory too.  What
-the engine still batches is graph generation: the sweep harness hands
-over a :class:`~repro.graphs.batch_gnp.GnpBatch`, whose pooled
-sampler draws every trial's edges in one call, and each trial's
+the engine still batches is where the graphs live: the sweep harness
+hands over a :class:`~repro.graphs.batch_gnp.GnpBatch`, which holds
+every trial's sampled edges in one pair pool, and each trial's
 :class:`~repro.graphs.adjacency.Graph` is built from it as the trial
 runs.  :func:`auto_batch_size` sizes those batches.
 """
@@ -39,8 +39,8 @@ __all__ = ["_dra_fast_batch", "_cre_fast_batch",
            "_dhc2_fast_batch_one", "_turau_fast_batch_one",
            "auto_batch_size"]
 
-#: Directed edge entries one batch may hold in total: the pooled
-#: generator keeps every trial's pairs at once.
+#: Directed edge entries one batch may hold in total: the pair pool
+#: keeps every trial's pairs at once.
 _EDGE_BUDGET = 80_000_000
 
 
@@ -50,8 +50,8 @@ def auto_batch_size(n: int, p: float | None = None, *,
 
     Sizes one harness batch so its expected directed entries
     (``n * (n-1) * p`` per trial) fill, but do not exceed,
-    :data:`_EDGE_BUDGET`: the pooled generator holds every trial's
-    pairs at once, so the budget bounds its memory.  Without a known
+    :data:`_EDGE_BUDGET`: the pair pool holds every trial's pairs at
+    once, so the budget bounds its memory.  Without a known
     density the complete graph is assumed.  Capped and floored at 1.
     """
     density = 1.0 if p is None else min(1.0, max(0.0, float(p)))
@@ -62,25 +62,23 @@ def auto_batch_size(n: int, p: float | None = None, *,
 def _per_trial(run, graphs, seeds, **kwargs) -> list[RunResult]:
     """``run`` (a per-trial ``fast`` runner) over every (graph, seed) pair.
 
-    ``graphs`` is a list of graphs or a ``GnpBatch`` (same n by
-    construction); a list must hold same-n graphs, one per seed.
+    ``graphs`` is a list of graphs or a ``GnpBatch`` (whose trials
+    are built one at a time from its pair pool, same n by
+    construction); a list must hold same-n graphs.  Either way there
+    must be exactly one seed per graph.
     """
     if not isinstance(graphs, GnpBatch):
         graphs = list(graphs)
+        for i, g in enumerate(graphs):
+            if g.n != graphs[0].n:
+                raise ValueError(
+                    f"fast-batch requires same-n graphs; graph 0 has "
+                    f"n={graphs[0].n} but graph {i} has n={g.n}")
     seeds = list(seeds)
-    if not len(graphs):
-        return []
     if len(seeds) != len(graphs):
         raise ValueError(
             f"run_batch needs one seed per graph: {len(graphs)} graphs, "
             f"{len(seeds)} seeds")
-    if not isinstance(graphs, GnpBatch):
-        n = graphs[0].n
-        for i, g in enumerate(graphs):
-            if g.n != n:
-                raise ValueError(
-                    f"fast-batch requires same-n graphs; graph 0 has n={n} "
-                    f"but graph {i} has n={g.n}")
     results = []
     for b, seed in enumerate(seeds):
         result = run(graphs[b], seed=seed, **kwargs)

@@ -24,8 +24,8 @@ import numpy as np
 
 from repro.graphs.adjacency import sorted_unique
 
-__all__ = ["pair_count", "sample_distinct", "top_up_distinct",
-           "decode_pair_indices", "encode_pairs"]
+__all__ = ["pair_count", "sample_distinct", "decode_pair_indices",
+           "encode_pairs"]
 
 
 def pair_count(n: int) -> int:
@@ -53,23 +53,14 @@ def sample_distinct(rng: np.random.Generator, upper: int, k: int) -> np.ndarray:
         # Dense regime: a permutation is cheaper than repeated rejection.
         return np.sort(rng.permutation(upper)[:k]).astype(np.int64, copy=False)
 
-    return top_up_distinct(rng, upper, k, sorted_unique(
-        rng.integers(0, upper, size=int(k * 1.1) + 16, dtype=np.int64)))
-
-
-def top_up_distinct(rng: np.random.Generator, upper: int, k: int,
-                    chosen: np.ndarray) -> np.ndarray:
-    """The tail of :func:`sample_distinct` after its first-round dedup.
-
-    ``chosen`` is the sorted unique of the first rejection draw.  Tops
-    it up to ``k`` values, then downsamples an overshoot uniformly;
-    both consume ``rng`` in :func:`sample_distinct`'s call order.  The
-    result stays sorted: the kept positions are taken in order.
-    """
+    chosen = sorted_unique(
+        rng.integers(0, upper, size=int(k * 1.1) + 16, dtype=np.int64))
     while chosen.size < k:
         extra = rng.integers(0, upper, size=k - chosen.size + 16, dtype=np.int64)
         chosen = sorted_unique(np.concatenate((chosen, extra)))
     if chosen.size > k:
+        # Downsample the overshoot uniformly; taking the kept positions
+        # in order keeps the result sorted.
         keep = rng.choice(chosen.size, size=k, replace=False)
         chosen = chosen[np.sort(keep)]
     return chosen

@@ -27,8 +27,7 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 
     Identical output, but avoids ``np.unique`` itself: on current
     numpy builds its integer path costs 10-50x a plain ``np.sort``,
-    from the ~30k rejection draws of one ``G(n, p)`` sample up to the
-    million-element pooled batch samples.
+    already on the ~30k rejection draws of one ``G(n, p)`` sample.
     """
     if values.size == 0:
         return values

@@ -1,51 +1,36 @@
-"""Batched ``G(n, p)`` generation: one build for a whole trial batch.
+"""Batched ``G(n, p)`` generation: B same-``n`` trials in one pair pool.
 
-``fast-batch`` sweeps sample B same-``n`` graphs in one call and then
-run each trial on the per-trial ``fast`` engine; only the generation
-is pooled.  Generating those graphs one
-:func:`~repro.graphs.gnp.gnp_random_graph` call at a time pays B
-rounds of numpy dispatch.  :func:`batch_gnp` samples them from one
-pooled pair set, and :meth:`GnpBatch.stacked` can still emit their
-disjoint-union CSR (node ``v`` of trial ``b`` becomes global id
-``b*n + v``) and twin table *directly* from it, although no engine
-reads that form any more:
+``fast-batch`` sweeps hand each engine call a :class:`GnpBatch` of B
+same-``n`` trials, then run every trial on the per-trial ``fast``
+engine.  :func:`batch_gnp` samples each trial with exactly the calls
+:func:`~repro.graphs.gnp.gnp_random_graph` makes, in the same order,
+on that trial's own ``default_rng(seed)``: ``binomial`` for the edge
+count, :func:`~repro.graphs._sampling.sample_distinct` for the sorted
+pair indices, :func:`~repro.graphs._sampling.decode_pair_indices` for
+the pairs.  The batch's graphs therefore equal the per-trial
+generator's by construction, seed for seed.
 
-* per-trial ``Binomial(C(n,2), p)`` edge counts drawn from each
-  trial's own Generator,
-* distinct-pair sampling with the expensive non-stream work pooled —
-  one keyed sorted unique over every sparse trial's rejection draws
-  instead of B separate uniques,
-* a per-trial pair decode of each trial's sorted index run (the
-  sorted-input decode of :mod:`repro.graphs._sampling`: one
-  ``searchsorted`` of the ``n`` row starts per trial, not one
-  bisection per pair), and one concatenated ``lexsort`` CSR build for
-  the whole batch, with the twin (reverse-edge) table read off the
-  sort permutation for free.
-
-**Determinism contract:** every call that consumes a trial's random
-stream (``binomial``, ``integers``, the top-up loop, ``choice``,
-``permutation``) is made on that trial's own ``default_rng(seed)`` in
-exactly the order :func:`gnp_random_graph` makes it, and per-trial
-control flow depends only on that trial's own draws — so the sampled
-edge sets are seed-for-seed identical to the per-trial generator.
-Only order-insensitive set algebra (the sorted unique, the CSR sort)
-is pooled.  Like ``DrawPool``, the pooled path
-self-checks against :func:`gnp_random_graph` once per process
-(:func:`pooled_sampling_exact`) and falls back to literal per-trial
-:func:`~repro.graphs._sampling.sample_distinct` calls — still exact by
-construction — if the check ever fails.  The rarely-taken top-up
-branch is pinned by unit tests with scripted generators
-(``tests/test_batch_gnp.py``).
+What the batch adds is where the pairs land.  All edge counts are
+drawn first, so one ``lo``/``hi`` pair of arrays sized for the whole
+batch is allocated once, and each trial's pairs are decoded straight
+into its slice of them.  Those two arrays are the only batch-sized
+allocation.  The pool is kept because it measurably pays: on
+``dhc2-batch-n512`` (2-core host, Python 3.11, numpy 2.4), one
+``gnp_random_graph`` call per seed instead read about 10% fewer
+trials/s and took about 30,000-38,000 minor page faults per 50-trial
+sweep against about 1,700.  The likely cause is glibc's heap
+trimming: freeing the pool's large arrays raises malloc's dynamic
+mmap and trim thresholds, so each trial's temporaries then stay on
+the heap instead of being mapped and unmapped again.
 
 :class:`GnpBatch` quacks enough like a list of
 :class:`~repro.graphs.adjacency.Graph` for the batch runners:
-``len(batch)``, ``batch[b]`` (trial ``b``'s ``Graph``, built on each
-access and not kept, so a batch holds only its pair arrays),
-contiguous ``batch[lo:hi]`` slices (zero-copy views over the shared
-pair arrays, for edge-budget chunking), and iteration.
-``batch.stacked()`` returns ``(indptr, indices, twins)`` bit-identical
-to ``stack_graph_csrs`` + ``stacked_edge_twins`` over the
-materialised graphs.
+``len(batch)``, ``batch[b]`` (trial ``b``'s ``Graph``, negative
+indices included, built on each access and not kept, so a batch holds
+only its pair arrays) and iteration.  ``batch.stacked()`` returns
+``(indptr, indices, twins)`` bit-identical to ``stack_graph_csrs`` +
+``stacked_edge_twins`` over the materialised graphs; no engine reads
+that form, only the benchmark's ledger and E15 time it.
 """
 
 from __future__ import annotations
@@ -56,19 +41,10 @@ from repro.graphs._sampling import (
     decode_pair_indices,
     pair_count,
     sample_distinct,
-    top_up_distinct,
 )
-from repro.graphs.adjacency import Graph, sorted_unique
-from repro.graphs.gnp import gnp_random_graph
+from repro.graphs.adjacency import Graph
 
 __all__ = ["GnpBatch", "batch_gnp", "pooled_sampling_exact"]
-
-#: Lazily established verdict of the pooled-sampling self-check
-#: (None = not yet run).  Monkeypatch to False to force the
-#: per-trial fallback in tests.
-_EXACT: bool | None = None
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 class GnpBatch:
@@ -87,7 +63,7 @@ class GnpBatch:
         self.p = float(p)
         self._lo = lo
         self._hi = hi
-        self._offsets = offsets  # absolute int64 offsets into lo/hi, len B+1
+        self._offsets = offsets  # int64 offsets into lo/hi, len B+1
         self._stacked: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
@@ -101,19 +77,7 @@ class GnpBatch:
         """Per-trial undirected edge counts (length B)."""
         return np.diff(self._offsets)
 
-    @property
-    def directed_counts(self) -> np.ndarray:
-        """Per-trial directed CSR entry counts (length B) — ``2 m_b``."""
-        return 2 * self.edge_counts
-
     def __getitem__(self, key):
-        if isinstance(key, slice):
-            start, stop, step = key.indices(len(self))
-            if step != 1:
-                raise ValueError("GnpBatch slices must be contiguous (step 1)")
-            stop = max(stop, start)
-            return GnpBatch(self.n, self.p, self._lo, self._hi,
-                            self._offsets[start:stop + 1])
         b = int(key)
         if b < 0:
             b += len(self)
@@ -170,125 +134,39 @@ class GnpBatch:
 
 
 def pooled_sampling_exact() -> bool:
-    """Whether the pooled sampler reproduces ``gnp_random_graph`` here.
+    """Always ``True``: every trial is sampled by ``sample_distinct`` itself.
 
-    Runs the self-check on first call and caches the verdict for the
-    process, exactly like ``DrawPool``'s stream-replication check.
+    No replicated sampler is left to check against
+    :func:`~repro.graphs.gnp.gnp_random_graph`.  The name stays only
+    because the benchmark's setup probe (``perfbench/probe_setup.py``)
+    calls it.
     """
-    global _EXACT
-    if _EXACT is None:
-        _EXACT = _self_check()
-    return _EXACT
+    return True
 
 
 def batch_gnp(n: int, p: float, seeds) -> GnpBatch:
     """Sample B = ``len(seeds)`` graphs ``G(n, p)`` as one :class:`GnpBatch`.
 
-    Seed-for-seed identical to ``[gnp_random_graph(n, p, seed=s) for s
-    in seeds]`` (see the module docstring for the contract and the
-    fallback).
+    Equal to ``[gnp_random_graph(n, p, seed=s) for s in seeds]`` by
+    construction: each trial makes the same calls on its own
+    ``default_rng(seed)``, in the same order.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     if n < 0:
         raise ValueError(f"node count must be non-negative, got {n}")
-    return _generate(n, p, list(seeds), pooled=pooled_sampling_exact())
-
-
-def _generate(n: int, p: float, seeds: list, *, pooled: bool) -> GnpBatch:
-    batch = len(seeds)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     total = pair_count(n)
-    counts = np.zeros(batch, dtype=np.int64)
+    offsets = np.zeros(len(rngs) + 1, dtype=np.int64)
     if total and p > 0:
         for b, rng in enumerate(rngs):
-            counts[b] = int(rng.binomial(total, p))
-    offsets = np.zeros(batch + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    if offsets[-1] == 0:
-        return GnpBatch(n, p, _EMPTY, _EMPTY, offsets)
-    # Each trial's run is decoded straight into the pool arrays, so no
-    # batch-sized index array or list of runs is built and freed on the
-    # way; the sparse trials' pooled unique is done before the pool
-    # arrays exist.
-    runs = _trial_runs(rngs, total, counts, pooled=pooled)
+            offsets[b + 1] = int(rng.binomial(total, p))
+    np.cumsum(offsets, out=offsets)
     lo = np.empty(int(offsets[-1]), dtype=np.int64)
     hi = np.empty_like(lo)
-    for b, run in runs:
-        s, e = int(offsets[b]), int(offsets[b + 1])
-        lo[s:e], hi[s:e] = decode_pair_indices(n, run)
-    return GnpBatch(n, p, lo, hi, offsets)
-
-
-def _trial_runs(rngs: list, upper: int, counts: np.ndarray, *, pooled: bool):
-    """An iterator of ``(b, run)``: trial ``b``'s distinct pair indices, sorted.
-
-    Trials with no edges yield nothing; dense trials come first, in
-    trial order, then the sparse ones.  Mirrors :func:`sample_distinct`
-    trial by trial; when ``pooled``, the sparse-regime first-round
-    deduplication — the dominant cost — is one keyed
-    :func:`~repro.graphs.adjacency.sorted_unique` across all sparse
-    trials (key = ``slot * upper + value``, collision-free and
-    overflow-guarded).  That unique runs here, before the iterator is
-    returned, so its temporaries are gone before the caller allocates
-    the pool; each run is drawn only when the iterator reaches it.
-    Every trial draws from its own Generator, so neither order changes
-    any draw.
-    """
-    dense: list[int] = []
-    sparse: list[int] = []
-    draws: list[np.ndarray] = []
-    pooled = pooled and len(rngs) * max(upper, 1) < 2**62
     for b, rng in enumerate(rngs):
-        k = int(counts[b])
-        if k == 0:
-            continue
-        if k * 3 >= upper or not pooled:
-            dense.append(b)
-        else:
-            draws.append(rng.integers(0, upper, size=int(k * 1.1) + 16,
-                                      dtype=np.int64))
-            sparse.append(b)
-    pool = bounds = _EMPTY
-    if sparse:
-        sizes = np.array([d.size for d in draws], dtype=np.int64)
-        base = np.repeat(np.arange(len(draws), dtype=np.int64) * upper, sizes)
-        pool = sorted_unique(np.concatenate(draws) + base)
-        del draws, base
-        bounds = np.searchsorted(
-            pool, np.arange(len(sparse) + 1, dtype=np.int64) * upper)
-
-    def runs():
-        for b in dense:
-            yield b, sample_distinct(rngs[b], upper, int(counts[b]))
-        for slot, b in enumerate(sparse):
-            chosen = pool[bounds[slot]:bounds[slot + 1]] - slot * upper
-            yield b, top_up_distinct(rngs[b], upper, int(counts[b]), chosen)
-
-    return runs()
-
-
-def _self_check() -> bool:
-    """Pooled generation vs :func:`gnp_random_graph` on a small grid.
-
-    Covers the sparse pooled-unique regime (with its common
-    downsample branch), the dense permutation regime, and the
-    zero-edge degenerate cases.
-    """
-    grid = [
-        (16, 0.25, 4),   # sparse: pooled unique + choice downsample
-        (40, 0.12, 4),   # sparse, larger rows
-        (10, 0.95, 3),   # dense: per-trial permutation
-        (12, 0.0, 2),    # no edges drawn at all
-        (1, 0.5, 2),     # no pairs exist
-    ]
-    try:
-        for n, p, trials in grid:
-            seeds = list(range(trials))
-            got = _generate(n, p, seeds, pooled=True)
-            for b, seed in enumerate(seeds):
-                if got[b] != gnp_random_graph(n, p, seed=seed):
-                    return False
-    except Exception:  # pragma: no cover - only on exotic numpy builds
-        return False
-    return True
+        s, e = int(offsets[b]), int(offsets[b + 1])
+        if s < e:
+            lo[s:e], hi[s:e] = decode_pair_indices(
+                n, sample_distinct(rng, total, e - s))
+    return GnpBatch(n, p, lo, hi, offsets)

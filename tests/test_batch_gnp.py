@@ -1,14 +1,15 @@
 """Batched ``G(n, p)`` generation (``repro.graphs.batch_gnp``).
 
-The module's whole value rests on one promise: ``batch_gnp(n, p,
-seeds)`` is *seed-for-seed identical* to calling ``gnp_random_graph``
-once per seed, and ``GnpBatch.stacked()`` is *bit-identical* to
-``stack_graph_csrs`` + ``stacked_edge_twins`` over the materialised
-graphs.  These tests pin that promise across the sampling regimes
-(pooled sparse, dense permutation, degenerate), the per-trial
-fallback, and the rarely-taken top-up branch — the last with scripted
-generators, since honest oversampling makes it a ~1e-10 event at test
-sizes.
+``batch_gnp(n, p, seeds)`` makes each trial's ``gnp_random_graph``
+calls on that trial's own stream and decodes the pairs into one
+shared pair pool.  These tests pin what that promises: the batch
+equals one ``gnp_random_graph`` call per seed across the sampling
+regimes (sparse rejection, dense permutation, degenerate), the pool
+is the only batch-sized allocation, and ``GnpBatch.stacked()`` is
+bit-identical to ``stack_graph_csrs`` + ``stacked_edge_twins`` over
+the materialised graphs.  ``sample_distinct``'s rarely taken top-up
+branch is pinned with scripted generators, since honest oversampling
+makes it a ~1e-10 event at test sizes.
 """
 
 import tracemalloc
@@ -18,22 +19,17 @@ import numpy as np
 import pytest
 
 from repro.engines.batchwalk import stack_graph_csrs, stacked_edge_twins
-import importlib
-
-from repro.graphs import GnpBatch, batch_gnp, gnp_random_graph
-
-# ``repro.graphs`` re-exports the *function* ``batch_gnp``, shadowing
-# the submodule attribute of the same name — go via sys.modules.
-batch_gnp_module = importlib.import_module("repro.graphs.batch_gnp")
+from repro.graphs import batch_gnp, gnp_random_graph
 from repro.graphs._sampling import (
     decode_pair_indices,
     encode_pairs,
     pair_count,
     sample_distinct,
 )
+from repro.graphs.batch_gnp import pooled_sampling_exact
 
 GRID = [
-    # (n, p, trials): sparse pooled, dense permutation, degenerate.
+    # (n, p, trials): sparse rejection, dense permutation, degenerate.
     (16, 0.25, 5),
     (48, 0.10, 7),
     (64, 0.05, 3),
@@ -60,63 +56,23 @@ class TestSeedForSeedEquality:
             assert batch[b] == want, f"trial {b}"
 
     def test_mixed_densities_share_one_batch(self):
-        # Same n, wildly different seeds: the pooled unique must keep
-        # each trial's draws in its own keyed slot.
+        # Same n, wildly different seeds: each trial's pairs must land
+        # in its own slice of the shared pool.
         seeds = list(range(20))
         batch = batch_gnp(32, 0.2, seeds)
         for b, want in enumerate(reference(32, 0.2, seeds)):
             assert batch[b] == want
 
-    def test_fallback_path_identical(self):
-        seeds = [3, 14, 159]
-        pooled = batch_gnp_module._generate(24, 0.3, seeds, pooled=True)
-        serial = batch_gnp_module._generate(24, 0.3, seeds, pooled=False)
-        for b in range(len(seeds)):
-            assert pooled[b] == serial[b]
+    def test_pooled_sampling_exact_is_constant(self):
+        assert pooled_sampling_exact() is True
 
-    def test_self_check_failure_forces_fallback(self, monkeypatch):
-        calls = []
-        real = batch_gnp_module.sample_distinct
-
-        def counting(rng, upper, k):
-            calls.append(k)
-            return real(rng, upper, k)
-
-        monkeypatch.setattr(batch_gnp_module, "_EXACT", False)
-        monkeypatch.setattr(batch_gnp_module, "sample_distinct", counting)
-        seeds = [5, 6, 7]
-        batch = batch_gnp(40, 0.1, seeds)
-        assert calls  # sparse trials went through the serial sampler
-        for b, want in enumerate(reference(40, 0.1, seeds)):
-            assert batch[b] == want
-
-    def test_pooled_sampling_exact_caches_verdict(self, monkeypatch):
-        monkeypatch.setattr(batch_gnp_module, "_EXACT", None)
-        assert batch_gnp_module.pooled_sampling_exact() is True
-        assert batch_gnp_module._EXACT is True
-
-    def test_overflow_guard_degrades_to_serial(self):
-        # len(rngs) * upper over the int64 keying headroom: the pooled
-        # unique is skipped, sample_distinct runs per trial, results
-        # still match the reference stream exactly.
-        upper = 2**61
-        counts = np.array([3, 4], dtype=np.int64)
-        rngs = [np.random.default_rng(s) for s in (11, 12)]
-        got = dict(batch_gnp_module._trial_runs(
-            rngs, upper, counts, pooled=True))
-        assert sorted(got) == [0, 1]
-        np.testing.assert_array_equal(
-            got[0], sample_distinct(np.random.default_rng(11), upper, 3))
-        np.testing.assert_array_equal(
-            got[1], sample_distinct(np.random.default_rng(12), upper, 4))
-
-    @pytest.mark.parametrize("p", [0.4, 0.9])
-    def test_dense_pool_is_the_only_batch_sized_allocation(self, p):
-        # Dense runs are drawn and decoded straight into the pair
-        # arrays one trial at a time: traced peak memory stays near the
-        # pool itself (lo + hi), with no batch-sized index array or
-        # list of runs alive beside it.
-        batch_gnp(60, p, [0])  # self-check and imports outside the trace
+    @pytest.mark.parametrize("p", [0.05, 0.2, 0.4, 0.9])
+    def test_pool_is_the_only_batch_sized_allocation(self, p):
+        # Sparse and dense runs alike are drawn and decoded straight
+        # into the pair arrays one trial at a time: traced peak memory
+        # stays near the pool itself (lo + hi), with no batch-sized
+        # index array or list of runs alive beside it.
+        batch_gnp(60, p, [0])  # imports outside the trace
         tracemalloc.start()
         try:
             batch = batch_gnp(200, p, list(range(40)))
@@ -152,8 +108,6 @@ class TestStackedCsr:
         batch = batch_gnp(20, 0.25, seeds)
         want = [g.indices.size // 2 for g in reference(20, 0.25, seeds)]
         np.testing.assert_array_equal(batch.edge_counts, want)
-        np.testing.assert_array_equal(batch.directed_counts,
-                                      [2 * w for w in want])
 
 
 class TestListProtocol:
@@ -179,32 +133,6 @@ class TestListProtocol:
         seeds = [4, 5, 6, 7]
         batch = batch_gnp(16, 0.4, seeds)
         assert list(batch) == reference(16, 0.4, seeds)
-
-    def test_contiguous_slice_is_zero_copy_view(self):
-        seeds = list(range(8))
-        batch = batch_gnp(24, 0.2, seeds)
-        view = batch[2:6]
-        assert isinstance(view, GnpBatch)
-        assert len(view) == 4
-        assert view._lo is batch._lo  # shared pair arrays, no copy
-        for i in range(4):
-            assert view[i] == batch[2 + i]
-        indptr, indices, twins = view.stacked()
-        want_indptr, want_indices = stack_graph_csrs(
-            [batch[2 + i] for i in range(4)])
-        np.testing.assert_array_equal(indptr, want_indptr)
-        np.testing.assert_array_equal(indices, want_indices)
-
-    def test_empty_and_clamped_slices(self):
-        batch = batch_gnp(16, 0.3, [1, 2, 3])
-        assert len(batch[2:2]) == 0
-        assert len(batch[2:1]) == 0
-        assert len(batch[1:99]) == 2
-
-    def test_non_unit_step_rejected(self):
-        batch = batch_gnp(16, 0.3, [1, 2, 3])
-        with pytest.raises(ValueError, match="contiguous"):
-            batch[::2]
 
 
 class ScriptedRng:
@@ -232,20 +160,33 @@ class ScriptedRng:
 
 
 class TestTopUpBranch:
-    def test_top_up_matches_sample_distinct_tail(self):
+    """``sample_distinct``'s top-up loop against a hand-derived answer.
+
+    The expected values come from the script alone: the unique of
+    every scripted draw so far, then ``default_rng(99).choice`` (the
+    scripted generator's delegate) downsampling the overshoot to
+    ``k`` in sorted position order.
+    """
+
+    @staticmethod
+    def expected(script, k):
+        chosen = np.unique(np.concatenate(script))
+        keep = np.random.default_rng(99).choice(chosen.size, size=k,
+                                                replace=False)
+        return chosen[np.sort(keep)]
+
+    def test_one_round_top_up(self):
         upper, k = 1000, 50
         first = int(k * 1.1) + 16   # 71 draws, only 10 distinct values
         script = [
             np.tile(np.arange(10), 8)[:first],          # round 1: 10 distinct
             np.arange(100, 100 + k - 10 + 16),          # top-up 1: now 66 > k
         ]
-        a = ScriptedRng([s.copy() for s in script])
-        b = ScriptedRng([s.copy() for s in script])
-        want = sample_distinct(a, upper, k)
-        chosen = np.unique(b.integers(0, upper, size=first, dtype=np.int64))
-        got = batch_gnp_module.top_up_distinct(b, upper, k, chosen)
-        assert want.size == k
-        np.testing.assert_array_equal(got, want)
+        rng = ScriptedRng([s.copy() for s in script])
+        got = sample_distinct(rng, upper, k)
+        assert not rng.script  # every scripted round was drawn
+        assert got.size == k
+        np.testing.assert_array_equal(got, self.expected(script, k))
 
     def test_two_round_top_up(self):
         upper, k = 1000, 50
@@ -255,12 +196,10 @@ class TestTopUpBranch:
             np.tile(np.arange(10, 20), 6)[:k - 10 + 16],  # +10 -> 20 distinct
             np.arange(500, 500 + k - 20 + 16),          # +46 -> 66 distinct
         ]
-        a = ScriptedRng([s.copy() for s in script])
-        b = ScriptedRng([s.copy() for s in script])
-        want = sample_distinct(a, upper, k)
-        chosen = np.unique(b.integers(0, upper, size=first, dtype=np.int64))
-        got = batch_gnp_module.top_up_distinct(b, upper, k, chosen)
-        np.testing.assert_array_equal(got, want)
+        rng = ScriptedRng([s.copy() for s in script])
+        got = sample_distinct(rng, upper, k)
+        assert not rng.script
+        np.testing.assert_array_equal(got, self.expected(script, k))
 
 
 class TestSortedSamplingContract:
@@ -337,8 +276,8 @@ class TestSortedSamplingContract:
     @pytest.mark.parametrize("n,p", [(96, 0.4), (300, 0.9), (128, 0.06),
                                      (400, 0.02)])
     def test_batch_matches_per_trial_generator(self, n, p):
-        # Dense points (p >= 1/3) take the permutation branch through
-        # sample_distinct; sparse ones the pooled unique.
+        # Dense points (p >= 1/3) take sample_distinct's permutation
+        # branch; sparse ones its rejection branch.
         seeds = [5, 17, 2**40 + 1]
         batch = batch_gnp(n, p, seeds)
         for b, want in enumerate(reference(n, p, seeds)):

@@ -28,13 +28,15 @@ import pytest
 import repro
 from repro.core.cre import run_cre
 from repro.core.rotation import FAIL_NO_EDGES
-from repro.engines import arraywalk, fast, fast_cre, fast_dhc2, streams
+from repro.engines import (arraywalk, fast, fast_batch, fast_cre, fast_dhc2,
+                           streams)
 from repro.engines.arraywalk import build_array_tree
 from repro.engines.phase1_replay import build_class_forest, replay_phase1
 from repro.engines.registry import REGISTRY
 from repro.graphs.adjacency import csr_sources
 from repro.graphs import (
     Graph,
+    batch_gnp,
     csr_gather,
     gnm_random_graph,
     gnp_random_graph,
@@ -868,6 +870,19 @@ class TestFastBatchParity:
             spec.call_batch(graphs, seeds=[1, 2])
         with pytest.raises(ValueError, match="one seed per graph"):
             spec.call_batch(graphs[:1], seeds=[1, 2])
+
+    @pytest.mark.parametrize("algorithm", ["dra", "cre", "dhc2", "turau"])
+    def test_empty_batch_with_seeds_rejected(self, algorithm):
+        # No graphs but some seeds is a length mismatch, not an empty
+        # result.
+        spec = REGISTRY.get(algorithm, "fast-batch")
+        with pytest.raises(ValueError, match="one seed per graph"):
+            spec.call_batch([], seeds=[1])
+        with pytest.raises(ValueError, match="one seed per graph"):
+            spec.call_batch(batch_gnp(16, 0.5, []), seeds=[1, 2])
+        with pytest.raises(ValueError, match="one seed per graph"):
+            fast_batch._dra_fast_batch([], seeds=[1, 2])
+        assert spec.call_batch([], seeds=[]) == []
 
 
 class TestCsrHelpers:
