@@ -63,7 +63,7 @@ from typing import Callable
 
 from repro.congest.message import Message
 from repro.congest.node import Context
-from repro.primitives.submachine import SubMachine
+from repro.primitives.submachine import _SUFFIX_OF, SubMachine, _resolve_suffix
 
 __all__ = ["MergeMachine", "DIR_SUCC", "DIR_PRED"]
 
@@ -141,11 +141,12 @@ class MergeMachine(SubMachine):
             self._maybe_report(ctx)
 
     def on_messages(self, ctx: Context, messages: list[Message]) -> None:
+        suffix_of = _SUFFIX_OF
         for message in messages:
             if self.done:
                 return
-            suffix = message.payload[0].rsplit(".", 1)[1]
-            getattr(self, f"_on_{suffix}")(ctx, message)
+            kind = message[1][0]
+            _HANDLERS[suffix_of.get(kind) or _resolve_suffix(kind)](self, ctx, message)
 
     # -- passive side ---------------------------------------------------------------
 
@@ -292,11 +293,17 @@ class MergeMachine(SubMachine):
     # -- flood helpers ------------------------------------------------------------------
 
     def _flood(self, ctx: Context, suffix: str, *fields: int) -> None:
+        kind = self.kind(suffix)
         for peer in self.tree_neighbors:
-            self._send(ctx, peer, self.kind(suffix), *fields, self.node_id)
+            self._send(ctx, peer, kind, *fields, self.node_id)
 
     def _forward_flood(self, ctx: Context, message: Message, suffix: str, fields: tuple) -> None:
         origin = message.payload[-1]
+        kind = self.kind(suffix)
         for peer in self.tree_neighbors:
             if peer != origin:
-                self._send(ctx, peer, self.kind(suffix), *fields, self.node_id)
+                self._send(ctx, peer, kind, *fields, self.node_id)
+
+
+#: Message suffix -> handler, so a message costs no attribute-name string.
+_HANDLERS = {suffix: getattr(MergeMachine, f"_on_{suffix}") for suffix in "vknbidrwf"}

@@ -58,7 +58,7 @@ from typing import Callable
 
 from repro.congest.message import Message
 from repro.congest.node import Context
-from repro.primitives.submachine import SubMachine
+from repro.primitives.submachine import _SUFFIX_OF, SubMachine, _resolve_suffix
 
 __all__ = [
     "RotationWalk",
@@ -81,12 +81,6 @@ FAIL_CORRUPT = 4
 
 _NO_PORT = 0
 
-#: Message kind -> walk suffix (``"rw.p"`` -> ``"p"``) and back from
-#: ``(prefix, suffix)``, resolved once per distinct kind.  Module-level so
-#: the audited per-node state is unchanged.
-_SUFFIX_OF: dict[str, str] = {}
-_KIND_OF: dict[tuple[str, str], str] = {}
-
 
 def _send_direct(ctx: Context, edge: "VirtualEdge", kind: str, *fields: int) -> None:
     """The transport of a physical walk: the virtual edge is the physical one."""
@@ -108,9 +102,6 @@ class VirtualEdge:
         self.peer = peer
         self.my_port = my_port
         self.peer_port = peer_port
-
-    def key(self) -> tuple[int, int, int]:
-        return (self.peer, self.my_port, self.peer_port)
 
     def __repr__(self) -> str:
         return f"VirtualEdge({self.peer}, my_port={self.my_port}, peer_port={self.peer_port})"
@@ -193,24 +184,27 @@ class RotationWalk(SubMachine):
             if self.done:
                 return
             kind = payload[0]
-            suffix = suffix_of.get(kind)
-            if suffix is None:
-                suffix = suffix_of[kind] = kind.rsplit(".", 1)[1]
-            fields = payload[1:-1]
+            suffix = suffix_of.get(kind) or _resolve_suffix(kind)
             vsender = payload[-1]
             if suffix == "r":  # the bulk of the traffic: renumbering floods
-                self._forward(ctx, payload, vsender)
-                self._on_rotation(ctx, *fields)
+                peers = self.tree_peers
+                if self._send is not _send_direct:
+                    self._forward(ctx, payload, vsender)
+                elif len(peers) != 1 or peers[0] != vsender:
+                    # Not a leaf, whose flood came from its one tree
+                    # neighbour: pass it on with one multicast.
+                    ctx.multicast(peers, payload[:-1] + (self.vid,), vsender)
+                self._on_rotation(ctx, *payload[1:-1])
             elif suffix == "p":
-                self._on_progress(ctx, vsender, *fields)
+                self._on_progress(ctx, vsender, *payload[1:-1])
             elif suffix == "y":
-                self._on_retry(ctx, *fields)
+                self._on_retry(ctx, payload[1])
             elif suffix == "w":
                 self._forward(ctx, payload, vsender)
                 self._finish(True)
             elif suffix == "f":
                 self._forward(ctx, payload, vsender)
-                self._finish(False, fields[0])
+                self._finish(False, payload[1])
 
     def on_wake(self, ctx: Context) -> None:
         # Post-rotation quiescence wait is over: act as the new head.
@@ -224,16 +218,17 @@ class RotationWalk(SubMachine):
         if step > self.step_budget:
             self._abort(ctx, FAIL_BUDGET)
             return
+        dead, free_port = self._dead, self.free_port
         usable = [
             e for e in self.edges
-            if e.key() not in self._dead
-            and (self.free_port is None or e.my_port == self.free_port)
+            if (e.peer, e.my_port, e.peer_port) not in dead
+            and (free_port is None or e.my_port == free_port)
         ]
         if not usable:
             self._abort(ctx, FAIL_NO_EDGES)
             return
         edge = usable[int(ctx.rng.integers(len(usable)))]
-        self._dead.add(edge.key())
+        dead.add((edge.peer, edge.my_port, edge.peer_port))
         self._last_progress = edge
         self.steps_seen = step
         # Optimistic successor binding; corrected on rotation or retry.
@@ -360,10 +355,7 @@ class RotationWalk(SubMachine):
 
     def _payload(self, suffix: str, *fields: int) -> tuple:
         """The wire payload ``(kind, *fields, vid)`` of a message this walk starts."""
-        kind = _KIND_OF.get((self.PREFIX, suffix))
-        if kind is None:
-            kind = _KIND_OF[self.PREFIX, suffix] = self.kind(suffix)
-        return (kind, *fields, self.vid)
+        return (self.kind(suffix), *fields, self.vid)
 
     def _flood(self, ctx: Context, payload: tuple, skip: int = -1) -> None:
         """Send ``payload`` to every tree neighbour but ``skip``."""

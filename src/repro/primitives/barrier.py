@@ -18,7 +18,7 @@ from typing import Callable
 
 from repro.congest.message import Message
 from repro.congest.node import Context
-from repro.primitives.submachine import SubMachine
+from repro.primitives.submachine import _SUFFIX_OF, SubMachine, _resolve_suffix
 
 __all__ = ["Barrier"]
 
@@ -52,10 +52,12 @@ class Barrier(SubMachine):
         self._maybe_report(ctx)
 
     def on_messages(self, ctx: Context, messages: list[Message]) -> None:
-        for message in messages:
-            if message.kind == self.kind("r"):
+        suffix_of = _SUFFIX_OF
+        for _sender, payload in messages:
+            suffix = suffix_of.get(payload[0]) or _resolve_suffix(payload[0])
+            if suffix == "r":
                 self._child_reports += 1
-            elif message.kind == self.kind("g"):
+            elif suffix == "g":
                 self._go(ctx)
                 return
         self._maybe_report(ctx)
@@ -72,6 +74,7 @@ class Barrier(SubMachine):
             self._send(ctx, self.parent, self.kind("r"))
 
     def _go(self, ctx: Context) -> None:
+        kind = self.kind("g")
         for child in self.children:
-            self._send(ctx, child, self.kind("g"))
+            self._send(ctx, child, kind)
         self.done = True

@@ -33,9 +33,23 @@ from __future__ import annotations
 
 from repro.congest.message import Message
 from repro.congest.node import Context
-from repro.primitives.submachine import SubMachine
+from repro.primitives.submachine import _SUFFIX_OF, SubMachine, _resolve_suffix
 
 __all__ = ["BfsTree"]
+
+
+def _direct_transport():
+    """A fresh default sender: one ``ctx.send`` per message.
+
+    Each tree gets its own function object, since the memory audit
+    counts a shared one once per node; all of them share one code
+    object, which is how a tree recognises its direct transport and
+    fans out with one ``ctx.multicast`` instead.
+    """
+    return lambda ctx, dest, kind, *fields: ctx.send(dest, kind, *fields)
+
+
+_DIRECT = _direct_transport().__code__
 
 
 class BfsTree(SubMachine):
@@ -69,7 +83,7 @@ class BfsTree(SubMachine):
         self.deadline = deadline
         # Injectable transport: hosts with concurrent sub-activities pass
         # their paced out-queue so BFS traffic never collides on edges.
-        self._send = send if send is not None else (lambda ctx, dest, kind, *f: ctx.send(dest, kind, *f))
+        self._send = send if send is not None else _direct_transport()
         if tie_break not in ("min", "random"):
             raise ValueError(f"tie_break must be 'min' or 'random', got {tie_break!r}")
         # "min" is deterministic (the fast engine mirrors it); "random"
@@ -95,29 +109,33 @@ class BfsTree(SubMachine):
         self.schedule(ctx, self.deadline)
         if self.is_root:
             self.depth = 0
-            for peer in self.peers:
-                self._send(ctx, peer, self.kind("e"), 0)
+            self._fan_out(ctx, self.peers, (self.kind("e"), 0))
             self._maybe_report(ctx)
 
     def on_messages(self, ctx: Context, messages: list[Message]) -> None:
-        explores = [m for m in messages if m.kind == self.kind("e")]
-        accepts = [m for m in messages if m.kind == self.kind("a")]
-        dones = [m for m in messages if m.kind == self.kind("d")]
-        commits = [m for m in messages if m.kind == self.kind("c")]
-
-        for message in explores:
-            # Any explore shows the sender joined elsewhere: implicit reject.
-            self._responded.add(message.sender)
-        if self.depth < 0 and explores:
+        suffix_of = _SUFFIX_OF
+        responded = self._responded
+        explores = []
+        commit = None
+        for message in messages:
+            sender, payload = message
+            kind = payload[0]
+            suffix = suffix_of.get(kind) or _resolve_suffix(kind)
+            if suffix == "e":
+                # Any explore shows the sender joined elsewhere: implicit reject.
+                responded.add(sender)
+                explores.append(message)
+            elif suffix == "a":
+                self.children.append(sender)
+                responded.add(sender)
+            elif suffix == "d":
+                self._done_children[sender] = payload[1:4]
+            elif suffix == "c" and commit is None:
+                commit = payload
+        if explores and self.depth < 0:
             self._join(ctx, explores)
-        for message in accepts:
-            self.children.append(message.sender)
-            self._responded.add(message.sender)
-        for message in dones:
-            self._done_children[message.sender] = (
-                message.payload[1], message.payload[2], message.payload[3])
-        if commits:
-            self._commit(ctx, commits[0])
+        if commit is not None:
+            self._commit(ctx, commit)
             return
         if self.depth >= 0 and self._joined_round != ctx.round_index:
             self._maybe_report(ctx)
@@ -150,9 +168,7 @@ class BfsTree(SubMachine):
         self._joined_round = ctx.round_index
         self.schedule(ctx, ctx.round_index + 1)
         self._send(ctx, parent, self.kind("a"))
-        for peer in self.peers:
-            if peer != parent:
-                self._send(ctx, peer, self.kind("e"), self.depth)
+        self._fan_out(ctx, self.peers, (self.kind("e"), self.depth), parent)
 
     def _maybe_report(self, ctx: Context) -> None:
         if self._sent_done:
@@ -175,15 +191,29 @@ class BfsTree(SubMachine):
         else:
             self._send(ctx, self.parent, self.kind("d"), subtree_size, height, load)
 
-    def _commit(self, ctx: Context, message: Message) -> None:
-        self.tree_depth = message.payload[1]
-        self.size = message.payload[2]
-        self.max_load = message.payload[3]
+    def _commit(self, ctx: Context, payload: tuple) -> None:
+        self.tree_depth = payload[1]
+        self.size = payload[2]
+        self.max_load = payload[3]
         self._finish(ctx)
 
     def _finish(self, ctx: Context) -> None:
-        for child in self.children:
-            self._send(ctx, child, self.kind("c"), self.tree_depth, self.size, self.max_load)
+        self._fan_out(ctx, self.children,
+                      (self.kind("c"), self.tree_depth, self.size, self.max_load))
         self.children.sort()
         self.tree_neighbors = self.children + ([self.parent] if self.parent >= 0 else [])
         self.done = True
+
+    def _fan_out(self, ctx: Context, peers: list[int], payload: tuple, skip: int = -1) -> None:
+        """Send ``payload`` to every peer but ``skip``, in ``peers`` order.
+
+        On the direct transport that is one ``ctx.multicast``; an
+        injected transport (a paced queue, a virtual fabric) gets one
+        call per message.
+        """
+        if getattr(self._send, "__code__", None) is _DIRECT:
+            ctx.multicast(peers, payload, skip)
+            return
+        for peer in peers:
+            if peer != skip:
+                self._send(ctx, peer, *payload)

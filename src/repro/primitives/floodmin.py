@@ -61,7 +61,7 @@ class FloodMin(SubMachine):
         self.schedule(ctx, self._deadline)
 
     def on_messages(self, ctx: Context, messages: list[Message]) -> None:
-        best_heard = min(message.payload[1] for message in messages)
+        best_heard = min([payload[1] for _sender, payload in messages])
         if best_heard < self._best:
             self._best = best_heard
             if ctx.round_index < self._deadline:

@@ -24,16 +24,25 @@ from repro.congest.node import Context
 
 __all__ = ["SubMachine", "SubMachineHost"]
 
-#: Message kind -> owning machine's prefix, resolved once per distinct
-#: kind for the whole process (the protocols use a few dozen kinds at
-#: most).  Module-level on purpose: per-instance caches would count
-#: against every node's audited state.
+#: Message kind -> owning machine's prefix, and -> the suffix within
+#: that namespace, resolved once per distinct kind for the whole process
+#: (the protocols use a few dozen kinds at most); and ``(prefix,
+#: suffix)`` -> kind, formatted once, so machines of every class and
+#: generation share one string per kind.  Module-level on purpose:
+#: per-instance caches would count against every node's audited state.
 _PREFIX_OF: dict[str, str] = {}
+_SUFFIX_OF: dict[str, str] = {}
+_KIND_OF: dict[tuple[str, str], str] = {}
 
 
 def _resolve_prefix(kind: str) -> str:
     prefix = _PREFIX_OF[kind] = kind.split(".", 1)[0]
     return prefix
+
+
+def _resolve_suffix(kind: str) -> str:
+    suffix = _SUFFIX_OF[kind] = kind.split(".", 1)[1]
+    return suffix
 
 
 class SubMachine:
@@ -55,7 +64,11 @@ class SubMachine:
 
     def kind(self, suffix: str) -> str:
         """Fully-qualified message kind within this machine's namespace."""
-        return f"{self.PREFIX}.{suffix}"
+        key = (self.PREFIX, suffix)
+        kind = _KIND_OF.get(key)
+        if kind is None:
+            kind = _KIND_OF[key] = f"{self.PREFIX}.{suffix}"
+        return kind
 
     def schedule(self, ctx: Context, round_index: int) -> None:
         """Request a wake-up at ``round_index`` (via the host multiplexer)."""
@@ -123,24 +136,27 @@ class SubMachineHost:
         wake-ups observe everything that arrived in their round.
         """
         prefix_of = _PREFIX_OF
-        if len(inbox) == 1:  # the common case: the inbox is the one batch
+        machines = self._machines
+        if len(inbox) == 1:  # the common case: hand the inbox on as is
             kind = inbox[0][1][0]
-            routes = ((prefix_of.get(kind) or _resolve_prefix(kind), inbox),)
-        else:
+            prefix = prefix_of.get(kind) or _resolve_prefix(kind)
+            machine = machines.get(prefix)
+            if machine is None:
+                self._hold(prefix, inbox)
+            elif not machine.done:
+                machine.on_messages(ctx, inbox)
+        elif inbox:
             batches: dict[str, list[Message]] = {}
             for message in inbox:
                 kind = message[1][0]
                 prefix = prefix_of.get(kind) or _resolve_prefix(kind)
                 batches.setdefault(prefix, []).append(message)
-            routes = batches.items()
-        machines = self._machines
-        for prefix, batch in routes:
-            machine = machines.get(prefix)
-            if machine is None:
-                if prefix not in self._retired:
-                    self._early.setdefault(prefix, []).extend(batch)
-            elif not machine.done:
-                machine.on_messages(ctx, batch)
+            for prefix, batch in batches.items():
+                machine = machines.get(prefix)
+                if machine is None:
+                    self._hold(prefix, batch)
+                elif not machine.done:
+                    machine.on_messages(ctx, batch)
         if not self._wake_targets:
             return
         due = self._wake_targets.pop(ctx.round_index, None)
@@ -149,3 +165,8 @@ class SubMachineHost:
                 machine = machines.get(prefix)
                 if machine is not None and not machine.done:
                     machine.on_wake(ctx)
+
+    def _hold(self, prefix: str, batch: list[Message]) -> None:
+        """Buffer messages for a machine not yet activated (drop if retired)."""
+        if prefix not in self._retired:
+            self._early.setdefault(prefix, []).extend(batch)

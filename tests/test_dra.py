@@ -1,6 +1,7 @@
 """Tests for the distributed rotation algorithm (Algorithm 1, Theorem 2)."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,7 @@ from repro.core import run_dra
 from repro.core.rotation import FAIL_NO_EDGES, FAIL_TOO_SMALL
 from repro.engines.fast import _dra_fast
 import repro
-from repro.graphs import Graph
+from repro.graphs import Graph, gnp_random_graph, paper_probability
 from repro.verify import is_hamiltonian_cycle
 
 from tests.conftest import complete, dense_gnp, path_graph, ring
@@ -73,6 +74,39 @@ class TestDraCongest:
         assert res.success
         # Each node keeps O(degree + tree) words; degree ~ 8 ln n here.
         assert res.detail["max_state_words"] < 40 * math.log(n) * 8
+
+
+class TestDraTrafficByKind:
+    """Congest DRA's traffic, pinned per message kind.
+
+    Totals alone would not catch a change that moves traffic between
+    phases (flood-min ``lm``, BFS ``bt``, walk ``rw``) while keeping the
+    sums; the counts come from the round observer, i.e. as sent.
+    """
+
+    # seed -> (rounds, messages, bits, {kind: messages})
+    PINS = {
+        0: (1432, 14097, 421974, {"lm.m": 3230, "bt.e": 1367, "bt.a": 47, "bt.d": 47,
+                                  "bt.c": 47, "rw.p": 241, "rw.r": 9071, "rw.w": 47}),
+        1: (1369, 13933, 409310, {"lm.m": 3442, "bt.e": 1423, "bt.a": 47, "bt.d": 47,
+                                  "bt.c": 47, "rw.p": 232, "rw.r": 8648, "rw.w": 47}),
+        2: (1320, 13589, 396430, {"lm.m": 3454, "bt.e": 1403, "bt.a": 47, "bt.d": 47,
+                                  "bt.c": 47, "rw.p": 225, "rw.r": 8319, "rw.w": 47}),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINS))
+    def test_messages_per_kind(self, seed):
+        counts = Counter()
+
+        def hook(net):
+            def observe(_network, deliveries):
+                counts.update(payload[0] for _src, _dst, payload in deliveries)
+            net.round_observer = observe
+
+        graph = gnp_random_graph(48, paper_probability(48, 1, 8), seed=seed)
+        result = run_dra(graph, seed=seed, network=NetworkModel(network_hook=hook))
+        assert result.success
+        assert (result.rounds, result.messages, result.bits, dict(counts)) == self.PINS[seed]
 
 
 class TestDraFastEngine:

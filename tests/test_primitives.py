@@ -1,8 +1,11 @@
 """Tests for the distributed primitives: flood-min, BFS tree, barrier."""
 
-from repro.congest import Network, Protocol
+import pytest
+
+from repro.congest import LatencySpec, Network, NetworkModel, Protocol
+from repro.core.rotation import RotationWalk
 from repro.graphs import Graph, bfs_distances, gnp_random_graph
-from repro.primitives import BfsTree, FloodMin, SubMachineHost
+from repro.primitives import BfsTree, FloodMin, SubMachine, SubMachineHost
 from repro.primitives.barrier import Barrier
 
 from tests.conftest import path_graph, ring
@@ -131,6 +134,102 @@ class TestBfsTree:
         g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         machines = self._build(g)
         assert machines[3].parent == 1
+
+
+def _loop_of_sends(ctx, dest, kind, *fields):
+    """An injected BfsTree transport: one ``ctx.send`` per message."""
+    ctx.send(dest, kind, *fields)
+
+
+class TestBfsTransports:
+    """The direct transport fans out with ``ctx.multicast``; an injected
+    transport sends one message at a time.  Both must run the same
+    protocol: same trees, same traffic, same async event trace."""
+
+    MODELS = {
+        "sync": NetworkModel(),
+        "async-unit": NetworkModel(mode="async"),
+        "async-uniform": NetworkModel(
+            mode="async", latency=LatencySpec(kind="uniform", low=0.5, high=1.5),
+            seed=5),
+    }
+
+    @staticmethod
+    def _run(graph, model, *, send, tie_break, peers_of=None, deadline=400, seed=1):
+        def factory(ctx):
+            peers = ctx.neighbors if peers_of is None else peers_of(ctx)
+            return BfsTree("bt", peers, is_root=ctx.node_id == 0,
+                           deadline=deadline, send=send, tie_break=tie_break)
+
+        net = Network(graph, lambda v: _Host(v, factory), seed=seed, model=model,
+                      record_events=model.is_async())
+        metrics = net.run(max_rounds=deadline + 100)
+        trees = [(m.done, m.failed, m.parent, list(m.children), m.depth,
+                  m.tree_depth, m.size) for m in (p.machine for p in net.protocols)]
+        return (trees, metrics.sent_per_node.tolist(), metrics.messages,
+                metrics.bits, metrics.rounds, net.events)
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("tie_break", ["min", "random"])
+    def test_multicast_equals_loop_of_sends(self, model, tie_break):
+        graph = gnp_random_graph(40, 0.15, seed=2)
+        direct = self._run(graph, self.MODELS[model], send=None, tie_break=tie_break)
+        loop = self._run(graph, self.MODELS[model], send=_loop_of_sends,
+                         tie_break=tie_break)
+        assert direct == loop
+        if self.MODELS[model].is_async():
+            assert direct[5]  # a non-trivial event trace
+        trees = direct[0]
+        assert all(done and not failed for done, failed, *_ in trees)
+        assert sum(len(children) for _d, _f, _p, children, *_ in trees) == 39
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_disconnected_participants_hit_the_deadline(self, model):
+        # Participants are the same-parity neighbours: the odd nodes
+        # never hear from root 0 and fail at the deadline.
+        graph = gnp_random_graph(30, 0.25, seed=4)
+        runs = [
+            self._run(graph, self.MODELS[model], send=send, tie_break="random",
+                      peers_of=lambda ctx: [u for u in ctx.neighbors
+                                            if u % 2 == ctx.node_id % 2],
+                      deadline=60)
+            for send in (None, _loop_of_sends)]
+        assert runs[0] == runs[1]
+        trees = runs[0][0]
+        assert all(trees[v][1] for v in range(1, 30, 2))
+        assert not trees[0][1]
+
+
+class TestKindResolution:
+    """``SubMachine.kind`` formats each ``(prefix, suffix)`` once per process."""
+
+    def test_equal_pairs_share_one_string(self):
+        machines = [
+            FloodMin("lm", [], 3), FloodMin("lm", [1], 5),
+            BfsTree("bfs7", [], is_root=True, deadline=9),
+            Barrier("bfs7", parent=-1, children=[]),
+            RotationWalk("rw", 0, [], tree_neighbors=[], tree_depth=1, size=1,
+                         is_initial_head=False, step_budget=1),
+        ]
+        for machine in machines:
+            assert machine.kind("e") == f"{machine.PREFIX}.e"
+            assert machine.kind("e") is machine.kind("e")
+        assert machines[0].kind("m") is machines[1].kind("m")
+        assert machines[2].kind("c") is machines[3].kind("c")
+
+        class Other(SubMachine):
+            PREFIX = "rw"
+
+        assert Other().kind("r") is machines[4].kind("r") == "rw.r"
+
+    def test_distinct_prefixes_give_distinct_kinds(self):
+        prefixes = ["b0", "b1", "bfs7", "bfs", "b", "bt", "m0", "m1"]
+        kinds = [BfsTree(p, [], is_root=False, deadline=1).kind("e") for p in prefixes]
+        assert kinds == [f"{p}.e" for p in prefixes]
+        assert len(set(kinds)) == len(prefixes)
+        barrier = Barrier("b0", parent=-1, children=[])
+        assert barrier.kind("e") is kinds[0]
+        assert barrier.kind("e") != FloodMin("bfs7", [], 1).kind("e")
 
 
 class TestBarrier:
