@@ -115,10 +115,10 @@ def _parse_network_arg(text: str, *, engine: str) -> str:
     fail before any graph is sampled — and handed to runners as the
     canonical string form (byte-stable and hashable, so sweep points
     carrying it stay store-canonicalisable).  With ``--engine async``
-    a document without an explicit ``mode`` defaults to async, since
-    latency/churn fields would otherwise trip the sync-mode validator.
+    a document without an explicit ``mode`` defaults to async
+    (:func:`~repro.congest.model.async_network_model`).
     """
-    from repro.congest.model import NetworkModel
+    from repro.congest.model import NetworkModel, async_network_model
 
     if text.startswith("@"):
         from pathlib import Path
@@ -131,10 +131,8 @@ def _parse_network_arg(text: str, *, engine: str) -> str:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"--network is not valid JSON: {exc}") from None
-    if engine == "async" and isinstance(data, dict):
-        data = {"mode": "async", **data}
-    model = NetworkModel.from_json(data)  # ValueError -> exit 2 in main
-    return model.canonical()
+    build = async_network_model if engine == "async" else NetworkModel.from_json
+    return build(data).canonical()  # ValueError -> exit 2 in main
 
 
 def _int_at_least(minimum: int, what: str):

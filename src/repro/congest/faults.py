@@ -209,7 +209,7 @@ class FaultInjector:
                 continue
             self.crashed.add(node)
             # Crash-stop: the engine never runs a halted node again.
-            network.context(node).halted = True
+            network.context(node).halt()
 
     def _link_dead(self, src: int, dst: int) -> bool:
         if not self.plan.dead_links:

@@ -47,6 +47,7 @@ __all__ = [
     "LatencySpec",
     "NetworkModel",
     "coerce_network_model",
+    "async_network_model",
     "run_protocol",
     "ProtocolRun",
     "faults_summary_for",
@@ -266,6 +267,26 @@ def coerce_network_model(
     raise TypeError(
         f"network must be a NetworkModel, dict, or JSON string, got "
         f"{type(network).__name__}")
+
+
+def async_network_model(
+    network: "NetworkModel | dict | str | None" = None,
+) -> NetworkModel:
+    """:func:`coerce_network_model` where an omitted ``mode`` means async.
+
+    The mode is defaulted *before* construction: a document's latency
+    or churn fields would otherwise fail the sync-mode validator.  An
+    explicit mode, and a model, are kept as given.
+    """
+    if network is None:
+        return NetworkModel(mode="async")
+    if isinstance(network, NetworkModel):
+        return network
+    if isinstance(network, str):
+        network = json.loads(network)
+    if isinstance(network, dict):
+        network = {"mode": "async", **network}
+    return NetworkModel.from_json(network)
 
 
 def run_protocol(

@@ -130,6 +130,8 @@ class Network:
         seeds = np.random.SeedSequence(seed).spawn(self.n)
         self.protocols: list[Protocol] = []
         self._contexts: list[Context] = []
+        #: Nodes whose ``halted`` is set (kept by :meth:`Context.halt`).
+        self._halted = 0
         for v in range(self.n):
             proto = protocol_factory(v)
             ctx = Context(self, v, graph.neighbor_list(v), np.random.default_rng(seeds[v]))
@@ -328,7 +330,7 @@ class Network:
                     self._start(v)
             self._maybe_audit(force=True)
             while self._buckets:
-                if self._all_halted():
+                if self._halted == self.n:
                     break
                 if self._async:
                     when = self._instants[0]
@@ -454,7 +456,7 @@ class Network:
         self._churn_crashed.add(node)
         ctx = self._contexts[node]
         if not ctx.halted:
-            ctx.halted = True
+            ctx.halt()
             if self.events is not None:
                 self.events.append(("crash", self._now, node))
 
@@ -478,7 +480,7 @@ class Network:
 
     def _crash_stop(self, v: int, exc: Exception) -> None:
         self._protocol_errors.append((v, f"{type(exc).__name__}: {exc}"))
-        self._contexts[v].halted = True
+        self._contexts[v].halt()
         if self.events is not None:
             self.events.append(("error", self._now, v, type(exc).__name__))
 
@@ -487,9 +489,6 @@ class Network:
     def context(self, v: int) -> Context:
         """The execution context of node ``v`` (for tests and result readout)."""
         return self._contexts[v]
-
-    def _all_halted(self) -> bool:
-        return all(ctx.halted for ctx in self._contexts)
 
     def _maybe_audit(self, *, force: bool = False) -> None:
         if not self._audit_memory:

@@ -132,5 +132,10 @@ class Context:
         self._network._schedule_wake(self.node_id, round_index)  # noqa: SLF001
 
     def halt(self) -> None:
-        """Terminate this node permanently (local termination)."""
-        self.halted = True
+        """Terminate this node permanently (local termination).
+
+        The one place ``halted`` turns true: the network counts it.
+        """
+        if not self.halted:
+            self.halted = True
+            self._network._halted += 1  # noqa: SLF001

@@ -9,6 +9,7 @@ from repro.core.dra import DraProtocol, run_dra
 from repro.core.rotation import RotationWalk, VirtualEdge
 from repro.core.turau import TurauProtocol, run_turau
 from repro.core.upcast import UpcastProtocol, run_trivial, run_upcast, upcast_sample_size
+from repro.engines.registry import REGISTRY
 from repro.engines.results import RunResult
 from repro.graphs.adjacency import Graph
 
@@ -34,29 +35,17 @@ __all__ = [
     "upcast_sample_size",
 ]
 
-_ALGORITHMS = {
-    "dra": run_dra,
-    "dhc1": run_dhc1,
-    "dhc2": run_dhc2,
-    "upcast": run_upcast,
-    "trivial": run_trivial,
-    "turau": run_turau,
-    "cre": run_cre,
-}
-
-
 def find_hamiltonian_cycle(graph: Graph, *, algorithm: str = "dhc2",
                            seed: int = 0, **kwargs) -> RunResult:
-    """Convenience dispatcher over the paper's algorithms.
+    """Run ``algorithm`` on its reference engine.
 
-    ``algorithm`` is one of ``dra``, ``dhc1``, ``dhc2`` (default — the
-    paper's general fully-distributed algorithm), ``upcast``, or
-    ``trivial``; extra keyword arguments flow to the specific runner.
+    The reference is ``congest`` where one is registered, else
+    ``sequential`` (``EngineRegistry.reference``): ``dra``, ``dhc1``,
+    ``dhc2`` (default — the paper's general fully-distributed
+    algorithm), ``upcast``, ``trivial`` and ``turau`` in the
+    message-level simulator, ``cre`` as its scalar solver.  Extra
+    keyword arguments flow to the runner; an unknown algorithm raises
+    ``ValueError``.
     """
-    try:
-        runner = _ALGORITHMS[algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; choose from {sorted(_ALGORITHMS)}"
-        ) from None
+    runner = REGISTRY.reference(algorithm).load()
     return runner(graph, seed=seed, **kwargs)

@@ -8,14 +8,27 @@ fidelity/speed trade-offs while returning the same
 ``congest``
     The message-level simulator (:mod:`repro.congest`): every message
     materialised, every model rule enforced.  Ground truth, slow.
+``async``
+    Derived from ``congest``: the same runner on an asynchronous
+    network model (:mod:`repro.engines.async_runners`).
 ``fast``
     The step-level replay (:mod:`repro.engines.fast`): identical
     algorithmic decisions and RNG streams, rounds advanced by the
     deterministic schedule the CONGEST protocol follows.  Used for
     large-n sweeps.
+``fast-batch``
+    Derived from ``fast``: the same runner per trial over a batch of
+    trials (:mod:`repro.engines.fast_batch`).
+``kmachine``
+    The native k-machine simulator
+    (:mod:`repro.engines.kmachine_engine`): machine-level rounds over
+    a random vertex partition.
 ``sequential``
     Plain centralized solvers (:mod:`repro.sequential`): no round
     accounting at all, useful as oracles and lower-bound comparators.
+
+The registry builds the two derived engines' entries from their base
+entries (:func:`repro.engines.registry._with_derived`).
 
 An :class:`EngineSpec` is one registered ``(algorithm, engine)`` pair
 plus its declared capabilities — which keyword arguments the runner
@@ -89,8 +102,9 @@ class EngineSpec:
         Result fields (``"cycle"``, ``"steps"``, ``"rounds"``)
         guaranteed seed-for-seed identical to the algorithm's
         *reference* engine — ``congest`` where one is registered,
-        else ``sequential`` — on successful runs (failure paths may
-        account partial work differently).  Empty for reference
+        else ``sequential`` (``EngineRegistry.reference``) — on
+        successful runs (failure paths may account partial work
+        differently).  Empty for reference
         engines themselves and for engines with no reference
         counterpart; every non-empty declaration is enforced by
         ``tests/test_engine_parity.py``'s registry parity gate.

@@ -1,18 +1,17 @@
 """The ``fast-batch`` engine: a batch of trials per engine call.
 
-Batch runners for the four fast engines —
-:func:`repro.engines.fast._dra_fast`,
-:func:`repro.engines.fast_cre._cre_fast`,
-:func:`repro.engines.fast_dhc2._dhc2_fast`, and
-:func:`repro.engines.fast_turau._turau_fast`.  A
+The registry derives one ``fast-batch`` entry from the ``fast`` entry
+of each batched algorithm (DRA, CRE, DHC2 and Turau) and names its
+runners ``_<algorithm>_fast_batch`` and ``_<algorithm>_fast_batch_one``
+in this module; both are generated when first looked up.  A
 ``run_batch(graphs, seeds=...)`` call executes B independent same-n
 trials — each with its own sampled graph and its own seed — and
 returns one :class:`~repro.engines.results.RunResult` per trial that
 is seed-for-seed identical to what ``engine="fast"`` would have
-produced for that (graph, seed) pair.  The single-graph wrappers
-(``*_one``) make the same code reachable through the ordinary
-:func:`repro.run` path, which is what the registry parity gate
-exercises.
+produced for that (graph, seed) pair.  The single-graph runner
+(``*_one``, a batch of one) makes the same code reachable through the
+ordinary :func:`repro.run` path, which is what the registry parity
+gate exercises.
 
 Every runner runs each trial on per-trial ``fast`` and tags the
 result ``engine="fast-batch"``.  No batch-major kernel beat that on a
@@ -27,17 +26,16 @@ runs.  :func:`auto_batch_size` sizes those batches.
 
 from __future__ import annotations
 
-from repro.engines.fast import _dra_fast
-from repro.engines.fast_cre import _cre_fast
-from repro.engines.fast_dhc2 import _dhc2_fast
+# Imported with this module (which ``repro.cli`` imports), so the sweep
+# workers a CLI process forks inherit the fast engines instead of each
+# importing them again.  Turau's is imported on its first call.
+import repro.engines.fast  # noqa: F401
+import repro.engines.fast_cre  # noqa: F401
+import repro.engines.fast_dhc2  # noqa: F401
 from repro.engines.results import RunResult
 from repro.graphs.batch_gnp import GnpBatch
 
-__all__ = ["_dra_fast_batch", "_cre_fast_batch",
-           "_dhc2_fast_batch", "_turau_fast_batch",
-           "_dra_fast_batch_one", "_cre_fast_batch_one",
-           "_dhc2_fast_batch_one", "_turau_fast_batch_one",
-           "auto_batch_size"]
+__all__ = ["auto_batch_size"]
 
 #: Directed edge entries one batch may hold in total: the pair pool
 #: keeps every trial's pairs at once.
@@ -87,52 +85,24 @@ def _per_trial(run, graphs, seeds, **kwargs) -> list[RunResult]:
     return results
 
 
-def _dra_fast_batch(graphs, *, seeds, step_budget: int | None = None,
-                    ) -> list[RunResult]:
-    """Algorithm 1 over a batch: per-trial ``fast`` on every trial."""
-    return _per_trial(_dra_fast, graphs, seeds, step_budget=step_budget)
+def __getattr__(name: str):
+    """The generated ``_<algorithm>_fast_batch`` runner or its ``_one`` form."""
+    stem = name.removesuffix("_one")
+    algorithm = stem.removeprefix("_").removesuffix("_fast_batch")
+    from repro.engines.registry import REGISTRY
 
+    if (f"_{algorithm}_fast_batch" != stem
+            or (algorithm, "fast-batch") not in REGISTRY):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    fast = REGISTRY.get(algorithm, "fast")
 
-def _dra_fast_batch_one(graph, *, seed: int = 0,
-                        step_budget: int | None = None) -> RunResult:
-    """Registry runner: a batch of one (``repro.run(..., engine="fast-batch")``)."""
-    return _dra_fast_batch([graph], seeds=[seed], step_budget=step_budget)[0]
+    def run_batch(graphs, *, seeds, **kwargs) -> list[RunResult]:
+        return _per_trial(fast.load(), graphs, seeds, **kwargs)
 
+    def run_one(graph, *, seed: int = 0, **kwargs) -> RunResult:
+        return run_batch([graph], seeds=[seed], **kwargs)[0]
 
-def _cre_fast_batch(graphs, *, seeds, step_budget: int | None = None,
-                    ) -> list[RunResult]:
-    """The CRE solver over a batch: per-trial ``fast`` on every trial."""
-    return _per_trial(_cre_fast, graphs, seeds, step_budget=step_budget)
-
-
-def _cre_fast_batch_one(graph, *, seed: int = 0,
-                        step_budget: int | None = None) -> RunResult:
-    """Registry runner: a batch of one (``repro.run(..., engine="fast-batch")``)."""
-    return _cre_fast_batch([graph], seeds=[seed], step_budget=step_budget)[0]
-
-
-def _dhc2_fast_batch(graphs, *, seeds, delta: float = 0.5,
-                     k: int | None = None) -> list[RunResult]:
-    """Algorithm 3 over a batch: per-trial ``fast`` on every trial."""
-    return _per_trial(_dhc2_fast, graphs, seeds, delta=delta, k=k)
-
-
-def _dhc2_fast_batch_one(graph, *, seed: int = 0, delta: float = 0.5,
-                         k: int | None = None) -> RunResult:
-    """Registry runner: a batch of one (``repro.run(..., engine="fast-batch")``)."""
-    return _dhc2_fast_batch([graph], seeds=[seed], delta=delta, k=k)[0]
-
-
-def _turau_fast_batch(graphs, *, seeds,
-                      phase_budget: int | None = None) -> list[RunResult]:
-    """Turau path merging over a batch: per-trial ``fast`` on every trial."""
-    from repro.engines.fast_turau import _turau_fast
-
-    return _per_trial(_turau_fast, graphs, seeds, phase_budget=phase_budget)
-
-
-def _turau_fast_batch_one(graph, *, seed: int = 0,
-                          phase_budget: int | None = None) -> RunResult:
-    """Registry runner: a batch of one (``repro.run(..., engine="fast-batch")``)."""
-    return _turau_fast_batch([graph], seeds=[seed],
-                             phase_budget=phase_budget)[0]
+    for runner, runner_name in ((run_batch, stem), (run_one, f"{stem}_one")):
+        runner.__name__ = runner.__qualname__ = runner_name
+        globals()[runner_name] = runner
+    return globals()[name]

@@ -20,7 +20,8 @@ the message-level congest simulator (the only engine that can audit).
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from dataclasses import replace
+from typing import Any, Iterable, Iterator
 
 from repro.engines.api import EngineSpec
 from repro.engines.results import RunResult
@@ -43,28 +44,50 @@ _CONGEST_COMMON = ("max_rounds", "audit_memory", "network")
 _KMACHINE_COMMON = ("k_machines", "link_words", "partition_seed")
 
 
+#: Algorithms whose ``fast`` runner a sweep may batch (``fast-batch``).
+_BATCHED_FAST = ("dra", "dhc2", "turau", "cre")
+
+
+def _with_derived(specs: Iterable[EngineSpec]) -> Iterator[EngineSpec]:
+    """``specs``, each followed by the entries derived from it.
+
+    ``async`` runs a ``congest`` runner that takes ``network`` on an
+    async model (:mod:`repro.engines.async_runners`); ``fast-batch``
+    runs a :data:`_BATCHED_FAST` ``fast`` runner per trial over a batch
+    (:mod:`repro.engines.fast_batch`).  A derived entry copies its
+    base's ``supported_kwargs`` and ``parity``, so the two cannot
+    drift apart; the adapter module generates its runners by name.
+    """
+    for spec in specs:
+        yield spec
+        algorithm = spec.algorithm
+        if spec.engine == "congest" and "network" in spec.supported_kwargs:
+            yield replace(
+                spec, engine="async", priority=-1,
+                runner=f"repro.engines.async_runners:_{algorithm}_async",
+                summary=f"{spec.summary}, async mode (latency, loss, "
+                        f"reordering, churn)")
+        elif spec.engine == "fast" and algorithm in _BATCHED_FAST:
+            module = "repro.engines.fast_batch"
+            yield replace(
+                spec, engine="fast-batch", priority=-1,
+                runner=f"{module}:_{algorithm}_fast_batch_one",
+                batch_runner=f"{module}:_{algorithm}_fast_batch",
+                summary=f"{spec.summary}, per trial over a batch")
+
+
 def _builtin_specs() -> list[EngineSpec]:
-    """The library's shipped algorithms, referenced lazily by path."""
+    """The shipped base entries, referenced lazily by path (the derived
+    ``async`` and ``fast-batch`` entries come from :func:`_with_derived`)."""
     return [
         # -- the paper's fully-distributed algorithms --------------------------
         EngineSpec("dra", "congest", "repro.core:run_dra",
                    supported_kwargs=("step_budget", *_CONGEST_COMMON),
                    summary="Algorithm 1 in the message-level simulator"),
-        EngineSpec("dra", "async", "repro.engines.async_runners:_dra_async",
-                   supported_kwargs=("step_budget", *_CONGEST_COMMON),
-                   summary="Algorithm 1 on the asynchronous event-queue "
-                           "engine (latency, loss, reordering, churn)"),
         EngineSpec("dra", "fast", "repro.engines.fast:_dra_fast",
                    supported_kwargs=("step_budget",),
                    parity=("cycle", "steps", "rounds"),
                    summary="Algorithm 1, step-level replay on the array kernel"),
-        EngineSpec("dra", "fast-batch",
-                   "repro.engines.fast_batch:_dra_fast_batch_one",
-                   batch_runner="repro.engines.fast_batch:_dra_fast_batch",
-                   supported_kwargs=("step_budget",),
-                   parity=("cycle", "steps", "rounds"),
-                   summary="Algorithm 1, per-trial fast on each trial of "
-                           "the batch"),
         EngineSpec("dra", "kmachine", "repro.engines.kmachine_engine:_dra_kmachine",
                    supported_kwargs=("step_budget", "k", *_KMACHINE_COMMON),
                    parity=("cycle", "steps", "rounds"),
@@ -73,10 +96,6 @@ def _builtin_specs() -> list[EngineSpec]:
         EngineSpec("dhc1", "congest", "repro.core:run_dhc1",
                    supported_kwargs=("k", *_CONGEST_COMMON),
                    summary="Algorithm 2 in the message-level simulator"),
-        EngineSpec("dhc1", "async", "repro.engines.async_runners:_dhc1_async",
-                   supported_kwargs=("k", *_CONGEST_COMMON),
-                   summary="Algorithm 2 on the asynchronous event-queue "
-                           "engine"),
         EngineSpec("dhc1", "kmachine", "repro.engines.kmachine_dhc1:_dhc1_kmachine",
                    supported_kwargs=("k", *_KMACHINE_COMMON),
                    parity=("cycle", "steps"),
@@ -85,21 +104,10 @@ def _builtin_specs() -> list[EngineSpec]:
         EngineSpec("dhc2", "congest", "repro.core:run_dhc2",
                    supported_kwargs=("delta", "k", *_CONGEST_COMMON),
                    summary="Algorithm 3 in the message-level simulator"),
-        EngineSpec("dhc2", "async", "repro.engines.async_runners:_dhc2_async",
-                   supported_kwargs=("delta", "k", *_CONGEST_COMMON),
-                   summary="Algorithm 3 on the asynchronous event-queue "
-                           "engine"),
         EngineSpec("dhc2", "fast", "repro.engines.fast_dhc2:_dhc2_fast",
                    supported_kwargs=("delta", "k"),
                    parity=("cycle", "steps"),
                    summary="Algorithm 3, step-level replay on the array kernel"),
-        EngineSpec("dhc2", "fast-batch",
-                   "repro.engines.fast_batch:_dhc2_fast_batch_one",
-                   batch_runner="repro.engines.fast_batch:_dhc2_fast_batch",
-                   supported_kwargs=("delta", "k"),
-                   parity=("cycle", "steps"),
-                   summary="Algorithm 3, per-trial fast on each trial of "
-                           "the batch"),
         EngineSpec("dhc2", "kmachine", "repro.engines.kmachine_engine:_dhc2_kmachine",
                    supported_kwargs=("delta", "k", *_KMACHINE_COMMON),
                    parity=("cycle", "steps"),
@@ -113,21 +121,10 @@ def _builtin_specs() -> list[EngineSpec]:
                    supported_kwargs=("phase_budget", *_CONGEST_COMMON),
                    summary="Turau path merging (arXiv:1805.06728) in the "
                            "message-level simulator"),
-        EngineSpec("turau", "async", "repro.engines.async_runners:_turau_async",
-                   supported_kwargs=("phase_budget", *_CONGEST_COMMON),
-                   summary="Turau path merging on the asynchronous "
-                           "event-queue engine"),
         EngineSpec("turau", "fast", "repro.engines.fast_turau:_turau_fast",
                    supported_kwargs=("phase_budget",),
                    parity=("cycle", "steps"),
                    summary="Turau path merging replayed on link arrays"),
-        EngineSpec("turau", "fast-batch",
-                   "repro.engines.fast_batch:_turau_fast_batch_one",
-                   batch_runner="repro.engines.fast_batch:_turau_fast_batch",
-                   supported_kwargs=("phase_budget",),
-                   parity=("cycle", "steps"),
-                   summary="Turau path merging, per-trial fast on each "
-                           "trial of the batch"),
         EngineSpec("turau", "kmachine", "repro.engines.kmachine_engine:_turau_kmachine",
                    supported_kwargs=("phase_budget", *_KMACHINE_COMMON),
                    parity=("cycle", "steps"),
@@ -141,13 +138,6 @@ def _builtin_specs() -> list[EngineSpec]:
                    parity=("cycle", "steps"),
                    summary="Alon-Krivelevich CRE solver on CSR position "
                            "arrays"),
-        EngineSpec("cre", "fast-batch",
-                   "repro.engines.fast_batch:_cre_fast_batch_one",
-                   batch_runner="repro.engines.fast_batch:_cre_fast_batch",
-                   supported_kwargs=("step_budget",),
-                   parity=("cycle", "steps"),
-                   summary="Alon-Krivelevich CRE solver, per-trial fast on "
-                           "each trial of the batch"),
         # -- the paper's centralized algorithms --------------------------------
         EngineSpec("upcast", "congest", "repro.core:run_upcast",
                    supported_kwargs=("c_prime", "solver_restarts",
@@ -191,7 +181,7 @@ class EngineRegistry:
 
     @classmethod
     def with_builtins(cls) -> "EngineRegistry":
-        return cls(_builtin_specs())
+        return cls(_with_derived(_builtin_specs()))
 
     # -- registration ----------------------------------------------------------
 
@@ -226,6 +216,15 @@ class EngineRegistry:
             raise ValueError(
                 f"algorithm {algorithm!r} has no {engine!r} engine; "
                 f"available: {sorted(self.engines_for(algorithm))}") from None
+
+    def reference(self, algorithm: str) -> EngineSpec:
+        """The algorithm's reference engine, which ``parity`` is held to.
+
+        ``congest`` where one is registered, else ``sequential``;
+        ``ValueError`` if the algorithm is unknown or has neither.
+        """
+        engine = "congest" if (algorithm, "congest") in self else "sequential"
+        return self.get(algorithm, engine)
 
     def algorithms(self) -> list[str]:
         """All registered algorithm names, sorted."""

@@ -290,6 +290,33 @@ class TestAsyncNetworkMechanics:
         second.run(max_rounds=5000, raise_on_limit=False)
         assert first.events != second.events
 
+    @pytest.mark.parametrize("model", [
+        NetworkModel(fault_plan=FaultPlan(crash_rounds={2: 3, 5: 9},
+                                          drop_probability=0.05, seed=1)),
+        NetworkModel(mode="async",
+                     latency=LatencySpec(kind="uniform", low=0.5, high=1.5),
+                     churn=[("crash", 3, 4.0), ("join", 6, 2.5),
+                            ("crash", 8, 30.0)],
+                     fault_plan=FaultPlan(crash_rounds={2: 3},
+                                          drop_probability=0.05, seed=1)),
+    ], ids=["sync", "async"])
+    def test_halted_count_matches_contexts_at_every_step(self, model):
+        # The run loop ends on a kept count of halted nodes; it must
+        # equal the contexts' own flags after every instant.
+        _graph, net = self._net(model=model)
+        step, counts = net._step, []
+
+        def checked(when):
+            step(when)
+            flags = [net.context(v).halted for v in range(net.n)]
+            assert net._halted == sum(flags)
+            assert (net._halted == net.n) == all(flags)
+            counts.append(net._halted)
+
+        net._step = checked
+        net.run(max_rounds=5000, raise_on_limit=False)
+        assert counts and max(counts) >= 2  # the crashes were counted
+
     def test_erroring_protocol_is_crash_stopped_not_fatal(self):
         graph = dense_gnp(12, seed=1)
 

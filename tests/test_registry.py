@@ -8,6 +8,7 @@ k-machine convertibility capability, and the rejection of the retired
 legacy keywords.
 """
 
+import json
 import math
 
 import pytest
@@ -226,3 +227,118 @@ class TestRetiredKeywords:
         with pytest.raises(TypeError, match=f"does not support: {name} "
                                             r"\(supported: .*network"):
             REGISTRY.get("dra", "congest").call(g, seed=1, **{name: value})
+
+
+#: ``repro engines --json`` without ``summary``, one entry per row in
+#: its output order: (algorithm, engine, supported_kwargs, capability
+#: flags, parity, priority).  The flags name the true ones among
+#: ``kmachine_convertible``, ``audits_memory``, ``batched`` and
+#: ``async_capable``.
+REGISTRY_SHAPE = [
+    ("angluin-valiant", "sequential", "step_budget", "", "", 10),
+    ("cre", "fast", "step_budget", "", "cycle steps", 30),
+    ("cre", "fast-batch", "step_budget", "batched", "cycle steps", 25),
+    ("cre", "sequential", "step_budget", "", "", 10),
+    ("dhc1", "congest", "audit_memory k max_rounds network",
+     "kmachine audit", "", 20),
+    ("dhc1", "async", "audit_memory k max_rounds network",
+     "audit async", "", 17),
+    ("dhc1", "kmachine", "k k_machines link_words partition_seed", "",
+     "cycle steps", 15),
+    ("dhc2", "fast", "delta k", "", "cycle steps", 30),
+    ("dhc2", "fast-batch", "delta k", "batched", "cycle steps", 25),
+    ("dhc2", "congest", "audit_memory delta k max_rounds network",
+     "kmachine audit", "", 20),
+    ("dhc2", "async", "audit_memory delta k max_rounds network",
+     "audit async", "", 17),
+    ("dhc2", "kmachine", "delta k k_machines link_words partition_seed", "",
+     "cycle steps", 15),
+    ("dra", "fast", "step_budget", "", "cycle rounds steps", 30),
+    ("dra", "fast-batch", "step_budget", "batched", "cycle rounds steps", 25),
+    ("dra", "congest", "audit_memory max_rounds network step_budget",
+     "kmachine audit", "", 20),
+    ("dra", "async", "audit_memory max_rounds network step_budget",
+     "audit async", "", 17),
+    ("dra", "kmachine", "k k_machines link_words partition_seed step_budget",
+     "", "cycle rounds steps", 15),
+    ("levy", "fast", "patch_attempts seeds_count", "", "", 30),
+    ("local", "fast", "restarts", "", "", 30),
+    ("posa", "sequential", "restarts step_budget", "", "", 10),
+    ("trivial", "congest", "audit_memory max_rounds solver_restarts",
+     "audit", "", 20),
+    ("turau", "fast", "phase_budget", "", "cycle steps", 30),
+    ("turau", "fast-batch", "phase_budget", "batched", "cycle steps", 25),
+    ("turau", "congest", "audit_memory max_rounds network phase_budget",
+     "kmachine audit", "", 20),
+    ("turau", "async", "audit_memory max_rounds network phase_budget",
+     "audit async", "", 17),
+    ("turau", "kmachine", "k_machines link_words partition_seed phase_budget",
+     "", "cycle steps", 15),
+    ("upcast", "congest", "audit_memory c_prime max_rounds solver_restarts",
+     "audit", "", 20),
+]
+
+#: Each derived engine and the engine its entries are built from.
+DERIVED_FROM = {"async": "congest", "fast-batch": "fast"}
+
+
+class TestRegistryShape:
+    """The registry's entries and what each derived entry shares with its base."""
+
+    def test_engines_json_without_summaries_is_pinned(self, capsys):
+        from repro.cli import main
+
+        assert main(["engines", "--json"]) == 0
+        shape = []
+        for entry in json.loads(capsys.readouterr().out):
+            flags = [name for name, key in (
+                ("kmachine", "kmachine_convertible"),
+                ("audit", "audits_memory"), ("batched", "batched"),
+                ("async", "async_capable")) if entry[key]]
+            priority = REGISTRY.get(entry["algorithm"],
+                                    entry["engine"]).priority
+            shape.append((entry["algorithm"], entry["engine"],
+                          " ".join(entry["supported_kwargs"]),
+                          " ".join(flags), " ".join(entry["parity"]),
+                          priority))
+        assert shape == REGISTRY_SHAPE
+
+    def test_derived_entries_share_kwargs_and_parity_with_their_base(self):
+        derived = [s for s in REGISTRY if s.engine in DERIVED_FROM]
+        assert len(derived) == 8
+        for spec in derived:
+            base = REGISTRY.get(spec.algorithm, DERIVED_FROM[spec.engine])
+            assert spec.supported_kwargs == base.supported_kwargs, spec.key
+            assert spec.parity == base.parity, spec.key
+
+    def test_async_engine_takes_a_json_string_network(self):
+        g = dense_graph(24, seed=9)
+        result = repro.run(
+            g, "dra", engine="async", seed=9,
+            network='{"latency": {"kind": "uniform", "low": 0.5, '
+                    '"high": 1.5}, "seed": 3}')
+        assert result.engine == "async"
+        assert "async" in result.detail
+
+    def test_cli_network_documents_default_to_async_only_on_async(self):
+        from repro.cli import _parse_network_arg
+
+        doc = '{"latency": {"kind": "fixed", "value": 2.0}}'
+        assert json.loads(_parse_network_arg(doc, engine="async"))[
+            "mode"] == "async"
+        assert json.loads(_parse_network_arg('{"mode": "sync"}',
+                                             engine="async"))["mode"] == "sync"
+        with pytest.raises(ValueError, match="mode='async'"):
+            _parse_network_arg(doc, engine="congest")
+
+    @pytest.mark.parametrize("algorithm", [
+        "dra", "dhc1", "dhc2", "upcast", "trivial", "turau", "cre"])
+    def test_find_hamiltonian_cycle_runs_the_reference_engine(self, algorithm):
+        from repro.core import find_hamiltonian_cycle
+
+        g = dense_graph(24, seed=4)
+        engine = ("congest" if (algorithm, "congest") in REGISTRY
+                  else "sequential")
+        expected = repro.run(g, algorithm, engine=engine, seed=4)
+        assert find_hamiltonian_cycle(g, algorithm=algorithm,
+                                      seed=4) == expected

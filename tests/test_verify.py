@@ -151,6 +151,33 @@ class TestVectorChecks:
         assert is_hamiltonian_path(graph, cycle) == all(
             graph.has_edge(a, b) for a, b in pairs[:-1])
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_broken_cycle_names_its_first_missing_pair(self, seed):
+        # A random graph holding a random Hamiltonian cycle, with some
+        # of the cycle's pairs taken out again (the closing pair
+        # included in every fourth case).
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 40))
+        cycle = rng.permutation(n).tolist()
+        pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
+        broken = set(rng.choice(n, size=int(rng.integers(1, 4)),
+                                replace=True).tolist())
+        if seed % 4 == 0:
+            broken.add(n - 1)
+        cut = {frozenset(pairs[i]) for i in broken}
+        extra = gnp_random_graph(n, float(rng.uniform(0.0, 0.6)), seed=seed)
+        edges = {frozenset(e) for e in extra.edges()} | {
+            frozenset(pair) for pair in pairs}
+        graph = Graph(n, [tuple(e) for e in edges - cut])
+        # The reference: the first cycle pair that is not an edge.
+        first = next(i for i, (a, b) in enumerate(pairs)
+                     if frozenset((a, b)) in cut)
+        a, b = pairs[first]
+        with pytest.raises(CycleViolation,
+                           match=rf"^\({a}, {b}\) is not an edge of the graph$"):
+            verify_cycle(graph, cycle)
+        assert verified_cycle(graph, cycle) is None
+
 
 class TestHamiltonianPath:
     def test_non_integer_ids_rejected(self):
