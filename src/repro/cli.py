@@ -77,7 +77,7 @@ from repro.analysis.concentration import merge_step_failure, partition_size_fail
 from repro.engines.fast_batch import auto_batch_size
 from repro.engines.registry import REGISTRY
 from repro.graphs import (
-    batch_gnp,
+    GnpBatch,
     degree_statistics,
     diameter,
     diameter_lower_bound,
@@ -231,14 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
                               "across the workers)")
     sweep_p.add_argument("--batch-size", type=int, default=None,
                          help="trials per engine call for batched engines "
-                              "(--engine fast-batch, which generates a "
-                              "batch's graphs in one pooled pass and runs "
-                              "each trial on fast); 1 = per-trial calls; "
-                              "engines without batch support warn and fall "
-                              "back (records are identical for any value).  "
-                              "Default: batched engines size batches per "
-                              "point so the pooled graphs fit a fixed edge "
-                              "budget")
+                              "(--engine fast-batch, which samples each "
+                              "trial's graph as it runs and runs it on "
+                              "fast); 1 = per-trial calls; engines without "
+                              "batch support warn and fall back (records "
+                              "are identical for any value).  Default: "
+                              "batched engines size batches per point to "
+                              "a fixed expected edge budget")
     sweep_p.add_argument("--store", default=None, metavar="PATH",
                          help="trial store for resume: completed trials "
                               "are skipped on rerun (a JSONL file, or a "
@@ -494,11 +493,12 @@ class _SweepTrialBatch(_SweepTrial):
     def __call__(self, point: dict, seeds: list[int]):
         n = int(point["n"])
         if self.model == "gnp":
-            # One pooled generation pass for the whole group,
-            # seed-for-seed identical to per-trial sampling; each
-            # trial's Graph is built as the engine reaches it.
-            graphs = batch_gnp(n, paper_probability(n, self.delta, self.c),
-                               seeds)
+            # Each trial's graph is sampled as the engine reaches it,
+            # seed-for-seed identical to per-trial sampling.  Built
+            # without ``batch_gnp``, so a traced sweep counts each
+            # trial's edges once, at its ``gnp_random_graph`` call.
+            graphs = GnpBatch(n, paper_probability(n, self.delta, self.c),
+                              seeds)
         else:
             graphs = [_sample_graph(self.model, n, self.delta, self.c,
                                     seed)[0] for seed in seeds]

@@ -16,12 +16,12 @@ gate exercises.
 Every runner runs each trial on per-trial ``fast`` and tags the
 result ``engine="fast-batch"``.  No batch-major kernel beat that on a
 measured host: the numpy batch walks of DRA, DHC2, CRE and Turau each
-lost to per-trial ``fast`` in time, and most in memory too.  What
-the engine still batches is where the graphs live: the sweep harness
-hands over a :class:`~repro.graphs.batch_gnp.GnpBatch`, which holds
-every trial's sampled edges in one pair pool, and each trial's
-:class:`~repro.graphs.adjacency.Graph` is built from it as the trial
-runs.  :func:`auto_batch_size` sizes those batches.
+lost to per-trial ``fast`` in time, and most in memory too.  What is
+left of the batch is one engine call per group of trials: the sweep
+harness hands over a :class:`~repro.graphs.batch_gnp.GnpBatch`, which
+holds only the group's seeds, and each trial's
+:class:`~repro.graphs.adjacency.Graph` is sampled as the trial runs.
+:func:`auto_batch_size` sizes those groups.
 """
 
 from __future__ import annotations
@@ -37,20 +37,20 @@ from repro.graphs.batch_gnp import GnpBatch
 
 __all__ = ["auto_batch_size"]
 
-#: Directed edge entries one batch may hold in total: the pair pool
-#: keeps every trial's pairs at once.
+#: Expected directed edge entries of one batch's trials together.  A
+#: batch holds one graph at a time, so this no longer bounds memory;
+#: it only sets how many trials share one engine call.
 _EDGE_BUDGET = 80_000_000
 
 
 def auto_batch_size(n: int, p: float | None = None, *,
                     cap: int = 1024) -> int:
-    """Largest sensible batch for same-n trials under the edge budget.
+    """Trials per batch for same-n trials under the edge budget.
 
     Sizes one harness batch so its expected directed entries
     (``n * (n-1) * p`` per trial) fill, but do not exceed,
-    :data:`_EDGE_BUDGET`: the pair pool holds every trial's pairs at
-    once, so the budget bounds its memory.  Without a known
-    density the complete graph is assumed.  Capped and floored at 1.
+    :data:`_EDGE_BUDGET`.  Without a known density the complete graph
+    is assumed.  Capped and floored at 1.
     """
     density = 1.0 if p is None else min(1.0, max(0.0, float(p)))
     per_trial = max(1.0, float(n) * max(1.0, (n - 1) * density))
@@ -61,8 +61,8 @@ def _per_trial(run, graphs, seeds, **kwargs) -> list[RunResult]:
     """``run`` (a per-trial ``fast`` runner) over every (graph, seed) pair.
 
     ``graphs`` is a list of graphs or a ``GnpBatch`` (whose trials
-    are built one at a time from its pair pool, same n by
-    construction); a list must hold same-n graphs.  Either way there
+    are sampled one at a time, same n by construction); a list must
+    hold same-n graphs.  Either way there
     must be exactly one seed per graph.
     """
     if not isinstance(graphs, GnpBatch):

@@ -29,8 +29,8 @@ batching is on) and :func:`run_group` runs one — ``fn(point, seed)``,
 or ``batch_fn(point, seeds)`` for a whole same-point group — in-process
 when serial, as the pool's task when parallel.  Only the *point and
 seed list* cross the process boundary: the CLI's batch function
-regenerates the graphs inside the worker (via the pooled
-:func:`repro.graphs.batch_gnp` for the G(n, p) model), so parallel runs
+regenerates the graphs inside the worker (via a lazy
+:class:`repro.graphs.GnpBatch` for the G(n, p) model), so parallel runs
 never pickle materialised graphs, and a resumed sweep regroups
 remaining seeds freely without changing any record.
 """
@@ -148,10 +148,9 @@ class TrialRunner:
         [raw, ...]`` (one raw result per seed, same normalisation as
         ``fn``'s return).  When set together with ``batch_size > 1``,
         consecutive pending trials that share a grid point are handed
-        over as one call — the fast-batch engines then generate
-        their graphs in one pooled pass.  Seeds, trial order, and store
-        records are identical to the unbatched run (``elapsed_s``
-        aside, which the canonical records exclude).
+        over as one call to the fast-batch engines.  Seeds, trial
+        order, and store records are identical to the unbatched run
+        (``elapsed_s`` aside, which the canonical records exclude).
     batch_size:
         Largest group handed to ``batch_fn`` (default 1 = unbatched),
         or a callable ``batch_size(point) -> int`` sizing each grid
@@ -364,6 +363,7 @@ class TrialRunner:
         freshly executed alike, in schedule order; the ``metrics``
         event hook fires on the same contract.
         """
+        _keep_trial_arrays_on_heap()
         plan = self._plan([dict(p) for p in points], trials)
         self._metrics_begin(plan)
         batch_fn = self.batch_fn if self._batching() else None
@@ -476,7 +476,50 @@ def _pool_initializer(fn: Callable[[dict, int], Any],
                       batch_fn: Callable[[dict, list[int]], Any] | None
                       ) -> None:
     global _worker_fns
+    _keep_trial_arrays_on_heap()
     _worker_fns = (fn, batch_fn)
+
+
+#: glibc ``mallopt`` parameters (``malloc.h``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+#: Freed heap memory is kept up to this much before glibc trims it.
+_TRIM_THRESHOLD = 128 << 20
+#: glibc's largest mmap threshold on 64-bit hosts: a bigger array is
+#: still mapped on its own and unmapped when freed.
+_MMAP_THRESHOLD = 32 << 20
+#: Whether this process has run :func:`_keep_trial_arrays_on_heap`.
+_heap_tuned = False
+
+
+def _keep_trial_arrays_on_heap() -> bool:
+    """Keep freed trial arrays on glibc's heap for the next trial.
+
+    By default glibc maps each large array (its dynamic threshold
+    starts at 128 KiB) and unmaps it when freed, and trims the heap
+    above 128 KiB of free space, so every trial faults its transient
+    arrays in afresh: 757 minor page faults per trial on a dense DHC2
+    n = 512 sweep.  Fixed thresholds keep those arrays on the heap
+    and reuse them.  Runs once per process; returns whether both
+    thresholds were set, and does nothing where glibc's ``mallopt``
+    is absent (macOS, musl, Windows).
+    """
+    global _heap_tuned
+    if _heap_tuned:
+        return False
+    _heap_tuned = True
+    import ctypes
+
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # glibc only
+        mallopt = libc.mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
 
 
 def _pool_group(group: Group) -> tuple[int, list[Trial]]:

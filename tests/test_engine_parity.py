@@ -56,12 +56,6 @@ from tests.oracles import (
 SIZES = [16, 64, 256]
 MODELS = ["gnp", "gnm", "regular"]
 
-#: Engines that count as an algorithm's parity *reference*, in
-#: preference order: the message-level simulator where one exists,
-#: otherwise the scalar sequential implementation.
-REFERENCE_ENGINES = ("congest", "sequential")
-
-
 def fallback_if(route: str, monkeypatch):
     """The forced Generator fallback on the ``generator-fallback`` route."""
     if route == "generator-fallback":
@@ -392,14 +386,6 @@ class TestCreParity:
                         oracle, field.name), f"seed={seed}: {field.name}"
 
 
-def _reference_spec(algorithm):
-    engines = REGISTRY.engines_for(algorithm)
-    for name in REFERENCE_ENGINES:
-        if name in engines:
-            return engines[name]
-    return None
-
-
 @pytest.mark.parametrize(
     "spec", [s for s in REGISTRY if s.parity],
     ids=lambda s: f"{s.algorithm}/{s.engine}")
@@ -415,11 +401,13 @@ class TestRegistryParityGate:
     """
 
     def test_reference_engine_registered(self, spec):
-        ref = _reference_spec(spec.algorithm)
-        assert ref is not None, (
-            f"{spec.algorithm}/{spec.engine} declares parity "
-            f"{sorted(spec.parity)} but registers no reference engine "
-            f"({' or '.join(REFERENCE_ENGINES)}) to hold it against")
+        try:
+            ref = REGISTRY.reference(spec.algorithm)
+        except ValueError as exc:
+            pytest.fail(
+                f"{spec.algorithm}/{spec.engine} declares parity "
+                f"{sorted(spec.parity)} but registers no reference engine "
+                f"to hold it against: {exc}")
         assert ref.engine != spec.engine
 
     def test_declared_fields_match_reference_seed_for_seed(self, spec):
@@ -429,7 +417,7 @@ class TestRegistryParityGate:
         # regime; DHC1's 4-hypernode virtual walk is Monte Carlo even
         # here, so per seed the gate asserts the *outcome* matches and
         # compares the declared fields on the successes.)
-        ref = _reference_spec(spec.algorithm)
+        ref = REGISTRY.reference(spec.algorithm)
         g = gnp_random_graph(96, 1.0, seed=9)
         shared = {"delta": 1.0, "k": 4}
         succeeded = 0

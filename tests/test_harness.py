@@ -1,6 +1,10 @@
 """Tests for the experiment harness (repro.harness)."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 
@@ -491,3 +495,82 @@ class TestEndToEndSweep:
         assert success_rate(by_c[8.0]) >= 0.75
         # And everything was persisted.
         assert len(store) == 8
+
+
+class TestHeapTuning:
+    """``_keep_trial_arrays_on_heap``: glibc ``mallopt`` once per process."""
+
+    @staticmethod
+    def fake_libc(monkeypatch, **symbols):
+        import ctypes
+        import types
+
+        opened = []
+
+        def cdll(name):
+            opened.append(name)
+            return types.SimpleNamespace(gnu_get_libc_version=object(),
+                                         **symbols)
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        monkeypatch.setattr(runner_module, "_heap_tuned", False)
+        return opened
+
+    def test_without_mallopt_it_does_nothing(self, monkeypatch):
+        opened = self.fake_libc(monkeypatch)
+        assert runner_module._keep_trial_arrays_on_heap() is False
+        assert opened == [None]
+
+    def test_sets_both_thresholds_once(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        opened = self.fake_libc(monkeypatch, mallopt=mallopt)
+        assert runner_module._keep_trial_arrays_on_heap() is True
+        assert runner_module._keep_trial_arrays_on_heap() is False
+        assert opened == [None]
+        assert calls == [(-3, 32 << 20), (-1, 128 << 20)]
+
+    def test_a_rejected_threshold_is_reported(self, monkeypatch):
+        self.fake_libc(monkeypatch, mallopt=lambda param, value: 0)
+        assert runner_module._keep_trial_arrays_on_heap() is False
+
+    def test_every_trial_process_tunes_its_heap(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(runner_module, "_keep_trial_arrays_on_heap",
+                            lambda: calls.append("tuned"))
+        monkeypatch.setattr(runner_module, "_worker_fns", (None, None))
+        TrialRunner(seed_of).run([{"x": 1}], trials=1)
+        runner_module._pool_initializer(seed_of, None)
+        assert calls == ["tuned", "tuned"]
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux")
+        or platform.libc_ver()[0] != "glibc", reason="needs glibc")
+    def test_dense_trials_stop_faulting_their_arrays(self):
+        # A dense DHC2 trial's transient arrays are each a few hundred
+        # KB to 1 MB.  glibc's defaults map and unmap them per trial,
+        # about 757 minor faults per trial here; kept on the heap, a
+        # sweep past its first trial reuses them.
+        script = (
+            "import resource\n"
+            "from repro import cli\n"
+            "from repro.harness import TrialRunner\n"
+            "trial = cli._SweepTrial('dhc2', 'fast', 0.75, 6.0, 'gnp')\n"
+            "TrialRunner(trial, master_seed=7).run([{'n': 512}], trials=1)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "TrialRunner(trial, master_seed=8).run([{'n': 512}], trials=8)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "print((after - before) / 8)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            os.path.join(os.path.dirname(os.path.dirname(
+                os.path.abspath(__file__))), "src"),
+            env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout.split()[-1]) < 50
