@@ -21,6 +21,7 @@ from repro.congest.errors import (
     HaltedNodeError,
     NotANeighborError,
     RoundLimitExceeded,
+    RunEndedError,
 )
 from repro.congest.faults import FaultInjector, FaultPlan
 from repro.congest.message import Message, payload_bits, word_bits
@@ -49,4 +50,5 @@ __all__ = [
     "NotANeighborError",
     "HaltedNodeError",
     "RoundLimitExceeded",
+    "RunEndedError",
 ]

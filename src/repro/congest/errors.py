@@ -14,6 +14,7 @@ __all__ = [
     "NotANeighborError",
     "HaltedNodeError",
     "RoundLimitExceeded",
+    "RunEndedError",
 ]
 
 
@@ -46,3 +47,12 @@ class HaltedNodeError(CongestError):
 
 class RoundLimitExceeded(CongestError):
     """The simulation hit ``max_rounds`` before the protocol terminated."""
+
+
+class RunEndedError(CongestError):
+    """A node's context was used to send or schedule after its run ended.
+
+    A finished :class:`~repro.congest.network.Network` unlinks each
+    context from itself (see ``docs/ARCHITECTURE.md``, "Run lifetime"),
+    so a context outlives its run only as a record of its node.
+    """

@@ -58,7 +58,7 @@ from repro.congest.errors import (
 from repro.congest.message import TAG_BITS, Message, word_bits
 from repro.congest.metrics import Metrics
 from repro.congest.model import NetworkModel
-from repro.congest.node import Context, Protocol
+from repro.congest.node import Context, Protocol, _EndedRun
 from repro.graphs.adjacency import Graph
 
 __all__ = ["Network", "DEFAULT_BANDWIDTH_WORDS"]
@@ -325,37 +325,60 @@ class Network:
         activation_cap = 4 * (self.n + 4) * max(1, max_rounds)
         limited = False
         try:
-            for v in range(self.n):
-                if self._started[v]:
-                    self._start(v)
-            self._maybe_audit(force=True)
-            while self._buckets:
-                if self._halted == self.n:
-                    break
-                if self._async:
-                    when = self._instants[0]
-                    if when > time_limit or self._activations >= activation_cap:
+            try:
+                for v in range(self.n):
+                    if self._started[v]:
+                        self._start(v)
+                self._maybe_audit(force=True)
+                while self._buckets:
+                    if self._halted == self.n:
+                        break
+                    if self._async:
+                        when = self._instants[0]
+                        if when > time_limit or self._activations >= activation_cap:
+                            limited = True
+                            break
+                    elif self.round_index >= max_rounds:
                         limited = True
                         break
-                elif self.round_index >= max_rounds:
-                    limited = True
-                    break
-                else:
-                    when = self.round_index + 1
-                self._step(when)
-                self._maybe_audit()
-        finally:  # also when a sync protocol's exception propagates
-            self.metrics.messages = sum(self._sent)
-            self.metrics.sent_per_node = np.array(self._sent, dtype=np.int64)
+                    else:
+                        when = self.round_index + 1
+                    self._step(when)
+                    self._maybe_audit()
+            finally:  # also when a sync protocol's exception propagates
+                self.metrics.messages = sum(self._sent)
+                self.metrics.sent_per_node = np.array(self._sent, dtype=np.int64)
 
-        self._limited = limited
-        if limited and raise_on_limit:
-            raise RoundLimitExceeded(
-                f"protocol did not terminate within the watchdog budget "
-                f"(max_rounds={max_rounds})")
-        self.metrics.rounds = self.round_index
-        self._maybe_audit(force=True)
+            self._limited = limited
+            if limited and raise_on_limit:
+                raise RoundLimitExceeded(
+                    f"protocol did not terminate within the watchdog budget "
+                    f"(max_rounds={max_rounds})")
+            self.metrics.rounds = self.round_index
+            self._maybe_audit(force=True)
+        finally:
+            self._end_run()
         return self.metrics
+
+    def _end_run(self) -> None:
+        """Break the reference cycles that held the run together.
+
+        Each context drops its links to this network for one shared
+        :class:`~repro.congest.node._EndedRun`, and each protocol that
+        defines ``release`` drops its own links back to itself (a
+        sub-machine's host and transport), so a finished network is
+        freed by reference counting rather than left to the cyclic
+        collector.  It follows the final memory audit, which counts a
+        machine's host link.  Protocol state, ``metrics``,
+        ``async_summary()`` and each context's ``halted`` stay readable.
+        """
+        ended = _EndedRun(self.n, self.round_index)
+        for ctx in self._contexts:
+            ctx._end_run(ended)  # noqa: SLF001
+        for proto in self.protocols:
+            release = getattr(proto, "release", None)
+            if release is not None:
+                release()
 
     def _step(self, when: float) -> None:
         """Apply one instant: control events, the filter, then activations."""

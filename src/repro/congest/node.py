@@ -16,16 +16,20 @@ All interaction with the world goes through the :class:`Context`:
   round even without incoming messages (nodes know the global round
   number in the synchronous model, so this is legal);
 * ``ctx.halt()`` — local termination: the node will never run again.
+
+Once the run has ended, the network unlinks every context from itself:
+``halted``, ``n`` and ``round_index`` stay readable, and every action
+raises :class:`~repro.congest.errors.RunEndedError`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
-from repro.congest.errors import HaltedNodeError
+from repro.congest.errors import HaltedNodeError, RunEndedError
 from repro.congest.message import Message
 from repro.congest.metrics import state_size_words
 
@@ -139,3 +143,40 @@ class Context:
         if not self.halted:
             self.halted = True
             self._network._halted += 1  # noqa: SLF001
+
+    def _end_run(self, ended: "_EndedRun") -> None:
+        """Point at ``ended`` instead of the network whose run is over."""
+        self._network = ended
+        self._enqueue_many = ended._enqueue_many  # noqa: SLF001
+
+
+class _EndedRun:
+    """What every context of a finished run points at instead of its network.
+
+    It keeps what a node may still read (``n``, the last
+    ``round_index``) and refuses every action by name.  Holding no
+    reference back, it lets the network be freed by reference counting.
+    """
+
+    __slots__ = ("n", "round_index")
+
+    def __init__(self, n: int, round_index: int):
+        self.n = n
+        self.round_index = round_index
+
+    @staticmethod
+    def _refuse(node: int, action: str) -> NoReturn:
+        raise RunEndedError(f"node {node} tried to {action} after its run ended")
+
+    def _enqueue_many(self, src: int, dests, skip, payload, neighbors) -> None:
+        self._refuse(src, "send")
+
+    def _schedule_wake(self, node: int, round_index: int) -> None:
+        self._refuse(node, "request a wake-up")
+
+    def _edge_free(self, dst: int) -> bool:
+        raise RunEndedError(f"edge_free({dst}) asked after the run ended")
+
+    @property
+    def _halted(self) -> int:
+        raise RunEndedError("a node tried to halt after its run ended")

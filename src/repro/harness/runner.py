@@ -47,7 +47,7 @@ from typing import Any, Callable, Iterator, Mapping
 import numpy as np
 
 from repro.engines.results import RunResult
-from repro.engines.streams import spawn_states
+from repro.engines.streams import _exact, spawn_states
 
 __all__ = ["Trial", "TrialRunner", "ParallelTrialRunner"]
 
@@ -448,6 +448,9 @@ class ParallelTrialRunner(TrialRunner):
         if self.metrics is not None:
             self.metrics.annotate_pool(workers=workers, chunksize=chunksize)
         batch_fn = self.batch_fn if self._batching() else None
+        # Forked workers inherit the streams' replication verdict
+        # instead of re-running its self-checks in every worker.
+        _exact()
         ctx = multiprocessing.get_context(self.mp_context)
         with ctx.Pool(workers, initializer=_pool_initializer,
                       initargs=(self.fn, batch_fn)) as pool:

@@ -84,6 +84,17 @@ class SubMachine:
     def on_wake(self, ctx: Context) -> None:
         """Handle a wake-up previously requested via :meth:`schedule`."""
 
+    def release(self) -> None:
+        """Drop the links back to the host once the run has ended.
+
+        Those are ``_host`` and the injected transport ``_send``, which
+        may be a method of the host (a paced out-queue, DHC1's virtual
+        fabric).  Results stay readable; the machine cannot send again.
+        """
+        self._host = None
+        if hasattr(self, "_send"):
+            self._send = None
+
 
 class SubMachineHost:
     """Mixin for protocols hosting sub-machines.
@@ -165,6 +176,20 @@ class SubMachineHost:
                 machine = machines.get(prefix)
                 if machine is not None and not machine.done:
                     machine.on_wake(ctx)
+
+    def release(self) -> None:
+        """Unlink this node's sub-machines from it once the run has ended.
+
+        A machine keeps its host, and often a transport bound to it,
+        while the host keeps the machine in ``_machines`` or in an
+        attribute: one reference cycle per machine.  The network calls
+        this after its last memory audit, which counts both links.
+        """
+        machines = [value for value in vars(self).values()
+                    if isinstance(value, SubMachine)]
+        machines.extend(self._machines.values())
+        for machine in machines:
+            machine.release()
 
     def _hold(self, prefix: str, batch: list[Message]) -> None:
         """Buffer messages for a machine not yet activated (drop if retired)."""

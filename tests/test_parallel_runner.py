@@ -7,6 +7,7 @@ resume behaviour — whatever the chunking, and however skewed the grid.
 """
 
 import json
+import multiprocessing
 import time
 
 import pytest
@@ -46,6 +47,13 @@ def slow_head_trial(point, seed):
     if point["n"] == 8 and seed == SLOW_HEAD_SEED:
         time.sleep(0.4)
     return {"success": True, "score": float(seed % 7)}
+
+
+def stream_verdict_trial(point, seed):
+    """Succeeds when the streams' self-check verdict is already settled."""
+    from repro.engines import streams
+
+    return {"success": streams._EXACT is not None}
 
 
 #: The seed of slot (n=8, trial 0) under master seed 21.
@@ -139,6 +147,21 @@ class TestParallelParity:
         slots = [(t.point["n"], t.trial_index) for t in seen]
         assert slots == [(n, i) for n in (8, 16) for i in range(6)]
         assert seen == out
+
+
+class TestForkedWorkers:
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_workers_inherit_the_stream_self_check(self, monkeypatch):
+        # The parent settles the verdict before forking, so no worker
+        # re-runs the replication self-checks of its own.
+        from repro.engines import streams
+
+        monkeypatch.setattr(streams, "_EXACT", None)
+        trials = ParallelTrialRunner(stream_verdict_trial, jobs=2,
+                                     mp_context="fork").run([{"n": 8}], trials=4)
+        assert [t.success for t in trials] == [True] * 4
+        assert streams._EXACT is not None
 
 
 class TestValidation:
