@@ -62,7 +62,7 @@ COST_MARKERS = ("seconds", "setup_fraction", "overhead_fraction",
 #: overrides these, so they carry no regression signal.
 CONFIG_KEYS = frozenset({
     "sizes", "native_sizes", "ks", "seed", "c", "delta", "trials",
-    "shared_n", "congest_max", "dhc2_max", "batch_sizes",
+    "shared_n", "congest_max", "dhc2_max",
     "n", "drops", "churn",
 })
 

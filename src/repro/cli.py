@@ -229,15 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "records and their store order are "
                               "identical either way; batches are split "
                               "across the workers)")
-    sweep_p.add_argument("--batch-size", type=int, default=None,
-                         help="trials per engine call for batched engines "
-                              "(--engine fast-batch, which samples each "
-                              "trial's graph as it runs and runs it on "
-                              "fast); 1 = per-trial calls; engines without "
-                              "batch support warn and fall back (records "
-                              "are identical for any value).  Default: "
-                              "batched engines size batches per point to "
-                              "a fixed expected edge budget")
     sweep_p.add_argument("--store", default=None, metavar="PATH",
                          help="trial store for resume: completed trials "
                               "are skipped on rerun (a JSONL file, or a "
@@ -464,7 +455,7 @@ class _SweepTrial:
 
 
 class _AutoBatchSize:
-    """Picklable per-point batch caps for batched sweeps without --batch-size.
+    """Picklable per-point batch caps for batched sweeps.
 
     Sizes each grid point's groups from its expected edge density
     (:func:`~repro.engines.fast_batch.auto_batch_size`), so one sweep
@@ -529,19 +520,6 @@ def _cmd_sweep(args) -> int:
         spec = REGISTRY.resolve(algorithm, engine)
     resolved_engine = spec.engine
 
-    if args.batch_size is not None and args.batch_size < 1:
-        print("--batch-size must be >= 1", file=sys.stderr)
-        return 2
-    batch_size: int | _AutoBatchSize = args.batch_size or 1
-    if args.batch_size is None:
-        if spec.batched:
-            batch_size = _AutoBatchSize(args.delta, args.c)
-    elif batch_size > 1 and not spec.batched:
-        print(f"engine {resolved_engine!r} has no batch runner; "
-              f"ignoring --batch-size {batch_size} (try --engine "
-              f"fast-batch)", file=sys.stderr)
-        batch_size = 1
-
     shard = ShardSpec.parse(args.shard) if args.shard else None
 
     store = None
@@ -571,10 +549,10 @@ def _cmd_sweep(args) -> int:
     runner_cls = ParallelTrialRunner if args.jobs > 1 else TrialRunner
     runner_kwargs = {"master_seed": args.seed, "store": store, "shard": shard,
                      "metrics": collector}
-    if callable(batch_size) or batch_size > 1:
+    if spec.batched:
         runner_kwargs["batch_fn"] = _SweepTrialBatch(
             algorithm, engine, args.delta, args.c, args.model, extra)
-        runner_kwargs["batch_size"] = batch_size
+        runner_kwargs["batch_size"] = _AutoBatchSize(args.delta, args.c)
     if args.jobs > 1:
         runner_kwargs["jobs"] = args.jobs
     runner = runner_cls(trial_fn, **runner_kwargs)

@@ -26,7 +26,7 @@ iteration.  ``batch.edge_counts`` is each trial's edge count, its
 stream's first ``binomial`` draw.  ``batch.stacked()`` returns
 ``(indptr, indices, twins)`` from ``stack_graph_csrs`` +
 ``stacked_edge_twins`` over the built graphs; no engine reads that
-form, only the benchmark's ledger and E15 time it.
+form; only the benchmark's traced ledger (``perfbench/``) times it.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from repro.cli import main
-from repro.harness import validate_metrics_payload
+from repro.harness import JsonlStore, TrialRunner, validate_metrics_payload
 
 from tests.conftest import generator_fallback
 
@@ -394,39 +394,18 @@ class TestSweepCommand:
         assert code == 2
         assert "distinct" in err and out == ""
 
-    def test_sweep_rejects_nonpositive_batch_size(self, capsys):
-        code, _, err = run_cli(
-            capsys, "sweep", "--sizes", "48,64", "--batch-size", "0")
-        assert code == 2
-        assert "--batch-size" in err
-
-    def test_sweep_batch_size_falls_back_without_batch_runner(self, capsys):
-        code, out, err = run_cli(
-            capsys, "sweep", "--algorithm", "dra", "--engine", "fast",
-            "--sizes", "48,64", "--trials", "2", "--c", "8",
-            "--delta", "1.0", "--seed", "5", "--batch-size", "4", "--json")
-        assert code == 0
-        assert "no batch runner" in err
-        assert json.loads(out)["rows"]
-
-    def test_sweep_batched_records_match_unbatched(self, capsys, tmp_path):
-        base = ("sweep", "--algorithm", "dra", "--engine", "fast-batch",
-                "--sizes", "32,48", "--trials", "5", "--c", "8",
-                "--delta", "1.0", "--seed", "5", "--json")
-        code, _, _ = run_cli(capsys, *base, "--store",
-                             str(tmp_path / "solo.jsonl"))
-        assert code == 0
-        code, _, _ = run_cli(capsys, *base, "--batch-size", "3",
-                             "--store", str(tmp_path / "batched.jsonl"))
-        assert code == 0
-
-        assert canonical_records(tmp_path / "solo.jsonl") \
-            == canonical_records(tmp_path / "batched.jsonl")
+    def test_sweep_refuses_batch_size(self, capsys):
+        # Batched engines always size their groups per point; there is
+        # no flag to choose a group size.
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--sizes", "48,64", "--batch-size", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --batch-size" \
+            in capsys.readouterr().err
 
     def test_explicit_fast_batch_uses_auto_caps(self, capsys, monkeypatch):
-        # An explicit --engine fast-batch without --batch-size batches
-        # under the same per-point caps auto uses; --batch-size 1 still
-        # opts out to per-trial calls.
+        # An explicit --engine fast-batch batches under the per-point
+        # caps; an engine without a batch runner runs per trial.
         from repro import cli
 
         groups = []
@@ -437,16 +416,16 @@ class TestSweepCommand:
             return inner(self, point, seeds)
 
         monkeypatch.setattr(cli._SweepTrialBatch, "__call__", counting)
-        base = ("sweep", "--algorithm", "cre", "--engine", "fast-batch",
-                "--sizes", "24,32", "--trials", "6", "--c", "8",
-                "--delta", "1.0", "--seed", "5", "--json")
-        code, out, _ = run_cli(capsys, *base)
+        base = ("sweep", "--algorithm", "cre", "--sizes", "24,32",
+                "--trials", "6", "--c", "8", "--delta", "1.0", "--seed",
+                "5", "--json")
+        code, out, _ = run_cli(capsys, *base, "--engine", "fast-batch")
         assert code == 0
         assert json.loads(out)["engine"] == "fast-batch"
         assert groups and all(size > 1 for size in groups)
         assert sum(groups) == 12
         del groups[:]
-        code, _, _ = run_cli(capsys, *base, "--batch-size", "1")
+        code, _, _ = run_cli(capsys, *base, "--engine", "fast")
         assert code == 0
         assert groups == []
 
@@ -481,6 +460,22 @@ class TestSweepCommand:
 
         assert canonical_records(tmp_path / "fast.jsonl") \
             == canonical_records(tmp_path / "auto.jsonl")
+
+    @pytest.mark.parametrize("model", ["gnm", "regular"])
+    def test_sweep_fast_batch_store_equals_fast_off_gnp(
+            self, capsys, tmp_path, model):
+        # Off G(n, p) the batch task samples each seed's graph itself
+        # instead of handing the engine a GnpBatch; the store is still
+        # the per-trial fast sweep's.
+        base = ("sweep", "--algorithm", "dra", "--model", model,
+                "--sizes", "48,64", "--trials", "4", "--c", "4",
+                "--delta", "1.0", "--seed", "5", "--json")
+        for engine in ("fast", "fast-batch"):
+            code, _, _ = run_cli(capsys, *base, "--engine", engine,
+                                 "--store", str(tmp_path / f"{engine}.jsonl"))
+            assert code == 0
+        assert canonical_records(tmp_path / "fast.jsonl") \
+            == canonical_records(tmp_path / "fast-batch.jsonl")
 
     def test_sweep_sequential_algorithm_skips_power_law(self, capsys):
         # Sequential engines report rounds=0; the sweep must still
@@ -567,27 +562,27 @@ class TestSweepCommand:
         run_cli(capsys, *args)  # rerun: everything loaded, nothing appended
         assert store.read_text() == first
 
-    def test_sweep_batched_store_resume_mid_batch(self, capsys, tmp_path):
-        # Kill a batched sweep after one point, resume with a different
-        # batch size: the final store must be byte-identical (modulo
-        # timings) to an uninterrupted serial sweep — the batch task
-        # regenerates graphs from (point, seeds), so grouping is
+    def test_sweep_batched_store_resume_mid_batch(self, tmp_path):
+        # Stop a batched sweep after two points, resume it over the full
+        # grid with another group size: the final store equals an
+        # uninterrupted per-trial sweep's (modulo timings) — the batch
+        # task regenerates graphs from (point, seeds), so grouping is
         # invisible to the records.
-        base = ("sweep", "--algorithm", "dra", "--engine", "fast-batch",
-                "--sizes", "24,32,48", "--trials", "4", "--c", "8",
-                "--delta", "1.0", "--seed", "11", "--json")
-        full = tmp_path / "full.jsonl"
-        code, _, _ = run_cli(capsys, *base, "--store", str(full))
-        assert code == 0
-        partial = tmp_path / "partial.jsonl"
-        code, _, _ = run_cli(capsys, *base, "--sizes", "24,32",
-                             "--batch-size", "4", "--store", str(partial))
-        assert code == 0
-        # Resume over the full grid with a different grouping.
-        code, _, _ = run_cli(capsys, *base, "--batch-size", "3",
-                             "--store", str(partial))
-        assert code == 0
+        from repro import cli
 
+        def sweep(sizes, store, **batching):
+            engine = "fast-batch" if batching else "fast"
+            if batching:
+                batching["batch_fn"] = cli._SweepTrialBatch(
+                    "dra", engine, 1.0, 8.0, "gnp")
+            TrialRunner(cli._SweepTrial("dra", engine, 1.0, 8.0, "gnp"),
+                        master_seed=11, store=JsonlStore(store),
+                        **batching).run([{"n": n} for n in sizes], trials=4)
+
+        full, partial = tmp_path / "full.jsonl", tmp_path / "partial.jsonl"
+        sweep((24, 32, 48), full)
+        sweep((24, 32), partial, batch_size=4)
+        sweep((24, 32, 48), partial, batch_size=3)
         assert canonical_records(full) == canonical_records(partial)
 
 
@@ -603,10 +598,9 @@ class TestSweepJobsWithBatching:
                 "--delta", "1.0", "--seed", "5", "--json")
         serial = tmp_path / "serial.jsonl"
         fanout = tmp_path / "fanout.jsonl"
-        code_s, _, _ = run_cli(capsys, *base, "--batch-size", "2",
-                               "--store", str(serial))
-        code_p, _, _ = run_cli(capsys, *base, "--batch-size", "2",
-                               "--jobs", "2", "--store", str(fanout))
+        code_s, _, _ = run_cli(capsys, *base, "--store", str(serial))
+        code_p, _, _ = run_cli(capsys, *base, "--jobs", "2",
+                               "--store", str(fanout))
         assert code_s == code_p == 0
 
         assert canonical_records(serial) == canonical_records(fanout)
@@ -618,8 +612,7 @@ class TestSweepJobsWithBatching:
         # writes the same records either way.
         base = ("sweep", "--algorithm", "dra", "--engine", "fast-batch",
                 "--sizes", "24,32", "--trials", "4", "--c", "8",
-                "--delta", "1.0", "--seed", "5", "--batch-size", "4",
-                "--json")
+                "--delta", "1.0", "--seed", "5", "--json")
         exact = tmp_path / "exact.jsonl"
         fallback = tmp_path / "fallback.jsonl"
         code, _, _ = run_cli(capsys, *base, "--store", str(exact))
